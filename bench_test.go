@@ -12,7 +12,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 
@@ -31,13 +30,11 @@ import (
 	"repro/internal/kdtree"
 	"repro/internal/mpi"
 	"repro/internal/nbody"
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/powerspec"
 	"repro/internal/sched"
 	"repro/internal/so"
 	"repro/internal/subhalo"
-	"repro/internal/supervise"
 	"repro/internal/tracking"
 	"repro/internal/transit"
 )
@@ -703,140 +700,6 @@ func BenchmarkParallelSort(b *testing.B) {
 			perm := make([]int, n)
 			dparallel.Iota(perm)
 			dparallel.ParallelSortByKey(dparallel.Parallel{}, perm, keys)
-		}
-	})
-}
-
-// BenchmarkSupervisedCampaign measures the overhead of gray-failure
-// supervision on a fault-free campaign. The heartbeat is a pure function
-// polled once per miss window by a single watchdog event (not one event
-// per beat), so the supervised run should stay within a few percent of
-// the unsupervised baseline (EXPERIMENTS.md tracks the measured ratio,
-// target < 3%).
-func BenchmarkSupervisedCampaign(b *testing.B) {
-	const steps = 20
-	scenario := func(b *testing.B) *core.Scenario {
-		s, err := core.DownscaledScenario(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.PostQueueWait = 0
-		return s
-	}
-	b.Run("baseline", func(b *testing.B) {
-		s := scenario(b)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Campaign(s, steps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("supervised", func(b *testing.B) {
-		s := scenario(b)
-		pol := supervise.DefaultPolicy()
-		s.Supervise = &pol
-		var rep *core.CampaignReport
-		for i := 0; i < b.N; i++ {
-			var err error
-			if rep, err = core.Campaign(s, steps); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Fault-free: supervision must watch every job and recover nothing.
-		if rep.Resilience.HedgesLaunched != 0 || rep.AnalysisJobs != steps {
-			b.Fatalf("fault-free supervised campaign misbehaved: %+v", rep.Resilience)
-		}
-	})
-}
-
-// BenchmarkScrubbedCampaign measures the fault-free overhead of the data
-// integrity layer on a persisted campaign: lineage ledger commits plus
-// co-scheduled background scrub jobs re-verifying every product. The
-// scrubbed run should stay within a few percent of the bare persisted
-// baseline (EXPERIMENTS.md tracks the measured ratio, target < 5%).
-func BenchmarkScrubbedCampaign(b *testing.B) {
-	const steps = 20
-	scenario := func(b *testing.B) *core.Scenario {
-		s, err := core.DownscaledScenario(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.PostQueueWait = 0
-		return s
-	}
-	run := func(b *testing.B, s *core.Scenario) *core.CampaignReport {
-		b.Helper()
-		dir, err := os.MkdirTemp("", "scrubbench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		rep, err := core.ResumableCampaign(s, steps, dir, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rep
-	}
-	b.Run("baseline", func(b *testing.B) {
-		s := scenario(b)
-		for i := 0; i < b.N; i++ {
-			run(b, s)
-		}
-	})
-	b.Run("scrubbed", func(b *testing.B) {
-		s := scenario(b)
-		s.Scrub = &core.ScrubPolicy{}
-		var rep *core.CampaignReport
-		for i := 0; i < b.N; i++ {
-			rep = run(b, s)
-		}
-		// Fault-free: every scrub verification must pass and repair nothing.
-		if rep.Integrity.Corruptions != 0 || rep.Integrity.Verified == 0 {
-			b.Fatalf("fault-free scrubbed campaign misbehaved: %+v", rep.Integrity)
-		}
-	})
-}
-
-// BenchmarkObservedCampaign measures the overhead of the deterministic
-// observability layer on a fault-free campaign. "noop" is the nil-Observer
-// path (every instrumentation site short-circuits before allocating);
-// "observed" records live campaign/step/job spans plus the full
-// sched/listener metrics registry. The no-op path must be free and the
-// instrumented run should stay within a few percent of it (EXPERIMENTS.md
-// tracks the measured ratios, target < 2%).
-func BenchmarkObservedCampaign(b *testing.B) {
-	const steps = 20
-	scenario := func(b *testing.B) *core.Scenario {
-		s, err := core.DownscaledScenario(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.PostQueueWait = 0
-		return s
-	}
-	b.Run("noop", func(b *testing.B) {
-		s := scenario(b)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Campaign(s, steps); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("observed", func(b *testing.B) {
-		s := scenario(b)
-		var o *obs.Observer
-		for i := 0; i < b.N; i++ {
-			// Fresh observer per run: spans accumulate per campaign, and a
-			// real caller traces one campaign per observer.
-			o = obs.New("campaign", nil)
-			s.Obs = o
-			if _, err := core.Campaign(s, steps); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Fault-free: the full hierarchy must have been traced.
-		if spans := o.Spans(); len(spans) < 2*steps+1 {
-			b.Fatalf("observed campaign recorded %d spans, want >= %d", len(spans), 2*steps+1)
 		}
 	})
 }

@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/des"
-	"repro/internal/fs"
 	"repro/internal/integrity"
-	"repro/internal/sched"
 	"repro/internal/supervise"
 )
 
@@ -54,299 +51,61 @@ type CampaignReport struct {
 	ScrubDecisions []integrity.Decision
 }
 
-// l2Path is the modelled storage path of one step's Level 2 file (also the
-// relative on-disk product path under a persisted campaign's directory).
-func l2Path(step int) string { return fmt.Sprintf("l2/step%03d.gio", step) }
-
-// campaignHooks threads checkpoint/restart behaviour through the campaign
-// engine without disturbing its event sequence: every hook fires
-// synchronously inside an existing callback and schedules no virtual-time
-// events, so a hooked run is event-for-event identical to a bare Campaign.
-type campaignHooks struct {
-	// startStep is the first step the simulation emits (resume skips the
-	// journaled prefix); 0 or 1 means a full run.
-	startStep int
-	// preloadSteps lists steps whose Level 2 files survived a previous
-	// incarnation and are restored into the modelled storage at t=0.
-	preloadSteps []int
-	// preSeenSteps lists steps whose analysis already completed; the
-	// listener skips them. Preloaded steps *not* listed here are requeued.
-	preSeenSteps []int
-	// onStepLanded fires when a step's Level 2 write verifies intact;
-	// onPostDone when a step's analysis job completes.
-	onStepLanded func(step int)
-	onPostDone   func(step int)
-	// runUntil, when positive, stops the virtual clock at that time — the
-	// injected process-crash point. runCampaign reports crashed=true if
-	// events were still pending.
-	runUntil float64
-	// onSetup hands ResumableCampaign the engine's clock and modelled
-	// storage before any event runs — the integrity layer schedules bit-rot
-	// events and timestamps scrub decisions through them.
-	onSetup func(sim *des.Sim, storage *fs.System)
-	// scrub, when non-nil, co-schedules periodic scrubber jobs on the
-	// analysis cluster (the paper's co-scheduling slot reused for
-	// background verification).
-	scrub *scrubDriver
-}
-
-// scrubDriver runs a Scrubber as co-scheduled jobs inside the campaign
-// engine: every Interval a small job lands on the post cluster and, on
-// completion, re-verifies the next Batch ledger products.
-type scrubDriver struct {
-	scr *integrity.Scrubber
-	pol ScrubPolicy
-	// jobs counts submissions, done completions (done is subtracted from
-	// the report's AnalysisJobs — scrub jobs are not analysis).
-	jobs, done int
-	// stopped halts the ticker when the simulation job ends; products
-	// landing after that are covered by the final sweep.
-	stopped bool
-}
-
 // Campaign runs a co-scheduled combined-workflow campaign over the given
 // number of timesteps on the discrete-event clock, with analysis jobs
 // auto-submitted by the listener as each step's Level 2 file lands.
+//
+// It is Run(s, CombinedCoScheduled) at Timesteps = timesteps on the same
+// engine, with two deliberate differences: the simulation job is named
+// "sim" (fault draws are keyed by job name), and analysis jobs pay no
+// facility queue wait — Campaign ignores Scenario.PostQueueWait, which Run
+// applies to every post job. With PostQueueWait = 0 and no faults the two
+// agree on wall clock and job starts (TestRunCoScheduledMatchesCampaign).
 func Campaign(s *Scenario, timesteps int) (*CampaignReport, error) {
-	rep, _, err := runCampaign(s, timesteps, campaignHooks{})
-	return rep, err
+	e, err := newCampaignEngine(s, timesteps)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.run(1, timesteps, 0); err != nil {
+		return nil, err
+	}
+	return e.campaignReport(), nil
 }
 
-// runCampaign is the campaign engine shared by Campaign (no hooks) and
-// ResumableCampaign (persistence and crash injection via hooks).
-func runCampaign(s *Scenario, timesteps int, h campaignHooks) (*CampaignReport, bool, error) {
+// newCampaignEngine sets up the engine the way Campaign and
+// ResumableCampaign run it: co-scheduled, observed, no post queue wait.
+func newCampaignEngine(s *Scenario, timesteps int) (*engine, error) {
 	if timesteps <= 0 {
-		return nil, false, fmt.Errorf("core: campaign needs timesteps > 0")
-	}
-	start := h.startStep
-	if start < 1 {
-		start = 1
+		return nil, fmt.Errorf("core: campaign needs timesteps > 0")
 	}
 	ph, err := computePhases(s)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	perStepPost := ph.l2Read + ph.l2Redist + ph.postCenter + ph.l3Write
+	return newEngine(s, ph, CombinedCoScheduled, "sim", 0, s.Obs)
+}
 
-	var sim des.Sim
-	inj := s.injector()
-	// The observer's clock is the engine's clock: spans and metrics are
-	// stamped with virtual time, so trace output for a fixed seed is
-	// byte-identical across runs (the determinism contract in obs).
-	s.Obs.SetClock(sim.Now)
-	camp := s.Obs.Begin("campaign", s.Name)
-	storage := fs.New(&sim, "lustre")
-	storage.SetFaults(inj)
-	if h.onSetup != nil {
-		h.onSetup(&sim, storage)
+// campaignReport summarizes a completed run over steps 1..e.last.
+func (e *engine) campaignReport() *CampaignReport {
+	rep := &CampaignReport{
+		Timesteps:      e.last,
+		SimWallClock:   e.simEnd,
+		TotalWallClock: e.sim.Now(),
+		AnalysisJobs:   len(e.postCluster.Finished()),
+		MaxPileUp:      e.postCluster.MaxPendingSeen,
+		Resilience:     e.res,
+		Decisions:      e.sup.Decisions(),
 	}
-	for _, step := range h.preloadSteps {
-		storage.Restore(l2Path(step), ph.levels.Level2Bytes)
-	}
-	simCluster, err := sched.NewCluster(&sim, s.Machine)
-	if err != nil {
-		return nil, false, err
-	}
-	faultCluster(simCluster, inj, s.retry())
-	postCluster, err := sched.NewCluster(&sim, s.PostMachine)
-	if err != nil {
-		return nil, false, err
-	}
-	faultCluster(postCluster, inj, s.retry())
-	// One supervisor watches both clusters: hedged re-execution and loss
-	// declarations land in a single ordered decision log.
-	deg := s.degradePolicy()
-	sup := s.supervision(&sim)
-	simCluster.Supervise = sup
-	postCluster.Supervise = sup
-	simCluster.Obs = s.Obs
-	postCluster.Obs = s.Obs
-	if sup != nil {
-		sup.Obs = s.Obs
-	}
-	pl := newStepPlanner(s, ph, inj, deg, ph.l2Write, perStepPost)
-	rep := &CampaignReport{Timesteps: timesteps}
-	// Hedged backups re-run the primary's OnStart and rescued analysis
-	// jobs re-fire completions, so the persistence hooks are deduplicated
-	// per step — a product can land (and be journaled) at most once.
-	landedOnce := map[int]bool{}
-	postOnce := map[int]bool{}
-	stepLanded := func(step int) {
-		if landedOnce[step] {
-			return
-		}
-		landedOnce[step] = true
-		if s.Obs != nil {
-			m := s.Obs.Metrics()
-			m.Counter("core.l2_files_landed").Inc()
-			m.Counter("core.l2_bytes_landed").Add(ph.levels.Level2Bytes)
-		}
-		if h.onStepLanded != nil {
-			h.onStepLanded(step)
-		}
-	}
-	postDone := func(step int) {
-		if h.onPostDone == nil || postOnce[step] {
-			return
-		}
-		postOnce[step] = true
-		h.onPostDone(step)
-	}
-	var jobStarts []float64
-	seq := 0
-	listener := &sched.Listener{
-		Sim: &sim, FS: storage, Cluster: postCluster,
-		Prefix:       "l2/",
-		PollInterval: s.ListenerPoll,
-		Faults:       inj,
-		Obs:          s.Obs,
-		MakeJob: func(path string, f *fs.File) *sched.Job {
-			seq++
-			step := seq
-			stepKnown := false
-			if _, err := fmt.Sscanf(path, "l2/step%d.gio", &step); err == nil {
-				stepKnown = true
-			}
-			j := &sched.Job{Name: fmt.Sprintf("post-%03d", seq), Nodes: s.PostNodes, Duration: pl.postDur(step)}
-			j.OnStart = func(j *sched.Job) { jobStarts = append(jobStarts, j.StartTime) }
-			if h.onPostDone != nil && stepKnown {
-				j.OnComplete = func(*sched.Job) { postDone(step) }
-			}
-			if deg.RescueLost {
-				rescueOnLoss(postCluster, j, &rep.Resilience, sup)
-			}
-			return j
-		},
-	}
-	if sup != nil {
-		listener.Breaker = supervise.NewBreaker(sim.Now)
-	}
-	if err := listener.Start(); err != nil {
-		return nil, false, err
-	}
-	for _, step := range h.preSeenSteps {
-		listener.MarkSeen(l2Path(step))
-	}
-	// Per-step durations under gray in-situ slowdowns and the degrade
-	// policy; fault-free this is exactly remaining * nominal stepDur.
-	offsets, simDur := pl.planEmissions(start, timesteps, &rep.Resilience, sup)
-	simJob := &sched.Job{
-		Name: "sim", Nodes: s.SimNodes,
-		Duration: simDur,
-		OnStart: func(j *sched.Job) {
-			attempt := j.Attempt
-			for step := start; step <= timesteps; step++ {
-				at := j.StartTime + offsets[step]
-				step := step
-				sim.At(at, func() {
-					if j.Attempt != attempt {
-						return // this attempt failed before reaching the step
-					}
-					if s.Obs != nil {
-						// The step's segment ends here; lay its span down
-						// retroactively under the campaign root. Uncharged:
-						// the sim job's span already carries these nodes.
-						dur, degraded := pl.stepDur(step)
-						sp := s.Obs.SpanAt(camp, "step", fmt.Sprintf("step-%03d", step), at-dur, at)
-						if degraded {
-							sp.Arg("degraded", "spilled centers off-line")
-						}
-					}
-					redriveWrite(&sim, storage, &rep.Resilience,
-						l2Path(step), ph.levels.Level2Bytes, writeRedriveDelay, 0, func() {
-							stepLanded(step)
-						})
-				})
-			}
-		},
-		OnComplete: func(j *sched.Job) {
-			rep.SimWallClock = j.EndTime
-			if h.scrub != nil {
-				h.scrub.stopped = true
-			}
-			sim.After(1, func() {
-				listener.Stop()
-				listener.Drain(s.ListenerPoll, drainSweeps)
-			})
-		},
-		// Supervision may declare the sim job lost: stop the listener and
-		// sweep whatever landed so the campaign degrades instead of
-		// spinning the poll loop forever.
-		OnGiveUp: func(*sched.Job) {
-			rep.SimWallClock = sim.Now()
-			if h.scrub != nil {
-				h.scrub.stopped = true
-			}
-			sim.After(1, func() {
-				listener.Stop()
-				listener.Drain(s.ListenerPoll, drainSweeps)
-			})
-		},
-	}
-	if err := simCluster.Submit(simJob); err != nil {
-		return nil, false, err
-	}
-	// The background scrubber rides the co-scheduling allocation: small
-	// periodic jobs on the analysis cluster re-verify committed products.
-	// The ticker stops with the simulation job; products committed after
-	// that are covered by the final full sweep.
-	if h.scrub != nil {
-		d := h.scrub
-		d.scr.OnGiveUp = func(p integrity.Product) {
-			sup.Note(p.Path, "integrity-give-up", "corrupt product could not be re-derived; escalating")
-		}
-		var tick func()
-		tick = func() {
-			if d.stopped {
-				return
-			}
-			d.jobs++
-			job := &sched.Job{Name: fmt.Sprintf("scrub-%03d", d.jobs), Nodes: d.pol.Nodes, Duration: d.pol.JobSeconds}
-			job.OnComplete = func(*sched.Job) {
-				d.done++
-				d.scr.Stats.ScrubJobs++
-				d.scr.SweepNext(d.pol.Batch)
-			}
-			if err := postCluster.Submit(job); err != nil {
-				d.stopped = true
-				return
-			}
-			sim.After(d.pol.Interval, tick)
-		}
-		sim.After(d.pol.Interval, tick)
-	}
-	if h.runUntil > 0 {
-		sim.RunUntil(h.runUntil)
-		if sim.Pending() > 0 {
-			camp.Arg("crashed", "injected process crash").Done()
-			return rep, true, nil // the injected crash struck mid-campaign
-		}
-	} else {
-		sim.Run()
-	}
-	camp.Done()
-	rep.Resilience.addCluster(simCluster)
-	rep.Resilience.addCluster(postCluster)
-	rep.Resilience.addFS(storage)
-	rep.Resilience.addListener(listener)
-	rep.Decisions = sup.Decisions()
-	rep.TotalWallClock = sim.Now()
-	rep.AnalysisJobs = len(postCluster.Finished())
-	if h.scrub != nil {
-		// Scrub jobs share the cluster but are not analysis.
-		rep.AnalysisJobs -= h.scrub.done
-	}
-	rep.MaxPileUp = postCluster.MaxPendingSeen
 	overlapped := 0
-	for _, start := range jobStarts {
+	for _, start := range e.jobStarts {
 		if start < rep.SimWallClock {
 			overlapped++
 		}
 	}
-	if len(jobStarts) > 0 {
-		rep.OverlapFraction = float64(overlapped) / float64(len(jobStarts))
+	if len(e.jobStarts) > 0 {
+		rep.OverlapFraction = float64(overlapped) / float64(len(e.jobStarts))
 	}
 	rep.TrailingSeconds = rep.TotalWallClock - rep.SimWallClock
-	rep.SimpleWallClock = rep.SimWallClock + float64(timesteps)*perStepPost
-	return rep, false, nil
+	rep.SimpleWallClock = rep.SimWallClock + float64(e.last)*e.postNom
+	return rep
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/des"
-	"repro/internal/fault"
-	"repro/internal/sched"
 	"repro/internal/supervise"
 )
 
@@ -54,82 +52,48 @@ func (s *Scenario) degradePolicy() DegradePolicy {
 	return DegradePolicy{}
 }
 
-// stepPlanner derives each timestep's in-situ and post-job durations under
-// gray in-situ slowdowns and the degrade policy. All decisions are pure
-// functions of (profile seed, step), so two runs plan identically and a
+// stepDur returns the step's full duration inside the simulation job under
+// gray in-situ slowdowns and the degrade policy, and whether the step
+// degraded (spilled its center work off-line). Like postDur it is a pure
+// function of (profile seed, step), so two runs plan identically and a
 // resumed campaign re-plans exactly what the crashed one planned.
-type stepPlanner struct {
-	interval  float64 // simulation segment between outputs
-	insituNom float64 // nominal in-situ analysis (fof + small-halo centers)
-	fof       float64 // irreducible in-situ part (halo finding feeds the split)
-	writes    float64 // per-step writes inside the sim job (l2 + l3)
-	postNom   float64 // nominal post-job duration
-	spill     float64 // post-side cost of spilled small-halo centers
-	budget    float64 // in-situ budget; 0 = never degrade
-	inj       *fault.Injector
-}
-
-func newStepPlanner(s *Scenario, ph *phases, inj *fault.Injector, deg DegradePolicy, l2Write, perStepPost float64) *stepPlanner {
-	return &stepPlanner{
-		interval:  s.StepInterval,
-		insituNom: ph.fof + ph.centerSmallMax,
-		fof:       ph.fof,
-		writes:    l2Write + ph.l3Write,
-		postNom:   perStepPost,
-		spill:     ph.postSpillCenter,
-		budget:    deg.StepBudget,
-		inj:       inj,
+func (e *engine) stepDur(step int) (float64, bool) {
+	f := e.inj.StepSlowdown(step)
+	insitu := (e.ph.fof + e.ph.centerSmallMax) * f
+	writes := e.ph.l2Write + e.ph.l3Write
+	if e.deg.StepBudget > 0 && insitu > e.deg.StepBudget {
+		// Halo finding feeds the split, so it stays in situ.
+		return e.s.StepInterval + e.ph.fof*f + writes, true
 	}
+	return e.s.StepInterval + insitu + writes, false
 }
 
-// stepDur returns the step's full duration inside the simulation job and
-// whether the step degraded (spilled its center work off-line).
-func (pl *stepPlanner) stepDur(step int) (float64, bool) {
-	f := pl.inj.StepSlowdown(step)
-	insitu := pl.insituNom * f
-	if pl.budget > 0 && insitu > pl.budget {
-		return pl.interval + pl.fof*f + pl.writes, true
+// postDur returns the step's post-job duration (the spilled small-halo
+// centers included when the step degraded).
+func (e *engine) postDur(step int) float64 {
+	if _, degraded := e.stepDur(step); degraded {
+		return e.postNom + e.ph.postSpillCenter
 	}
-	return pl.interval + insitu + pl.writes, false
+	return e.postNom
 }
 
-// postDur returns the step's post-job duration (spill included when the
-// step degraded).
-func (pl *stepPlanner) postDur(step int) float64 {
-	if _, degraded := pl.stepDur(step); degraded {
-		return pl.postNom + pl.spill
-	}
-	return pl.postNom
-}
-
-// planEmissions walks steps first..last, accounting degraded steps into
-// res and the supervisor log, and returns each step's cumulative
-// end-offset within the simulation job plus the job's total duration.
-func (pl *stepPlanner) planEmissions(first, last int, res *Resilience, sup *supervise.Supervisor) (map[int]float64, float64) {
-	offsets := make(map[int]float64, last-first+1)
+// planEmissions walks steps e.first..e.last, accounting degraded steps into
+// the resilience counters and the supervisor log, and returns each step's
+// cumulative end-offset within the simulation job (indexed by step) plus the job's total
+// duration (fault-free: the step count times the nominal step exactly).
+func (e *engine) planEmissions() ([]float64, float64) {
+	offsets := make([]float64, e.last+1)
 	cum := 0.0
-	for step := first; step <= last; step++ {
-		dur, degraded := pl.stepDur(step)
+	for step := e.first; step <= e.last; step++ {
+		dur, degraded := e.stepDur(step)
 		cum += dur
 		offsets[step] = cum
 		if degraded {
-			res.DegradedSteps++
-			sup.Note(fmt.Sprintf("step%03d", step), "degrade",
-				fmt.Sprintf("in-situ %.0fs over %.0fs budget; centers spill off-line", pl.insituNom*pl.inj.StepSlowdown(step), pl.budget))
+			e.res.DegradedSteps++
+			e.sup.Note(fmt.Sprintf("step%03d", step), "degrade",
+				fmt.Sprintf("in-situ %.0fs over %.0fs budget; centers spill off-line",
+					(e.ph.fof+e.ph.centerSmallMax)*e.inj.StepSlowdown(step), e.deg.StepBudget))
 		}
 	}
 	return offsets, cum
-}
-
-// rescueOnLoss arms a post job with a one-deep rescue: if supervision
-// declares it lost, a replacement carrying the same callbacks is submitted
-// (the replacement itself has no rescue).
-func rescueOnLoss(cluster *sched.Cluster, j *sched.Job, res *Resilience, sup *supervise.Supervisor) {
-	j.OnGiveUp = func(*sched.Job) {
-		res.RescuedSteps++
-		sup.Note(j.Name, "rescue", "lost analysis job resubmitted")
-		rescue := &sched.Job{Name: j.Name + "~r", Nodes: j.Nodes, Duration: j.Duration,
-			OnStart: j.OnStart, OnComplete: j.OnComplete}
-		_ = cluster.Submit(rescue)
-	}
 }

@@ -201,9 +201,9 @@ func TestLineageLedgerProvenance(t *testing.T) {
 		t.Fatalf("%d lineage records, want %d", got, 2*steps+1)
 	}
 	for step := 1; step <= steps; step++ {
-		down := led.Downstream(l2RelPath(step))
+		down := led.Downstream(l2Path(step))
 		if len(down) != 2 || down[0] != centersRelPath(step) || down[1] != "catalog.txt" {
-			t.Errorf("downstream of %s = %v", l2RelPath(step), down)
+			t.Errorf("downstream of %s = %v", l2Path(step), down)
 		}
 	}
 	// Every ledger record matches its bytes on disk.

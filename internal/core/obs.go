@@ -10,9 +10,10 @@ package core
 // carries wall time at zero nodes — queueing costs time, never
 // core-hours, exactly the paper's accounting.
 //
-// The campaign engine (campaign.go) instead records live spans
-// (campaign → step → job) as events execute; the two instrumentations
-// are complementary views, never mixed on one observer by the CLI.
+// Campaign and ResumableCampaign instead attach the observer to the engine
+// (engine.go), which records live spans (campaign → step → job) as events
+// execute; the two instrumentations are complementary views, never mixed
+// on one observer by the CLI.
 
 // emitPhaseSpans records the workflow's phase breakdown on s.Obs as a
 // sequential timeline: the simulation job's phases back-to-back from 0,

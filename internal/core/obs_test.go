@@ -32,20 +32,7 @@ func campaignArtifacts(t *testing.T, seed int64, steps int, gray bool) []byte {
 	if _, err := Campaign(s, steps); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := obs.WriteTrace(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteSpanTree(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Metrics().WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Cost(o, obs.TitanChargePolicy()).WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return observedArtifacts(t, o)
 }
 
 // Two identical campaigns must serialize to byte-identical artifacts —

@@ -4,19 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/ckpt"
 	"repro/internal/cosmotools"
-	"repro/internal/des"
-	"repro/internal/fs"
 	"repro/internal/gio"
 	"repro/internal/integrity"
 	"repro/internal/nbody"
+	"repro/internal/sched"
 )
 
 // ErrCampaignCrashed reports that a ResumableCampaign run was killed by an
@@ -43,19 +42,42 @@ type ResumeStats struct {
 	TornFiles, SalvagedBlocks int
 }
 
-// campaignCrash is the panic payload that unwinds the discrete-event stack
-// when an injected crash (or a persistence failure) strikes inside an
-// engine callback. err == nil means the injected kill.
-type campaignCrash struct{ err error }
+func centersRelPath(step int) string { return fmt.Sprintf("centers/step%03d.centers", step) }
 
-const (
-	journalFile = "journal.wal"
-	ledgerFile  = "lineage.wal"
-)
+// product describes one persisted campaign product: its journal record
+// (kind, step, path), its lineage (producer name, input paths) and the
+// pure generator of its bytes.
+type product struct {
+	rec      ckpt.Record
+	producer string
+	inputs   []string
+	gen      func(seed int64) []byte
+}
 
-// campaign product layout under the output directory.
-func l2RelPath(step int) string      { return "l2/" + fmt.Sprintf("step%03d.gio", step) }
-func centersRelPath(step int) string { return "centers/" + fmt.Sprintf("step%03d.centers", step) }
+func l2File(step int) product {
+	return product{ckpt.Record{Kind: ckpt.KindStep, Step: step, Path: l2Path(step)}, "sim-step", nil,
+		func(seed int64) []byte { return l2Product(seed, step) }}
+}
+
+func centersFile(step int) product {
+	return product{ckpt.Record{Kind: ckpt.KindPost, Step: step, Path: centersRelPath(step)}, "post-step",
+		[]string{l2Path(step)}, func(seed int64) []byte { return centersCatalog(seed, step, step) }}
+}
+
+func mergedCatalog(timesteps int) product {
+	inputs := make([]string, timesteps)
+	for i := range inputs {
+		inputs[i] = centersRelPath(i + 1)
+	}
+	return product{ckpt.Record{Kind: ckpt.KindMerge, Path: "catalog.txt"}, "merge", inputs,
+		func(seed int64) []byte { return centersCatalog(seed, 1, timesteps) }}
+}
+
+// lineage is the product's ledger record for the given content.
+func (p product) lineage(seed int64, data []byte) integrity.Product {
+	return integrity.Product{Path: p.rec.Path, Bytes: int64(len(data)), Sum: integrity.Sum(data),
+		Step: p.rec.Step, Producer: p.producer, Inputs: p.inputs, Params: fmt.Sprintf("seed=%d", seed)}
+}
 
 // ResumableCampaign runs Campaign with crash-consistent persistence: every
 // delivered product (per-step Level 2 particle files, per-step center
@@ -74,25 +96,27 @@ func centersRelPath(step int) string { return "centers/" + fmt.Sprintf("step%03d
 // record alongside the scenario name, horizon and fault seed; resuming
 // under different parameters is refused.
 func ResumableCampaign(s *Scenario, timesteps int, outDir string, seed int64) (rep *CampaignReport, err error) {
-	if timesteps <= 0 {
-		return nil, fmt.Errorf("core: campaign needs timesteps > 0")
-	}
-	for _, d := range []string{outDir, filepath.Join(outDir, "l2"), filepath.Join(outDir, "centers")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	j, records, err := ckpt.Open(filepath.Join(outDir, journalFile))
+	e, err := newCampaignEngine(s, timesteps)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		// A close failure after fsync'd appends cannot lose records, but a
-		// silently dropped error would mask a sick filesystem mid-campaign.
-		if cerr := j.Close(); cerr != nil && err == nil {
+	for _, sub := range []string{"l2", "centers"} {
+		if err := os.MkdirAll(filepath.Join(outDir, sub), 0o755); err != nil {
+			return nil, err
+		}
+	}
+	j, records, err := ckpt.Open(filepath.Join(outDir, "journal.wal"))
+	if err != nil {
+		return nil, err
+	}
+	// A close failure after fsync'd appends cannot lose records, but a
+	// silently dropped error would mask a sick filesystem mid-campaign.
+	closeInto := func(c io.Closer) {
+		if cerr := c.Close(); cerr != nil && err == nil {
 			rep, err = nil, cerr
 		}
-	}()
+	}
+	defer closeInto(j)
 	m := ckpt.Replay(records)
 	var faultSeed int64
 	if s.Faults != nil {
@@ -107,173 +131,172 @@ func ResumableCampaign(s *Scenario, timesteps int, outDir string, seed int64) (r
 			return nil, err
 		}
 	}
+	journaled := committed(m, timesteps)
 	// The integrity layer: a content-addressed lineage ledger beside the
 	// journal, plus a scrubber that repairs checksum mismatches by
 	// re-running only the producing step. Active when the profile injects
 	// bit rot or the scenario co-schedules scrubbing.
-	rotOn := s.Faults != nil && s.Faults.BitRotProb > 0
-	integrityOn := rotOn || s.Scrub != nil
 	var led *integrity.Ledger
 	var scr *integrity.Scrubber
-	if integrityOn {
-		led, err = integrity.OpenLedger(filepath.Join(outDir, ledgerFile))
+	if s.Scrub != nil || (s.Faults != nil && s.Faults.BitRotProb > 0) {
+		led, err = integrity.OpenLedger(filepath.Join(outDir, "lineage.wal"))
 		if err != nil {
 			return nil, err
 		}
-		defer func() {
-			if cerr := led.Close(); cerr != nil && err == nil {
-				rep, err = nil, cerr
+		defer closeInto(led)
+		// Journaled products from pre-ledger incarnations get a lineage
+		// record. The expected content is regenerated from the seed — never
+		// read back from disk, which may have rotted in the meantime — so a
+		// backfilled record carries the true fault-free content address.
+		for _, p := range journaled {
+			if _, ok := led.Lookup(p.rec.Path); ok {
+				continue
 			}
-		}()
-		if err := backfillLedger(led, m, seed); err != nil {
-			return nil, err
+			if err := led.Append(p.lineage(seed, p.gen(seed))); err != nil {
+				return nil, err
+			}
 		}
-		scr = &integrity.Scrubber{Dir: outDir, Ledger: led,
-			Rederive: func(p integrity.Product) ([]byte, error) { return rederiveProduct(outDir, seed, p) }}
+		// Repair re-derives a product from its lineage record alone: every
+		// product is a pure function of the seed, found by producer name.
+		scr = &integrity.Scrubber{Dir: outDir, Ledger: led, Rederive: func(lp integrity.Product) ([]byte, error) {
+			for _, p := range []product{l2File(lp.Step), centersFile(lp.Step), mergedCatalog(len(lp.Inputs))} {
+				if p.producer == lp.Producer {
+					return p.gen(seed), nil
+				}
+			}
+			return nil, fmt.Errorf("core: no re-derivation for producer %q (%s)", lp.Producer, lp.Path)
+		}}
 	}
 
 	stats := ResumeStats{Generation: m.Generation}
-	if err := reconcileDir(outDir, m, &stats, scr); err != nil {
+	if err := reconcileDir(outDir, journaled, &stats, scr); err != nil {
 		return nil, err
 	}
 
+	// Surviving Level 2 files reappear in the modelled storage; those whose
+	// analysis never completed are requeued by the listener's first sweep.
 	done := m.CompletedSteps()
 	if done > timesteps {
 		done = timesteps
 	}
-	hooks := campaignHooks{startStep: done + 1}
+	stats.StepsSkipped = done
 	for step := 1; step <= done; step++ {
-		hooks.preloadSteps = append(hooks.preloadSteps, step)
+		e.storage.Restore(l2Path(step), e.ph.levels.Level2Bytes, step)
 		if _, ok := m.Posts[step]; ok {
-			hooks.preSeenSteps = append(hooks.preSeenSteps, step)
+			e.listener.MarkSeen(l2Path(step))
+			stats.PostsSkipped++
 		}
 	}
-	stats.StepsSkipped = done
-	stats.PostsSkipped = len(hooks.preSeenSteps)
 
 	// This incarnation's injected kill, drawn positionally by generation,
 	// then the incarnation itself goes on record.
-	crash, crashArmed := s.injector().CrashFor(m.Generation)
+	crash, _ := e.inj.CrashFor(m.Generation)
 	if err := j.Append(ckpt.Record{Kind: ckpt.KindRun, Name: fmt.Sprintf("gen-%d", m.Generation)}); err != nil {
 		return nil, err
 	}
-	if crashArmed && crash.AtTime > 0 {
-		hooks.runUntil = crash.AtTime
-	}
 
-	// Integrity wiring into the engine: the clock timestamps scrub
-	// decisions, bit-rot events fire on the virtual timeline against the
-	// real product files, and every commit gains a lineage record.
-	var engineSim *des.Sim
-	var engineFS *fs.System
+	// Bit rot fires on the engine's clock against the real product files;
+	// the same clock timestamps scrub decisions. Products surviving from
+	// earlier incarnations rot too: each generation draws fresh,
+	// (path, generation)-keyed rot for them.
 	scheduleRot := func(rel string) {
-		if !rotOn || engineSim == nil {
-			return
-		}
-		delay, frac, rot := s.injector().BitRot(rel, m.Generation)
+		delay, frac, rot := e.inj.BitRot(rel, m.Generation)
 		if !rot {
 			return
 		}
-		engineSim.After(delay, func() {
+		e.sim.After(delay, func() {
 			if integrity.CorruptFile(filepath.Join(outDir, rel), frac) == nil {
-				engineFS.Corrupt(rel)
+				e.storage.Corrupt(rel)
 			}
 		})
 	}
-	hooks.onSetup = func(sim *des.Sim, storage *fs.System) {
-		engineSim, engineFS = sim, storage
-		if scr != nil {
-			scr.Now = sim.Now
-			scr.Obs = s.Obs
-		}
-		// Products surviving from earlier incarnations rot too: each
-		// generation draws fresh, (path, generation)-keyed rot for them.
+	if scr != nil {
+		scr.Now = e.sim.Now
+		scr.Obs = s.Obs
 		for _, p := range led.Products() {
 			scheduleRot(p.Path)
 		}
 	}
-	if !integrityOn {
-		hooks.onSetup = nil
+	// commit makes one product durable: atomic file + journal record, then
+	// (under the integrity layer) its lineage record.
+	commit := func(p product, data []byte) error {
+		if _, err := j.Commit(p.rec, outDir, data); err != nil || led == nil {
+			return err
+		}
+		return led.Append(p.lineage(seed, data))
 	}
-	commitLineage := func(p integrity.Product) {
-		if led == nil {
+	// The persistence callbacks report a failure, or the injected kill, by
+	// aborting the engine: the clock stops and run returns the error.
+	commitStep := func(p product) {
+		if err := commit(p, p.gen(seed)); err != nil {
+			e.abort(err)
 			return
 		}
-		p.Params = fmt.Sprintf("seed=%d", seed)
-		if e := led.Append(p); e != nil {
-			panic(campaignCrash{err: e})
-		}
-		scheduleRot(p.Path)
+		scheduleRot(p.rec.Path)
 	}
+	e.onLanded = func(step int) {
+		if crash.AtStep == step {
+			// The kill strikes mid-write: a torn prefix lands non-atomically
+			// with no journal record — the worst case reconcile cleans up.
+			data := l2Product(seed, step)
+			//lint:allow atomicwrite deliberate torn write: fault injection exercising the reconcile path
+			_ = os.WriteFile(filepath.Join(outDir, l2Path(step)), data[:len(data)*3/5], 0o644)
+			e.abort(ErrCampaignCrashed)
+			return
+		}
+		commitStep(l2File(step))
+	}
+	e.onPostDone = func(step int) { commitStep(centersFile(step)) }
+
+	// The background scrubber rides the co-scheduling allocation: small
+	// periodic jobs on the analysis cluster re-verify committed products
+	// until the simulation job ends; the final full sweep covers the rest.
+	scrubJobs, scrubsDone := 0, 0
 	if s.Scrub != nil {
-		hooks.scrub = &scrubDriver{scr: scr, pol: s.Scrub.withDefaults()}
+		pol := s.Scrub.withDefaults()
+		scr.OnGiveUp = func(p integrity.Product) {
+			e.sup.Note(p.Path, "integrity-give-up", "corrupt product could not be re-derived; escalating")
+		}
+		var tick func()
+		tick = func() {
+			if e.simDone {
+				return
+			}
+			scrubJobs++
+			job := &sched.Job{Name: fmt.Sprintf("scrub-%03d", scrubJobs), Nodes: pol.Nodes, Duration: pol.JobSeconds}
+			job.OnComplete = func(*sched.Job) {
+				scrubsDone++
+				scr.Stats.ScrubJobs++
+				scr.SweepNext(pol.Batch)
+			}
+			if e.postCluster.Submit(job) == nil {
+				e.sim.After(pol.Interval, tick)
+			}
+		}
+		e.sim.After(pol.Interval, tick)
 	}
 
-	hooks.onStepLanded = func(step int) {
-		data := l2Product(seed, step)
-		if crashArmed && crash.AtStep == step {
-			// The kill strikes mid-write: a torn prefix lands non-atomically
-			// and no journal record is written — the worst case the
-			// reconcile pass must clean up.
-			//lint:allow atomicwrite deliberate torn write: fault injection exercising the reconcile path
-			_ = os.WriteFile(filepath.Join(outDir, l2RelPath(step)), data[:len(data)*3/5], 0o644)
-			panic(campaignCrash{})
-		}
-		if _, e := j.Commit(ckpt.Record{Kind: ckpt.KindStep, Step: step, Path: l2RelPath(step)}, outDir, data); e != nil {
-			panic(campaignCrash{err: e})
-		}
-		commitLineage(integrity.Product{Path: l2RelPath(step), Bytes: int64(len(data)),
-			Sum: integrity.Sum(data), Step: step, Producer: "sim-step"})
-	}
-	hooks.onPostDone = func(step int) {
-		data := centersProduct(seed, step)
-		if _, e := j.Commit(ckpt.Record{Kind: ckpt.KindPost, Step: step, Path: centersRelPath(step)}, outDir, data); e != nil {
-			panic(campaignCrash{err: e})
-		}
-		commitLineage(integrity.Product{Path: centersRelPath(step), Bytes: int64(len(data)),
-			Sum: integrity.Sum(data), Step: step, Producer: "post-step",
-			Inputs: []string{l2RelPath(step)}})
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := r.(campaignCrash)
-			if !ok {
-				panic(r)
-			}
-			rep, err = nil, ErrCampaignCrashed
-			if c.err != nil {
-				err = c.err
-			}
-		}
-	}()
-	rep, crashed, err := runCampaign(s, timesteps, hooks)
-	if err != nil {
+	if err := e.run(done+1, timesteps, crash.AtTime); err != nil {
 		return nil, err
 	}
-	if crashed {
-		return nil, ErrCampaignCrashed
-	}
+	rep = e.campaignReport()
+	rep.AnalysisJobs -= scrubsDone // scrub jobs share the cluster but are not analysis
 
 	// Every analysis landed: commit the merged catalog ("the two files ...
 	// were merged to provide a complete set of halo centers", §4.1). The
 	// merge inputs may have rotted since their commit, so under the
 	// integrity layer each one is verified (and repaired) first — a merge
 	// must never bake corruption into the Level 3 product.
-	centerInputs := make([]string, 0, timesteps)
-	for step := 1; step <= timesteps; step++ {
-		centerInputs = append(centerInputs, centersRelPath(step))
-	}
 	if m.Merge == nil {
-		if scr != nil {
-			for _, rel := range centerInputs {
+		cat := mergedCatalog(timesteps)
+		paths := make([]string, timesteps)
+		for i, rel := range cat.inputs {
+			if scr != nil {
 				if p, ok := led.Lookup(rel); ok {
 					scr.CheckRepair(p)
 				}
 			}
-		}
-		paths := make([]string, 0, timesteps)
-		for _, rel := range centerInputs {
-			paths = append(paths, filepath.Join(outDir, rel))
+			paths[i] = filepath.Join(outDir, rel)
 		}
 		merged, err := catalog.MergeFiles(paths)
 		if err != nil {
@@ -283,31 +306,19 @@ func ResumableCampaign(s *Scenario, timesteps int, outDir string, seed int64) (r
 		if err := catalog.Write(&buf, merged); err != nil {
 			return nil, err
 		}
-		if _, err := j.Commit(ckpt.Record{Kind: ckpt.KindMerge, Path: "catalog.txt"}, outDir, buf.Bytes()); err != nil {
+		if err := commit(cat, buf.Bytes()); err != nil {
 			return nil, err
 		}
-		if led != nil {
-			data := buf.Bytes()
-			if err := led.Append(integrity.Product{Path: "catalog.txt", Bytes: int64(len(data)),
-				Sum: integrity.Sum(data), Producer: "merge", Inputs: centerInputs,
-				Params: fmt.Sprintf("seed=%d", seed)}); err != nil {
-				return nil, err
-			}
-			// At-rest rot can strike the merged catalog too; the virtual
-			// clock has stopped, so an armed rot fires immediately and the
-			// final sweep below repairs it.
-			if rotOn {
-				if _, frac, rot := s.injector().BitRot("catalog.txt", m.Generation); rot {
-					_ = integrity.CorruptFile(filepath.Join(outDir, "catalog.txt"), frac)
-				}
-			}
+		// The merged catalog rots too; the clock has stopped, so an armed
+		// rot fires immediately and the final sweep below repairs it.
+		if _, frac, rot := e.inj.BitRot("catalog.txt", m.Generation); rot {
+			_ = integrity.CorruptFile(filepath.Join(outDir, "catalog.txt"), frac)
 		}
 	}
 	if scr != nil {
-		// Final full pass in commit order: whatever rot landed after the
-		// last co-scheduled scrub window is caught and repaired here, so a
-		// finished campaign always converges to a clean, fault-free-
-		// identical product set.
+		// Final full pass in commit order: rot that landed after the last
+		// scrub window is repaired here, so a finished campaign converges
+		// to a clean, fault-free-identical product set.
 		scr.SweepAll()
 		rep.Integrity = scr.Stats
 		rep.ScrubDecisions = scr.Decisions()
@@ -316,121 +327,31 @@ func ResumableCampaign(s *Scenario, timesteps int, outDir string, seed int64) (r
 	return rep, nil
 }
 
-// rederiveProduct regenerates one product from its lineage record — the
-// minimal-repair primitive. Per-step products come straight from the
-// (seed, step) generators; the merged catalog re-runs only the merge over
-// its (already verified) inputs.
-func rederiveProduct(outDir string, seed int64, p integrity.Product) ([]byte, error) {
-	switch p.Producer {
-	case "sim-step":
-		return l2Product(seed, p.Step), nil
-	case "post-step":
-		return centersProduct(seed, p.Step), nil
-	case "merge":
-		paths := make([]string, len(p.Inputs))
-		for i, in := range p.Inputs {
-			paths[i] = filepath.Join(outDir, in)
-		}
-		merged, err := catalog.MergeFiles(paths)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := catalog.Write(&buf, merged); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+// committed lists the manifest's journaled products, each carrying its
+// journaled record, in the deterministic order every pass over them uses —
+// steps ascending, posts ascending, merge last — so two reconciles of the
+// same directory verify, repair and backfill in the same order and log
+// identical decisions.
+func committed(m *ckpt.Manifest, timesteps int) []product {
+	out := make([]product, 0, len(m.Steps)+len(m.Posts)+1)
+	add := func(p product, rec ckpt.Record) {
+		p.rec = rec
+		out = append(out, p)
 	}
-	return nil, fmt.Errorf("core: no re-derivation for producer %q (%s)", p.Producer, p.Path)
-}
-
-// backfillLedger gives journaled products from pre-ledger incarnations a
-// lineage record. The expected content is regenerated from (seed, step) —
-// never read back from disk, which may have rotted in the meantime — so a
-// backfilled record carries the true fault-free content address. Records
-// land in deterministic order: steps, then posts, then the merge.
-func backfillLedger(led *integrity.Ledger, m *ckpt.Manifest, seed int64) error {
-	steps := make([]int, 0, len(m.Steps))
-	for step := range m.Steps {
-		steps = append(steps, step)
-	}
-	sort.Ints(steps)
-	for _, step := range steps {
-		r := m.Steps[step]
-		if _, ok := led.Lookup(r.Path); ok {
-			continue
-		}
-		data := l2Product(seed, step)
-		if err := led.Append(integrity.Product{Path: r.Path, Bytes: int64(len(data)),
-			Sum: integrity.Sum(data), Step: step, Producer: "sim-step",
-			Params: fmt.Sprintf("seed=%d", seed)}); err != nil {
-			return err
-		}
-	}
-	posts := make([]int, 0, len(m.Posts))
-	for step := range m.Posts {
-		posts = append(posts, step)
-	}
-	sort.Ints(posts)
-	for _, step := range posts {
-		r := m.Posts[step]
-		if _, ok := led.Lookup(r.Path); ok {
-			continue
-		}
-		data := centersProduct(seed, step)
-		if err := led.Append(integrity.Product{Path: r.Path, Bytes: int64(len(data)),
-			Sum: integrity.Sum(data), Step: step, Producer: "post-step",
-			Inputs: []string{l2RelPath(step)},
-			Params: fmt.Sprintf("seed=%d", seed)}); err != nil {
-			return err
-		}
-	}
-	if m.Merge != nil && m.Meta != nil {
-		if _, ok := led.Lookup(m.Merge.Path); !ok {
-			data := mergedProduct(seed, m.Meta.Timesteps)
-			inputs := make([]string, 0, m.Meta.Timesteps)
-			for step := 1; step <= m.Meta.Timesteps; step++ {
-				inputs = append(inputs, centersRelPath(step))
-			}
-			if err := led.Append(integrity.Product{Path: m.Merge.Path, Bytes: int64(len(data)),
-				Sum: integrity.Sum(data), Producer: "merge", Inputs: inputs,
-				Params: fmt.Sprintf("seed=%d", seed)}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// mergedProduct computes the merged catalog purely from (seed, timesteps)
-// — the in-memory equivalent of catalog.MergeFiles over pristine per-step
-// center products, used to backfill the merge's lineage record without
-// trusting possibly-rotted disk bytes.
-func mergedProduct(seed int64, timesteps int) []byte {
-	byTag := map[int64]cosmotools.CenterRecord{}
 	for step := 1; step <= timesteps; step++ {
-		recs, err := catalog.Read(bytes.NewReader(centersProduct(seed, step)))
-		if err != nil {
-			panic(err) // in-memory parse of our own generator output cannot fail
-		}
-		for _, r := range recs {
-			byTag[r.HaloTag] = r
+		if rec, ok := m.Steps[step]; ok {
+			add(l2File(step), rec)
 		}
 	}
-	tags := make([]int64, 0, len(byTag))
-	for tag := range byTag {
-		tags = append(tags, tag)
+	for step := 1; step <= timesteps; step++ {
+		if rec, ok := m.Posts[step]; ok {
+			add(centersFile(step), rec)
+		}
 	}
-	sort.Slice(tags, func(a, b int) bool { return tags[a] < tags[b] })
-	recs := make([]cosmotools.CenterRecord, 0, len(tags))
-	for _, tag := range tags {
-		recs = append(recs, byTag[tag])
+	if m.Merge != nil {
+		add(mergedCatalog(timesteps), *m.Merge)
 	}
-	var buf bytes.Buffer
-	if err := catalog.Write(&buf, recs); err != nil {
-		panic(err) // in-memory write cannot fail
-	}
-	return buf.Bytes()
+	return out
 }
 
 // reconcileDir brings the campaign directory back in line with the journal
@@ -438,97 +359,58 @@ func mergedProduct(seed int64, timesteps int) []byte {
 // deleted, files without a journal record (a crash struck between write
 // and commit) are salvage-counted and removed so their work is redone,
 // and journaled files are verified against their recorded size and
-// checksum — in deterministic order (steps, posts, merge). A checksum
-// mismatch is silent corruption, not a crash artifact: with a scrubber
-// attached the file is quarantined and repaired from its lineage; without
-// one it is a hard error.
-func reconcileDir(outDir string, m *ckpt.Manifest, stats *ResumeStats, scr *integrity.Scrubber) error {
-	journaled := map[string]ckpt.Record{}
-	for _, r := range m.Steps {
-		journaled[r.Path] = r
+// checksum. A checksum mismatch is silent corruption, not a crash
+// artifact: with a scrubber attached the file is quarantined and repaired
+// from its lineage; without one it is a hard error.
+func reconcileDir(outDir string, journaled []product, stats *ResumeStats, scr *integrity.Scrubber) error {
+	known := map[string]bool{}
+	for _, p := range journaled {
+		known[p.rec.Path] = true
 	}
-	for _, r := range m.Posts {
-		journaled[r.Path] = r
-	}
-	if m.Merge != nil {
-		journaled[m.Merge.Path] = *m.Merge
-	}
-	for _, sub := range []string{"", "l2", "centers"} {
-		ckpt.RemoveStaleTemps(filepath.Join(outDir, sub))
-	}
+	ckpt.RemoveStaleTemps(outDir)
+	files := []string{"catalog.txt"}
 	for _, sub := range []string{"l2", "centers"} {
+		ckpt.RemoveStaleTemps(filepath.Join(outDir, sub))
 		entries, err := os.ReadDir(filepath.Join(outDir, sub))
 		if err != nil {
 			return err
 		}
 		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			if _, ok := journaled[sub+"/"+e.Name()]; ok {
-				continue
-			}
-			stats.TornFiles++
-			full := filepath.Join(outDir, sub, e.Name())
-			if filepath.Ext(e.Name()) == ".gio" {
-				if blocks, _ := gio.ReadSalvageFile(full); blocks != nil {
-					stats.SalvagedBlocks += len(blocks)
-				}
-			}
-			if err := os.Remove(full); err != nil {
-				return err
+			if !e.IsDir() {
+				files = append(files, sub+"/"+e.Name())
 			}
 		}
 	}
-	if _, ok := journaled["catalog.txt"]; !ok {
-		if _, err := os.Stat(filepath.Join(outDir, "catalog.txt")); err == nil {
-			stats.TornFiles++
-			if err := os.Remove(filepath.Join(outDir, "catalog.txt")); err != nil {
-				return err
+	for _, rel := range files {
+		if known[rel] {
+			continue
+		}
+		full := filepath.Join(outDir, rel)
+		if filepath.Ext(rel) == ".gio" {
+			if blocks, _ := gio.ReadSalvageFile(full); blocks != nil {
+				stats.SalvagedBlocks += len(blocks)
 			}
 		}
+		if err := os.Remove(full); errors.Is(err, os.ErrNotExist) {
+			continue // no torn merged catalog
+		} else if err != nil {
+			return err
+		}
+		stats.TornFiles++
 	}
-	for _, r := range orderedRecords(m) {
-		err := ckpt.VerifyFile(outDir, r)
+	for _, p := range journaled {
+		err := ckpt.VerifyFile(outDir, p.rec)
 		if err == nil {
 			continue
 		}
 		if scr != nil && errors.Is(err, ckpt.ErrManifestChecksum) {
-			if p, ok := scr.Ledger.Lookup(r.Path); ok && scr.CheckRepair(p) {
+			if lp, ok := scr.Ledger.Lookup(p.rec.Path); ok && scr.CheckRepair(lp) {
 				continue
 			}
 		}
 		return err
 	}
 	return nil
-}
-
-// orderedRecords lists the manifest's committed-file records in the
-// deterministic verify order: steps ascending, posts ascending, merge
-// last — so two reconciles of the same directory repair in the same order
-// and log identical decisions.
-func orderedRecords(m *ckpt.Manifest) []ckpt.Record {
-	out := make([]ckpt.Record, 0, len(m.Steps)+len(m.Posts)+1)
-	steps := make([]int, 0, len(m.Steps))
-	for step := range m.Steps {
-		steps = append(steps, step)
-	}
-	sort.Ints(steps)
-	for _, step := range steps {
-		out = append(out, m.Steps[step])
-	}
-	posts := make([]int, 0, len(m.Posts))
-	for step := range m.Posts {
-		posts = append(posts, step)
-	}
-	sort.Ints(posts)
-	for _, step := range posts {
-		out = append(out, m.Posts[step])
-	}
-	if m.Merge != nil {
-		out = append(out, *m.Merge)
-	}
-	return out
 }
 
 // l2Product generates a step's Level 2 particle payload (gio format). The
@@ -551,20 +433,25 @@ func l2Product(seed int64, step int) []byte {
 	return buf.Bytes()
 }
 
-// centersProduct generates a step's halo-center catalog, again purely from
-// (seed, step).
-func centersProduct(seed int64, step int) []byte {
-	rng := rand.New(rand.NewSource(seed<<20 ^ int64(step)*2654435761))
-	n := 3 + step%5
-	recs := make([]cosmotools.CenterRecord, 0, n)
-	for i := 0; i < n; i++ {
-		recs = append(recs, cosmotools.CenterRecord{
-			HaloTag:   int64(step)*1000 + int64(i),
-			MBPTag:    int64(step)*1000 + int64(rng.Intn(900)),
-			Pos:       [3]float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100},
-			Potential: -1e13 * (1 + rng.Float64()),
-			Count:     300_000 + rng.Intn(2_000_000),
-		})
+// centersCatalog generates the halo-center catalog of steps first..last
+// purely from (seed, step): a single step is that step's analysis product,
+// steps 1..n the merged catalog. Halo tags are unique across steps and
+// catalog.Write sorts by tag, so the latter equals catalog.MergeFiles over
+// the pristine per-step files — which is what lets repair and backfill
+// regenerate it without trusting possibly-rotted disk bytes.
+func centersCatalog(seed int64, first, last int) []byte {
+	var recs []cosmotools.CenterRecord
+	for step := first; step <= last; step++ {
+		rng := rand.New(rand.NewSource(seed<<20 ^ int64(step)*2654435761))
+		for i, n := 0, 3+step%5; i < n; i++ {
+			recs = append(recs, cosmotools.CenterRecord{
+				HaloTag:   int64(step)*1000 + int64(i),
+				MBPTag:    int64(step)*1000 + int64(rng.Intn(900)),
+				Pos:       [3]float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100},
+				Potential: -1e13 * (1 + rng.Float64()),
+				Count:     300_000 + rng.Intn(2_000_000),
+			})
+		}
 	}
 	var buf bytes.Buffer
 	if err := catalog.Write(&buf, recs); err != nil {

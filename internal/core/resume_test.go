@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/ckpt"
 	"repro/internal/fault"
 )
 
@@ -196,4 +199,30 @@ func TestResumeCompletedCampaign(t *testing.T) {
 		t.Errorf("generation %d, want 1", rep.Resume.Generation)
 	}
 	sameProducts(t, want, snapshotProducts(t, dir), "no-op resume")
+}
+
+// The merged catalog's pure generator — what backfill and repair trust
+// instead of disk bytes — must equal a real merge of the per-step files.
+func TestMergedCatalogGeneratorMatchesMergeFiles(t *testing.T) {
+	const seed, steps = 5, 12
+	dir := t.TempDir()
+	var paths []string
+	for step := 1; step <= steps; step++ {
+		path := filepath.Join(dir, filepath.Base(centersRelPath(step)))
+		if err := ckpt.WriteFileAtomic(path, centersFile(step).gen(seed)); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	merged, err := catalog.MergeFiles(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := catalog.Write(&buf, merged); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), mergedCatalog(steps).gen(seed)) {
+		t.Error("generated merged catalog differs from catalog.MergeFiles over the per-step files")
+	}
 }

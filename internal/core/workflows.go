@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/fault"
-	"repro/internal/fs"
+	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/supervise"
 )
@@ -159,58 +159,21 @@ func maxOf(vs []float64) float64 {
 	return m
 }
 
-// faultCluster attaches the scenario's injector, retry policy and drain
-// windows to a cluster (no-op under a nil injector, preserving the
-// failure-free event sequence exactly).
-func faultCluster(c *sched.Cluster, inj *fault.Injector, retry sched.RetryPolicy) {
-	if inj == nil {
-		return
+// cluster builds a cluster on machine m under the given supervisor and,
+// with a non-nil injector, the scenario's faults, retry policy and drain
+// windows (a nil injector preserves the failure-free event sequence
+// exactly).
+func (s *Scenario) cluster(sim *des.Sim, m platform.Machine, inj *fault.Injector, sup *supervise.Supervisor) (*sched.Cluster, error) {
+	c, err := sched.NewCluster(sim, m)
+	if err != nil {
+		return nil, err
 	}
-	c.Faults = inj
-	c.Retry = retry
-	c.ApplyDrains(inj.NodeDrains())
-}
-
-// redriveLimit bounds write re-drives so a pathological profile (100%
-// write failure) cannot loop forever; each re-drive draws an independent
-// fault outcome, so under realistic rates the file always lands.
-const redriveLimit = 8
-
-// writeRedriveDelay is the virtual-seconds pause before a failed or
-// truncated Level 2 write is re-driven.
-const writeRedriveDelay = 5.0
-
-// drainSweeps bounds the listener's post-run drain (Listener.Drain): a
-// pathological profile refusing every submission cannot hang the run, and
-// under realistic refusal rates every analysis is submitted well before
-// the bound.
-const drainSweeps = 40
-
-// redriveWrite performs one Level 1/Level 2 write, verifies the landed
-// size against the writer's intent, and re-drives the write after delay
-// seconds when it failed outright or landed silently truncated — the
-// workflow engine's recovery loop for storage faults. landed (may be nil)
-// fires once the file is verified intact; the resumable campaign hangs its
-// durable commit off it.
-func redriveWrite(sim *des.Sim, storage *fs.System, res *Resilience, path string, bytes, delay float64, attempt int, landed func()) {
-	storage.WriteChecked(path, bytes, 0, nil, func(err error) {
-		if err == nil {
-			if _, verr := storage.VerifySize(path, bytes); verr == nil {
-				if landed != nil {
-					landed()
-				}
-				return // landed intact
-			}
-			storage.Delete(path) // truncated: drop the short file
-		}
-		if attempt+1 >= redriveLimit {
-			return // give up; the file is lost
-		}
-		res.WritesRedriven++
-		sim.After(delay, func() {
-			redriveWrite(sim, storage, res, path, bytes, delay, attempt+1, landed)
-		})
-	})
+	c.Supervise = sup
+	if inj != nil {
+		c.Faults, c.Retry = inj, s.retry()
+		c.ApplyDrains(inj.NodeDrains())
+	}
+	return c, nil
 }
 
 // Run executes the chosen workflow for the scenario on a discrete-event
@@ -242,12 +205,10 @@ func runInSitu(s *Scenario, ph *phases) (*Report, error) {
 		IOLevel: "none", RedistLevel: "none", Queueing: "none",
 	}
 	var sim des.Sim
-	cluster, err := sched.NewCluster(&sim, s.Machine)
+	cluster, err := s.cluster(&sim, s.Machine, s.injector(), s.supervision(&sim))
 	if err != nil {
 		return nil, err
 	}
-	faultCluster(cluster, s.injector(), s.retry())
-	cluster.Supervise = s.supervision(&sim)
 	analysis := ph.fof + ph.centerAllMax
 	write := ph.l3Write
 	stepDur := s.StepInterval + analysis + write
@@ -278,12 +239,10 @@ func runOffline(s *Scenario, ph *phases) (*Report, error) {
 		IOLevel: "Level 1", RedistLevel: "Level 1", Queueing: "full",
 	}
 	var sim des.Sim
-	cluster, err := sched.NewCluster(&sim, s.Machine)
+	cluster, err := s.cluster(&sim, s.Machine, s.injector(), s.supervision(&sim))
 	if err != nil {
 		return nil, err
 	}
-	faultCluster(cluster, s.injector(), s.retry())
-	cluster.Supervise = s.supervision(&sim)
 	cluster.ExtraQueueWait = func(j *sched.Job) float64 {
 		if j.Name == "offline-analysis" {
 			return s.OfflineQueueWait
@@ -336,177 +295,44 @@ func runCombined(s *Scenario, ph *phases, kind Kind) (*Report, error) {
 	r := &Report{
 		Workflow: kind, Scenario: s.Name,
 		SimNodes: s.SimNodes, PostNodes: s.PostNodes,
+		IOLevel: "Level 2", RedistLevel: "Level 2", Queueing: "partial simult",
+		PostQueueWait: s.PostQueueWait,
 	}
-	inTransit := kind == CombinedInTransit
-	coSched := kind == CombinedCoScheduled
-
-	analysisInSitu := ph.fof + ph.centerSmallMax
-	l2Write, l2Read := ph.l2Write, ph.l2Read
-	postQueueWait := s.PostQueueWait
 	switch kind {
 	case CombinedSimple:
-		r.IOLevel, r.RedistLevel, r.Queueing = "Level 2", "Level 2", "partial"
-	case CombinedCoScheduled:
-		r.IOLevel, r.RedistLevel, r.Queueing = "Level 2", "Level 2", "partial simult"
+		r.Queueing = "partial"
 	case CombinedInTransit:
-		r.IOLevel, r.RedistLevel, r.Queueing = "none", "Level 2", "partial simult"
-		l2Write, l2Read = 0, 0 // staged through shared memory
-		postQueueWait = 0      // analysis partition held alongside the run
+		// Table 3 marks in-transit core hours "(n/a)" — the set-up did not
+		// exist on accessible systems; the charge model below still reports
+		// what it would cost on equivalent hardware.
+		r.IOLevel = "none"
+		r.PostQueueWait = 0 // analysis partition held alongside the run
 	}
-	perStepPost := l2Read + ph.l2Redist + ph.postCenter + ph.l3Write
-
-	var sim des.Sim
-	inj := s.injector()
-	storage := fs.New(&sim, "lustre")
-	if !inTransit {
-		// In-transit Level 2 never touches the file system, so storage
-		// faults only apply to the disk-staged variants.
-		storage.SetFaults(inj)
-	}
-	cluster, err := sched.NewCluster(&sim, s.Machine)
+	// The engine inside Run is uninstrumented: emitPhaseSpans lays the
+	// report's phase breakdown on s.Obs instead (see obs.go).
+	e, err := newEngine(s, ph, kind, "sim+insitu", r.PostQueueWait, nil)
 	if err != nil {
 		return nil, err
 	}
-	faultCluster(cluster, inj, s.retry())
-	// The post jobs run on the post machine's cluster (same machine in the
-	// Table 4 set-up, Moonlight for Q Continuum).
-	postCluster, err := sched.NewCluster(&sim, s.PostMachine)
-	if err != nil {
+	if err := e.run(1, s.Timesteps, 0); err != nil {
 		return nil, err
 	}
-	faultCluster(postCluster, inj, s.retry())
-	postCluster.ExtraQueueWait = func(*sched.Job) float64 { return postQueueWait }
-
-	// Gray-failure supervision: one supervisor watches both clusters so
-	// the decision log is a single ordered record of the whole run.
-	deg := s.degradePolicy()
-	sup := s.supervision(&sim)
-	cluster.Supervise = sup
-	postCluster.Supervise = sup
-	pl := newStepPlanner(s, ph, inj, deg, l2Write, perStepPost)
-
-	newPostJob := func(step int) *sched.Job {
-		j := &sched.Job{Name: fmt.Sprintf("post-%03d", step), Nodes: s.PostNodes, Duration: perStepPost}
-		j.OnStart = func(j *sched.Job) { r.AnalysisJobStarts = append(r.AnalysisJobStarts, j.StartTime) }
-		if deg.RescueLost {
-			rescueOnLoss(postCluster, j, &r.Resilience, sup)
-		}
-		return j
-	}
-
-	var listener *sched.Listener
-	if coSched {
-		jobSeq := 0
-		listener = &sched.Listener{
-			Sim: &sim, FS: storage, Cluster: postCluster,
-			Prefix:       "l2/step",
-			PollInterval: s.ListenerPoll,
-			Faults:       inj,
-			MakeJob: func(path string, f *fs.File) *sched.Job {
-				jobSeq++
-				j := newPostJob(jobSeq)
-				// Size the job for the step the file belongs to: a degraded
-				// step's job carries the spilled center work.
-				step := jobSeq
-				fmt.Sscanf(path, "l2/step%d.gio", &step)
-				j.Duration = pl.postDur(step)
-				return j
-			},
-		}
-		if sup != nil {
-			listener.Breaker = supervise.NewBreaker(sim.Now)
-		}
-		if err := listener.Start(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Per-step durations under gray slowdowns and the degrade policy; the
-	// fault-free plan collapses to Timesteps * nominal stepDur exactly.
-	offsets, simDur := pl.planEmissions(1, s.Timesteps, &r.Resilience, sup)
-	wrapUp := func() {
-		if listener != nil {
-			// "an additional instance of the listener would run after
-			// the job completes to catch the last output data" (§3.2):
-			// sweep one tick later so the final step's Level 2 file —
-			// whose visibility event shares this timestamp — is seen.
-			// Drain keeps re-sweeping while submit refusals (or a
-			// cooling breaker) hold back the last analyses.
-			sim.After(1, func() {
-				listener.Stop()
-				listener.Drain(s.ListenerPoll, drainSweeps)
-			})
-			return
-		}
-		// Simple & in-transit: one post job covering all timesteps,
-		// queued after the simulation ("One 4-node job covering all
-		// timesteps ... queued after sim", Table 4).
-		post := newPostJob(0)
-		total := 0.0
-		for step := 1; step <= s.Timesteps; step++ {
-			total += pl.postDur(step)
-		}
-		post.Duration = total
-		_ = postCluster.Submit(post)
-	}
-	simJob := &sched.Job{
-		Name: "sim+insitu", Nodes: s.SimNodes,
-		Duration: simDur,
-		OnStart: func(j *sched.Job) {
-			// Emit one Level 2 file per timestep as the run progresses.
-			// Writes are verified and re-driven on failure or truncation;
-			// outputs of an attempt that later dies never land (the gate on
-			// j.Attempt below).
-			attempt := j.Attempt
-			for step := 1; step <= s.Timesteps; step++ {
-				at := j.StartTime + offsets[step]
-				step := step
-				sim.At(at, func() {
-					if j.Attempt != attempt {
-						return // this attempt failed before reaching the step
-					}
-					redriveWrite(&sim, storage, &r.Resilience,
-						fmt.Sprintf("l2/step%03d.gio", step), ph.levels.Level2Bytes, writeRedriveDelay, 0, nil)
-				})
-			}
-		},
-		OnComplete: func(*sched.Job) { wrapUp() },
-		// Supervision may declare the sim job lost (hedging budget
-		// exhausted): wrap up anyway so the listener stops and whatever
-		// landed still gets analyzed — the run degrades, it never hangs.
-		OnGiveUp: func(*sched.Job) { wrapUp() },
-	}
-	if err := cluster.Submit(simJob); err != nil {
-		return nil, err
-	}
-	sim.Run()
-	r.Resilience.addCluster(cluster)
-	r.Resilience.addCluster(postCluster)
-	r.Resilience.addFS(storage)
-	if listener != nil {
-		r.Resilience.addListener(listener)
-	}
-	r.Decisions = sup.Decisions()
+	r.Resilience = e.res
+	r.Decisions = e.sup.Decisions()
+	r.AnalysisJobStarts = e.jobStarts
 
 	steps := float64(s.Timesteps)
 	r.SimSeconds = steps * s.StepInterval
-	r.AnalysisSeconds = steps * analysisInSitu
-	r.SimWriteSeconds = steps * (l2Write + ph.l3Write)
-	r.PostQueueWait = postQueueWait
-	r.ReadSeconds = steps * l2Read
+	r.AnalysisSeconds = steps * (ph.fof + ph.centerSmallMax)
+	r.SimWriteSeconds = steps * (e.ph.l2Write + ph.l3Write)
+	r.ReadSeconds = steps * e.ph.l2Read
 	r.RedistributeSeconds = steps * ph.l2Redist
 	r.PostAnalysisSeconds = steps * ph.postCenter
 	r.PostWriteSeconds = steps * ph.l3Write
-	r.WallClock = sim.Now()
+	r.WallClock = e.sim.Now()
 	r.AnalysisCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.AnalysisSeconds+r.SimWriteSeconds) +
 		s.PostMachine.ChargeCoreHours(s.PostNodes, r.PostJobTotal())
 	r.SimCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.SimSeconds)
-	if inTransit {
-		// Table 3 marks in-transit core hours "(n/a)" — the set-up did not
-		// exist on accessible systems; the charge model above still
-		// reports what it would cost on equivalent hardware.
-		r.Queueing = "partial simult"
-	}
 	emitPhaseSpans(s, r)
 	return r, nil
 }

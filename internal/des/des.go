@@ -14,6 +14,7 @@ type Sim struct {
 	now    float64
 	queue  eventHeap
 	serial int64 // tie-break so same-time events run in schedule order
+	halted bool
 }
 
 type event struct {
@@ -68,22 +69,28 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains.
+// Run executes events until the queue drains or an event calls Halt.
 func (s *Sim) Run() {
-	for s.Step() {
+	for !s.halted && s.Step() {
 	}
 }
 
 // RunUntil executes events with time <= t, then advances the clock to t
-// (if it is ahead of the last event).
+// (if it is ahead of the last event). A Halt leaves the clock where the
+// halting event ran.
 func (s *Sim) RunUntil(t float64) {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
+	for !s.halted && s.queue.Len() > 0 && s.queue[0].at <= t {
 		s.Step()
 	}
-	if s.now < t {
+	if !s.halted && s.now < t {
 		s.now = t
 	}
 }
+
+// Halt makes Run and RunUntil return once the current event finishes;
+// queued events stay pending and the simulator stays halted. It is how a
+// model reports, from inside an event, that the run cannot continue.
+func (s *Sim) Halt() { s.halted = true }
 
 // Pending reports the number of queued events.
 func (s *Sim) Pending() int { return s.queue.Len() }

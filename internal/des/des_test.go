@@ -107,3 +107,23 @@ func TestStepOnEmptyQueue(t *testing.T) {
 		t.Error("Step on empty queue should return false")
 	}
 }
+
+// Halt stops Run and RunUntil after the halting event: later events stay
+// queued and the clock stays at the halting event's time.
+func TestHaltStopsTheLoop(t *testing.T) {
+	for _, until := range []float64{0, 5} {
+		var s Sim
+		fired := 0
+		s.At(1, func() { fired++ })
+		s.At(2, func() { fired++; s.Halt() })
+		s.At(3, func() { fired++ })
+		if until > 0 {
+			s.RunUntil(until)
+		} else {
+			s.Run()
+		}
+		if fired != 2 || s.Pending() != 1 || s.Now() != 2 {
+			t.Errorf("until=%v: fired=%d pending=%d now=%v, want 2, 1, 2", until, fired, s.Pending(), s.Now())
+		}
+	}
+}

@@ -195,7 +195,8 @@ func (s *System) Corrupt(path string) bool {
 // Restore places a file on the tier, visible from t=0 — the campaign
 // resume path re-populating the modelled storage with products that
 // survived a previous incarnation (they physically exist, so the restarted
-// run must see them without re-paying the write).
-func (s *System) Restore(path string, bytes float64) {
-	s.files[path] = &File{Path: path, Bytes: bytes, VisibleAt: 0}
+// run must see them without re-paying the write). payload is what a Write
+// of the file would have carried.
+func (s *System) Restore(path string, bytes float64, payload any) {
+	s.files[path] = &File{Path: path, Bytes: bytes, VisibleAt: 0, Payload: payload}
 }

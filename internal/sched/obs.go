@@ -2,7 +2,7 @@
 //
 // Every helper here is a no-op when Cluster.Obs / Listener.Obs is nil —
 // the guard is a single pointer check, so the uninstrumented path stays
-// allocation-free (the <2% no-op overhead budget in EXPERIMENTS.md).
+// allocation-free.
 // Span timestamps come exclusively from the cluster's DES clock via the
 // observer's injected Clock; see the obs package determinism contract.
 package sched

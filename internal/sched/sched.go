@@ -493,20 +493,6 @@ func (l *Listener) Unseen() int {
 	return n
 }
 
-// Drain is the supervised final sweep: it re-sweeps every delay virtual
-// seconds until all visible files have been submitted or maxSweeps is
-// exhausted, so a transient submit refusal — or a breaker cooling down —
-// at the end of the run delays the last analyses instead of losing them.
-// When the first sweep submits everything (the failure-free case) no
-// further event is scheduled, leaving the fault-free clock untouched.
-func (l *Listener) Drain(delay float64, maxSweeps int) {
-	l.sweep()
-	if maxSweeps <= 1 || l.Unseen() == 0 {
-		return
-	}
-	l.Sim.After(delay, func() { l.Drain(delay, maxSweeps-1) })
-}
-
 func (l *Listener) poll() {
 	if l.stopped {
 		return
