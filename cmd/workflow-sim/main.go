@@ -311,16 +311,19 @@ func resilienceStudy(seed, faultSeed int64, grayP *fault.Profile) error {
 }
 
 // persistedCampaign runs (or resumes) a crash-consistent campaign rooted
-// at dir. steps == 0 means resume: the horizon and seeds are read back
-// from the journal's meta record. A crash-time/crash-step kill is armed
-// for the *current* generation, so repeated invocations with the same flag
-// crash once and then complete. bitrot > 0 injects seeded at-rest
+// at dir. steps == 0 means resume: the horizon and the seeds (fault seed
+// included, so a flag-less -resume runs under the profile seed the
+// journal pins) are read back from the journal's meta record. A
+// crash-time/crash-step kill is armed for the *current* generation, so
+// repeated invocations with the same flag crash once and then
+// complete. bitrot > 0 injects seeded at-rest
 // corruption into committed products; scrub > 0 co-schedules background
 // scrub jobs at that interval.
 func persistedCampaign(seed int64, steps int, dir string, crashTime float64, crashStep int, faultSeed int64, bitrot, scrub float64, decisions bool, o *obs.Observer) error {
 	// Peek at the journal for the generation count and, on resume, the
 	// pinned campaign parameters.
 	gen := 0
+	pinnedFaults := false // the journal pins a fault seed: resume under the same profile seed
 	if _, err := os.Stat(filepath.Join(dir, "journal.wal")); err == nil {
 		j, records, err := ckpt.Open(filepath.Join(dir, "journal.wal"))
 		if err != nil {
@@ -332,7 +335,8 @@ func persistedCampaign(seed int64, steps int, dir string, crashTime float64, cra
 		m := ckpt.Replay(records)
 		gen = m.Generation
 		if m.Meta != nil {
-			seed, steps = m.Meta.Seed, m.Meta.Timesteps
+			seed, steps, faultSeed = m.Meta.Seed, m.Meta.Timesteps, m.Meta.FaultSeed
+			pinnedFaults = faultSeed != 0
 		}
 	}
 	if steps <= 0 {
@@ -343,7 +347,7 @@ func persistedCampaign(seed int64, steps int, dir string, crashTime float64, cra
 		return err
 	}
 	s.PostQueueWait = 0
-	if crashTime > 0 || crashStep > 0 || bitrot > 0 {
+	if crashTime > 0 || crashStep > 0 || bitrot > 0 || pinnedFaults {
 		p := &fault.Profile{Seed: faultSeed, BitRotProb: bitrot}
 		if crashTime > 0 || crashStep > 0 {
 			p.Crashes = make([]fault.Crash, gen+1)

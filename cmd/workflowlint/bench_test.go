@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkWorkflowlintRepo measures a full standalone analysis pass —
-// all twelve analyzers, facts, the call graph, the per-function CFGs,
+// all ten analyzers, facts, the call graph, the per-function CFGs,
 // and the SSA-lite lowering plus taint fixpoints behind the value-flow
 // trio — over every package in this repository. Loading (go list,
 // parsing, type-checking) happens once outside the timed loop; the

@@ -1,20 +1,21 @@
 // Command workflowlint is the multichecker for the repository's custom
-// static analyzers (internal/lint): nondeterminism, atomicwrite,
-// closecheck, lockdiscipline, sentinelwrap, mpicollective,
-// goroutineleak, errflow, lockorder, dettaint, allocbound,
-// sharecapture — the workflow invariants behind bit-identical
-// restarts, crash-consistent products, and the deadlock-free rank
-// mesh, machine-checked. Several are interprocedural: they compute
-// facts over the call graph that cross package boundaries (lockorder
-// additionally publishes the package's lock-order edges as a
-// package-level fact, so AB/BA inversions split across packages are
-// caught; dettaint and allocbound carry per-function taint summaries
-// the same way). Run `workflowlint -list` for the full table.
+// static analyzers (internal/lint), one per invariant: atomicwrite,
+// closecheck, sentinelwrap, mpicollective, goroutineleak, errflow,
+// lockorder (the lock analyzer), dettaint (the determinism analyzer),
+// allocbound, sharecapture — the workflow invariants behind
+// bit-identical restarts, crash-consistent products, and the
+// deadlock-free rank mesh, machine-checked. Several are
+// interprocedural: they compute facts over the call graph that cross
+// package boundaries (lockorder additionally publishes the package's
+// lock-order edges as a package-level fact, so AB/BA inversions split
+// across packages are caught; dettaint and allocbound carry
+// per-function taint summaries the same way). Run `workflowlint -list`
+// for the full table.
 //
 // Two modes:
 //
-//	workflowlint ./...              # standalone: load, check, report
-//	go vet -vettool=workflowlint pkgs   # vet tool protocol (CI gate)
+//	workflowlint ./...              # standalone: load, check, report (CI gate)
+//	go vet -vettool=workflowlint pkgs   # vet tool protocol
 //
 // The standalone mode shells out to `go list -deps -export` for package
 // facts and export data, walks the packages dependency-first (the order
@@ -22,8 +23,10 @@
 // memory; the vet mode implements cmd/go's unit-checker protocol
 // (-V=full, -flags, a JSON *.cfg argument) and serializes the fact store
 // into the VetxOutput file, so cross-package facts survive go vet's
-// action cache. Both use only the standard library: the environment is
-// hermetic, so this driver and internal/lint/analysis stand in for
+// action cache. The standalone mode is the fast one (the tree is loaded
+// once; cmd/go re-executes every named package under vet). Both use
+// only the standard library: the environment is hermetic, so this
+// driver and internal/lint/analysis stand in for
 // golang.org/x/tools/go/analysis.
 //
 // With -json each diagnostic is one JSON object per line (file, line,
@@ -447,18 +450,26 @@ func runStandalone(patterns []string, jsonOut, sarifOut, fix, diff bool) int {
 		return 1
 	}
 	if fix {
-		changed, err := runFixes(fset, raw, diff)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
-			return 1
+		var code int
+		if diags, code = fixStage(fset, diags, raw, diff); code != 0 {
+			return code
 		}
-		if diff {
-			if changed > 0 {
-				return 2
-			}
-			return report(unfixable(diags), jsonOut, sarifOut)
-		}
-		diags = unfixable(diags)
 	}
 	return report(diags, jsonOut, sarifOut)
+}
+
+// fixStage is the -fix step both driver modes share: apply (or, with
+// diff, preview) the suggested fixes and keep the diagnostics no fix
+// covers. A non-zero code is the run's verdict: 1 on failure, 2 when
+// -diff finds fixes pending.
+func fixStage(fset *token.FileSet, diags []diagnostic, raw []analysis.Diagnostic, diff bool) ([]diagnostic, int) {
+	changed, err := runFixes(fset, raw, diff)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
+		return nil, 1
+	}
+	if diff && changed > 0 {
+		return nil, 2
+	}
+	return unfixable(diags), 0
 }

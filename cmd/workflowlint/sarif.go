@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
-	"sort"
-
-	"repro/internal/lint"
 )
 
 // SARIF 2.1.0 output (-sarif): the static-analysis interchange format
@@ -84,7 +81,7 @@ type sarifRegion struct {
 // sarifRules builds the rule table from the analyzer suite, sorted by
 // name, and returns it with a name→index lookup for results.
 func sarifRules() ([]sarifRule, map[string]int) {
-	analyzers := lint.Analyzers()
+	analyzers := sortedAnalyzers()
 	rules := make([]sarifRule, 0, len(analyzers))
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{
@@ -92,7 +89,6 @@ func sarifRules() ([]sarifRule, map[string]int) {
 			ShortDescription: sarifMessage{Text: firstLine(a.Doc)},
 		})
 	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
 	index := make(map[string]int, len(rules))
 	for i, r := range rules {
 		index[r.ID] = i

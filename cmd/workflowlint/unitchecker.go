@@ -158,22 +158,10 @@ func runUnitchecker(cfgPath string, jsonOut, sarifOut, fix, diff bool) int {
 		return 0
 	}
 	if fix {
-		changed, err := runFixes(fset, raw, diff)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
-			return 1
+		var code int
+		if diags, code = fixStage(fset, diags, raw, diff); code != 0 {
+			return code
 		}
-		if diff {
-			if changed > 0 {
-				return 2
-			}
-			diags = unfixable(diags)
-			if sarifOut && len(diags) == 0 {
-				return 0
-			}
-			return report(diags, jsonOut, sarifOut)
-		}
-		diags = unfixable(diags)
 	}
 	if sarifOut && len(diags) == 0 {
 		return 0

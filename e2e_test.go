@@ -197,6 +197,22 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
+
+	// CI's "Campaign crash/resume smoke", verbatim: the crashed run
+	// prints the flag-less resume command, and that command must
+	// complete the campaign.
+	dir := filepath.Join(t.TempDir(), "camp")
+	for _, args := range [][]string{
+		{"-campaign", "4", "-out", dir, "-crash-time", "2000"},
+		{"-resume", dir},
+	} {
+		if out, err := exec.Command(filepath.Join(bins, "workflow-sim"), args...).CombinedOutput(); err != nil {
+			t.Fatalf("workflow-sim %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "catalog.txt")); err != nil {
+		t.Errorf("crash + flag-less resume left no merged catalog: %v", err)
+	}
 }
 
 // Every example must run to completion — they are the library's living

@@ -114,44 +114,19 @@ func allocSanitizer(v *ssa.Value) bool {
 }
 
 func runAllocBound(pass *analysis.Pass) (any, error) {
-	res := pass.ResultOf[SSAFlow].(*SSAResult)
-	engine := &taint.Engine{
-		Spec: taint.Spec{
+	r := newReporter(pass)
+	runTaint(pass, pass.ResultOf[SSAFlow].(*SSAResult),
+		taint.Spec{
 			Source:              allocSource,
 			Sinks:               allocSinks(pass.TypesInfo),
 			Sanitizer:           allocSanitizer,
 			BoundCheckSanitizes: true,
 		},
-		External: func(fn *types.Func) (*taint.Summary, bool) {
-			var fact AllocBoundSummary
-			if pass.ImportObjectFact(fn, &fact) {
-				return &fact.S, true
-			}
-			return nil, false
-		},
-	}
-
-	fns := make([]taint.FuncInfo, 0, len(res.Order))
-	for _, sf := range res.Order {
-		fns = append(fns, taint.FuncInfo{Fn: sf.FC.Fn, SSA: sf.F})
-	}
-	result := engine.AnalyzePackage(fns)
-
-	for fn, sum := range result.Summaries {
-		if fn.Pkg() == pass.Pkg && !sum.Empty() {
-			pass.ExportObjectFact(fn, &AllocBoundSummary{S: *sum})
-		}
-	}
-
-	r := newReporter(pass)
-	for _, f := range result.Findings {
-		pos := token.Pos(f.Pos)
-		if isTestFile(pass.Fset, pos) {
-			continue
-		}
-		r.reportf(pos,
-			"length decoded by %s reaches %s unvalidated (witness: %s); a corrupt header becomes a huge allocation or an index panic — bound-check the value first",
-			f.Source, f.Sink, strings.Join(f.Path, " → "))
-	}
+		func() (analysis.Fact, *taint.Summary) { f := &AllocBoundSummary{}; return f, &f.S },
+		func(pos token.Pos, f taint.Finding) {
+			r.reportf(pos,
+				"length decoded by %s reaches %s unvalidated (witness: %s); a corrupt header becomes a huge allocation or an index panic — bound-check the value first",
+				f.Source, f.Sink, strings.Join(f.Path, " → "))
+		})
 	return nil, nil
 }

@@ -28,12 +28,6 @@ var AtomicWrite = &analysis.Analyzer{
 	Run:  runAtomicWrite,
 }
 
-// productPkgs are the packages that land data products on disk.
-var productPkgs = map[string]bool{
-	"gio": true, "catalog": true, "core": true, "cosmotools": true,
-	"main": true,
-}
-
 // writeOpenFlags are the os.OpenFile flag names that make a handle
 // writable.
 var writeOpenFlags = map[string]bool{
@@ -43,7 +37,7 @@ var writeOpenFlags = map[string]bool{
 
 func runAtomicWrite(pass *analysis.Pass) (any, error) {
 	r := newReporter(pass)
-	inProductPkg := productPkgs[pass.Pkg.Name()] && pass.Pkg.Name() != "ckpt"
+	inProductPkg := directWritePkgs[pass.Pkg.Name()]
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue

@@ -83,3 +83,86 @@ func runCallGraph(pass *analysis.Pass) (any, error) {
 	}
 	return result, nil
 }
+
+// A labelClosure describes one transitive label set over the call
+// graph — "the collectives it reaches", "the write roots whose errors it
+// returns", "the locks it acquires".
+type labelClosure struct {
+	// seed gives a function's own labels before any callee contributes,
+	// or nil to leave the function out (it then carries no set and
+	// exports no fact).
+	seed func(*CallNode) map[string]bool
+	// direct, when set, names the label a callee stands for by itself
+	// (a collective, a write root); it wins over the callee's set.
+	direct func(*types.Func) (string, bool)
+	// imported reads the labels off the fact of a callee declared in
+	// another package.
+	imported func(*types.Func) []string
+	// export publishes a member's non-empty closed set (sorted) as its
+	// fact.
+	export func(*types.Func, []string)
+}
+
+// closure solves c as the least fixpoint over the package's call edges,
+// exports the members' sets, and returns the lookup call sites use: a
+// callee's direct label, else its closed set when it is a member, else
+// its imported fact.
+func (cg *CallGraphResult) closure(pkg *types.Package, c labelClosure) func(*types.Func) map[string]bool {
+	sets := map[*types.Func]map[string]bool{}
+	for _, fn := range cg.Order {
+		if set := c.seed(cg.Nodes[fn]); set != nil {
+			sets[fn] = set
+		}
+	}
+	importedSets := map[*types.Func]map[string]bool{}
+	labels := func(fn *types.Func) map[string]bool {
+		if fn == nil {
+			return nil
+		}
+		if c.direct != nil {
+			if label, ok := c.direct(fn); ok {
+				return map[string]bool{label: true}
+			}
+		}
+		if set, ok := sets[fn]; ok {
+			return set
+		}
+		if fn.Pkg() == nil || fn.Pkg() == pkg {
+			return nil
+		}
+		set, ok := importedSets[fn]
+		if !ok {
+			if ls := c.imported(fn); len(ls) > 0 {
+				set = make(map[string]bool, len(ls))
+				for _, l := range ls {
+					set[l] = true
+				}
+			}
+			importedSets[fn] = set
+		}
+		return set
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range cg.Order {
+			set, ok := sets[fn]
+			if !ok {
+				continue
+			}
+			for _, edge := range cg.Nodes[fn].Calls {
+				for label := range labels(edge.Callee) {
+					if !set[label] {
+						set[label] = true
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	for _, fn := range cg.Order {
+		if set := sets[fn]; len(set) > 0 {
+			c.export(fn, sortedKeys(set))
+		}
+	}
+	return labels
+}

@@ -5,7 +5,6 @@ import (
 	"go/types"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/analysis/cfg"
 )
 
 // CloseCheck polices the error of Close on write-side handles. For
@@ -178,7 +177,7 @@ func checkCloses(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
 		if m, ok := okAfterByKey[key]; ok {
 			return m
 		}
-		step := func(n ast.Node, state bool) bool {
+		m := stateAfter(fc, true, func(n ast.Node, state bool) bool {
 			if errReturns[n] {
 				return true
 			}
@@ -188,31 +187,7 @@ func checkCloses(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
 				}
 			}
 			return state
-		}
-		transfer := func(b *cfg.Block, out bool) bool {
-			state := out
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				state = step(b.Nodes[i], state)
-			}
-			return state
-		}
-		and := func(a, b bool) bool { return a && b }
-		eq := func(a, b bool) bool { return a == b }
-		sol := cfg.Backward(fc.G, false, transfer, and, eq)
-		m := map[ast.Node]bool{}
-		for _, b := range fc.G.Blocks {
-			if !b.Live {
-				continue
-			}
-			state, ok := sol.Out[b]
-			if !ok {
-				continue
-			}
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				m[b.Nodes[i]] = state
-				state = step(b.Nodes[i], state)
-			}
-		}
+		})
 		okAfterByKey[key] = m
 		return m
 	}
@@ -290,40 +265,15 @@ func deferCloseFix(pass *analysis.Pass, fc *FuncCFG, def *ast.DeferStmt, cc clos
 // hasNamedErrResult reports whether fc's result list includes an
 // error-typed result named exactly "err".
 func hasNamedErrResult(info *types.Info, fc *FuncCFG) bool {
-	var results *ast.FieldList
-	if fc.Decl != nil {
-		results = fc.Decl.Type.Results
-	} else if fc.Lit != nil {
-		results = fc.Lit.Type.Results
-	}
-	if results == nil {
-		return false
-	}
-	for _, field := range results.List {
-		for _, id := range field.Names {
-			if id.Name == "err" {
-				if obj := info.Defs[id]; obj != nil && isErrorType(obj.Type()) {
-					return true
-				}
+	for _, id := range fc.resultNames() {
+		if id.Name == "err" {
+			if obj := info.Defs[id]; obj != nil && isErrorType(obj.Type()) {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-// isCkptJournal matches *T or T where T is a type named Journal declared
-// in a package named ckpt (name-matched so fixtures participate).
-func isCkptJournal(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Name() == "Journal" && obj.Pkg() != nil && obj.Pkg().Name() == "ckpt"
-}
+// isCkptJournal matches the crash-consistency journal type.
+func isCkptJournal(t types.Type) bool { return isNamedIn(t, "ckpt", "Journal") }

@@ -47,6 +47,24 @@ func (fc *FuncCFG) Name() string {
 	return "func literal"
 }
 
+// resultNames lists the identifiers of the function's named results.
+func (fc *FuncCFG) resultNames() []*ast.Ident {
+	var results *ast.FieldList
+	if fc.Decl != nil {
+		results = fc.Decl.Type.Results
+	} else if fc.Lit != nil {
+		results = fc.Lit.Type.Results
+	}
+	if results == nil {
+		return nil
+	}
+	var names []*ast.Ident
+	for _, field := range results.List {
+		names = append(names, field.Names...)
+	}
+	return names
+}
+
 func runCtrlFlow(pass *analysis.Pass) (any, error) {
 	result := &CFGResult{ByBody: map[*ast.BlockStmt]*FuncCFG{}}
 	add := func(fc *FuncCFG) {

@@ -11,35 +11,54 @@ import (
 	"repro/internal/lint/analysis/taint"
 )
 
-// DetTaint is the interprocedural complement to the syntactic
-// Nondeterminism analyzer: instead of flagging every nondeterministic
-// construct inside the deterministic kernel, it tracks the *values*
-// those constructs produce — time.Now results, global math/rand draws,
-// map-iteration keys and values, goroutine/process identity — along
-// SSA-lite def-use chains and across function boundaries via taint
-// summaries, and reports only when such a value reaches a product
-// write: an exported Write*/Commit*/Append*/Save*/Put*/Merge* call in
-// the gio, catalog, ckpt, or fs packages (matched by package name so
-// fixtures participate) — or a span timestamp in the obs package
-// (BeginAt/EndAt/SpanAt), whose traces the determinism CI gate
-// byte-compares across runs.
+// DetTaint is the determinism analyzer: it enforces the
+// bit-identical-restart contract — product bytes, decision logs, traces
+// and cost reports must be a pure function of (inputs, seed) — over one
+// table of nondeterminism sources (detSource: time.Now, global
+// math/rand draws, map iteration order, goroutine/process identity),
+// one sanitizer (time.Since: durations are telemetry) and one
+// canonicalizer list (detInPlace: sort.*/slices.Sort*), all read off
+// the SSA-lite def-use chains of ssaflow.
+//
+// Everywhere, interprocedurally: the values the sources produce are
+// tracked along def-use chains and across function boundaries via
+// taint summaries, and reported when one reaches a product write — an
+// argument of a product write entry point (productWriteRoot, matched by
+// package name so fixtures participate) — or a span timestamp in the
+// obs package (BeginAt/EndAt/SpanAt), whose traces the determinism CI
+// gate byte-compares across runs. Every such diagnostic carries a
+// witness path — the variable and call hops the value took — so the fix
+// site is visible without re-tracing by hand.
+//
+// Inside the deterministic packages (deterministicPkgs), non-test
+// files only, three kernel rules make the source itself the finding,
+// before it gets anywhere near a write:
+//
+//  1. no global math/rand draw (rand.Int, rand.Float64, …) — the
+//     process-global RNG is shared across goroutines and unseeded;
+//     constructors (rand.New, rand.NewSource, …) for explicitly seeded
+//     *rand.Rand instances are not sources;
+//  2. no time.Now whose value flows anywhere but duration telemetry —
+//     its forward def-use closure (through rebindings and phis) may end
+//     only in time.Since or Time.Sub; an injected clock is the
+//     replacement (referencing time.Now as a function value is fine);
+//  3. no map iteration whose order can reach output — a value derived
+//     from the range reaching a stream write (fmt.Print*/Fprint*, a
+//     Write/WriteString/WriteByte method), or an append to a slice
+//     declared outside the loop that never reaches an in-place sort.
+//
+// Package-level variable initializers have no function body and so no
+// def-use chains: the kernel rules do not see them.
 //
 // The paper's premise is that in-situ reductions replace raw dumps as
 // the analysis record; a product whose bytes depend on wall-clock time,
 // RNG state, or map order cannot be byte-compared across the re-run
 // that gray-failure degradation (PR 6) or re-derivation repair (PR 7)
-// triggers. Every diagnostic carries a witness path — the variable and
-// call hops the value took — so the fix site is visible without
-// re-tracing by hand.
-//
-// Seeded *rand.Rand draws are deterministic and do not taint; sorting
-// (sort.*/slices.Sort*) canonicalizes map-derived data and kills the
-// taint; time.Since produces durations for telemetry, not products,
-// and is treated as clean. Test files get findings suppressed (tests
-// write scratch), but their summaries still feed the fixpoint.
+// triggers. Test files get findings suppressed (tests write scratch),
+// but their summaries still feed the fixpoint.
 var DetTaint = &analysis.Analyzer{
 	Name:      "dettaint",
-	Doc:       "track nondeterministic values (time, rand, map order) interprocedurally into product writes",
+	Doc:       "forbid ambient entropy (global rand, wall clock, map order) in the deterministic packages and track it interprocedurally into product writes",
 	Run:       runDetTaint,
 	Requires:  []*analysis.Analyzer{SSAFlow},
 	FactTypes: []analysis.Fact{(*DetTaintSummary)(nil)},
@@ -54,23 +73,6 @@ type DetTaintSummary struct {
 func (*DetTaintSummary) AFact() {}
 
 func init() { analysis.RegisterFactType(&DetTaintSummary{}) }
-
-// detSinkPkgs are the product-writing packages, matched by name.
-var detSinkPkgs = map[string]bool{
-	"gio": true, "catalog": true, "ckpt": true, "fs": true,
-}
-
-// detSinkPrefixes name the write entry points within those packages.
-var detSinkPrefixes = []string{"Write", "Commit", "Append", "Save", "Put", "Merge"}
-
-func hasAnyPrefix(name string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
-}
 
 // detSource classifies a register as a nondeterminism source.
 func detSource(info *types.Info) func(v *ssa.Value) (string, bool) {
@@ -118,10 +120,7 @@ func detSinks(v *ssa.Value) []taint.SinkUse {
 		return nil
 	}
 	fn := v.Callee
-	if fn.Pkg() == nil || !detSinkPkgs[fn.Pkg().Name()] || !fn.Exported() {
-		return nil
-	}
-	if !hasAnyPrefix(fn.Name(), detSinkPrefixes) {
+	if !productWriteRoot(fn) {
 		return nil
 	}
 	var uses []taint.SinkUse
@@ -208,43 +207,192 @@ func detInPlace(v *ssa.Value) bool {
 
 func runDetTaint(pass *analysis.Pass) (any, error) {
 	res := pass.ResultOf[SSAFlow].(*SSAResult)
-	engine := &taint.Engine{
-		Spec: taint.Spec{
+	r := newReporter(pass)
+	if isDeterministicPkg(pass.Pkg) {
+		checkDetKernel(pass, r, res)
+	}
+	runTaint(pass, res,
+		taint.Spec{
 			Source:           detSource(pass.TypesInfo),
 			Sinks:            func(v *ssa.Value) []taint.SinkUse { return append(detSinks(v), detObsSinks(v)...) },
 			Sanitizer:        detSanitizer,
 			InPlaceSanitizer: detInPlace,
 		},
-		External: func(fn *types.Func) (*taint.Summary, bool) {
-			var fact DetTaintSummary
-			if pass.ImportObjectFact(fn, &fact) {
-				return &fact.S, true
-			}
-			return nil, false
-		},
-	}
-
-	fns := make([]taint.FuncInfo, 0, len(res.Order))
-	for _, sf := range res.Order {
-		fns = append(fns, taint.FuncInfo{Fn: sf.FC.Fn, SSA: sf.F})
-	}
-	result := engine.AnalyzePackage(fns)
-
-	for fn, sum := range result.Summaries {
-		if fn.Pkg() == pass.Pkg && !sum.Empty() {
-			pass.ExportObjectFact(fn, &DetTaintSummary{S: *sum})
-		}
-	}
-
-	r := newReporter(pass)
-	for _, f := range result.Findings {
-		pos := token.Pos(f.Pos)
-		if isTestFile(pass.Fset, pos) {
-			continue
-		}
-		r.reportf(pos,
-			"nondeterministic value from %s reaches %s (witness: %s); the product cannot be byte-compared across re-runs — derive it deterministically or canonicalize (sort) before writing",
-			f.Source, f.Sink, strings.Join(f.Path, " → "))
-	}
+		func() (analysis.Fact, *taint.Summary) { f := &DetTaintSummary{}; return f, &f.S },
+		func(pos token.Pos, f taint.Finding) {
+			r.reportf(pos,
+				"nondeterministic value from %s reaches %s (witness: %s); the product cannot be byte-compared across re-runs — derive it deterministically or canonicalize (sort) before writing",
+				f.Source, f.Sink, strings.Join(f.Path, " → "))
+		})
 	return nil, nil
+}
+
+// --- kernel rules: inside a deterministic package the source itself is
+// the finding ---
+
+func checkDetKernel(pass *analysis.Pass, r *reporter, res *SSAResult) {
+	source := detSource(pass.TypesInfo)
+	// A memory-degraded variable is one cell per object, so indexing the
+	// loads package-wide carries a store in a function to the loads in
+	// the literals that capture the variable.
+	loads := map[types.Object][]*ssa.Value{}
+	for _, sf := range res.Order {
+		for _, v := range sf.F.Values {
+			if v.Op == ssa.OpVarLoad && v.Var != nil {
+				loads[v.Var] = append(loads[v.Var], v)
+			}
+		}
+	}
+	for _, sf := range res.Order {
+		for _, v := range sf.F.Values {
+			label, ok := source(v)
+			if !ok || isTestFile(pass.Fset, v.Pos) {
+				continue
+			}
+			switch {
+			case strings.HasPrefix(label, "math/rand."):
+				r.reportf(v.Pos,
+					"global math/rand call rand.%s is nondeterministic; draw from a seeded *rand.Rand threaded from the scenario/config",
+					v.Callee.Name())
+			case label == "time.Now":
+				if wallClockEscapes(loads, v) {
+					r.reportf(v.Pos,
+						"time.Now in deterministic package %q may reach results; keep wall-clock reads to telemetry (time.Since) or inject the clock",
+						pass.Pkg.Name())
+				}
+			case v.Op == ssa.OpRange:
+				checkMapOrder(r, loads, v)
+			}
+		}
+	}
+}
+
+// defUse walks the forward def-use closure of root. visit is called
+// once for every instruction that consumes root or a register derived
+// from it, and says whether the value flows on through that
+// instruction's result (for a store to a memory-degraded variable:
+// through the variable's loads).
+func defUse(loads map[types.Object][]*ssa.Value, root *ssa.Value, visit func(u *ssa.Value) bool) {
+	seen := map[*ssa.Value]bool{root: true}
+	work := []*ssa.Value{root}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, u := range v.Uses {
+			if seen[u] {
+				continue
+			}
+			seen[u] = true
+			if !visit(u) {
+				continue
+			}
+			if u.Op != ssa.OpVarStore {
+				work = append(work, u)
+				continue
+			}
+			for _, ld := range loads[u.Var] {
+				if !seen[ld] {
+					seen[ld] = true
+					work = append(work, ld)
+				}
+			}
+		}
+	}
+}
+
+// detCarries reports whether a register derived from a source stays
+// derived through u — the taint engine's transfer, as a predicate.
+func detCarries(u *ssa.Value) bool {
+	switch u.Op {
+	case ssa.OpLen, ssa.OpMake, ssa.OpReturn, ssa.OpClosure, ssa.OpStore:
+		return false
+	}
+	return !u.IsComparison() && !detSanitizer(u) && !detInPlace(u)
+}
+
+// wallClockEscapes reports whether a time.Now value, followed through
+// rebindings and phis, is consumed by anything but duration telemetry.
+func wallClockEscapes(loads map[types.Object][]*ssa.Value, now *ssa.Value) bool {
+	escapes := false
+	defUse(loads, now, func(u *ssa.Value) bool {
+		switch {
+		case u.Op == ssa.OpCopy, u.Op == ssa.OpPhi, u.Op == ssa.OpVarStore:
+			return true
+		case detSanitizer(u):
+			return false
+		case u.Op == ssa.OpCall && u.Callee != nil && u.Callee.Name() == "Sub" &&
+			u.Callee.Pkg() != nil && u.Callee.Pkg().Path() == "time":
+			return false
+		}
+		escapes = true
+		return false
+	})
+	return escapes
+}
+
+// streamWrite names the stream-writing call u makes, or "".
+func streamWrite(u *ssa.Value) string {
+	if u.Op != ssa.OpCall || u.Callee == nil || u.Callee.Pkg() == nil {
+		return ""
+	}
+	switch name := u.Callee.Name(); name {
+	case "Fprintf", "Fprintln", "Fprint", "Printf", "Println", "Print":
+		if u.Callee.Pkg().Path() == "fmt" {
+			return "fmt." + name
+		}
+	case "Write", "WriteString", "WriteByte":
+		if u.RecvArg {
+			return name
+		}
+	}
+	return ""
+}
+
+// checkMapOrder applies kernel rule 3 to one map range header: at most
+// one diagnostic per range, at the range statement.
+func checkMapOrder(r *reporter, loads map[types.Object][]*ssa.Value, rng *ssa.Value) {
+	done := false
+	defUse(loads, rng, func(u *ssa.Value) bool {
+		if done {
+			return false
+		}
+		if w := streamWrite(u); w != "" {
+			done = true
+			r.reportf(rng.Pos,
+				"map iteration order reaches output: %s writes in nondeterministic order; sort the keys first", w)
+			return false
+		}
+		if u.Op == ssa.OpAppend {
+			// Never follow an append: a flagged one is reported here, and
+			// a sorted one is canonical from there on.
+			if name := unsortedOuterAppend(loads, u, rng.Pos); name != "" {
+				done = true
+				r.reportf(rng.Pos,
+					"map iteration appends to %q in nondeterministic order; sort the keys first or sort %q before it is used", name, name)
+			}
+			return false
+		}
+		return detCarries(u)
+	})
+}
+
+// unsortedOuterAppend names the variable declared before the loop (at
+// loopPos) that an append inside it grows, when nothing the grown slice
+// flows to sorts it in place; "" otherwise.
+func unsortedOuterAppend(loads map[types.Object][]*ssa.Value, app *ssa.Value, loopPos token.Pos) string {
+	name, sorted := "", false
+	defUse(loads, app, func(u *ssa.Value) bool {
+		if detInPlace(u) {
+			sorted = true
+			return false
+		}
+		if (u.Op == ssa.OpCopy || u.Op == ssa.OpVarStore) && name == "" && u.Var != nil && u.Var.Pos() < loopPos {
+			name = u.Var.Name()
+		}
+		return detCarries(u)
+	})
+	if sorted {
+		return ""
+	}
+	return name
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // ErrFlow tracks write/IO errors interprocedurally from the persistence
-// kernel outward and forbids discarding them. The roots are the write
-// entry points of the packages that commit workflow products — fs, gio,
-// ckpt, catalog: exported functions returning an error whose name starts
-// with Write, Commit, Append, or Save. Any function, in any package,
+// kernel outward and forbids discarding them. The roots are the product
+// write entry points (productWriteRoot in scope.go, the table dettaint's
+// sinks share) that return an error. Any function, in any package,
 // that (transitively) calls a root and itself returns an error carries
 // the "propagates write errors" fact; the fact crosses package
 // boundaries through the driver's fact store (vetx files under go vet).
@@ -48,27 +47,10 @@ func (*WriteErrorSource) AFact() {}
 
 func init() { analysis.RegisterFactType(&WriteErrorSource{}) }
 
-// errflowRootPkgs are the persistence packages whose write entry points
-// seed the analysis (matched by package name so fixtures participate).
-var errflowRootPkgs = map[string]bool{
-	"fs": true, "gio": true, "ckpt": true, "catalog": true,
-}
-
-var errflowRootPrefixes = []string{"Write", "Commit", "Append", "Save"}
-
-// errflowRoot reports whether fn is a write entry point, and its label.
+// errflowRoot reports whether fn is a write entry point whose error
+// must not be dropped, and its label.
 func errflowRoot(fn *types.Func) (string, bool) {
-	if fn == nil || fn.Pkg() == nil || !errflowRootPkgs[fn.Pkg().Name()] || !fn.Exported() {
-		return "", false
-	}
-	named := false
-	for _, p := range errflowRootPrefixes {
-		if strings.HasPrefix(fn.Name(), p) {
-			named = true
-			break
-		}
-	}
-	if !named || !returnsError(fn) {
+	if !productWriteRoot(fn) || !returnsError(fn) {
 		return "", false
 	}
 	return fn.Pkg().Name() + "." + fn.Name(), true
@@ -95,53 +77,23 @@ func runErrFlow(pass *analysis.Pass) (any, error) {
 	// Phase 1: transitive write-error sources for this package's
 	// functions. A function propagates iff it returns an error and calls
 	// a root or a propagator.
-	sources := map[*types.Func]map[string]bool{}
-	calleeRoots := func(fn *types.Func) map[string]bool {
-		if label, ok := errflowRoot(fn); ok {
-			return map[string]bool{label: true}
-		}
-		if set, ok := sources[fn]; ok {
-			return set
-		}
-		if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
+	calleeRoots := cg.closure(pass.Pkg, labelClosure{
+		seed: func(n *CallNode) map[string]bool {
+			if !returnsError(n.Fn) {
+				return nil
+			}
+			return map[string]bool{}
+		},
+		direct: errflowRoot,
+		imported: func(fn *types.Func) []string {
 			var fact WriteErrorSource
-			if pass.ImportObjectFact(fn, &fact) {
-				set := map[string]bool{}
-				for _, root := range fact.Roots {
-					set[root] = true
-				}
-				return set
-			}
-		}
-		return nil
-	}
-	for _, fn := range cg.Order {
-		if returnsError(fn) {
-			sources[fn] = map[string]bool{}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range cg.Order {
-			set, ok := sources[fn]
-			if !ok {
-				continue
-			}
-			for _, edge := range cg.Nodes[fn].Calls {
-				for root := range calleeRoots(edge.Callee) {
-					if !set[root] {
-						set[root] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	for _, fn := range cg.Order {
-		if set := sources[fn]; len(set) > 0 {
-			pass.ExportObjectFact(fn, &WriteErrorSource{Roots: sortedKeys(set)})
-		}
-	}
+			pass.ImportObjectFact(fn, &fact)
+			return fact.Roots
+		},
+		export: func(fn *types.Func, roots []string) {
+			pass.ExportObjectFact(fn, &WriteErrorSource{Roots: roots})
+		},
+	})
 
 	// siteRoots resolves a call expression to the write roots whose
 	// errors it can return.

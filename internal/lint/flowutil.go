@@ -7,33 +7,23 @@ import (
 	"repro/internal/lint/analysis/cfg"
 )
 
-// This file holds the shared value-consumption engine used by the
-// flow-sensitive closecheck and errflow rules: given a variable and a
-// function CFG, compute at every program point whether the variable's
+// This file holds what the flow-sensitive closecheck and errflow rules
+// share: the one-bit backward solve both are phrased in (stateAfter),
+// and the value-consumption question built on it — given a variable and
+// a function CFG, compute at every program point whether the variable's
 // current value is read before being overwritten on the way to function
-// exit — a backward dataflow ("liveness of this one value"). Two join
-// modes: must (read on every path — errflow's bar for a captured write
-// error) and may (read on some path — closecheck's bar for a captured
-// close error, where the `if err == nil { err = cerr }` idiom
-// deliberately reads it on one branch only).
+// exit ("liveness of this one value"). Two join modes: must (read on
+// every path — errflow's bar for a captured write error) and may (read
+// on some path — closecheck's bar for a captured close error, where the
+// `if err == nil { err = cerr }` idiom deliberately reads it on one
+// branch only).
 
 // isNamedResult reports whether obj is one of fc's named result
 // variables (a bare `return` then reads it).
 func isNamedResult(info *types.Info, fc *FuncCFG, obj types.Object) bool {
-	var results *ast.FieldList
-	if fc.Decl != nil {
-		results = fc.Decl.Type.Results
-	} else if fc.Lit != nil {
-		results = fc.Lit.Type.Results
-	}
-	if results == nil {
-		return false
-	}
-	for _, field := range results.List {
-		for _, id := range field.Names {
-			if info.Defs[id] == obj {
-				return true
-			}
+	for _, id := range fc.resultNames() {
+		if info.Defs[id] == obj {
+			return true
 		}
 	}
 	return false
@@ -80,7 +70,7 @@ func nodeReadsWrites(info *types.Info, n ast.Node, obj types.Object) (reads, wri
 // on every (must=true) or some (must=false) path to exit.
 func consumedAfter(info *types.Info, fc *FuncCFG, obj types.Object, must bool) map[ast.Node]bool {
 	named := isNamedResult(info, fc, obj)
-	step := func(n ast.Node, state bool) bool {
+	return stateAfter(fc, must, func(n ast.Node, state bool) bool {
 		if ret, ok := n.(*ast.ReturnStmt); ok && named && len(ret.Results) == 0 {
 			return true // bare return in a named-result function reads obj
 		}
@@ -92,7 +82,14 @@ func consumedAfter(info *types.Info, fc *FuncCFG, obj types.Object, must bool) m
 			return false
 		}
 		return state
-	}
+	})
+}
+
+// stateAfter solves a one-bit backward dataflow problem over fc — step
+// maps the state after a node to the state before it, exit starts
+// false, and paths join by AND (must) or OR — and returns the state
+// immediately after every live node.
+func stateAfter(fc *FuncCFG, must bool, step func(n ast.Node, after bool) bool) map[ast.Node]bool {
 	transfer := func(b *cfg.Block, out bool) bool {
 		state := out
 		for i := len(b.Nodes) - 1; i >= 0; i-- {

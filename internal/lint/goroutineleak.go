@@ -8,9 +8,9 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// GoroutineLeak guards the concurrency layers (dparallel, transit,
-// sched, mpi — the packages whose goroutines outlive a bug silently)
-// against orphaned goroutines. Two rules:
+// GoroutineLeak guards the concurrency layers (rankExchangePkgs — the
+// packages whose goroutines outlive a bug silently) against orphaned
+// goroutines. Two rules:
 //
 //  1. a `go func(){...}()` literal must carry completion evidence inside
 //     the literal: a sync.WaitGroup Done (the Add/Wait pair lives in the
@@ -27,25 +27,18 @@ import (
 //     receiver has left. Buffer the channel (the result-slot idiom) or
 //     receive on every path.
 //
-// Rule 2 is a token-order approximation in the lockdiscipline tradition,
-// not a CFG analysis; channels that escape the function (passed to a
-// call, stored in a struct, returned) are not tracked. Deliberate
-// fire-and-forget goroutines take //lint:allow goroutineleak with a
-// justification.
+// Rule 2 is a token-order approximation, not a CFG analysis; channels
+// that escape the function (passed to a call, stored in a struct,
+// returned) are not tracked. Deliberate fire-and-forget goroutines take
+// //lint:allow goroutineleak with a justification.
 var GoroutineLeak = &analysis.Analyzer{
 	Name: "goroutineleak",
 	Doc:  "forbid unjoined goroutines and unbuffered sends that outlive their receiver in the concurrency packages",
 	Run:  runGoroutineLeak,
 }
 
-// leakPkgs are the packages rule 1 and 2 apply to — the same
-// rank-exchange set as lockdiscipline's channel rule.
-var leakPkgs = map[string]bool{
-	"mpi": true, "transit": true, "sched": true, "dparallel": true,
-}
-
 func runGoroutineLeak(pass *analysis.Pass) (any, error) {
-	if !leakPkgs[pass.Pkg.Name()] {
+	if !rankExchangePkgs[pass.Pkg.Name()] {
 		return nil, nil
 	}
 	r := newReporter(pass)

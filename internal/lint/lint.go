@@ -33,18 +33,15 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Analyzers returns the full workflowlint suite in stable order: the
-// five intraprocedural checks from the original gate, the three
-// interprocedural analyzers built on the callgraph/facts platform, and
-// the flow-sensitive lockorder deadlock analyzer built on the
-// CFG/dataflow layer. CallGraph and CtrlFlow are infrastructure, pulled
-// in via Requires, and are deliberately not listed.
+// Analyzers returns the full workflowlint suite in stable order, one
+// analyzer per invariant: LockOrder is the only lock analyzer, DetTaint
+// the only determinism analyzer. CallGraph, CtrlFlow and SSAFlow are
+// infrastructure, pulled in via Requires, and are deliberately not
+// listed.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Nondeterminism,
 		AtomicWrite,
 		CloseCheck,
-		LockDiscipline,
 		SentinelWrap,
 		MPICollective,
 		GoroutineLeak,
@@ -54,19 +51,6 @@ func Analyzers() []*analysis.Analyzer {
 		AllocBound,
 		ShareCapture,
 	}
-}
-
-// deterministicPkgs names the packages whose outputs must be a pure
-// function of (inputs, seed): the simulation, analysis, and persistence
-// kernel. Matched by package name so fixture packages participate.
-var deterministicPkgs = map[string]bool{
-	"nbody": true, "ic": true, "halo": true, "center": true,
-	"subhalo": true, "so": true, "powerspec": true, "core": true,
-	"gio": true, "ckpt": true, "cosmotools": true, "integrity": true,
-}
-
-func isDeterministicPkg(pkg *types.Package) bool {
-	return pkg != nil && deterministicPkgs[pkg.Name()]
 }
 
 // isTestFile reports whether pos lies in a _test.go file. Test-only code
@@ -249,6 +233,23 @@ func typeHasMutex(t types.Type, seen map[types.Type]bool) bool {
 		return typeHasMutex(u.Elem(), seen)
 	}
 	return false
+}
+
+// isNamedIn matches *T or T where T is the type called name declared in
+// a package called pkg (name-matched so fixture stubs participate).
+func isNamedIn(t types.Type, pkg, name string) bool {
+	if t == nil {
+		return false
+	}
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Name() == pkg
 }
 
 // isErrorType reports whether t implements the error interface.

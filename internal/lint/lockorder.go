@@ -11,11 +11,10 @@ import (
 	"repro/internal/lint/analysis/cfg"
 )
 
-// LockOrder is the flow-sensitive deadlock analyzer. Per function it
-// computes the set of locks held at every program point (a forward
-// may/must dataflow over the CFG from ctrlflow) and derives
-// acquired-before relations; across functions and packages it assembles
-// those relations into a global lock-order graph and reports:
+// LockOrder is the lock analyzer. Per function it computes the set of
+// locks held at every program point (a forward may/must dataflow over
+// the CFG from ctrlflow) and reads every lock verdict off that one
+// solution:
 //
 //   - lock-order inversion: lock B acquired while A is held somewhere,
 //     and A acquired while B is held (directly or through a chain)
@@ -25,7 +24,19 @@ import (
 //   - double lock: a second mu.Lock() on a path where mu may already be
 //     held (self-deadlock), including read-to-write upgrades;
 //   - unlock while not held: mu.Unlock() on a path where mu is not held
-//     (not on any path, or not on every path into the point).
+//     (not on any path, or not on every path into the point). A function
+//     literal that is the operand of a defer runs at its parent's exit,
+//     under the parent's locks, and is exempt;
+//   - leaked lock: a return reached while a lock may be held and no
+//     deferred unlock of it exists in the function, or a lock held on
+//     every path into the function's exit;
+//   - channel operation under a lock, in the rank-exchange packages
+//     (rankExchangePkgs): a send or receive while a lock may be held —
+//     a blocked channel op under a lock stalls every peer that next
+//     contends that lock, deadlocking the mesh.
+//
+// One syntactic rule rides along (lockcopy.go): locks are never copied
+// by value.
 //
 // Two fact types carry the analysis across package boundaries: a
 // LockSummary object fact per function (the global lock keys the
@@ -38,17 +49,22 @@ import (
 //
 // Lock identity is two-level. Within a function, locks are tracked by
 // receiver expression ("s.mu", "w.reduceMu"), which distinguishes
-// instances precisely enough for double-lock/unlock checks. In the
+// instances precisely enough for the per-function checks. In the
 // global graph, locks are keyed by declaration — "pkg.Type.field" for
 // struct-field mutexes, "pkg.var" for package-level mutexes — which
 // conflates instances of one type. Edges between two locks with the
 // same global key are therefore skipped (two instances of one type may
 // be locked in either order legitimately, e.g. ordered by index);
-// deferred unlocks leave the lock held for ordering purposes, which is
-// exactly the window a nested acquisition happens in.
+// deferred unlocks leave the lock held in the solution, which is
+// exactly the window a nested acquisition or a channel operation
+// happens in.
+//
+// The path rules skip test files; a conditional lock/unlock pair the
+// path-insensitive solve cannot correlate should switch to defer or
+// carry a //lint:allow lockorder comment with justification.
 var LockOrder = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "detect AB/BA lock-order inversions, double locks, and unlocks of unheld locks across the workflow packages",
+	Doc:       "detect lock-order inversions, double locks, unlocks of unheld locks, leaked locks, lock copies, and channel ops under locks",
 	Run:       runLockOrder,
 	Requires:  []*analysis.Analyzer{CallGraph, CtrlFlow},
 	FactTypes: []analysis.Fact{(*LockSummary)(nil), (*LockEdges)(nil)},
@@ -140,11 +156,12 @@ const (
 	opAcquire lockOp = iota
 	opRelease
 	opCall
+	opChan // a channel send or receive; key describes it
 )
 
 type lockEvt struct {
 	op     lockOp
-	key    string // local key, " (read)" suffixed for RLock/RUnlock
+	key    string // local key, " (read)" suffixed for RLock/RUnlock; opChan: "send"/"receive"
 	global string // global key of the base mutex; "" if local-only
 	method string // Lock/RLock/Unlock/RUnlock
 	read   bool
@@ -212,64 +229,47 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 	r := newReporter(pass)
 	info := pass.TypesInfo
 
-	// --- Phase A: per-function may-acquire summaries (callgraph
-	// fixpoint, exported as LockSummary facts) ---
+	for _, f := range pass.Files {
+		checkLockCopies(pass, r, f)
+	}
 
-	acquires := map[*types.Func]map[string]bool{}
-	for _, fn := range cg.Order {
-		node := cg.Nodes[fn]
-		if node.Decl == nil || node.Decl.Body == nil || isTestFile(pass.Fset, node.Decl.Pos()) {
-			continue
-		}
-		set := map[string]bool{}
-		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			if ev, ok := syncMethodEvt(info, n); ok && ev.op == opAcquire && ev.global != "" {
-				set[ev.global] = true
+	// --- Phase A: per-function may-acquire summaries (callgraph
+	// closure, exported as LockSummary facts) ---
+
+	acquiredBy := cg.closure(pass.Pkg, labelClosure{
+		seed: func(node *CallNode) map[string]bool {
+			if isTestFile(pass.Fset, node.Decl.Pos()) {
+				return nil
 			}
-			return true
-		})
-		acquires[fn] = set
-	}
-	calleeAcquires := func(fn *types.Func) []string {
-		if fn == nil {
-			return nil
-		}
-		if set, ok := acquires[fn]; ok {
-			return sortedKeys(set)
-		}
-		if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
+			set := map[string]bool{}
+			ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+				if ev, ok := syncMethodEvt(info, n); ok && ev.op == opAcquire && ev.global != "" {
+					set[ev.global] = true
+				}
+				return true
+			})
+			return set
+		},
+		imported: func(fn *types.Func) []string {
 			var fact LockSummary
-			if pass.ImportObjectFact(fn, &fact) {
-				return fact.Acquires
-			}
-		}
-		return nil
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range cg.Order {
-			set, ok := acquires[fn]
-			if !ok {
-				continue
-			}
-			for _, edge := range cg.Nodes[fn].Calls {
-				if edge.Callee == fn {
-					continue
-				}
-				for _, key := range calleeAcquires(edge.Callee) {
-					if !set[key] {
-						set[key] = true
-						changed = true
-					}
-				}
+			pass.ImportObjectFact(fn, &fact)
+			return fact.Acquires
+		},
+		export: func(fn *types.Func, keys []string) {
+			pass.ExportObjectFact(fn, &LockSummary{Acquires: keys})
+		},
+	})
+	// A function literal that is the operand of a defer runs at its
+	// parent's exit, under whatever the parent still holds.
+	deferredLits := map[*ast.FuncLit]bool{}
+	for _, fc := range flow.Order {
+		for _, def := range fc.G.Defers {
+			if lit, ok := def.Call.Fun.(*ast.FuncLit); ok {
+				deferredLits[lit] = true
 			}
 		}
 	}
-	for _, fn := range cg.Order {
-		if set := acquires[fn]; len(set) > 0 {
-			pass.ExportObjectFact(fn, &LockSummary{Acquires: sortedKeys(set)})
-		}
-	}
+	checkChans := rankExchangePkgs[pass.Pkg.Name()]
 
 	// --- Phase B: flow-sensitive per-function walk — held-lock states,
 	// local diagnostics, acquired-before pairs ---
@@ -313,8 +313,8 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 		}
 		// Pre-scan: most functions touch no locks at all, and a function
 		// with no acquire/release and no call into lock-acquiring code
-		// can produce neither a diagnostic nor a pair — skip the
-		// dataflow solve entirely.
+		// holds nothing anywhere, so it can produce neither a diagnostic
+		// nor a pair — skip the dataflow solve entirely.
 		any := false
 		for _, blk := range fc.G.Blocks {
 			if !blk.Live || any {
@@ -322,7 +322,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 			}
 			for _, n := range blk.Nodes {
 				for _, ev := range events(n) {
-					if ev.op != opCall || len(calleeAcquires(ev.callee)) > 0 {
+					if ev.op == opAcquire || ev.op == opRelease || ev.op == opCall && len(acquiredBy(ev.callee)) > 0 {
 						any = true
 						break
 					}
@@ -332,6 +332,19 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 		if !any {
 			continue
 		}
+		// Unlocks the function defers — directly or inside a deferred
+		// literal — release at exit whatever a path still holds.
+		deferred := map[string]bool{}
+		for _, def := range fc.G.Defers {
+			ast.Inspect(def.Call, func(n ast.Node) bool {
+				if ev, ok := syncMethodEvt(info, n); ok && ev.op == opRelease {
+					deferred[ev.key] = true
+				}
+				return true
+			})
+		}
+		runsAtParentExit := fc.Lit != nil && deferredLits[fc.Lit]
+		lastAcquire := map[string]token.Pos{}
 		transfer := func(b *cfg.Block, in lockState) lockState {
 			out := cloneLockState(in)
 			for _, n := range b.Nodes {
@@ -379,15 +392,21 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 							addPair(globals[hb], ev.global, ev.pos)
 						}
 						st[ev.key] = mayHeld | mustHeld
+						if ev.pos > lastAcquire[ev.key] {
+							lastAcquire[ev.key] = ev.pos
+						}
 					case opRelease:
-						if st[ev.key]&mayHeld == 0 {
+						switch {
+						case runsAtParentExit:
+							// held by the parent, whose exit state this solve does not see
+						case st[ev.key]&mayHeld == 0:
 							r.reportf(ev.pos, "%s.%s() but %s is not held on any path to this point", base, ev.method, base)
-						} else if st[ev.key]&mustHeld == 0 {
+						case st[ev.key]&mustHeld == 0:
 							r.reportf(ev.pos, "%s.%s() but %s is not held on every path to this point (lock missing on some branch)", base, ev.method, base)
 						}
 						delete(st, ev.key)
 					case opCall:
-						acq := calleeAcquires(ev.callee)
+						acq := sortedKeys(acquiredBy(ev.callee))
 						if len(acq) == 0 {
 							continue
 						}
@@ -397,7 +416,30 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 								addPair(hg, a, ev.pos)
 							}
 						}
+					case opChan:
+						if !checkChans {
+							continue
+						}
+						for _, h := range sortedStateKeys(st) {
+							r.reportf(ev.pos, "channel %s while holding %s can deadlock the rank mesh; release the lock around channel operations", ev.key, h)
+						}
 					}
+				}
+				if _, ok := n.(*ast.ReturnStmt); ok {
+					for _, h := range sortedStateKeys(st) {
+						if !deferred[h] {
+							r.reportf(n.Pos(), "return while %s is locked and no defer %s.Unlock() is pending; unlock on every path or defer the unlock",
+								h, trimReadSuffix(h))
+						}
+					}
+				}
+			}
+		}
+		if exit := fc.G.Exit; exit.Live {
+			atExit := sol.In[exit]
+			for _, h := range sortedStateKeys(atExit) {
+				if atExit[h]&mustHeld != 0 && !deferred[h] {
+					r.reportf(lastAcquire[h], "%s.Lock() without a matching Unlock before the function ends", trimReadSuffix(h))
 				}
 			}
 		}
@@ -457,6 +499,13 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
+var lockMethods = map[string]bool{"Lock": true, "RLock": true}
+var unlockMethods = map[string]bool{"Unlock": true, "RUnlock": true}
+
+func trimReadSuffix(key string) string {
+	return strings.TrimSuffix(key, " (read)")
+}
+
 // syncMethodEvt classifies n as a sync.(RW)Mutex Lock/Unlock-family call.
 func syncMethodEvt(info *types.Info, n ast.Node) (lockEvt, bool) {
 	call, ok := n.(*ast.CallExpr)
@@ -495,17 +544,24 @@ func syncMethodEvt(info *types.Info, n ast.Node) (lockEvt, bool) {
 }
 
 // nodeLockEvents extracts the lock events of one CFG node in source
-// order: mutex acquire/release calls and calls to functions with lock
-// summaries. Function literals are their own CFGs; deferred and go'd
-// calls do not execute at their registration point (a deferred unlock
-// deliberately leaves the lock held for ordering purposes — the nested
-// acquisitions really do happen under it).
+// order: mutex acquire/release calls, calls to functions with lock
+// summaries, and channel sends/receives. Function literals are their
+// own CFGs; deferred and go'd calls do not execute at their
+// registration point (a deferred unlock deliberately leaves the lock
+// held — the nested acquisitions and channel operations really do
+// happen under it).
 func nodeLockEvents(info *types.Info, n ast.Node) []lockEvt {
 	var evts []lockEvt
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
 			return false
+		case *ast.SendStmt:
+			evts = append(evts, lockEvt{op: opChan, key: "send", pos: x.Pos()})
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				evts = append(evts, lockEvt{op: opChan, key: "receive", pos: x.Pos()})
+			}
 		case *ast.CallExpr:
 			if ev, ok := syncMethodEvt(info, x); ok {
 				evts = append(evts, ev)

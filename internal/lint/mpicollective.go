@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -88,22 +89,8 @@ func uniformCollective(name string) bool {
 	return strings.HasPrefix(name, "AllReduce") || name == "AllGather" || name == "Bcast"
 }
 
-// isMPIComm matches *T or T where T is the type Comm declared in a
-// package named mpi (name-matched so fixture stubs participate).
-func isMPIComm(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Name() == "Comm" && obj.Pkg() != nil && obj.Pkg().Name() == "mpi"
-}
+// isMPIComm matches the rank-mesh communicator type.
+func isMPIComm(t types.Type) bool { return isNamedIn(t, "mpi", "Comm") }
 
 // directCollective returns the collective's method name if fn is one of
 // the mpi.Comm collective methods.
@@ -123,51 +110,19 @@ func runMPICollective(pass *analysis.Pass) (any, error) {
 	r := newReporter(pass)
 
 	// Phase 1: transitive "reaches collectives" sets for every function
-	// declared in this package. Seeds are direct collective calls and
-	// imported facts on cross-package callees; a fixpoint closes over
-	// same-package edges (handles recursion and mutual recursion).
-	reaches := map[*types.Func]map[string]bool{}
-	calleeSet := func(fn *types.Func) map[string]bool {
-		if name, ok := directCollective(fn); ok {
-			return map[string]bool{name: true}
-		}
-		if set, ok := reaches[fn]; ok {
-			return set
-		}
-		if fn.Pkg() != nil && fn.Pkg() != pass.Pkg {
+	// declared in this package, exported as facts.
+	calleeSet := cg.closure(pass.Pkg, labelClosure{
+		seed:   func(*CallNode) map[string]bool { return map[string]bool{} },
+		direct: directCollective,
+		imported: func(fn *types.Func) []string {
 			var fact CallsCollective
-			if pass.ImportObjectFact(fn, &fact) {
-				set := map[string]bool{}
-				for _, c := range fact.Collectives {
-					set[c] = true
-				}
-				return set
-			}
-		}
-		return nil
-	}
-	for _, fn := range cg.Order {
-		reaches[fn] = map[string]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range cg.Order {
-			set := reaches[fn]
-			for _, edge := range cg.Nodes[fn].Calls {
-				for c := range calleeSet(edge.Callee) {
-					if !set[c] {
-						set[c] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	for _, fn := range cg.Order {
-		if len(reaches[fn]) > 0 {
-			pass.ExportObjectFact(fn, &CallsCollective{Collectives: sortedKeys(reaches[fn])})
-		}
-	}
+			pass.ImportObjectFact(fn, &fact)
+			return fact.Collectives
+		},
+		export: func(fn *types.Func, names []string) {
+			pass.ExportObjectFact(fn, &CallsCollective{Collectives: names})
+		},
+	})
 
 	// siteCollectives resolves one call site to the collectives it
 	// reaches, and a label for diagnostics.
@@ -204,40 +159,46 @@ func isRankField(info *types.Info, sel *ast.SelectorExpr) bool {
 	return obj.Pkg() != nil && obj.Pkg().Name() == "mpi"
 }
 
+// rankDependent reports whether e reads the calling rank: Comm.Rank()
+// (or the rank field inside package mpi), or a local already in tainted.
+func rankDependent(info *types.Info, tainted map[types.Object]bool, e ast.Expr) bool {
+	if e == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if fn := calleeFunc(info, n); fn != nil {
+				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && isMPIComm(sig.Recv().Type()) {
+					if fn.Name() == "Rank" {
+						found = true
+					} else if uniformCollective(fn.Name()) {
+						// Rank-uniform result: prune so tainted
+						// arguments do not taint it.
+						return false
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			if isRankField(info, n) {
+				found = true
+			}
+		case *ast.Ident:
+			if obj := info.Uses[n]; obj != nil && tainted[obj] {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // rankTaint computes the set of local objects derived from Comm.Rank()
 // within one function body: a fixpoint over assignments and short
 // variable declarations.
 func rankTaint(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	tainted := map[types.Object]bool{}
-	isTaintedExpr := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if fn := calleeFunc(info, n); fn != nil {
-					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && isMPIComm(sig.Recv().Type()) {
-						if fn.Name() == "Rank" {
-							found = true
-						} else if uniformCollective(fn.Name()) {
-							// Rank-uniform result: prune so tainted
-							// arguments do not taint it.
-							return false
-						}
-					}
-				}
-			case *ast.SelectorExpr:
-				if isRankField(info, n) {
-					found = true
-				}
-			case *ast.Ident:
-				if obj := info.Uses[n]; obj != nil && tainted[obj] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -258,7 +219,7 @@ func rankTaint(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 				} else {
 					continue
 				}
-				if !isTaintedExpr(rhs) {
+				if !rankDependent(info, tainted, rhs) {
 					continue
 				}
 				obj := info.Defs[id]
@@ -273,7 +234,6 @@ func rankTaint(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 			return true
 		})
 	}
-	// Close over the map so condition checks can reuse the walker.
 	return tainted
 }
 
@@ -281,63 +241,15 @@ func rankTaint(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 func checkRankFlow(pass *analysis.Pass, r *reporter, decl *ast.FuncDecl, siteCollectives func(*ast.CallExpr) ([]string, string)) {
 	info := pass.TypesInfo
 	tainted := rankTaint(info, decl.Body)
-
-	rankDependent := func(e ast.Expr) bool {
-		if e == nil {
-			return false
-		}
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if fn := calleeFunc(info, n); fn != nil {
-					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && isMPIComm(sig.Recv().Type()) {
-						if fn.Name() == "Rank" {
-							found = true
-						} else if uniformCollective(fn.Name()) {
-							// Rank-uniform result: prune so tainted
-							// arguments do not taint it.
-							return false
-						}
-					}
-				}
-			case *ast.SelectorExpr:
-				if isRankField(info, n) {
-					found = true
-				}
-			case *ast.Ident:
-				if obj := info.Uses[n]; obj != nil && tainted[obj] {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
-
-	// collectiveSeq flattens the ordered collective "events" under a
-	// node: one label per collective-reaching call site.
-	var collectiveSeq func(n ast.Node) []string
-	collectiveSeq = func(n ast.Node) []string {
-		var seq []string
-		if n == nil {
-			return nil
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if _, label := siteCollectives(call); label != "" {
-					seq = append(seq, label)
-					return false // the helper's internals are its fact
-				}
-			}
-			return true
-		})
-		return seq
-	}
+	rankDependent := func(e ast.Expr) bool { return rankDependent(info, tainted, e) }
 
 	// collectiveSites yields each collective-reaching call under n with
-	// its label.
+	// its label; the helper's internals are its fact, so a reaching call
+	// is not descended into.
 	collectiveSites := func(n ast.Node, visit func(call *ast.CallExpr, label string)) {
+		if n == nil {
+			return
+		}
 		ast.Inspect(n, func(m ast.Node) bool {
 			if call, ok := m.(*ast.CallExpr); ok {
 				if _, label := siteCollectives(call); label != "" {
@@ -347,6 +259,12 @@ func checkRankFlow(pass *analysis.Pass, r *reporter, decl *ast.FuncDecl, siteCol
 			}
 			return true
 		})
+	}
+	// collectiveSeq flattens the ordered collective "events" under a
+	// node: one label per collective-reaching call site.
+	collectiveSeq := func(n ast.Node) (seq []string) {
+		collectiveSites(n, func(_ *ast.CallExpr, label string) { seq = append(seq, label) })
+		return seq
 	}
 
 	reported := map[token.Pos]bool{}
@@ -368,7 +286,7 @@ func checkRankFlow(pass *analysis.Pass, r *reporter, decl *ast.FuncDecl, siteCol
 				if len(thenSeq) == 0 && len(elseSeq) == 0 {
 					return true
 				}
-				if !equalSeq(thenSeq, elseSeq) {
+				if !slices.Equal(thenSeq, elseSeq) {
 					reportOnce(n.Pos(),
 						"mismatched collective sequences across rank-dependent branches: then reaches [%s], else reaches [%s]; every rank must execute the same collectives in the same order",
 						strings.Join(thenSeq, " "), strings.Join(elseSeq, " "))
@@ -421,18 +339,6 @@ func checkRankFlow(pass *analysis.Pass, r *reporter, decl *ast.FuncDecl, siteCol
 		}
 		return true
 	})
-}
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sortedKeys(set map[string]bool) []string {

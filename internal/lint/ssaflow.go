@@ -2,10 +2,12 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/analysis/ssa"
+	"repro/internal/lint/analysis/taint"
 )
 
 // SSAFlow is shared infrastructure, not a check: it lowers every
@@ -53,4 +55,36 @@ func runSSAFlow(pass *analysis.Pass) (any, error) {
 		result.Order = append(result.Order, SSAFunc{FC: fc, F: f})
 	}
 	return result, nil
+}
+
+// runTaint is the driver the taint analyzers (dettaint, allocbound)
+// share: it runs spec over the package's lowered functions, carries
+// summaries across packages through the analyzer's own fact type —
+// newFact returns a fresh fact and the summary inside it — and hands
+// every finding outside test files to report.
+func runTaint(pass *analysis.Pass, res *SSAResult, spec taint.Spec, newFact func() (analysis.Fact, *taint.Summary), report func(token.Pos, taint.Finding)) {
+	engine := &taint.Engine{
+		Spec: spec,
+		External: func(fn *types.Func) (*taint.Summary, bool) {
+			fact, sum := newFact()
+			return sum, pass.ImportObjectFact(fn, fact)
+		},
+	}
+	fns := make([]taint.FuncInfo, 0, len(res.Order))
+	for _, sf := range res.Order {
+		fns = append(fns, taint.FuncInfo{Fn: sf.FC.Fn, SSA: sf.F})
+	}
+	result := engine.AnalyzePackage(fns)
+	for fn, sum := range result.Summaries {
+		if fn.Pkg() == pass.Pkg && !sum.Empty() {
+			fact, dst := newFact()
+			*dst = *sum
+			pass.ExportObjectFact(fn, fact)
+		}
+	}
+	for _, f := range result.Findings {
+		if pos := token.Pos(f.Pos); !isTestFile(pass.Fset, pos) {
+			report(pos, f)
+		}
+	}
 }

@@ -1,5 +1,7 @@
-// Allowlist fixture: a hand-over-hand locking pattern the token-order
-// heuristic cannot follow carries an explicit suppression.
+// Allowlist fixture: a hand-over-hand locking pattern — the lock is
+// taken in one function and released in its callee, which no
+// per-function held-lock solution can follow — carries explicit
+// suppressions on both sides.
 package transit
 
 import "sync"
@@ -11,14 +13,15 @@ type Node struct {
 }
 
 func HandOverHand(n *Node) int {
-	//lint:allow lockdiscipline hand-over-hand traversal; unlocked by the callee
+	//lint:allow lockorder hand-over-hand traversal; unlocked by the callee
 	n.mu.Lock()
-	//lint:allow lockdiscipline the lock is released inside crawl
+	//lint:allow lockorder the lock is released inside crawl
 	return crawl(n)
 }
 
 func crawl(n *Node) int {
 	v := n.v
+	//lint:allow lockorder hand-over-hand traversal; locked by the caller
 	n.mu.Unlock()
 	return v
 }

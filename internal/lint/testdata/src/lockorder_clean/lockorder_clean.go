@@ -75,3 +75,17 @@ func TwoInstances(p, q *Pool) {
 	q.mu.Unlock()
 	p.mu.Unlock()
 }
+
+// DeferredClosure releases inside a deferred literal: the literal runs
+// at the function's exit, under the lock its parent still holds, so
+// neither the unlock in it nor the returns before it are findings.
+func DeferredClosure(p *Pool, c bool) (n int) {
+	p.mu.Lock()
+	defer func() {
+		p.mu.Unlock()
+	}()
+	if c {
+		return 1
+	}
+	return 0
+}

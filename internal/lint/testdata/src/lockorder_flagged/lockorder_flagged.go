@@ -70,3 +70,11 @@ func BackwardOrder() {
 	muA.Lock() // want `lock order inversion`
 	muA.Unlock()
 }
+
+// UnlockInCalledLiteral is not the deferred-closure shape: the literal
+// is called where it stands, so its unlock is judged on its own.
+func (s *Server) UnlockInCalledLiteral() {
+	func() {
+		s.mu.Unlock() // want `s\.mu\.Unlock\(\) but s\.mu is not held on any path`
+	}()
+}

@@ -5,11 +5,11 @@ package halo
 import "math/rand"
 
 func JitterSameLine() float64 {
-	return rand.Float64() //lint:allow nondeterminism decorrelation jitter, not a result
+	return rand.Float64() //lint:allow dettaint decorrelation jitter, not a result
 }
 
 func JitterLineAbove() float64 {
-	//lint:allow nondeterminism decorrelation jitter, not a result
+	//lint:allow dettaint decorrelation jitter, not a result
 	return rand.Float64()
 }
 

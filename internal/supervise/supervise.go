@@ -5,8 +5,10 @@
 // 2022). The supervisor watches jobs through three independent detectors:
 //
 //   - heartbeats: a job reports its last progress time through a pure
-//     function; a watchdog polls it once per miss window (NOT once per
-//     beat, which keeps supervision overhead < 3% of the fault-free run).
+//     function; a watchdog polls it once per miss window, NOT once per
+//     beat (what supervision adds to a fault-free campaign is measured
+//     by `go run ./bench`, per-layer metrics supervise.overhead_ms and
+//     supervise.overhead_allocs, recorded in bench/baseline.json).
 //   - deadlines: an absolute limit of DeadlineFactor x expected duration
 //     plus slack; blowing it declares the job suspect even if it still
 //     beats its heart.
