@@ -8,12 +8,20 @@
 // The package tracks only visibility and sizes; transfer durations are
 // computed by the caller from the machine models (internal/platform), so
 // one System instance can sit between clusters with different bandwidths.
+//
+// A tier is polled far more often than it is written ("at a rate much
+// higher than the rate at which the main code generates new output files",
+// §3.2), so both of a poller's questions are answered without scanning:
+// every landing is appended to an arrival log a reader drains from its own
+// cursor (Arrivals — a poll that finds nothing costs O(1)), and the files
+// are also kept sorted by path, so List is a binary search plus a copy of
+// one prefix range.
 package fs
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/des"
@@ -44,9 +52,13 @@ type File struct {
 
 // System is one storage tier on a discrete-event clock.
 type System struct {
-	sim      *des.Sim
-	name     string
-	files    map[string]*File
+	sim  *des.Sim
+	name string
+	// files holds the resident files in path order (a lookup is a binary
+	// search, List a prefix range); arrivals logs the path of every
+	// landing, in landing order, and only grows.
+	files    []*File
+	arrivals []string
 	faults   *fault.Injector
 	writeSeq map[string]int
 
@@ -59,7 +71,7 @@ type System struct {
 
 // New creates a storage tier bound to the simulation clock.
 func New(sim *des.Sim, name string) *System {
-	return &System{sim: sim, name: name, files: map[string]*File{}, writeSeq: map[string]int{}}
+	return &System{sim: sim, name: name, writeSeq: map[string]int{}}
 }
 
 // Name identifies the tier ("lustre", "burst-buffer", ...).
@@ -102,12 +114,12 @@ func (s *System) WriteChecked(path string, bytes, duration float64, payload any,
 			}
 		case fault.WriteTruncate:
 			s.TruncatedWrites++
-			s.files[path] = &File{Path: path, Bytes: bytes * frac, VisibleAt: completeAt, Payload: payload}
+			s.land(&File{Path: path, Bytes: bytes * frac, VisibleAt: completeAt, Payload: payload})
 			if done != nil {
 				done(nil)
 			}
 		default:
-			s.files[path] = &File{Path: path, Bytes: bytes, VisibleAt: completeAt, Payload: payload}
+			s.land(&File{Path: path, Bytes: bytes, VisibleAt: completeAt, Payload: payload})
 			if done != nil {
 				done(nil)
 			}
@@ -117,11 +129,11 @@ func (s *System) WriteChecked(path string, bytes, duration float64, payload any,
 
 // Stat returns a visible file.
 func (s *System) Stat(path string) (*File, error) {
-	f, ok := s.files[path]
-	if !ok || f.VisibleAt > s.sim.Now() {
+	i, ok := s.find(path)
+	if !ok || s.files[i].VisibleAt > s.sim.Now() {
 		return nil, fmt.Errorf("fs(%s): %s does not exist at t=%.1f", s.name, path, s.sim.Now())
 	}
-	return f, nil
+	return s.files[i], nil
 }
 
 // VerifySize stats a file and checks its size against what the writer
@@ -149,45 +161,73 @@ func (s *System) Read(path string, duration float64, done func(*File)) error {
 	return nil
 }
 
-// List returns the visible paths with the given prefix, sorted. This is
-// the primitive the co-scheduling listener polls ("The listener launches
-// analysis jobs when pre-specified output files are generated by the main
-// application", §3.2).
+// land places a file on the tier, replacing any file at its path, and logs
+// the arrival. Every caller lands at (or, Restore, before) the current
+// virtual time, so a landed file is visible from the moment it is indexed.
+func (s *System) land(f *File) {
+	if i, found := s.find(f.Path); found {
+		s.files[i] = f
+	} else {
+		s.files = slices.Insert(s.files, i, f)
+	}
+	s.arrivals = append(s.arrivals, f.Path)
+}
+
+// find returns where path sits, or would be inserted, among the files.
+func (s *System) find(path string) (int, bool) {
+	return slices.BinarySearchFunc(s.files, path, func(f *File, p string) int { return strings.Compare(f.Path, p) })
+}
+
+// List returns the visible paths with the given prefix, sorted: the paths
+// sharing a prefix are one contiguous range of the path order.
 func (s *System) List(prefix string) []string {
-	var out []string
-	for path, f := range s.files {
-		if strings.HasPrefix(path, prefix) && f.VisibleAt <= s.sim.Now() {
-			out = append(out, path)
+	lo, _ := s.find(prefix)
+	hi := lo
+	for hi < len(s.files) && strings.HasPrefix(s.files[hi].Path, prefix) {
+		hi++
+	}
+	if lo == hi {
+		return nil
+	}
+	out := make([]string, 0, hi-lo)
+	for _, f := range s.files[lo:hi] {
+		if f.VisibleAt <= s.sim.Now() {
+			out = append(out, f.Path)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
-// TotalBytes sums the sizes of all visible files with the prefix.
-func (s *System) TotalBytes(prefix string) float64 {
-	total := 0.0
-	for path, f := range s.files {
-		if strings.HasPrefix(path, prefix) && f.VisibleAt <= s.sim.Now() {
-			total += f.Bytes
-		}
-	}
-	return total
+// Arrivals returns the paths that landed since the reader's cursor, in
+// landing order: every write completion that left a file (intact or
+// truncated, first write or overwrite) and every Restore appends one
+// entry, and nothing is ever removed. A reader starts at cursor 0 and
+// advances it by the length returned, so a poll that finds nothing new
+// is a bounds check. This is the primitive the co-scheduling listener
+// polls ("The listener launches analysis jobs when pre-specified output
+// files are generated by the main application", §3.2); a logged path may
+// since have been deleted — Stat it. The result aliases the log: read only.
+func (s *System) Arrivals(cursor int) []string {
+	return s.arrivals[cursor:len(s.arrivals):len(s.arrivals)]
 }
 
 // Delete removes a file immediately (no-op when absent).
-func (s *System) Delete(path string) { delete(s.files, path) }
+func (s *System) Delete(path string) {
+	if i, found := s.find(path); found {
+		s.files = slices.Delete(s.files, i, i+1)
+	}
+}
 
 // Corrupt marks a resident file as silently rotted at rest, reporting
 // whether a file was there to rot. Size and visibility are untouched —
 // that is what makes the corruption silent. A later overwrite of the
 // path clears the mark (the rewrite lands fresh bytes).
 func (s *System) Corrupt(path string) bool {
-	f, ok := s.files[path]
-	if !ok || f.Corrupt {
+	i, ok := s.find(path)
+	if !ok || s.files[i].Corrupt {
 		return ok
 	}
-	f.Corrupt = true
+	s.files[i].Corrupt = true
 	s.Corruptions++
 	return true
 }
@@ -198,5 +238,5 @@ func (s *System) Corrupt(path string) bool {
 // run must see them without re-paying the write). payload is what a Write
 // of the file would have carried.
 func (s *System) Restore(path string, bytes float64, payload any) {
-	s.files[path] = &File{Path: path, Bytes: bytes, VisibleAt: 0, Payload: payload}
+	s.land(&File{Path: path, Bytes: bytes, VisibleAt: 0, Payload: payload})
 }

@@ -43,9 +43,6 @@ func TestListPrefixAndOrder(t *testing.T) {
 	if len(got) != 2 || got[0] != "out/a" || got[1] != "out/b" {
 		t.Errorf("list = %v", got)
 	}
-	if total := s.TotalBytes("out/"); total != 2 {
-		t.Errorf("total = %v", total)
-	}
 }
 
 func TestReadRequiresVisibleFile(t *testing.T) {

@@ -44,32 +44,32 @@ import (
 type Op uint8
 
 const (
-	OpParam   Op = iota // function parameter (receiver first for methods)
-	OpConst             // literal, nil, named constant, or type expression
-	OpGlobal            // package-level or imported variable/function
-	OpPhi               // SSA phi at a join block
-	OpCopy              // named rebinding: x := y (keeps witness names)
-	OpCall              // function or method call
-	OpBinOp             // binary operator (Tok)
-	OpUnOp              // unary operator (Tok; includes <-ch receives)
-	OpDeref             // *p load
-	OpAddr              // &x
-	OpField             // x.f load
-	OpIndex             // x[i] load (slice, array, map, string)
-	OpSlice             // x[i:j:k]
-	OpMake              // make(T, n, ...) — Args are the size operands
-	OpLen               // len(x)/cap(x): results carry no content taint
-	OpAppend            // append(s, ...)
-	OpComposite         // composite literal; Args are the elements
-	OpConvert           // T(x) and type assertions
-	OpExtract           // Index'th component of a multi-value register
-	OpRange             // range header over Args[0]; extracts = key/val
-	OpClosure           // function literal creation site
-	OpStore             // *no result*: store Args[1] into base Args[0]
-	OpVarLoad           // load of a memory-degraded variable (Var)
-	OpVarStore          // *no result*: store Args[0] into variable Var
-	OpReturn            // *no result*: Args are the returned values
-	OpUnknown           // conservative fallback register
+	OpParam     Op = iota // function parameter (receiver first for methods)
+	OpConst               // literal, nil, named constant, or type expression
+	OpGlobal              // package-level or imported variable/function
+	OpPhi                 // SSA phi at a join block
+	OpCopy                // named rebinding: x := y (keeps witness names)
+	OpCall                // function or method call
+	OpBinOp               // binary operator (Tok)
+	OpUnOp                // unary operator (Tok; includes <-ch receives)
+	OpDeref               // *p load
+	OpAddr                // &x
+	OpField               // x.f load
+	OpIndex               // x[i] load (slice, array, map, string)
+	OpSlice               // x[i:j:k]
+	OpMake                // make(T, n, ...) — Args are the size operands
+	OpLen                 // len(x)/cap(x): results carry no content taint
+	OpAppend              // append(s, ...)
+	OpComposite           // composite literal; Args are the elements
+	OpConvert             // T(x) and type assertions
+	OpExtract             // Index'th component of a multi-value register
+	OpRange               // range header over Args[0]; extracts = key/val
+	OpClosure             // function literal creation site
+	OpStore               // *no result*: store Args[1] into base Args[0]
+	OpVarLoad             // load of a memory-degraded variable (Var)
+	OpVarStore            // *no result*: store Args[0] into variable Var
+	OpReturn              // *no result*: Args are the returned values
+	OpUnknown             // conservative fallback register
 )
 
 var opNames = [...]string{
@@ -213,12 +213,12 @@ func formatValue(v *Value) string {
 // function (nil for literals); info must cover the body's file.
 func Lower(name string, body *ast.BlockStmt, g *cfg.CFG, sig *types.Signature, info *types.Info) *Func {
 	lw := &lowerer{
-		fn:      &Func{Name: name, ByBlock: map[*cfg.Block]*Block{}},
-		g:       g,
-		info:    info,
-		defsOut: map[*cfg.Block]map[types.Object]*Value{},
-		memVars: map[types.Object]bool{},
-		phiVar:  map[*Value]types.Object{},
+		fn:       &Func{Name: name, ByBlock: map[*cfg.Block]*Block{}},
+		g:        g,
+		info:     info,
+		defsOut:  map[*cfg.Block]map[types.Object]*Value{},
+		memVars:  map[types.Object]bool{},
+		phiVar:   map[*Value]types.Object{},
 		rangeByX: map[ast.Expr]*ast.RangeStmt{},
 	}
 	if sig != nil {

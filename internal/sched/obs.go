@@ -7,7 +7,11 @@
 // observer's injected Clock; see the obs package determinism contract.
 package sched
 
-import "strconv"
+import (
+	"strconv"
+
+	"repro/internal/obs"
+)
 
 // Histogram bucket bounds, fixed so shard merges stay associative and
 // encode order deterministic. Queue waits span seconds (co-scheduled
@@ -67,22 +71,22 @@ func (c *Cluster) obsCount(name string) {
 	c.Obs.Metrics().Counter(name).Inc()
 }
 
-// obsPoll records listener poll outcomes.
-func (l *Listener) obsPoll(missed bool) {
-	if l.Obs == nil {
-		return
-	}
-	if missed {
-		l.Obs.Metrics().Counter("listener.missed_polls").Inc()
-	} else {
-		l.Obs.Metrics().Counter("listener.polls").Inc()
-	}
+// listenerCounters caches the listener's registry counters: a listener
+// polls far more often than anything lands, and a lookup by name per poll
+// showed in the campaign profile.
+type listenerCounters struct {
+	polls, missedPolls, breakerSkips, submitFaults, submitted *obs.Counter
 }
 
-// obsCount bumps a plain listener counter (submits, refusals, skips).
-func (l *Listener) obsCount(name string) {
+// obsCount bumps a listener counter, resolving it in the registry on its
+// first bump only — a counter never bumped never appears in the metrics
+// dump.
+func (l *Listener) obsCount(c **obs.Counter, name string) {
 	if l.Obs == nil {
 		return
 	}
-	l.Obs.Metrics().Counter(name).Inc()
+	if *c == nil {
+		*c = l.Obs.Metrics().Counter(name)
+	}
+	(*c).Inc()
 }

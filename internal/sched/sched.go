@@ -13,6 +13,8 @@ package sched
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/des"
 	"repro/internal/fault"
@@ -432,9 +434,15 @@ type Listener struct {
 	// Obs records poll/submit counters; nil disables instrumentation.
 	Obs *obs.Observer
 
+	// seen holds the paths submitted, skipped by MakeJob or marked seen;
+	// pending the watched paths that landed and are none of those yet, kept
+	// sorted; cursor is how far into FS's arrival log the listener has read.
 	seen        map[string]bool
+	pending     []string
+	cursor      int
 	submitTries map[string]int
 	stopped     bool
+	ctr         listenerCounters
 	Submitted   int
 	Polls       int
 	MissedPolls int
@@ -454,9 +462,6 @@ func (l *Listener) Start() error {
 	if l.MakeJob == nil {
 		return fmt.Errorf("sched: listener needs a MakeJob template")
 	}
-	if l.seen == nil {
-		l.seen = map[string]bool{}
-	}
 	l.Sim.After(l.PollInterval, l.poll)
 	return nil
 }
@@ -474,6 +479,9 @@ func (l *Listener) MarkSeen(path string) {
 		l.seen = map[string]bool{}
 	}
 	l.seen[path] = true
+	if i, found := slices.BinarySearch(l.pending, path); found {
+		l.pending = slices.Delete(l.pending, i, i+1)
+	}
 }
 
 // FinalSweep performs one last check, catching files that landed "at the
@@ -482,15 +490,28 @@ func (l *Listener) MarkSeen(path string) {
 // inside an outage window (the facility restarts it for the final pass).
 func (l *Listener) FinalSweep() { l.sweep() }
 
-// Unseen counts watched files not yet submitted for analysis.
+// Unseen counts watched files that landed and are not yet submitted for
+// analysis (one whose file was deleted since the last sweep is still
+// counted: the next sweep drops it).
 func (l *Listener) Unseen() int {
-	n := 0
-	for _, path := range l.FS.List(l.Prefix) {
-		if !l.seen[path] {
-			n++
+	l.ingest()
+	return len(l.pending)
+}
+
+// ingest reads the tier's arrival log from the cursor and files every
+// watched, not yet seen path into pending. A poll that finds nothing new
+// costs a bounds check and allocates nothing.
+func (l *Listener) ingest() {
+	arrived := l.FS.Arrivals(l.cursor)
+	l.cursor += len(arrived)
+	for _, path := range arrived {
+		if !strings.HasPrefix(path, l.Prefix) || l.seen[path] {
+			continue
+		}
+		if i, found := slices.BinarySearch(l.pending, path); !found {
+			l.pending = slices.Insert(l.pending, i, path)
 		}
 	}
-	return n
 }
 
 func (l *Listener) poll() {
@@ -500,59 +521,72 @@ func (l *Listener) poll() {
 	l.Polls++
 	if l.Faults.ListenerDown(l.Sim.Now()) {
 		l.MissedPolls++
-		l.obsPoll(true)
+		l.obsCount(&l.ctr.missedPolls, "listener.missed_polls")
 	} else {
-		l.obsPoll(false)
+		l.obsCount(&l.ctr.polls, "listener.polls")
 		l.sweep()
 	}
 	l.Sim.After(l.PollInterval, l.poll)
 }
 
-// sweep submits an analysis job for every newly visible file. A path is
-// only marked seen once its job was actually submitted (or MakeJob
-// explicitly skipped it) — a Stat or Submit failure leaves the file
-// unmarked so the next poll retries it instead of dropping the analysis
-// silently.
+// sweep offers every pending path for submission, in lexicographic order:
+// submission order numbers the analysis jobs, and landing order differs
+// from it whenever a write is re-driven or an outage lets files pile up.
 func (l *Listener) sweep() {
+	l.ingest()
+	kept := l.pending[:0]
+	for _, path := range l.pending {
+		if !l.offer(path) {
+			kept = append(kept, path)
+		}
+	}
+	l.pending = kept
+}
+
+// offer tries to submit the analysis job for one pending path and reports
+// whether the path leaves the pending set: its job was submitted, MakeJob
+// explicitly skipped it, or its file is gone (a truncated write deleted
+// before its re-drive landed; the re-driven landing brings the path back
+// through the arrival log, and the breaker is not consulted for a file
+// that is not there). An open breaker, a refusal or a Submit failure keep
+// the path pending, so the next poll retries it instead of dropping the
+// analysis silently.
+func (l *Listener) offer(path string) bool {
+	f, err := l.FS.Stat(path)
+	if err != nil {
+		return true
+	}
+	if !l.Breaker.Allow() {
+		l.BreakerSkips++
+		l.obsCount(&l.ctr.breakerSkips, "listener.breaker_skips")
+		return false // the front-end is sick; back off instead of hot-looping
+	}
+	if l.submitTries == nil {
+		l.submitTries = map[string]int{}
+	}
+	try := l.submitTries[path]
+	l.submitTries[path] = try + 1
+	if l.Faults.SubmitFail(path, try) {
+		l.SubmitFaults++
+		l.obsCount(&l.ctr.submitFaults, "listener.submit_faults")
+		l.Breaker.Failure()
+		return false // transient refusal
+	}
 	if l.seen == nil {
 		l.seen = map[string]bool{}
 	}
-	for _, path := range l.FS.List(l.Prefix) {
-		if l.seen[path] {
-			continue
-		}
-		if !l.Breaker.Allow() {
-			l.BreakerSkips++
-			l.obsCount("listener.breaker_skips")
-			continue // the front-end is sick; back off instead of hot-looping
-		}
-		f, err := l.FS.Stat(path)
-		if err != nil {
-			continue // retried next poll
-		}
-		if l.submitTries == nil {
-			l.submitTries = map[string]int{}
-		}
-		try := l.submitTries[path]
-		l.submitTries[path] = try + 1
-		if l.Faults.SubmitFail(path, try) {
-			l.SubmitFaults++
-			l.obsCount("listener.submit_faults")
-			l.Breaker.Failure()
-			continue // transient refusal; retried next poll
-		}
-		job := l.MakeJob(path, f)
-		if job == nil {
-			l.seen[path] = true // explicit skip
-			continue
-		}
-		if err := l.Cluster.Submit(job); err != nil {
-			l.Breaker.Failure()
-			continue // retried next poll
-		}
-		l.Breaker.Success()
-		l.seen[path] = true
-		l.Submitted++
-		l.obsCount("listener.submitted")
+	job := l.MakeJob(path, f)
+	if job == nil {
+		l.seen[path] = true // explicit skip
+		return true
 	}
+	if err := l.Cluster.Submit(job); err != nil {
+		l.Breaker.Failure()
+		return false
+	}
+	l.Breaker.Success()
+	l.seen[path] = true
+	l.Submitted++
+	l.obsCount(&l.ctr.submitted, "listener.submitted")
+	return true
 }

@@ -29,7 +29,7 @@ package supervise
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/obs"
@@ -142,7 +142,7 @@ type Supervisor struct {
 	policy Policy
 
 	tasks      map[string]*watch
-	doneRatios []float64 // running/expected ratios of completed tasks
+	doneRatios []float64 // running/expected ratios of completed tasks, ascending
 	decisions  []Decision
 
 	// Suspects counts suspicion events; Watched counts Watch calls.
@@ -299,7 +299,9 @@ func (sv *Supervisor) Done(name string) {
 	w.done = true
 	w.epoch++
 	if w.expected > 0 {
-		sv.doneRatios = append(sv.doneRatios, (sv.sim.Now()-w.started)/w.expected)
+		ratio := (sv.sim.Now() - w.started) / w.expected
+		i, _ := slices.BinarySearch(sv.doneRatios, ratio)
+		sv.doneRatios = slices.Insert(sv.doneRatios, i, ratio)
 	}
 	delete(sv.tasks, name)
 	sv.record("done", name, fmt.Sprintf("after %.0fs", sv.sim.Now()-w.started))
@@ -353,17 +355,9 @@ func (sv *Supervisor) Watching() int {
 	return len(sv.tasks)
 }
 
-// percentile returns the p-th percentile of xs (nearest-rank on a sorted
-// copy). xs must be non-empty.
+// percentile returns the p-th percentile (nearest rank) of the ascending,
+// non-empty xs.
 func percentile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(p*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	i := int(p*float64(len(xs))+0.5) - 1
+	return xs[min(max(i, 0), len(xs)-1)]
 }

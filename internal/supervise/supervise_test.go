@@ -1,10 +1,14 @@
 package supervise
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/des"
 )
@@ -178,6 +182,48 @@ func TestPercentile(t *testing.T) {
 		if got := percentile(xs, tc.p); got != tc.want {
 			t.Errorf("percentile(%v) = %v, want %v", tc.p, got, tc.want)
 		}
+	}
+}
+
+// The straggler population kept ascending by Done gives, after every
+// completion, the percentiles that copying and sorting the completion-order
+// stream gave — on streams full of duplicate and zero ratios.
+func TestSortedPopulationMatchesCopyAndSort(t *testing.T) {
+	copyAndSort := func(xs []float64, p float64) float64 {
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		i := int(p*float64(len(s))+0.5) - 1
+		if i < 0 {
+			i = 0
+		}
+		if i >= len(s) {
+			i = len(s) - 1
+		}
+		return s[i]
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var sim des.Sim
+		sv := New(&sim, DefaultPolicy())
+		var stream []float64
+		for i := 1 + rng.Intn(80); i > 0; i-- {
+			name := fmt.Sprintf("t%d", i)
+			expected, ran := float64(10*(1+rng.Intn(3))), float64(5*rng.Intn(9))
+			sv.Watch(name, expected, nil, nil)
+			sim.RunUntil(sim.Now() + ran) // short of the first watchdog poll
+			sv.Done(name)
+			stream = append(stream, ran/expected)
+			for _, p := range []float64{0.01, 0.05, 0.5, 0.95, 1} {
+				if got, want := percentile(sv.doneRatios, p), copyAndSort(stream, p); got != want {
+					t.Logf("seed %d: p%v of %v = %v, want %v", seed, p*100, stream, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(16))}); err != nil {
+		t.Error(err)
 	}
 }
 
