@@ -11,26 +11,28 @@
 //
 // Usage:
 //
-//	cosmotools -in out/step030.gio -box 64 [-config ct.ini] [-mode full|centers]
+//	cosmotools -in out/step030.gio -box 64 [-config ct.ini]
+//	cosmotools -in out/step030.l2.gio -box 64 -np 32 -mode centers
 //
 // Modes:
 //
-//	full     halo finding + centers (+ optional P(k), SO, subhalos via config)
-//	centers  MBP centers only, treating every input block as one halo's
-//	         particles (the Level 2 path: blocks were written per large halo)
+//	full     the standard tools over a full-box snapshot: P(k), halo finding
+//	         + centers (+ SO, subhalos, halo properties via config)
+//	centers  MBP centers only over a Level 2 file (one block per large
+//	         halo); needs -np, the simulation's particles per dimension
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/center"
-	"repro/internal/ckpt"
 	"repro/internal/cosmo"
 	"repro/internal/cosmotools"
 	"repro/internal/gio"
@@ -43,7 +45,7 @@ func main() {
 	var (
 		inPath  = flag.String("in", "", "input gio particle file (required)")
 		box     = flag.Float64("box", 64, "box side, Mpc/h")
-		np      = flag.Int("np", 0, "original particles per dimension (for particle mass); 0 derives from count")
+		np      = flag.Int("np", 0, "original particles per dimension (for particle mass); 0 derives it from a full-box input's count, -mode centers requires it")
 		cfgPath = flag.String("config", "", "CosmoTools config (INI)")
 		mode    = flag.String("mode", "full", "full | centers")
 		outPath = flag.String("out", "", "output path (default: input + .centers)")
@@ -66,131 +68,59 @@ func run(inPath, outPath string, box float64, np int, cfgPath, mode string) erro
 	if outPath == "" {
 		outPath = strings.TrimSuffix(inPath, ".gio") + ".centers"
 	}
-	params := cosmo.Default()
 	merged := gio.Merge(blocks)
-	if np == 0 {
-		// Assume the file holds the full box.
-		np = nearestCube(merged.N())
-	}
-	mass := params.ParticleMass(box, np)
 	log.Printf("read %d particles in %d blocks from %s", merged.N(), len(blocks), inPath)
+	if np == 0 {
+		// Only a full-box snapshot tells the particle load; a Level 2
+		// file holds the large halos alone.
+		if mode == "centers" {
+			return fmt.Errorf("-mode centers needs -np: a Level 2 file does not hold the full box, so the particle mass cannot be derived from its particle count")
+		}
+		np = int(math.Round(math.Cbrt(float64(merged.N()))))
+	}
+	mass := cosmo.Default().ParticleMass(box, np)
 
 	start := time.Now()
 	var centers []cosmotools.CenterRecord
 	switch mode {
 	case "full":
-		ctx := cosmotools.NewContext(1, 1, box, mass, merged)
-		var manager cosmotools.Manager
-		manager.Clock = time.Now // off-line driver: wall-clock timings are wanted here
-		hf := cosmotools.NewHaloFinder()
-		link := 0.2 * box / float64(np)
-		if err := hf.SetParameters(map[string]string{
-			"linking_length": fmt.Sprint(link), "min_size": "10",
-		}); err != nil {
-			return err
-		}
-		if err := manager.Register(hf); err != nil {
-			return err
-		}
+		var cfg *cosmotools.Config
 		if cfgPath != "" {
-			cfg, err := cosmotools.ParseConfigFile(cfgPath)
-			if err != nil {
-				return err
-			}
-			for _, name := range cfg.SectionNames() {
-				switch name {
-				case "powerspectrum":
-					if err := manager.Register(cosmotools.NewPowerSpectrum()); err != nil {
-						return err
-					}
-				case "somass":
-					if err := manager.Register(cosmotools.NewSOMass()); err != nil {
-						return err
-					}
-				case "subhalofinder":
-					if err := manager.Register(cosmotools.NewSubhaloFinder()); err != nil {
-						return err
-					}
-				}
-			}
-			if err := manager.Configure(cfg); err != nil {
+			if cfg, err = cosmotools.ParseConfigFile(cfgPath); err != nil {
 				return err
 			}
 		}
+		manager, err := cosmotools.NewStandardManager(cfg, box, np, np)
+		if err != nil {
+			return err
+		}
+		ctx := cosmotools.NewContext(1, 1, box, mass, merged)
 		if err := manager.Execute(ctx); err != nil {
 			return err
 		}
-		centers = ctx.Outputs["halofinder/centers"].([]cosmotools.CenterRecord)
+		var ran bool
+		if centers, ran = ctx.Outputs["halofinder/centers"].([]cosmotools.CenterRecord); !ran {
+			return fmt.Errorf("halofinder did not run: the input is analysed as step 1, which %s does not schedule", cfgPath)
+		}
 		if cat, ok := ctx.Outputs["halofinder/catalog"].(*halo.Catalog); ok {
 			log.Printf("found %d halos (largest %d particles)", len(cat.Halos), cat.LargestCount())
 		}
 	case "centers":
-		// Level 2 path: each block is one large halo's particle set.
-		for _, b := range blocks {
-			p := b.Particles
-			if p.N() == 0 {
-				continue
-			}
-			ux, uy, uz := center.Unwrap(p.X, p.Y, p.Z, allIndices(p.N()), box)
-			res, err := center.BruteForce(ux, uy, uz, center.Options{Mass: mass, Softening: 1e-3})
-			if err != nil {
-				return err
-			}
-			centers = append(centers, cosmotools.CenterRecord{
-				HaloTag:   minTag(p.Tag),
-				MBPTag:    p.Tag[res.Index],
-				Pos:       [3]float64{p.X[res.Index], p.Y[res.Index], p.Z[res.Index]},
-				Potential: res.Potential,
-				Count:     p.N(),
-			})
+		l2, err := cosmotools.Level2FromBlocks(blocks)
+		if err != nil {
+			return err
+		}
+		if centers, err = cosmotools.CentersForLevel2(l2, box, center.Options{Mass: mass, Softening: 1e-3}); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
 	}
 	log.Printf("analysis took %.2fs", time.Since(start).Seconds())
 
-	var buf bytes.Buffer
-	fmt.Fprintln(&buf, "# halo_tag mbp_tag x y z potential count")
-	for _, c := range centers {
-		fmt.Fprintf(&buf, "%d %d %.6f %.6f %.6f %.6g %d\n",
-			c.HaloTag, c.MBPTag, c.Pos[0], c.Pos[1], c.Pos[2], c.Potential, c.Count)
-	}
-	if err := ckpt.WriteFileAtomic(outPath, buf.Bytes()); err != nil {
+	if err := catalog.WriteFile(outPath, centers); err != nil {
 		return err
 	}
 	log.Printf("wrote %d centers to %s", len(centers), outPath)
 	return nil
-}
-
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-func minTag(tags []int64) int64 {
-	if len(tags) == 0 {
-		return -1
-	}
-	m := tags[0]
-	for _, t := range tags[1:] {
-		if t < m {
-			m = t
-		}
-	}
-	return m
-}
-
-// nearestCube returns the cube root of n rounded to the nearest integer.
-func nearestCube(n int) int {
-	r := 1
-	for r*r*r < n {
-		r++
-	}
-	if r > 1 && (r*r*r-n) > (n-(r-1)*(r-1)*(r-1)) {
-		r--
-	}
-	return r
 }

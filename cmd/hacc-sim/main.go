@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/ckpt"
 	"repro/internal/cosmo"
 	"repro/internal/cosmotools"
@@ -209,55 +210,20 @@ func run(cfg runConfig) error {
 		cfg.NP = int(math.Round(math.Cbrt(float64(sim.P.N()))))
 	}
 
-	// CosmoTools set-up: register the tools, then configure from the
-	// config file, or fall back to defaults scaled to the box (linking
-	// length 0.2x the mean inter-particle spacing).
-	var manager cosmotools.Manager
-	manager.Clock = time.Now // driver process: wall-clock timings are wanted here
+	// CosmoTools set-up: the standard tools, configured from the config
+	// file or, without one, from defaults scaled to the box.
+	var manager *cosmotools.Manager
 	disabled := cfg.CTConfig == "-"
 	if !disabled {
-		ps := cosmotools.NewPowerSpectrum()
-		hf := cosmotools.NewHaloFinder()
-		// The optional tools are registered but dormant (schedule never
-		// fires) until a config section enables them.
-		som := cosmotools.NewSOMass()
-		if err := som.SetParameters(map[string]string{"every": "0"}); err != nil {
-			return err
-		}
-		shf := cosmotools.NewSubhaloFinder()
-		if err := shf.SetParameters(map[string]string{"every": "0"}); err != nil {
-			return err
-		}
-		hp := cosmotools.NewHaloProperties()
-		if err := hp.SetParameters(map[string]string{"every": "0"}); err != nil {
-			return err
-		}
-		for _, alg := range []cosmotools.Algorithm{ps, hf, som, shf, hp} {
-			if err := manager.Register(alg); err != nil {
-				return err
-			}
-		}
+		var ctCfg *cosmotools.Config
+		var err error
 		if cfg.CTConfig != "" {
-			ctCfg, err := cosmotools.ParseConfigFile(cfg.CTConfig)
-			if err != nil {
+			if ctCfg, err = cosmotools.ParseConfigFile(cfg.CTConfig); err != nil {
 				return fmt.Errorf("cosmotools config: %w", err)
 			}
-			if err := manager.Configure(ctCfg); err != nil {
-				return err
-			}
-		} else {
-			link := 0.2 * cfg.Box / float64(cfg.NP)
-			if err := hf.SetParameters(map[string]string{
-				"linking_length": fmt.Sprint(link),
-				"min_size":       "10",
-			}); err != nil {
-				return err
-			}
-			if err := ps.SetParameters(map[string]string{
-				"grid": fmt.Sprint(cfg.NG), "bins": "16",
-			}); err != nil {
-				return err
-			}
+		}
+		if manager, err = cosmotools.NewStandardManager(ctCfg, cfg.Box, cfg.NP, cfg.NG); err != nil {
+			return err
 		}
 	}
 
@@ -324,9 +290,9 @@ func run(cfg runConfig) error {
 func writeProducts(outDir string, step int, ctx *cosmotools.Context) error {
 	if l2Any, ok := ctx.Outputs["halofinder/level2"]; ok {
 		l2 := l2Any.(*cosmotools.Level2)
-		if l2.Particles.N() > 0 {
+		if len(l2.Spans) > 0 {
 			path := filepath.Join(outDir, fmt.Sprintf("step%03d.l2.gio", step))
-			if err := gio.WriteFile(path, []gio.Block{{Rank: 0, Particles: l2.Particles}}); err != nil {
+			if err := gio.WriteFile(path, l2.Blocks()); err != nil {
 				return err
 			}
 			log.Printf("step %3d: wrote Level 2 (%d particles in %d large halos) to %s",
@@ -336,13 +302,7 @@ func writeProducts(outDir string, step int, ctx *cosmotools.Context) error {
 	if centersAny, ok := ctx.Outputs["halofinder/centers"]; ok {
 		centers := centersAny.([]cosmotools.CenterRecord)
 		path := filepath.Join(outDir, fmt.Sprintf("step%03d.centers", step))
-		var buf bytes.Buffer
-		fmt.Fprintln(&buf, "# halo_tag mbp_tag x y z potential count")
-		for _, c := range centers {
-			fmt.Fprintf(&buf, "%d %d %.6f %.6f %.6f %.6g %d\n",
-				c.HaloTag, c.MBPTag, c.Pos[0], c.Pos[1], c.Pos[2], c.Potential, c.Count)
-		}
-		if err := ckpt.WriteFileAtomic(path, buf.Bytes()); err != nil {
+		if err := catalog.WriteFile(path, centers); err != nil {
 			return err
 		}
 		log.Printf("step %3d: wrote %d Level 3 centers to %s", step, len(centers), path)

@@ -1,11 +1,17 @@
 package repro
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/catalog"
 )
 
 // buildCmds compiles the command-line tools once into a shared temp dir.
@@ -22,112 +28,115 @@ func buildCmds(t *testing.T) string {
 	return dir
 }
 
+// splitConfig is the CosmoTools config of the end-to-end runs: analysis at
+// the final step only, halos above split (0: none) deferred to Level 2.
+func splitConfig(t *testing.T, dir string, step int, linking float64, split int) string {
+	t.Helper()
+	path := filepath.Join(dir, fmt.Sprintf("ct-split%d.ini", split))
+	text := fmt.Sprintf("[powerspectrum]\nevery = 0\nsteps = %d\n\n[halofinder]\nsteps = %d\nlinking_length = %g\nmin_size = 10\nsplit_threshold = %d\n",
+		step, step, linking, split)
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// tagCounts reads a Level 3 catalog down to its (halo_tag, count) pairs,
+// the columns a float32 Level 2 round trip cannot move.
+func tagCounts(t *testing.T, path string) [][2]int64 {
+	t.Helper()
+	records, err := catalog.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([][2]int64, len(records))
+	for i, r := range records {
+		pairs[i] = [2]int64{r.HaloTag, int64(r.Count)}
+	}
+	return pairs
+}
+
 // The full tool pipeline: simulate with in-situ analysis, emit Level 2,
-// analyze it off-line with the stand-alone driver, check the merged
-// products exist and parse.
+// analyze it off-line with the stand-alone driver, merge — and the merged
+// catalog must be the one an all-in-situ run of the same seed delivers.
 func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end test")
 	}
 	bins := buildCmds(t)
 	outDir := t.TempDir()
+	const split = 200
+	simulate := func(dir string, split int) string {
+		out, err := exec.Command(filepath.Join(bins, "hacc-sim"),
+			"-np", "32", "-steps", "40", "-box", "40", "-seed", "3",
+			"-out", dir, "-cosmotools", splitConfig(t, dir, 40, 0.25, split)).CombinedOutput()
+		if err != nil {
+			t.Fatalf("hacc-sim: %v\n%s", err, out)
+		}
+		return string(out)
+	}
 
 	// 1. Simulate with the combined split active so a Level 2 file lands.
-	ctCfg := filepath.Join(outDir, "ct.ini")
-	if err := os.WriteFile(ctCfg, []byte(`
-[powerspectrum]
-every = 0
-steps = 40
-grid = 32
-bins = 8
-
-[halofinder]
-steps = 40
-linking_length = 0.25
-min_size = 10
-split_threshold = 200
-`), 0o644); err != nil {
-		t.Fatal(err)
+	simLog := simulate(outDir, split)
+	m := regexp.MustCompile(`particles in (\d+) large halos`).FindStringSubmatch(simLog)
+	if m == nil {
+		t.Fatalf("hacc-sim reported no Level 2 output:\n%s", simLog)
 	}
-	sim := exec.Command(filepath.Join(bins, "hacc-sim"),
-		"-np", "32", "-steps", "40", "-box", "40", "-seed", "3",
-		"-out", outDir, "-cosmotools", ctCfg)
-	if out, err := sim.CombinedOutput(); err != nil {
-		t.Fatalf("hacc-sim: %v\n%s", err, out)
-	}
+	largeHalos, _ := strconv.Atoi(m[1])
 	l2Path := filepath.Join(outDir, "step040.l2.gio")
-	if _, err := os.Stat(l2Path); err != nil {
-		t.Fatalf("no Level 2 output: %v", err)
-	}
 	centersPath := filepath.Join(outDir, "step040.centers")
-	inSitu, err := os.ReadFile(centersPath)
-	if err != nil {
-		t.Fatalf("no in-situ centers: %v", err)
-	}
-	if lines := strings.Count(string(inSitu), "\n"); lines < 5 {
-		t.Fatalf("only %d in-situ center lines", lines)
+	inSitu := tagCounts(t, centersPath)
+	if len(inSitu) < 5 {
+		t.Fatalf("only %d in-situ centers", len(inSitu))
 	}
 
-	// 2. Off-line centers for the Level 2 halos via the stand-alone driver.
+	// 2. Off-line centers for the Level 2 halos via the stand-alone driver:
+	// one record per large halo.
 	offPath := filepath.Join(outDir, "offline.centers")
 	ct := exec.Command(filepath.Join(bins, "cosmotools"),
 		"-in", l2Path, "-box", "40", "-np", "32", "-mode", "centers", "-out", offPath)
 	if out, err := ct.CombinedOutput(); err != nil {
 		t.Fatalf("cosmotools: %v\n%s", err, out)
 	}
-	off, err := os.ReadFile(offPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offLines := 0
-	for _, line := range strings.Split(string(off), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			offLines++
-			fields := strings.Fields(line)
-			if len(fields) != 7 {
-				t.Fatalf("malformed center line %q", line)
-			}
-		}
-	}
-	if offLines < 1 {
-		t.Fatal("no off-line centers produced")
+	offline := tagCounts(t, offPath)
+	if len(offline) != largeHalos || largeHalos < 2 {
+		t.Fatalf("off-line catalog has %d records, hacc-sim reported %d large halos (want equal, several)", len(offline), largeHalos)
 	}
 
-	// 3. The in-situ file must not contain the large halos (those went to
-	// Level 2), and the off-line file must contain only large ones.
-	countLines := func(data []byte) int {
-		n := 0
-		for _, line := range strings.Split(string(data), "\n") {
-			if line != "" && !strings.HasPrefix(line, "#") {
-				n++
-			}
+	// 3. The split divides the halos by size: large ones went to Level 2
+	// only, small ones were centered in situ only.
+	for _, p := range offline {
+		if p[1] <= split {
+			t.Errorf("off-line centers contain small halo %d (%d particles)", p[0], p[1])
 		}
-		return n
 	}
-	for _, line := range strings.Split(string(inSitu), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	for _, p := range inSitu {
+		if p[1] > split {
+			t.Errorf("in-situ centers contain large halo %d (%d particles)", p[0], p[1])
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 7 && fields[6] > "200" && len(fields[6]) > 3 {
-			t.Errorf("in-situ centers contain large halo: %q", line)
-		}
+	}
+
+	// Without -np the driver would size the particle mass from the Level 2
+	// particle count; it must refuse instead.
+	noNP := exec.Command(filepath.Join(bins, "cosmotools"), "-in", l2Path, "-box", "40", "-mode", "centers", "-out", offPath+".nonp")
+	if out, err := noNP.CombinedOutput(); err == nil || !strings.Contains(string(out), "-np") {
+		t.Errorf("cosmotools -mode centers without -np: err=%v, output %q; want an error naming -np", err, out)
 	}
 
 	// 4. The paper's final step: merge the two catalogs into the complete
-	// Level 3 product.
+	// Level 3 product — the same halos an all-in-situ run finds.
 	mergedPath := filepath.Join(outDir, "complete.centers")
 	merge := exec.Command(filepath.Join(bins, "catalog-merge"),
 		"-out", mergedPath, centersPath, offPath)
 	if out, err := merge.CombinedOutput(); err != nil {
 		t.Fatalf("catalog-merge: %v\n%s", err, out)
 	}
-	merged, err := os.ReadFile(mergedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := countLines(merged), countLines(inSitu)+offLines; got != want {
-		t.Errorf("merged catalog has %d halos, want %d (in-situ + off-line)", got, want)
+	refDir := t.TempDir()
+	simulate(refDir, 0)
+	merged, want := tagCounts(t, mergedPath), tagCounts(t, filepath.Join(refDir, "step040.centers"))
+	if !reflect.DeepEqual(merged, want) {
+		t.Errorf("merged catalog (%d in situ + %d off-line) differs from the all-in-situ run's %d halos:\n got %v\nwant %v",
+			len(inSitu), len(offline), len(want), merged, want)
 	}
 }
 
@@ -140,25 +149,16 @@ func TestEndToEndListenerCoScheduling(t *testing.T) {
 	bins := buildCmds(t)
 	outDir := t.TempDir()
 
-	// Pre-stage a Level 2 file by running a short simulation first.
+	// Stage a Level 2 file: at this seed the largest halo holds 437
+	// particles, far above the split.
 	sim := exec.Command(filepath.Join(bins, "hacc-sim"),
-		"-np", "16", "-steps", "30", "-box", "24", "-seed", "11", "-out", outDir)
+		"-np", "16", "-steps", "30", "-box", "24", "-seed", "11", "-out", outDir,
+		"-cosmotools", splitConfig(t, outDir, 30, 0.3, 50))
 	if out, err := sim.CombinedOutput(); err != nil {
 		t.Fatalf("hacc-sim: %v\n%s", err, out)
 	}
-	// The default halo finder has no split, so synthesize a Level 2 file by
-	// re-running with a split config.
-	ctCfg := filepath.Join(outDir, "ct.ini")
-	if err := os.WriteFile(ctCfg, []byte("[halofinder]\nsteps = 30\nlinking_length = 0.3\nmin_size = 10\nsplit_threshold = 50\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sim2 := exec.Command(filepath.Join(bins, "hacc-sim"),
-		"-np", "16", "-steps", "30", "-box", "24", "-seed", "11", "-out", outDir, "-cosmotools", ctCfg)
-	if out, err := sim2.CombinedOutput(); err != nil {
-		t.Fatalf("hacc-sim (split): %v\n%s", err, out)
-	}
 	if _, err := os.Stat(filepath.Join(outDir, "step030.l2.gio")); err != nil {
-		t.Skip("no halo above the split threshold in this tiny run; skipping listener check")
+		t.Fatalf("no Level 2 output: %v", err)
 	}
 
 	// Listener: analyze each .l2.gio with cosmotools, exit when idle.
@@ -173,8 +173,14 @@ func TestEndToEndListenerCoScheduling(t *testing.T) {
 	if !strings.Contains(string(out), "submitting analysis job") {
 		t.Fatalf("listener never submitted a job:\n%s", out)
 	}
-	if _, err := os.Stat(filepath.Join(outDir, "step030.l2.gio.centers")); err != nil {
-		t.Fatalf("listener job produced no centers: %v\n%s", err, out)
+	centers := tagCounts(t, filepath.Join(outDir, "step030.l2.gio.centers"))
+	if len(centers) == 0 {
+		t.Fatalf("listener job produced no centers:\n%s", out)
+	}
+	for _, p := range centers {
+		if p[1] <= 50 {
+			t.Errorf("listener job centered small halo %d (%d particles)", p[0], p[1])
+		}
 	}
 }
 

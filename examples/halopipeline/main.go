@@ -94,26 +94,11 @@ func main() {
 
 	// --- "Off-line" center finding of the Level 2 payload ---
 	t0 = time.Now()
-	for _, span := range level2.Spans {
-		members := make([]int, 0, span.End-span.Start)
-		for i := span.Start; i < span.End; i++ {
-			members = append(members, i)
-		}
-		ux, uy, uz := center.Unwrap(level2.Particles.X, level2.Particles.Y, level2.Particles.Z, members, box)
-		res, err := center.BruteForce(ux, uy, uz, center.Options{Mass: mass, Softening: 1e-3})
-		if err != nil {
-			log.Fatal(err)
-		}
-		gi := members[res.Index]
-		centers = append(centers, cosmotools.CenterRecord{
-			HaloTag: span.Tag,
-			MBPTag:  level2.Particles.Tag[gi],
-			Pos: [3]float64{level2.Particles.X[gi], level2.Particles.Y[gi],
-				level2.Particles.Z[gi]},
-			Potential: res.Potential,
-			Count:     span.End - span.Start,
-		})
+	offline, err := cosmotools.CentersForLevel2(level2, box, center.Options{Mass: mass, Softening: 1e-3})
+	if err != nil {
+		log.Fatal(err)
 	}
+	centers = append(centers, offline...)
 	fmt.Printf("off-line centers for large halos: %.0f ms; %d total centers after merge\n",
 		float64(time.Since(t0).Microseconds())/1000, len(centers))
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"repro/internal/cosmo"
 	"repro/internal/cosmotools"
@@ -117,7 +116,6 @@ func main() {
 	// Register the standard tools plus the custom one, then configure all
 	// three from the same config text an input deck would point at.
 	var manager cosmotools.Manager
-	manager.Clock = time.Now // driver process: wall-clock timings are wanted here
 	extremes := &densityExtremes{}
 	for _, a := range []cosmotools.Algorithm{
 		cosmotools.NewPowerSpectrum(),

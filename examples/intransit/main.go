@@ -75,21 +75,20 @@ func main() {
 		defer consumerWG.Done()
 		err := transit.Consume(stage, 2, func(item transit.Item) error {
 			payload := item.Payload.(stagedHalo)
-			p := payload.particles
-			idx := make([]int, p.N())
-			for i := range idx {
-				idx[i] = i
+			l2, err := cosmotools.Level2FromBlocks([]gio.Block{payload.block})
+			if err != nil {
+				return err
 			}
-			ux, uy, uz := center.Unwrap(p.X, p.Y, p.Z, idx, box)
-			res, err := center.BruteForce(ux, uy, uz, center.Options{Mass: mass, Softening: 1e-3})
+			centers, err := cosmotools.CentersForLevel2(l2, box, center.Options{Mass: mass, Softening: 1e-3})
 			if err != nil {
 				return err
 			}
 			mu.Lock()
-			results = append(results, result{
-				step: payload.step, haloTag: payload.tag,
-				count: p.N(), mbpTag: p.Tag[res.Index],
-			})
+			for _, c := range centers {
+				results = append(results, result{
+					step: payload.step, haloTag: c.HaloTag, count: c.Count, mbpTag: c.MBPTag,
+				})
+			}
 			mu.Unlock()
 			return nil
 		})
@@ -117,18 +116,14 @@ func main() {
 			return err
 		}
 		inSituCenters += len(centers)
-		// Stage each large halo; Put blocks if the device is full — the
-		// simulation visibly stalls under analysis pressure.
-		for _, span := range level2.Spans {
-			idx := make([]int, 0, span.End-span.Start)
-			for i := span.Start; i < span.End; i++ {
-				idx = append(idx, i)
-			}
-			sub := level2.Particles.Select(idx)
+		// Stage each large halo as the block a Level 2 file would hold;
+		// Put blocks if the device is full — the simulation visibly
+		// stalls under analysis pressure.
+		for b, block := range level2.Blocks() {
 			if err := stage.Put(transit.Item{
-				Key:     fmt.Sprintf("step%02d/halo%d", step, span.Tag),
-				Bytes:   gio.BytesForParticles(sub.N()),
-				Payload: stagedHalo{step: step, tag: span.Tag, particles: sub},
+				Key:     fmt.Sprintf("step%02d/halo%d", step, level2.Spans[b].Tag),
+				Bytes:   gio.BytesForParticles(block.Particles.N()),
+				Payload: stagedHalo{step: step, block: block},
 			}); err != nil {
 				return err
 			}
@@ -161,7 +156,6 @@ func main() {
 
 // stagedHalo is the in-memory Level 2 payload handed through the device.
 type stagedHalo struct {
-	step      int
-	tag       int64
-	particles *nbody.Particles
+	step  int
+	block gio.Block
 }

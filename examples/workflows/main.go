@@ -144,40 +144,23 @@ func main() {
 
 	l2Path := filepath.Join(dir, "level2.gio")
 	t0 = time.Now()
-	// One block per large halo, the layout cmd/cosmotools -mode centers
-	// consumes.
-	var l2blocks []gio.Block
-	for bi, span := range level2.Spans {
-		idx := make([]int, 0, span.End-span.Start)
-		for i := span.Start; i < span.End; i++ {
-			idx = append(idx, i)
-		}
-		l2blocks = append(l2blocks, gio.Block{Rank: bi, Particles: level2.Particles.Select(idx)})
-	}
-	if err := gio.WriteFile(l2Path, l2blocks); err != nil {
+	if err := gio.WriteFile(l2Path, level2.Blocks()); err != nil {
 		log.Fatal(err)
 	}
 	l2WriteSec := time.Since(t0).Seconds()
 
 	t0 = time.Now()
-	l2Read, err := gio.ReadFile(l2Path)
+	l2Blocks, err := gio.ReadFile(l2Path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nCentersOffline := 0
-	for _, b := range l2Read {
-		if b.Particles.N() == 0 {
-			continue
-		}
-		idx := make([]int, b.Particles.N())
-		for i := range idx {
-			idx[i] = i
-		}
-		ux, uy, uz := center.Unwrap(b.Particles.X, b.Particles.Y, b.Particles.Z, idx, box)
-		if _, err := center.BruteForce(ux, uy, uz, center.Options{Mass: mass, Softening: 1e-3}); err != nil {
-			log.Fatal(err)
-		}
-		nCentersOffline++
+	l2Read, err := cosmotools.Level2FromBlocks(l2Blocks)
+	if err != nil {
+		log.Fatal(err)
+	}
+	centersLarge, err := cosmotools.CentersForLevel2(l2Read, box, center.Options{Mass: mass, Softening: 1e-3})
+	if err != nil {
+		log.Fatal(err)
 	}
 	postSec := time.Since(t0).Seconds()
 	l2Info, err := os.Stat(l2Path)
@@ -185,7 +168,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("combined:  in-situ %.3fs (%d small centers) + L2 write %.3fs + post %.3fs (%d large centers)  (Level 2 = %.2f MB, %.0f%% of Level 1)\n",
-		inSituPart, len(centersSmall), l2WriteSec, postSec, nCentersOffline,
+		inSituPart, len(centersSmall), l2WriteSec, postSec, len(centersLarge),
 		float64(l2Info.Size())/1e6, 100*float64(l2Info.Size())/float64(info.Size()))
 
 	fmt.Println("\nthe paper's orderings, observed with real compute:")

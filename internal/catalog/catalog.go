@@ -1,6 +1,6 @@
 // Package catalog reads, writes and merges halo-center catalogs — the
-// Level 3 products the workflow delivers. The text format is the one
-// cmd/hacc-sim and cmd/cosmotools emit:
+// Level 3 products the workflow delivers. This package owns the text
+// format; cmd/hacc-sim and cmd/cosmotools emit it by calling WriteFile:
 //
 //	# halo_tag mbp_tag x y z potential count
 //	17 22886 12.3 4.5 0.8 -3.1e+13 842
@@ -117,26 +117,17 @@ func WriteFile(path string, records []cosmotools.CenterRecord) error {
 
 // MergeFiles reads every input catalog and reconciles them in order: later
 // files supersede earlier ones on duplicate halo tags (so the off-line
-// catalog is passed last, matching cosmotools.MergeCenters semantics).
+// catalog is passed last, matching cosmotools.MergeCenters semantics). It
+// is the strict form of MergeFilesChecked: the first input that does not
+// parse fails the merge.
 func MergeFiles(paths []string) ([]cosmotools.CenterRecord, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("catalog: no input files")
+	out, skipped, err := MergeFilesChecked(paths)
+	if err != nil && len(skipped) == 0 {
+		return nil, err
 	}
-	byTag := map[int64]cosmotools.CenterRecord{}
-	for _, path := range paths {
-		records, err := ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: %s: %w", path, err)
-		}
-		for _, r := range records {
-			byTag[r.HaloTag] = r
-		}
+	if len(skipped) > 0 {
+		return nil, fmt.Errorf("catalog: %s: %w", skipped[0].Path, skipped[0].Err)
 	}
-	out := make([]cosmotools.CenterRecord, 0, len(byTag))
-	for _, r := range byTag {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].HaloTag < out[b].HaloTag })
 	return out, nil
 }
 

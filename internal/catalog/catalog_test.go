@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,6 +169,14 @@ func TestMergeFilesIdempotent(t *testing.T) {
 				t.Errorf("case %d: record %d = %+v, want %+v", i, k, again[k], once[k])
 			}
 		}
+		// On inputs that all parse, the degrading merge is the strict one.
+		checked, skipped, err := MergeFilesChecked(paths)
+		if err != nil || len(skipped) != 0 {
+			t.Fatalf("case %d: MergeFilesChecked skipped %+v, err %v on valid inputs", i, skipped, err)
+		}
+		if !reflect.DeepEqual(checked, again) {
+			t.Errorf("case %d: MergeFilesChecked = %+v, MergeFiles = %+v", i, checked, again)
+		}
 	}
 }
 
@@ -183,8 +192,12 @@ func TestMergeFilesRejectsCorruptInput(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("7 8 1.0 NaN 1.0 -2 9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeFiles([]string{good, bad}); err == nil {
+	_, err := MergeFiles([]string{good, bad})
+	if err == nil {
 		t.Fatal("MergeFiles merged a corrupt input without error")
+	}
+	if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "non-finite") {
+		t.Errorf("error %q does not name the corrupt input and its defect", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/center"
 	"repro/internal/dparallel"
+	"repro/internal/gio"
 	"repro/internal/halo"
 	"repro/internal/kdtree"
 	"repro/internal/nbody"
@@ -41,6 +42,44 @@ type Level2Span struct {
 type Level2 struct {
 	Particles *nbody.Particles
 	Spans     []Level2Span
+}
+
+// Blocks is the Level 2 file layout: one gio block per large halo, in span
+// order. The halo tag is not stored — it is the block's minimum particle
+// tag, which is how Level2FromBlocks recovers it.
+func (l2 *Level2) Blocks() []gio.Block {
+	blocks := make([]gio.Block, len(l2.Spans))
+	for b, span := range l2.Spans {
+		idx := make([]int, span.End-span.Start)
+		for k := range idx {
+			idx[k] = span.Start + k
+		}
+		blocks[b] = gio.Block{Rank: b, Particles: l2.Particles.Select(idx)}
+	}
+	return blocks
+}
+
+// Level2FromBlocks rebuilds the product from the blocks of a Level 2 file,
+// the inverse of Blocks. A block without particles is an error: no halo is
+// empty, so such a file was not written by Blocks.
+func Level2FromBlocks(blocks []gio.Block) (*Level2, error) {
+	l2 := &Level2{Particles: nbody.NewParticles(0)}
+	for b, blk := range blocks {
+		n := blk.Particles.N()
+		if n == 0 {
+			return nil, fmt.Errorf("cosmotools: Level 2 block %d holds no particles", b)
+		}
+		start := l2.Particles.N()
+		tag := blk.Particles.Tag[0]
+		for k := 0; k < n; k++ {
+			l2.Particles.AppendFrom(blk.Particles, k)
+			if t := blk.Particles.Tag[k]; t < tag {
+				tag = t
+			}
+		}
+		l2.Spans = append(l2.Spans, Level2Span{Tag: tag, Start: start, End: start + n})
+	}
+	return l2, nil
 }
 
 // --- Power spectrum ---

@@ -17,7 +17,6 @@ package cosmotools
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/nbody"
 )
@@ -41,8 +40,6 @@ type Context struct {
 	// workflow layer decides which are Level 2 (data handed to off-line
 	// analysis) and which are Level 3 (final catalogs).
 	Outputs map[string]any
-	// Timings records wall-clock per algorithm name.
-	Timings map[string]time.Duration
 }
 
 // NewContext prepares an analysis context.
@@ -55,7 +52,6 @@ func NewContext(step int, a, box, particleMass float64, p *nbody.Particles) *Con
 		ParticleMass: particleMass,
 		Particles:    p,
 		Outputs:      map[string]any{},
-		Timings:      map[string]time.Duration{},
 	}
 }
 
@@ -63,7 +59,7 @@ func NewContext(step int, a, box, particleMass float64, p *nbody.Particles) *Con
 // it (the paper's InSituAlgorithm pure abstract base with its three
 // virtual functions).
 type Algorithm interface {
-	// Name identifies the algorithm in configs, outputs and timings.
+	// Name identifies the algorithm in configs and outputs.
 	Name() string
 	// SetParameters configures the algorithm from its config section.
 	SetParameters(params map[string]string) error
@@ -77,11 +73,42 @@ type Algorithm interface {
 // simulation loop — the paper's InSituAnalysisManager.
 type Manager struct {
 	algorithms []Algorithm
-	// Clock supplies the time source for per-algorithm timings (drivers
-	// set it to time.Now). When nil, Execute records no timings — analysis
-	// results stay a pure function of their inputs, which the determinism
-	// lint and the reproducibility property tests rely on.
-	Clock func() time.Time
+}
+
+// NewStandardManager is the tool set-up the simulation and the stand-alone
+// driver share: every built-in tool registered — power spectrum and halo
+// finder on every analysis step, SO masses, subhalos and halo properties
+// dormant until a config section gives them a schedule — then configured
+// from cfg. A nil cfg selects defaults scaled to the run: linking length
+// 0.2x the mean inter-particle spacing of np particles per dimension in
+// box, and P(k) on the ng mesh.
+func NewStandardManager(cfg *Config, box float64, np, ng int) (*Manager, error) {
+	ps, hf := NewPowerSpectrum(), NewHaloFinder()
+	optional := []Algorithm{NewSOMass(), NewSubhaloFinder(), NewHaloProperties()}
+	for _, a := range optional {
+		if err := a.SetParameters(map[string]string{"every": "0"}); err != nil {
+			return nil, err
+		}
+	}
+	m := &Manager{}
+	for _, a := range append([]Algorithm{ps, hf}, optional...) {
+		if err := m.Register(a); err != nil {
+			return nil, err
+		}
+	}
+	var err error
+	if cfg != nil {
+		err = m.Configure(cfg)
+	} else if err = hf.SetParameters(map[string]string{
+		"linking_length": fmt.Sprint(0.2 * box / float64(np)),
+		"min_size":       "10",
+	}); err == nil {
+		err = ps.SetParameters(map[string]string{"grid": fmt.Sprint(ng), "bins": "16"})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Register appends an algorithm. Registering two algorithms with the same
@@ -128,23 +155,15 @@ func (m *Manager) Configure(cfg *Config) error {
 }
 
 // Execute runs every algorithm whose ShouldExecute returns true, in
-// registration order, recording wall-clock timings. It is called from
-// within the main physics loop ("minimally intrusive ... a simple
+// registration order. It is called from within the main physics loop ("minimally intrusive ... a simple
 // interface that can be invoked within the main physics loop").
 func (m *Manager) Execute(ctx *Context) error {
 	for _, a := range m.algorithms {
 		if !a.ShouldExecute(ctx) {
 			continue
 		}
-		var start time.Time
-		if m.Clock != nil {
-			start = m.Clock()
-		}
 		if err := a.Execute(ctx); err != nil {
 			return fmt.Errorf("cosmotools: %s at step %d: %w", a.Name(), ctx.Step, err)
-		}
-		if m.Clock != nil {
-			ctx.Timings[a.Name()] += m.Clock().Sub(start)
 		}
 	}
 	return nil

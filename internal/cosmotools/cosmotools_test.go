@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/grid"
 
@@ -186,11 +185,15 @@ func TestManagerExecuteHonoursShouldExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := nbody.NewParticles(0)
+	var ctx *Context
 	for step := 1; step <= 6; step++ {
-		ctx := NewContext(step, 0.5, 10, 1, p)
+		ctx = NewContext(step, 0.5, 10, 1, p)
 		if err := m.Execute(ctx); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if keys := ctx.SortedOutputKeys(); fmt.Sprint(keys) != "[a/out b/out]" {
+		t.Errorf("step 6 output keys = %v", keys)
 	}
 	if fmt.Sprint(a.ran) != "[2 4 6]" {
 		t.Errorf("a ran %v", a.ran)
@@ -219,45 +222,6 @@ func TestManagerConfigure(t *testing.T) {
 	bad, _ := ParseConfig(strings.NewReader("[nosuch]\nk=1\n"))
 	if err := m.Configure(bad); err == nil {
 		t.Error("expected error for unknown section")
-	}
-}
-
-func TestContextRecordsTimings(t *testing.T) {
-	// A fake clock advancing one second per reading: timing comes from the
-	// injected source, never the wall.
-	var m Manager
-	tick := 0
-	m.Clock = func() time.Time {
-		tick++
-		return time.Unix(int64(tick), 0)
-	}
-	a := &fakeAlgo{name: "a", runEvery: 1}
-	if err := m.Register(a); err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(1, 0.5, 10, 1, nbody.NewParticles(0))
-	if err := m.Execute(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := ctx.Timings["a"]; got != time.Second {
-		t.Errorf("timing = %v, want 1s from the fake clock", got)
-	}
-	if keys := ctx.SortedOutputKeys(); len(keys) != 1 || keys[0] != "a/out" {
-		t.Errorf("keys = %v", keys)
-	}
-}
-
-func TestExecuteWithoutClockRecordsNoTimings(t *testing.T) {
-	var m Manager
-	if err := m.Register(&fakeAlgo{name: "a", runEvery: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewContext(1, 0.5, 10, 1, nbody.NewParticles(0))
-	if err := m.Execute(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if len(ctx.Timings) != 0 {
-		t.Errorf("timings = %v, want none without a clock", ctx.Timings)
 	}
 }
 
@@ -470,13 +434,8 @@ min_size = 30
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m Manager
-	for _, a := range []Algorithm{NewPowerSpectrum(), NewHaloFinder(), NewSOMass(), NewSubhaloFinder()} {
-		if err := m.Register(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Configure(cfg); err != nil {
+	m, err := NewStandardManager(cfg, box, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := NewContext(1, 1, box, 1, p)
@@ -488,10 +447,25 @@ min_size = 30
 			t.Errorf("missing output %s (have %v)", key, ctx.SortedOutputKeys())
 		}
 	}
-	for _, name := range m.Algorithms() {
-		if ctx.Timings[name] < 0 {
-			t.Errorf("no timing for %s", name)
-		}
+	// The config has no [haloproperties] section, so that tool stays
+	// registered but dormant.
+	if _, ok := ctx.Outputs["haloproperties/records"]; ok {
+		t.Error("haloproperties ran without a config section scheduling it")
+	}
+
+	// Without a config the standard tools run on defaults scaled to the
+	// run: linking length 0.2x the mean inter-particle spacing.
+	m, err = NewStandardManager(nil, 64, 32, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(m.Algorithms()); got != "[powerspectrum halofinder somass subhalofinder haloproperties]" {
+		t.Errorf("standard tools = %s", got)
+	}
+	hf := m.algorithms[1].(*HaloFinder)
+	ps := m.algorithms[0].(*PowerSpectrum)
+	if hf.LinkingLength != 0.2*64/32 || hf.MinSize != 10 || ps.Grid != 16 {
+		t.Errorf("defaults: linking length %g, min size %d, P(k) grid %d", hf.LinkingLength, hf.MinSize, ps.Grid)
 	}
 }
 

@@ -3,10 +3,13 @@ package cosmotools
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/center"
+	"repro/internal/gio"
 	"repro/internal/halo"
 	"repro/internal/mpi"
 	"repro/internal/nbody"
@@ -161,6 +164,76 @@ func TestCentersForLevel2EmptySpan(t *testing.T) {
 	l2 := &Level2{Particles: nbody.NewParticles(0), Spans: []Level2Span{{Tag: 3, Start: 0, End: 0}}}
 	if _, err := CentersForLevel2(l2, 10, center.Options{}); err == nil {
 		t.Error("expected empty-span error")
+	}
+}
+
+// The Level 2 file layout round-trips: Blocks → gio file → Level2FromBlocks
+// preserves spans (count, order, tags, extents) and every particle tag, and
+// the off-line centers over the file equal those over the in-memory
+// product. gio stores float32 coordinates, so a near-tie between two
+// particles' potentials may flip the MBP; tags and counts must not move.
+func TestLevel2BlocksRoundTrip(t *testing.T) {
+	co := center.Options{Mass: 1, Softening: 1e-3}
+	halos, sameMBP := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		all, box := clusteredBox(seed)
+		cat, err := halo.FOF(all, box, halo.Options{LinkingLength: 0.35, MinSize: 20, Periodic: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, l2, err := SplitCenterFinding(all, box, cat, 50, co)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l2.Spans) < 4 {
+			t.Fatalf("seed %d: only %d halos above the split", seed, len(l2.Spans))
+		}
+		path := filepath.Join(t.TempDir(), "l2.gio")
+		if err := gio.WriteFile(path, l2.Blocks()); err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := gio.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Level2FromBlocks(blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Spans, l2.Spans) {
+			t.Fatalf("seed %d: spans %+v, want %+v", seed, back.Spans, l2.Spans)
+		}
+		if !reflect.DeepEqual(back.Particles.Tag, l2.Particles.Tag) {
+			t.Fatalf("seed %d: particle tags moved in the round trip", seed)
+		}
+		want, err := CentersForLevel2(l2, box, co)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CentersForLevel2(back, box, co)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d centers from the file, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].HaloTag != want[i].HaloTag || got[i].Count != want[i].Count {
+				t.Errorf("seed %d: center %d = %+v, want %+v", seed, i, got[i], want[i])
+			}
+			halos++
+			if got[i].MBPTag == want[i].MBPTag {
+				sameMBP++
+			}
+		}
+	}
+	if 100*sameMBP < 95*halos {
+		t.Errorf("MBP survived the float32 round trip on %d of %d halos, want >= 95%%", sameMBP, halos)
+	}
+
+	empty := []gio.Block{{Rank: 0, Particles: nbody.NewParticles(0)}}
+	if _, err := Level2FromBlocks(empty); err == nil {
+		t.Error("a block without particles was accepted as a halo")
 	}
 }
 

@@ -7,7 +7,7 @@ package cosmotools
 
 import "time"
 
-// Manager mirrors internal/cosmotools.Manager: timings are recorded only
+// Manager is the pattern in its smallest form: timings are recorded only
 // when a clock was injected.
 type Manager struct {
 	Clock   func() time.Time
