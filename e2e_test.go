@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"os/exec"
@@ -190,9 +192,24 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 		t.Skip("end-to-end test")
 	}
 	bins := buildCmds(t)
-	out, err := exec.Command(filepath.Join(bins, "workflow-sim"), "-all").CombinedOutput()
-	if err != nil {
-		t.Fatalf("workflow-sim -all: %v\n%s", err, out)
+	// The planner's bytes: sha256 of standard output at the default seed,
+	// taken on amd64 from the binary of the commit before internal/cosmo
+	// cached σ(R). A model-layer optimisation must leave both unmoved.
+	var out []byte
+	for _, pin := range []struct{ args, sha256 string }{
+		{"-table 3", "7750e0db4fab0e59151b60e52dedd7033a46a5ea47b3aab091370a5f3d0ee9be"},
+		{"-all", "b3f4be9d8caa07a8ad20cd8237685485be467b0e38b020982456d2f155ec2717"},
+	} {
+		cmd := exec.Command(filepath.Join(bins, "workflow-sim"), strings.Fields(pin.args)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		var err error
+		if out, err = cmd.Output(); err != nil {
+			t.Fatalf("workflow-sim %s: %v\n%s%s", pin.args, err, out, stderr.Bytes())
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != pin.sha256 {
+			t.Errorf("workflow-sim %s: stdout sha256 %s, want %s (%d lines)", pin.args, got, pin.sha256, bytes.Count(out, []byte("\n")))
+		}
 	}
 	for _, want := range []string{
 		"Table 1", "Table 2", "Table 3", "Table 4",

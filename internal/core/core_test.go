@@ -26,6 +26,25 @@ func TestSynthesizePopulationValidation(t *testing.T) {
 	}
 }
 
+// A MaxSize at or below MinSize is no mass range: it used to reach
+// ExpectedHaloCounts as a negative bin count (makeslice panic) or a NaN
+// bin ratio. It is an error; the first MaxSize above MinSize is not.
+func TestSynthesizePopulationMaxSize(t *testing.T) {
+	for _, c := range []struct {
+		maxSize int
+		ok      bool
+	}{{10, false}, {39, false}, {40, false}, {41, true}, {0, true}} {
+		pop, err := SynthesizePopulation(cosmo.Default(), SynthesisOptions{
+			BoxMpch: 100, NP: 64, MinSize: 40, SampleAbove: 300, MaxSize: c.maxSize})
+		if (err == nil) != c.ok {
+			t.Errorf("MaxSize %d: err = %v, want ok = %v", c.maxSize, err, c.ok)
+		}
+		if c.ok && (pop == nil || len(pop.Bins) == 0) {
+			t.Errorf("MaxSize %d: no population", c.maxSize)
+		}
+	}
+}
+
 // The Q Continuum-scale population must reproduce the paper's headline
 // shape: ~1e8 halos, ~1e5 above 300k particles, largest in the
 // tens of millions.

@@ -92,6 +92,8 @@ func SynthesizePopulation(p cosmo.Params, o SynthesisOptions) (*HaloPopulation, 
 	maxSize := o.MaxSize
 	if maxSize <= 0 {
 		maxSize = o.SampleAbove * 100
+	} else if maxSize <= o.MinSize {
+		return nil, fmt.Errorf("core: invalid sizes max %d <= min %d", maxSize, o.MinSize)
 	}
 	mp := p.ParticleMass(o.BoxMpch, o.NP)
 	mMin := float64(o.MinSize) * mp

@@ -39,11 +39,21 @@ func Default() Params {
 
 // Validate reports an error for unphysical parameters.
 func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"OmegaM", p.OmegaM}, {"OmegaL", p.OmegaL}, {"OmegaB", p.OmegaB}, {"H0", p.H0}, {"Sigma8", p.Sigma8}, {"NS", p.NS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cosmo: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	switch {
 	case p.OmegaM <= 0:
 		return fmt.Errorf("cosmo: OmegaM must be positive, got %g", p.OmegaM)
 	case p.OmegaL < 0:
 		return fmt.Errorf("cosmo: OmegaL must be non-negative, got %g", p.OmegaL)
+	case p.OmegaB < 0:
+		return fmt.Errorf("cosmo: OmegaB must be non-negative, got %g", p.OmegaB)
 	case p.H0 <= 0:
 		return fmt.Errorf("cosmo: H0 must be positive, got %g", p.H0)
 	case p.Sigma8 <= 0:
@@ -118,45 +128,68 @@ func (p Params) PowerSpectrum(k float64) float64 {
 	}
 	t := p.TransferBBKS(k)
 	unnorm := math.Pow(k, p.NS) * t * t
-	return unnorm * p.sigma8Norm()
+	return unnorm * p.spectrum().norm
 }
 
-// normCache memoizes the sigma8 normalization integral per parameter set.
-// Params is comparable (all scalar fields), so it keys the map directly.
-var normCache sync.Map // Params -> float64
+// The σ(R) integral is a trapezoid rule over sigmaSteps intervals in ln k.
+const (
+	lnkMin     = -9.0
+	lnkMax     = 9.0
+	sigmaSteps = 2048
+	dlnk       = (lnkMax - lnkMin) / sigmaSteps
+)
 
-// sigma8Norm returns the power-spectrum normalization constant, cached per
-// parameter set: initial-condition generation evaluates PowerSpectrum once
-// per Fourier mode and must not re-run the variance integral each time.
-func (p Params) sigma8Norm() float64 {
-	if v, ok := normCache.Load(p); ok {
-		return v.(float64)
+// spectrum is what the σ(R) integrand takes from Params alone: the k grid,
+// the unnormalized P(k) on it (an exp, a log and five pows per sample) and
+// the sigma8 normalization. Left per sample and radius: the window.
+type spectrum struct {
+	k, pk []float64
+	norm  float64
+}
+
+// spectra holds one spectrum per parameter set; Params is comparable (all
+// scalar fields), so it keys the map directly. Initial conditions evaluate
+// PowerSpectrum once per Fourier mode, a population σ(R) ~1000 times.
+var spectra sync.Map // Params -> *spectrum
+
+func (p Params) spectrum() *spectrum {
+	return cached(&spectra, p, func() *spectrum {
+		s := &spectrum{k: make([]float64, sigmaSteps+1), pk: make([]float64, sigmaSteps+1)}
+		for i := range s.k {
+			k := math.Exp(lnkMin + float64(i)*dlnk)
+			t := p.TransferBBKS(k)
+			s.k[i], s.pk[i] = k, math.Pow(k, p.NS)*t*t
+		}
+		s.norm = p.Sigma8 * p.Sigma8 / s.sigmaR2Unnormalized(8)
+		return s
+	})
+}
+
+// cached returns build's value for key, built once per process and key. The
+// stored values are exact, so a hit is bit-identical to a rebuild. A key
+// holding a NaN never equals itself: it would miss every time and leak an
+// entry per call, so its value is built and not stored.
+func cached[K comparable, V any](m *sync.Map, key K, build func() V) V {
+	if v, ok := m.Load(key); ok {
+		return v.(V)
 	}
-	s2 := p.sigmaR2Unnormalized(8)
-	norm := p.Sigma8 * p.Sigma8 / s2
-	normCache.Store(p, norm)
-	return norm
+	v := build()
+	if key != key { //lint:ignore SA4000 true for a key holding a NaN
+		return v
+	}
+	stored, _ := m.LoadOrStore(key, v)
+	return stored.(V)
 }
 
 // sigmaR2Unnormalized integrates the unnormalized variance smoothed with a
 // top-hat window of radius r (Mpc/h) using the trapezoid rule in ln k.
-func (p Params) sigmaR2Unnormalized(r float64) float64 {
-	const (
-		lnkMin = -9.0
-		lnkMax = 9.0
-		steps  = 2048
-	)
-	dlnk := (lnkMax - lnkMin) / steps
+func (s *spectrum) sigmaR2Unnormalized(r float64) float64 {
 	sum := 0.0
-	for i := 0; i <= steps; i++ {
-		lnk := lnkMin + float64(i)*dlnk
-		k := math.Exp(lnk)
-		t := p.TransferBBKS(k)
-		pk := math.Pow(k, p.NS) * t * t
+	for i, k := range s.k {
 		w := topHatWindow(k * r)
-		integrand := pk * w * w * k * k * k / (2 * math.Pi * math.Pi)
+		integrand := s.pk[i] * w * w * k * k * k / (2 * math.Pi * math.Pi)
 		weight := 1.0
-		if i == 0 || i == steps {
+		if i == 0 || i == sigmaSteps {
 			weight = 0.5
 		}
 		sum += weight * integrand * dlnk
@@ -167,7 +200,8 @@ func (p Params) sigmaR2Unnormalized(r float64) float64 {
 // SigmaR returns the rms linear density fluctuation in a top-hat sphere of
 // radius r Mpc/h at z=0.
 func (p Params) SigmaR(r float64) float64 {
-	return math.Sqrt(p.sigmaR2Unnormalized(r) * p.sigma8Norm())
+	s := p.spectrum()
+	return math.Sqrt(s.sigmaR2Unnormalized(r) * s.norm)
 }
 
 func topHatWindow(x float64) float64 {
@@ -207,40 +241,84 @@ func (p Params) LagrangianRadius(m float64) float64 {
 // falling counts with a rare massive tail that grows toward z=0) matters
 // for the workflow conclusions.
 func (p Params) MassFunction(m, z float64) float64 {
-	const deltaC = 1.686
-	a := ScaleFactor(z)
-	d := p.GrowthFactor(a)
-	r := p.LagrangianRadius(m)
-	sigma := p.SigmaR(r) * d
-	if sigma <= 0 {
-		return 0
-	}
+	return p.massFunctionAt(p.sigmaPoint(m), p.GrowthFactor(ScaleFactor(z)))
+}
+
+// sigmaPoint is the redshift-independent half of MassFunction at mass m —
+// three σ(R) integrals: σ(m) at z=0 and d ln sigma / d ln M.
+type sigmaPoint struct{ m, sigma0, dlnSigma float64 }
+
+func (p Params) sigmaPoint(m float64) sigmaPoint {
 	// d ln sigma / d ln M via centered difference.
 	eps := 0.01
 	rp := p.LagrangianRadius(m * (1 + eps))
 	rm := p.LagrangianRadius(m * (1 - eps))
-	dlnSigma := (math.Log(p.SigmaR(rp)) - math.Log(p.SigmaR(rm))) / (2 * eps)
+	return sigmaPoint{
+		m:        m,
+		sigma0:   p.SigmaR(p.LagrangianRadius(m)),
+		dlnSigma: (math.Log(p.SigmaR(rp)) - math.Log(p.SigmaR(rm))) / (2 * eps),
+	}
+}
+
+// massFunctionAt is MassFunction's per-redshift half: the Press-Schechter
+// multiplicity at linear growth factor d.
+func (p Params) massFunctionAt(pt sigmaPoint, d float64) float64 {
+	const deltaC = 1.686
+	sigma := pt.sigma0 * d
+	if sigma <= 0 {
+		return 0
+	}
 	nu := deltaC / sigma
 	f := math.Sqrt(2/math.Pi) * nu * math.Exp(-nu*nu/2)
 	rho := p.MeanMatterDensity()
-	return f * (rho / m) * math.Abs(dlnSigma)
+	return f * (rho / pt.m) * math.Abs(pt.dlnSigma)
+}
+
+// massSubSteps is the number of sub-steps per bin for the integral in ln M.
+const massSubSteps = 4
+
+// massGridKey names one logarithmic mass grid. No seed and no redshift is
+// in it: every population of a box, at any slice, shares one grid.
+type massGridKey struct {
+	p           Params
+	mMin, ratio float64
+	bins        int
+}
+
+var massGrids sync.Map // massGridKey -> []sigmaPoint, massSubSteps per bin
+
+func (p Params) massGrid(mMin, ratio float64, bins int) []sigmaPoint {
+	return cached(&massGrids, massGridKey{p, mMin, ratio, bins}, func() []sigmaPoint {
+		grid := make([]sigmaPoint, 0, bins*massSubSteps)
+		dlnm := math.Log(ratio) / massSubSteps
+		for i := 0; i < bins; i++ {
+			lo := mMin * math.Pow(ratio, float64(i))
+			for s := 0; s < massSubSteps; s++ {
+				grid = append(grid, p.sigmaPoint(lo*math.Exp((float64(s)+0.5)*dlnm)))
+			}
+		}
+		return grid
+	})
 }
 
 // ExpectedHaloCounts integrates the mass function over logarithmic mass
 // bins for a box of side boxSize (Mpc/h) at redshift z, returning the
 // expected number of halos per bin. Bin i covers masses
-// [mMin·ratio^i, mMin·ratio^(i+1)).
+// [mMin·ratio^i, mMin·ratio^(i+1)); no bins, or a ratio not above 1, is no
+// mass range and returns no counts.
 func (p Params) ExpectedHaloCounts(boxSize, mMin float64, ratio float64, bins int, z float64) []float64 {
+	if bins <= 0 || ratio <= 1 || math.IsNaN(ratio) {
+		return nil
+	}
 	vol := boxSize * boxSize * boxSize
+	d := p.GrowthFactor(ScaleFactor(z))
+	dlnm := math.Log(ratio) / massSubSteps
+	grid := p.massGrid(mMin, ratio, bins)
 	out := make([]float64, bins)
-	const sub = 4 // sub-steps per bin for the integral in ln M
-	for i := 0; i < bins; i++ {
-		lo := mMin * math.Pow(ratio, float64(i))
-		dlnm := math.Log(ratio) / sub
+	for i := range out {
 		acc := 0.0
-		for s := 0; s < sub; s++ {
-			m := lo * math.Exp((float64(s)+0.5)*dlnm)
-			acc += p.MassFunction(m, z) * dlnm
+		for _, pt := range grid[i*massSubSteps : (i+1)*massSubSteps] {
+			acc += p.massFunctionAt(pt, d) * dlnm
 		}
 		out[i] = acc * vol
 	}

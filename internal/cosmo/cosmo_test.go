@@ -2,6 +2,8 @@ package cosmo
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,19 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{OmegaM: 0.3, OmegaL: -1, H0: 70, Sigma8: 0.8},
 		{OmegaM: 0.3, OmegaL: 0.7, H0: 0, Sigma8: 0.8},
 		{OmegaM: 0.3, OmegaL: 0.7, H0: 70, Sigma8: 0},
+		{OmegaM: 0.3, OmegaL: 0.7, OmegaB: -0.04, H0: 70, Sigma8: 0.8},
+	}
+	// NaN <= 0 is false: every field needs the finiteness check.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*Params){
+			func(p *Params) { p.OmegaM = v }, func(p *Params) { p.OmegaL = v },
+			func(p *Params) { p.OmegaB = v }, func(p *Params) { p.H0 = v },
+			func(p *Params) { p.Sigma8 = v }, func(p *Params) { p.NS = v },
+		} {
+			p := Default()
+			set(&p)
+			bad = append(bad, p)
+		}
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -236,5 +251,233 @@ func TestPropertyPowerSpectrumNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// --- the caches are exact: a differential oracle ---------------------------
+//
+// The reference functions below are the bodies SigmaR, MassFunction and
+// ExpectedHaloCounts had before the spectrum table and the mass-grid memo:
+// the direct integral, re-evaluating the transfer function per k-sample.
+// They live here only. Equality is of bits, not within a tolerance: the
+// planner's reports are byte-compared.
+
+func refSigmaR2Unnormalized(p Params, r float64) float64 {
+	const (
+		lnkMin = -9.0
+		lnkMax = 9.0
+		steps  = 2048
+	)
+	dlnk := (lnkMax - lnkMin) / steps
+	sum := 0.0
+	for i := 0; i <= steps; i++ {
+		lnk := lnkMin + float64(i)*dlnk
+		k := math.Exp(lnk)
+		t := p.TransferBBKS(k)
+		pk := math.Pow(k, p.NS) * t * t
+		w := topHatWindow(k * r)
+		integrand := pk * w * w * k * k * k / (2 * math.Pi * math.Pi)
+		weight := 1.0
+		if i == 0 || i == steps {
+			weight = 0.5
+		}
+		sum += weight * integrand * dlnk
+	}
+	return sum
+}
+
+func refSigmaR(p Params, r float64) float64 {
+	norm := p.Sigma8 * p.Sigma8 / refSigmaR2Unnormalized(p, 8)
+	return math.Sqrt(refSigmaR2Unnormalized(p, r) * norm)
+}
+
+func refMassFunction(p Params, m, z float64) float64 {
+	const deltaC = 1.686
+	a := ScaleFactor(z)
+	d := p.GrowthFactor(a)
+	r := p.LagrangianRadius(m)
+	sigma := refSigmaR(p, r) * d
+	if sigma <= 0 {
+		return 0
+	}
+	eps := 0.01
+	rp := p.LagrangianRadius(m * (1 + eps))
+	rm := p.LagrangianRadius(m * (1 - eps))
+	dlnSigma := (math.Log(refSigmaR(p, rp)) - math.Log(refSigmaR(p, rm))) / (2 * eps)
+	nu := deltaC / sigma
+	f := math.Sqrt(2/math.Pi) * nu * math.Exp(-nu*nu/2)
+	rho := p.MeanMatterDensity()
+	return f * (rho / m) * math.Abs(dlnSigma)
+}
+
+func refExpectedHaloCounts(p Params, boxSize, mMin, ratio float64, bins int, z float64) []float64 {
+	vol := boxSize * boxSize * boxSize
+	out := make([]float64, bins)
+	const sub = 4
+	for i := 0; i < bins; i++ {
+		lo := mMin * math.Pow(ratio, float64(i))
+		dlnm := math.Log(ratio) / sub
+		acc := 0.0
+		for s := 0; s < sub; s++ {
+			m := lo * math.Exp((float64(s)+0.5)*dlnm)
+			acc += refMassFunction(p, m, z) * dlnm
+		}
+		out[i] = acc * vol
+	}
+	return out
+}
+
+// oracleParams: the default and two that move every field, one of them
+// curved and baryon-free.
+var oracleParams = []Params{
+	Default(),
+	{OmegaM: 0.3, OmegaL: 0.7, OmegaB: 0.045, H0: 70, Sigma8: 0.9, NS: 1},
+	{OmegaM: 0.25, OmegaL: 0.7, OmegaB: 0, H0: 65, Sigma8: 0.75, NS: 0.95},
+}
+
+// logUniform maps raw onto [lo, hi], uniformly in the logarithm.
+func logUniform(raw uint32, lo, hi float64) float64 {
+	return lo * math.Pow(hi/lo, float64(raw)/math.MaxUint32)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestCachedSigmaMatchesDirectIntegralBitForBit(t *testing.T) {
+	for _, p := range oracleParams {
+		sigma := func(raw uint32) bool {
+			r := logUniform(raw, 1e-3, 1e3)
+			return math.Float64bits(p.SigmaR(r)) == math.Float64bits(refSigmaR(p, r))
+		}
+		if err := quick.Check(sigma, &quick.Config{MaxCount: 60}); err != nil {
+			t.Errorf("%+v: SigmaR: %v", p, err)
+		}
+		massFunction := func(rawM, rawZ uint32) bool {
+			m, z := logUniform(rawM, 1e8, 1e16), 10*float64(rawZ)/math.MaxUint32
+			return math.Float64bits(p.MassFunction(m, z)) == math.Float64bits(refMassFunction(p, m, z))
+		}
+		if err := quick.Check(massFunction, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("%+v: MassFunction: %v", p, err)
+		}
+		counts := func(rawBox, rawM, rawRatio, rawZ uint32, rawBins uint8) bool {
+			box, mMin := logUniform(rawBox, 10, 1000), logUniform(rawM, 1e8, 1e14)
+			ratio, bins, z := 1+logUniform(rawRatio, 0.01, 9), 1+int(rawBins%3), 10*float64(rawZ)/math.MaxUint32
+			want := refExpectedHaloCounts(p, box, mMin, ratio, bins, z)
+			// Cold, then from the memo, at a second redshift in between.
+			cold := p.ExpectedHaloCounts(box, mMin, ratio, bins, z)
+			p.ExpectedHaloCounts(box, mMin, ratio, bins, z+1)
+			return sameBits(cold, want) && sameBits(p.ExpectedHaloCounts(box, mMin, ratio, bins, z), want)
+		}
+		if err := quick.Check(counts, &quick.Config{MaxCount: 5}); err != nil {
+			t.Errorf("%+v: ExpectedHaloCounts: %v", p, err)
+		}
+		if got, want := p.PowerSpectrum(0.2), math.Pow(0.2, p.NS)*p.TransferBBKS(0.2)*p.TransferBBKS(0.2)*
+			(p.Sigma8*p.Sigma8/refSigmaR2Unnormalized(p, 8)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%+v: PowerSpectrum(0.2) = %v, direct %v", p, got, want)
+		}
+	}
+}
+
+// The memo is never handed out: a caller may scribble on its counts.
+func TestExpectedHaloCountsReturnsFreshSlice(t *testing.T) {
+	p := Default()
+	first := p.ExpectedHaloCounts(100, 1e11, 10, 4, 0)
+	want := append([]float64(nil), first...)
+	for i := range first {
+		first[i] = -1
+	}
+	if got := p.ExpectedHaloCounts(100, 1e11, 10, 4, 0); !sameBits(got, want) {
+		t.Errorf("after mutating the first result: %v, want %v", got, want)
+	}
+}
+
+// No mass range is no counts, decided before the memo is consulted.
+func TestExpectedHaloCountsDegenerateGrid(t *testing.T) {
+	p := Default()
+	p.ExpectedHaloCounts(100, 1e11, 10, 4, 0) // the spectrum, if no test built it yet
+	spectraBefore, gridsBefore := CacheEntries()
+	for _, c := range []struct {
+		ratio float64
+		bins  int
+	}{{10, 0}, {10, -3}, {1, 4}, {0.5, 4}, {0, 4}, {-2, 4}, {math.NaN(), 4}} {
+		if got := p.ExpectedHaloCounts(100, 1e11, c.ratio, c.bins, 0); len(got) != 0 {
+			t.Errorf("ratio %v bins %d: %v, want no counts", c.ratio, c.bins, got)
+		}
+	}
+	if s, g := CacheEntries(); s != spectraBefore || g != gridsBefore {
+		t.Errorf("degenerate grids touched the caches: %d/%d entries, were %d/%d", s, g, spectraBefore, gridsBefore)
+	}
+}
+
+// A NaN-bearing key never equals itself, so storing it would add an entry
+// per call that no later call can find.
+func TestNaNKeysAreNotCached(t *testing.T) {
+	nan := Default()
+	nan.NS = math.NaN()
+	ok := Default()
+	ok.SigmaR(8)
+	spectraBefore, gridsBefore := CacheEntries()
+	for i := 0; i < 1000; i++ {
+		if i%2 == 0 {
+			nan.SigmaR(8)
+		} else {
+			nan.PowerSpectrum(0.1)
+		}
+		if i%100 == 0 {
+			nan.ExpectedHaloCounts(100, 1e11, 10, 1, 0)
+			ok.ExpectedHaloCounts(100, math.NaN(), 10, 2, 0)
+		}
+	}
+	if s, g := CacheEntries(); s != spectraBefore || g != gridsBefore {
+		t.Errorf("NaN keys left entries behind: %d/%d, were %d/%d", s, g, spectraBefore, gridsBefore)
+	}
+}
+
+var freshParams atomic.Int64 // a Params no earlier test or -count repeat touched
+
+// Sixteen goroutines first-touching a fresh Params race to build its
+// spectrum and one mass grid: all must read the same bits, and the caches
+// keep one entry each. Run under -race in CI.
+func TestConcurrentFirstTouchAgrees(t *testing.T) {
+	p := Default()
+	p.NS = 0.9 + float64(freshParams.Add(1))*1e-6
+	spectraBefore, gridsBefore := CacheEntries()
+	const n = 16
+	var (
+		wg     sync.WaitGroup
+		sigmas [n]float64
+		counts [n][]float64
+		start  = make(chan struct{})
+	)
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			sigmas[g] = p.SigmaR(2.5)
+			counts[g] = p.ExpectedHaloCounts(100, 1e12, 2, 3, 0.5)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if want := refSigmaR(p, 2.5); math.Float64bits(sigmas[0]) != math.Float64bits(want) {
+		t.Errorf("SigmaR = %v, direct integral %v", sigmas[0], want)
+	}
+	for g := 1; g < n; g++ {
+		if math.Float64bits(sigmas[g]) != math.Float64bits(sigmas[0]) || !sameBits(counts[g], counts[0]) {
+			t.Errorf("goroutine %d read %v %v, goroutine 0 %v %v", g, sigmas[g], counts[g], sigmas[0], counts[0])
+		}
+	}
+	if s, g := CacheEntries(); s != spectraBefore+1 || g != gridsBefore+1 {
+		t.Errorf("caches grew by %d spectra and %d grids, want 1 and 1", s-spectraBefore, g-gridsBefore)
 	}
 }
