@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -26,23 +27,64 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/engine_go
 
 const goldenFile = "testdata/engine_golden.txt"
 
-// goldenMovedByFinalWriteFix names the golden cases whose bytes the
-// final-step-write drain fix changed (bench open finding 4): in each, a
-// write fault struck the last step's Level 2 file, the parent's drain
-// returned before the re-driven file became visible, and that step's
-// analysis was never submitted. They are skipped by name; every other
-// digest must equal the parent's. TestFinalStepWriteFaultIsAnalyzed pins
-// the fixed behaviour.
-var goldenMovedByFinalWriteFix = map[string]bool{
-	"campaign/seed1/steps20/fault7":                           true,
-	"campaign/seed2/steps20/fault7":                           true,
-	"campaign/seed3/steps20/fault7":                           true,
-	"run/seed3/steps4/in-situ/off-line_co-scheduled/failstop": true,
+// golden is one case's serialized behaviour, twice. full is every byte.
+// masked is the same bytes with the fields that read the clock after the
+// event queue drained zeroed: Report.WallClock, CampaignReport.TotalWallClock
+// and TrailingSeconds, the time stamp of the scrub decisions taken at that
+// instant (ResumableCampaign's final sweep), and the end of every root
+// campaign/workflow span (so the trace, span tree and cost table lines
+// derived from it). A change to when the queue drains moves full and must
+// leave masked alone; any other change moves both.
+type golden struct{ full, masked bytes.Buffer }
+
+func (g *golden) printf(format string, args ...interface{}) {
+	fmt.Fprintf(&g.full, format, args...)
+	fmt.Fprintf(&g.masked, format, args...)
+}
+
+// observed serializes everything the observer recorded, then once more
+// with the root spans cut to zero length. The observer is spent afterwards.
+func (g *golden) observed(t *testing.T, o *obs.Observer) {
+	t.Helper()
+	g.full.Write(observedArtifacts(t, o))
+	for _, sp := range o.Spans() {
+		if sp.Parent < 0 && (sp.Cat == "campaign" || sp.Cat == "workflow") {
+			sp.End = sp.Start
+		}
+	}
+	g.masked.Write(observedArtifacts(t, o))
+}
+
+func (g *golden) report(rep *Report) {
+	fmt.Fprintf(&g.full, "%+v\n%s", *rep, FormatDecisions(rep.Decisions))
+	m := *rep
+	m.WallClock = 0
+	fmt.Fprintf(&g.masked, "%+v\n%s", m, FormatDecisions(rep.Decisions))
+}
+
+// campaign serializes the report and, line by line, its scrub log.
+func (g *golden) campaign(rep *CampaignReport) {
+	m := *rep
+	m.TotalWallClock, m.TrailingSeconds = 0, 0
+	m.ScrubDecisions = slices.Clone(rep.ScrubDecisions)
+	for i := range m.ScrubDecisions {
+		if m.ScrubDecisions[i].T == rep.TotalWallClock {
+			m.ScrubDecisions[i].T = 0
+		}
+	}
+	write := func(buf *bytes.Buffer, r *CampaignReport) {
+		fmt.Fprintf(buf, "%+v\n", *r)
+		for _, d := range r.ScrubDecisions {
+			fmt.Fprintln(buf, d.String())
+		}
+	}
+	write(&g.full, rep)
+	write(&g.masked, &m)
 }
 
 type goldenCase struct {
 	name string
-	run  func(t *testing.T) []byte
+	run  func(t *testing.T, g *golden)
 }
 
 var goldenSeeds = []int64{1, 2, 3}
@@ -123,27 +165,26 @@ func observedArtifacts(t *testing.T, o *obs.Observer) []byte {
 
 // campaignBytes runs Campaign and serializes the report plus, when the
 // scenario is observed, every observability artifact.
-func campaignBytes(t *testing.T, s *Scenario, steps int) []byte {
+func campaignBytes(t *testing.T, g *golden, s *Scenario, steps int) {
 	t.Helper()
 	rep, err := Campaign(s, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := []byte(fmt.Sprintf("%+v\n%s", *rep, FormatDecisions(rep.Decisions)))
+	g.campaign(rep)
+	g.printf("%s", FormatDecisions(rep.Decisions))
 	if s.Obs != nil {
-		out = append(out, observedArtifacts(t, s.Obs)...)
+		g.observed(t, s.Obs)
 	}
-	return out
 }
 
 // resumableBytes re-invokes ResumableCampaign until it survives its crash
 // schedule and serializes each incarnation's outcome (and trace, when
 // observed), the final report, the scrub log and every persisted byte
 // (products, journal, ledger).
-func resumableBytes(t *testing.T, mk func() *Scenario, steps int, seed int64) []byte {
+func resumableBytes(t *testing.T, g *golden, mk func() *Scenario, steps int, seed int64) {
 	t.Helper()
 	dir := t.TempDir()
-	var buf bytes.Buffer
 	for gen := 0; ; gen++ {
 		if gen > 4 {
 			t.Fatalf("campaign in %s never completed", dir)
@@ -153,19 +194,17 @@ func resumableBytes(t *testing.T, mk func() *Scenario, steps int, seed int64) []
 		if s.Obs != nil && (err == nil || errors.Is(err, ErrCampaignCrashed)) {
 			// A crashed incarnation's trace is an artifact too (workflow-sim
 			// -out DIR -crash-step N -trace FILE).
-			buf.Write(observedArtifacts(t, s.Obs))
+			g.observed(t, s.Obs)
 		}
 		if errors.Is(err, ErrCampaignCrashed) {
-			fmt.Fprintf(&buf, "gen %d: %v\n", gen, err)
+			g.printf("gen %d: %v\n", gen, err)
 			continue
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&buf, "gen %d: %+v\n%+v\n", gen, rep.Resume, *rep)
-		for _, d := range rep.ScrubDecisions {
-			fmt.Fprintln(&buf, d.String())
-		}
+		g.printf("gen %d: %+v\n", gen, rep.Resume)
+		g.campaign(rep)
 		break
 	}
 	var files []string
@@ -185,15 +224,14 @@ func resumableBytes(t *testing.T, mk func() *Scenario, steps int, seed int64) []
 			t.Fatal(err)
 		}
 		rel, _ := filepath.Rel(dir, path)
-		fmt.Fprintf(&buf, "%s %d %x\n", filepath.ToSlash(rel), len(data), sha256.Sum256(data))
+		g.printf("%s %d %x\n", filepath.ToSlash(rel), len(data), sha256.Sum256(data))
 	}
-	return buf.Bytes()
 }
 
 func goldenCases(t *testing.T) []goldenCase {
 	cache := map[int64]*Scenario{}
 	var cases []goldenCase
-	add := func(name string, run func(t *testing.T) []byte) {
+	add := func(name string, run func(t *testing.T, g *golden)) {
 		cases = append(cases, goldenCase{name, run})
 	}
 	for _, seed := range goldenSeeds {
@@ -211,7 +249,7 @@ func goldenCases(t *testing.T) []goldenCase {
 				for _, pr := range profiles {
 					steps, kind, pr := steps, kind, pr
 					add(fmt.Sprintf("run/seed%d/steps%d/%s/%s", seed, steps, strings.ReplaceAll(string(kind), " ", "_"), pr.name),
-						func(t *testing.T) []byte {
+						func(t *testing.T, g *golden) {
 							s := scenario(t)
 							s.Timesteps = steps
 							s.Faults = pr.p
@@ -219,14 +257,14 @@ func goldenCases(t *testing.T) []goldenCase {
 							if err != nil {
 								t.Fatal(err)
 							}
-							return []byte(fmt.Sprintf("%+v\n%s", *rep, FormatDecisions(rep.Decisions)))
+							g.report(rep)
 						})
 				}
 			}
 		}
 		// Run under an observer (workflow-sim -cost): only the phase spans
 		// may appear — the engine inside Run is not instrumented.
-		add(fmt.Sprintf("run/seed%d/observed", seed), func(t *testing.T) []byte {
+		add(fmt.Sprintf("run/seed%d/observed", seed), func(t *testing.T, g *golden) {
 			o := obs.New("run", nil)
 			for _, kind := range Kinds() {
 				s := scenario(t)
@@ -236,33 +274,33 @@ func goldenCases(t *testing.T) []goldenCase {
 					t.Fatal(err)
 				}
 			}
-			return observedArtifacts(t, o)
+			g.observed(t, o)
 		})
 
 		for _, steps := range []int{20, 100} {
 			steps := steps
-			add(fmt.Sprintf("campaign/seed%d/steps%d/bare", seed, steps), func(t *testing.T) []byte {
+			add(fmt.Sprintf("campaign/seed%d/steps%d/bare", seed, steps), func(t *testing.T, g *golden) {
 				s := scenario(t)
 				s.PostQueueWait = 0
-				return campaignBytes(t, s, steps)
+				campaignBytes(t, g, s, steps)
 			})
-			add(fmt.Sprintf("campaign/seed%d/steps%d/supervised+observed", seed, steps), func(t *testing.T) []byte {
+			add(fmt.Sprintf("campaign/seed%d/steps%d/supervised+observed", seed, steps), func(t *testing.T, g *golden) {
 				s := scenario(t)
 				s.PostQueueWait = 0
 				pol := supervise.DefaultPolicy()
 				s.Supervise = &pol
 				s.Obs = obs.New("campaign", nil)
-				return campaignBytes(t, s, steps)
+				campaignBytes(t, g, s, steps)
 			})
 			for _, faultSeed := range []int64{5, 7, 9, 12} {
 				faultSeed := faultSeed
-				add(fmt.Sprintf("campaign/seed%d/steps%d/fault%d", seed, steps, faultSeed), func(t *testing.T) []byte {
+				add(fmt.Sprintf("campaign/seed%d/steps%d/fault%d", seed, steps, faultSeed), func(t *testing.T, g *golden) {
 					s := scenario(t)
 					s.PostQueueWait = 0
 					s.Faults = goldenWeather(faultSeed)
 					s.Degrade = &DegradePolicy{StepBudget: 900, RescueLost: true}
 					s.Obs = obs.New("campaign", nil)
-					return campaignBytes(t, s, steps)
+					campaignBytes(t, g, s, steps)
 				})
 			}
 		}
@@ -286,9 +324,9 @@ func goldenCases(t *testing.T) []goldenCase {
 		}
 		for n := 0; n <= 2; n++ {
 			n := n
-			add(fmt.Sprintf("resumable/seed%d/rot+scrub/crashes%d", seed, n), func(t *testing.T) []byte {
+			add(fmt.Sprintf("resumable/seed%d/rot+scrub/crashes%d", seed, n), func(t *testing.T, g *golden) {
 				crashes := crashSchedule(t, n)
-				return resumableBytes(t, func() *Scenario {
+				resumableBytes(t, g, func() *Scenario {
 					s := scenario(t)
 					s.PostQueueWait = 0
 					s.Faults = &fault.Profile{Seed: seed, Crashes: crashes,
@@ -298,18 +336,18 @@ func goldenCases(t *testing.T) []goldenCase {
 				}, steps, seed)
 			})
 		}
-		add(fmt.Sprintf("resumable/seed%d/plain/crashes2", seed), func(t *testing.T) []byte {
+		add(fmt.Sprintf("resumable/seed%d/plain/crashes2", seed), func(t *testing.T, g *golden) {
 			crashes := crashSchedule(t, 2)
-			return resumableBytes(t, func() *Scenario {
+			resumableBytes(t, g, func() *Scenario {
 				s := scenario(t)
 				s.PostQueueWait = 0
 				s.Faults = &fault.Profile{Crashes: crashes}
 				return s
 			}, steps, seed)
 		})
-		add(fmt.Sprintf("resumable/seed%d/weather/crashes2", seed), func(t *testing.T) []byte {
+		add(fmt.Sprintf("resumable/seed%d/weather/crashes2", seed), func(t *testing.T, g *golden) {
 			crashes := crashSchedule(t, 2)
-			return resumableBytes(t, func() *Scenario {
+			resumableBytes(t, g, func() *Scenario {
 				s := scenario(t)
 				s.PostQueueWait = 0
 				p := goldenWeather(seed + 20)
@@ -326,16 +364,25 @@ func goldenCases(t *testing.T) []goldenCase {
 	return cases
 }
 
+// digests runs one case and returns the hex sha256 of its full and masked
+// bytes, the two columns of a golden file line.
+func (c goldenCase) digests(t *testing.T) string {
+	var g golden
+	c.run(t, &g)
+	full, masked := sha256.Sum256(g.full.Bytes()), sha256.Sum256(g.masked.Bytes())
+	return hex.EncodeToString(full[:]) + " " + hex.EncodeToString(masked[:])
+}
+
 // TestEngineGolden holds the co-scheduled engine to the bytes its parent
 // produced: every Report, CampaignReport, decision log, scrub log, trace,
 // span tree, metrics dump, cost table and persisted product, per seed.
+// Each golden line is "name full masked" (see golden).
 func TestEngineGolden(t *testing.T) {
 	cases := goldenCases(t)
 	if *updateGolden {
 		var buf bytes.Buffer
 		for _, c := range cases {
-			sum := sha256.Sum256(c.run(t))
-			fmt.Fprintf(&buf, "%s %s\n", c.name, hex.EncodeToString(sum[:]))
+			fmt.Fprintf(&buf, "%s %s\n", c.name, c.digests(t))
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
 			t.Fatal(err)
@@ -351,11 +398,11 @@ func TestEngineGolden(t *testing.T) {
 	}
 	want := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		name, sum, ok := strings.Cut(line, " ")
+		name, sums, ok := strings.Cut(line, " ")
 		if !ok {
 			t.Fatalf("malformed golden line %q", line)
 		}
-		want[name] = sum
+		want[name] = sums
 	}
 	if len(want) != len(cases) {
 		t.Fatalf("golden file has %d digests, the test has %d cases", len(want), len(cases))
@@ -363,12 +410,8 @@ func TestEngineGolden(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			if goldenMovedByFinalWriteFix[c.name] {
-				t.Skip("final-step write fault: bytes moved by the drain fix")
-			}
-			sum := sha256.Sum256(c.run(t))
-			if got := hex.EncodeToString(sum[:]); got != want[c.name] {
-				t.Errorf("digest %s, parent commit produced %s", got, want[c.name])
+			if got := c.digests(t); got != want[c.name] {
+				t.Errorf("digests (full masked) %s, parent commit produced %s", got, want[c.name])
 			}
 		})
 	}
