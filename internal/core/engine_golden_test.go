@@ -163,9 +163,9 @@ func observedArtifacts(t *testing.T, o *obs.Observer) []byte {
 	return buf.Bytes()
 }
 
-// campaignBytes runs Campaign and serializes the report plus, when the
+// goldenCampaign runs Campaign and serializes the report plus, when the
 // scenario is observed, every observability artifact.
-func campaignBytes(t *testing.T, g *golden, s *Scenario, steps int) {
+func goldenCampaign(t *testing.T, g *golden, s *Scenario, steps int) {
 	t.Helper()
 	rep, err := Campaign(s, steps)
 	if err != nil {
@@ -178,11 +178,11 @@ func campaignBytes(t *testing.T, g *golden, s *Scenario, steps int) {
 	}
 }
 
-// resumableBytes re-invokes ResumableCampaign until it survives its crash
+// goldenResumable re-invokes ResumableCampaign until it survives its crash
 // schedule and serializes each incarnation's outcome (and trace, when
 // observed), the final report, the scrub log and every persisted byte
 // (products, journal, ledger).
-func resumableBytes(t *testing.T, g *golden, mk func() *Scenario, steps int, seed int64) {
+func goldenResumable(t *testing.T, g *golden, mk func() *Scenario, steps int, seed int64) {
 	t.Helper()
 	dir := t.TempDir()
 	for gen := 0; ; gen++ {
@@ -282,7 +282,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			add(fmt.Sprintf("campaign/seed%d/steps%d/bare", seed, steps), func(t *testing.T, g *golden) {
 				s := scenario(t)
 				s.PostQueueWait = 0
-				campaignBytes(t, g, s, steps)
+				goldenCampaign(t, g, s, steps)
 			})
 			add(fmt.Sprintf("campaign/seed%d/steps%d/supervised+observed", seed, steps), func(t *testing.T, g *golden) {
 				s := scenario(t)
@@ -290,7 +290,7 @@ func goldenCases(t *testing.T) []goldenCase {
 				pol := supervise.DefaultPolicy()
 				s.Supervise = &pol
 				s.Obs = obs.New("campaign", nil)
-				campaignBytes(t, g, s, steps)
+				goldenCampaign(t, g, s, steps)
 			})
 			for _, faultSeed := range []int64{5, 7, 9, 12} {
 				faultSeed := faultSeed
@@ -300,7 +300,7 @@ func goldenCases(t *testing.T) []goldenCase {
 					s.Faults = goldenWeather(faultSeed)
 					s.Degrade = &DegradePolicy{StepBudget: 900, RescueLost: true}
 					s.Obs = obs.New("campaign", nil)
-					campaignBytes(t, g, s, steps)
+					goldenCampaign(t, g, s, steps)
 				})
 			}
 		}
@@ -326,7 +326,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			n := n
 			add(fmt.Sprintf("resumable/seed%d/rot+scrub/crashes%d", seed, n), func(t *testing.T, g *golden) {
 				crashes := crashSchedule(t, n)
-				resumableBytes(t, g, func() *Scenario {
+				goldenResumable(t, g, func() *Scenario {
 					s := scenario(t)
 					s.PostQueueWait = 0
 					s.Faults = &fault.Profile{Seed: seed, Crashes: crashes,
@@ -338,7 +338,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		}
 		add(fmt.Sprintf("resumable/seed%d/plain/crashes2", seed), func(t *testing.T, g *golden) {
 			crashes := crashSchedule(t, 2)
-			resumableBytes(t, g, func() *Scenario {
+			goldenResumable(t, g, func() *Scenario {
 				s := scenario(t)
 				s.PostQueueWait = 0
 				s.Faults = &fault.Profile{Crashes: crashes}
@@ -347,7 +347,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		})
 		add(fmt.Sprintf("resumable/seed%d/weather/crashes2", seed), func(t *testing.T, g *golden) {
 			crashes := crashSchedule(t, 2)
-			resumableBytes(t, g, func() *Scenario {
+			goldenResumable(t, g, func() *Scenario {
 				s := scenario(t)
 				s.PostQueueWait = 0
 				p := goldenWeather(seed + 20)

@@ -20,10 +20,23 @@ type Sim struct {
 type event struct {
 	at     float64
 	serial int64
-	fn     func()
+	fn     func() // nil once its Timer was stopped
 }
 
-type eventHeap []event
+// Timer is a handle on one scheduled event, held by whoever armed it and
+// stopped when the work it guards is over. The zero value's Stop is a no-op.
+type Timer struct{ ev *event }
+
+// Stop guarantees the event never runs: it will not advance the clock and
+// Pending no longer counts it. Stopping an event that ran, is running (from
+// inside its own callback) or was stopped already does nothing.
+func (t Timer) Stop() {
+	if t.ev != nil {
+		t.ev.fn = nil
+	}
+}
+
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -33,7 +46,7 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].serial < h[j].serial
 }
 func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(v interface{}) { *h = append(*h, v.(event)) }
+func (h *eventHeap) Push(v interface{}) { *h = append(*h, v.(*event)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
@@ -47,23 +60,34 @@ func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn at absolute time t. Scheduling in the past runs the
 // event at the current time (immediately next).
-func (s *Sim) At(t float64, fn func()) {
+func (s *Sim) At(t float64, fn func()) Timer {
 	if t < s.now {
 		t = s.now
 	}
 	s.serial++
-	heap.Push(&s.queue, event{at: t, serial: s.serial, fn: fn})
+	ev := &event{at: t, serial: s.serial, fn: fn}
+	heap.Push(&s.queue, ev)
+	return Timer{ev}
 }
 
 // After schedules fn d seconds from now.
-func (s *Sim) After(d float64, fn func()) { s.At(s.now+d, fn) }
+func (s *Sim) After(d float64, fn func()) Timer { return s.At(s.now+d, fn) }
+
+// prune drops stopped events from the head of the queue, so that the head,
+// if any, is the next event to run.
+func (s *Sim) prune() {
+	for s.queue.Len() > 0 && s.queue[0].fn == nil {
+		heap.Pop(&s.queue)
+	}
+}
 
 // Step runs the single earliest event, returning false when none remain.
 func (s *Sim) Step() bool {
+	s.prune()
 	if s.queue.Len() == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(event)
+	ev := heap.Pop(&s.queue).(*event)
 	s.now = ev.at
 	ev.fn()
 	return true
@@ -79,7 +103,7 @@ func (s *Sim) Run() {
 // (if it is ahead of the last event). A Halt leaves the clock where the
 // halting event ran.
 func (s *Sim) RunUntil(t float64) {
-	for !s.halted && s.queue.Len() > 0 && s.queue[0].at <= t {
+	for s.prune(); !s.halted && s.queue.Len() > 0 && s.queue[0].at <= t; s.prune() {
 		s.Step()
 	}
 	if !s.halted && s.now < t {
@@ -92,5 +116,13 @@ func (s *Sim) RunUntil(t float64) {
 // model reports, from inside an event, that the run cannot continue.
 func (s *Sim) Halt() { s.halted = true }
 
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int { return s.queue.Len() }
+// Pending reports the number of queued events that will still run.
+func (s *Sim) Pending() int {
+	n := 0
+	for _, ev := range s.queue {
+		if ev.fn != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -154,17 +154,18 @@ func (c *Cluster) declareLost(j *Job, r supervise.Reason) {
 
 // cancelJob kills an attempt: a running one frees its nodes (the reclaimed
 // node-seconds are accounted as straggler loss), a pending one leaves the
-// queue. The attempt bump orphans every queued completion/failure event
-// for the job.
+// queue. Its pending completion, failure or resubmission never runs; the
+// attempt bump tells core's step emissions the attempt is over.
 func (c *Cluster) cancelJob(j *Job, why string) {
 	if j.Completed || j.Failed || j.cancelled {
 		return
 	}
 	j.cancelled = true
+	j.timer.Stop()
 	c.superviseForget(j)
 	c.obsEnd(j, "cancelled")
 	c.Supervise.Note(jobKey(j), "cancel", why)
-	j.Attempt++ // orphan queued events for the cancelled attempt
+	j.Attempt++
 	if j.Started {
 		c.freeNodes += j.Nodes
 		if c.isSmall(j) {

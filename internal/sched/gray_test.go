@@ -162,6 +162,45 @@ func TestPrimaryBeatsItsBackup(t *testing.T) {
 	}
 }
 
+// A backup fails mid-run while its own completion event is still queued,
+// and sits in retry backoff when the primary completes. The primary's
+// finish cancels the backup exactly once: its nodes (already freed by the
+// failure) are not freed again, neither its queued completion nor its
+// backoff resubmission ever runs, and the primary completes once. (Found
+// in review of the hedging PR as a double-free plus a resurrected backup.)
+func TestBackupFailingInBackoffIsCancelledOnce(t *testing.T) {
+	var sim des.Sim
+	c := supervisedCluster(&sim)
+	c.Retry = RetryPolicy{MaxAttempts: 4, Backoff: 30}
+
+	completions := 0
+	p := &Job{Name: "p", Nodes: 4, Duration: 30, OnComplete: func(*Job) { completions++ }}
+	if err := c.Submit(p); err != nil {
+		t.Fatal(err)
+	}
+	sim.At(10, func() { c.suspect(p, supervise.ReasonStraggler) }) // launches the backup
+	sim.At(20, func() {                                            // backup dies mid-run: resubmit queued for t=50
+		if p.hedge == nil || !p.hedge.Started {
+			t.Fatalf("backup not racing at t=20: %+v", p.hedge)
+		}
+		c.fail(p.hedge)
+	})
+	sim.Run()
+
+	if c.FreeNodes() != c.Machine.Nodes {
+		t.Errorf("freeNodes %d on a drained %d-node machine (double-free)", c.FreeNodes(), c.Machine.Nodes)
+	}
+	if completions != 1 || len(c.Finished()) != 1 {
+		t.Errorf("primary OnComplete fired %d times, finished list has %d entries; want 1 and 1", completions, len(c.Finished()))
+	}
+	if c.Attempts != 2 {
+		t.Errorf("%d attempts started, want 2 (the cancelled backup must not be resubmitted)", c.Attempts)
+	}
+	if sim.Now() != 30 {
+		t.Errorf("queue drained at t=%v, want 30: a stopped completion or resubmission still ran", sim.Now())
+	}
+}
+
 func TestSlowdownStretchesEffDuration(t *testing.T) {
 	var sim des.Sim
 	c, _ := NewCluster(&sim, smallMachine())

@@ -23,16 +23,13 @@ type refListener struct {
 }
 
 func (r *refListener) poll() {
-	if r.stopped {
-		return
-	}
 	r.Polls++
 	if r.Faults.ListenerDown(r.Sim.Now()) {
 		r.MissedPolls++
 	} else {
 		r.sweep()
 	}
-	r.Sim.After(r.PollInterval, r.poll)
+	r.timer = r.Sim.After(r.PollInterval, r.poll) // Listener.Stop stops it
 }
 
 func (r *refListener) sweep() {
@@ -155,7 +152,7 @@ func (sc *listenerScript) run(useRef bool) listenerTrace {
 	sweep, unseen := l.FinalSweep, l.Unseen
 	if useRef {
 		sweep, unseen = ref.sweep, ref.unseen
-		sim.After(l.PollInterval, ref.poll)
+		l.timer = sim.After(l.PollInterval, ref.poll)
 	} else if err := l.Start(); err != nil {
 		panic(err)
 	}

@@ -67,12 +67,15 @@ type Job struct {
 
 	// Hedging state (see gray.go): hedge is the live backup attempt racing
 	// this job; hedgeOf points a backup at its primary; hedges counts the
-	// backups launched for this job; cancelled invalidates an attempt whose
-	// race was lost (its queued events are inert).
+	// backups launched for this job; cancelled marks an attempt whose race
+	// was lost. timer is the one event the job is waiting on — its
+	// completion, its mid-run failure or its backoff resubmission — which
+	// fail and cancelJob stop.
 	hedge     *Job
 	hedgeOf   *Job
 	hedges    int
 	cancelled bool
+	timer     des.Timer
 
 	// span is the current attempt's trace span (nil when the cluster is
 	// uninstrumented); see obs.go.
@@ -233,9 +236,9 @@ func (c *Cluster) Submit(j *Job) error {
 	if j.Duration < 0 {
 		return fmt.Errorf("sched: job %q has negative duration", j.Name)
 	}
-	// Clear any stale state from a previous attempt. A cancelled race
-	// loser stays inert: its queued events were orphaned by the attempt
-	// bump in cancelJob, so clearing the flag here is safe.
+	// Clear any stale state from a previous attempt. Nothing of a cancelled
+	// race loser is left to fire (cancelJob stops its timer), so clearing
+	// the flag here is safe.
 	j.Started, j.Completed, j.cancelled = false, false, false
 	j.StartTime, j.EndTime = 0, 0
 	j.SubmitTime = c.Sim.Now()
@@ -291,15 +294,10 @@ func (c *Cluster) start(j *Job) {
 	// compounds with the machine's degraded-window factor at start time.
 	eff := j.Duration * c.Faults.JobSlowdown(j.Name, j.Attempt) * c.Faults.DegradeFactorAt(j.StartTime)
 	j.EffDuration = eff
-	attempt := j.Attempt // queued events die if the attempt is superseded
 	stallFrac, stalled := c.Faults.JobStall(j.Name, j.Attempt)
 	if frac, fails := c.Faults.JobAttempt(j.Name, j.Attempt); fails && (!stalled || frac < stallFrac) {
 		c.superviseStart(j, eff*frac)
-		c.Sim.After(eff*frac, func() {
-			if !j.cancelled && j.Attempt == attempt {
-				c.fail(j)
-			}
-		})
+		j.timer = c.Sim.After(eff*frac, func() { c.fail(j) })
 		return
 	}
 	if stalled {
@@ -311,11 +309,7 @@ func (c *Cluster) start(j *Job) {
 		return
 	}
 	c.superviseStart(j, eff)
-	c.Sim.After(eff, func() {
-		if !j.cancelled && j.Attempt == attempt {
-			c.complete(j)
-		}
-	})
+	j.timer = c.Sim.After(eff, func() { c.complete(j) })
 }
 
 func (c *Cluster) complete(j *Job) {
@@ -352,6 +346,7 @@ func (c *Cluster) complete(j *Job) {
 // failed.
 func (c *Cluster) fail(j *Job) {
 	now := c.Sim.Now()
+	j.timer.Stop() // the attempt's completion, when it dies ahead of it
 	c.superviseForget(j)
 	c.obsEnd(j, "failed")
 	c.freeNodes += j.Nodes
@@ -378,12 +373,7 @@ func (c *Cluster) fail(j *Job) {
 		c.Resubmits++
 		c.obsCount("sched.resubmits")
 		delay := c.Retry.delay(c.Faults, j.Name, j.Attempt)
-		attempt := j.Attempt // a cancel during backoff orphans the resubmit
-		c.Sim.After(delay, func() {
-			if !j.cancelled && j.Attempt == attempt {
-				_ = c.Submit(j)
-			}
-		})
+		j.timer = c.Sim.After(delay, func() { _ = c.Submit(j) })
 	} else {
 		j.Failed = true
 		c.LostJobs++
@@ -441,7 +431,7 @@ type Listener struct {
 	pending     []string
 	cursor      int
 	submitTries map[string]int
-	stopped     bool
+	timer       des.Timer // the next poll
 	ctr         listenerCounters
 	Submitted   int
 	Polls       int
@@ -462,12 +452,12 @@ func (l *Listener) Start() error {
 	if l.MakeJob == nil {
 		return fmt.Errorf("sched: listener needs a MakeJob template")
 	}
-	l.Sim.After(l.PollInterval, l.poll)
+	l.timer = l.Sim.After(l.PollInterval, l.poll)
 	return nil
 }
 
-// Stop halts polling after the current tick.
-func (l *Listener) Stop() { l.stopped = true }
+// Stop halts polling: the next poll never runs.
+func (l *Listener) Stop() { l.timer.Stop() }
 
 // MarkSeen records a path as already submitted, so polling skips it. The
 // campaign resume path uses this to pre-load journaled state: files whose
@@ -515,9 +505,6 @@ func (l *Listener) ingest() {
 }
 
 func (l *Listener) poll() {
-	if l.stopped {
-		return
-	}
 	l.Polls++
 	if l.Faults.ListenerDown(l.Sim.Now()) {
 		l.MissedPolls++
@@ -526,7 +513,7 @@ func (l *Listener) poll() {
 		l.obsCount(&l.ctr.polls, "listener.polls")
 		l.sweep()
 	}
-	l.Sim.After(l.PollInterval, l.poll)
+	l.timer = l.Sim.After(l.PollInterval, l.poll)
 }
 
 // sweep offers every pending path for submission, in lexicographic order:

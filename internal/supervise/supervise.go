@@ -130,9 +130,14 @@ type watch struct {
 	started   float64
 	heartbeat func() float64
 	onSuspect func(Reason)
-	done      bool
-	suspected bool
-	epoch     int // invalidates queued watchdog/deadline events after Done/Forget
+	// The watch owns its two pending events and stops them when it is
+	// resolved, replaced or declared suspect: neither can fire afterwards.
+	deadline, watchdog des.Timer
+}
+
+func (w *watch) disarm() {
+	w.deadline.Stop()
+	w.watchdog.Stop()
 }
 
 // Supervisor watches tasks on one virtual clock. The zero value is not
@@ -197,7 +202,7 @@ func (sv *Supervisor) Watch(name string, expected float64, heartbeat func() floa
 		return
 	}
 	if old, ok := sv.tasks[name]; ok {
-		old.epoch++ // orphan any queued events for the replaced watch
+		old.disarm()
 	}
 	w := &watch{
 		name:      name,
@@ -212,38 +217,29 @@ func (sv *Supervisor) Watch(name string, expected float64, heartbeat func() floa
 
 	// Absolute deadline: one event, armed at watch time.
 	deadline := w.started + sv.policy.DeadlineFactor*expected + sv.policy.DeadlineSlack
-	epoch := w.epoch
-	sv.sim.At(deadline, func() {
-		if sv.live(name, w, epoch) {
-			sv.suspect(w, ReasonDeadlineExceeded,
-				fmt.Sprintf("ran %.0fs > %.0fs deadline", sv.sim.Now()-w.started, deadline-w.started))
-		}
+	w.deadline = sv.sim.At(deadline, func() {
+		sv.suspect(w, ReasonDeadlineExceeded,
+			fmt.Sprintf("ran %.0fs > %.0fs deadline", sv.sim.Now()-w.started, deadline-w.started))
 	})
 
 	// Watchdog: poll the heartbeat once per miss window.
-	sv.sim.At(w.started+sv.policy.missWindow(), func() { sv.check(name, w, epoch) })
-}
-
-// live reports whether the watch is still the active, unresolved watch for
-// the name and the queued event's epoch is current.
-func (sv *Supervisor) live(name string, w *watch, epoch int) bool {
-	cur, ok := sv.tasks[name]
-	return ok && cur == w && w.epoch == epoch && !w.done && !w.suspected
+	w.watchdog = sv.sim.At(w.started+sv.policy.missWindow(), func() { sv.check(w) })
 }
 
 // check is one watchdog poll: verify the heartbeat is fresh, run the
 // straggler test, and reschedule for the next possible miss time.
-func (sv *Supervisor) check(name string, w *watch, epoch int) {
-	if !sv.live(name, w, epoch) {
-		return
-	}
+func (sv *Supervisor) check(w *watch) {
 	now := sv.sim.Now()
 	window := sv.policy.missWindow()
 	last := w.started
 	if w.heartbeat != nil {
 		last = w.heartbeat()
 	}
-	if now-last >= window {
+	// Next possible miss: one window after the freshest beat. The test and
+	// the re-arm below are the same expression, so a poll that does not
+	// trip is always re-armed strictly in the future.
+	next := last + window
+	if now >= next {
 		sv.suspect(w, ReasonHeartbeatMissed,
 			fmt.Sprintf("no beat for %.0fs (window %.0fs)", now-last, window))
 		return
@@ -252,8 +248,7 @@ func (sv *Supervisor) check(name string, w *watch, epoch int) {
 		sv.suspect(w, reason, note)
 		return
 	}
-	// Next possible miss: one window after the freshest beat.
-	sv.sim.At(last+window, func() { sv.check(name, w, epoch) })
+	w.watchdog = sv.sim.At(next, func() { sv.check(w) })
 }
 
 // stragglerTest compares the task's running/expected ratio to the
@@ -278,7 +273,7 @@ func (sv *Supervisor) stragglerTest(w *watch, now float64) (Reason, string, bool
 
 // suspect fires the task's onSuspect callback exactly once and logs it.
 func (sv *Supervisor) suspect(w *watch, r Reason, note string) {
-	w.suspected = true
+	w.disarm()
 	sv.Suspects++
 	sv.record("suspect", w.name, string(r)+": "+note)
 	if w.onSuspect != nil {
@@ -293,11 +288,10 @@ func (sv *Supervisor) Done(name string) {
 		return
 	}
 	w, ok := sv.tasks[name]
-	if !ok || w.done {
+	if !ok {
 		return
 	}
-	w.done = true
-	w.epoch++
+	w.disarm()
 	if w.expected > 0 {
 		ratio := (sv.sim.Now() - w.started) / w.expected
 		i, _ := slices.BinarySearch(sv.doneRatios, ratio)
@@ -314,8 +308,7 @@ func (sv *Supervisor) Forget(name string) {
 		return
 	}
 	if w, ok := sv.tasks[name]; ok {
-		w.done = true
-		w.epoch++
+		w.disarm()
 		delete(sv.tasks, name)
 	}
 }

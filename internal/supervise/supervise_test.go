@@ -108,6 +108,30 @@ func TestStragglerDetectedAgainstPopulation(t *testing.T) {
 	}
 }
 
+// A heartbeat frozen at any time is suspected on the poll at last+window,
+// whatever rounding makes of (last+window)-last: a watchdog that tests one
+// expression and re-arms at another re-arms at the current instant forever
+// for about half of these draws.
+func TestFrozenHeartbeatIsSuspectedNotRepolled(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for draw := 0; draw < 1000; draw++ {
+		sim := &des.Sim{}
+		sv := New(sim, DefaultPolicy())
+		last := rng.Float64() * 1e5
+		suspects := 0
+		sv.Watch("j", 1e9, func() float64 { return last }, func(Reason) { suspects++ })
+		steps := 0
+		for sim.Pending() > 0 && steps < 10 {
+			sim.Step()
+			steps++
+		}
+		if suspects != 1 || sim.Pending() != 0 || sim.Now() != last+90 {
+			t.Fatalf("last beat %v: %d suspects, %d events pending at t=%v after %d steps; want 1, 0 at %v",
+				last, suspects, sim.Pending(), sim.Now(), steps, last+90)
+		}
+	}
+}
+
 func TestDoneAndForgetDisarmPendingEvents(t *testing.T) {
 	sim := &des.Sim{}
 	sv := New(sim, DefaultPolicy())
@@ -116,6 +140,9 @@ func TestDoneAndForgetDisarmPendingEvents(t *testing.T) {
 	sv.Done("a")
 	sv.Watch("b", 10, nil, func(Reason) { fired++ })
 	sv.Forget("b")
+	if n := sim.Pending(); n != 0 {
+		t.Errorf("%d events pending for two resolved watches, want 0", n)
+	}
 	// Re-watching a live name replaces the old watch.
 	sv.Watch("c", 10, beatUntil(sim, 0, 30, math.Inf(1)), func(Reason) { fired++ })
 	sim.At(1, func() {
