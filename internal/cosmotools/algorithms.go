@@ -63,22 +63,23 @@ func (l2 *Level2) Blocks() []gio.Block {
 // the inverse of Blocks. A block without particles is an error: no halo is
 // empty, so such a file was not written by Blocks.
 func Level2FromBlocks(blocks []gio.Block) (*Level2, error) {
-	l2 := &Level2{Particles: nbody.NewParticles(0)}
+	l2 := &Level2{}
+	start := 0
 	for b, blk := range blocks {
 		n := blk.Particles.N()
 		if n == 0 {
 			return nil, fmt.Errorf("cosmotools: Level 2 block %d holds no particles", b)
 		}
-		start := l2.Particles.N()
 		tag := blk.Particles.Tag[0]
-		for k := 0; k < n; k++ {
-			l2.Particles.AppendFrom(blk.Particles, k)
-			if t := blk.Particles.Tag[k]; t < tag {
+		for _, t := range blk.Particles.Tag {
+			if t < tag {
 				tag = t
 			}
 		}
 		l2.Spans = append(l2.Spans, Level2Span{Tag: tag, Start: start, End: start + n})
+		start += n
 	}
+	l2.Particles = gio.Merge(blocks)
 	return l2, nil
 }
 
@@ -226,15 +227,14 @@ func (h *HaloFinder) Execute(ctx *Context) error {
 // algorithm above and the stand-alone off-line driver.
 func SplitCenterFinding(p *nbody.Particles, box float64, cat *halo.Catalog, threshold int, o center.Options) ([]CenterRecord, *Level2, error) {
 	var centers []CenterRecord
-	l2 := &Level2{Particles: nbody.NewParticles(0)}
+	l2 := &Level2{}
+	var extracted []int // members of the halos left for off-line, in span order
 	for hi := range cat.Halos {
 		hl := &cat.Halos[hi]
 		if threshold > 0 && hl.Count() > threshold {
-			start := l2.Particles.N()
-			for _, i := range hl.Indices {
-				l2.Particles.AppendFrom(p, i)
-			}
-			l2.Spans = append(l2.Spans, Level2Span{Tag: hl.Tag, Start: start, End: l2.Particles.N()})
+			start := len(extracted)
+			extracted = append(extracted, hl.Indices...)
+			l2.Spans = append(l2.Spans, Level2Span{Tag: hl.Tag, Start: start, End: len(extracted)})
 			continue
 		}
 		rec, err := FindCenter(p, box, hl, o)
@@ -245,6 +245,7 @@ func SplitCenterFinding(p *nbody.Particles, box float64, cat *halo.Catalog, thre
 		hl.MBPTag = rec.MBPTag
 		centers = append(centers, rec.CenterRecord)
 	}
+	l2.Particles = p.Select(extracted)
 	return centers, l2, nil
 }
 

@@ -57,13 +57,12 @@ func GatherLevel2(c *mpi.Comm, l2 *Level2) *Level2 {
 	if c.Rank() != 0 {
 		return &Level2{Particles: nbody.NewParticles(0)}
 	}
-	out := &Level2{Particles: nbody.NewParticles(0)}
-	for _, payload := range all {
+	out := &Level2{}
+	parts := make([]*nbody.Particles, len(all))
+	base := 0
+	for r, payload := range all {
 		part := payload.(*Level2)
-		base := out.Particles.N()
-		for i := 0; i < part.Particles.N(); i++ {
-			out.Particles.AppendFrom(part.Particles, i)
-		}
+		parts[r] = part.Particles
 		for _, span := range part.Spans {
 			out.Spans = append(out.Spans, Level2Span{
 				Tag:   span.Tag,
@@ -71,7 +70,9 @@ func GatherLevel2(c *mpi.Comm, l2 *Level2) *Level2 {
 				End:   base + span.End,
 			})
 		}
+		base += part.Particles.N()
 	}
+	out.Particles = nbody.Concat(parts...)
 	sort.Slice(out.Spans, func(a, b int) bool { return out.Spans[a].Tag < out.Spans[b].Tag })
 	return out
 }

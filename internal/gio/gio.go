@@ -363,13 +363,11 @@ func ReadSalvageFile(path string) ([]Block, error) {
 
 // Merge concatenates the particles of all blocks into a single container.
 func Merge(blocks []Block) *nbody.Particles {
-	out := nbody.NewParticles(0)
-	for _, b := range blocks {
-		for i := 0; i < b.Particles.N(); i++ {
-			out.AppendFrom(b.Particles, i)
-		}
+	parts := make([]*nbody.Particles, len(blocks))
+	for i, b := range blocks {
+		parts[i] = b.Particles
 	}
-	return out
+	return nbody.Concat(parts...)
 }
 
 // AggregationPlan groups nRanks writer ranks into files of groupSize blocks

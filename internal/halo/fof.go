@@ -102,8 +102,9 @@ func (o Options) validate() error {
 	return nil
 }
 
-// FOF finds the friends-of-friends halos of the particle set using a k-d
-// tree for the fixed-radius neighbour searches.
+// FOF finds the friends-of-friends halos of the particle set: one self-join
+// of a k-d tree yields every pair within the linking length, and a
+// union-find structure keeps the connected components.
 func FOF(p *nbody.Particles, box float64, o Options) (*Catalog, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -120,30 +121,21 @@ func FOF(p *nbody.Particles, box float64, o Options) (*Catalog, error) {
 		return nil, err
 	}
 	ds := NewDisjointSet(p.N())
-	for i := 0; i < p.N(); i++ {
-		if o.DisableSubtreeMerge {
-			tree.VisitWithin(p.X[i], p.Y[i], p.Z[i], o.LinkingLength, func(j int) bool {
-				if j > i { // each pair once; the tree returns i itself too
-					ds.Union(i, j)
-				}
-				return true
-			})
-			continue
+	// Whole subtrees within the linking length merge without per-particle
+	// distance tests (§3.3.1): every member of a links to every member of
+	// b (to the rest of a when b is nil), so all are one component.
+	bulk := func(a, b []int) {
+		for _, j := range a[1:] {
+			ds.Union(a[0], j)
 		}
-		tree.VisitWithinBulk(p.X[i], p.Y[i], p.Z[i], o.LinkingLength,
-			func(members []int) bool {
-				// Whole subtree within the linking length: merge without
-				// per-particle distance tests (§3.3.1).
-				for _, j := range members {
-					ds.Union(i, j)
-				}
-				return true
-			},
-			func(j int) bool {
-				ds.Union(i, j)
-				return true
-			})
+		for _, j := range b {
+			ds.Union(a[0], j)
+		}
 	}
+	if o.DisableSubtreeMerge {
+		bulk = nil
+	}
+	tree.PairsWithin(o.LinkingLength, bulk, func(i, j int) { ds.Union(i, j) })
 	return catalogFromGroups(p, box, ds.Groups(o.MinSize), o), nil
 }
 

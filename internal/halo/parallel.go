@@ -35,10 +35,7 @@ func ParallelFOF(c *mpi.Comm, local *nbody.Particles, box, overload float64, o O
 	if err != nil {
 		return nil, err
 	}
-	ext := local.Clone()
-	for i := 0; i < ghosts.N(); i++ {
-		ext.AppendFrom(ghosts, i)
-	}
+	ext := nbody.Concat(local, ghosts)
 	o.Periodic = true // rank-local linking uses true periodic distances
 	cat, err := FOF(ext, box, o)
 	if err != nil {

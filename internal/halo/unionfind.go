@@ -7,11 +7,9 @@
 // each particle is a vertex, and there exists an edge between two vertices
 // if and only if the distance between them is less than the specified
 // linking length" (§3.3.1). The finder here materializes those components
-// with a union-find structure fed by fixed-radius k-d tree queries, and a
+// with a union-find structure fed by one self-join of a k-d tree, and a
 // naive O(n²) variant is retained as the ablation baseline.
 package halo
-
-import "sort"
 
 // DisjointSet is a union-find structure with path compression and union by
 // size.
@@ -65,17 +63,28 @@ func (d *DisjointSet) SetSize(i int) int { return d.size[d.Find(i)] }
 // Groups returns the members of every set with at least minSize elements,
 // each group sorted ascending, groups ordered by their smallest member.
 func (d *DisjointSet) Groups(minSize int) [][]int {
-	byRoot := map[int][]int{}
+	// index[root] is one more than the root's group number; groups are
+	// numbered as their first (smallest) member comes up.
+	index := make([]int, len(d.parent))
+	var roots []int
+	kept := 0
 	for i := range d.parent {
-		byRoot[d.Find(i)] = append(byRoot[d.Find(i)], i)
-	}
-	var out [][]int
-	for _, g := range byRoot {
-		if len(g) >= minSize {
-			out = append(out, g) // members already ascending: i iterated in order
+		if r := d.Find(i); index[r] == 0 && d.size[r] >= minSize {
+			roots = append(roots, r)
+			index[r] = len(roots)
+			kept += d.size[r]
 		}
 	}
-	// Deterministic order: by first member.
-	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
+	// One backing array, carved per group at its exact size.
+	backing := make([]int, kept)
+	out := make([][]int, len(roots))
+	for k, r := range roots {
+		out[k], backing = backing[:0:d.size[r]], backing[d.size[r]:]
+	}
+	for i, r := range d.parent { // the pass above compressed every path
+		if k := index[r]; k > 0 {
+			out[k-1] = append(out[k-1], i)
+		}
+	}
 	return out
 }

@@ -5,9 +5,9 @@
 // higher levels of the tree, bounding boxes which define the space covered
 // by the subtree rooted at a node are used to reduce the number of
 // particle-to-particle distance comparisons" (§3.3.1). This tree provides
-// the balanced median-split construction, per-node bounding boxes, and the
-// (optionally periodic) fixed-radius neighbour queries the halo finder and
-// the subhalo density estimator build on.
+// the balanced median-split construction, per-node bounding boxes, the
+// (optionally periodic) self-join the halo finder is, and the fixed-radius
+// and k-nearest queries the center and SO finders build on.
 package kdtree
 
 import (
@@ -59,6 +59,7 @@ func Build(x, y, z []float64, period float64, leafSize int) (*Tree, error) {
 		t.perm[i] = i
 	}
 	if n > 0 {
+		t.nodes = make([]node, 0, nodeCount(n, leafSize))
 		t.build(0, n, 0)
 	}
 	return t, nil
@@ -67,62 +68,65 @@ func Build(x, y, z []float64, period float64, leafSize int) (*Tree, error) {
 // N returns the number of points in the tree.
 func (t *Tree) N() int { return len(t.x) }
 
-// coord returns the position of point i along axis.
-func (t *Tree) coord(i, axis int) float64 {
-	switch axis {
-	case 0:
-		return t.x[i]
-	case 1:
-		return t.y[i]
-	default:
-		return t.z[i]
+// nodeCount returns the number of nodes build creates over n points.
+func nodeCount(n, leafSize int) int {
+	if n <= leafSize {
+		return 1
 	}
+	return 1 + nodeCount(n/2, leafSize) + nodeCount(n-n/2, leafSize)
 }
 
 // build creates the subtree over perm[lo:hi] splitting on axis, returning
-// its node index.
+// its node index. Nodes are numbered in pre-order.
 func (t *Tree) build(lo, hi, axis int) int {
 	idx := len(t.nodes)
 	t.nodes = append(t.nodes, node{lo: lo, hi: hi, left: -1, right: -1})
-	// Bounding box.
-	nb := &t.nodes[idx]
-	for a := 0; a < 3; a++ {
-		nb.minB[a] = math.Inf(1)
-		nb.maxB[a] = math.Inf(-1)
-	}
-	for _, p := range t.perm[lo:hi] {
-		for a := 0; a < 3; a++ {
-			c := t.coord(p, a)
-			if c < nb.minB[a] {
-				nb.minB[a] = c
-			}
-			if c > nb.maxB[a] {
-				nb.maxB[a] = c
-			}
-		}
-	}
+	nb := &t.nodes[idx] // stable: Build sized nodes for the whole tree
+	span := t.perm[lo:hi]
+	coords := [3][]float64{t.x, t.y, t.z}
 	if hi-lo <= t.LeafSize {
+		for a, c := range coords {
+			minC, maxC := math.Inf(1), math.Inf(-1)
+			for _, p := range span {
+				if c[p] < minC {
+					minC = c[p]
+				}
+				if c[p] > maxC {
+					maxC = c[p]
+				}
+			}
+			nb.minB[a], nb.maxB[a] = minC, maxC
+		}
 		return idx
 	}
 	// Median split on the given axis (balanced construction).
-	span := t.perm[lo:hi]
 	mid := len(span) / 2
-	nthElement(span, mid, func(a, b int) bool { return t.coord(a, axis) < t.coord(b, axis) })
+	nthElement(span, mid, coords[axis])
 	next := (axis + 1) % 3
-	left := t.build(lo, lo+mid, next)
-	right := t.build(lo+mid, hi, next)
-	// t.nodes may have been reallocated by child appends.
-	t.nodes[idx].left = left
-	t.nodes[idx].right = right
+	nb.left = t.build(lo, lo+mid, next)
+	nb.right = t.build(lo+mid, hi, next)
+	// The box of a span is exactly the hull of its halves' boxes. Plain
+	// comparisons, like the leaf scan, so a NaN coordinate never enters one.
+	l, r := &t.nodes[nb.left], &t.nodes[nb.right]
+	for a := 0; a < 3; a++ {
+		nb.minB[a], nb.maxB[a] = l.minB[a], l.maxB[a]
+		if r.minB[a] < nb.minB[a] {
+			nb.minB[a] = r.minB[a]
+		}
+		if r.maxB[a] > nb.maxB[a] {
+			nb.maxB[a] = r.maxB[a]
+		}
+	}
 	return idx
 }
 
-// nthElement partially sorts span so span[k] holds the element that would
-// be at position k in sorted order (a quickselect).
-func nthElement(span []int, k int, less func(a, b int) bool) {
+// nthElement partially sorts span by the coordinate c[span[i]] so span[k]
+// holds the element that would be at position k in sorted order (a
+// quickselect).
+func nthElement(span []int, k int, c []float64) {
 	lo, hi := 0, len(span)-1
 	for lo < hi {
-		p := partition(span, lo, hi, less)
+		p := partition(span, lo, hi, c)
 		switch {
 		case p == k:
 			return
@@ -134,23 +138,23 @@ func nthElement(span []int, k int, less func(a, b int) bool) {
 	}
 }
 
-func partition(span []int, lo, hi int, less func(a, b int) bool) int {
+func partition(span []int, lo, hi int, c []float64) int {
 	// Median-of-three pivot keeps the lattice-like inputs from degrading.
 	mid := (lo + hi) / 2
-	if less(span[mid], span[lo]) {
+	if c[span[mid]] < c[span[lo]] {
 		span[mid], span[lo] = span[lo], span[mid]
 	}
-	if less(span[hi], span[lo]) {
+	if c[span[hi]] < c[span[lo]] {
 		span[hi], span[lo] = span[lo], span[hi]
 	}
-	if less(span[hi], span[mid]) {
+	if c[span[hi]] < c[span[mid]] {
 		span[hi], span[mid] = span[mid], span[hi]
 	}
 	span[mid], span[hi] = span[hi], span[mid]
-	pivot := span[hi]
+	pivot := c[span[hi]]
 	i := lo
 	for j := lo; j < hi; j++ {
-		if less(span[j], pivot) {
+		if c[span[j]] < pivot {
 			span[i], span[j] = span[j], span[i]
 			i++
 		}
@@ -174,16 +178,7 @@ func (t *Tree) axisDist(c, lo, hi float64) float64 {
 	return d
 }
 
-func axisDistOpen(c, lo, hi float64) float64 {
-	switch {
-	case c < lo:
-		return lo - c
-	case c > hi:
-		return c - hi
-	default:
-		return 0
-	}
-}
+func axisDistOpen(c, lo, hi float64) float64 { return axisGapOpen(c, c, lo, hi) }
 
 // Dist2 returns the squared (minimum-image when periodic) distance between
 // point i and the coordinates (x, y, z).
@@ -242,62 +237,123 @@ func (t *Tree) visitWithin(ni int, x, y, z, r, r2 float64, visit func(j int) boo
 	return t.visitWithin(nb.right, x, y, z, r, r2, visit)
 }
 
-// boxMaxDist2 returns (an upper bound on) the squared distance from
-// (x,y,z) to the farthest corner of node nb's bounding box, computed
-// without periodic wrapping. Open-space distance upper-bounds the periodic
-// minimum-image distance, so the bound remains valid for periodic trees.
-func boxMaxDist2(nb *node, x, y, z float64) float64 {
-	d2 := 0.0
-	for a, c := range [3]float64{x, y, z} {
-		lo := math.Abs(c - nb.minB[a])
-		hi := math.Abs(c - nb.maxB[a])
-		if hi > lo {
-			lo = hi
-		}
-		d2 += lo * lo
+// PairsWithin reports every unordered pair of distinct points at distance
+// <= r exactly once, by one self-join of the tree instead of one descent
+// per point — the recursive traversal of §3.3.1, where "bounding boxes
+// which define the space covered by the subtree rooted at a node are used
+// to reduce the number of particle-to-particle distance comparisons,
+// allowing whole subtrees to be merged into a halo or excluded from a halo
+// at once". Two subtrees whose boxes lie farther apart than r are skipped;
+// when every point of one provably lies within r of every point of the
+// other, bulk(a, b) receives both index spans and no distances are
+// computed (b is nil when a's points are all within r of each other). All
+// other pairs go through Dist2 and the in-range ones to pair. A nil bulk
+// turns the bulk shortcut off: the same pairs then all reach pair.
+func (t *Tree) PairsWithin(r float64, bulk func(a, b []int), pair func(i, j int)) {
+	if len(t.nodes) > 0 {
+		t.joinSelf(&t.nodes[0], r*r, bulk, pair)
 	}
-	return d2
 }
 
-// VisitWithinBulk is VisitWithin with the subtree shortcut of §3.3.1:
-// "bounding boxes which define the space covered by the subtree rooted at
-// a node are used to reduce the number of particle-to-particle distance
-// comparisons, allowing whole subtrees to be merged into a halo or
-// excluded from a halo at once." When an entire node's box provably lies
-// within r of the query, bulk is called once with all member indices and
-// no per-point distance tests; otherwise traversal refines as usual and
-// in-range leaf points go to visit one by one. Either callback returning
-// false stops the traversal.
-func (t *Tree) VisitWithinBulk(x, y, z, r float64, bulk func(members []int) bool, visit func(j int) bool) {
-	if len(t.nodes) == 0 {
+// joinSelf reports the pairs inside na's span.
+func (t *Tree) joinSelf(na *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
+	span := t.perm[na.lo:na.hi]
+	switch {
+	case bulk != nil && maxSep2(na, na) <= r2:
+		bulk(span, nil)
+	case na.left < 0:
+		for k, i := range span {
+			t.joinPoint(i, span[k+1:], r2, pair)
+		}
+	default:
+		l, r := &t.nodes[na.left], &t.nodes[na.right]
+		t.joinSelf(l, r2, bulk, pair)
+		t.joinSelf(r, r2, bulk, pair)
+		t.joinCross(l, r, r2, bulk, pair)
+	}
+}
+
+// joinCross reports the pairs with one point in na's span and one in nb's.
+func (t *Tree) joinCross(na, nb *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
+	if t.boxGap2(na, nb) > r2 {
 		return
 	}
-	r2 := r * r
-	t.visitWithinBulk(0, x, y, z, r2, bulk, visit)
+	switch {
+	case bulk != nil && maxSep2(na, nb) <= r2:
+		bulk(t.perm[na.lo:na.hi], t.perm[nb.lo:nb.hi])
+	case na.left < 0 && nb.left < 0:
+		for _, i := range t.perm[na.lo:na.hi] {
+			t.joinPoint(i, t.perm[nb.lo:nb.hi], r2, pair)
+		}
+	case nb.left < 0 || (na.left >= 0 && na.hi-na.lo >= nb.hi-nb.lo):
+		t.joinCross(&t.nodes[na.left], nb, r2, bulk, pair)
+		t.joinCross(&t.nodes[na.right], nb, r2, bulk, pair)
+	default:
+		t.joinCross(na, &t.nodes[nb.left], r2, bulk, pair)
+		t.joinCross(na, &t.nodes[nb.right], r2, bulk, pair)
+	}
 }
 
-func (t *Tree) visitWithinBulk(ni int, x, y, z, r2 float64, bulk func([]int) bool, visit func(int) bool) bool {
-	nb := &t.nodes[ni]
-	if t.boxDist2(nb, x, y, z) > r2 {
-		return true
+// joinPoint reports the points of others within the radius of point i.
+func (t *Tree) joinPoint(i int, others []int, r2 float64, pair func(i, j int)) {
+	x, y, z := t.x[i], t.y[i], t.z[i]
+	for _, j := range others {
+		if t.Dist2(j, x, y, z) <= r2 {
+			pair(i, j)
+		}
 	}
-	if boxMaxDist2(nb, x, y, z) <= r2 {
-		return bulk(t.perm[nb.lo:nb.hi])
-	}
-	if nb.left < 0 {
-		for _, j := range t.perm[nb.lo:nb.hi] {
-			if t.Dist2(j, x, y, z) <= r2 {
-				if !visit(j) {
-					return false
-				}
+}
+
+// boxGap2 returns the squared distance between the boxes of na and nb (0
+// when they overlap), per axis in the shape of axisDist: no point of na is
+// nearer to nb's box by boxDist2 than this, so pruning on it skips nothing
+// a descent from that point would have reached.
+func (t *Tree) boxGap2(na, nb *node) float64 {
+	g2 := 0.0
+	for a := 0; a < 3; a++ {
+		lo, hi := na.minB[a], na.maxB[a]
+		g := axisGapOpen(lo, hi, nb.minB[a], nb.maxB[a])
+		if t.Period > 0 {
+			if s := axisGapOpen(lo+t.Period, hi+t.Period, nb.minB[a], nb.maxB[a]); s < g {
+				g = s
+			}
+			if s := axisGapOpen(lo-t.Period, hi-t.Period, nb.minB[a], nb.maxB[a]); s < g {
+				g = s
 			}
 		}
-		return true
+		g2 += g * g
 	}
-	if !t.visitWithinBulk(nb.left, x, y, z, r2, bulk, visit) {
-		return false
+	return g2
+}
+
+// axisGapOpen returns the distance between the intervals [aLo, aHi] and
+// [bLo, bHi] along one axis in open space, 0 when they overlap.
+func axisGapOpen(aLo, aHi, bLo, bHi float64) float64 {
+	switch {
+	case aHi < bLo:
+		return bLo - aHi
+	case aLo > bHi:
+		return aLo - bHi
+	default:
+		return 0
 	}
-	return t.visitWithinBulk(nb.right, x, y, z, r2, bulk, visit)
+}
+
+// maxSep2 returns (an upper bound on) the squared distance between the
+// farthest two points of na's and nb's boxes, computed without periodic
+// wrapping. Open-space distance upper-bounds the periodic minimum-image
+// distance, so the bound remains valid for periodic trees. maxSep2(n, n) is
+// n's squared diagonal.
+func maxSep2(na, nb *node) float64 {
+	d2 := 0.0
+	for a := 0; a < 3; a++ {
+		d := na.maxB[a] - nb.minB[a]
+		if e := nb.maxB[a] - na.minB[a]; e > d {
+			d = e
+		}
+		d2 += d * d
+	}
+	return d2
 }
 
 // Within returns the indices of all points with distance <= r from

@@ -242,7 +242,7 @@ func TestNthElement(t *testing.T) {
 			span[i] = i
 		}
 		k := rng.Intn(n)
-		nthElement(span, k, func(a, b int) bool { return vals[a] < vals[b] })
+		nthElement(span, k, vals)
 		pivot := vals[span[k]]
 		for i := 0; i < k; i++ {
 			if vals[span[i]] > pivot {
@@ -254,80 +254,5 @@ func TestNthElement(t *testing.T) {
 				t.Fatalf("trial %d: element %d below pivot", trial, i)
 			}
 		}
-	}
-}
-
-// VisitWithinBulk must report exactly the same point set as VisitWithin,
-// partitioned between bulk nodes and individual visits.
-func TestVisitWithinBulkMatchesWithin(t *testing.T) {
-	for _, period := range []float64{0, 10} {
-		x, y, z := randomCloud(400, 10, 21)
-		tr, err := Build(x, y, z, period, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(22))
-		for q := 0; q < 40; q++ {
-			qx, qy, qz := rng.Float64()*10, rng.Float64()*10, rng.Float64()*10
-			r := rng.Float64() * 4
-			want := tr.Within(qx, qy, qz, r)
-			var got []int
-			bulkCalls := 0
-			tr.VisitWithinBulk(qx, qy, qz, r,
-				func(members []int) bool {
-					bulkCalls++
-					got = append(got, members...)
-					return true
-				},
-				func(j int) bool {
-					got = append(got, j)
-					return true
-				})
-			sort.Ints(got)
-			if len(got) != len(want) {
-				t.Fatalf("period=%v q=%d: got %d, want %d (bulk calls %d)", period, q, len(got), len(want), bulkCalls)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("period=%v q=%d: mismatch at %d", period, q, i)
-				}
-			}
-		}
-	}
-}
-
-// Large radii must trigger the bulk path (the whole tree fits in range).
-func TestVisitWithinBulkUsesBulkPath(t *testing.T) {
-	x, y, z := randomCloud(200, 10, 23)
-	tr, err := Build(x, y, z, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bulkPoints := 0
-	singles := 0
-	tr.VisitWithinBulk(5, 5, 5, 100,
-		func(members []int) bool { bulkPoints += len(members); return true },
-		func(int) bool { singles++; return true })
-	if bulkPoints != 200 || singles != 0 {
-		t.Errorf("bulk=%d singles=%d; a huge radius should engulf the root", bulkPoints, singles)
-	}
-}
-
-func TestVisitWithinBulkEarlyStop(t *testing.T) {
-	x, y, z := randomCloud(100, 5, 24)
-	tr, _ := Build(x, y, z, 0, 4)
-	// Corner query with a radius that covers many points but not the whole
-	// root box: traversal must mix bulk and single visits, and stopping
-	// from the single-visit callback must halt it.
-	inRange := len(tr.Within(0.5, 0.5, 0.5, 3))
-	if inRange < 10 {
-		t.Skip("cloud too sparse for this seed")
-	}
-	count := 0
-	tr.VisitWithinBulk(0.5, 0.5, 0.5, 3,
-		func(members []int) bool { count += len(members); return true },
-		func(int) bool { count++; return false })
-	if count >= inRange {
-		t.Errorf("early stop ignored: visited %d of %d", count, inRange)
 	}
 }

@@ -58,14 +58,11 @@ func Distribute(c *mpi.Comm, local *Particles, box float64) (*Particles, error) 
 		out[r] = local.Select(buckets[r])
 	}
 	in := c.AllToAll(out)
-	merged := NewParticles(0)
-	for _, payload := range in {
-		part := payload.(*Particles)
-		for i := 0; i < part.N(); i++ {
-			merged.AppendFrom(part, i)
-		}
+	parts := make([]*Particles, len(in))
+	for r, payload := range in {
+		parts[r] = payload.(*Particles)
 	}
-	return merged, nil
+	return Concat(parts...), nil
 }
 
 // ExchangeOverload returns the ghost particles for a rank: copies of
@@ -91,13 +88,15 @@ func ExchangeOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Pa
 	left := (rank - 1 + size) % size
 	right := (rank + 1) % size
 	// Particles near my low edge go to the left neighbour, near my high
-	// edge to the right neighbour.
+	// edge to the right neighbour. On two ranks both are the same neighbour:
+	// it gets the union once, so a particle near both edges is one ghost.
 	var toLeft, toRight []int
 	for i := 0; i < local.N(); i++ {
-		if local.X[i] < lo+overload {
+		nearLo, nearHi := local.X[i] < lo+overload, local.X[i] >= hi-overload
+		if nearLo || (nearHi && left == right) {
 			toLeft = append(toLeft, i)
 		}
-		if local.X[i] >= hi-overload {
+		if nearHi && left != right {
 			toRight = append(toRight, i)
 		}
 	}
@@ -106,26 +105,15 @@ func ExchangeOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Pa
 		out[r] = NewParticles(0)
 	}
 	out[left] = local.Select(toLeft)
-	out[right] = local.Select(toRight)
-	// When size == 2, left == right: both edge sets go to the same rank.
-	if left == right {
-		both := local.Select(toLeft)
-		sel := local.Select(toRight)
-		for i := 0; i < sel.N(); i++ {
-			both.AppendFrom(sel, i)
-		}
-		out[left] = both
+	if left != right {
+		out[right] = local.Select(toRight)
 	}
 	in := c.AllToAll(out)
-	ghosts := NewParticles(0)
+	var parts []*Particles
 	for r, payload := range in {
-		if r == rank {
-			continue
-		}
-		part := payload.(*Particles)
-		for i := 0; i < part.N(); i++ {
-			ghosts.AppendFrom(part, i)
+		if r != rank {
+			parts = append(parts, payload.(*Particles))
 		}
 	}
-	return ghosts, nil
+	return Concat(parts...), nil
 }

@@ -241,3 +241,44 @@ func TestExchangeOverloadTwoRanks(t *testing.T) {
 		}
 	}
 }
+
+// With overload > slabW/2 the two edge zones of a slab overlap; on two
+// ranks both edges face the same neighbour, which must receive a particle
+// in the overlap once, not once per edge.
+func TestExchangeOverloadTwoRanksNoDuplicateGhosts(t *testing.T) {
+	box := 8.0
+	all := NewParticles(0)
+	for i := 0; i < 16; i++ { // x = 0.25, 0.75, ..., 7.75: eight per slab
+		all.Append(0.25+0.5*float64(i), 1, 1, 0, 0, 0, int64(i))
+	}
+	var mu sync.Mutex
+	got := map[int][]int64{}
+	err := mpi.RunRanks(2, func(c *mpi.Comm) error {
+		var idx []int
+		for i := 0; i < all.N(); i++ {
+			if SlabOwner(all.X[i], 2, box) == c.Rank() {
+				idx = append(idx, i)
+			}
+		}
+		ghosts, err := ExchangeOverload(c, all.Select(idx), box, 3)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		got[c.Rank()] = append([]int64(nil), ghosts.Tag...)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Overload 3 of a 4-wide slab: the zones [lo, lo+3) and [hi-3, hi)
+	// cover the slab, so the ghosts are the other rank's particles, in
+	// their order — and the four in [lo+1, lo+3) are not there twice.
+	want := map[int]string{0: "[8 9 10 11 12 13 14 15]", 1: "[0 1 2 3 4 5 6 7]"}
+	for rank := range want {
+		if fmt.Sprint(got[rank]) != want[rank] {
+			t.Errorf("rank %d ghost tags = %v, want %v", rank, got[rank], want[rank])
+		}
+	}
+}

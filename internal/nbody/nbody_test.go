@@ -3,6 +3,7 @@ package nbody
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,39 @@ func TestParticlesAppendSelectClone(t *testing.T) {
 	r.AppendFrom(p, 0)
 	if r.X[0] != 1 || r.Tag[0] != 7 {
 		t.Errorf("AppendFrom = %+v", r)
+	}
+}
+
+// Concat must equal appending every particle of every part in order, for
+// any number of parts of any size.
+func TestConcatMatchesAppendFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		parts := make([]*Particles, trial%5) // zero parts included
+		want := NewParticles(0)
+		for k := range parts {
+			parts[k] = NewParticles(0)
+			for i := rng.Intn(4) * rng.Intn(20); i > 0; i-- { // often empty
+				parts[k].Append(rng.Float64(), rng.Float64(), rng.Float64(),
+					rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.Int63())
+			}
+			for i := 0; i < parts[k].N(); i++ {
+				want.AppendFrom(parts[k], i)
+			}
+		}
+		got := Concat(parts...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Concat of %d parts holds %d particles, the AppendFrom loop %d", trial, len(parts), got.N(), want.N())
+		}
+		if got.N() > 0 && cap(got.X) != got.N() {
+			t.Fatalf("trial %d: %d particles in room for %d; Concat allocates exactly", trial, got.N(), cap(got.X))
+		}
+		if len(parts) > 0 && parts[0].N() > 0 {
+			got.X[0], got.Tag[0] = -1, -1
+			if parts[0].X[0] == -1 || parts[0].Tag[0] == -1 {
+				t.Fatalf("trial %d: Concat aliases its first part", trial)
+			}
+		}
 	}
 }
 

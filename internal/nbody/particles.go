@@ -63,15 +63,28 @@ func (p *Particles) AppendFrom(src *Particles, i int) {
 }
 
 // Clone returns a deep copy.
-func (p *Particles) Clone() *Particles {
-	q := NewParticles(p.N())
-	copy(q.X, p.X)
-	copy(q.Y, p.Y)
-	copy(q.Z, p.Z)
-	copy(q.VX, p.VX)
-	copy(q.VY, p.VY)
-	copy(q.VZ, p.VZ)
-	copy(q.Tag, p.Tag)
+func (p *Particles) Clone() *Particles { return Concat(p) }
+
+// Concat returns a new container holding the particles of every part, in
+// argument order: one exact-size allocation and one copy per column and
+// part, which is how particles move between ranks, files and products.
+func Concat(parts ...*Particles) *Particles {
+	n := 0
+	for _, p := range parts {
+		n += p.N()
+	}
+	q := NewParticles(n)
+	at := 0
+	for _, p := range parts {
+		copy(q.X[at:], p.X)
+		copy(q.Y[at:], p.Y)
+		copy(q.Z[at:], p.Z)
+		copy(q.VX[at:], p.VX)
+		copy(q.VY[at:], p.VY)
+		copy(q.VZ[at:], p.VZ)
+		copy(q.Tag[at:], p.Tag)
+		at += p.N()
+	}
 	return q
 }
 
