@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/dparallel"
 	"repro/internal/kdtree"
+	"repro/internal/periodic"
 )
 
 // Options configures center finding.
@@ -271,17 +272,11 @@ func Unwrap(x, y, z []float64, idx []int, box float64) (ux, uy, uz []float64) {
 	}
 	rx, ry, rz := x[idx[0]], y[idx[0]], z[idx[0]]
 	for out, i := range idx {
-		ux[out] = rx + minImage(x[i], rx, box)
-		uy[out] = ry + minImage(y[i], ry, box)
-		uz[out] = rz + minImage(z[i], rz, box)
+		ux[out] = rx + periodic.MinImage(x[i]-rx, box)
+		uy[out] = ry + periodic.MinImage(y[i]-ry, box)
+		uz[out] = rz + periodic.MinImage(z[i]-rz, box)
 	}
 	return
-}
-
-func minImage(a, b, l float64) float64 {
-	d := a - b
-	d -= l * math.Round(d/l)
-	return d
 }
 
 // boxDist2 returns the squared distance from (x,y,z) to the axis-aligned

@@ -21,30 +21,42 @@ func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Forward computes the in-place forward DFT of data, whose length must be a
 // power of two. The sign convention is X[k] = sum_n x[n] exp(-2πi kn/N).
-func Forward(data []complex128) error { return transform(data, -1) }
+func Forward(data []complex128) error { return transform(data, twiddles(len(data), false), false) }
 
 // Inverse computes the in-place inverse DFT including the 1/N
 // normalization, so Inverse(Forward(x)) == x up to rounding.
-func Inverse(data []complex128) error {
-	if err := transform(data, +1); err != nil {
-		return err
+func Inverse(data []complex128) error { return transform(data, twiddles(len(data), true), true) }
+
+// twiddles returns the butterfly factors of a length-n transform, stage
+// length L at [L/2-1, L-1): the exp(∓2πi/L)^k recurrence the butterflies
+// once ran inline, stored, so the transforms keep their bits.
+func twiddles(n int, inverse bool) []complex128 {
+	if !IsPow2(n) {
+		return nil
 	}
-	n := float64(len(data))
-	for i := range data {
-		data[i] /= complex(n, 0)
+	sign := -1.0
+	if inverse {
+		sign = 1
 	}
-	return nil
+	tw := make([]complex128, 0, n-1)
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		wl := cmplx.Exp(complex(0, ang))
+		w := complex(1, 0)
+		for k := 0; k < length/2; k++ {
+			tw = append(tw, w)
+			w *= wl
+		}
+	}
+	return tw
 }
 
-// transform runs the iterative Cooley-Tukey radix-2 algorithm.
-// sign is -1 for the forward transform, +1 for the (unnormalized) inverse.
-func transform(data []complex128, sign float64) error {
+// transform runs the iterative Cooley-Tukey radix-2 algorithm with the
+// twiddles of len(data); the inverse ends with the 1/N normalization.
+func transform(data, tw []complex128, inverse bool) error {
 	n := len(data)
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
-	}
-	if n == 1 {
-		return nil
 	}
 	// Bit-reversal permutation.
 	for i, j := 1, 0; i < n; i++ {
@@ -59,18 +71,20 @@ func transform(data []complex128, sign float64) error {
 	}
 	// Butterflies.
 	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wl := cmplx.Exp(complex(0, ang))
+		half := length / 2
+		w := tw[half-1 : length-1]
 		for start := 0; start < n; start += length {
-			w := complex(1, 0)
-			half := length / 2
 			for k := 0; k < half; k++ {
 				u := data[start+k]
-				v := data[start+k+half] * w
+				v := data[start+k+half] * w[k]
 				data[start+k] = u + v
 				data[start+k+half] = u - v
-				w *= wl
 			}
+		}
+	}
+	if inverse {
+		for i := range data {
+			data[i] /= complex(float64(n), 0)
 		}
 	}
 	return nil
@@ -82,6 +96,9 @@ func transform(data []complex128, sign float64) error {
 type Cube struct {
 	N    int
 	Data []complex128
+	// fwd and inv are the twiddles of length N, built by the first
+	// transform each way.
+	fwd, inv []complex128
 }
 
 // NewCube allocates an n³ cube; n must be a power of two.
@@ -102,12 +119,18 @@ func (c *Cube) At(i, j, k int) complex128 { return c.Data[c.Index(i, j, k)] }
 func (c *Cube) Set(i, j, k int, v complex128) { c.Data[c.Index(i, j, k)] = v }
 
 // Forward3D transforms the cube along all three axes (forward convention).
-func (c *Cube) Forward3D() error { return c.transform3D(Forward) }
+func (c *Cube) Forward3D() error { return c.transform3D(&c.fwd, false) }
 
 // Inverse3D applies the normalized inverse transform along all three axes.
-func (c *Cube) Inverse3D() error { return c.transform3D(Inverse) }
+func (c *Cube) Inverse3D() error { return c.transform3D(&c.inv, true) }
 
-func (c *Cube) transform3D(f func([]complex128) error) error {
+// transform3D runs transform along every line of every axis with the
+// twiddles cached in *tw.
+func (c *Cube) transform3D(tw *[]complex128, inverse bool) error {
+	if len(*tw) != c.N-1 {
+		*tw = twiddles(c.N, inverse)
+	}
+	f := func(line []complex128) error { return transform(line, *tw, inverse) }
 	n := c.N
 	line := make([]complex128, n)
 	// Axis k (contiguous).

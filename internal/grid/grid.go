@@ -14,6 +14,8 @@ package grid
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/periodic"
 )
 
 // Scalar is a flattened n×n×n real-valued periodic field with cell (i,j,k)
@@ -29,8 +31,8 @@ func NewScalar(n int, boxSize float64) (*Scalar, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("grid: dimension %d must be positive", n)
 	}
-	if boxSize <= 0 {
-		return nil, fmt.Errorf("grid: box size %g must be positive", boxSize)
+	if !(boxSize > 0 && boxSize <= math.MaxFloat64) {
+		return nil, fmt.Errorf("grid: box size %g must be positive and finite", boxSize)
 	}
 	return &Scalar{N: n, BoxSize: boxSize, Data: make([]float64, n*n*n)}, nil
 }
@@ -70,7 +72,11 @@ func (g *Scalar) Total() float64 {
 // Mean returns the mean cell value.
 func (g *Scalar) Mean() float64 { return g.Total() / float64(len(g.Data)) }
 
+// wrap folds a cell index into [0, n); only one outside it pays for %.
 func wrap(i, n int) int {
+	if uint(i) < uint(n) {
+		return i
+	}
 	i %= n
 	if i < 0 {
 		i += n
@@ -78,59 +84,85 @@ func wrap(i, n int) int {
 	return i
 }
 
-// wrapPos folds a coordinate into [0, L).
-func wrapPos(x, l float64) float64 {
-	x = math.Mod(x, l)
-	if x < 0 {
-		x += l
-	}
-	return x
-}
-
-// cicWeights computes, for a position x in box units, the lower cell index
-// and the pair of 1-D CIC weights along one axis.
-func cicWeights(x float64, n int, l float64) (i0, i1 int, w0, w1 float64) {
-	cell := float64(n) / l
+// cicWeights returns x's two cell indices along one axis and writes their
+// CIC weights to w; cell is n/l.
+func cicWeights(x float64, n int, l, cell float64, w *[2]float64) (i0, i1 int) {
 	// Shift by half a cell so cell centres sit at (i+0.5)*dx.
-	u := wrapPos(x, l)*cell - 0.5
+	u := periodic.Wrap(x, l)*cell - 0.5
 	f := math.Floor(u)
 	d := u - f
+	w[0], w[1] = 1-d, d
 	i0 = wrap(int(f), n)
-	i1 = wrap(int(f)+1, n)
-	return i0, i1, 1 - d, d
+	if i1 = i0 + 1; i1 == n {
+		i1 = 0
+	}
+	return i0, i1
+}
+
+// stencil is the CIC footprint of a position: its 8 cells (corner c at x-bit
+// c>>2, y-bit c>>1&1, z-bit c&1) and 2 weights per axis. Every use multiplies
+// by wx, wy, wz in that order, so sharing a stencil changes no bit.
+type stencil struct {
+	idx        [8]int
+	wx, wy, wz [2]float64
+}
+
+// set makes s the stencil of (x, y, z) on g (in place: no 112-byte copy).
+func (s *stencil) set(g *Scalar, x, y, z float64) {
+	n, l := g.N, g.BoxSize
+	cell := float64(n) / l
+	i0, i1 := cicWeights(x, n, l, cell, &s.wx)
+	j0, j1 := cicWeights(y, n, l, cell, &s.wy)
+	k0, k1 := cicWeights(z, n, l, cell, &s.wz)
+	for c, i := range [2]int{i0, i1} {
+		for d, j := range [2]int{j0, j1} {
+			s.idx[4*c+2*d] = g.Index(i, j, k0)
+			s.idx[4*c+2*d+1] = g.Index(i, j, k1)
+		}
+	}
+}
+
+// sum is the CIC-weighted sum of data over the stencil, corners in order.
+func (s *stencil) sum(data []float64) float64 {
+	v := data[s.idx[0]] * s.wx[0] * s.wy[0] * s.wz[0]
+	for c := 1; c < 8; c++ {
+		v += data[s.idx[c]] * s.wx[c>>2&1] * s.wy[c>>1&1] * s.wz[c&1]
+	}
+	return v
 }
 
 // DepositCIC adds mass m at position (x, y, z) using Cloud-In-Cell
 // weighting. Positions outside the box are wrapped periodically.
 func (g *Scalar) DepositCIC(x, y, z, m float64) {
-	i0, i1, wx0, wx1 := cicWeights(x, g.N, g.BoxSize)
-	j0, j1, wy0, wy1 := cicWeights(y, g.N, g.BoxSize)
-	k0, k1, wz0, wz1 := cicWeights(z, g.N, g.BoxSize)
-	g.Data[g.Index(i0, j0, k0)] += m * wx0 * wy0 * wz0
-	g.Data[g.Index(i0, j0, k1)] += m * wx0 * wy0 * wz1
-	g.Data[g.Index(i0, j1, k0)] += m * wx0 * wy1 * wz0
-	g.Data[g.Index(i0, j1, k1)] += m * wx0 * wy1 * wz1
-	g.Data[g.Index(i1, j0, k0)] += m * wx1 * wy0 * wz0
-	g.Data[g.Index(i1, j0, k1)] += m * wx1 * wy0 * wz1
-	g.Data[g.Index(i1, j1, k0)] += m * wx1 * wy1 * wz0
-	g.Data[g.Index(i1, j1, k1)] += m * wx1 * wy1 * wz1
+	var s stencil
+	s.set(g, x, y, z)
+	// m·wx·wy is common to two corners: computed once, rounded the same.
+	for a := 0; a < 2; a++ {
+		ma := m * s.wx[a]
+		for b := 0; b < 2; b++ {
+			mab, c := ma*s.wy[b], 4*a+2*b
+			g.Data[s.idx[c]] += mab * s.wz[0]
+			g.Data[s.idx[c+1]] += mab * s.wz[1]
+		}
+	}
 }
 
 // InterpolateCIC reads the field at position (x, y, z) with the same CIC
 // weighting used for deposits, guaranteeing momentum-conserving force
 // interpolation when used with DepositCIC.
 func (g *Scalar) InterpolateCIC(x, y, z float64) float64 {
-	i0, i1, wx0, wx1 := cicWeights(x, g.N, g.BoxSize)
-	j0, j1, wy0, wy1 := cicWeights(y, g.N, g.BoxSize)
-	k0, k1, wz0, wz1 := cicWeights(z, g.N, g.BoxSize)
-	return g.Data[g.Index(i0, j0, k0)]*wx0*wy0*wz0 +
-		g.Data[g.Index(i0, j0, k1)]*wx0*wy0*wz1 +
-		g.Data[g.Index(i0, j1, k0)]*wx0*wy1*wz0 +
-		g.Data[g.Index(i0, j1, k1)]*wx0*wy1*wz1 +
-		g.Data[g.Index(i1, j0, k0)]*wx1*wy0*wz0 +
-		g.Data[g.Index(i1, j0, k1)]*wx1*wy0*wz1 +
-		g.Data[g.Index(i1, j1, k0)]*wx1*wy1*wz0 +
-		g.Data[g.Index(i1, j1, k1)]*wx1*wy1*wz1
+	var s stencil
+	s.set(g, x, y, z)
+	return s.sum(g.Data)
+}
+
+// InterpolateCIC3 is a.InterpolateCIC, b.InterpolateCIC and
+// c.InterpolateCIC at one position, computing the stencil once: the three
+// components of a vector field. b and c must have a's N and BoxSize.
+func InterpolateCIC3(a, b, c *Scalar, x, y, z float64) (va, vb, vc float64) {
+	var s stencil
+	s.set(a, x, y, z)
+	return s.sum(a.Data), s.sum(b.Data), s.sum(c.Data)
 }
 
 // ToDensityContrast converts a mass grid into the dimensionless density
@@ -158,20 +190,22 @@ func (g *Scalar) Gradient(axis int, out *Scalar) error {
 		return fmt.Errorf("grid: invalid axis %d", axis)
 	}
 	inv2dx := 1 / (2 * g.CellSize())
+	// Cells along the axis sit stride apart; the first and last of each
+	// line of n are each other's neighbours.
 	n := g.N
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				var plus, minus float64
-				switch axis {
-				case 0:
-					plus, minus = g.At(i+1, j, k), g.At(i-1, j, k)
-				case 1:
-					plus, minus = g.At(i, j+1, k), g.At(i, j-1, k)
-				default:
-					plus, minus = g.At(i, j, k+1), g.At(i, j, k-1)
-				}
-				out.Data[out.Index(i, j, k)] = (plus - minus) * inv2dx
+	stride := [3]int{n * n, n, 1}[axis]
+	for base := 0; base < len(g.Data); base += n * stride {
+		for c := 0; c < n; c++ {
+			up, down := stride, -stride
+			if c == n-1 {
+				up -= n * stride
+			}
+			if c == 0 {
+				down += n * stride
+			}
+			lo := base + c*stride
+			for i := lo; i < lo+stride; i++ {
+				out.Data[i] = (g.Data[i+up] - g.Data[i+down]) * inv2dx
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 // Binary serialization for scalar fields: density grids are one of the
@@ -37,41 +38,43 @@ func (g *Scalar) WriteField(w io.Writer) error {
 }
 
 // ReadScalar deserializes a field written by WriteField, verifying the
-// checksum.
+// checksum. It believes the header only once the stream holds exactly the
+// cells it implies: a corrupt one cannot panic or allocate past the stream.
 func ReadScalar(r io.Reader) (*Scalar, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if s, ok := r.(interface{ Len() int }); ok {
+		// One buffer, not doubling (up to 4× the stream), when r knows.
+		buf.Grow(s.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("grid: reading field: %w", err)
 	}
-	if len(data) < len(fieldMagic)+4+8+4 {
+	data := buf.Bytes()
+	const header = len(fieldMagic) + 4 + 8
+	if len(data) < header+4 {
 		return nil, fmt.Errorf("grid: field stream too short (%d bytes)", len(data))
 	}
 	payload, trailer := data[:len(data)-4], data[len(data)-4:]
 	if got, want := binary.LittleEndian.Uint32(trailer), crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("grid: field checksum mismatch: %08x != %08x", got, want)
 	}
-	br := bytes.NewReader(payload)
-	magic := make([]byte, len(fieldMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != fieldMagic {
+	if magic := payload[:len(fieldMagic)]; string(magic) != fieldMagic {
 		return nil, fmt.Errorf("grid: bad field magic %q", magic)
 	}
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	var box float64
-	if err := binary.Read(br, binary.LittleEndian, &box); err != nil {
-		return nil, err
+	n := binary.LittleEndian.Uint32(payload[len(fieldMagic):])
+	box := math.Float64frombits(binary.LittleEndian.Uint64(payload[len(fieldMagic)+4:]))
+	cells := payload[header:]
+	// len(cells) == 8·n³, tested without forming n³, which overflows.
+	if nn := uint64(n) * uint64(n); n == 0 || len(cells)%8 != 0 ||
+		uint64(len(cells)/8)%nn != 0 || uint64(len(cells)/8)/nn != uint64(n) {
+		return nil, fmt.Errorf("grid: field of dimension %d does not fit its %d bytes of cells", n, len(cells))
 	}
 	g, err := NewScalar(int(n), box)
 	if err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Data); err != nil {
-		return nil, fmt.Errorf("grid: field cells: %w", err)
+	for i := range g.Data {
+		g.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*i:]))
 	}
 	return g, nil
 }

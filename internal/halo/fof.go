@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kdtree"
 	"repro/internal/nbody"
+	"repro/internal/periodic"
 )
 
 // Halo is one identified FOF halo. Indices reference the particle
@@ -189,7 +190,7 @@ func minTag(p *nbody.Particles, idx []int) int64 {
 	return mt
 }
 
-func centerOfMass(p *nbody.Particles, idx []int, box float64, periodic bool) [3]float64 {
+func centerOfMass(p *nbody.Particles, idx []int, box float64, periodicBox bool) [3]float64 {
 	// Unwrap member positions relative to the first member so halos
 	// straddling the periodic boundary average correctly.
 	ref := [3]float64{p.X[idx[0]], p.Y[idx[0]], p.Z[idx[0]]}
@@ -198,8 +199,8 @@ func centerOfMass(p *nbody.Particles, idx []int, box float64, periodic bool) [3]
 		pos := [3]float64{p.X[i], p.Y[i], p.Z[i]}
 		for a := 0; a < 3; a++ {
 			d := pos[a] - ref[a]
-			if periodic {
-				d = nbody.MinImage(pos[a], ref[a], box)
+			if periodicBox {
+				d = periodic.MinImage(d, box)
 			}
 			sum[a] += ref[a] + d
 		}
@@ -208,7 +209,7 @@ func centerOfMass(p *nbody.Particles, idx []int, box float64, periodic bool) [3]
 	var out [3]float64
 	for a := 0; a < 3; a++ {
 		v := sum[a] / n
-		if periodic {
+		if periodicBox {
 			for v < 0 {
 				v += box
 			}

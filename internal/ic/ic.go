@@ -18,6 +18,7 @@ import (
 	"repro/internal/cosmo"
 	"repro/internal/fft"
 	"repro/internal/nbody"
+	"repro/internal/periodic"
 )
 
 // Options configures initial-condition generation.
@@ -165,9 +166,9 @@ func Generate(p cosmo.Params, o Options) (*nbody.Particles, float64, error) {
 				qx := (float64(i) + 0.5) * dq
 				qy := (float64(j) + 0.5) * dq
 				qz := (float64(k) + 0.5) * dq
-				parts.X[idx] = wrap(qx+d*psi[0][flat], o.Box)
-				parts.Y[idx] = wrap(qy+d*psi[1][flat], o.Box)
-				parts.Z[idx] = wrap(qz+d*psi[2][flat], o.Box)
+				parts.X[idx] = periodic.Wrap(qx+d*psi[0][flat], o.Box)
+				parts.Y[idx] = periodic.Wrap(qy+d*psi[1][flat], o.Box)
+				parts.Z[idx] = periodic.Wrap(qz+d*psi[2][flat], o.Box)
 				parts.VX[idx] = velFactor * psi[0][flat]
 				parts.VY[idx] = velFactor * psi[1][flat]
 				parts.VZ[idx] = velFactor * psi[2][flat]
@@ -177,12 +178,4 @@ func Generate(p cosmo.Params, o Options) (*nbody.Particles, float64, error) {
 		}
 	}
 	return parts, a, nil
-}
-
-func wrap(x, l float64) float64 {
-	x = math.Mod(x, l)
-	if x < 0 {
-		x += l
-	}
-	return x
 }

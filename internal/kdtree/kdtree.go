@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/periodic"
 )
 
 // Tree is a balanced k-d tree over a fixed set of points. Points are
@@ -191,7 +193,7 @@ func (t *Tree) Dist2(i int, x, y, z float64) float64 {
 
 func (t *Tree) delta(d float64) float64 {
 	if t.Period > 0 {
-		d -= t.Period * math.Round(d/t.Period)
+		return periodic.MinImage(d, t.Period)
 	}
 	return d
 }
@@ -296,9 +298,14 @@ func (t *Tree) joinCross(na, nb *node, r2 float64, bulk func(a, b []int), pair f
 
 // joinPoint reports the points of others within the radius of point i.
 func (t *Tree) joinPoint(i int, others []int, r2 float64, pair func(i, j int)) {
-	x, y, z := t.x[i], t.y[i], t.z[i]
+	xs, ys, zs, period := t.x, t.y, t.z, t.Period
+	x, y, z := xs[i], ys[i], zs[i]
 	for _, j := range others {
-		if t.Dist2(j, x, y, z) <= r2 {
+		dx, dy, dz := xs[j]-x, ys[j]-y, zs[j]-z
+		if period > 0 {
+			dx, dy, dz = periodic.MinImage(dx, period), periodic.MinImage(dy, period), periodic.MinImage(dz, period)
+		}
+		if dx*dx+dy*dy+dz*dz <= r2 {
 			pair(i, j)
 		}
 	}

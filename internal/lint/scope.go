@@ -22,6 +22,7 @@ var deterministicPkgs = map[string]bool{
 	"subhalo": true, "so": true, "powerspec": true, "cosmotools": true,
 	"fft": true, "grid": true, "kdtree": true, "bhtree": true,
 	"profile": true, "tracking": true, "cosmo": true, "stats": true,
+	"periodic": true,
 	// persistence
 	"gio": true, "ckpt": true, "integrity": true, "catalog": true,
 	// the modelled campaign: engine, scheduler, storage, faults,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/periodic"
 )
 
 // Slab decomposition: the box is cut along x into equal slabs, one per
@@ -30,7 +31,7 @@ func SlabBounds(rank, size int, box float64) (lo, hi float64) {
 // SlabOwner returns the rank whose slab contains coordinate x (wrapped
 // into [0, box)).
 func SlabOwner(x float64, size int, box float64) int {
-	x = wrapPos(x, box)
+	x = periodic.Wrap(x, box)
 	r := int(x / (box / float64(size)))
 	if r >= size {
 		r = size - 1

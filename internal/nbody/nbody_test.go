@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cosmo"
 )
@@ -101,26 +100,6 @@ func TestWrapPeriodic(t *testing.T) {
 	p.WrapPeriodic(10)
 	if p.X[0] != 9 || p.Y[0] != 1 || p.Z[0] != 5 {
 		t.Errorf("wrapped = (%v, %v, %v)", p.X[0], p.Y[0], p.Z[0])
-	}
-}
-
-func TestMinImage(t *testing.T) {
-	if d := MinImage(9.5, 0.5, 10); math.Abs(d+1) > 1e-12 {
-		t.Errorf("MinImage(9.5, 0.5, 10) = %v, want -1", d)
-	}
-	if d := MinImage(1, 2, 10); d != -1 {
-		t.Errorf("MinImage(1,2,10) = %v", d)
-	}
-}
-
-func TestPropertyMinImageBounded(t *testing.T) {
-	f := func(a, b uint16) bool {
-		l := 10.0
-		d := MinImage(float64(a%1000)/100, float64(b%1000)/100, l)
-		return d > -l/2-1e-9 && d <= l/2+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 

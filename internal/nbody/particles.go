@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/periodic"
 )
 
 // BytesPerParticle is the size of one raw Level 1 particle record: three
@@ -112,34 +114,18 @@ func (p *Particles) Validate() error {
 // WrapPeriodic folds all positions into [0, box).
 func (p *Particles) WrapPeriodic(box float64) {
 	for i := range p.X {
-		p.X[i] = wrapPos(p.X[i], box)
-		p.Y[i] = wrapPos(p.Y[i], box)
-		p.Z[i] = wrapPos(p.Z[i], box)
+		p.X[i] = periodic.Wrap(p.X[i], box)
+		p.Y[i] = periodic.Wrap(p.Y[i], box)
+		p.Z[i] = periodic.Wrap(p.Z[i], box)
 	}
-}
-
-func wrapPos(x, l float64) float64 {
-	x = math.Mod(x, l)
-	if x < 0 {
-		x += l
-	}
-	return x
-}
-
-// MinImage returns the minimum-image separation d = a-b in a periodic box
-// of side l, in (-l/2, l/2].
-func MinImage(a, b, l float64) float64 {
-	d := a - b
-	d -= l * math.Round(d/l)
-	return d
 }
 
 // Dist2 returns the squared minimum-image distance between particles i and
 // j in a periodic box of side l.
 func (p *Particles) Dist2(i, j int, l float64) float64 {
-	dx := MinImage(p.X[i], p.X[j], l)
-	dy := MinImage(p.Y[i], p.Y[j], l)
-	dz := MinImage(p.Z[i], p.Z[j], l)
+	dx := periodic.MinImage(p.X[i]-p.X[j], l)
+	dy := periodic.MinImage(p.Y[i]-p.Y[j], l)
+	dz := periodic.MinImage(p.Z[i]-p.Z[j], l)
 	return dx*dx + dy*dy + dz*dz
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cosmo"
 	"repro/internal/fft"
 	"repro/internal/grid"
+	"repro/internal/periodic"
 )
 
 // Simulation is a particle-mesh N-body run in a periodic comoving box.
@@ -144,7 +145,7 @@ func (s *Simulation) computeForces() error {
 // force field must be current (Step keeps it so); callers outside Step
 // should not rely on it.
 func (s *Simulation) AccelAt(x, y, z float64) (ax, ay, az float64) {
-	return s.gx.InterpolateCIC(x, y, z), s.gy.InterpolateCIC(x, y, z), s.gz.InterpolateCIC(x, y, z)
+	return grid.InterpolateCIC3(s.gx, s.gy, s.gz, x, y, z)
 }
 
 // Step advances the simulation by da with one KDK leapfrog step.
@@ -169,9 +170,9 @@ func (s *Simulation) Step(da float64) error {
 	am := s.A + half
 	drift := da / (am * am * am * s.Cosmo.E(am))
 	for i := 0; i < p.N(); i++ {
-		p.X[i] = wrapPos(p.X[i]+p.VX[i]*drift, s.Box)
-		p.Y[i] = wrapPos(p.Y[i]+p.VY[i]*drift, s.Box)
-		p.Z[i] = wrapPos(p.Z[i]+p.VZ[i]*drift, s.Box)
+		p.X[i] = periodic.Wrap(p.X[i]+p.VX[i]*drift, s.Box)
+		p.Y[i] = periodic.Wrap(p.Y[i]+p.VY[i]*drift, s.Box)
+		p.Z[i] = periodic.Wrap(p.Z[i]+p.VZ[i]*drift, s.Box)
 	}
 	// Kick (half step) at new a with fresh forces.
 	s.A += da
