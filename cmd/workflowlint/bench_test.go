@@ -13,10 +13,8 @@ import (
 // trio — over every package in this repository. Loading (go list,
 // parsing, type-checking) happens once outside the timed loop; the
 // benchmark isolates the analysis cost, which is what grows as
-// analyzers are added. tuneGC() mirrors the driver: the benchmark
-// measures analyzePackages exactly as `workflowlint ./...` runs it.
+// analyzers are added.
 func BenchmarkWorkflowlintRepo(b *testing.B) {
-	tuneGC()
 	fset, loaded, err := loadPackages([]string{"repro/..."})
 	if err != nil {
 		b.Fatal(err)

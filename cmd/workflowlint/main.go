@@ -12,22 +12,16 @@
 // per-function taint summaries the same way). Run `workflowlint -list`
 // for the full table.
 //
-// Two modes:
+// Usage:
 //
-//	workflowlint ./...              # standalone: load, check, report (CI gate)
-//	go vet -vettool=workflowlint pkgs   # vet tool protocol
+//	workflowlint ./...    # load, check, report (the CI gate)
 //
-// The standalone mode shells out to `go list -deps -export` for package
-// facts and export data, walks the packages dependency-first (the order
+// The driver shells out to `go list -deps -export` for package metadata
+// and export data, walks the packages dependency-first (the order
 // `go list -deps` emits), and carries analyzer facts across packages in
-// memory; the vet mode implements cmd/go's unit-checker protocol
-// (-V=full, -flags, a JSON *.cfg argument) and serializes the fact store
-// into the VetxOutput file, so cross-package facts survive go vet's
-// action cache. The standalone mode is the fast one (the tree is loaded
-// once; cmd/go re-executes every named package under vet). Both use
-// only the standard library: the environment is hermetic, so this
-// driver and internal/lint/analysis stand in for
-// golang.org/x/tools/go/analysis.
+// one in-memory store. It uses only the standard library: the
+// environment is hermetic, so this driver and internal/lint/analysis
+// stand in for golang.org/x/tools/go/analysis.
 //
 // With -json each diagnostic is one JSON object per line (file, line,
 // col, analyzer, message, fixable) — the shape CI annotation tooling
@@ -43,7 +37,8 @@
 // in place; only diagnostics without a fix are then reported. With
 // -fix -diff nothing is written: unified diffs go to stdout and the
 // exit status says whether the tree is fix-clean — the CI drift gate
-// is `workflowlint -fix -diff ./...` exiting 0.
+// is `workflowlint -fix -diff ./...` exiting 0. -diff without -fix is a
+// usage error, so a drift check cannot silently degrade to a plain lint.
 //
 // Exit status: 0 clean, 1 internal error, 2 diagnostics reported (or,
 // under -fix -diff, fixes pending).
@@ -51,7 +46,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -65,7 +59,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -74,41 +67,19 @@ import (
 )
 
 func main() {
-	// The vet tool protocol probes -V=full before anything else; answer
-	// it ahead of normal flag parsing.
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "--V=full" || arg == "-V" || arg == "--V" {
-			printVersion()
-			return
-		}
-	}
-
-	flagsJSON := flag.Bool("flags", false, "print analyzer flags as JSON (vet tool protocol)")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON, one object per line")
 	sarifOut := flag.Bool("sarif", false, "emit diagnostics as one SARIF 2.1.0 log on stdout")
 	list := flag.Bool("list", false, "list the analyzers with one-line docs and exit")
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source in place")
 	diff := flag.Bool("diff", false, "with -fix, print diffs instead of writing files")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: workflowlint [-json|-sarif] [-fix [-diff]] packages...\n   or: workflowlint -list\n   or: go vet -vettool=$(command -v workflowlint) packages...\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: workflowlint [-json|-sarif] [-fix [-diff]] packages...\n   or: workflowlint -list\n\nAnalyzers:\n")
 		for _, a := range sortedAnalyzers() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, firstLine(a.Doc))
 		}
 	}
 	flag.Parse()
 
-	if *flagsJSON {
-		// cmd/go queries the tool's flags and forwards matching command
-		// line arguments; declaring fix/diff/sarif here is what lets
-		// `go vet -vettool=... -fix` (or -sarif) carry those modes
-		// through the vet protocol.
-		fmt.Println(`[` +
-			`{"Name":"json","Bool":true,"Usage":"emit diagnostics as JSON, one object per line"},` +
-			`{"Name":"sarif","Bool":true,"Usage":"emit diagnostics as one SARIF 2.1.0 log on stdout"},` +
-			`{"Name":"fix","Bool":true,"Usage":"apply suggested fixes to the source in place"},` +
-			`{"Name":"diff","Bool":true,"Usage":"with -fix, print diffs instead of writing files"}]`)
-		return
-	}
 	if *list {
 		for _, a := range sortedAnalyzers() {
 			fmt.Printf("%-16s %s\n", a.Name, firstLine(a.Doc))
@@ -119,30 +90,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "workflowlint: -json and -sarif are mutually exclusive")
 		os.Exit(1)
 	}
-
-	tuneGC()
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnitchecker(args[0], *jsonOut, *sarifOut, *fix, *diff))
+	if *diff && !*fix {
+		fmt.Fprintln(os.Stderr, "workflowlint: -diff requires -fix")
+		os.Exit(1)
 	}
+
+	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(runStandalone(args, *jsonOut, *sarifOut, *fix, *diff))
-}
-
-// tuneGC relaxes the collector for the standalone driver. A whole-repo
-// pass retains every package's AST and type information for its
-// lifetime, so at the default GOGC=100 each collection re-scans that
-// large live heap for little reclaim — roughly a third of the wall
-// time on this repository. The process is a one-shot batch job, so
-// trading peak RSS for throughput is the right default (the same
-// tuning linkers and other one-shot Go tools apply). An explicit GOGC
-// in the environment wins.
-func tuneGC() {
-	if os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(300)
-	}
+	os.Exit(run(args, *jsonOut, *sarifOut, *fix, *diff))
 }
 
 // sortedAnalyzers returns the suite ordered by name — the order -list
@@ -160,20 +117,7 @@ func firstLine(s string) string {
 	return s
 }
 
-// printVersion answers cmd/go's toolID probe. The content hash of the
-// binary itself is the build ID, so editing an analyzer and rebuilding
-// invalidates go vet's action cache.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			id = fmt.Sprintf("%x", sha256.Sum256(data))[:24]
-		}
-	}
-	fmt.Printf("workflowlint version devel buildID=%s\n", id)
-}
-
-// diagnostic is one rendered finding, shared by both modes.
+// diagnostic is one rendered finding.
 type diagnostic struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -185,28 +129,6 @@ type diagnostic struct {
 
 func (d diagnostic) posn() string {
 	return fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-}
-
-// runPackage applies the given analyzers (plus Requires) to one loaded
-// package, threading facts through store. The raw analysis.Diagnostic
-// slice rides along so -fix can reach the suggested edits.
-func runPackage(analyzers []*analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, store *analysis.FactStore) ([]diagnostic, []analysis.Diagnostic, error) {
-	var out []diagnostic
-	var raw []analysis.Diagnostic
-	base := &analysis.Pass{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
-	err := analysis.Execute(analyzers, base, store, func(a *analysis.Analyzer, d analysis.Diagnostic) {
-		posn := fset.Position(d.Pos)
-		out = append(out, diagnostic{
-			File:     posn.Filename,
-			Line:     posn.Line,
-			Col:      posn.Column,
-			Analyzer: a.Name,
-			Message:  d.Message,
-			Fixable:  len(d.SuggestedFixes) > 0,
-		})
-		raw = append(raw, d)
-	})
-	return out, raw, err
 }
 
 // sortDiagnostics puts findings into the canonical reporting order:
@@ -321,8 +243,6 @@ func unfixable(diags []diagnostic) []diagnostic {
 	return out
 }
 
-// --- standalone mode ---
-
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
 	ImportPath string
@@ -415,30 +335,43 @@ func loadPackages(patterns []string) (*token.FileSet, []*loadedPkg, error) {
 // analyzePackages runs the suite over loaded packages with one shared
 // fact store: dependency-only packages get the fact-producing analyzers
 // (their diagnostics are their owners' business when listed as
-// targets), targets get the full suite.
+// targets), targets get the full suite. The raw analysis.Diagnostic
+// slice rides along so -fix can reach the suggested edits.
 func analyzePackages(fset *token.FileSet, loaded []*loadedPkg, store *analysis.FactStore) ([]diagnostic, []analysis.Diagnostic, error) {
 	all := lint.Analyzers()
 	factOnly := analysis.FactProducers(all)
 	var diags []diagnostic
 	var raw []analysis.Diagnostic
+	collect := func(a *analysis.Analyzer, d analysis.Diagnostic) {
+		posn := fset.Position(d.Pos)
+		diags = append(diags, diagnostic{
+			File:     posn.Filename,
+			Line:     posn.Line,
+			Col:      posn.Column,
+			Analyzer: a.Name,
+			Message:  d.Message,
+			Fixable:  len(d.SuggestedFixes) > 0,
+		})
+		raw = append(raw, d)
+	}
 	for _, lp := range loaded {
-		analyzers := all
+		analyzers, sink := all, collect
 		if lp.depOnly {
-			analyzers = factOnly
+			analyzers, sink = factOnly, nil
 		}
-		ds, rs, err := runPackage(analyzers, fset, lp.files, lp.pkg, lp.info, store)
-		if err != nil {
+		base := &analysis.Pass{Fset: fset, Files: lp.files, Pkg: lp.pkg, TypesInfo: lp.info}
+		if err := analysis.Execute(analyzers, base, store, sink); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", lp.meta.ImportPath, err)
-		}
-		if !lp.depOnly {
-			diags = append(diags, ds...)
-			raw = append(raw, rs...)
 		}
 	}
 	return diags, raw, nil
 }
 
-func runStandalone(patterns []string, jsonOut, sarifOut, fix, diff bool) int {
+// run lints the packages matching patterns and returns the exit status.
+// Under -fix the suggested fixes are applied (or, with diff, previewed)
+// and only the diagnostics no fix covers are reported; -diff with fixes
+// pending exits 2.
+func run(patterns []string, jsonOut, sarifOut, fix, diff bool) int {
 	fset, loaded, err := loadPackages(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
@@ -450,26 +383,15 @@ func runStandalone(patterns []string, jsonOut, sarifOut, fix, diff bool) int {
 		return 1
 	}
 	if fix {
-		var code int
-		if diags, code = fixStage(fset, diags, raw, diff); code != 0 {
-			return code
+		changed, err := runFixes(fset, raw, diff)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
+			return 1
 		}
+		if diff && changed > 0 {
+			return 2
+		}
+		diags = unfixable(diags)
 	}
 	return report(diags, jsonOut, sarifOut)
-}
-
-// fixStage is the -fix step both driver modes share: apply (or, with
-// diff, preview) the suggested fixes and keep the diagnostics no fix
-// covers. A non-zero code is the run's verdict: 1 on failure, 2 when
-// -diff finds fixes pending.
-func fixStage(fset *token.FileSet, diags []diagnostic, raw []analysis.Diagnostic, diff bool) ([]diagnostic, int) {
-	changed, err := runFixes(fset, raw, diff)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
-		return nil, 1
-	}
-	if diff && changed > 0 {
-		return nil, 2
-	}
-	return unfixable(diags), 0
 }

@@ -8,20 +8,22 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // fixtureFiles is a minimal four-package module exercising three
 // cross-package fact chains: app -> pipeline -> {mpi, gio} for
 // mpicollective and errflow, plus pipeline's map-iteration taint
 // (dettaint summary fact) flowing into gio's product sink from app.
-// The packages import nothing from the standard library, so the four
-// of them are everything a vet run executes.
+// Package app introduces one mpicollective, one errflow, and one
+// dettaint violation, each only detectable through facts imported from
+// package pipeline: the rank-gated collective and the dropped write
+// error ride SyncAll's and Save's facts; the map-iteration taint rides
+// Keys's summary fact into gio.WriteInts's argument. WriteInts's own
+// error is returned, so no second errflow finding appears.
 var fixtureFiles = map[string]string{
 	"go.mod": "module lintfixture\n\ngo 1.22\n",
 	"mpi/mpi.go": `// Package mpi is a no-op stand-in for the repository's rank mesh —
@@ -87,29 +89,7 @@ func Keys(m map[int]int) []int {
 	return out
 }
 `,
-	"app/app.go": appClean,
-}
-
-const appClean = `package app
-
-import (
-	"lintfixture/mpi"
-	"lintfixture/pipeline"
-)
-
-func Run(c *mpi.Comm) error {
-	pipeline.SyncAll(c)
-	return pipeline.Save("out")
-}
-`
-
-// appViolated introduces one mpicollective, one errflow, and one
-// dettaint violation, each only detectable through facts imported from
-// package pipeline: the rank-gated collective and the dropped write
-// error ride SyncAll's and Save's facts; the map-iteration taint rides
-// Keys's summary fact into gio.WriteInts's argument. WriteInts's own
-// error is returned, so no second errflow finding appears.
-const appViolated = `package app
+	"app/app.go": `package app
 
 import (
 	"lintfixture/gio"
@@ -125,7 +105,8 @@ func Run(c *mpi.Comm) error {
 	m := map[int]int{1: 1, 2: 2}
 	return gio.WriteInts("out", pipeline.Keys(m))
 }
-`
+`,
+}
 
 // built is the workflowlint binary, built once per test binary.
 var built struct {
@@ -154,7 +135,7 @@ func buildTool(t *testing.T) string {
 		}
 		built.path = filepath.Join(built.dir, "workflowlint")
 		if out, err := exec.Command("go", "build", "-o", built.path, ".").CombinedOutput(); err != nil {
-			built.err = fmt.Errorf("building workflowlint: %v\n%s", err, out)
+			built.err = fmt.Errorf("building workflowlint: %w\n%s", err, out)
 		}
 	})
 	if built.err != nil {
@@ -163,23 +144,10 @@ func buildTool(t *testing.T) string {
 	return built.path
 }
 
-// runStamp is appended, as a trailing comment, to every Go file of a
-// module that `go vet` runs over. cmd/go keys its vet action cache by
-// file content, so a stamp unique to this process makes the execution
-// counts deterministic — the first run can never be served from a
-// previous test run's cache — while the standard library still comes
-// out of the ordinary build cache instead of being compiled from cold
-// into a private one (54 packages, ~11 s, per cache).
-var runStamp = fmt.Sprintf("\n// test run %d-%d\n", os.Getpid(), time.Now().UnixNano())
-
-// writeModule materializes a fixture module under dir, stamping its Go
-// files with runStamp.
+// writeModule materializes a fixture module under dir.
 func writeModule(t *testing.T, dir string, files map[string]string) {
 	t.Helper()
 	for name, content := range files {
-		if strings.HasSuffix(name, ".go") {
-			content += runStamp
-		}
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 			t.Fatal(err)
@@ -190,189 +158,16 @@ func writeModule(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-// writeFixture materializes fixtureFiles under dir.
-func writeFixture(t *testing.T, dir string) {
-	t.Helper()
-	writeModule(t, dir, fixtureFiles)
-}
-
-// envWith returns the current environment with key forced to val.
-func envWith(env []string, key, val string) []string {
-	var out []string
-	prefix := key + "="
-	for _, kv := range env {
-		if !strings.HasPrefix(kv, prefix) {
-			out = append(out, kv)
-		}
-	}
-	return append(out, prefix+val)
-}
-
-// diagLine matches the tool's human-readable diagnostic format.
-var diagLine = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): ([a-z]+): (.+)$`)
-
-// normalizeDiags reduces diagnostics to a sorted, mode-independent form:
-// base filename, line, analyzer, message. (Columns and directory
-// prefixes differ between go vet's cwd-relative paths and the
-// standalone loader's absolute ones.)
-func normalizeDiags(t *testing.T, lines []string) []string {
-	t.Helper()
-	var out []string
-	for _, l := range lines {
-		m := diagLine.FindStringSubmatch(strings.TrimSpace(l))
-		if m == nil {
-			continue
-		}
-		out = append(out, fmt.Sprintf("%s:%s: %s: %s", filepath.Base(m[1]), m[2], m[4], m[5]))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestVetProtocolCaching drives the full unit-checker protocol against
-// a module whose leaf package violates mpicollective, errflow, and
-// dettaint in ways only visible through facts from its dependencies. cmd/go
-// consults the vet action cache only for VetxOnly (dependency) actions
-// — named packages always re-execute — so the test names only the leaf:
-// the first run executes all four packages and caches the three
-// dependencies' vetx files; the second run executes exactly one (the
-// leaf) and must still report the identical cross-package diagnostics,
-// proving the facts were read back from the cached vetx files rather
-// than recomputed. Finally the standalone mode is run over the same
-// module and its diagnostics must match the vet mode's exactly.
-func TestVetProtocolCaching(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and runs go vet")
-	}
-
-	scratch := t.TempDir()
-	tool := buildTool(t)
-
-	fixture := filepath.Join(scratch, "fixture")
-	writeFixture(t, fixture)
-	if err := os.WriteFile(filepath.Join(fixture, "app", "app.go"), []byte(appViolated), 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	// The vettool is a wrapper that appends every *.cfg argument to a
-	// log before delegating, so the test can count which packages were
-	// actually executed vs served from go vet's action cache.
-	logFile := filepath.Join(scratch, "execs.log")
-	wrapper := filepath.Join(scratch, "vetwrap")
-	script := fmt.Sprintf(`#!/bin/sh
-for a in "$@"; do
-	case "$a" in
-	*.cfg) echo "$a" >>%q ;;
-	esac
-done
-exec %q "$@"
-`, logFile, tool)
-	if err := os.WriteFile(wrapper, []byte(script), 0o777); err != nil {
-		t.Fatal(err)
-	}
-
-	env := envWith(os.Environ(), "GOFLAGS", "")
-
-	countExecs := func() int {
-		data, err := os.ReadFile(logFile)
-		if os.IsNotExist(err) {
-			return 0
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(strings.Split(strings.TrimSpace(string(data)), "\n"))
-	}
-	resetLog := func() {
-		if err := os.WriteFile(logFile, nil, 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runVet := func() (string, error) {
-		// Name only the leaf: its dependencies become VetxOnly vet
-		// actions, the only kind cmd/go serves from the action cache.
-		cmd := exec.Command("go", "vet", "-vettool="+wrapper, "./app")
-		cmd.Dir = fixture
-		cmd.Env = env
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = &buf
-		err := cmd.Run()
-		return buf.String(), err
-	}
-
-	// Run 1: cold cache. The leaf plus its three dependencies execute,
-	// and the diagnostics must name facts from two packages away.
-	out, err := runVet()
-	if err == nil {
-		t.Fatalf("vet run over violated module unexpectedly clean:\n%s", out)
-	}
-	if got := countExecs(); got != 4 {
-		t.Errorf("cold-cache run executed %d packages, want 4\nlog:\n%s", got, readLog(t, logFile))
-	}
-	for _, want := range []string{
-		"SyncAll (reaches Barrier)",
-		"propagates write errors from gio.WriteFile",
-		"map iteration order reaches gio.WriteInts",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("vet output missing cross-package diagnostic %q:\n%s", want, out)
-		}
-	}
-	run1 := normalizeDiags(t, strings.Split(out, "\n"))
-
-	// Run 2: nothing changed. Only the named leaf re-executes; the
-	// dependencies' vetx fact files are served from the action cache,
-	// and the cross-package diagnostics must survive unchanged.
-	resetLog()
-	out, err = runVet()
-	if err == nil {
-		t.Fatalf("cached vet run unexpectedly clean:\n%s", out)
-	}
-	if got := countExecs(); got != 1 {
-		t.Errorf("warm-cache run executed %d packages, want 1 (dependencies not served from vet action cache)\nlog:\n%s", got, readLog(t, logFile))
-	}
-	run2 := normalizeDiags(t, strings.Split(out, "\n"))
-	if fmt.Sprint(run1) != fmt.Sprint(run2) {
-		t.Errorf("diagnostics changed when facts came from the cache:\ncold: %v\nwarm: %v", run1, run2)
-	}
-
-	// Parity: the standalone driver over the same module must report
-	// the identical diagnostics.
-	vetDiags := run2
-
-	cmd := exec.Command(tool, "./...")
-	cmd.Dir = fixture
-	cmd.Env = env
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
-	if err := cmd.Run(); err == nil {
-		t.Fatalf("standalone run over violated module unexpectedly clean:\n%s", buf.String())
-	}
-	standaloneDiags := normalizeDiags(t, strings.Split(buf.String(), "\n"))
-
-	if len(vetDiags) == 0 {
-		t.Fatal("no diagnostics parsed from vet output")
-	}
-	if fmt.Sprint(vetDiags) != fmt.Sprint(standaloneDiags) {
-		t.Errorf("vet and standalone modes disagree:\nvet:        %v\nstandalone: %v", vetDiags, standaloneDiags)
-	}
-}
-
-// TestJSONOutput checks the -json contract on the same fixture: one
-// JSON object per line with file, line, analyzer, and message fields.
+// TestJSONOutput checks the -json contract on the fixture: one JSON
+// object per line with file, line, analyzer, and message fields, naming
+// facts from two packages away.
 func TestJSONOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool")
 	}
-	scratch := t.TempDir()
 	tool := buildTool(t)
-	fixture := filepath.Join(scratch, "fixture")
-	writeFixture(t, fixture)
-	if err := os.WriteFile(filepath.Join(fixture, "app", "app.go"), []byte(appViolated), 0o666); err != nil {
-		t.Fatal(err)
-	}
+	fixture := t.TempDir()
+	writeModule(t, fixture, fixtureFiles)
 
 	cmd := exec.Command(tool, "-json", "./...")
 	cmd.Dir = fixture
@@ -388,6 +183,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("want 3 JSON diagnostics, got %d:\n%s", len(lines), stdout.String())
 	}
 	analyzers := map[string]bool{}
+	var messages []string
 	for _, line := range lines {
 		var d struct {
 			File     string `json:"file"`
@@ -405,19 +201,21 @@ func TestJSONOutput(t *testing.T) {
 			t.Errorf("diagnostic in %s, want app.go", d.File)
 		}
 		analyzers[d.Analyzer] = true
+		messages = append(messages, d.Message)
 	}
 	if !analyzers["mpicollective"] || !analyzers["errflow"] || !analyzers["dettaint"] {
 		t.Errorf("want one mpicollective, one errflow, and one dettaint diagnostic, got %v", analyzers)
 	}
-}
-
-func readLog(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
+	all := strings.Join(messages, "\n")
+	for _, want := range []string{
+		"SyncAll (reaches Barrier)",
+		"propagates write errors from gio.WriteFile",
+		"map iteration order reaches gio.WriteInts",
+	} {
+		if !strings.Contains(all, want) {
+			t.Errorf("no diagnostic names the cross-package fact %q:\n%s", want, all)
+		}
 	}
-	return string(data)
 }
 
 // lockFixtureFiles is a two-package module whose AB/BA lock-order
@@ -489,60 +287,26 @@ func HoldAndCall() {
 }
 
 // TestLockOrderParity seeds the cross-package AB/BA inversions and
-// requires both driver modes to find them: the vet protocol (facts ride
-// vetx files) and the standalone loader (facts stay in memory) must
-// report identical diagnostics, each including the lock-order
-// inversions.
+// requires the driver to find both: the direct one through store's
+// LockEdges fact and the via-call one through Touch's LockSummary fact.
 func TestLockOrderParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds the tool and runs go vet")
+		t.Skip("builds the tool")
 	}
-
-	scratch := t.TempDir()
 	tool := buildTool(t)
-	fixture := filepath.Join(scratch, "lockfixture")
+	fixture := t.TempDir()
 	writeModule(t, fixture, lockFixtureFiles)
-	env := envWith(os.Environ(), "GOFLAGS", "")
 
-	// Vet mode, naming only the leaf: store is a VetxOnly dependency, so
-	// its LockEdges and LockSummary facts reach app exclusively through
-	// the serialized vetx file.
-	vetCmd := exec.Command("go", "vet", "-vettool="+tool, "./app")
-	vetCmd.Dir = fixture
-	vetCmd.Env = env
-	var vetBuf bytes.Buffer
-	vetCmd.Stdout = &vetBuf
-	vetCmd.Stderr = &vetBuf
-	if err := vetCmd.Run(); err == nil {
-		t.Fatalf("vet run over inverted module unexpectedly clean:\n%s", vetBuf.String())
+	cmd := exec.Command(tool, "./...")
+	cmd.Dir = fixture
+	var buf bytes.Buffer
+	cmd.Stdout = &buf
+	cmd.Stderr = &buf
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("run over inverted module unexpectedly clean:\n%s", buf.String())
 	}
-	vetOut := vetBuf.String()
-	if n := strings.Count(vetOut, "lock order inversion"); n < 2 {
-		t.Errorf("vet mode found %d lock order inversions, want >= 2 (direct + via-call):\n%s", n, vetOut)
-	}
-
-	// Standalone over the same module.
-	saCmd := exec.Command(tool, "./...")
-	saCmd.Dir = fixture
-	saCmd.Env = env
-	var saBuf bytes.Buffer
-	saCmd.Stdout = &saBuf
-	saCmd.Stderr = &saBuf
-	if err := saCmd.Run(); err == nil {
-		t.Fatalf("standalone run over inverted module unexpectedly clean:\n%s", saBuf.String())
-	}
-	saOut := saBuf.String()
-	if n := strings.Count(saOut, "lock order inversion"); n < 2 {
-		t.Errorf("standalone mode found %d lock order inversions, want >= 2:\n%s", n, saOut)
-	}
-
-	vetDiags := normalizeDiags(t, strings.Split(vetOut, "\n"))
-	saDiags := normalizeDiags(t, strings.Split(saOut, "\n"))
-	if len(vetDiags) == 0 {
-		t.Fatal("no diagnostics parsed from vet output")
-	}
-	if fmt.Sprint(vetDiags) != fmt.Sprint(saDiags) {
-		t.Errorf("vet and standalone modes disagree on lockorder:\nvet:        %v\nstandalone: %v", vetDiags, saDiags)
+	if n := strings.Count(buf.String(), "lock order inversion"); n < 2 {
+		t.Errorf("found %d lock order inversions, want >= 2 (direct + via-call):\n%s", n, buf.String())
 	}
 }
 
@@ -576,26 +340,17 @@ func WriteAll(path string, data []byte) (err error) {
 `,
 }
 
-// TestFixRoundTrip drives the whole -fix pipeline end to end: the
-// drift gate (-fix -diff) reports pending fixes with exit 2, -fix
+// TestFixRoundTrip drives the whole -fix pipeline end to end: -diff
+// without -fix is refused, the drift gate (-fix -diff) reports pending fixes with exit 2, -fix
 // rewrites the tree and exits 0 because every finding was fixable, the
 // re-lint is clean, and the drift gate then passes with empty output.
 func TestFixRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool")
 	}
-	scratch := t.TempDir()
 	tool := buildTool(t)
-	fixture := filepath.Join(scratch, "fixfixture")
-	for name, content := range fixFixtureFiles {
-		path := filepath.Join(fixture, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fixture := t.TempDir()
+	writeModule(t, fixture, fixFixtureFiles)
 
 	run := func(args ...string) (string, string, int) {
 		cmd := exec.Command(tool, args...)
@@ -611,6 +366,12 @@ func TestFixRoundTrip(t *testing.T) {
 			t.Fatalf("running %v: %v", args, err)
 		}
 		return stdout.String(), stderr.String(), code
+	}
+
+	// -diff alone is a usage error, not a silent plain lint.
+	_, stderr, code := run("-diff", "./...")
+	if code != 1 || !strings.Contains(stderr, "-diff requires -fix") {
+		t.Fatalf("-diff without -fix: exit %d, want 1 with a usage message\nstderr: %s", code, stderr)
 	}
 
 	// Drift gate on a dirty tree: exit 2, diffs on stdout, no writes.
@@ -664,13 +425,9 @@ func TestSarifOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool")
 	}
-	scratch := t.TempDir()
 	tool := buildTool(t)
-	fixture := filepath.Join(scratch, "fixture")
-	writeFixture(t, fixture)
-	if err := os.WriteFile(filepath.Join(fixture, "app", "app.go"), []byte(appViolated), 0o666); err != nil {
-		t.Fatal(err)
-	}
+	fixture := t.TempDir()
+	writeModule(t, fixture, fixtureFiles)
 
 	runSarif := func() string {
 		cmd := exec.Command(tool, "-sarif", "./...")
@@ -801,13 +558,9 @@ func TestJSONDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the tool")
 	}
-	scratch := t.TempDir()
 	tool := buildTool(t)
-	fixture := filepath.Join(scratch, "fixture")
-	writeFixture(t, fixture)
-	if err := os.WriteFile(filepath.Join(fixture, "app", "app.go"), []byte(appViolated), 0o666); err != nil {
-		t.Fatal(err)
-	}
+	fixture := t.TempDir()
+	writeModule(t, fixture, fixtureFiles)
 
 	runJSON := func() string {
 		cmd := exec.Command(tool, "-json", "./...")

@@ -275,4 +275,13 @@ func TestFrameParseFrameRoundTrip(t *testing.T) {
 	if ParseFrame(string(line[:len(line)/2]), &got) {
 		t.Error("torn frame parsed")
 	}
+	// Frame writes the CRC in lower case, so the same CRC in upper case
+	// is a flipped bit 0x20, not an alternative spelling.
+	var r Record
+	if !ParseFrame(`{"kind":"step","step":3} 9b099e17`, &r) || r.Step != 3 {
+		t.Fatalf("valid frame rejected: %+v", r)
+	}
+	if ParseFrame(`{"kind":"step","step":3} 9B099E17`, &r) {
+		t.Error("upper-case CRC parsed")
+	}
 }

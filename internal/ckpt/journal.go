@@ -32,7 +32,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 )
 
@@ -108,15 +107,36 @@ func ParseFrame(line string, v any) bool {
 	if i < 0 {
 		return false
 	}
-	payload, crcHex := line[:i], line[i+1:]
-	want, err := strconv.ParseUint(crcHex, 16, 32)
-	if err != nil || len(crcHex) != 8 {
-		return false
-	}
-	if crc32.ChecksumIEEE([]byte(payload)) != uint32(want) {
+	payload := line[:i]
+	want, ok := parseCRC(line[i+1:])
+	if !ok || crc32.ChecksumIEEE([]byte(payload)) != want {
 		return false
 	}
 	return json.Unmarshal([]byte(payload), v) == nil
+}
+
+// parseCRC decodes exactly the eight lowercase hex digits Frame writes.
+// Any other spelling of the same number (upper case, a sign, fewer
+// digits) is a corrupt frame: accepting it would let a flipped case bit
+// in the CRC field pass unnoticed.
+func parseCRC(s string) (uint32, bool) {
+	if len(s) != 8 {
+		return 0, false
+	}
+	var crc uint32
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return 0, false
+		}
+		crc = crc<<4 | uint32(c)
+	}
+	return crc, true
 }
 
 // frame serializes a record as one self-checking line.

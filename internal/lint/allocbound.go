@@ -43,8 +43,6 @@ type AllocBoundSummary struct {
 
 func (*AllocBoundSummary) AFact() {}
 
-func init() { analysis.RegisterFactType(&AllocBoundSummary{}) }
-
 // allocSource classifies decoded-from-bytes values.
 func allocSource(v *ssa.Value) (string, bool) {
 	if v.Op != ssa.OpCall || v.Callee == nil || v.Callee.Pkg() == nil {

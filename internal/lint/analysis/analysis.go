@@ -9,10 +9,10 @@
 // mirror of the upstream types; if x/tools ever becomes available the
 // analyzers port with an import-path change only. The mirror covers
 // analyzers, diagnostics, analyzer dependencies (`Requires`/`ResultOf`),
-// object/package Facts with gob serialization (see facts.go) so
-// interprocedural results survive the go vet action cache, and suggested
-// fixes (textual edits attached to diagnostics, applied by the driver's
-// -fix mode; see fix.go).
+// object/package Facts held in an in-memory store (see facts.go) so
+// interprocedural results cross package boundaries, and suggested fixes
+// (textual edits attached to diagnostics, applied by the driver's -fix
+// mode; see fix.go).
 package analysis
 
 import (
@@ -49,7 +49,7 @@ type Analyzer struct {
 	// one zero value per type. An analyzer with a non-empty FactTypes is
 	// run over dependency packages too (facts-only, diagnostics
 	// suppressed) so its cross-package facts exist when dependents are
-	// analyzed. Each fact type must be registered with RegisterFactType.
+	// analyzed.
 	FactTypes []Fact
 }
 
@@ -73,8 +73,8 @@ type Pass struct {
 	// (FactStore.bind); nil-safe no-ops otherwise. ExportObjectFact
 	// attaches a fact to an object declared in this pass's package;
 	// ImportObjectFact copies a previously exported fact (possibly from a
-	// dependency package analyzed earlier, or deserialized from a vetx
-	// file) into the pointer fact and reports whether one was found.
+	// dependency package analyzed earlier) into the pointer fact and
+	// reports whether one was found.
 	ExportObjectFact  func(obj types.Object, fact Fact)
 	ImportObjectFact  func(obj types.Object, fact Fact) bool
 	ExportPackageFact func(fact Fact)

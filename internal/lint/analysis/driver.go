@@ -8,9 +8,8 @@ import (
 // Execute applies analyzers — plus the transitive closure of their
 // Requires, scheduled dependency-first — to the single package described
 // by base (Fset, Files, Pkg, TypesInfo; its other fields are ignored).
-// Every driver (the standalone CLI, the vet unitchecker, analysistest)
-// funnels through here so scheduling, result plumbing, and fact binding
-// behave identically.
+// Both drivers (the CLI and analysistest) funnel through here so
+// scheduling, result plumbing, and fact binding behave identically.
 //
 // store binds the cross-package fact API on every pass; pass nil to run
 // without facts (imports all miss, exports are dropped). report receives
@@ -63,7 +62,7 @@ func Execute(analyzers []*Analyzer, base *Pass, store *FactStore, report func(*A
 // FactProducers filters analyzers to those that export or import facts
 // (FactTypes non-empty). Drivers run only these over dependency packages:
 // fact-free analyzers cannot influence downstream analysis, so skipping
-// them keeps dependency (VetxOnly) passes cheap.
+// them keeps dependency-only passes cheap.
 func FactProducers(analyzers []*Analyzer) []*Analyzer {
 	var out []*Analyzer
 	for _, a := range analyzers {

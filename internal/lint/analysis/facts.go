@@ -1,30 +1,19 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"sync"
 )
 
-// A Fact is a serializable observation about an object or a package,
-// exported by an analyzer while analyzing one package and importable by
-// the same analyzer while analyzing a dependent package. Concrete fact
-// types must be pointers to structs, must be gob-encodable, and must be
-// registered with RegisterFactType. The AFact marker method mirrors the
-// upstream interface.
+// A Fact is an observation about an object or a package, exported by an
+// analyzer while analyzing one package and importable by the same
+// analyzer while analyzing a dependent package. Concrete fact types must
+// be pointers to structs. The AFact marker method mirrors the upstream
+// interface.
 type Fact interface {
 	AFact()
-}
-
-// RegisterFactType registers a fact's concrete type with gob so it can
-// cross the vetx serialization boundary. Call it from the defining
-// package's init (or var initializer).
-func RegisterFactType(f Fact) {
-	gob.Register(f)
 }
 
 // ObjectKey returns a driver-stable key for an object facts can attach
@@ -70,11 +59,9 @@ type factKey struct {
 	typ reflect.Type
 }
 
-// A FactStore accumulates facts across the packages of one driver run
-// and moves them across process boundaries: the standalone driver keeps
-// one store for the whole dependency-ordered walk, while the unitchecker
-// decodes the stores serialized into dependency vetx files, analyzes one
-// package, and serializes the union back out for its dependents.
+// A FactStore accumulates facts across the packages of one driver run:
+// the driver keeps one store for the whole dependency-ordered walk, so
+// facts never leave the process.
 type FactStore struct {
 	mu    sync.Mutex
 	facts map[factKey]Fact
@@ -87,7 +74,7 @@ func NewFactStore() *FactStore {
 
 // Bind installs the store's fact accessors on a pass. Exported facts are
 // keyed under the pass's own package; imports may name any package seen
-// earlier in the run (or decoded from vetx files).
+// earlier in the run.
 func (s *FactStore) Bind(pass *Pass) {
 	pass.ExportObjectFact = func(obj types.Object, fact Fact) {
 		if obj == nil || obj.Pkg() == nil {
@@ -148,70 +135,4 @@ func (s *FactStore) get(key factKey, fact Fact) bool {
 	}
 	dst.Elem().Set(src.Elem())
 	return true
-}
-
-// wireFact is the serialized form of one fact. The concrete fact value
-// rides as a gob interface payload, which is why fact types register
-// with RegisterFactType.
-type wireFact struct {
-	Pkg  string
-	Obj  string // "" for a package-level fact
-	Fact Fact
-}
-
-// Encode serializes every fact in the store, deterministically ordered
-// so identical analyses produce byte-identical vetx payloads (the vetx
-// content participates in go vet's action-cache hashing; nondeterminism
-// there would defeat the cache). The encoding is self-contained: a
-// package's vetx carries its dependencies' facts too, so readers need
-// only their direct imports' files.
-func (s *FactStore) Encode() ([]byte, error) {
-	s.mu.Lock()
-	wire := make([]wireFact, 0, len(s.facts))
-	for key, fact := range s.facts {
-		wire = append(wire, wireFact{Pkg: key.pkg, Obj: key.obj, Fact: fact})
-	}
-	s.mu.Unlock()
-	sort.Slice(wire, func(i, j int) bool {
-		if wire[i].Pkg != wire[j].Pkg {
-			return wire[i].Pkg < wire[j].Pkg
-		}
-		if wire[i].Obj != wire[j].Obj {
-			return wire[i].Obj < wire[j].Obj
-		}
-		return reflect.TypeOf(wire[i].Fact).String() < reflect.TypeOf(wire[j].Fact).String()
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges serialized facts into the store. Empty payloads are
-// valid (a package with nothing to export writes an empty vetx).
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var wire []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return fmt.Errorf("analysis: decoding facts: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, w := range wire {
-		if w.Fact == nil {
-			continue
-		}
-		s.facts[factKey{w.Pkg, w.Obj, reflect.TypeOf(w.Fact)}] = w.Fact
-	}
-	return nil
-}
-
-// Len reports the number of facts held.
-func (s *FactStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.facts)
 }

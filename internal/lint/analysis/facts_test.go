@@ -9,8 +9,7 @@ import (
 	"testing"
 )
 
-// testFact is a representative fact payload: a slice (order matters for
-// the determinism check) plus a scalar.
+// testFact is a representative fact payload: a slice plus a scalar.
 type testFact struct {
 	Names []string
 	Depth int
@@ -23,11 +22,6 @@ type otherFact struct {
 }
 
 func (*otherFact) AFact() {}
-
-func init() {
-	RegisterFactType(&testFact{})
-	RegisterFactType(&otherFact{})
-}
 
 // checkPkg type-checks a tiny package and returns it with the object of
 // its sole function.
@@ -50,17 +44,16 @@ func checkPkg(t *testing.T, path, src, fn string) (*types.Package, types.Object)
 	return pkg, obj
 }
 
-// TestFactsRoundTrip drives a fact through the full vetx life cycle:
-// export against one type-checked view of a package, gob-encode, decode
-// into a fresh store (a new process, morally), and import against a
-// *different* type-checked view of the same package — the cross-view
-// identity the ObjectKey scheme exists to provide.
+// TestFactsRoundTrip exports facts against one type-checked view of a
+// package and imports them against a *different* type-checked view of
+// the same source, through one store — the cross-view identity the
+// ObjectKey scheme exists to provide (the driver type-checks a package
+// from source, its dependents see it through export data).
 func TestFactsRoundTrip(t *testing.T) {
 	const src = `package dep
 func Helper() {}
 `
 	pkg1, obj1 := checkPkg(t, "dep", src, "Helper")
-	_ = pkg1
 
 	store := NewFactStore()
 	pass := &Pass{Analyzer: &Analyzer{Name: "t"}, Pkg: pkg1}
@@ -69,35 +62,25 @@ func Helper() {}
 	pass.ExportObjectFact(obj1, want)
 	pass.ExportPackageFact(&otherFact{Root: "gio.WriteFile"})
 
-	data, err := store.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("encoded facts are empty")
-	}
-
-	// Decode into a fresh store and look the facts up through a second,
-	// independent type-check of the same source (distinct types.Object
-	// identities, same keys).
-	store2 := NewFactStore()
-	if err := store2.Decode(data); err != nil {
-		t.Fatal(err)
-	}
+	// A second, independent type-check of the same source: distinct
+	// types.Object identities, same keys.
 	pkg2, obj2 := checkPkg(t, "dep", src, "Helper")
+	if obj1 == obj2 {
+		t.Fatal("the two type-checks share an object; the test proves nothing")
+	}
 	pass2 := &Pass{Analyzer: &Analyzer{Name: "t"}, Pkg: pkg2}
-	store2.Bind(pass2)
+	store.Bind(pass2)
 
 	var got testFact
 	if !pass2.ImportObjectFact(obj2, &got) {
-		t.Fatal("object fact did not survive the round trip")
+		t.Fatal("object fact not found under the second view")
 	}
 	if !reflect.DeepEqual(&got, want) {
 		t.Fatalf("object fact = %+v, want %+v", got, *want)
 	}
 	var gotPkg otherFact
 	if !pass2.ImportPackageFact(pkg2, &gotPkg) {
-		t.Fatal("package fact did not survive the round trip")
+		t.Fatal("package fact not found under the second view")
 	}
 	if gotPkg.Root != "gio.WriteFile" {
 		t.Fatalf("package fact = %+v", gotPkg)
@@ -107,48 +90,6 @@ func Helper() {}
 	var missing otherFact
 	if pass2.ImportObjectFact(obj2, &missing) {
 		t.Fatal("imported a fact type that was never exported for the object")
-	}
-}
-
-// TestFactsEncodeDeterministic asserts byte-identical encodings across
-// stores populated in different orders — the property go vet's action
-// cache hashing relies on.
-func TestFactsEncodeDeterministic(t *testing.T) {
-	const src = `package dep
-func A() {}
-func B() {}
-`
-	pkg, objA := checkPkg(t, "dep", src, "A")
-	objB := pkg.Scope().Lookup("B")
-
-	build := func(first, second types.Object) []byte {
-		store := NewFactStore()
-		pass := &Pass{Analyzer: &Analyzer{Name: "t"}, Pkg: pkg}
-		store.Bind(pass)
-		pass.ExportObjectFact(first, &testFact{Names: []string{"x"}})
-		pass.ExportObjectFact(second, &testFact{Names: []string{"y"}})
-		pass.ExportPackageFact(&otherFact{Root: "r"})
-		data, err := store.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	ab := build(objA, objB)
-	// Same facts, reversed insertion order. Fact values differ per object
-	// so swapped ordering means swapped payloads unless sorting works.
-	store := NewFactStore()
-	pass := &Pass{Analyzer: &Analyzer{Name: "t"}, Pkg: pkg}
-	store.Bind(pass)
-	pass.ExportPackageFact(&otherFact{Root: "r"})
-	pass.ExportObjectFact(objB, &testFact{Names: []string{"y"}})
-	pass.ExportObjectFact(objA, &testFact{Names: []string{"x"}})
-	ba, err := store.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ab) != string(ba) {
-		t.Fatal("fact encoding depends on insertion order")
 	}
 }
 

@@ -5,8 +5,8 @@
 // (sanitizers) — and the engine computes, per function, where taint
 // flows along def-use chains, through phis, stores, and call sites.
 //
-// Call sites are resolved through per-function Summaries: compact,
-// gob-serializable descriptions of how taint crosses one function
+// Call sites are resolved through per-function Summaries: compact
+// descriptions of how taint crosses one function
 // boundary (param-to-result pass-through, results carrying internal
 // source taint, params reaching internal sinks). Within a package the
 // engine iterates to a fixpoint over all function bodies; across
@@ -90,8 +90,8 @@ type Spec struct {
 }
 
 // A Summary is the boundary behavior of one function — the unit carried
-// across packages as an analysis Fact. All fields are sorted, so gob
-// encodings are deterministic.
+// across packages as an analysis Fact. All fields are sorted, so a
+// summary does not depend on map iteration order.
 type Summary struct {
 	// Flows are param-to-result pass-throughs.
 	Flows []ParamFlow
@@ -703,7 +703,7 @@ func (st *state) harvest(fi FuncInfo) (*Summary, []Finding) {
 	return sum, findings
 }
 
-// normalizeSummary sorts and dedups every summary list so encodings are
+// normalizeSummary sorts and dedups every summary list so summaries are
 // deterministic and fixpoint comparison is positional.
 func normalizeSummary(s *Summary) {
 	sort.Slice(s.Flows, func(i, j int) bool {

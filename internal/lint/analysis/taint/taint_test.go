@@ -1,8 +1,6 @@
 package taint_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -325,34 +323,6 @@ func f() {
 }`, testSpec(false))
 	if len(r.Findings) != 1 {
 		t.Fatalf("memory-degraded flow lost: %+v", r.Findings)
-	}
-}
-
-func TestSummaryGobRoundTrip(t *testing.T) {
-	s := &taint.Summary{
-		Flows:   []taint.ParamFlow{{Param: 0, Result: 1, Path: []string{"v", "out"}}},
-		Results: []taint.ResultTaint{{Result: 0, Source: "time.Now", Path: []string{"time.Now", "stamp()"}}},
-		Sinks:   []taint.ParamSink{{Param: 2, Sink: "gio.WriteState arg 1", Path: []string{"…"}}},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var got taint.Summary
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(s, &got) {
-		t.Errorf("round trip mismatch:\n%+v\n%+v", s, &got)
-	}
-	// Two encodings of the same summary must be byte-identical (the
-	// vet action cache hashes vetx files).
-	var buf2 bytes.Buffer
-	if err := gob.NewEncoder(&buf2).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Errorf("gob encoding not deterministic")
 	}
 }
 

@@ -72,8 +72,6 @@ type DetTaintSummary struct {
 
 func (*DetTaintSummary) AFact() {}
 
-func init() { analysis.RegisterFactType(&DetTaintSummary{}) }
-
 // detSource classifies a register as a nondeterminism source.
 func detSource(info *types.Info) func(v *ssa.Value) (string, bool) {
 	return func(v *ssa.Value) (string, bool) {

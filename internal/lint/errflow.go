@@ -14,7 +14,7 @@ import (
 // sinks share) that return an error. Any function, in any package,
 // that (transitively) calls a root and itself returns an error carries
 // the "propagates write errors" fact; the fact crosses package
-// boundaries through the driver's fact store (vetx files under go vet).
+// boundaries through the driver's fact store.
 //
 // A call site discards such an error when the call is a bare statement,
 // a `go`/`defer` statement, or an assignment with `_` in every
@@ -44,8 +44,6 @@ type WriteErrorSource struct {
 }
 
 func (*WriteErrorSource) AFact() {}
-
-func init() { analysis.RegisterFactType(&WriteErrorSource{}) }
 
 // errflowRoot reports whether fn is a write entry point whose error
 // must not be dropped, and its label.

@@ -93,11 +93,6 @@ type LockEdges struct {
 
 func (*LockEdges) AFact() {}
 
-func init() {
-	analysis.RegisterFactType(&LockSummary{})
-	analysis.RegisterFactType(&LockEdges{})
-}
-
 // heldBits is the per-lock lattice: may (held on some path) and must
 // (held on every path) bits. Join is may-OR / must-AND.
 type heldBits uint8

@@ -19,7 +19,7 @@ import (
 // wait in the collective while the others never arrive (or arrive in a
 // different one). The analyzer is interprocedural: a transitive
 // "calls a collective" fact is computed over the call graph and exported
-// across package boundaries (through vetx files under go vet), so a
+// across package boundaries through the driver's fact store, so a
 // collective reached through helpers — any number of calls deep, in
 // other packages — is still seen under a rank guard.
 //
@@ -65,8 +65,6 @@ type CallsCollective struct {
 }
 
 func (*CallsCollective) AFact() {}
-
-func init() { analysis.RegisterFactType(&CallsCollective{}) }
 
 // collectiveNames are the mpi.Comm methods that are collectives: every
 // rank must call them, in the same order.
