@@ -117,7 +117,7 @@ func ReadCheckpoint(r io.Reader) (*nbody.Simulation, error) {
 	if totalSteps > math.MaxInt32 || stepIndex > totalSteps {
 		return nil, fmt.Errorf("gio: checkpoint schedule %d/%d invalid", stepIndex, totalSteps)
 	}
-	blocks, err := read(br, false)
+	blocks, err := parse(br, int64(br.Len()), false)
 	if err != nil {
 		return nil, fmt.Errorf("gio: checkpoint particles: %w", err)
 	}

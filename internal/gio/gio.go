@@ -37,6 +37,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/nbody"
@@ -225,11 +226,7 @@ func decodeParticlesWide(buf []byte, n int) *nbody.Particles {
 // corrupt blocks with ErrChecksum; nothing is returned for a damaged
 // file — use ReadSalvage to recover the valid prefix instead.
 func Read(r io.Reader) ([]Block, error) {
-	blocks, err := read(r, false)
-	if err != nil {
-		return nil, err
-	}
-	return blocks, nil
+	return parseReader(r, false)
 }
 
 // ReadSalvage parses as much of a gio stream as is intact: every block
@@ -241,26 +238,56 @@ func Read(r io.Reader) ([]Block, error) {
 // recovery path for damaged output — the resumable campaign uses it to
 // report how much of an unjournaled file survived before redoing the step.
 func ReadSalvage(r io.Reader) ([]Block, error) {
-	return read(r, true)
+	return parseReader(r, true)
 }
 
-// read parses blocks until the stream ends or tears, returning whatever
-// was valid plus the terminating (or, when salvaging, first) error. In
-// strict mode a corrupt block stops the scan; in salvage mode it is
-// skipped.
-func read(r io.Reader, salvage bool) ([]Block, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("gio: reading magic: %w", tornErr(err))
+// parseReader parses r to its end. A count is believed only against a
+// known size, so a reader that cannot tell its length is read whole.
+func parseReader(r io.Reader, salvage bool) ([]Block, error) {
+	if s, ok := r.(interface{ Len() int }); ok {
+		return parse(r, int64(s.Len()), salvage)
 	}
-	if string(magic) != Magic {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return parse(bytes.NewReader(data), int64(len(data)), salvage)
+}
+
+// blockHeaderSize is the encoded size of one block header, and of the
+// stream header (magic, version, block count) too.
+const blockHeaderSize = 4 + 8 + 4
+
+// parse decodes a gio stream of size bytes from r until it ends or
+// tears. In salvage mode a corrupt block is skipped and parse returns
+// every valid block plus the first error; in strict mode the first error
+// ends the scan and nothing else is returned. A header count is believed
+// only as far as the bytes left can back it: a count the rest of the
+// stream cannot hold is a tear (ErrTruncated), never an allocation.
+func parse(r io.Reader, size int64, salvage bool) (blocks []Block, firstErr error) {
+	defer func() {
+		if firstErr != nil && !salvage {
+			blocks = nil
+		}
+	}()
+	rest := size
+	// read fills b from r; a stream too short for it is torn.
+	read := func(b []byte) error {
+		if int64(len(b)) > rest {
+			return ErrTruncated
+		}
+		rest -= int64(len(b))
+		_, err := io.ReadFull(r, b)
+		return tornErr(err)
+	}
+	h := make([]byte, blockHeaderSize)
+	if err := read(h); err != nil {
+		return nil, fmt.Errorf("gio: reading header: %w", err)
+	}
+	if magic := h[:len(Magic)]; string(magic) != Magic {
 		return nil, fmt.Errorf("gio: bad magic %q", magic)
 	}
-	var ver, nBlocks uint32
-	if err := binary.Read(br, binary.LittleEndian, &ver); err != nil {
-		return nil, fmt.Errorf("gio: reading version: %w", tornErr(err))
-	}
+	ver := binary.LittleEndian.Uint32(h[len(Magic):])
 	if ver != version && ver != versionWide {
 		return nil, fmt.Errorf("gio: unsupported version %d", ver)
 	}
@@ -268,27 +295,23 @@ func read(r io.Reader, salvage bool) ([]Block, error) {
 	if ver == versionWide {
 		recSize = WideRecordSize
 	}
-	if err := binary.Read(br, binary.LittleEndian, &nBlocks); err != nil {
-		return nil, fmt.Errorf("gio: reading block count: %w", tornErr(err))
-	}
-	blocks := make([]Block, 0, nBlocks)
-	var firstErr error
+	nBlocks := binary.LittleEndian.Uint32(h[len(Magic)+4:])
+	blocks = make([]Block, 0, min(int64(nBlocks), rest/blockHeaderSize))
+	var payload []byte // reused: each block is decoded out of it
 	for bi := uint32(0); bi < nBlocks; bi++ {
-		var rank uint32
-		var count uint64
-		var crc uint32
-		if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
-			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d rank: %w", bi, tornErr(err)))
+		if err := read(h); err != nil {
+			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d header: %w", bi, err))
 		}
-		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d count: %w", bi, tornErr(err)))
+		rank := binary.LittleEndian.Uint32(h)
+		count := binary.LittleEndian.Uint64(h[4:])
+		crc := binary.LittleEndian.Uint32(h[12:])
+		if count > uint64(rest/int64(recSize)) {
+			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d payload: %w", bi, ErrTruncated))
 		}
-		if err := binary.Read(br, binary.LittleEndian, &crc); err != nil {
-			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d crc: %w", bi, tornErr(err)))
-		}
-		payload := make([]byte, int(count)*recSize)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d payload: %w", bi, tornErr(err)))
+		n := int(count) * recSize
+		payload = slices.Grow(payload[:0], n)[:n]
+		if err := read(payload); err != nil {
+			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d payload: %w", bi, err))
 		}
 		if got := crc32.ChecksumIEEE(payload); got != crc {
 			err := fmt.Errorf("gio: block %d: %w: %08x != %08x", bi, ErrChecksum, got, crc)
@@ -309,6 +332,9 @@ func read(r io.Reader, salvage bool) ([]Block, error) {
 			p = decodeParticles(payload, int(count))
 		}
 		blocks = append(blocks, Block{Rank: int(rank), Particles: p})
+	}
+	if firstErr == nil && rest > 0 {
+		firstErr = fmt.Errorf("gio: %d bytes after the last of %d blocks", rest, nBlocks)
 	}
 	return blocks, firstErr
 }
@@ -343,22 +369,26 @@ func WriteFile(path string, blocks []Block) error {
 
 // ReadFile reads all blocks from a file path.
 func ReadFile(path string) ([]Block, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
+	return parseFile(path, false)
 }
 
 // ReadSalvageFile salvages the valid prefix of blocks from a file path.
 func ReadSalvageFile(path string) ([]Block, error) {
+	return parseFile(path, true)
+}
+
+// parseFile parses the file at path, sized by its Stat.
+func parseFile(path string, salvage bool) ([]Block, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadSalvage(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return parse(f, st.Size(), salvage)
 }
 
 // Merge concatenates the particles of all blocks into a single container.

@@ -4,7 +4,7 @@
 // (*Value), phi registers are placed at join blocks via dominance
 // frontiers, and def-use chains link each register to the instructions
 // that consume it. It is the value-flow substrate under workflowlint's
-// taint analyzers (dettaint, allocbound): an interprocedural engine can
+// taint analyzer (dettaint): an interprocedural engine can
 // walk def-use edges instead of re-deriving reaching definitions from
 // the AST per query.
 //

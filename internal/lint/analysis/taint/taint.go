@@ -83,10 +83,6 @@ type Spec struct {
 	// registers in place (sort.Slice canonicalizes an order-tainted
 	// slice). Sanitized registers neither receive nor propagate taint.
 	InPlaceSanitizer func(v *ssa.Value) bool
-	// BoundCheckSanitizes treats any comparison of a register as
-	// validating it (the allocbound idiom: a length checked against a
-	// bound is no longer unvalidated).
-	BoundCheckSanitizes bool
 }
 
 // A Summary is the boundary behavior of one function — the unit carried
@@ -353,8 +349,8 @@ func (e *Engine) analyzeFunc(fi FuncInfo, summaries map[*types.Func]*Summary) (*
 }
 
 // preScan indexes var loads and computes the sanitized sets: registers
-// (and memory variables) that an in-place sanitizer or — under
-// BoundCheckSanitizes — a comparison touches never carry taint.
+// (and memory variables) that an in-place sanitizer touches never carry
+// taint.
 func (st *state) preScan() {
 	spec := &st.e.Spec
 	for _, v := range st.f.Values {
@@ -362,9 +358,6 @@ func (st *state) preScan() {
 			st.varLoads[v.Var] = append(st.varLoads[v.Var], v)
 		}
 		if v.Op == ssa.OpCall && spec.InPlaceSanitizer != nil && spec.InPlaceSanitizer(v) {
-			st.sanitizeArgs(v)
-		}
-		if spec.BoundCheckSanitizes && v.IsComparison() {
 			st.sanitizeArgs(v)
 		}
 	}
@@ -468,8 +461,7 @@ func (st *state) apply(u *ssa.Value) {
 	switch u.Op {
 	case ssa.OpLen, ssa.OpMake, ssa.OpReturn, ssa.OpClosure:
 		// len/cap strips content taint; make sizes do not taint the
-		// fresh zeroed object (the size itself is the allocbound sink,
-		// checked separately); returns are read at harvest; closures
+		// fresh zeroed object; returns are read at harvest; closures
 		// do not carry operand flow.
 		return
 	case ssa.OpBinOp:

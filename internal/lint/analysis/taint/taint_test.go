@@ -17,7 +17,7 @@ import (
 // testSpec wires the engine to marker functions: src() originates
 // taint, sink(...) must not receive it, clean(x) launders, scrub(x)
 // sanitizes its argument in place.
-func testSpec(boundCheck bool) taint.Spec {
+func testSpec() taint.Spec {
 	calleeNamed := func(v *ssa.Value, name string) bool {
 		return v.Op == ssa.OpCall && v.Callee != nil && v.Callee.Name() == name
 	}
@@ -36,13 +36,6 @@ func testSpec(boundCheck bool) taint.Spec {
 				}
 				return uses
 			}
-			if v.Op == ssa.OpMake {
-				var uses []taint.SinkUse
-				for _, a := range v.Args {
-					uses = append(uses, taint.SinkUse{Arg: a, Sink: "make size"})
-				}
-				return uses
-			}
 			return nil
 		},
 		Sanitizer: func(v *ssa.Value) bool {
@@ -51,7 +44,6 @@ func testSpec(boundCheck bool) taint.Spec {
 		InPlaceSanitizer: func(v *ssa.Value) bool {
 			return calleeNamed(v, "scrub")
 		},
-		BoundCheckSanitizes: boundCheck,
 	}
 }
 
@@ -116,7 +108,7 @@ func f() {
 	x := src()
 	y := x + 1
 	sink(y)
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 1 {
 		t.Fatalf("want 1 finding, got %+v", r.Findings)
 	}
@@ -137,7 +129,7 @@ func TestSanitizerStopsFlow(t *testing.T) {
 func f() {
 	x := src()
 	sink(clean(x))
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 0 {
 		t.Fatalf("sanitized flow reported: %+v", r.Findings)
 	}
@@ -164,7 +156,7 @@ func f(m map[int]int) {
 			}
 			return "", false
 		},
-		Sinks: testSpec(false).Sinks,
+		Sinks: testSpec().Sinks,
 		InPlaceSanitizer: func(v *ssa.Value) bool {
 			return v.Op == ssa.OpCall && v.Callee != nil && v.Callee.Name() == "scrub"
 		},
@@ -183,7 +175,7 @@ func f(c bool) {
 		x = src()
 	}
 	sink(x)
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 1 {
 		t.Fatalf("want 1 finding through the phi, got %+v", r.Findings)
 	}
@@ -199,7 +191,7 @@ func use() {
 }
 func mk() int {
 	return src()
-}`, testSpec(false))
+}`, testSpec())
 	lines := findingLines(fset, r)
 	if len(r.Findings) != 1 {
 		t.Fatalf("want 1 finding in use(), got %v", lines)
@@ -221,7 +213,7 @@ func pass(v int) {
 }
 func drive() {
 	pass(src())
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 1 {
 		t.Fatalf("want 1 finding at the pass() call site, got %+v", r.Findings)
 	}
@@ -243,7 +235,7 @@ func TestParamFlowChains(t *testing.T) {
 func id(v int) int { return v }
 func f() {
 	sink(id(id(src())))
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 1 {
 		t.Fatalf("want 1 finding through chained id(), got %+v", r.Findings)
 	}
@@ -258,30 +250,6 @@ func f() {
 	}
 }
 
-func TestBoundCheckSanitizes(t *testing.T) {
-	checked := `package p
-` + markers + `
-func f() {
-	n := src()
-	if n > 10 {
-		return
-	}
-	_ = make([]int, n)
-}`
-	unchecked := `package p
-` + markers + `
-func f() {
-	n := src()
-	_ = make([]int, n)
-}`
-	if r, _ := analyze(t, checked, testSpec(true)); len(r.Findings) != 0 {
-		t.Errorf("bound-checked size reported: %+v", r.Findings)
-	}
-	if r, _ := analyze(t, unchecked, testSpec(true)); len(r.Findings) != 1 {
-		t.Errorf("unchecked size not reported")
-	}
-}
-
 func TestUnknownCalleePassesThrough(t *testing.T) {
 	// wrap has no body in this package and no summary: conservative
 	// arg-to-result pass-through must keep the flow alive.
@@ -290,7 +258,7 @@ func TestUnknownCalleePassesThrough(t *testing.T) {
 func wrap(v int) int
 func f() {
 	sink(wrap(src()))
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 1 {
 		t.Fatalf("unknown callee dropped taint: %+v", r.Findings)
 	}
@@ -303,7 +271,7 @@ func f(vs []int) {
 	x := src()
 	s := []int{x}
 	sink(len(s))
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 0 {
 		t.Fatalf("len() result must not carry content taint: %+v", r.Findings)
 	}
@@ -320,7 +288,7 @@ func f() {
 	g(&x)
 	x = src()
 	sink(x)
-}`, testSpec(false))
+}`, testSpec())
 	if len(r.Findings) != 1 {
 		t.Fatalf("memory-degraded flow lost: %+v", r.Findings)
 	}
@@ -337,7 +305,7 @@ func c() {
 	sink(y, x)
 }`
 	run := func() ([]taint.Finding, map[string]*taint.Summary) {
-		r, _ := analyze(t, src, testSpec(false))
+		r, _ := analyze(t, src, testSpec())
 		sums := map[string]*taint.Summary{}
 		for fn, s := range r.Summaries {
 			sums[fn.Name()] = s

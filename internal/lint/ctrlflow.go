@@ -21,9 +21,6 @@ var CtrlFlow = &analysis.Analyzer{
 
 // CFGResult holds the package's control-flow graphs.
 type CFGResult struct {
-	// ByBody maps each function body to its graph (bodies are unique
-	// AST nodes, so they key both declarations and literals).
-	ByBody map[*ast.BlockStmt]*FuncCFG
 	// Order lists the graphs in source order — declarations and
 	// literals interleaved as they appear — for deterministic iteration.
 	Order []*FuncCFG
@@ -66,10 +63,9 @@ func (fc *FuncCFG) resultNames() []*ast.Ident {
 }
 
 func runCtrlFlow(pass *analysis.Pass) (any, error) {
-	result := &CFGResult{ByBody: map[*ast.BlockStmt]*FuncCFG{}}
+	result := &CFGResult{}
 	add := func(fc *FuncCFG) {
 		fc.G = cfg.Build(fc.Body)
-		result.ByBody[fc.Body] = fc
 		result.Order = append(result.Order, fc)
 	}
 	for _, f := range pass.Files {

@@ -209,19 +209,35 @@ func runDetTaint(pass *analysis.Pass) (any, error) {
 	if isDeterministicPkg(pass.Pkg) {
 		checkDetKernel(pass, r, res)
 	}
-	runTaint(pass, res,
-		taint.Spec{
+	engine := &taint.Engine{
+		Spec: taint.Spec{
 			Source:           detSource(pass.TypesInfo),
 			Sinks:            func(v *ssa.Value) []taint.SinkUse { return append(detSinks(v), detObsSinks(v)...) },
 			Sanitizer:        detSanitizer,
 			InPlaceSanitizer: detInPlace,
 		},
-		func() (analysis.Fact, *taint.Summary) { f := &DetTaintSummary{}; return f, &f.S },
-		func(pos token.Pos, f taint.Finding) {
+		External: func(fn *types.Func) (*taint.Summary, bool) {
+			var f DetTaintSummary
+			return &f.S, pass.ImportObjectFact(fn, &f)
+		},
+	}
+	fns := make([]taint.FuncInfo, 0, len(res.Order))
+	for _, sf := range res.Order {
+		fns = append(fns, taint.FuncInfo{Fn: sf.FC.Fn, SSA: sf.F})
+	}
+	result := engine.AnalyzePackage(fns)
+	for fn, sum := range result.Summaries {
+		if fn.Pkg() == pass.Pkg && !sum.Empty() {
+			pass.ExportObjectFact(fn, &DetTaintSummary{S: *sum})
+		}
+	}
+	for _, f := range result.Findings {
+		if pos := token.Pos(f.Pos); !isTestFile(pass.Fset, pos) {
 			r.reportf(pos,
 				"nondeterministic value from %s reaches %s (witness: %s); the product cannot be byte-compared across re-runs — derive it deterministically or canonicalize (sort) before writing",
 				f.Source, f.Sink, strings.Join(f.Path, " → "))
-		})
+		}
+	}
 	return nil, nil
 }
 

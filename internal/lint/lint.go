@@ -44,11 +44,9 @@ func Analyzers() []*analysis.Analyzer {
 		CloseCheck,
 		SentinelWrap,
 		MPICollective,
-		GoroutineLeak,
 		ErrFlow,
 		LockOrder,
 		DetTaint,
-		AllocBound,
 		ShareCapture,
 	}
 }

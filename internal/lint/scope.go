@@ -47,8 +47,7 @@ func isDeterministicPkg(pkg *types.Package) bool {
 // rankExchangePkgs are the concurrency layers: the packages whose
 // goroutines exchange data over channels, where a channel operation
 // under a lock stalls every peer that next contends the lock
-// (lockorder) and an unjoined goroutine outlives a bug silently
-// (goroutineleak).
+// (lockorder).
 var rankExchangePkgs = map[string]bool{
 	"mpi": true, "transit": true, "sched": true, "dparallel": true,
 	"supervise": true,

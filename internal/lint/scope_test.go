@@ -79,7 +79,6 @@ func TestDesignRoster(t *testing.T) {
 	for _, c := range []struct{ analyzer, list string }{
 		{"dettaint", scopeList(deterministicPkgs)},
 		{"lockorder", scopeList(rankExchangePkgs)},
-		{"goroutineleak", scopeList(rankExchangePkgs)},
 		{"atomicwrite", scopeList(directWritePkgs)},
 		{"dettaint", scopeList(productWritePkgs)},
 		{"errflow", scopeList(productWritePkgs)},

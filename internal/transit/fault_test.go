@@ -11,12 +11,16 @@ import (
 	"repro/internal/fault"
 )
 
-// Satellite fix: a worker error must abort the stage so producers blocked
-// on a full device unblock instead of hanging forever.
+// A worker error must abort the stage so producers blocked on a full
+// device unblock instead of hanging forever. Two staged items and one
+// worker make it deterministic: the worker's only Take frees 50 of the
+// 90 bytes b needs, so the blocked Put can end only through the abort.
 func TestWorkerErrorAbortsStageAndUnblocksProducer(t *testing.T) {
 	s, _ := NewStage(100)
-	if err := s.Put(Item{Key: "a", Bytes: 90}); err != nil {
-		t.Fatal(err)
+	for _, key := range []string{"a1", "a2"} {
+		if err := s.Put(Item{Key: key, Bytes: 50}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sentinel := errors.New("analysis exploded")
 	producerDone := make(chan error, 1)
@@ -24,8 +28,10 @@ func TestWorkerErrorAbortsStageAndUnblocksProducer(t *testing.T) {
 		// Device is full: this Put blocks until the abort releases it.
 		producerDone <- s.Put(Item{Key: "b", Bytes: 90})
 	}()
-	time.Sleep(20 * time.Millisecond)
-	err := Consume(s, 2, func(Item) error { return sentinel })
+	for s.Stats().StallCount != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	err := Consume(s, 1, func(Item) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("Consume err = %v", err)
 	}
