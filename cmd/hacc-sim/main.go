@@ -58,7 +58,6 @@ func main() {
 		ckptEvry = flag.Int("checkpoint-every", 0, "write full-precision checkpoints every N steps (0: never)")
 		restart  = flag.String("restart-from", "", "resume from a checkpoint file instead of generating initial conditions; the run continues the checkpoint's own schedule and step numbering, bit-identical to an uninterrupted run")
 	)
-	flag.Var(aliasValue{flag.Lookup("restart-from")}, "restart", "deprecated alias for -restart-from")
 	flag.Parse()
 	cfg := runConfig{
 		NP: *np, NG: *ng, Box: *box, ZInit: *zInit, ZFinal: *zFinal,
@@ -75,17 +74,6 @@ func main() {
 		log.Fatal(err)
 	}
 }
-
-// aliasValue forwards a deprecated flag name onto its replacement.
-type aliasValue struct{ target *flag.Flag }
-
-func (a aliasValue) String() string {
-	if a.target == nil {
-		return ""
-	}
-	return a.target.Value.String()
-}
-func (a aliasValue) Set(v string) error { return a.target.Value.Set(v) }
 
 type runConfig struct {
 	NP, NG          int

@@ -26,11 +26,11 @@
 //	workflow-sim -resume run/
 //
 // With -gray, gray failures (job slowdowns, mid-run stalls, in-situ
-// slowdowns, submit refusals, transit lag — tuned by -gray-slow,
-// -gray-stall, -gray-insitu, -gray-submit, -gray-lag) are injected and
-// recovered by heartbeat/deadline/straggler supervision with hedged
-// re-execution; -step-budget arms adaptive in-situ→off-line degradation
-// and -decisions prints the supervision decision log:
+// slowdowns, submit refusals — tuned by -gray-slow, -gray-stall,
+// -gray-insitu, -gray-submit) are injected and recovered by
+// heartbeat/deadline/straggler supervision with hedged re-execution;
+// -step-budget arms adaptive in-situ→off-line degradation and -decisions
+// prints the supervision decision log:
 //
 //	workflow-sim -resilience -gray
 //	workflow-sim -campaign 20 -gray -step-budget 900 -decisions
@@ -87,12 +87,11 @@ func main() {
 		machines   = flag.Bool("machines", false, "compare analysis machines for the post job (§4.2 Titan/Rhea/Moonlight trade-off)")
 		resilience = flag.Bool("resilience", false, "compare workflow degradation under injected failures (job death, node drains, write faults, listener outages)")
 		faultSeed  = flag.Int64("fault-seed", 1, "fault injector seed (with -resilience/-gray)")
-		gray       = flag.Bool("gray", false, "add gray failures (job slowdowns, mid-run stalls, in-situ slowdowns, submit refusals, transit lag) to -resilience and -campaign runs; supervision recovers them")
+		gray       = flag.Bool("gray", false, "add gray failures (job slowdowns, mid-run stalls, in-situ slowdowns, submit refusals) to -resilience and -campaign runs; supervision recovers them")
 		graySlow   = flag.Float64("gray-slow", 0.25, "with -gray: per-attempt job slowdown probability")
 		grayStall  = flag.Float64("gray-stall", 0.2, "with -gray: per-attempt mid-run stall probability")
 		grayInsitu = flag.Float64("gray-insitu", 0.3, "with -gray: per-step in-situ analysis slowdown probability")
 		graySubmit = flag.Float64("gray-submit", 0.15, "with -gray: per-try listener submit refusal probability")
-		grayLag    = flag.Float64("gray-lag", 0.2, "with -gray: per-delivery transit lag probability")
 		stepBudget = flag.Float64("step-budget", 0, "with -gray: in-situ seconds budget per step; over-budget steps spill their center work to the off-line path")
 		decisions  = flag.Bool("decisions", false, "with -gray -campaign: print the supervision decision log")
 		all        = flag.Bool("all", false, "run everything")
@@ -113,7 +112,7 @@ func main() {
 	// probability or factor range dies here, not mid-campaign.
 	var grayP *fault.Profile
 	if *gray {
-		p := grayFaultProfile(*faultSeed, *graySlow, *grayStall, *grayInsitu, *graySubmit, *grayLag)
+		p := grayFaultProfile(*faultSeed, *graySlow, *grayStall, *grayInsitu, *graySubmit)
 		if err := p.Validate(); err != nil {
 			log.Fatal(err)
 		}
@@ -261,15 +260,14 @@ func defaultFaultProfile(faultSeed int64) fault.Profile {
 
 // grayFaultProfile is the gray-weather profile the -gray flag family
 // tunes: nothing in it kills a job outright — every disruption is a
-// slowdown, stall, refusal or lag that only supervision can see.
-func grayFaultProfile(faultSeed int64, slow, stall, insitu, submit, lag float64) fault.Profile {
+// slowdown, stall or refusal that only supervision can see.
+func grayFaultProfile(faultSeed int64, slow, stall, insitu, submit float64) fault.Profile {
 	return fault.Profile{
 		Seed:               faultSeed,
 		JobSlowdownProb:    slow,
 		JobStallProb:       stall,
 		InSituSlowdownProb: insitu,
 		SubmitFailProb:     submit,
-		TransitDelayProb:   lag,
 	}
 }
 
@@ -288,7 +286,6 @@ func resilienceStudy(seed, faultSeed int64, grayP *fault.Profile) error {
 		p.JobStallProb = grayP.JobStallProb
 		p.InSituSlowdownProb = grayP.InSituSlowdownProb
 		p.SubmitFailProb = grayP.SubmitFailProb
-		p.TransitDelayProb = grayP.TransitDelayProb
 	}
 	rows, err := core.ResilienceStudy(s, p)
 	if err != nil {
@@ -301,10 +298,10 @@ func resilienceStudy(seed, faultSeed int64, grayP *fault.Profile) error {
 		p.NodeDrains[0].Nodes, p.NodeDrains[0].Start, p.NodeDrains[0].End,
 		4, 30.0)
 	if grayP != nil {
-		fmt.Printf("Gray weather on top (%.0f%% slowdown, %.0f%% stall, %.0f%% in-situ slowdown, %.0f%% submit refusal, %.0f%% lag);\n"+
+		fmt.Printf("Gray weather on top (%.0f%% slowdown, %.0f%% stall, %.0f%% in-situ slowdown, %.0f%% submit refusal);\n"+
 			"supervision: heartbeats, deadlines, hedged re-execution, adaptive degradation:\n",
 			100*p.JobSlowdownProb, 100*p.JobStallProb, 100*p.InSituSlowdownProb,
-			100*p.SubmitFailProb, 100*p.TransitDelayProb)
+			100*p.SubmitFailProb)
 	}
 	fmt.Print(core.FormatResilience(rows))
 	return nil

@@ -221,9 +221,8 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 		}
 	}
 
-	// CI's "Campaign crash/resume smoke", verbatim: the crashed run
-	// prints the flag-less resume command, and that command must
-	// complete the campaign.
+	// Crash and resume: the crashed run prints the flag-less resume
+	// command, and that command must complete the campaign.
 	dir := filepath.Join(t.TempDir(), "camp")
 	for _, args := range [][]string{
 		{"-campaign", "4", "-out", dir, "-crash-time", "2000"},
@@ -235,6 +234,37 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "catalog.txt")); err != nil {
 		t.Errorf("crash + flag-less resume left no merged catalog: %v", err)
+	}
+}
+
+// A restarted simulation is bit-identical to an uninterrupted one: resumed
+// from the step 3 checkpoint, hacc-sim writes the same step 6 checkpoint
+// bytes as the run that never stopped.
+func TestEndToEndCheckpointRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end test")
+	}
+	bins := buildCmds(t)
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "sim1"), filepath.Join(dir, "sim2")
+	for _, args := range [][]string{
+		{"-np", "8", "-steps", "6", "-checkpoint-every", "3", "-analyze-every", "6", "-out", first},
+		{"-restart-from", filepath.Join(first, "ckpt003.bin"), "-checkpoint-every", "3", "-analyze-every", "6", "-out", second},
+	} {
+		if out, err := exec.Command(filepath.Join(bins, "hacc-sim"), args...).CombinedOutput(); err != nil {
+			t.Fatalf("hacc-sim %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(first, "ckpt006.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(second, "ckpt006.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("restarted run's step 6 checkpoint differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

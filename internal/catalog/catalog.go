@@ -72,20 +72,19 @@ func Read(r io.Reader) ([]cosmotools.CenterRecord, error) {
 			return nil, fmt.Errorf("catalog line %d: mbp tag: %w", lineNo, err)
 		}
 		for a := 0; a < 3; a++ {
-			if rec.Pos[a], err = strconv.ParseFloat(fields[2+a], 64); err != nil {
-				return nil, fmt.Errorf("catalog line %d: position: %w", lineNo, err)
-			}
-			if math.IsNaN(rec.Pos[a]) || math.IsInf(rec.Pos[a], 0) {
-				// A non-finite coordinate is corruption, not data: a halo
-				// center is a particle position inside the box.
-				return nil, fmt.Errorf("catalog line %d: non-finite coordinate %q", lineNo, fields[2+a])
+			if rec.Pos[a], err = parseFinite(fields[2+a]); err != nil {
+				return nil, fmt.Errorf("catalog line %d: coordinate: %w", lineNo, err)
 			}
 		}
-		if rec.Potential, err = strconv.ParseFloat(fields[5], 64); err != nil {
+		if rec.Potential, err = parseFinite(fields[5]); err != nil {
 			return nil, fmt.Errorf("catalog line %d: potential: %w", lineNo, err)
 		}
 		if rec.Count, err = strconv.Atoi(fields[6]); err != nil {
 			return nil, fmt.Errorf("catalog line %d: count: %w", lineNo, err)
+		}
+		if rec.Count < 1 {
+			// A center is a member particle, so its halo has at least one.
+			return nil, fmt.Errorf("catalog line %d: count %d, want ≥ 1", lineNo, rec.Count)
 		}
 		out = append(out, rec)
 	}
@@ -93,6 +92,17 @@ func Read(r io.Reader) ([]cosmotools.CenterRecord, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// parseFinite parses a float field and rejects NaN and ±Inf: a halo center
+// is a particle position inside the box and its potential a finite sum, so
+// a non-finite value is corruption, not data.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return v, err
 }
 
 // ReadFile parses a catalog from a path.

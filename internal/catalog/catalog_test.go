@@ -53,6 +53,8 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"1 2 zz 1.0 1.0 -1 5",       // bad pos
 		"1 2 1.0 1.0 1.0 ww 5",      // bad potential
 		"1 2 1.0 1.0 1.0 -1 notint", // bad count
+		"1 2 0.5 0.5 0.5 -1.5 -5",   // negative count
+		"1 2 0.5 0.5 0.5 -1.5 0",    // empty halo
 	}
 	for i, line := range bad {
 		if _, err := Read(strings.NewReader(line + "\n")); err == nil {
@@ -111,18 +113,15 @@ func TestReadRejectsNonFiniteCoordinates(t *testing.T) {
 		"1 2 NaN 1.0 1.0 -1 5",
 		"1 2 1.0 +Inf 1.0 -1 5",
 		"1 2 1.0 1.0 -Inf -1 5",
+		"1 2 1.0 1.0 1.0 NaN 5",
+		"1 2 1.0 1.0 1.0 -Inf 5",
 	}
 	for i, line := range bad {
 		if _, err := Read(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("case %d: non-finite coordinate was accepted", i)
+			t.Errorf("case %d: non-finite value was accepted", i)
 		} else if !strings.Contains(err.Error(), "non-finite") {
-			t.Errorf("case %d: error %v does not name the non-finite coordinate", i, err)
+			t.Errorf("case %d: error %v does not name the non-finite value", i, err)
 		}
-	}
-	// A non-finite potential is physically meaningful garbage the reader
-	// still parses; only positions are gated.
-	if _, err := Read(strings.NewReader("1 2 1.0 1.0 1.0 -Inf 5\n")); err != nil {
-		t.Errorf("potential gating is not this guard's job: %v", err)
 	}
 }
 

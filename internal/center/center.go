@@ -213,52 +213,6 @@ func AStar(x, y, z []float64, o Options) (Result, error) {
 	return best, nil
 }
 
-// BatchItem is one halo in a batched center-finding request: the member
-// coordinates, already unwrapped.
-type BatchItem struct {
-	X, Y, Z []float64
-}
-
-// BruteForceBatch finds the MBP of many halos, parallelizing across halos
-// rather than within one — the efficient shape for the in-situ phase of
-// the combined workflow, where millions of small halos each carry little
-// internal parallelism. Results are returned in input order. o.Backend
-// supplies the worker pool; per-halo potentials are computed serially
-// inside each worker (for the rare huge halo, use BruteForce directly,
-// which parallelizes the inner loop instead).
-func BruteForceBatch(items []BatchItem, o Options) ([]Result, error) {
-	for i := range items {
-		n := len(items[i].X)
-		if n == 0 {
-			return nil, fmt.Errorf("center: batch item %d is empty", i)
-		}
-		if len(items[i].Y) != n || len(items[i].Z) != n {
-			return nil, fmt.Errorf("center: batch item %d coordinate lengths differ", i)
-		}
-	}
-	out := make([]Result, len(items))
-	errs := make([]error, len(items))
-	serial := Options{Mass: o.Mass, Softening: o.Softening, Backend: dparallel.Serial{}}
-	pool := o.Backend
-	if pool == nil {
-		// Batch items are heavyweight: spread them across workers even for
-		// small batches (the default pool's chunking floor assumes cheap
-		// per-index work).
-		pool = dparallel.Parallel{MinChunk: 1}
-	}
-	dparallel.MapChunks(pool, len(items), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = BruteForce(items[i].X, items[i].Y, items[i].Z, serial)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Unwrap returns copies of the member coordinates (selected by idx from
 // the full arrays) unwrapped relative to the first member in a periodic
 // box, so that compact objects straddling the wrap become contiguous.

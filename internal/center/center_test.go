@@ -217,44 +217,3 @@ func TestPropertyAStarMatchesBruteForce(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBruteForceBatchMatchesIndividual(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var items []BatchItem
-	for h := 0; h < 20; h++ {
-		n := 10 + rng.Intn(80)
-		x, y, z := plummerish(n, int64(h))
-		items = append(items, BatchItem{X: x, Y: y, Z: z})
-	}
-	o := Options{Softening: 1e-3}
-	batch, err := BruteForceBatch(items, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(items) {
-		t.Fatalf("results = %d", len(batch))
-	}
-	for i, item := range items {
-		single, err := BruteForce(item.X, item.Y, item.Z, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[i].Index != single.Index {
-			t.Errorf("item %d: batch %d vs single %d", i, batch[i].Index, single.Index)
-		}
-	}
-}
-
-func TestBruteForceBatchValidation(t *testing.T) {
-	if _, err := BruteForceBatch([]BatchItem{{}}, Options{}); err == nil {
-		t.Error("expected empty-item error")
-	}
-	if _, err := BruteForceBatch([]BatchItem{{X: []float64{1}, Y: []float64{1, 2}, Z: []float64{1}}}, Options{}); err == nil {
-		t.Error("expected length error")
-	}
-	// Empty batch is fine.
-	out, err := BruteForceBatch(nil, Options{})
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v %v", out, err)
-	}
-}

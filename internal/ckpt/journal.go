@@ -78,8 +78,7 @@ type Record struct {
 // Journal is an append-only, fsync'd record log. It is not safe for
 // concurrent use; the workflow engine appends from a single goroutine.
 type Journal struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // Frame serializes any JSON-marshalable value as one self-checking
@@ -189,7 +188,7 @@ func Open(path string) (*Journal, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("ckpt: seek journal: %w", err)
 	}
-	return &Journal{f: f, path: path}, records, nil
+	return &Journal{f: f}, records, nil
 }
 
 // Append durably writes one record: the entry is fsync'd before Append
@@ -207,9 +206,6 @@ func (j *Journal) Append(r Record) error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close releases the journal file.
 func (j *Journal) Close() error { return j.f.Close() }

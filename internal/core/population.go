@@ -162,19 +162,6 @@ func (hp *HaloPopulation) TotalHalos() float64 {
 	return total
 }
 
-// TotalParticlesInHalos returns the expected number of particles residing
-// in halos.
-func (hp *HaloPopulation) TotalParticlesInHalos() float64 {
-	total := 0.0
-	for _, n := range hp.Large {
-		total += float64(n)
-	}
-	for _, b := range hp.Bins {
-		total += b.Count * b.Size
-	}
-	return total
-}
-
 // LargestSize returns the largest halo's particle count (0 when none).
 func (hp *HaloPopulation) LargestSize() int {
 	if len(hp.Large) > 0 {

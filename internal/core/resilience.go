@@ -123,16 +123,6 @@ func (r *ResilienceRow) WallInflation() float64 {
 	return r.Faulted.WallClock / r.Baseline.WallClock
 }
 
-// CoreHourInflation is the faulted analysis charge (including the charge
-// for discarded attempts) relative to the baseline.
-func (r *ResilienceRow) CoreHourInflation() float64 {
-	base := r.Baseline.AnalysisCoreHours
-	if base == 0 {
-		return 1
-	}
-	return (r.Faulted.AnalysisCoreHours + r.Faulted.Resilience.LostCoreHours) / base
-}
-
 // ResilienceStudy runs every workflow kind twice — once failure-free, once
 // under the fault profile — and reports how gracefully each variant
 // degrades: the "which workflow survives real facility conditions" question

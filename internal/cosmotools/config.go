@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -102,29 +101,6 @@ func (c *Config) Section(name string) map[string]string {
 	return out
 }
 
-// Global returns the section-less key-value pairs.
-func (c *Config) Global() map[string]string { return c.Section("") }
-
-// Lookup fetches section/key, reporting presence.
-func (c *Config) Lookup(section, key string) (string, bool) {
-	s, ok := c.sections[section]
-	if !ok {
-		return "", false
-	}
-	v, ok := s[key]
-	return v, ok
-}
-
-// Keys lists a section's keys sorted.
-func (c *Config) Keys(section string) []string {
-	var out []string
-	for k := range c.sections[section] {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // --- typed parameter helpers shared by the algorithm adapters ---
 
 func parseInt(s string) (int, error) { return strconv.Atoi(strings.TrimSpace(s)) }
@@ -132,8 +108,6 @@ func parseInt(s string) (int, error) { return strconv.Atoi(strings.TrimSpace(s))
 func parseFloat(s string) (float64, error) {
 	return strconv.ParseFloat(strings.TrimSpace(s), 64)
 }
-
-func parseBool(s string) (bool, error) { return strconv.ParseBool(strings.TrimSpace(s)) }
 
 func splitList(s string) []string {
 	var out []string
@@ -170,17 +144,4 @@ func IntParam(params map[string]string, key string, def int) (int, error) {
 		return 0, fmt.Errorf("parameter %s=%q: %w", key, v, err)
 	}
 	return n, nil
-}
-
-// BoolParam reads a bool key with a default.
-func BoolParam(params map[string]string, key string, def bool) (bool, error) {
-	v, ok := params[key]
-	if !ok {
-		return def, nil
-	}
-	b, err := parseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("parameter %s=%q: %w", key, v, err)
-	}
-	return b, nil
 }

@@ -16,7 +16,6 @@ package cosmotools
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/nbody"
 )
@@ -167,16 +166,6 @@ func (m *Manager) Execute(ctx *Context) error {
 		}
 	}
 	return nil
-}
-
-// SortedOutputKeys lists ctx.Outputs keys deterministically.
-func (ctx *Context) SortedOutputKeys() []string {
-	keys := make([]string, 0, len(ctx.Outputs))
-	for k := range ctx.Outputs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // EverySchedule is the common cadence rule: run when step % Every == 0, or

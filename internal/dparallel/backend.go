@@ -18,9 +18,8 @@ import (
 )
 
 // Backend is an execution target. ForRange is the only primitive a backend
-// must supply; MapChunks and MinIndex are built on top of it, mirroring how
-// Thrust builds its algorithm library above a minimal parallel-for
-// substrate.
+// must supply; MinIndex is built on top of it, mirroring how Thrust builds
+// its algorithm library above a minimal parallel-for substrate.
 type Backend interface {
 	// Name identifies the backend in logs and benchmark labels.
 	Name() string

@@ -5,12 +5,6 @@ import (
 	"sync"
 )
 
-// MapChunks applies fn to contiguous chunks, letting callers hoist per-chunk
-// state (scratch buffers, partial sums) out of the inner loop.
-func MapChunks(b Backend, n int, fn func(lo, hi int)) {
-	b.ForRange(n, fn)
-}
-
 // MinIndex returns the index i in [0, n) minimizing value(i), together with
 // the minimum value. A NaN never beats a number, and ties (all-NaN
 // included) resolve to the smallest index, so the result is independent of

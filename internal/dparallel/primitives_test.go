@@ -130,10 +130,10 @@ func TestForRangeAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestMapChunksWritesEveryElement(t *testing.T) {
+func TestForRangeWritesEveryElement(t *testing.T) {
 	for _, b := range testBackends() {
 		out := make([]float64, 999)
-		MapChunks(b, len(out), func(lo, hi int) {
+		b.ForRange(len(out), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = float64(i * i)
 			}

@@ -173,7 +173,7 @@ type Profile struct {
 func (p Profile) Enabled() bool {
 	return p.JobFailureProb > 0 || p.WriteFailProb > 0 || p.WriteTruncateProb > 0 ||
 		p.ConsumerAbortProb > 0 || len(p.ListenerOutages) > 0 || len(p.NodeDrains) > 0 ||
-		len(p.Crashes) > 0 || p.GrayEnabled() || p.CorruptionEnabled()
+		p.TransitDelayProb > 0 || len(p.Crashes) > 0 || p.GrayEnabled() || p.CorruptionEnabled()
 }
 
 // CorruptionEnabled reports whether the profile can inject any silent
@@ -185,10 +185,12 @@ func (p Profile) CorruptionEnabled() bool {
 
 // GrayEnabled reports whether the profile can inject any gray failure —
 // the classes that stall or slow work without killing it, which only
-// deadline/heartbeat supervision can recover.
+// deadline/heartbeat supervision can recover. Transit lag is not one: the
+// transit stage's ack-deadline reaper recovers it, and the campaign model
+// never draws it.
 func (p Profile) GrayEnabled() bool {
 	return p.JobSlowdownProb > 0 || p.JobStallProb > 0 || len(p.DegradedNodes) > 0 ||
-		p.InSituSlowdownProb > 0 || p.SubmitFailProb > 0 || p.TransitDelayProb > 0
+		p.InSituSlowdownProb > 0 || p.SubmitFailProb > 0
 }
 
 // Validate rejects malformed profiles with descriptive errors instead of

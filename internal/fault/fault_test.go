@@ -262,6 +262,18 @@ func TestNilInjectorInjectsNoGrayFailures(t *testing.T) {
 	}
 }
 
+// A lag-only profile must not arm campaign supervision for a fault the
+// campaign model never draws, yet it is still a fault profile.
+func TestTransitLagIsNotGray(t *testing.T) {
+	p := Profile{TransitDelayProb: 0.2}
+	if p.GrayEnabled() {
+		t.Error("a transit-lag-only profile reports gray failures")
+	}
+	if !p.Enabled() {
+		t.Error("a transit-lag-only profile reports no faults")
+	}
+}
+
 func TestGrayDrawsAreSeededAndOrderIndependent(t *testing.T) {
 	p := Profile{Seed: 17, JobSlowdownProb: 0.4, JobStallProb: 0.3,
 		InSituSlowdownProb: 0.5, SubmitFailProb: 0.3, TransitDelayProb: 0.4}

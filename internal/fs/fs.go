@@ -74,9 +74,6 @@ func New(sim *des.Sim, name string) *System {
 	return &System{sim: sim, name: name, writeSeq: map[string]int{}}
 }
 
-// Name identifies the tier ("lustre", "burst-buffer", ...).
-func (s *System) Name() string { return s.name }
-
 // SetFaults attaches a fault injector: writes may then fail outright or
 // land silently truncated. A nil injector restores the failure-free tier.
 func (s *System) SetFaults(inj *fault.Injector) { s.faults = inj }
@@ -148,17 +145,6 @@ func (s *System) VerifySize(path string, wantBytes float64) (*File, error) {
 		return nil, fmt.Errorf("fs(%s): %s truncated: %.0f of %.0f bytes", s.name, path, f.Bytes, wantBytes)
 	}
 	return f, nil
-}
-
-// Read starts reading a visible file, invoking done with it after duration
-// seconds. Reading a missing file is an immediate error.
-func (s *System) Read(path string, duration float64, done func(*File)) error {
-	f, err := s.Stat(path)
-	if err != nil {
-		return err
-	}
-	s.sim.After(duration, func() { done(f) })
-	return nil
 }
 
 // land places a file on the tier, replacing any file at its path, and logs

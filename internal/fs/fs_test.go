@@ -45,27 +45,6 @@ func TestListPrefixAndOrder(t *testing.T) {
 	}
 }
 
-func TestReadRequiresVisibleFile(t *testing.T) {
-	var sim des.Sim
-	s := New(&sim, "bb")
-	if err := s.Read("missing", 1, func(*File) {}); err == nil {
-		t.Error("expected error")
-	}
-	s.Write("data", 5, 10, "payload", nil)
-	sim.RunUntil(10)
-	var got *File
-	if err := s.Read("data", 7, func(f *File) { got = f }); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	if got == nil || got.Payload.(string) != "payload" {
-		t.Errorf("read = %+v", got)
-	}
-	if sim.Now() != 17 {
-		t.Errorf("read completed at %v, want 17", sim.Now())
-	}
-}
-
 func TestDelete(t *testing.T) {
 	var sim des.Sim
 	s := New(&sim, "lustre")

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -232,49 +231,5 @@ func TestPropertyDepositConservesMass(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestScalarSerializationRoundTrip(t *testing.T) {
-	g, _ := NewScalar(8, 25)
-	rng := rand.New(rand.NewSource(8))
-	for i := range g.Data {
-		g.Data[i] = rng.NormFloat64()
-	}
-	var buf bytes.Buffer
-	if err := g.WriteField(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadScalar(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != 8 || got.BoxSize != 25 {
-		t.Errorf("header = %d/%v", got.N, got.BoxSize)
-	}
-	for i := range g.Data {
-		if got.Data[i] != g.Data[i] {
-			t.Fatalf("cell %d not bit-identical", i)
-		}
-	}
-}
-
-func TestScalarSerializationCorruption(t *testing.T) {
-	g, _ := NewScalar(4, 10)
-	g.Data[0] = 3
-	var buf bytes.Buffer
-	if err := g.WriteField(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[20] ^= 0xFF
-	if _, err := ReadScalar(bytes.NewReader(data)); err == nil {
-		t.Error("expected checksum error")
-	}
-	if _, err := ReadScalar(bytes.NewReader([]byte("short"))); err == nil {
-		t.Error("expected short-stream error")
-	}
-	if _, err := ReadScalar(bytes.NewReader(data[:len(data)-8])); err == nil {
-		t.Error("expected truncation error")
 	}
 }

@@ -67,20 +67,3 @@ func indexOfTag(p *nbody.Particles, idx []int, tag int64) (int, bool) {
 	}
 	return -1, false
 }
-
-// GatherCounts collects every rank's halo particle counts onto all ranks,
-// concatenated in rank order — the inexpensive global view used for the
-// workload split decision (§4.1's automated threshold discussion needs the
-// global largest halo mass m_max_sim).
-func GatherCounts(c *mpi.Comm, cat *Catalog) []int {
-	counts := make([]int, len(cat.Halos))
-	for i := range cat.Halos {
-		counts[i] = cat.Halos[i].Count()
-	}
-	all := c.AllGather(counts)
-	var out []int
-	for _, payload := range all {
-		out = append(out, payload.([]int)...)
-	}
-	return out
-}

@@ -122,44 +122,6 @@ func TestParallelFOFRejectsBadOverload(t *testing.T) {
 	}
 }
 
-func TestGatherCounts(t *testing.T) {
-	all, box := makeTestBox(7)
-	o := Options{LinkingLength: 0.3, MinSize: 10}
-	serialOpts := o
-	serialOpts.Periodic = true
-	want, err := FOF(all, box, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCounts := make([]int, len(want.Halos))
-	for i := range want.Halos {
-		wantCounts[i] = want.Halos[i].Count()
-	}
-	sort.Ints(wantCounts)
-	err = mpi.RunRanks(4, func(c *mpi.Comm) error {
-		local := distributeByOwner(all, c.Rank(), c.Size(), box)
-		res, err := ParallelFOF(c, local, box, 2.0, o)
-		if err != nil {
-			//lint:allow mpicollective error path fires only on test failure, where the resulting stall surfaces as a test timeout
-			return err
-		}
-		counts := GatherCounts(c, res.Catalog)
-		sort.Ints(counts)
-		if len(counts) != len(wantCounts) {
-			return fmt.Errorf("rank %d: %v vs %v", c.Rank(), counts, wantCounts)
-		}
-		for i := range counts {
-			if counts[i] != wantCounts[i] {
-				return fmt.Errorf("rank %d: counts[%d] = %d want %d", c.Rank(), i, counts[i], wantCounts[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // sortableResults collects strings safely from rank goroutines.
 type sortableResults struct {
 	mu    sync.Mutex

@@ -71,7 +71,6 @@ type Product struct {
 // goroutine.
 type Ledger struct {
 	f        *os.File
-	path     string
 	products []Product
 	index    map[string]int // path -> latest products index
 }
@@ -83,7 +82,7 @@ func OpenLedger(path string) (*Ledger, error) {
 	if err != nil {
 		return nil, fmt.Errorf("integrity: open ledger: %w", err)
 	}
-	l := &Ledger{f: f, path: path, index: map[string]int{}}
+	l := &Ledger{f: f, index: map[string]int{}}
 	valid := int64(0)
 	br := bufio.NewReader(f)
 	for {
@@ -175,9 +174,6 @@ func (l *Ledger) Downstream(path string) []string {
 	}
 	return out
 }
-
-// Path returns the ledger's file path.
-func (l *Ledger) Path() string { return l.path }
 
 // Close releases the ledger file.
 func (l *Ledger) Close() error { return l.f.Close() }

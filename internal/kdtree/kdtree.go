@@ -7,7 +7,7 @@
 // particle-to-particle distance comparisons" (§3.3.1). This tree provides
 // the balanced median-split construction, per-node bounding boxes, the
 // (optionally periodic) self-join the halo finder is, and the fixed-radius
-// and k-nearest queries the center and SO finders build on.
+// queries the center and SO finders build on.
 package kdtree
 
 import (
@@ -395,118 +395,4 @@ func (t *Tree) traverseNodes(ni int, visit func(minB, maxB [3]float64, members [
 	}
 	t.traverseNodes(nb.left, visit)
 	t.traverseNodes(nb.right, visit)
-}
-
-// Leaves returns the point indices of every leaf node, one slice per leaf.
-// The returned slices alias the tree's internal permutation and must not be
-// modified. Leaf grouping gives callers a spatially coherent O(n/LeafSize)
-// partition — the A* center finder's optimistic heuristic aggregates mass
-// over exactly these groups.
-func (t *Tree) Leaves() [][]int {
-	var out [][]int
-	for ni := range t.nodes {
-		nb := &t.nodes[ni]
-		if nb.left < 0 {
-			out = append(out, t.perm[nb.lo:nb.hi])
-		}
-	}
-	return out
-}
-
-// neighbour is one candidate in a k-nearest-neighbour search.
-type neighbour struct {
-	idx   int
-	dist2 float64
-}
-
-// KNearest returns the indices of the k nearest points to (x, y, z)
-// together with their squared distances, ordered nearest first. The query
-// point itself is included when present in the tree. If the tree holds
-// fewer than k points, all are returned.
-func (t *Tree) KNearest(x, y, z float64, k int) (idx []int, dist2 []float64) {
-	if k <= 0 || len(t.nodes) == 0 {
-		return nil, nil
-	}
-	h := &nbrHeap{}
-	t.kNearest(0, x, y, z, k, h)
-	// Heap is a max-heap on distance; unload and reverse.
-	out := make([]neighbour, len(*h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h.pop()
-	}
-	idx = make([]int, len(out))
-	dist2 = make([]float64, len(out))
-	for i, nb := range out {
-		idx[i] = nb.idx
-		dist2[i] = nb.dist2
-	}
-	return idx, dist2
-}
-
-func (t *Tree) kNearest(ni int, x, y, z float64, k int, h *nbrHeap) {
-	nb := &t.nodes[ni]
-	if len(*h) == k && t.boxDist2(nb, x, y, z) > (*h)[0].dist2 {
-		return
-	}
-	if nb.left < 0 {
-		for _, j := range t.perm[nb.lo:nb.hi] {
-			d2 := t.Dist2(j, x, y, z)
-			if len(*h) < k {
-				h.push(neighbour{j, d2})
-			} else if d2 < (*h)[0].dist2 {
-				h.pop()
-				h.push(neighbour{j, d2})
-			}
-		}
-		return
-	}
-	// Visit the nearer child first for better pruning.
-	l, r := nb.left, nb.right
-	dl := t.boxDist2(&t.nodes[l], x, y, z)
-	dr := t.boxDist2(&t.nodes[r], x, y, z)
-	if dr < dl {
-		l, r = r, l
-	}
-	t.kNearest(l, x, y, z, k, h)
-	t.kNearest(r, x, y, z, k, h)
-}
-
-// nbrHeap is a max-heap of neighbours keyed on dist2.
-type nbrHeap []neighbour
-
-func (h *nbrHeap) push(n neighbour) {
-	*h = append(*h, n)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].dist2 >= (*h)[i].dist2 {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-func (h *nbrHeap) pop() neighbour {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && (*h)[l].dist2 > (*h)[big].dist2 {
-			big = l
-		}
-		if r < last && (*h)[r].dist2 > (*h)[big].dist2 {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		(*h)[i], (*h)[big] = (*h)[big], (*h)[i]
-		i = big
-	}
-	return top
 }

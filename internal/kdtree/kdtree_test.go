@@ -3,7 +3,6 @@ package kdtree
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -118,68 +117,6 @@ func TestVisitWithinEarlyStop(t *testing.T) {
 	})
 	if count != 5 {
 		t.Errorf("visited %d, want early stop at 5", count)
-	}
-}
-
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	box := 10.0
-	x, y, z := randomCloud(300, box, 9)
-	for _, period := range []float64{0, box} {
-		tr, err := Build(x, y, z, period, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(11))
-		for q := 0; q < 30; q++ {
-			qx, qy, qz := rng.Float64()*box, rng.Float64()*box, rng.Float64()*box
-			k := 1 + rng.Intn(20)
-			idx, d2 := tr.KNearest(qx, qy, qz, k)
-			if len(idx) != k {
-				t.Fatalf("got %d results, want %d", len(idx), k)
-			}
-			// Brute force.
-			type nd struct {
-				i int
-				d float64
-			}
-			all := make([]nd, len(x))
-			for i := range x {
-				dx := wrapDelta(x[i]-qx, period)
-				dy := wrapDelta(y[i]-qy, period)
-				dz := wrapDelta(z[i]-qz, period)
-				all[i] = nd{i, dx*dx + dy*dy + dz*dz}
-			}
-			sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
-			for i := 0; i < k; i++ {
-				if math.Abs(d2[i]-all[i].d) > 1e-12 {
-					t.Fatalf("period=%v q=%d: dist[%d] = %v, want %v", period, q, i, d2[i], all[i].d)
-				}
-			}
-			// Distances must be non-decreasing.
-			for i := 1; i < k; i++ {
-				if d2[i] < d2[i-1] {
-					t.Fatalf("kNN distances not sorted: %v", d2)
-				}
-			}
-		}
-	}
-}
-
-func TestKNearestFewerPointsThanK(t *testing.T) {
-	x, y, z := randomCloud(5, 10, 13)
-	tr, _ := Build(x, y, z, 0, 4)
-	idx, _ := tr.KNearest(5, 5, 5, 10)
-	if len(idx) != 5 {
-		t.Errorf("got %d, want all 5", len(idx))
-	}
-}
-
-func TestKNearestZeroK(t *testing.T) {
-	x, y, z := randomCloud(5, 10, 13)
-	tr, _ := Build(x, y, z, 0, 4)
-	idx, d2 := tr.KNearest(5, 5, 5, 0)
-	if idx != nil || d2 != nil {
-		t.Error("expected nil results for k=0")
 	}
 }
 

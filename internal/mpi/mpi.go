@@ -180,31 +180,6 @@ func (c *Comm) AllReduceSum(val float64) float64 {
 	return c.AllReduceFloat64(val, func(a, b float64) float64 { return a + b })
 }
 
-// AllReduceMax takes the maximum across all ranks.
-func (c *Comm) AllReduceMax(val float64) float64 {
-	return c.AllReduceFloat64(val, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// AllReduceMin takes the minimum across all ranks.
-func (c *Comm) AllReduceMin(val float64) float64 {
-	return c.AllReduceFloat64(val, func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// AllReduceSumInt sums an int across all ranks.
-func (c *Comm) AllReduceSumInt(val int) int {
-	return int(c.AllReduceSum(float64(val)))
-}
-
 // alltoallTag is reserved for AllToAll exchanges.
 const alltoallTag = -7701
 
@@ -232,11 +207,6 @@ func (c *Comm) AllToAll(out []any) []any {
 	return in
 }
 
-// Bcast returns root's value on every rank.
-func (c *Comm) Bcast(root int, val any) any {
-	return c.AllGather(val)[root]
-}
-
 // RunRanks launches fn on n ranks (one goroutine each) and waits for all to
 // finish, returning the first non-nil error by rank order.
 func RunRanks(n int, fn func(c *Comm) error) error {
@@ -260,38 +230,4 @@ func RunRanks(n int, fn func(c *Comm) error) error {
 		}
 	}
 	return nil
-}
-
-// Gather collects each rank's value onto root (rank-indexed); other ranks
-// receive nil.
-func (c *Comm) Gather(root int, val any) []any {
-	all := c.AllGather(val)
-	if c.rank != root {
-		return nil
-	}
-	return all
-}
-
-// Scatter distributes root's values (one per rank) to every rank; vals is
-// ignored on non-root ranks.
-func (c *Comm) Scatter(root int, vals []any) any {
-	const scatterTag = -7702
-	if c.rank == root {
-		if len(vals) != c.Size() {
-			panic(fmt.Sprintf("mpi: Scatter value count %d != world size %d", len(vals), c.Size()))
-		}
-		for d := 0; d < c.Size(); d++ {
-			if d == root {
-				continue
-			}
-			c.Send(d, scatterTag, vals[d])
-		}
-		//lint:allow mpicollective collective implementation: both the root and non-root arms end in Barrier, so arrival is symmetric
-		c.Barrier()
-		//lint:allow mpicollective the non-root path below also reaches Barrier before returning
-		return vals[root]
-	}
-	v := c.Recv(root, scatterTag)
-	c.Barrier()
-	return v
 }

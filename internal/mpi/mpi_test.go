@@ -153,15 +153,6 @@ func TestAllReduceOps(t *testing.T) {
 		if s := c.AllReduceSum(v); math.Abs(s-21) > 1e-12 {
 			return fmt.Errorf("sum = %v", s)
 		}
-		if m := c.AllReduceMax(v); m != 6 {
-			return fmt.Errorf("max = %v", m)
-		}
-		if m := c.AllReduceMin(v); m != 1 {
-			return fmt.Errorf("min = %v", m)
-		}
-		if n := c.AllReduceSumInt(2); n != 12 {
-			return fmt.Errorf("sumint = %v", n)
-		}
 		return nil
 	})
 	if err != nil {
@@ -211,23 +202,6 @@ func TestAllToAllRepeated(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	err := RunRanks(4, func(c *Comm) error {
-		val := "unset"
-		if c.Rank() == 2 {
-			val = "payload"
-		}
-		got := c.Bcast(2, val).(string)
-		if got != "payload" {
-			return fmt.Errorf("rank %d got %q", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSingleRankWorld(t *testing.T) {
 	err := RunRanks(1, func(c *Comm) error {
 		c.Barrier()
@@ -237,64 +211,6 @@ func TestSingleRankWorld(t *testing.T) {
 		in := c.AllToAll([]any{42})
 		if in[0].(int) != 42 {
 			return fmt.Errorf("alltoall = %v", in[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherToRoot(t *testing.T) {
-	err := RunRanks(4, func(c *Comm) error {
-		got := c.Gather(2, c.Rank()*11)
-		if c.Rank() != 2 {
-			if got != nil {
-				return fmt.Errorf("rank %d received a gather result", c.Rank())
-			}
-			return nil
-		}
-		for r, v := range got {
-			if v.(int) != r*11 {
-				return fmt.Errorf("gather[%d] = %v", r, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterFromRoot(t *testing.T) {
-	err := RunRanks(4, func(c *Comm) error {
-		var vals []any
-		if c.Rank() == 1 {
-			vals = []any{"a", "b", "c", "d"}
-		}
-		got := c.Scatter(1, vals).(string)
-		want := string(rune('a' + c.Rank()))
-		if got != want {
-			return fmt.Errorf("rank %d got %q, want %q", c.Rank(), got, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterRepeated(t *testing.T) {
-	err := RunRanks(3, func(c *Comm) error {
-		for round := 0; round < 20; round++ {
-			var vals []any
-			if c.Rank() == 0 {
-				vals = []any{round * 100, round*100 + 1, round*100 + 2}
-			}
-			got := c.Scatter(0, vals).(int)
-			if got != round*100+c.Rank() {
-				return fmt.Errorf("round %d rank %d got %d", round, c.Rank(), got)
-			}
 		}
 		return nil
 	})

@@ -320,53 +320,6 @@ func TestGrowthTracksLinearTheory(t *testing.T) {
 	}
 }
 
-func TestSubsample(t *testing.T) {
-	p := lattice(8, 10)
-	if _, err := p.Subsample(-0.1, 1); err == nil {
-		t.Error("expected fraction error")
-	}
-	if _, err := p.Subsample(1.1, 1); err == nil {
-		t.Error("expected fraction error")
-	}
-	sub, err := p.Subsample(0.25, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := p.N() / 4
-	if sub.N() != want {
-		t.Errorf("subsample N = %d, want %d", sub.N(), want)
-	}
-	// Deterministic for the same seed.
-	sub2, err := p.Subsample(0.25, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < sub.N(); i++ {
-		if sub.Tag[i] != sub2.Tag[i] {
-			t.Fatal("same seed gave a different sample")
-		}
-	}
-	// No duplicates, order preserved.
-	for i := 1; i < sub.N(); i++ {
-		if sub.Tag[i] <= sub.Tag[i-1] {
-			t.Fatalf("subsample not order-preserving without duplicates at %d", i)
-		}
-	}
-	// Edge fractions.
-	all, err := p.Subsample(1, 2)
-	if err != nil || all.N() != p.N() {
-		t.Errorf("fraction 1: N=%d err=%v", all.N(), err)
-	}
-	none, err := p.Subsample(0, 2)
-	if err != nil || none.N() != 0 {
-		t.Errorf("fraction 0: N=%d err=%v", none.N(), err)
-	}
-}
-
-// Momentum conservation: gravity is internal, so one KDK step must not
-// change the total momentum beyond discretization noise. CIC deposit and
-// CIC force interpolation share the same kernel, which is what makes the
-// PM scheme momentum-conserving.
 func TestStepConservesMomentum(t *testing.T) {
 	c := cosmo.Default()
 	np := 16

@@ -14,8 +14,6 @@ package nbody
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/periodic"
 )
@@ -127,29 +125,4 @@ func (p *Particles) Dist2(i, j int, l float64) float64 {
 	dy := periodic.MinImage(p.Y[i]-p.Y[j], l)
 	dz := periodic.MinImage(p.Z[i]-p.Z[j], l)
 	return dx*dx + dy*dy + dz*dz
-}
-
-// Subsample returns a uniformly random fraction of the particles (without
-// replacement, order-preserving, deterministic for a given seed). Particle
-// subsamples are one of the paper's Level 2 data products (Table 1 lists
-// "subsamples of particles" beside halo particles and density fields).
-func (p *Particles) Subsample(fraction float64, seed int64) (*Particles, error) {
-	if fraction < 0 || fraction > 1 {
-		return nil, fmt.Errorf("nbody: subsample fraction %g out of [0, 1]", fraction)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	target := int(math.Round(fraction * float64(p.N())))
-	// Reservoir-free selection: walk once, keeping each particle with the
-	// exact remaining-quota probability (classic sequential sampling).
-	out := NewParticles(0)
-	remaining := p.N()
-	need := target
-	for i := 0; i < p.N() && need > 0; i++ {
-		if rng.Float64() < float64(need)/float64(remaining) {
-			out.AppendFrom(p, i)
-			need--
-		}
-		remaining--
-	}
-	return out, nil
 }

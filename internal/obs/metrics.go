@@ -103,8 +103,8 @@ func (g *Gauge) Max() float64 {
 
 // Histogram buckets observations against fixed ascending upper bounds.
 // counts[i] tallies observations ≤ Bounds[i]; counts[len(Bounds)] is the
-// overflow bucket. Fixed bounds make Merge associative and the encode
-// deterministic; pick bounds at registration time and never mutate them.
+// overflow bucket. Fixed bounds make the encode deterministic; pick bounds
+// at registration time and never mutate them.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64
@@ -172,35 +172,6 @@ func (h *Histogram) Counts() []uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]uint64(nil), h.counts...)
-}
-
-// Merge folds other into h. Both histograms must share identical bounds
-// — with fixed bounds the merge is associative and commutative (bucket
-// counts and sums just add), the property the shard-merge tests pin.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h == nil || other == nil {
-		return nil
-	}
-	// Lock ordering: always h then other; callers never Merge in both
-	// directions concurrently on the same pair.
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("obs: merge of histograms with different bucket layouts (%d vs %d bounds)", len(h.bounds), len(other.bounds))
-	}
-	for i, b := range h.bounds {
-		if other.bounds[i] != b {
-			return fmt.Errorf("obs: merge of histograms with different bucket layouts (bound[%d] %g vs %g)", i, b, other.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.sum += other.sum
-	h.n += other.n
-	return nil
 }
 
 // Counter returns the named counter, creating it on first use. Nil-safe

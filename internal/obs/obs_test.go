@@ -2,10 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // fakeClock is a settable deterministic clock.
@@ -184,69 +182,6 @@ func TestRegistryEncodeOrderAndValues(t *testing.T) {
 		"histogram lat count=3 sum=55.5 le1=1 le10=1 inf=1\n"
 	if buf.String() != want {
 		t.Fatalf("registry encode:\n%s\nwant:\n%s", buf.String(), want)
-	}
-}
-
-func TestHistogramMergeAssociative(t *testing.T) {
-	bounds := []float64{1, 10, 100, 1000}
-	fill := func(obs []float64) *Histogram {
-		h := NewHistogram(bounds)
-		for _, v := range obs {
-			// Fold quick's arbitrary float64s into a workload-shaped
-			// range; bucket counts must still merge exactly.
-			h.Observe(math.Abs(math.Mod(v, 2000)))
-		}
-		return h
-	}
-	eq := func(a, b *Histogram) bool {
-		ca, cb := a.Counts(), b.Counts()
-		if len(ca) != len(cb) || a.Count() != b.Count() {
-			return false
-		}
-		// Bucket counts are integers: merge order must not change them
-		// at all. The float sum is associative only up to rounding.
-		for i := range ca {
-			if ca[i] != cb[i] {
-				return false
-			}
-		}
-		diff := math.Abs(a.Sum() - b.Sum())
-		scale := math.Max(math.Abs(a.Sum()), 1)
-		return diff <= 1e-9*scale
-	}
-	// (A⊕B)⊕C == A⊕(B⊕C) for arbitrary observation sets.
-	prop := func(xs, ys, zs []float64) bool {
-		left := fill(xs)
-		if err := left.Merge(fill(ys)); err != nil {
-			return false
-		}
-		if err := left.Merge(fill(zs)); err != nil {
-			return false
-		}
-		bc := fill(ys)
-		if err := bc.Merge(fill(zs)); err != nil {
-			return false
-		}
-		right := fill(xs)
-		if err := right.Merge(bc); err != nil {
-			return false
-		}
-		return eq(left, right)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedBounds(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 3})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge of mismatched bounds succeeded")
-	}
-	c := NewHistogram([]float64{1})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge of different bound counts succeeded")
 	}
 }
 

@@ -202,9 +202,6 @@ func (c *Cluster) FreeNodes() int { return c.freeNodes }
 // Finished returns the completed jobs in completion order.
 func (c *Cluster) Finished() []*Job { return c.finished }
 
-// Pending reports queued-but-unstarted jobs.
-func (c *Cluster) Pending() int { return len(c.pending) }
-
 // ApplyDrains schedules the injector's node-drain windows: at each window
 // start the drained nodes are withheld from new job starts, and at the end
 // they return to service. Jobs already running keep their nodes.
