@@ -13,8 +13,10 @@ import (
 	"repro/internal/cosmo"
 	"repro/internal/halo"
 	"repro/internal/ic"
+	"repro/internal/kdtree"
 	"repro/internal/nbody"
 	"repro/internal/powerspec"
+	"repro/internal/subhalo"
 )
 
 // kernelGolden pins, per case, one sha256 over every float64 bit the
@@ -23,18 +25,25 @@ import (
 // and the unwrapped largest halo. The digests were generated at the parent
 // of the kernel rewrite (grid/fft/periodic); a kernel change that moves
 // one bit anywhere in that chain fails here by name.
+//
+// followSHA256, where set, pins the off-line follow-ups on the z = 0
+// snapshot the run ends at: the k-d tree over every particle and the
+// subhalo search over the largest FOF halos (followUpDigest). Those digests
+// were generated before the k-d tree build and the subhalo passes ran on
+// dparallel workers.
 var kernelGolden = []struct {
-	name       string
-	np         int
-	box        float64
-	steps      int
-	seed       int64
-	wantSHA256 string
+	name         string
+	np           int
+	box          float64
+	steps        int
+	seed         int64
+	wantSHA256   string
+	followSHA256 string
 }{
-	{"np32-seed1", 32, 40, 20, 1, "010b62a376d3845e3d326c3fb0d78c7c5967882efb7430d79a41f7e6177ba04b"},
-	{"np32-seed2", 32, 40, 20, 2, "c7c2432c6b32028185d80ae5a27bbf778eb59f12d23d0631388b3e9f3fd2fdd0"},
-	{"np32-seed7", 32, 40, 20, 7, "774e9aa722e32af21b6f4f76387429e92e76c62fe27205e4b94afbde1777ae7f"},
-	{"np64-seed1", 64, 80, 10, 1, "258c852dc7a8073299c7bd1b3c7c3dab0076e5d5dbc8b77284890e0c25fc6e58"},
+	{"np32-seed1", 32, 40, 20, 1, "010b62a376d3845e3d326c3fb0d78c7c5967882efb7430d79a41f7e6177ba04b", "fac72f12a29f07446a6bb3d612433f1cd9c2c2bd7b3926679f72af7e1bd225a4"},
+	{"np32-seed2", 32, 40, 20, 2, "c7c2432c6b32028185d80ae5a27bbf778eb59f12d23d0631388b3e9f3fd2fdd0", "00f25feb4b6a5e7ccbf15e5895da1e6f9eb928c345f4c4247503dcfc96e08de0"},
+	{"np32-seed7", 32, 40, 20, 7, "774e9aa722e32af21b6f4f76387429e92e76c62fe27205e4b94afbde1777ae7f", ""},
+	{"np64-seed1", 64, 80, 10, 1, "258c852dc7a8073299c7bd1b3c7c3dab0076e5d5dbc8b77284890e0c25fc6e58", "b77a9c3c2243551674e76dd0084ddf2f38de2f484df868c700d99112a3294fde"},
 }
 
 func TestKernelProductsGolden(t *testing.T) {
@@ -46,15 +55,23 @@ func TestKernelProductsGolden(t *testing.T) {
 	for _, c := range kernelGolden {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			got := kernelDigest(t, c.np, c.box, c.steps, c.seed)
+			got, snap := kernelDigest(t, c.np, c.box, c.steps, c.seed)
 			if got != c.wantSHA256 {
 				t.Errorf("kernel products digest %s, want %s", got, c.wantSHA256)
+			}
+			if c.followSHA256 == "" {
+				return
+			}
+			if got := followUpDigest(t, snap, c.np, c.box); got != c.followSHA256 {
+				t.Errorf("follow-up (k-d tree, subhalo) digest %s, want %s", got, c.followSHA256)
 			}
 		})
 	}
 }
 
-func kernelDigest(t *testing.T, np int, box float64, steps int, seed int64) string {
+// kernelDigest returns the digest of the run and its final (z = 0)
+// particles.
+func kernelDigest(t *testing.T, np int, box float64, steps int, seed int64) (string, *nbody.Particles) {
 	t.Helper()
 	params := cosmo.Default()
 	p, a0, err := ic.Generate(params, ic.Options{NP: np, Box: box, ZInit: 50, Seed: seed})
@@ -100,6 +117,63 @@ func kernelDigest(t *testing.T, np int, box float64, steps int, seed int64) stri
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), sim.P
+}
+
+// followUpDigest hashes the off-line follow-ups on snapshot p: the periodic
+// k-d tree over every particle (each node's box and leaf flag in pre-order,
+// then each leaf's members, which together are the tree's permutation), and
+// subhalo.Find over the 8 largest FOF halos (densities, candidate count, and
+// every subhalo's peak, removed count and members).
+func followUpDigest(t *testing.T, p *nbody.Particles, np int, box float64) string {
+	t.Helper()
+	h := sha256.New()
+	tree, err := kdtree.Build(p.X, p.Y, p.Z, box, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves [][]int
+	tree.TraverseNodes(func(minB, maxB [3]float64, members []int, isLeaf bool) bool {
+		floats(h, minB[:])
+		floats(h, maxB[:])
+		if isLeaf {
+			ints(h, []int{1})
+			leaves = append(leaves, members)
+		} else {
+			ints(h, []int{0})
+		}
+		return true
+	})
+	for _, members := range leaves {
+		ints(h, members)
+	}
+	cat, err := halo.FOF(p, box, halo.Options{LinkingLength: 0.2 * box / float64(np), MinSize: 10, Periodic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mass := cosmo.Default().ParticleMass(box, np)
+	for _, hl := range cat.Halos[:min(8, len(cat.Halos))] {
+		x, y, z := center.Unwrap(p.X, p.Y, p.Z, hl.Indices, box)
+		vx := make([]float64, hl.Count())
+		vy := make([]float64, hl.Count())
+		vz := make([]float64, hl.Count())
+		for k, i := range hl.Indices {
+			vx[k], vy[k], vz[k] = p.VX[i], p.VY[i], p.VZ[i]
+		}
+		// G = 1e-13 in these units leaves most candidates partly unbound,
+		// so the unbinding passes drop particles and still keep subhalos.
+		res, err := subhalo.Find(x, y, z, vx, vy, vz, subhalo.Options{
+			Mass: mass, K: 16, MinSize: 20, Softening: 1e-3, G: 1e-13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ints(h, []int{hl.Count(), res.Candidates, len(res.Subhalos)})
+		floats(h, res.Density)
+		for _, s := range res.Subhalos {
+			ints(h, []int{s.Peak, s.Removed, len(s.Indices)})
+			ints(h, s.Indices)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
