@@ -344,6 +344,48 @@ func BenchmarkSubhaloKernel(b *testing.B) {
 	b.ReportMetric(float64(found), "subhalos")
 }
 
+// BenchmarkSubhaloLargestHalos runs the substructure search on each of the
+// 8 largest FOF halos of analysis_offline's snapshot (64³ particles in an
+// 80 Mpc/h box, 10 steps to z = 0, seed 1), one sub-benchmark per halo:
+// the measured side of §4.2's per-halo imbalance. The per-particle passes
+// run on GOMAXPROCS dparallel workers, so -cpu 1,2 reads both.
+func BenchmarkSubhaloLargestHalos(b *testing.B) {
+	const np, box = 64, 80.0
+	params := cosmo.Default()
+	p, a0, err := ic.Generate(params, ic.Options{NP: np, Box: box, ZInit: 50, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := nbody.NewSimulation(params, box, np, p, a0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sim.Run(1.0, 10, nil); err != nil {
+		b.Fatal(err)
+	}
+	cat, err := halo.FOF(sim.P, box, halo.Options{LinkingLength: 0.2 * box / np, MinSize: 10, Periodic: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := subhalo.Options{Mass: params.ParticleMass(box, np), K: 16, MinSize: 20, Softening: 1e-3}
+	for rank, h := range cat.Halos[:min(8, len(cat.Halos))] {
+		x, y, z := center.Unwrap(sim.P.X, sim.P.Y, sim.P.Z, h.Indices, box)
+		vx := make([]float64, h.Count())
+		vy := make([]float64, h.Count())
+		vz := make([]float64, h.Count())
+		for k, i := range h.Indices {
+			vx[k], vy[k], vz[k] = sim.P.VX[i], sim.P.VY[i], sim.P.VZ[i]
+		}
+		b.Run(fmt.Sprintf("halo%d-n%d", rank, h.Count()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := subhalo.Find(x, y, z, vx, vy, vz, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSOKernel measures spherical-overdensity mass estimation seeded
 // at the largest halo's center of mass.
 func BenchmarkSOKernel(b *testing.B) {

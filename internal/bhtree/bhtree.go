@@ -8,12 +8,15 @@
 // neighbour queries (for adaptive SPH smoothing lengths), SPH density
 // estimates with the standard cubic-spline kernel, and the multipole
 // (monopole) potential approximation used to make the unbinding pass
-// O(n log n) instead of O(n²).
+// O(n log n) instead of O(n²). A built tree is read-only: queries may run
+// concurrently.
 package bhtree
 
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/dparallel"
 )
 
 // Tree is a Barnes-Hut octree over a fixed, non-periodic point set
@@ -23,16 +26,17 @@ type Tree struct {
 	mass    float64 // equal particle mass
 	nodes   []node
 	// perm holds particle indices; every node owns the contiguous span
-	// perm[lo:hi].
-	perm []int32
+	// perm[lo:hi]. pos is its inverse: particle p sits at perm[pos[p]].
+	perm, pos []int32
 	// LeafSize bounds particles per leaf.
 	LeafSize int
 }
 
 type node struct {
-	// children[8], -1 when absent; leaf iff all absent.
+	// children[8], -1 when absent; all absent in a leaf.
 	children [8]int32
-	// members is the index span [lo, hi) into perm for leaves.
+	leaf     bool
+	// members is the index span [lo, hi) into perm.
 	lo, hi int32
 	// center and half-width of the cubic cell.
 	cx, cy, cz float64
@@ -40,12 +44,6 @@ type node struct {
 	// Aggregates.
 	comX, comY, comZ float64
 	totalMass        float64
-	count            int32
-}
-
-// perm-backed member storage.
-type buildCtx struct {
-	perm []int32
 }
 
 // Build constructs the octree. mass is the per-particle mass (> 0).
@@ -65,22 +63,20 @@ func Build(x, y, z []float64, mass float64, leafSize int) (*Tree, error) {
 		return t, nil
 	}
 	// Root cell: cube enclosing all points.
-	minB := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
-	maxB := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
-	for i := 0; i < n; i++ {
-		p := [3]float64{x[i], y[i], z[i]}
-		for a := 0; a < 3; a++ {
-			if p[a] < minB[a] {
-				minB[a] = p[a]
+	var mid [3]float64
+	half := 0.0
+	for a, c := range [3][]float64{x, y, z} {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range c {
+			if v < lo {
+				lo = v
 			}
-			if p[a] > maxB[a] {
-				maxB[a] = p[a]
+			if v > hi {
+				hi = v
 			}
 		}
-	}
-	half := 0.0
-	for a := 0; a < 3; a++ {
-		if w := (maxB[a] - minB[a]) / 2; w > half {
+		mid[a] = (lo + hi) / 2
+		if w := (hi - lo) / 2; w > half {
 			half = w
 		}
 	}
@@ -88,13 +84,15 @@ func Build(x, y, z []float64, mass float64, leafSize int) (*Tree, error) {
 	if half == 0 {
 		half = 1e-12 // all points coincident
 	}
-	ctx := &buildCtx{perm: make([]int32, n)}
-	for i := range ctx.perm {
-		ctx.perm[i] = int32(i)
+	t.perm = make([]int32, n)
+	for i := range t.perm {
+		t.perm[i] = int32(i)
 	}
-	t.build(ctx, 0, int32(n),
-		(minB[0]+maxB[0])/2, (minB[1]+maxB[1])/2, (minB[2]+maxB[2])/2, half, 0)
-	t.perm = ctx.perm
+	t.build(make([]int32, n), 0, int32(n), mid[0], mid[1], mid[2], half, 0)
+	t.pos = make([]int32, n)
+	for k, p := range t.perm {
+		t.pos[p] = int32(k)
+	}
 	return t, nil
 }
 
@@ -102,16 +100,19 @@ func Build(x, y, z []float64, mass float64, leafSize int) (*Tree, error) {
 func (t *Tree) N() int { return len(t.x) }
 
 // build creates the subtree for perm[lo:hi] in the cell centred at
-// (cx,cy,cz) with the given half-width, returning the node index.
-func (t *Tree) build(ctx *buildCtx, lo, hi int32, cx, cy, cz, half float64, depth int) int32 {
+// (cx,cy,cz) with the given half-width, returning the node index. scratch
+// is as long as perm; the octant sort of a span goes through its own part.
+func (t *Tree) build(scratch []int32, lo, hi int32, cx, cy, cz, half float64, depth int) int32 {
 	idx := int32(len(t.nodes))
-	nd := node{lo: lo, hi: hi, cx: cx, cy: cy, cz: cz, half: half, count: hi - lo}
+	const maxDepth = 64
+	nd := node{lo: lo, hi: hi, cx: cx, cy: cy, cz: cz, half: half,
+		leaf: hi-lo <= int32(t.LeafSize) || depth >= maxDepth}
 	for i := range nd.children {
 		nd.children[i] = -1
 	}
 	// Aggregates.
 	var sx, sy, sz float64
-	for _, p := range ctx.perm[lo:hi] {
+	for _, p := range t.perm[lo:hi] {
 		sx += t.x[p]
 		sy += t.y[p]
 		sz += t.z[p]
@@ -120,13 +121,11 @@ func (t *Tree) build(ctx *buildCtx, lo, hi int32, cx, cy, cz, half float64, dept
 	nd.totalMass = t.mass * cnt
 	nd.comX, nd.comY, nd.comZ = sx/cnt, sy/cnt, sz/cnt
 	t.nodes = append(t.nodes, nd)
-
-	const maxDepth = 64
-	if hi-lo <= int32(t.LeafSize) || depth >= maxDepth {
+	if nd.leaf {
 		return idx
 	}
 	// Partition the span into octants (three successive binary splits).
-	span := ctx.perm[lo:hi]
+	span := t.perm[lo:hi]
 	oct := func(p int32) int {
 		o := 0
 		if t.x[p] >= cx {
@@ -149,7 +148,7 @@ func (t *Tree) build(ctx *buildCtx, lo, hi int32, cx, cy, cz, half float64, dept
 	for o := 0; o < 8; o++ {
 		starts[o+1] = starts[o] + counts[o]
 	}
-	sorted := make([]int32, len(span))
+	sorted := scratch[lo:hi]
 	var fill [8]int32
 	for _, p := range span {
 		o := oct(p)
@@ -172,7 +171,7 @@ func (t *Tree) build(ctx *buildCtx, lo, hi int32, cx, cy, cz, half float64, dept
 		if o&1 != 0 {
 			oz = cz + q
 		}
-		child := t.build(ctx, lo+starts[o], lo+starts[o]+counts[o], ox, oy, oz, q, depth+1)
+		child := t.build(scratch, lo+starts[o], lo+starts[o]+counts[o], ox, oy, oz, q, depth+1)
 		t.nodes[idx].children[o] = child
 	}
 	return idx
@@ -198,7 +197,7 @@ func (t *Tree) approxPot(ni int32, px, py, pz float64, self int, theta, softenin
 	size := nd.half * 2
 	if d > 0 && size/d < theta {
 		pot := -nd.totalMass / (d + softening)
-		if self >= 0 && t.contains(nd, int32(self)) {
+		if self >= 0 && nd.lo <= t.pos[self] && t.pos[self] < nd.hi {
 			// Remove the self term approximately: subtracting the self
 			// particle's contribution at the node distance keeps the
 			// approximation consistent with the opening criterion.
@@ -206,7 +205,7 @@ func (t *Tree) approxPot(ni int32, px, py, pz float64, self int, theta, softenin
 		}
 		return pot
 	}
-	if t.isLeaf(nd) {
+	if nd.leaf {
 		pot := 0.0
 		for _, p := range t.perm[nd.lo:nd.hi] {
 			if int(p) == self {
@@ -229,28 +228,6 @@ func (t *Tree) approxPot(ni int32, px, py, pz float64, self int, theta, softenin
 		}
 	}
 	return pot
-}
-
-func (t *Tree) isLeaf(nd *node) bool {
-	for _, c := range nd.children {
-		if c >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// contains reports whether particle index p falls in node nd's span.
-// Node spans are contiguous in perm, so membership is a range check on
-// the permuted position — resolved via a linear scan only for leaves and
-// via span bounds otherwise.
-func (t *Tree) contains(nd *node, p int32) bool {
-	for _, q := range t.perm[nd.lo:nd.hi] {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // nbr is one k-nearest-neighbour candidate.
@@ -305,12 +282,9 @@ func (t *Tree) KNearest(px, py, pz float64, k int) (idx []int, dist2 []float64) 
 	if k <= 0 || len(t.nodes) == 0 {
 		return nil, nil
 	}
-	h := &maxHeap{}
-	t.knn(0, px, py, pz, k, h)
-	out := make([]nbr, len(*h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h.pop()
-	}
+	m := min(k, t.N())
+	h := make(maxHeap, 0, m)
+	out := t.nearest(px, py, pz, k, &h, make([]nbr, m))
 	idx = make([]int, len(out))
 	dist2 = make([]float64, len(out))
 	for i, nb := range out {
@@ -320,12 +294,25 @@ func (t *Tree) KNearest(px, py, pz float64, k int) (idx []int, dist2 []float64) 
 	return idx, dist2
 }
 
+// nearest leaves the k nearest particles to (px,py,pz) in out, which has
+// room for min(k, N()), nearest first, and returns out cut to their number.
+// h is the search heap; made with out's capacity, it never reallocates.
+func (t *Tree) nearest(px, py, pz float64, k int, h *maxHeap, out []nbr) []nbr {
+	*h = (*h)[:0]
+	t.knn(0, px, py, pz, k, h)
+	out = out[:len(*h)]
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = h.pop()
+	}
+	return out
+}
+
 func (t *Tree) knn(ni int32, px, py, pz float64, k int, h *maxHeap) {
 	nd := &t.nodes[ni]
 	if len(*h) == k && t.cellDist2(nd, px, py, pz) > (*h)[0].d2 {
 		return
 	}
-	if t.isLeaf(nd) {
+	if nd.leaf {
 		for _, p := range t.perm[nd.lo:nd.hi] {
 			dx := t.x[p] - px
 			dy := t.y[p] - py
@@ -407,35 +394,47 @@ type DensityOptions struct {
 	UseKernel bool
 }
 
-// Density estimates the local density at every particle. Returns one value
-// per particle in input order.
-func (t *Tree) Density(o DensityOptions) ([]float64, error) {
+// Density estimates the local density at every particle from its
+// k = min(K, N()) nearest neighbours, itself included, and returns them:
+// nbrs[i*k:(i+1)*k] lists particle i's as KNearest does, nearest first.
+// The searches run on dparallel.Default, one heap and buffer per chunk;
+// each particle writes only its own slots, so no output depends on chunking.
+func (t *Tree) Density(o DensityOptions) (rho []float64, nbrs []int32, err error) {
 	if o.K < 2 {
-		return nil, fmt.Errorf("bhtree: density needs K >= 2, got %d", o.K)
+		return nil, nil, fmt.Errorf("bhtree: density needs K >= 2, got %d", o.K)
 	}
 	n := t.N()
-	if o.K > n {
-		o.K = n
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx, d2 := t.KNearest(t.x[i], t.y[i], t.z[i], o.K)
-		h := math.Sqrt(d2[len(d2)-1])
-		if h == 0 {
-			// Coincident points: declare a tiny smoothing length so the
-			// density is large and finite rather than infinite.
-			h = 1e-12
-		}
-		if o.UseKernel {
-			rho := 0.0
-			for _, j := range d2 {
-				rho += t.mass * SPHKernel(math.Sqrt(j), h)
+	k := min(o.K, n)
+	dens, list := make([]float64, n), make([]int32, n*k)
+	dparallel.Default.ForRange(n, func(lo, hi int) {
+		h := make(maxHeap, 0, k)
+		buf := make([]nbr, k)
+		for i := lo; i < hi; i++ {
+			out := t.nearest(t.x[i], t.y[i], t.z[i], k, &h, buf)
+			for j, nb := range out {
+				list[i*k+j] = int32(nb.idx)
 			}
-			out[i] = rho
-		} else {
-			vol := 4.0 / 3.0 * math.Pi * h * h * h
-			out[i] = t.mass * float64(len(idx)) / vol
+			dens[i] = t.density(out, o.UseKernel)
 		}
+	})
+	return dens, list, nil
+}
+
+// density is the estimate from one particle's neighbours, nearest first.
+func (t *Tree) density(out []nbr, useKernel bool) float64 {
+	h := math.Sqrt(out[len(out)-1].d2)
+	if h == 0 {
+		// Coincident points: declare a tiny smoothing length so the
+		// density is large and finite rather than infinite.
+		h = 1e-12
 	}
-	return out, nil
+	if useKernel {
+		rho := 0.0
+		for _, nb := range out {
+			rho += t.mass * SPHKernel(math.Sqrt(nb.d2), h)
+		}
+		return rho
+	}
+	vol := 4.0 / 3.0 * math.Pi * h * h * h
+	return t.mass * float64(len(out)) / vol
 }

@@ -3,6 +3,7 @@ package bhtree
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -151,16 +152,16 @@ func TestSPHKernelProperties(t *testing.T) {
 func TestDensityValidation(t *testing.T) {
 	x, y, z := randomCloud(10, 4)
 	tr, _ := Build(x, y, z, 1, 4)
-	if _, err := tr.Density(DensityOptions{K: 1}); err == nil {
+	if _, _, err := tr.Density(DensityOptions{K: 1}); err == nil {
 		t.Error("expected K error")
 	}
 	// K larger than n clamps.
-	rho, err := tr.Density(DensityOptions{K: 100})
+	rho, nbrs, err := tr.Density(DensityOptions{K: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rho) != 10 {
-		t.Errorf("len = %d", len(rho))
+	if len(rho) != 10 || len(nbrs) != 10*10 {
+		t.Errorf("len = %d, %d neighbours", len(rho), len(nbrs))
 	}
 }
 
@@ -187,7 +188,7 @@ func TestDensityContrast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rho, err := tr.Density(DensityOptions{K: 16, UseKernel: useKernel})
+		rho, _, err := tr.Density(DensityOptions{K: 16, UseKernel: useKernel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,6 +204,98 @@ func TestDensityContrast(t *testing.T) {
 		if clumpMean < 20*bgMean {
 			t.Errorf("useKernel=%v: clump density %v not ≫ background %v", useKernel, clumpMean, bgMean)
 		}
+	}
+}
+
+// refDensity is Density as it was before the pass was shared and parallel:
+// one KNearest per particle, serially, with the same estimator written out.
+func refDensity(tr *Tree, o DensityOptions) (rho []float64, nbrs [][]int) {
+	k := min(o.K, tr.N())
+	for i := 0; i < tr.N(); i++ {
+		idx, d2 := tr.KNearest(tr.x[i], tr.y[i], tr.z[i], k)
+		h := math.Sqrt(d2[len(d2)-1])
+		if h == 0 {
+			h = 1e-12
+		}
+		r := 0.0
+		if o.UseKernel {
+			for _, j := range d2 {
+				r += tr.mass * SPHKernel(math.Sqrt(j), h)
+			}
+		} else {
+			r = tr.mass * float64(len(idx)) / (4.0 / 3.0 * math.Pi * h * h * h)
+		}
+		rho = append(rho, r)
+		nbrs = append(nbrs, idx)
+	}
+	return rho, nbrs
+}
+
+// The shared density pass lists, per particle, the neighbours KNearest
+// finds and the density it implies, bit for bit, on either side of
+// dparallel's 1024-particle chunk floor, with ties (coincident points) and
+// with K clamped to the particle count.
+func TestDensityMatchesPerParticleKNearest(t *testing.T) {
+	cases := []struct {
+		name string
+		n, k int
+		leaf int
+	}{
+		{"small", 300, 16, 8},
+		{"chunked", 5000, 16, 8},
+		{"coincident", 3000, 24, 4},
+		{"K>=n", 40, 64, 8},
+		{"K=n", 33, 33, 8},
+	}
+	for _, c := range cases {
+		x, y, z := randomCloud(c.n, int64(c.n))
+		if c.name == "coincident" {
+			// Every point sits on one of 64 lattice sites, ~47 per site:
+			// each search ends among equal distances.
+			for i := range x {
+				x[i], y[i], z[i] = math.Floor(x[i]/2.5), math.Floor(y[i]/2.5), math.Floor(z[i]/2.5)
+			}
+		}
+		tr, err := Build(x, y, z, 1.5, c.leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, useKernel := range []bool{false, true} {
+			o := DensityOptions{K: c.k, UseKernel: useKernel}
+			rho, nbrs, err := tr.Density(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRho, wantNbrs := refDensity(tr, o)
+			k := min(c.k, c.n)
+			if len(rho) != c.n || len(nbrs) != c.n*k {
+				t.Fatalf("%s kernel=%v: %d densities and %d neighbours, want %d and %d", c.name, useKernel, len(rho), len(nbrs), c.n, c.n*k)
+			}
+			for i := range rho {
+				if math.Float64bits(rho[i]) != math.Float64bits(wantRho[i]) {
+					t.Fatalf("%s kernel=%v: rho[%d] = %v, want %v", c.name, useKernel, i, rho[i], wantRho[i])
+				}
+				for j, want := range wantNbrs[i] {
+					if got := int(nbrs[i*k+j]); got != want {
+						t.Fatalf("%s kernel=%v: particle %d neighbour %d is %d, want %d", c.name, useKernel, i, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The density pass allocates its two outputs, its chunk body and one heap
+// and result buffer per chunk, however many particles it searches for.
+func TestDensityAllocationsPerChunk(t *testing.T) {
+	x, y, z := randomCloud(5000, 9)
+	tr, err := Build(x, y, z, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := float64(3 + 2*runtime.GOMAXPROCS(0))
+	if allocs := testing.AllocsPerRun(5, func() { tr.Density(DensityOptions{K: 16}) }); allocs > limit {
+		t.Errorf("Density allocates %v times over 5000 particles, want <= %v", allocs, limit)
 	}
 }
 

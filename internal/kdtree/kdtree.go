@@ -15,8 +15,12 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/dparallel"
 	"repro/internal/periodic"
 )
+
+// Above splitCutoff points, build makes a node's two halves concurrently.
+const splitCutoff = 1 << 14
 
 // Tree is a balanced k-d tree over a fixed set of points. Points are
 // addressed by their index in the X/Y/Z arrays handed to Build.
@@ -61,8 +65,8 @@ func Build(x, y, z []float64, period float64, leafSize int) (*Tree, error) {
 		t.perm[i] = i
 	}
 	if n > 0 {
-		t.nodes = make([]node, 0, nodeCount(n, leafSize))
-		t.build(0, n, 0)
+		t.nodes = make([]node, nodeCount(n, leafSize))
+		t.build(0, 0, n, 0)
 	}
 	return t, nil
 }
@@ -78,12 +82,13 @@ func nodeCount(n, leafSize int) int {
 	return 1 + nodeCount(n/2, leafSize) + nodeCount(n-n/2, leafSize)
 }
 
-// build creates the subtree over perm[lo:hi] splitting on axis, returning
-// its node index. Nodes are numbered in pre-order.
-func (t *Tree) build(lo, hi, axis int) int {
-	idx := len(t.nodes)
-	t.nodes = append(t.nodes, node{lo: lo, hi: hi, left: -1, right: -1})
-	nb := &t.nodes[idx] // stable: Build sized nodes for the whole tree
+// build fills node idx and the rest of the subtree over perm[lo:hi],
+// splitting on axis, and returns the index one past that subtree. Nodes
+// are in pre-order: the left child follows its parent, the right child
+// follows the left subtree, whose size nodeCount knows in advance.
+func (t *Tree) build(idx, lo, hi, axis int) int {
+	nb := &t.nodes[idx]
+	*nb = node{lo: lo, hi: hi, left: -1, right: -1}
 	span := t.perm[lo:hi]
 	coords := [3][]float64{t.x, t.y, t.z}
 	if hi-lo <= t.LeafSize {
@@ -99,14 +104,31 @@ func (t *Tree) build(lo, hi, axis int) int {
 			}
 			nb.minB[a], nb.maxB[a] = minC, maxC
 		}
-		return idx
+		return idx + 1
 	}
 	// Median split on the given axis (balanced construction).
 	mid := len(span) / 2
 	nthElement(span, mid, coords[axis])
 	next := (axis + 1) % 3
-	nb.left = t.build(lo, lo+mid, next)
-	nb.right = t.build(lo+mid, hi, next)
+	nb.left = idx + 1
+	var end int
+	if hi-lo <= splitCutoff {
+		nb.right = t.build(nb.left, lo, lo+mid, next)
+		end = t.build(nb.right, lo+mid, hi, next)
+	} else {
+		// The halves own disjoint spans of perm and nodes: build them at once.
+		nb.right = nb.left + nodeCount(mid, t.LeafSize)
+		end = nb.right + nodeCount(hi-lo-mid, t.LeafSize)
+		dparallel.Parallel{MinChunk: 1}.ForRange(2, func(first, last int) {
+			for half := first; half < last; half++ {
+				if half == 0 {
+					t.build(nb.left, lo, lo+mid, next)
+				} else {
+					t.build(nb.right, lo+mid, hi, next)
+				}
+			}
+		})
+	}
 	// The box of a span is exactly the hull of its halves' boxes. Plain
 	// comparisons, like the leaf scan, so a NaN coordinate never enters one.
 	l, r := &t.nodes[nb.left], &t.nodes[nb.right]
@@ -119,7 +141,7 @@ func (t *Tree) build(lo, hi, axis int) int {
 			nb.maxB[a] = r.maxB[a]
 		}
 	}
-	return idx
+	return end
 }
 
 // nthElement partially sorts span by the coordinate c[span[i]] so span[k]
@@ -168,19 +190,17 @@ func partition(span []int, lo, hi int, c []float64) int {
 // axisDist returns the distance from coordinate c to the interval
 // [lo, hi] along one axis, honouring periodicity.
 func (t *Tree) axisDist(c, lo, hi float64) float64 {
-	d := axisDistOpen(c, lo, hi)
+	d := axisGapOpen(c, c, lo, hi)
 	if t.Period > 0 {
-		if d2 := axisDistOpen(c+t.Period, lo, hi); d2 < d {
+		if d2 := axisGapOpen(c+t.Period, c+t.Period, lo, hi); d2 < d {
 			d = d2
 		}
-		if d2 := axisDistOpen(c-t.Period, lo, hi); d2 < d {
+		if d2 := axisGapOpen(c-t.Period, c-t.Period, lo, hi); d2 < d {
 			d = d2
 		}
 	}
 	return d
 }
-
-func axisDistOpen(c, lo, hi float64) float64 { return axisGapOpen(c, c, lo, hi) }
 
 // Dist2 returns the squared (minimum-image when periodic) distance between
 // point i and the coordinates (x, y, z).

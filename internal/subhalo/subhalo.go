@@ -11,10 +11,21 @@
 // multi-pass algorithm, removing no more than one-quarter of the particles
 // with positive energy at each step."
 //
-// Like the paper's implementation, the finder is tree-based and serial per
-// halo — which is exactly why its per-halo cost is so unbalanced across
-// nodes (§4.2's 8172 s vs 1457 s spread) and why it is a candidate for
-// off-loading in the combined workflow.
+// Like the paper's implementation, the finder is tree-based and takes each
+// halo as one unit of work: a node holding a huge halo cannot hand part of
+// it to another, which is exactly why the per-halo cost is so unbalanced
+// across nodes (§4.2's 8172 s vs 1457 s spread) and why it is a candidate
+// for off-loading in the combined workflow.
+//
+// Within a halo, the per-particle passes run on dparallel.Default, as
+// PISTON writes its analysis data-parallel (§3.3): the neighbour search
+// that gives each particle its density and its candidate-tree neighbours
+// (one search per particle, shared by both), and each unbinding pass's
+// potentials. Every particle writes only its own slots, and what follows
+// (the density-ordered walk, the energy scan, the sort and the drops) stays
+// serial in input order, so the result is the same bytes at any worker
+// count. The §4.2 model behind workflow-sim -subhalo still charges the
+// paper's serial per-halo cost.
 package subhalo
 
 import (
@@ -23,6 +34,7 @@ import (
 	"sort"
 
 	"repro/internal/bhtree"
+	"repro/internal/dparallel"
 )
 
 // Options configures substructure finding.
@@ -113,15 +125,16 @@ func Find(x, y, z, vx, vy, vz []float64, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rho, err := tree.Density(bhtree.DensityOptions{K: o.K, UseKernel: o.UseKernel})
+	rho, nbrs, err := tree.Density(bhtree.DensityOptions{K: o.K, UseKernel: o.UseKernel})
 	if err != nil {
 		return nil, err
 	}
+	k := len(nbrs) / n
 
 	// Iterate particles in decreasing density; attach each to the group of
-	// its nearest denser (already-processed) neighbours. Joining two groups
-	// marks a saddle point: the smaller group is frozen as a subhalo
-	// candidate before being absorbed.
+	// its nearest denser (already-processed) neighbours among the k the
+	// density pass found. Joining two groups marks a saddle point: the
+	// smaller group is frozen as a subhalo candidate before being absorbed.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -132,8 +145,7 @@ func Find(x, y, z, vx, vy, vz []float64, o Options) (*Result, error) {
 		}
 		return order[a] < order[b] // deterministic tie-break
 	})
-	processed := make([]bool, n)
-	groupOf := make([]int, n)
+	groupOf := make([]int, n) // -1 until the particle is processed
 	for i := range groupOf {
 		groupOf[i] = -1
 	}
@@ -141,20 +153,15 @@ func Find(x, y, z, vx, vy, vz []float64, o Options) (*Result, error) {
 	var peaks []int    // densest particle per live group
 	var candidates []Subhalo
 
-	kSearch := o.K
-	if kSearch > n {
-		kSearch = n
-	}
 	for _, i := range order {
-		idx, _ := tree.KNearest(x[i], y[i], z[i], kSearch)
 		// Up to two distinct groups among the nearest processed neighbours,
 		// in distance order.
 		var g1, g2 = -1, -1
-		for _, j := range idx {
-			if j == i || !processed[j] {
+		for _, j := range nbrs[i*k : (i+1)*k] {
+			if int(j) == i || groupOf[j] < 0 {
 				continue
 			}
-			g := find(groupOf, j)
+			g := groupOf[j]
 			if g1 == -1 {
 				g1 = g
 			} else if g != g1 {
@@ -178,26 +185,21 @@ func Find(x, y, z, vx, vy, vz []float64, o Options) (*Result, error) {
 			if len(groups[small]) > len(groups[large]) {
 				small, large = large, small
 			}
-			candidates = append(candidates, Subhalo{
-				Indices: append([]int(nil), groups[small]...),
-				Peak:    peaks[small],
-			})
+			candidates = append(candidates, Subhalo{Indices: groups[small], Peak: peaks[small]})
+			for _, j := range groups[small] {
+				groupOf[j] = large
+			}
 			groups[large] = append(groups[large], groups[small]...)
 			groups[large] = append(groups[large], i)
 			groups[small] = nil
-			redirect(groupOf, small, large)
 			groupOf[i] = large
 		}
-		processed[i] = true
 	}
 	// Remaining live groups are candidates too (the largest is the halo's
 	// central subhalo).
 	for g, members := range groups {
 		if members != nil {
-			candidates = append(candidates, Subhalo{
-				Indices: append([]int(nil), members...),
-				Peak:    peaks[g],
-			})
+			candidates = append(candidates, Subhalo{Indices: members, Peak: peaks[g]})
 		}
 	}
 	res := &Result{Density: rho, Candidates: len(candidates)}
@@ -217,25 +219,17 @@ func Find(x, y, z, vx, vy, vz []float64, o Options) (*Result, error) {
 	return res, nil
 }
 
-// find resolves a particle's group id (groups never chain more than a few
-// redirects because redirect() flattens eagerly).
-func find(groupOf []int, i int) int { return groupOf[i] }
-
-// redirect rewrites every member of group from to group to.
-func redirect(groupOf []int, from, to int) {
-	for i, g := range groupOf {
-		if g == from {
-			groupOf[i] = to
-		}
-	}
-}
-
 // unbind iteratively removes unbound members: per pass, energies are
 // computed against the candidate's own mass distribution and bulk
 // velocity, and at most MaxUnbindFraction of the positive-energy particles
-// (the most energetic first) are removed.
+// (the most energetic first) are removed. The energies are computed on
+// dparallel.Default, each into its member's slot, and scanned serially.
 func unbind(x, y, z, vx, vy, vz []float64, members []int, o Options) (kept []int, removed int) {
 	cur := append([]int(nil), members...)
+	m := len(cur)
+	sx, sy, sz := make([]float64, m), make([]float64, m), make([]float64, m)
+	energy := make([]float64, m)
+	drop := make([]bool, m)
 	for len(cur) >= o.MinSize {
 		// Bulk velocity.
 		var mvx, mvy, mvz float64
@@ -249,9 +243,7 @@ func unbind(x, y, z, vx, vy, vz []float64, members []int, o Options) (kept []int
 		mvy /= n
 		mvz /= n
 		// Potentials over current members only.
-		sx := make([]float64, len(cur))
-		sy := make([]float64, len(cur))
-		sz := make([]float64, len(cur))
+		sx, sy, sz = sx[:len(cur)], sy[:len(cur)], sz[:len(cur)]
 		for k, i := range cur {
 			sx[k], sy[k], sz[k] = x[i], y[i], z[i]
 		}
@@ -259,37 +251,33 @@ func unbind(x, y, z, vx, vy, vz []float64, members []int, o Options) (kept []int
 		if err != nil {
 			return cur, removed
 		}
-		type en struct {
-			pos int // position within cur
-			e   float64
-		}
-		var positive []en
-		for k, i := range cur {
-			dvx, dvy, dvz := vx[i]-mvx, vy[i]-mvy, vz[i]-mvz
-			kin := 0.5 * (dvx*dvx + dvy*dvy + dvz*dvz)
-			pot := o.G * tree.ApproxPotential(sx[k], sy[k], sz[k], k, o.Theta, o.Softening)
-			if e := kin + pot; e > 0 {
-				positive = append(positive, en{k, e})
+		dparallel.Default.ForRange(len(cur), func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				i := cur[k]
+				dvx, dvy, dvz := vx[i]-mvx, vy[i]-mvy, vz[i]-mvz
+				kin := 0.5 * (dvx*dvx + dvy*dvy + dvz*dvz)
+				pot := o.G * tree.ApproxPotential(sx[k], sy[k], sz[k], k, o.Theta, o.Softening)
+				energy[k] = kin + pot
+			}
+		})
+		var positive []int // positions within cur
+		for k, e := range energy[:len(cur)] {
+			if e > 0 {
+				positive = append(positive, k)
 			}
 		}
 		if len(positive) == 0 {
 			return cur, removed
 		}
-		sort.Slice(positive, func(a, b int) bool { return positive[a].e > positive[b].e })
-		limit := int(math.Ceil(o.MaxUnbindFraction * float64(len(positive))))
-		if limit < 1 {
-			limit = 1
-		}
-		if limit > len(positive) {
-			limit = len(positive)
-		}
-		drop := make(map[int]bool, limit)
-		for _, p := range positive[:limit] {
-			drop[p.pos] = true
+		sort.Slice(positive, func(a, b int) bool { return energy[positive[a]] > energy[positive[b]] })
+		limit := max(1, min(len(positive), int(math.Ceil(o.MaxUnbindFraction*float64(len(positive))))))
+		for _, k := range positive[:limit] {
+			drop[k] = true
 		}
 		next := cur[:0]
 		for k, i := range cur {
 			if drop[k] {
+				drop[k] = false
 				removed++
 				continue
 			}
