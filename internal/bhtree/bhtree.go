@@ -276,24 +276,6 @@ func (h *maxHeap) pop() nbr {
 	return top
 }
 
-// KNearest returns the k nearest particle indices to (px,py,pz) and their
-// squared distances, nearest first, using a best-first tree descent.
-func (t *Tree) KNearest(px, py, pz float64, k int) (idx []int, dist2 []float64) {
-	if k <= 0 || len(t.nodes) == 0 {
-		return nil, nil
-	}
-	m := min(k, t.N())
-	h := make(maxHeap, 0, m)
-	out := t.nearest(px, py, pz, k, &h, make([]nbr, m))
-	idx = make([]int, len(out))
-	dist2 = make([]float64, len(out))
-	for i, nb := range out {
-		idx[i] = nb.idx
-		dist2[i] = nb.d2
-	}
-	return idx, dist2
-}
-
 // nearest leaves the k nearest particles to (px,py,pz) in out, which has
 // room for min(k, N()), nearest first, and returns out cut to their number.
 // h is the search heap; made with out's capacity, it never reallocates.
@@ -396,7 +378,7 @@ type DensityOptions struct {
 
 // Density estimates the local density at every particle from its
 // k = min(K, N()) nearest neighbours, itself included, and returns them:
-// nbrs[i*k:(i+1)*k] lists particle i's as KNearest does, nearest first.
+// nbrs[i*k:(i+1)*k] lists particle i's nearest first.
 // The searches run on dparallel.Default, one heap and buffer per chunk;
 // each particle writes only its own slots, so no output depends on chunking.
 func (t *Tree) Density(o DensityOptions) (rho []float64, nbrs []int32, err error) {

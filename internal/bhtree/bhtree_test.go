@@ -9,6 +9,25 @@ import (
 	"testing/quick"
 )
 
+// KNearest returns the k nearest particle indices to (px,py,pz) and their
+// squared distances, nearest first, using a best-first tree descent: one
+// search per query, the oracle of the shared neighbour pass in Density.
+func (t *Tree) KNearest(px, py, pz float64, k int) (idx []int, dist2 []float64) {
+	if k <= 0 || len(t.nodes) == 0 {
+		return nil, nil
+	}
+	m := min(k, t.N())
+	h := make(maxHeap, 0, m)
+	out := t.nearest(px, py, pz, k, &h, make([]nbr, m))
+	idx = make([]int, len(out))
+	dist2 = make([]float64, len(out))
+	for i, nb := range out {
+		idx[i] = nb.idx
+		dist2[i] = nb.d2
+	}
+	return idx, dist2
+}
+
 func randomCloud(n int, seed int64) (x, y, z []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	x = make([]float64, n)

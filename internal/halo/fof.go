@@ -40,15 +40,6 @@ type Catalog struct {
 	MinSize       int
 }
 
-// TotalParticlesInHalos sums member counts over all halos.
-func (c *Catalog) TotalParticlesInHalos() int {
-	total := 0
-	for i := range c.Halos {
-		total += c.Halos[i].Count()
-	}
-	return total
-}
-
 // LargestCount returns the particle count of the largest halo, 0 if none.
 func (c *Catalog) LargestCount() int {
 	if len(c.Halos) == 0 {

@@ -5,8 +5,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kdtree"
 	"repro/internal/nbody"
 )
+
+// TotalParticlesInHalos sums member counts over all halos.
+func (c *Catalog) TotalParticlesInHalos() int {
+	total := 0
+	for i := range c.Halos {
+		total += c.Halos[i].Count()
+	}
+	return total
+}
 
 // cluster appends n particles in a tight ball around (cx, cy, cz).
 func cluster(p *nbody.Particles, n int, cx, cy, cz, radius float64, rng *rand.Rand, tagBase int64) {
@@ -21,23 +31,20 @@ func cluster(p *nbody.Particles, n int, cx, cy, cz, radius float64, rng *rand.Ra
 
 func TestDisjointSetBasics(t *testing.T) {
 	d := NewDisjointSet(5)
-	if d.Same(0, 1) {
+	same := func(a, b int) bool { return d.Find(a) == d.Find(b) }
+	if same(0, 1) {
 		t.Error("fresh sets should differ")
 	}
 	d.Union(0, 1)
 	d.Union(2, 3)
-	if !d.Same(0, 1) || !d.Same(2, 3) || d.Same(1, 2) {
+	if !same(0, 1) || !same(2, 3) || same(1, 2) {
 		t.Error("union results wrong")
 	}
-	d.Union(1, 3)
-	if !d.Same(0, 3) {
+	if r := d.Union(1, 3); !same(0, 3) || r != d.Find(0) {
 		t.Error("transitive union failed")
 	}
-	if d.SetSize(0) != 4 {
-		t.Errorf("size = %d", d.SetSize(0))
-	}
-	if d.SetSize(4) != 1 {
-		t.Errorf("singleton size = %d", d.SetSize(4))
+	if g := d.Groups(1); len(g) != 2 || len(g[0]) != 4 || len(g[1]) != 1 {
+		t.Errorf("groups = %v, want sizes 4 and 1", g)
 	}
 }
 
@@ -286,5 +293,50 @@ func TestPropertyFOFPartitionAndClosure(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FOF's allocations must not grow with n. A 4k and a 32k set holding the
+// same ten halos allocate alike beyond the k-d tree build, whose
+// concurrent split allocates once per node above 2¹⁴ points; and no call
+// allocates more than 35: the 27 of the serial self-join (the bench probe
+// halo.fof_allocs) plus 8.
+func TestFOFAllocationsIndependentOfN(t *testing.T) {
+	const box = 100.0
+	o := Options{LinkingLength: 0.2, MinSize: 20, Periodic: true}
+	var beyondBuild [2]float64
+	for k, n := range []int{4096, 32768} {
+		rng := rand.New(rand.NewSource(1))
+		p := nbody.NewParticles(0)
+		for c := 0; c < 10; c++ {
+			cluster(p, 100, 10+8*float64(c), 50, 50, 0.5, rng, 1000*int64(c))
+		}
+		for p.N() < n { // a background too sparse to link 20 particles
+			p.Append(rng.Float64()*box, rng.Float64()*box, rng.Float64()*box, 0, 0, 0, int64(100000+p.N()))
+		}
+		cat, err := FOF(p, box, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cat.Halos) != 10 {
+			t.Fatalf("n=%d: %d halos, want the 10 clusters", n, len(cat.Halos))
+		}
+		fof := testing.AllocsPerRun(10, func() {
+			if _, err := FOF(p, box, o); err != nil {
+				t.Fatal(err)
+			}
+		})
+		build := testing.AllocsPerRun(10, func() {
+			if _, err := kdtree.Build(p.X, p.Y, p.Z, box, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if fof > 35 {
+			t.Errorf("n=%d: FOF makes %v allocations, over 35", n, fof)
+		}
+		beyondBuild[k] = fof - build
+	}
+	if beyondBuild[0] != beyondBuild[1] {
+		t.Errorf("allocations beyond the tree build: %v at n=4096, %v at n=32768", beyondBuild[0], beyondBuild[1])
 	}
 }

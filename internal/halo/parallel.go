@@ -1,8 +1,6 @@
 package halo
 
 import (
-	"fmt"
-
 	"repro/internal/mpi"
 	"repro/internal/nbody"
 )
@@ -14,9 +12,6 @@ type ParallelResult struct {
 	// Local is the extended particle set (primary + overload copies) that
 	// Catalog's halo indices reference.
 	Local *nbody.Particles
-	// PrimaryCount is the number of particles in the rank's primary zone
-	// (the first PrimaryCount entries of Local).
-	PrimaryCount int
 }
 
 // ParallelFOF runs the paper's distributed halo-finding procedure on the
@@ -43,27 +38,19 @@ func ParallelFOF(c *mpi.Comm, local *nbody.Particles, box, overload float64, o O
 	}
 	// Keep only halos whose min-tag particle is a primary particle. Local
 	// particles occupy ext[0:local.N()), ghosts follow, so the primary test
-	// is an index comparison.
+	// is an index comparison on the first member carrying the halo's tag.
 	owned := cat.Halos[:0]
 	for _, h := range cat.Halos {
-		idx, ok := indexOfTag(ext, h.Indices, h.Tag)
-		if !ok {
-			return nil, fmt.Errorf("halo: tag %d not found among members", h.Tag)
-		}
-		if idx < local.N() {
-			owned = append(owned, h)
+		for _, i := range h.Indices {
+			if ext.Tag[i] == h.Tag {
+				if i < local.N() {
+					owned = append(owned, h)
+				}
+				break
+			}
 		}
 	}
 	cat.Halos = owned
 	c.Barrier()
-	return &ParallelResult{Catalog: cat, Local: ext, PrimaryCount: local.N()}, nil
-}
-
-func indexOfTag(p *nbody.Particles, idx []int, tag int64) (int, bool) {
-	for _, i := range idx {
-		if p.Tag[i] == tag {
-			return i, true
-		}
-	}
-	return -1, false
+	return &ParallelResult{Catalog: cat, Local: ext}, nil
 }

@@ -54,12 +54,6 @@ func (d *DisjointSet) Union(a, b int) int {
 	return ra
 }
 
-// Same reports whether a and b are in the same set.
-func (d *DisjointSet) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
-
-// SetSize returns the size of i's set.
-func (d *DisjointSet) SetSize(i int) int { return d.size[d.Find(i)] }
-
 // Groups returns the members of every set with at least minSize elements,
 // each group sorted ascending, groups ordered by their smallest member.
 func (d *DisjointSet) Groups(minSize int) [][]int {

@@ -64,22 +64,27 @@ func GaussianField(p cosmo.Params, np int, box float64, seed int64) (*fft.Cube, 
 	if err := cube.Forward3D(); err != nil {
 		return nil, err
 	}
-	n3 := float64(np * np * np)
-	vol := box * box * box
+	// |k| depends only on each axis's |FreqIndex| (WaveNumber(n-i) is exactly
+	// -WaveNumber(i)): P(k) once per folded triple in 0..np/2; -1 marks k = 0.
+	n3, vol, h := float64(np*np*np), box*box*box, np/2+1
+	amps := make([]float64, h*h*h)
+	for t := range amps {
+		kx, ky, kz := fft.WaveNumber(t/(h*h), np, box), fft.WaveNumber(t/h%h, np, box), fft.WaveNumber(t%h, np, box)
+		amps[t] = -1
+		if kk := math.Sqrt(kx*kx + ky*ky + kz*kz); kk != 0 {
+			amps[t] = math.Sqrt(p.PowerSpectrum(kk) * n3 / vol)
+		}
+	}
 	for i := 0; i < np; i++ {
-		kx := fft.WaveNumber(i, np, box)
 		for j := 0; j < np; j++ {
-			ky := fft.WaveNumber(j, np, box)
+			row := (min(i, np-i)*h + min(j, np-j)) * h
 			for k := 0; k < np; k++ {
-				kz := fft.WaveNumber(k, np, box)
-				kk := math.Sqrt(kx*kx + ky*ky + kz*kz)
 				idx := cube.Index(i, j, k)
-				if kk == 0 {
+				if amp := amps[row+min(k, np-k)]; amp < 0 {
 					cube.Data[idx] = 0
-					continue
+				} else {
+					cube.Data[idx] *= complex(amp, 0)
 				}
-				amp := math.Sqrt(p.PowerSpectrum(kk) * n3 / vol)
-				cube.Data[idx] *= complex(amp, 0)
 			}
 		}
 	}
@@ -107,15 +112,7 @@ func displacementComponent(deltaK *fft.Cube, box float64, axis int) ([]float64, 
 					comp.Data[idx] = 0
 					continue
 				}
-				var ka float64
-				switch axis {
-				case 0:
-					ka = kx
-				case 1:
-					ka = ky
-				default:
-					ka = kz
-				}
+				ka := [3]float64{kx, ky, kz}[axis]
 				comp.Data[idx] = deltaK.Data[idx] * complex(0, ka/k2)
 			}
 		}
@@ -158,22 +155,20 @@ func Generate(p cosmo.Params, o Options) (*nbody.Particles, float64, error) {
 	np := o.NP
 	parts := nbody.NewParticles(np * np * np)
 	dq := o.Box / float64(np)
-	idx := 0
 	for i := 0; i < np; i++ {
 		for j := 0; j < np; j++ {
 			for k := 0; k < np; k++ {
-				flat := (i*np+j)*np + k
+				idx := (i*np+j)*np + k
 				qx := (float64(i) + 0.5) * dq
 				qy := (float64(j) + 0.5) * dq
 				qz := (float64(k) + 0.5) * dq
-				parts.X[idx] = periodic.Wrap(qx+d*psi[0][flat], o.Box)
-				parts.Y[idx] = periodic.Wrap(qy+d*psi[1][flat], o.Box)
-				parts.Z[idx] = periodic.Wrap(qz+d*psi[2][flat], o.Box)
-				parts.VX[idx] = velFactor * psi[0][flat]
-				parts.VY[idx] = velFactor * psi[1][flat]
-				parts.VZ[idx] = velFactor * psi[2][flat]
-				parts.Tag[idx] = int64(flat)
-				idx++
+				parts.X[idx] = periodic.Wrap(qx+d*psi[0][idx], o.Box)
+				parts.Y[idx] = periodic.Wrap(qy+d*psi[1][idx], o.Box)
+				parts.Z[idx] = periodic.Wrap(qz+d*psi[2][idx], o.Box)
+				parts.VX[idx] = velFactor * psi[0][idx]
+				parts.VY[idx] = velFactor * psi[1][idx]
+				parts.VZ[idx] = velFactor * psi[2][idx]
+				parts.Tag[idx] = int64(idx)
 			}
 		}
 	}

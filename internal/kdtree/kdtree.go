@@ -187,19 +187,19 @@ func partition(span []int, lo, hi int, c []float64) int {
 	return i
 }
 
-// axisDist returns the distance from coordinate c to the interval
-// [lo, hi] along one axis, honouring periodicity.
-func (t *Tree) axisDist(c, lo, hi float64) float64 {
-	d := axisGapOpen(c, c, lo, hi)
-	if t.Period > 0 {
-		if d2 := axisGapOpen(c+t.Period, c+t.Period, lo, hi); d2 < d {
-			d = d2
+// axisGap returns the distance between the intervals [aLo, aHi] and
+// [bLo, bHi] along one axis, between their nearest images when periodic.
+func (t *Tree) axisGap(aLo, aHi, bLo, bHi float64) float64 {
+	g := axisGapOpen(aLo, aHi, bLo, bHi)
+	if t.Period > 0 && g > 0 { // no image is nearer than an overlap
+		if s := axisGapOpen(aLo+t.Period, aHi+t.Period, bLo, bHi); s < g {
+			g = s
 		}
-		if d2 := axisGapOpen(c-t.Period, c-t.Period, lo, hi); d2 < d {
-			d = d2
+		if s := axisGapOpen(aLo-t.Period, aHi-t.Period, bLo, bHi); s < g {
+			g = s
 		}
 	}
-	return d
+	return g
 }
 
 // Dist2 returns the squared (minimum-image when periodic) distance between
@@ -221,9 +221,9 @@ func (t *Tree) delta(d float64) float64 {
 // boxDist2 returns the squared distance from (x,y,z) to node nb's bounding
 // box (0 when inside).
 func (t *Tree) boxDist2(nb *node, x, y, z float64) float64 {
-	dx := t.axisDist(x, nb.minB[0], nb.maxB[0])
-	dy := t.axisDist(y, nb.minB[1], nb.maxB[1])
-	dz := t.axisDist(z, nb.minB[2], nb.maxB[2])
+	dx := t.axisGap(x, x, nb.minB[0], nb.maxB[0])
+	dy := t.axisGap(y, y, nb.minB[1], nb.maxB[1])
+	dz := t.axisGap(z, z, nb.minB[2], nb.maxB[2])
 	return dx*dx + dy*dy + dz*dz
 }
 
@@ -271,83 +271,164 @@ func (t *Tree) visitWithin(ni int, x, y, z, r, r2 float64, visit func(j int) boo
 // computed (b is nil when a's points are all within r of each other). All
 // other pairs go through Dist2 and the in-range ones to pair. A nil bulk
 // turns the bulk shortcut off: the same pairs then all reach pair.
+//
+// The join's top levels run as dparallel tasks whose logs are replayed in
+// task order, so the callbacks run on the caller, in the serial order.
 func (t *Tree) PairsWithin(r float64, bulk func(a, b []int), pair func(i, j int)) {
-	if len(t.nodes) > 0 {
-		t.joinSelf(&t.nodes[0], r*r, bulk, pair)
+	if len(t.nodes) == 0 {
+		return
+	}
+	var j *join
+	select {
+	case j = <-joins:
+	default:
+		j = new(join)
+	}
+	// boxDist2 can exceed a pair's Dist2 by an ulp of Period across a face
+	// (c ± Period rounds apart), so the leaf filter pads its radius.
+	near := math.Abs(r)*(1+0x1p-40) + t.Period*0x1p-40
+	j.t, j.r2, j.near2, j.bulk, j.n = t, r*r, near*near, bulk != nil, 0
+	j.unroll(0, joinDepth)
+	dparallel.Parallel{MinChunk: 1}.ForRange(j.n, j.runTasks)
+	for c := range j.logs[:j.n] {
+		ev := j.logs[c].ev
+		for k := 0; k < len(ev); k += 2 {
+			if a, b := ev[k], ev[k+1]; a >= 0 {
+				pair(a, b)
+			} else if b < 0 {
+				bulk(t.span(^a), nil)
+			} else {
+				bulk(t.span(^a), t.span(b))
+			}
+		}
+		j.logs[c].ev = ev[:0]
+	}
+	j.t = nil // a kept join must not keep the tree alive
+	select {
+	case joins <- j:
+	default:
 	}
 }
 
-// joinSelf reports the pairs inside na's span.
-func (t *Tree) joinSelf(na *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
-	span := t.perm[na.lo:na.hi]
+// joinDepth is how many levels of the self-join become tasks: ≤ 2⁶−1 = 63.
+const joinDepth = 5
+
+// join is one PairsWithin call: its tasks in visit order, {a, -1} for
+// self(a) and {a, b} for cross(a, b), and a log per chunk at its first
+// task: a pair as i, j, a bulk call as ^a, b (b = -1: a's own span).
+type join struct {
+	t         *Tree
+	r2, near2 float64
+	bulk      bool
+	n         int
+	tasks     [2<<joinDepth - 1][2]int
+	logs      [2<<joinDepth - 1]joinLog
+}
+
+type joinLog struct{ ev, near []int } // near: leaf filter scratch
+
+// joins keeps joins and their logs' buffers for later calls (a free list
+// like dparallel's waits); 16 covers the calls in flight at once here.
+var joins = make(chan *join, 16)
+
+func (t *Tree) span(a int) []int { return t.perm[t.nodes[a].lo:t.nodes[a].hi] }
+
+// unroll lists self(a)'s tasks depth levels down, in joinSelf's order.
+func (j *join) unroll(a, depth int) {
+	task := [2]int{a, -1}
+	if na := &j.t.nodes[a]; depth > 0 && na.left >= 0 && !(j.bulk && maxSep2(na, na) <= j.r2) {
+		j.unroll(na.left, depth-1)
+		j.unroll(na.right, depth-1)
+		task = [2]int{na.left, na.right}
+	}
+	j.tasks[j.n] = task
+	j.n++
+}
+
+func (j *join) runTasks(lo, hi int) {
+	lg := &j.logs[lo]
+	for _, tk := range j.tasks[lo:hi] {
+		if tk[1] < 0 {
+			j.joinSelf(tk[0], lg)
+		} else {
+			j.joinCross(tk[0], tk[1], lg)
+		}
+	}
+}
+
+// joinSelf logs the pairs inside node a's span.
+func (j *join) joinSelf(a int, lg *joinLog) {
+	na := &j.t.nodes[a]
 	switch {
-	case bulk != nil && maxSep2(na, na) <= r2:
-		bulk(span, nil)
+	case j.bulk && maxSep2(na, na) <= j.r2:
+		lg.ev = append(lg.ev, ^a, -1)
 	case na.left < 0:
+		span := j.t.span(a)
 		for k, i := range span {
-			t.joinPoint(i, span[k+1:], r2, pair)
+			j.joinPoint(i, span[k+1:], lg)
 		}
 	default:
-		l, r := &t.nodes[na.left], &t.nodes[na.right]
-		t.joinSelf(l, r2, bulk, pair)
-		t.joinSelf(r, r2, bulk, pair)
-		t.joinCross(l, r, r2, bulk, pair)
+		j.joinSelf(na.left, lg)
+		j.joinSelf(na.right, lg)
+		j.joinCross(na.left, na.right, lg)
 	}
 }
 
-// joinCross reports the pairs with one point in na's span and one in nb's.
-func (t *Tree) joinCross(na, nb *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
-	if t.boxGap2(na, nb) > r2 {
+// joinCross logs the pairs with one point in node a's span and one in b's.
+func (j *join) joinCross(a, b int, lg *joinLog) {
+	t := j.t
+	na, nb := &t.nodes[a], &t.nodes[b]
+	if t.boxGap2(na, nb) > j.r2 {
 		return
 	}
 	switch {
-	case bulk != nil && maxSep2(na, nb) <= r2:
-		bulk(t.perm[na.lo:na.hi], t.perm[nb.lo:nb.hi])
+	case j.bulk && maxSep2(na, nb) <= j.r2:
+		lg.ev = append(lg.ev, ^a, b)
 	case na.left < 0 && nb.left < 0:
-		for _, i := range t.perm[na.lo:na.hi] {
-			t.joinPoint(i, t.perm[nb.lo:nb.hi], r2, pair)
+		// Only points near the other leaf's box can link; order is kept.
+		lg.near = lg.near[:0]
+		for _, k := range t.span(b) {
+			if t.boxDist2(na, t.x[k], t.y[k], t.z[k]) <= j.near2 {
+				lg.near = append(lg.near, k)
+			}
+		}
+		for _, i := range t.span(a) {
+			if len(lg.near) > 0 && t.boxDist2(nb, t.x[i], t.y[i], t.z[i]) <= j.near2 {
+				j.joinPoint(i, lg.near, lg)
+			}
 		}
 	case nb.left < 0 || (na.left >= 0 && na.hi-na.lo >= nb.hi-nb.lo):
-		t.joinCross(&t.nodes[na.left], nb, r2, bulk, pair)
-		t.joinCross(&t.nodes[na.right], nb, r2, bulk, pair)
+		j.joinCross(na.left, b, lg)
+		j.joinCross(na.right, b, lg)
 	default:
-		t.joinCross(na, &t.nodes[nb.left], r2, bulk, pair)
-		t.joinCross(na, &t.nodes[nb.right], r2, bulk, pair)
+		j.joinCross(a, nb.left, lg)
+		j.joinCross(a, nb.right, lg)
 	}
 }
 
-// joinPoint reports the points of others within the radius of point i.
-func (t *Tree) joinPoint(i int, others []int, r2 float64, pair func(i, j int)) {
-	xs, ys, zs, period := t.x, t.y, t.z, t.Period
+// joinPoint logs the points of others within the radius of point i.
+func (j *join) joinPoint(i int, others []int, lg *joinLog) {
+	xs, ys, zs, period, r2 := j.t.x, j.t.y, j.t.z, j.t.Period, j.r2
 	x, y, z := xs[i], ys[i], zs[i]
-	for _, j := range others {
-		dx, dy, dz := xs[j]-x, ys[j]-y, zs[j]-z
+	for _, k := range others {
+		dx, dy, dz := xs[k]-x, ys[k]-y, zs[k]-z
 		if period > 0 {
 			dx, dy, dz = periodic.MinImage(dx, period), periodic.MinImage(dy, period), periodic.MinImage(dz, period)
 		}
 		if dx*dx+dy*dy+dz*dz <= r2 {
-			pair(i, j)
+			lg.ev = append(lg.ev, i, k)
 		}
 	}
 }
 
 // boxGap2 returns the squared distance between the boxes of na and nb (0
-// when they overlap), per axis in the shape of axisDist: no point of na is
-// nearer to nb's box by boxDist2 than this, so pruning on it skips nothing
-// a descent from that point would have reached.
+// when they overlap): no point of na is nearer to nb's box by boxDist2
+// than this, so pruning on it skips nothing a descent from that point
+// would have reached.
 func (t *Tree) boxGap2(na, nb *node) float64 {
 	g2 := 0.0
 	for a := 0; a < 3; a++ {
-		lo, hi := na.minB[a], na.maxB[a]
-		g := axisGapOpen(lo, hi, nb.minB[a], nb.maxB[a])
-		if t.Period > 0 {
-			if s := axisGapOpen(lo+t.Period, hi+t.Period, nb.minB[a], nb.maxB[a]); s < g {
-				g = s
-			}
-			if s := axisGapOpen(lo-t.Period, hi-t.Period, nb.minB[a], nb.maxB[a]); s < g {
-				g = s
-			}
-		}
+		g := t.axisGap(na.minB[a], na.maxB[a], nb.minB[a], nb.maxB[a])
 		g2 += g * g
 	}
 	return g2

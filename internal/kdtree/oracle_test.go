@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/periodic"
 )
 
 // cloud is one named point set of the differential tests.
@@ -271,4 +274,178 @@ func TestBuildMatchesClosureBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refJoinSelf, refJoinCross and refJoinPoint are the serial two-callback
+// self-join PairsWithin replaced, with the box gap it pruned on: the
+// oracle of the order in which PairsWithin calls bulk and pair.
+func refJoinSelf(t *Tree, na *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
+	span := t.perm[na.lo:na.hi]
+	switch {
+	case bulk != nil && maxSep2(na, na) <= r2:
+		bulk(span, nil)
+	case na.left < 0:
+		for k, i := range span {
+			refJoinPoint(t, i, span[k+1:], r2, pair)
+		}
+	default:
+		l, r := &t.nodes[na.left], &t.nodes[na.right]
+		refJoinSelf(t, l, r2, bulk, pair)
+		refJoinSelf(t, r, r2, bulk, pair)
+		refJoinCross(t, l, r, r2, bulk, pair)
+	}
+}
+
+func refJoinCross(t *Tree, na, nb *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
+	if refBoxGap2(t, na, nb) > r2 {
+		return
+	}
+	switch {
+	case bulk != nil && maxSep2(na, nb) <= r2:
+		bulk(t.perm[na.lo:na.hi], t.perm[nb.lo:nb.hi])
+	case na.left < 0 && nb.left < 0:
+		for _, i := range t.perm[na.lo:na.hi] {
+			refJoinPoint(t, i, t.perm[nb.lo:nb.hi], r2, pair)
+		}
+	case nb.left < 0 || (na.left >= 0 && na.hi-na.lo >= nb.hi-nb.lo):
+		refJoinCross(t, &t.nodes[na.left], nb, r2, bulk, pair)
+		refJoinCross(t, &t.nodes[na.right], nb, r2, bulk, pair)
+	default:
+		refJoinCross(t, na, &t.nodes[nb.left], r2, bulk, pair)
+		refJoinCross(t, na, &t.nodes[nb.right], r2, bulk, pair)
+	}
+}
+
+func refJoinPoint(t *Tree, i int, others []int, r2 float64, pair func(i, j int)) {
+	xs, ys, zs, period := t.x, t.y, t.z, t.Period
+	x, y, z := xs[i], ys[i], zs[i]
+	for _, j := range others {
+		dx, dy, dz := xs[j]-x, ys[j]-y, zs[j]-z
+		if period > 0 {
+			dx, dy, dz = periodic.MinImage(dx, period), periodic.MinImage(dy, period), periodic.MinImage(dz, period)
+		}
+		if dx*dx+dy*dy+dz*dz <= r2 {
+			pair(i, j)
+		}
+	}
+}
+
+func refBoxGap2(t *Tree, na, nb *node) float64 {
+	g2 := 0.0
+	for a := 0; a < 3; a++ {
+		lo, hi := na.minB[a], na.maxB[a]
+		g := axisGapOpen(lo, hi, nb.minB[a], nb.maxB[a])
+		if t.Period > 0 {
+			if s := axisGapOpen(lo+t.Period, hi+t.Period, nb.minB[a], nb.maxB[a]); s < g {
+				g = s
+			}
+			if s := axisGapOpen(lo-t.Period, hi-t.Period, nb.minB[a], nb.maxB[a]); s < g {
+				g = s
+			}
+		}
+		g2 += g * g
+	}
+	return g2
+}
+
+// joinSequence records every callback of one self-join in call order: a
+// pair as i, j; a bulk call as -1, then each span as its length and
+// members, or -2 for a nil span.
+func joinSequence(tr *Tree, r float64, useBulk bool, join func(r float64, bulk func(a, b []int), pair func(i, j int))) []int {
+	var seq []int
+	var bulk func(a, b []int)
+	if useBulk {
+		bulk = func(a, b []int) {
+			seq = append(seq, -1, len(a))
+			seq = append(seq, a...)
+			if b == nil {
+				seq = append(seq, -2)
+				return
+			}
+			seq = append(seq, len(b))
+			seq = append(seq, b...)
+		}
+	}
+	join(r, bulk, func(i, j int) { seq = append(seq, i, j) })
+	return seq
+}
+
+func refPairsWithin(tr *Tree) func(r float64, bulk func(a, b []int), pair func(i, j int)) {
+	return func(r float64, bulk func(a, b []int), pair func(i, j int)) {
+		if len(tr.nodes) > 0 {
+			refJoinSelf(tr, &tr.nodes[0], r*r, bulk, pair)
+		}
+	}
+}
+
+// PairsWithin's tasks, per-point leaf filter and replay must hand bulk and
+// pair the serial join's exact call sequence, element for element: random
+// and lattice-snapped clouds (coincident points, separations of exactly r,
+// across the periodic faces too), open and periodic, bulk on and off.
+func TestPairsWithinSequenceMatchesSerial(t *testing.T) {
+	const box = 16.0
+	for _, n := range []int{1, 17, 1000, 32768, 100003} {
+		spacing := box / math.Cbrt(float64(n))
+		// A power of two near the spacing: snapped coordinates, their
+		// differences and the radius are exact, and sites repeat.
+		grid := math.Exp2(math.Floor(math.Log2(spacing)))
+		for _, snapped := range []bool{false, true} {
+			x, y, z := randomCloud(n, box, int64(n))
+			radii := []float64{0.2 * spacing, spacing}
+			if snapped {
+				for i := range x {
+					x[i], y[i], z[i] = math.Floor(x[i]/grid)*grid, math.Floor(y[i]/grid)*grid, math.Floor(z[i]/grid)*grid
+				}
+				radii = []float64{grid / 2, grid}
+			}
+			for _, period := range []float64{0, box} {
+				tr, err := Build(x, y, z, period, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range radii {
+					for _, useBulk := range []bool{true, false} {
+						want := joinSequence(tr, r, useBulk, refPairsWithin(tr))
+						got := joinSequence(tr, r, useBulk, tr.PairsWithin)
+						if !slices.Equal(got, want) {
+							t.Errorf("n=%d snapped=%v period=%v r=%v bulk=%v: %d sequence entries, serial join has %d",
+								n, snapped, period, r, useBulk, len(got), len(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Across a periodic face the per-point box distance can round above the
+// Dist2 of the very pair it covers. Two points on opposite x faces, r set
+// to exactly their separation: wherever the serial join reports the pair,
+// PairsWithin must too, and some cases must be ones a leaf filter at r
+// itself would drop.
+func TestPairsWithinExactRadiusAcrossPeriodicFace(t *testing.T) {
+	const box = 64.0
+	rng := rand.New(rand.NewSource(5))
+	sensitive := 0
+	for k := 0; k < 4000; k++ {
+		y, z := rng.Float64()*box, rng.Float64()*box
+		x := []float64{rng.Float64() * box / 100, box - rng.Float64()*box/100}
+		tr, err := Build(x, []float64{y, y}, []float64{z, z}, box, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := math.Abs(periodic.MinImage(x[1]-x[0], box))
+		want := joinSequence(tr, r, false, refPairsWithin(tr))
+		if got := joinSequence(tr, r, false, tr.PairsWithin); !slices.Equal(got, want) {
+			t.Fatalf("x = %v, r = %v: PairsWithin reports %v, the serial join %v", x, r, got, want)
+		}
+		lo := &tr.nodes[tr.nodes[0].left]
+		if len(want) > 0 && tr.boxDist2(lo, x[1], y, z) > r*r {
+			sensitive++
+		}
+	}
+	if sensitive == 0 {
+		t.Error("no case where the per-point box distance rounds above the pair's Dist2; the test checks nothing")
+	}
+	t.Logf("%d of 4000 cases need the filter's padding", sensitive)
 }

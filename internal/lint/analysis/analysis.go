@@ -16,7 +16,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -81,18 +80,12 @@ type Pass struct {
 	ImportPackageFact func(pkg *types.Package, fact Fact) bool
 }
 
-// Reportf reports a formatted diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// A Diagnostic is a finding: a position and a message. End, Category,
-// and SuggestedFixes are optional, mirroring the upstream struct.
+// A Diagnostic is a finding: a position and a message. End and
+// SuggestedFixes are optional, mirroring the upstream struct.
 type Diagnostic struct {
-	Pos      token.Pos
-	End      token.Pos
-	Category string
-	Message  string
+	Pos     token.Pos
+	End     token.Pos
+	Message string
 
 	// SuggestedFixes are candidate machine-applicable repairs for the
 	// finding. A driver in -fix mode applies at most one fix per
@@ -115,21 +108,6 @@ type TextEdit struct {
 	Pos     token.Pos
 	End     token.Pos
 	NewText []byte
-}
-
-// Preorder visits every node of every file in depth-first preorder —
-// the moral equivalent of the upstream inspect.Analyzer's Preorder,
-// without the shared-inspector machinery (package trees here are small
-// enough that re-walking per analyzer is cheap).
-func Preorder(files []*ast.File, visit func(ast.Node)) {
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n != nil {
-				visit(n)
-			}
-			return true
-		})
-	}
 }
 
 // NewTypesInfo returns a types.Info with every map the checkers consult
