@@ -4,8 +4,8 @@
 // workflow study.
 //
 // The library lives under internal/ (see DESIGN.md for the system
-// inventory), the runnable tools under cmd/, and the usage walkthroughs
-// under examples/. EXPERIMENTS.md records paper-versus-reproduction
-// numbers for every table and figure; the benchmarks in bench_test.go
-// regenerate them.
+// inventory), the runnable tools under cmd/, and the usage walkthroughs in
+// the Example functions of the example_test.go files, whose output go test
+// checks. EXPERIMENTS.md records paper-versus-reproduction numbers for
+// every table and figure; the benchmarks in bench_test.go regenerate them.
 package repro

@@ -234,13 +234,12 @@ func (t *Tree) VisitWithin(x, y, z, r float64, visit func(j int) bool) {
 	if len(t.nodes) == 0 {
 		return
 	}
-	r2 := r * r
-	t.visitWithin(0, x, y, z, r, r2, visit)
+	t.visitWithin(0, x, y, z, r*r, t.pad2(r), visit)
 }
 
-func (t *Tree) visitWithin(ni int, x, y, z, r, r2 float64, visit func(j int) bool) bool {
+func (t *Tree) visitWithin(ni int, x, y, z, r2, near2 float64, visit func(j int) bool) bool {
 	nb := &t.nodes[ni]
-	if t.boxDist2(nb, x, y, z) > r2 {
+	if t.boxDist2(nb, x, y, z) > near2 {
 		return true
 	}
 	if nb.left < 0 {
@@ -253,10 +252,18 @@ func (t *Tree) visitWithin(ni int, x, y, z, r, r2 float64, visit func(j int) boo
 		}
 		return true
 	}
-	if !t.visitWithin(nb.left, x, y, z, r, r2, visit) {
+	if !t.visitWithin(nb.left, x, y, z, r2, near2, visit) {
 		return false
 	}
-	return t.visitWithin(nb.right, x, y, z, r, r2, visit)
+	return t.visitWithin(nb.right, x, y, z, r2, near2, visit)
+}
+
+// pad2 is the squared radius the box prunes compare against: a box gap
+// can exceed a pair's Dist2 by an ulp of Period across a face (c ± Period
+// rounds apart), so it pads r. Dist2 <= r² still decides every pair.
+func (t *Tree) pad2(r float64) float64 {
+	near := math.Abs(r)*(1+0x1p-40) + t.Period*0x1p-40
+	return near * near
 }
 
 // PairsWithin reports every unordered pair of distinct points at distance
@@ -284,10 +291,7 @@ func (t *Tree) PairsWithin(r float64, bulk func(a, b []int), pair func(i, j int)
 	default:
 		j = new(join)
 	}
-	// boxDist2 can exceed a pair's Dist2 by an ulp of Period across a face
-	// (c ± Period rounds apart), so the leaf filter pads its radius.
-	near := math.Abs(r)*(1+0x1p-40) + t.Period*0x1p-40
-	j.t, j.r2, j.near2, j.bulk, j.n = t, r*r, near*near, bulk != nil, 0
+	j.t, j.r2, j.near2, j.bulk, j.n = t, r*r, t.pad2(r), bulk != nil, 0
 	j.unroll(0, joinDepth)
 	dparallel.Parallel{MinChunk: 1}.ForRange(j.n, j.runTasks)
 	for c := range j.logs[:j.n] {
@@ -378,7 +382,7 @@ func (j *join) joinSelf(a int, lg *joinLog) {
 func (j *join) joinCross(a, b int, lg *joinLog) {
 	t := j.t
 	na, nb := &t.nodes[a], &t.nodes[b]
-	if t.boxGap2(na, nb) > j.r2 {
+	if t.boxGap2(na, nb) > j.near2 {
 		return
 	}
 	switch {

@@ -277,9 +277,10 @@ func TestBuildMatchesClosureBuild(t *testing.T) {
 }
 
 // refJoinSelf, refJoinCross and refJoinPoint are the serial two-callback
-// self-join PairsWithin replaced, with the box gap it pruned on: the
-// oracle of the order in which PairsWithin calls bulk and pair.
-func refJoinSelf(t *Tree, na *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
+// self-join PairsWithin replaced, with the box gap it pruned on (against
+// the padded near2): the oracle of the order in which PairsWithin calls
+// bulk and pair.
+func refJoinSelf(t *Tree, na *node, r2, near2 float64, bulk func(a, b []int), pair func(i, j int)) {
 	span := t.perm[na.lo:na.hi]
 	switch {
 	case bulk != nil && maxSep2(na, na) <= r2:
@@ -290,14 +291,14 @@ func refJoinSelf(t *Tree, na *node, r2 float64, bulk func(a, b []int), pair func
 		}
 	default:
 		l, r := &t.nodes[na.left], &t.nodes[na.right]
-		refJoinSelf(t, l, r2, bulk, pair)
-		refJoinSelf(t, r, r2, bulk, pair)
-		refJoinCross(t, l, r, r2, bulk, pair)
+		refJoinSelf(t, l, r2, near2, bulk, pair)
+		refJoinSelf(t, r, r2, near2, bulk, pair)
+		refJoinCross(t, l, r, r2, near2, bulk, pair)
 	}
 }
 
-func refJoinCross(t *Tree, na, nb *node, r2 float64, bulk func(a, b []int), pair func(i, j int)) {
-	if refBoxGap2(t, na, nb) > r2 {
+func refJoinCross(t *Tree, na, nb *node, r2, near2 float64, bulk func(a, b []int), pair func(i, j int)) {
+	if refBoxGap2(t, na, nb) > near2 {
 		return
 	}
 	switch {
@@ -308,11 +309,11 @@ func refJoinCross(t *Tree, na, nb *node, r2 float64, bulk func(a, b []int), pair
 			refJoinPoint(t, i, t.perm[nb.lo:nb.hi], r2, pair)
 		}
 	case nb.left < 0 || (na.left >= 0 && na.hi-na.lo >= nb.hi-nb.lo):
-		refJoinCross(t, &t.nodes[na.left], nb, r2, bulk, pair)
-		refJoinCross(t, &t.nodes[na.right], nb, r2, bulk, pair)
+		refJoinCross(t, &t.nodes[na.left], nb, r2, near2, bulk, pair)
+		refJoinCross(t, &t.nodes[na.right], nb, r2, near2, bulk, pair)
 	default:
-		refJoinCross(t, na, &t.nodes[nb.left], r2, bulk, pair)
-		refJoinCross(t, na, &t.nodes[nb.right], r2, bulk, pair)
+		refJoinCross(t, na, &t.nodes[nb.left], r2, near2, bulk, pair)
+		refJoinCross(t, na, &t.nodes[nb.right], r2, near2, bulk, pair)
 	}
 }
 
@@ -373,7 +374,8 @@ func joinSequence(tr *Tree, r float64, useBulk bool, join func(r float64, bulk f
 func refPairsWithin(tr *Tree) func(r float64, bulk func(a, b []int), pair func(i, j int)) {
 	return func(r float64, bulk func(a, b []int), pair func(i, j int)) {
 		if len(tr.nodes) > 0 {
-			refJoinSelf(tr, &tr.nodes[0], r*r, bulk, pair)
+			near := r*(1+0x1p-40) + tr.Period*0x1p-40
+			refJoinSelf(tr, &tr.nodes[0], r*r, near*near, bulk, pair)
 		}
 	}
 }
@@ -418,11 +420,10 @@ func TestPairsWithinSequenceMatchesSerial(t *testing.T) {
 	}
 }
 
-// Across a periodic face the per-point box distance can round above the
-// Dist2 of the very pair it covers. Two points on opposite x faces, r set
-// to exactly their separation: wherever the serial join reports the pair,
-// PairsWithin must too, and some cases must be ones a leaf filter at r
-// itself would drop.
+// Across a periodic face a box gap can round above the Dist2 of the very
+// pair it covers. Two points on opposite x faces, r set to exactly their
+// separation: PairsWithin and VisitWithin must find every pair brute force
+// Dist2 <= r² finds, and some cases must be ones a prune at r itself drops.
 func TestPairsWithinExactRadiusAcrossPeriodicFace(t *testing.T) {
 	const box = 64.0
 	rng := rand.New(rand.NewSource(5))
@@ -435,9 +436,17 @@ func TestPairsWithinExactRadiusAcrossPeriodicFace(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := math.Abs(periodic.MinImage(x[1]-x[0], box))
-		want := joinSequence(tr, r, false, refPairsWithin(tr))
+		var want []int
+		if tr.Dist2(1, x[0], y, z) <= r*r {
+			want = []int{0, 1}
+		}
 		if got := joinSequence(tr, r, false, tr.PairsWithin); !slices.Equal(got, want) {
-			t.Fatalf("x = %v, r = %v: PairsWithin reports %v, the serial join %v", x, r, got, want)
+			t.Fatalf("x = %v, r = %v: PairsWithin reports %v, brute force %v", x, r, got, want)
+		}
+		for i := range x {
+			if got := tr.Within(x[i], y, z, r); len(got) != 1+len(want)/2 {
+				t.Fatalf("x = %v, r = %v: VisitWithin from point %d finds %v, brute force %d points", x, r, i, got, 1+len(want)/2)
+			}
 		}
 		lo := &tr.nodes[tr.nodes[0].left]
 		if len(want) > 0 && tr.boxDist2(lo, x[1], y, z) > r*r {
@@ -445,7 +454,7 @@ func TestPairsWithinExactRadiusAcrossPeriodicFace(t *testing.T) {
 		}
 	}
 	if sensitive == 0 {
-		t.Error("no case where the per-point box distance rounds above the pair's Dist2; the test checks nothing")
+		t.Error("no case where the box distance rounds above the pair's Dist2; the test checks nothing")
 	}
-	t.Logf("%d of 4000 cases need the filter's padding", sensitive)
+	t.Logf("%d of 4000 cases need the prunes' padding", sensitive)
 }
