@@ -194,10 +194,15 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 	bins := buildCmds(t)
 	// The planner's bytes: sha256 of standard output at the default seed,
 	// taken on amd64 from the binary of the commit before internal/cosmo
-	// cached σ(R). A model-layer optimisation must leave both unmoved.
+	// cached σ(R). A model-layer optimisation must leave both unmoved. The
+	// two gray-failure runs were pinned at the commit before the fault
+	// knobs became constants; they cover every gray draw the model makes.
+	// "-all" stays last: the checks after the loop read its output.
 	var out []byte
 	for _, pin := range []struct{ args, sha256 string }{
 		{"-table 3", "7750e0db4fab0e59151b60e52dedd7033a46a5ea47b3aab091370a5f3d0ee9be"},
+		{"-resilience -gray", "71199452f567fb3e7fb56524c5733adb59835eee5194058a351b903e59128ba2"},
+		{"-campaign 12 -gray -step-budget 900 -decisions", "6fcecb6a306a4dc3daa98246b1078c5d2dd4e22bc95c65b0a0168dc7afca3e27"},
 		{"-all", "b3f4be9d8caa07a8ad20cd8237685485be467b0e38b020982456d2f155ec2717"},
 	} {
 		cmd := exec.Command(filepath.Join(bins, "workflow-sim"), strings.Fields(pin.args)...)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -435,6 +436,43 @@ func TestCorruptionEnabledWiring(t *testing.T) {
 	for _, p := range []Profile{{BitRotProb: 0.1}, {TransitCorruptProb: 0.1}} {
 		if !p.CorruptionEnabled() || !p.Enabled() {
 			t.Errorf("%+v not reported enabled", p)
+		}
+	}
+}
+
+// The first draws of each class at one seed, generated before the draw
+// ranges became constants: a changed range, or a changed float64
+// operation inside a draw, moves them.
+func TestFirstDrawsPinned(t *testing.T) {
+	in := MustNew(Profile{Seed: 11, JobFailureProb: 0.5, WriteFailProb: 0.25, WriteTruncateProb: 0.5,
+		JobSlowdownProb: 0.5, JobStallProb: 0.5, InSituSlowdownProb: 0.5, TransitDelayProb: 0.5})
+	for _, c := range []struct {
+		name string
+		draw func(i int) string
+		want string
+	}{
+		{"JobAttempt", func(i int) string { return fmt.Sprint(in.JobAttempt("sim", i)) },
+			"0 false, 0.5653980102823906 true, 0.5549098812515357 true, 0.8378800100455147 true, " +
+				"0.8793906139836377 true, 0.26403570849744057 true, 0.8784991061213722 true, 0 false"},
+		{"Write", func(i int) string { return fmt.Sprint(in.Write("l2/step001.gio", i)) },
+			"2 0.48165918134920926, 2 0.7847801488111393, 0 1, 2 0.8291223240097841, " +
+				"1 0, 0 1, 2 0.7714356296229105, 2 0.22925708140197135"},
+		{"JobSlowdown", func(i int) string { return fmt.Sprint(in.JobSlowdown("sim", i)) },
+			"1, 1.8270236462536633, 2.47642391744854, 1, 1, 1, 1.8701627565165384, 1"},
+		{"JobStall", func(i int) string { return fmt.Sprint(in.JobStall("sim", i)) },
+			"0.11049789290040499 true, 0 false, 0 false, 0.09779726340086518 true, " +
+				"0 false, 0 false, 0.6841236488356278 true, 0 false"},
+		{"StepSlowdown", func(i int) string { return fmt.Sprint(in.StepSlowdown(i)) },
+			"1, 2.1776154919829342, 1, 1, 1, 1, 2.4505562195551267, 1"},
+		{"TransitDelay", func(i int) string { return fmt.Sprint(in.TransitDelay("item", i)) },
+			"2.6883760446932596, 0, 0, 13.846426717756227, 12.439740057016865, 0, 0, 0"},
+	} {
+		var got []string
+		for i := 0; i < 8; i++ {
+			got = append(got, c.draw(i))
+		}
+		if g := strings.Join(got, ", "); g != c.want {
+			t.Errorf("%s draws 0-7:\n got %s\nwant %s", c.name, g, c.want)
 		}
 	}
 }
