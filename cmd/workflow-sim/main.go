@@ -25,9 +25,8 @@
 //	workflow-sim -campaign 20 -out run/ -crash-time 9000
 //	workflow-sim -resume run/
 //
-// With -gray, gray failures (job slowdowns, mid-run stalls, in-situ
-// slowdowns, submit refusals — tuned by -gray-slow, -gray-stall,
-// -gray-insitu, -gray-submit) are injected and recovered by
+// With -gray, gray failures (25% job slowdowns, 20% mid-run stalls, 30%
+// in-situ slowdowns, 15% submit refusals) are injected and recovered by
 // heartbeat/deadline/straggler supervision with hedged re-execution;
 // -step-budget arms adaptive in-situ→off-line degradation and -decisions
 // prints the supervision decision log:
@@ -88,10 +87,6 @@ func main() {
 		resilience = flag.Bool("resilience", false, "compare workflow degradation under injected failures (job death, node drains, write faults, listener outages)")
 		faultSeed  = flag.Int64("fault-seed", 1, "fault injector seed (with -resilience/-gray)")
 		gray       = flag.Bool("gray", false, "add gray failures (job slowdowns, mid-run stalls, in-situ slowdowns, submit refusals) to -resilience and -campaign runs; supervision recovers them")
-		graySlow   = flag.Float64("gray-slow", 0.25, "with -gray: per-attempt job slowdown probability")
-		grayStall  = flag.Float64("gray-stall", 0.2, "with -gray: per-attempt mid-run stall probability")
-		grayInsitu = flag.Float64("gray-insitu", 0.3, "with -gray: per-step in-situ analysis slowdown probability")
-		graySubmit = flag.Float64("gray-submit", 0.15, "with -gray: per-try listener submit refusal probability")
 		stepBudget = flag.Float64("step-budget", 0, "with -gray: in-situ seconds budget per step; over-budget steps spill their center work to the off-line path")
 		decisions  = flag.Bool("decisions", false, "with -gray -campaign: print the supervision decision log")
 		all        = flag.Bool("all", false, "run everything")
@@ -108,15 +103,13 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "print every instrumented run's metrics registry (deterministic encode order)")
 	)
 	flag.Parse()
-	// The gray profile is validated at the flag boundary: a malformed
-	// probability or factor range dies here, not mid-campaign.
+	// The gray weather: nothing in it kills a job outright — every
+	// disruption is a slowdown, stall or refusal that only supervision can
+	// see.
 	var grayP *fault.Profile
 	if *gray {
-		p := grayFaultProfile(*faultSeed, *graySlow, *grayStall, *grayInsitu, *graySubmit)
-		if err := p.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		grayP = &p
+		grayP = &fault.Profile{Seed: *faultSeed, JobSlowdownProb: 0.25, JobStallProb: 0.2,
+			InSituSlowdownProb: 0.3, SubmitFailProb: 0.15}
 	}
 	// Observability: -cost/-trace/-spantree/-metrics instrument the runs
 	// they accompany. A campaign-mode invocation gets a live observer
@@ -255,19 +248,6 @@ func defaultFaultProfile(faultSeed int64) fault.Profile {
 		WriteTruncateProb: 0.05,
 		ListenerOutages:   []fault.Window{{Start: 600, End: 1200}},
 		NodeDrains:        []fault.Drain{{Window: fault.Window{Start: 400, End: 900}, Nodes: 2}},
-	}
-}
-
-// grayFaultProfile is the gray-weather profile the -gray flag family
-// tunes: nothing in it kills a job outright — every disruption is a
-// slowdown, stall or refusal that only supervision can see.
-func grayFaultProfile(faultSeed int64, slow, stall, insitu, submit float64) fault.Profile {
-	return fault.Profile{
-		Seed:               faultSeed,
-		JobSlowdownProb:    slow,
-		JobStallProb:       stall,
-		InSituSlowdownProb: insitu,
-		SubmitFailProb:     submit,
 	}
 }
 

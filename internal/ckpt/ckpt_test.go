@@ -259,7 +259,7 @@ func TestFrameParseFrameRoundTrip(t *testing.T) {
 		t.Fatal("frame is not newline-terminated")
 	}
 	var got payload
-	if !ParseFrame(strings.TrimSuffix(string(line), "\n"), &got) {
+	if !parseFrame(strings.TrimSuffix(string(line), "\n"), &got) {
 		t.Fatal("round trip failed")
 	}
 	if got.Name != "x" || got.N != 7 {
@@ -268,20 +268,20 @@ func TestFrameParseFrameRoundTrip(t *testing.T) {
 	// A flipped payload byte fails the CRC.
 	bad := []byte(strings.TrimSuffix(string(line), "\n"))
 	bad[2] ^= 0x01
-	if ParseFrame(string(bad), &got) {
+	if parseFrame(string(bad), &got) {
 		t.Error("corrupt frame parsed")
 	}
 	// A torn line fails.
-	if ParseFrame(string(line[:len(line)/2]), &got) {
+	if parseFrame(string(line[:len(line)/2]), &got) {
 		t.Error("torn frame parsed")
 	}
 	// Frame writes the CRC in lower case, so the same CRC in upper case
 	// is a flipped bit 0x20, not an alternative spelling.
 	var r Record
-	if !ParseFrame(`{"kind":"step","step":3} 9b099e17`, &r) || r.Step != 3 {
+	if !parseFrame(`{"kind":"step","step":3} 9b099e17`, &r) || r.Step != 3 {
 		t.Fatalf("valid frame rejected: %+v", r)
 	}
-	if ParseFrame(`{"kind":"step","step":3} 9B099E17`, &r) {
+	if parseFrame(`{"kind":"step","step":3} 9B099E17`, &r) {
 		t.Error("upper-case CRC parsed")
 	}
 }

@@ -38,7 +38,8 @@ func openBytes(t *testing.T, dir, name string, data []byte) ([]Record, []byte) {
 // record, each line the payload, a space and the payload's CRC32 as
 // eight lowercase hex digits; replaying that file again is a no-op; and
 // any byte prefix of it (a crash at any point of the appends that wrote
-// it) opens to the records of its complete lines.
+// it) opens to the records of its complete lines. Open is OpenLog over
+// Records, so this also holds the integrity ledger's replay.
 func FuzzJournalOpen(f *testing.F) {
 	var valid []byte
 	for _, r := range []Record{

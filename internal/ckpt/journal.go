@@ -75,8 +75,9 @@ type Record struct {
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 }
 
-// Journal is an append-only, fsync'd record log. It is not safe for
-// concurrent use; the workflow engine appends from a single goroutine.
+// Journal is an append-only, fsync'd log of framed lines: the campaign's
+// Records, or any other record type opened with OpenLog. It is not safe
+// for concurrent use; the workflow engine appends from a single goroutine.
 type Journal struct {
 	f *os.File
 }
@@ -86,9 +87,8 @@ type Journal struct {
 //
 //	<json payload> <crc32-of-payload-hex>\n
 //
-// It is exported so sibling journals (the integrity ledger's lineage
-// records) share the exact crash semantics of the main journal: a torn
-// append is detectable and truncatable, never silently half-parsed.
+// A torn append is detectable and truncatable, never silently
+// half-parsed.
 func Frame(v any) ([]byte, error) {
 	payload, err := json.Marshal(v)
 	if err != nil {
@@ -98,10 +98,10 @@ func Frame(v any) ([]byte, error) {
 	return []byte(line), nil
 }
 
-// ParseFrame validates one framed line (without its trailing newline) and
+// parseFrame validates one framed line (without its trailing newline) and
 // unmarshals the payload into v, reporting ok=false for a torn or corrupt
 // frame.
-func ParseFrame(line string, v any) bool {
+func parseFrame(line string, v any) bool {
 	i := strings.LastIndexByte(line, ' ')
 	if i < 0 {
 		return false
@@ -138,29 +138,27 @@ func parseCRC(s string) (uint32, bool) {
 	return crc, true
 }
 
-// frame serializes a record as one self-checking line.
-func frame(r Record) ([]byte, error) { return Frame(r) }
-
-// parseLine validates one framed line, returning ok=false for a torn or
-// corrupt frame.
-func parseLine(line string) (Record, bool) {
-	var r Record
-	if !ParseFrame(line, &r) {
-		return Record{}, false
+// Open replays the journal at path (creating it if absent) and reopens it
+// for appending. The returned records are the valid prefix (see OpenLog).
+func Open(path string) (*Journal, []Record, error) {
+	var records []Record
+	j, err := OpenLog(path, func(r Record) { records = append(records, r) })
+	if err != nil {
+		return nil, nil, err
 	}
-	return r, true
+	return j, records, nil
 }
 
-// Open replays the journal at path (creating it if absent) and reopens it
-// for appending. The returned records are the valid prefix; a torn or
-// corrupt tail — the signature of a crash mid-append — is truncated away
-// so subsequent appends start from a consistent point.
-func Open(path string) (*Journal, []Record, error) {
+// OpenLog replays the framed log at path (creating it if absent), handing
+// each record to replay in order, and reopens the file for appending. The
+// first torn or corrupt line — the signature of a crash mid-append — ends
+// the valid prefix: it and everything after it are truncated away, so
+// later appends start from a consistent point.
+func OpenLog[T any](path string, replay func(T)) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("ckpt: open journal: %w", err)
+		return nil, fmt.Errorf("ckpt: open log: %w", err)
 	}
-	var records []Record
 	valid := int64(0)
 	br := bufio.NewReader(f)
 	for {
@@ -171,30 +169,34 @@ func Open(path string) (*Journal, []Record, error) {
 		}
 		if err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("ckpt: read journal: %w", err)
+			return nil, fmt.Errorf("ckpt: read log: %w", err)
 		}
-		r, ok := parseLine(strings.TrimSuffix(line, "\n"))
-		if !ok {
+		var v T
+		if !parseFrame(strings.TrimSuffix(line, "\n"), &v) {
 			break // torn/corrupt record: everything after is untrusted
 		}
-		records = append(records, r)
+		replay(v)
 		valid += int64(len(line))
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("ckpt: truncate torn tail: %w", err)
+		return nil, fmt.Errorf("ckpt: truncate torn tail: %w", err)
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("ckpt: seek journal: %w", err)
+		return nil, fmt.Errorf("ckpt: seek log: %w", err)
 	}
-	return &Journal{f: f}, records, nil
+	return &Journal{f: f}, nil
 }
 
-// Append durably writes one record: the entry is fsync'd before Append
-// returns, so a record that was observed written survives any later crash.
-func (j *Journal) Append(r Record) error {
-	line, err := frame(r)
+// Append durably writes one record (see AppendFrame).
+func (j *Journal) Append(r Record) error { return j.AppendFrame(r) }
+
+// AppendFrame durably writes v as one framed line: it is fsync'd before
+// AppendFrame returns, so a line that was observed written survives any
+// later crash.
+func (j *Journal) AppendFrame(v any) error {
+	line, err := Frame(v)
 	if err != nil {
 		return err
 	}

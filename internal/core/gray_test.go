@@ -119,11 +119,18 @@ func TestDegradedStepsSpillOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.PostQueueWait = 0
-	s.Faults = &fault.Profile{
-		Seed:                    1,
-		InSituSlowdownProb:      1,
-		InSituSlowdownFactorMin: 3,
-		InSituSlowdownFactorMax: 4,
+	// A profile seed whose in-situ slowdowns are all at least 3x puts every
+	// step over the 500 s budget.
+	for seed := int64(1); s.Faults == nil; seed++ {
+		p := fault.Profile{Seed: seed, InSituSlowdownProb: 1}
+		in := fault.MustNew(p)
+		slow := true
+		for step := 0; step <= steps; step++ {
+			slow = slow && in.StepSlowdown(step) >= 3
+		}
+		if slow {
+			s.Faults = &p
+		}
 	}
 	s.Degrade = &DegradePolicy{StepBudget: 500, RescueLost: true}
 	rep, err := Campaign(s, steps)

@@ -97,15 +97,6 @@ func (s *Scenario) injector() *fault.Injector {
 	return in
 }
 
-// retry returns the scenario's retry policy, defaulting to
-// sched.DefaultRetry when unset.
-func (s *Scenario) retry() sched.RetryPolicy {
-	if s.Retry.MaxAttempts > 0 {
-		return s.Retry
-	}
-	return sched.DefaultRetry()
-}
-
 // ResilienceRow compares one workflow kind with and without faults.
 type ResilienceRow struct {
 	Workflow Kind

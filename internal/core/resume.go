@@ -263,7 +263,7 @@ func ResumableCampaign(s *Scenario, timesteps int, outDir string, seed int64) (r
 				return
 			}
 			scrubJobs++
-			job := &sched.Job{Name: fmt.Sprintf("scrub-%03d", scrubJobs), Nodes: pol.Nodes, Duration: pol.JobSeconds}
+			job := &sched.Job{Name: fmt.Sprintf("scrub-%03d", scrubJobs), Nodes: scrubJobNodes, Duration: scrubJobDuration}
 			job.OnComplete = func(*sched.Job) {
 				scrubsDone++
 				scr.Stats.ScrubJobs++

@@ -7,7 +7,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/sched"
 	"repro/internal/supervise"
 )
 
@@ -53,14 +52,12 @@ type Scenario struct {
 	// Faults optionally injects deterministic failures (job death, node
 	// drains, write faults, listener outages) into the workflow run. nil —
 	// or a profile that injects nothing — reproduces the paper's
-	// failure-free world exactly.
+	// failure-free world exactly. Failed jobs are resubmitted under
+	// sched.DefaultRetry.
 	Faults *fault.Profile
-	// Retry governs resubmission of failed jobs when Faults are active;
-	// the zero value means sched.DefaultRetry.
-	Retry sched.RetryPolicy
 	// Supervise optionally overrides the gray-failure supervision policy.
 	// nil enables supervise.DefaultPolicy() exactly when Faults injects
-	// gray failures (slowdowns, stalls, degraded windows, submit refusals)
+	// gray failures (slowdowns, stalls, submit refusals)
 	// — a stalled attempt can only be recovered by supervision — and
 	// leaves fail-stop-only and failure-free runs unsupervised.
 	Supervise *supervise.Policy
@@ -83,18 +80,21 @@ type Scenario struct {
 }
 
 // ScrubPolicy shapes the co-scheduled background scrubber. The zero value
-// of each field takes the default noted on it.
+// of each field takes the default noted on it. Every scrub job holds one
+// post node for 5 virtual seconds.
 type ScrubPolicy struct {
 	// Interval is the virtual seconds between scrub jobs (default 300).
 	Interval float64
 	// Batch is how many products one scrub job re-verifies (default 4).
 	Batch int
-	// Nodes is the job's node allocation on the post cluster (default 1 —
-	// the scrubber rides along without displacing analysis).
-	Nodes int
-	// JobSeconds is the modelled duration of one scrub job (default 5).
-	JobSeconds float64
 }
+
+// One scrub job's shape: a single node, so the scrubber rides along
+// without displacing analysis.
+const (
+	scrubJobNodes    = 1
+	scrubJobDuration = 5
+)
 
 // withDefaults resolves zero fields to the documented defaults.
 func (p ScrubPolicy) withDefaults() ScrubPolicy {
@@ -103,12 +103,6 @@ func (p ScrubPolicy) withDefaults() ScrubPolicy {
 	}
 	if p.Batch == 0 {
 		p.Batch = 4
-	}
-	if p.Nodes == 0 {
-		p.Nodes = 1
-	}
-	if p.JobSeconds == 0 {
-		p.JobSeconds = 5
 	}
 	return p
 }
@@ -140,7 +134,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("core: scenario %q step budget %g", s.Name, s.Degrade.StepBudget)
 	}
 	if s.Scrub != nil {
-		if s.Scrub.Interval < 0 || s.Scrub.Batch < 0 || s.Scrub.Nodes < 0 || s.Scrub.JobSeconds < 0 {
+		if s.Scrub.Interval < 0 || s.Scrub.Batch < 0 {
 			return fmt.Errorf("core: scenario %q scrub policy has negative fields", s.Name)
 		}
 	}

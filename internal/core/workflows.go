@@ -160,9 +160,9 @@ func maxOf(vs []float64) float64 {
 }
 
 // cluster builds a cluster on machine m under the given supervisor and,
-// with a non-nil injector, the scenario's faults, retry policy and drain
-// windows (a nil injector preserves the failure-free event sequence
-// exactly).
+// with a non-nil injector, the scenario's faults, sched.DefaultRetry and
+// the drain windows (a nil injector preserves the failure-free event
+// sequence exactly).
 func (s *Scenario) cluster(sim *des.Sim, m platform.Machine, inj *fault.Injector, sup *supervise.Supervisor) (*sched.Cluster, error) {
 	c, err := sched.NewCluster(sim, m)
 	if err != nil {
@@ -170,7 +170,7 @@ func (s *Scenario) cluster(sim *des.Sim, m platform.Machine, inj *fault.Injector
 	}
 	c.Supervise = sup
 	if inj != nil {
-		c.Faults, c.Retry = inj, s.retry()
+		c.Faults, c.Retry = inj, sched.DefaultRetry()
 		c.ApplyDrains(inj.NodeDrains())
 	}
 	return c, nil

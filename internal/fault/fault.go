@@ -3,8 +3,11 @@
 // dominated by failures the paper's idealized comparison never sees: batch
 // jobs die mid-run, Lustre writes fail or land silently truncated, the
 // Bellerophon-style listener drops polls during outages, and in-transit
-// consumers abort mid-item. A Profile declares rates and windows for each
+// consumers abort mid-item. A Profile declares a rate or windows for each
 // fault class; an Injector answers per-event "does this fail?" queries.
+// Where a fault also draws a magnitude (a failure point, a surviving byte
+// fraction, a slowdown factor, a delivery lag), the range is a package
+// constant: no workflow has needed another.
 //
 // Determinism: every draw is keyed by a stable identity (job name +
 // attempt, file path + write sequence, item key + delivery count) hashed
@@ -36,7 +39,8 @@ func (w Window) Contains(t float64) bool { return t >= w.Start && t < w.End }
 // Crash kills the whole campaign process — the recovery problem PR 1's
 // per-operation faults cannot express: a batch job hits its walltime limit
 // or a node dies, and everything in flight (the engine, its listener, a
-// half-written product) vanishes at once. Exactly one trigger is set:
+// half-written product) vanishes at once. At most one trigger is set, and
+// an entry with neither runs to completion:
 //
 //   - AtTime kills the run when the virtual clock reaches that second;
 //     events scheduled later never execute.
@@ -60,15 +64,6 @@ type Drain struct {
 	Nodes int
 }
 
-// Degraded marks a window during which the machine is sick but not down —
-// a failing fabric link, a thermally throttled rack — the canonical gray
-// failure: everything still "works", just slower. Jobs that *start* inside
-// the window run Factor times longer than nominal (Factor >= 1).
-type Degraded struct {
-	Window
-	Factor float64
-}
-
 // Profile declares the fault classes and their rates. The zero value
 // injects nothing; every workflow run under a zero Profile is identical to
 // a run with no injector at all.
@@ -78,19 +73,16 @@ type Profile struct {
 	Seed int64
 
 	// JobFailureProb is the probability that one job attempt dies mid-run.
-	// The failure point is drawn uniformly from JobFailureFrac of the
-	// attempt's duration (default [0.05, 0.95] when both are zero).
-	JobFailureProb                       float64
-	JobFailureFracMin, JobFailureFracMax float64
+	// The failure point is drawn uniformly from [0.05, 0.95] of the
+	// attempt's duration.
+	JobFailureProb float64
 
 	// WriteFailProb is the probability a file-system write errors outright
 	// (nothing lands). WriteTruncateProb is the probability it lands
-	// silently truncated to a TruncateFrac fraction of its bytes (default
-	// [0.1, 0.9] when both are zero); only a reader that verifies the
-	// expected size notices.
-	WriteFailProb                    float64
-	WriteTruncateProb                float64
-	TruncateFracMin, TruncateFracMax float64
+	// silently truncated to a fraction of its bytes drawn uniformly from
+	// [0.1, 0.9]; only a reader that verifies the expected size notices.
+	WriteFailProb     float64
+	WriteTruncateProb float64
 
 	// ListenerOutages are windows during which the co-scheduling listener
 	// is down: polls that fall inside are lost (files are only picked up
@@ -114,31 +106,22 @@ type Profile struct {
 	// --- gray failures: nothing dies, everything limps ---
 
 	// JobSlowdownProb is the probability one job attempt runs slow (a sick
-	// node, contended I/O). The factor is drawn uniformly from
-	// [JobSlowdownFactorMin, JobSlowdownFactorMax] (default [1.5, 4] when
-	// both are zero); factors below 1 are rejected by Validate.
-	JobSlowdownProb                            float64
-	JobSlowdownFactorMin, JobSlowdownFactorMax float64
+	// node, contended I/O) by a factor drawn uniformly from [1.5, 4].
+	JobSlowdownProb float64
 
 	// JobStallProb is the probability one job attempt hangs mid-run — it
 	// holds its nodes, emits no further progress, and never completes. The
-	// stall point is drawn uniformly from JobStallFrac of the attempt's
-	// duration (default [0.05, 0.95] when both are zero). Only deadline or
-	// heartbeat supervision can recover a stalled attempt.
-	JobStallProb                     float64
-	JobStallFracMin, JobStallFracMax float64
-
-	// DegradedNodes are machine-sickness windows: jobs starting inside run
-	// Factor times slower.
-	DegradedNodes []Degraded
+	// stall point is drawn uniformly from [0.05, 0.95] of the attempt's
+	// duration. Only deadline or heartbeat supervision can recover a
+	// stalled attempt.
+	JobStallProb float64
 
 	// InSituSlowdownProb is the probability one timestep's in-situ analysis
-	// runs slow (halo-population pathologies, §4.2's subhalo imbalance);
-	// the factor is drawn from [InSituSlowdownFactorMin, Max] (default
-	// [1.5, 4]). This is the gray failure the DegradePolicy escape hatch
-	// answers: blow the step budget and the work spills off-line.
-	InSituSlowdownProb                               float64
-	InSituSlowdownFactorMin, InSituSlowdownFactorMax float64
+	// runs slow (halo-population pathologies, §4.2's subhalo imbalance) by
+	// a factor drawn uniformly from [1.5, 4]. This is the gray failure the
+	// DegradePolicy escape hatch answers: blow the step budget and the
+	// work spills off-line.
+	InSituSlowdownProb float64
 
 	// SubmitFailProb is the probability one listener submission attempt is
 	// refused transiently (batch front-end overloaded); the listener's
@@ -146,11 +129,9 @@ type Profile struct {
 	SubmitFailProb float64
 
 	// TransitDelayProb is the probability one in-transit delivery lags by a
-	// delay drawn uniformly from [TransitDelaySecMin, TransitDelaySecMax]
-	// seconds (default [1, 30]); an ack-deadline reaper redelivers items
-	// stuck past the deadline.
-	TransitDelayProb                       float64
-	TransitDelaySecMin, TransitDelaySecMax float64
+	// delay drawn uniformly from [1, 30] seconds; an ack-deadline reaper
+	// redelivers items stuck past the deadline.
+	TransitDelayProb float64
 
 	// --- silent data corruption: nothing fails, the bytes lie ---
 
@@ -189,15 +170,15 @@ func (p Profile) CorruptionEnabled() bool {
 // transit stage's ack-deadline reaper recovers it, and the campaign model
 // never draws it.
 func (p Profile) GrayEnabled() bool {
-	return p.JobSlowdownProb > 0 || p.JobStallProb > 0 || len(p.DegradedNodes) > 0 ||
-		p.InSituSlowdownProb > 0 || p.SubmitFailProb > 0
+	return p.JobSlowdownProb > 0 || p.JobStallProb > 0 || p.InSituSlowdownProb > 0 ||
+		p.SubmitFailProb > 0
 }
 
 // Validate rejects malformed profiles with descriptive errors instead of
 // letting them silently clamp or misbehave: probabilities outside [0, 1],
-// inverted or empty windows, slowdown factors below 1 (a "slowdown" that
-// speeds work up), inverted fraction ranges, and negative drain sizes or
-// transit delays.
+// inverted or empty windows, negative drain sizes, a crash with a negative
+// trigger or with both triggers set, and a negative or inverted bit-rot
+// delay range.
 func (p Profile) Validate() error {
 	probs := []struct {
 		name string
@@ -220,40 +201,6 @@ func (p Profile) Validate() error {
 			return fmt.Errorf("fault: %s = %g is not a probability (want [0, 1])", pr.name, pr.v)
 		}
 	}
-	fracs := []struct {
-		name   string
-		lo, hi float64
-	}{
-		{"JobFailureFrac", p.JobFailureFracMin, p.JobFailureFracMax},
-		{"TruncateFrac", p.TruncateFracMin, p.TruncateFracMax},
-		{"JobStallFrac", p.JobStallFracMin, p.JobStallFracMax},
-	}
-	for _, f := range fracs {
-		if f.lo == 0 && f.hi == 0 {
-			continue // unset: defaults apply
-		}
-		if f.lo < 0 || f.hi > 1 || f.hi < f.lo {
-			return fmt.Errorf("fault: %sMin/Max = [%g, %g] is not an ordered sub-range of [0, 1]", f.name, f.lo, f.hi)
-		}
-	}
-	factors := []struct {
-		name   string
-		lo, hi float64
-	}{
-		{"JobSlowdownFactor", p.JobSlowdownFactorMin, p.JobSlowdownFactorMax},
-		{"InSituSlowdownFactor", p.InSituSlowdownFactorMin, p.InSituSlowdownFactorMax},
-	}
-	for _, f := range factors {
-		if f.lo == 0 && f.hi == 0 {
-			continue // unset: defaults apply
-		}
-		if f.lo < 1 {
-			return fmt.Errorf("fault: %sMin = %g would speed work up; slowdown factors must be >= 1", f.name, f.lo)
-		}
-		if f.hi < f.lo {
-			return fmt.Errorf("fault: %sMin/Max = [%g, %g] inverted", f.name, f.lo, f.hi)
-		}
-	}
 	for i, w := range p.ListenerOutages {
 		if w.End <= w.Start {
 			return fmt.Errorf("fault: ListenerOutages[%d] = [%g, %g) is inverted or empty", i, w.Start, w.End)
@@ -267,18 +214,9 @@ func (p Profile) Validate() error {
 			return fmt.Errorf("fault: NodeDrains[%d] drains %d nodes (negative)", i, d.Nodes)
 		}
 	}
-	for i, d := range p.DegradedNodes {
-		if d.End <= d.Start {
-			return fmt.Errorf("fault: DegradedNodes[%d] window [%g, %g) is inverted or empty", i, d.Start, d.End)
-		}
-		if d.Factor != 0 && d.Factor < 1 {
-			return fmt.Errorf("fault: DegradedNodes[%d] factor %g would speed work up; degraded-window factors must be >= 1", i, d.Factor)
-		}
-	}
-	if p.TransitDelaySecMin != 0 || p.TransitDelaySecMax != 0 {
-		if p.TransitDelaySecMin < 0 || p.TransitDelaySecMax < p.TransitDelaySecMin {
-			return fmt.Errorf("fault: TransitDelaySecMin/Max = [%g, %g] negative or inverted",
-				p.TransitDelaySecMin, p.TransitDelaySecMax)
+	for i, c := range p.Crashes {
+		if c.AtTime < 0 || c.AtStep < 0 || (c.AtTime > 0 && c.AtStep > 0) {
+			return fmt.Errorf("fault: Crashes[%d] = {AtTime: %g, AtStep: %d}: want at most one non-negative trigger", i, c.AtTime, c.AtStep)
 		}
 	}
 	if p.BitRotDelaySecMin != 0 || p.BitRotDelaySecMax != 0 {
@@ -328,14 +266,6 @@ func MustNew(p Profile) *Injector {
 	return in
 }
 
-// Profile returns the injector's profile (zero when the injector is nil).
-func (in *Injector) Profile() Profile {
-	if in == nil {
-		return Profile{}
-	}
-	return in.p
-}
-
 // rng derives an independent substream from the seed and a stable key, so
 // draws are order- and interleaving-independent.
 func (in *Injector) rng(kind, key string, n int) *rand.Rand {
@@ -356,15 +286,21 @@ func (in *Injector) rng(kind, key string, n int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-func fracRange(lo, hi, defLo, defHi float64) (float64, float64) {
-	if lo == 0 && hi == 0 {
-		return defLo, defHi
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
+// The magnitude ranges of the fault draws. They are typed so that each
+// draw still subtracts hi - lo in float64: untyped constants would fold
+// 0.95 - 0.05 to exactly 0.9 instead of 0.8999999999999999, and move every
+// drawn failure and stall point.
+const (
+	// failFracMin and failFracMax bound where in its duration an attempt
+	// dies (JobAttempt) or hangs (JobStall).
+	failFracMin, failFracMax float64 = 0.05, 0.95
+	// truncFracMin and truncFracMax bound the bytes a truncated write keeps.
+	truncFracMin, truncFracMax float64 = 0.1, 0.9
+	// slowMin and slowMax bound job and in-situ slowdown factors.
+	slowMin, slowMax float64 = 1.5, 4
+	// lagSecMin and lagSecMax bound an in-transit delivery's lag.
+	lagSecMin, lagSecMax float64 = 1, 30
+)
 
 // JobAttempt decides whether the named job's attempt (0-based) dies
 // mid-run, and if so at which fraction of its duration.
@@ -376,8 +312,7 @@ func (in *Injector) JobAttempt(name string, attempt int) (failFrac float64, fail
 	if r.Float64() >= in.p.JobFailureProb {
 		return 0, false
 	}
-	lo, hi := fracRange(in.p.JobFailureFracMin, in.p.JobFailureFracMax, 0.05, 0.95)
-	return lo + r.Float64()*(hi-lo), true
+	return failFracMin + r.Float64()*(failFracMax-failFracMin), true
 }
 
 // RetryJitter returns a deterministic jitter factor in [0, 1) for the
@@ -401,8 +336,7 @@ func (in *Injector) Write(path string, attempt int) (WriteOutcome, float64) {
 	case u < in.p.WriteFailProb:
 		return WriteFail, 0
 	case u < in.p.WriteFailProb+in.p.WriteTruncateProb:
-		lo, hi := fracRange(in.p.TruncateFracMin, in.p.TruncateFracMax, 0.1, 0.9)
-		return WriteTruncate, lo + r.Float64()*(hi-lo)
+		return WriteTruncate, truncFracMin + r.Float64()*(truncFracMax-truncFracMin)
 	default:
 		return WriteOK, 1
 	}
@@ -460,8 +394,7 @@ func (in *Injector) JobSlowdown(name string, attempt int) float64 {
 	if r.Float64() >= in.p.JobSlowdownProb {
 		return 1
 	}
-	lo, hi := factorRange(in.p.JobSlowdownFactorMin, in.p.JobSlowdownFactorMax)
-	return lo + r.Float64()*(hi-lo)
+	return slowMin + r.Float64()*(slowMax-slowMin)
 }
 
 // JobStall decides whether the named job's attempt hangs mid-run, and if
@@ -474,28 +407,7 @@ func (in *Injector) JobStall(name string, attempt int) (stallFrac float64, stall
 	if r.Float64() >= in.p.JobStallProb {
 		return 0, false
 	}
-	lo, hi := fracRange(in.p.JobStallFracMin, in.p.JobStallFracMax, 0.05, 0.95)
-	return lo + r.Float64()*(hi-lo), true
-}
-
-// DegradeFactorAt returns the degraded-node slowdown factor for work
-// starting at virtual time t (1 outside every window; overlapping windows
-// compound).
-func (in *Injector) DegradeFactorAt(t float64) float64 {
-	if in == nil {
-		return 1
-	}
-	f := 1.0
-	for _, d := range in.p.DegradedNodes {
-		if d.Contains(t) {
-			df := d.Factor
-			if df < 1 {
-				df = 2 // unset factor on a declared window: default 2x
-			}
-			f *= df
-		}
-	}
-	return f
+	return failFracMin + r.Float64()*(failFracMax-failFracMin), true
 }
 
 // StepSlowdown returns the in-situ analysis slowdown factor (>= 1) for the
@@ -508,8 +420,7 @@ func (in *Injector) StepSlowdown(step int) float64 {
 	if r.Float64() >= in.p.InSituSlowdownProb {
 		return 1
 	}
-	lo, hi := factorRange(in.p.InSituSlowdownFactorMin, in.p.InSituSlowdownFactorMax)
-	return lo + r.Float64()*(hi-lo)
+	return slowMin + r.Float64()*(slowMax-slowMin)
 }
 
 // SubmitFail decides whether the attempt-th submission (0-based) of an
@@ -531,11 +442,7 @@ func (in *Injector) TransitDelay(key string, delivery int) float64 {
 	if r.Float64() >= in.p.TransitDelayProb {
 		return 0
 	}
-	lo, hi := in.p.TransitDelaySecMin, in.p.TransitDelaySecMax
-	if lo == 0 && hi == 0 {
-		lo, hi = 1, 30
-	}
-	return lo + r.Float64()*(hi-lo)
+	return lagSecMin + r.Float64()*(lagSecMax-lagSecMin)
 }
 
 // BitRot decides whether the epoch-th committed incarnation of the
@@ -570,16 +477,4 @@ func (in *Injector) TransitCorrupt(key string, delivery int) (bitFrac float64, c
 		return 0, false
 	}
 	return r.Float64(), true
-}
-
-// factorRange resolves a slowdown-factor range, defaulting to [1.5, 4]
-// when unset.
-func factorRange(lo, hi float64) (float64, float64) {
-	if lo == 0 && hi == 0 {
-		return 1.5, 4
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }

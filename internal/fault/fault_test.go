@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -20,16 +21,14 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if in.RetryJitter("j", 0) != 0 || in.NodeDrains() != nil {
 		t.Error("nil injector jitter/drains nonzero")
 	}
-	if in.Profile().Enabled() {
-		t.Error("nil injector profile enabled")
-	}
 }
 
 func TestZeroProfileInjectsNothing(t *testing.T) {
-	in := MustNew(Profile{Seed: 42})
-	if in.Profile().Enabled() {
+	p := Profile{Seed: 42}
+	if p.Enabled() {
 		t.Error("zero profile enabled")
 	}
+	in := MustNew(p)
 	for i := 0; i < 100; i++ {
 		if _, fail := in.JobAttempt("job", i); fail {
 			t.Fatal("zero profile failed a job")
@@ -146,13 +145,14 @@ func TestWriteOutcomeSplit(t *testing.T) {
 }
 
 func TestWindowsAndDrains(t *testing.T) {
-	in := MustNew(Profile{
+	p := Profile{
 		ListenerOutages: []Window{{Start: 100, End: 200}},
 		NodeDrains:      []Drain{{Window: Window{Start: 50, End: 60}, Nodes: 4}},
-	})
-	if !in.Profile().Enabled() {
+	}
+	if !p.Enabled() {
 		t.Error("windowed profile not enabled")
 	}
+	in := MustNew(p)
 	for _, tc := range []struct {
 		t    float64
 		down bool
@@ -167,10 +167,11 @@ func TestWindowsAndDrains(t *testing.T) {
 }
 
 func TestCrashSchedule(t *testing.T) {
-	in := MustNew(Profile{Crashes: []Crash{{AtTime: 500}, {AtStep: 3}, {}}})
-	if !in.Profile().Enabled() {
+	p := Profile{Crashes: []Crash{{AtTime: 500}, {AtStep: 3}, {}}}
+	if !p.Enabled() {
 		t.Error("crash-only profile not enabled")
 	}
+	in := MustNew(p)
 	c, ok := in.CrashFor(0)
 	if !ok || c.AtTime != 500 {
 		t.Errorf("generation 0: %+v, %v", c, ok)
@@ -203,13 +204,9 @@ func TestValidateRejectsMalformedProfiles(t *testing.T) {
 		{"inverted outage window", Profile{ListenerOutages: []Window{{Start: 200, End: 100}}}, "inverted or empty"},
 		{"empty drain window", Profile{NodeDrains: []Drain{{Window: Window{Start: 50, End: 50}, Nodes: 1}}}, "inverted or empty"},
 		{"negative drain", Profile{NodeDrains: []Drain{{Window: Window{Start: 0, End: 10}, Nodes: -2}}}, "negative"},
-		{"inverted degraded window", Profile{DegradedNodes: []Degraded{{Window: Window{Start: 9, End: 3}}}}, "inverted or empty"},
-		{"degraded factor below one", Profile{DegradedNodes: []Degraded{{Window: Window{Start: 0, End: 10}, Factor: 0.5}}}, "must be >= 1"},
-		{"slowdown factor below one", Profile{JobSlowdownProb: 0.1, JobSlowdownFactorMin: 0.5, JobSlowdownFactorMax: 2}, "must be >= 1"},
-		{"inverted slowdown factors", Profile{JobSlowdownFactorMin: 4, JobSlowdownFactorMax: 2}, "inverted"},
-		{"inverted stall fracs", Profile{JobStallFracMin: 0.9, JobStallFracMax: 0.1}, "ordered sub-range"},
-		{"stall frac above one", Profile{JobStallFracMin: 0.5, JobStallFracMax: 1.5}, "ordered sub-range"},
-		{"negative transit delay", Profile{TransitDelaySecMin: -5, TransitDelaySecMax: 10}, "negative or inverted"},
+		{"crash with both triggers", Profile{Crashes: []Crash{{}, {AtTime: 2000, AtStep: 3}}}, "at most one"},
+		{"crash at negative time", Profile{Crashes: []Crash{{AtTime: -1}}}, "at most one"},
+		{"crash at negative step", Profile{Crashes: []Crash{{AtStep: -2}}}, "at most one"},
 		{"bit-rot probability above one", Profile{BitRotProb: 1.2}, "not a probability"},
 		{"negative transit-corrupt probability", Profile{TransitCorruptProb: -0.2}, "not a probability"},
 		{"inverted bit-rot delay", Profile{BitRotDelaySecMin: 900, BitRotDelaySecMax: 30}, "negative or inverted"},
@@ -228,12 +225,13 @@ func TestValidateRejectsMalformedProfiles(t *testing.T) {
 			t.Errorf("%s: New accepted the profile Validate rejected", tc.name)
 		}
 	}
-	// Valid profiles — including unset (all-zero) ranges — pass.
+	// Valid profiles — including unset crash entries and bit-rot delays —
+	// pass.
 	for _, p := range []Profile{
 		{},
 		{Seed: 1, JobSlowdownProb: 0.3, JobStallProb: 0.1, InSituSlowdownProb: 0.2,
 			SubmitFailProb: 0.1, TransitDelayProb: 0.2,
-			DegradedNodes: []Degraded{{Window: Window{Start: 10, End: 20}, Factor: 3}}},
+			Crashes: []Crash{{}, {AtTime: 500}, {AtStep: 3}}},
 	} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("Validate rejected valid profile: %v", err)
@@ -248,9 +246,6 @@ func TestNilInjectorInjectsNoGrayFailures(t *testing.T) {
 	}
 	if _, stall := in.JobStall("j", 0); stall {
 		t.Error("nil injector stalled a job")
-	}
-	if f := in.DegradeFactorAt(100); f != 1 {
-		t.Errorf("nil DegradeFactorAt = %v", f)
 	}
 	if f := in.StepSlowdown(3); f != 1 {
 		t.Errorf("nil StepSlowdown = %v", f)
@@ -307,44 +302,33 @@ func TestGrayDrawsAreSeededAndOrderIndependent(t *testing.T) {
 	}
 }
 
+// Every magnitude a fault draws stays inside its documented range, and
+// the draws spread over most of it.
 func TestGraySlowdownRangesHonored(t *testing.T) {
-	in := MustNew(Profile{Seed: 5, JobSlowdownProb: 1,
-		JobSlowdownFactorMin: 2, JobSlowdownFactorMax: 3})
-	for i := 0; i < 500; i++ {
-		if f := in.JobSlowdown("j", i); f < 2 || f > 3 {
-			t.Fatalf("slowdown %v outside [2, 3]", f)
+	in := MustNew(Profile{Seed: 5, JobFailureProb: 1, WriteTruncateProb: 1, JobSlowdownProb: 1,
+		JobStallProb: 1, InSituSlowdownProb: 1, TransitDelayProb: 1})
+	for _, r := range []struct {
+		name   string
+		lo, hi float64
+		draw   func(i int) float64
+	}{
+		{"JobAttempt failure point", 0.05, 0.95, func(i int) float64 { f, _ := in.JobAttempt("j", i); return f }},
+		{"Write truncation fraction", 0.1, 0.9, func(i int) float64 { _, f := in.Write("p", i); return f }},
+		{"JobSlowdown factor", 1.5, 4, func(i int) float64 { return in.JobSlowdown("j", i) }},
+		{"JobStall stall point", 0.05, 0.95, func(i int) float64 { f, _ := in.JobStall("j", i); return f }},
+		{"StepSlowdown factor", 1.5, 4, func(i int) float64 { return in.StepSlowdown(i) }},
+		{"TransitDelay lag", 1, 30, func(i int) float64 { return in.TransitDelay("k", i) }},
+	} {
+		min, max := math.Inf(1), math.Inf(-1)
+		for i := 0; i < 500; i++ {
+			v := r.draw(i)
+			if v < r.lo || v > r.hi {
+				t.Fatalf("%s %v outside [%v, %v]", r.name, v, r.lo, r.hi)
+			}
+			min, max = math.Min(min, v), math.Max(max, v)
 		}
-	}
-	// Default factor range is [1.5, 4].
-	din := MustNew(Profile{Seed: 5, InSituSlowdownProb: 1})
-	for i := 0; i < 500; i++ {
-		if f := din.StepSlowdown(i); f < 1.5 || f > 4 {
-			t.Fatalf("step slowdown %v outside default [1.5, 4]", f)
-		}
-	}
-	// Default transit lag range is [1, 30] seconds.
-	tin := MustNew(Profile{Seed: 5, TransitDelayProb: 1})
-	for i := 0; i < 500; i++ {
-		if d := tin.TransitDelay("k", i); d < 1 || d > 30 {
-			t.Fatalf("transit delay %v outside default [1, 30]", d)
-		}
-	}
-}
-
-func TestDegradedWindowsCompound(t *testing.T) {
-	in := MustNew(Profile{DegradedNodes: []Degraded{
-		{Window: Window{Start: 100, End: 300}, Factor: 2},
-		{Window: Window{Start: 200, End: 400}, Factor: 1.5},
-		{Window: Window{Start: 500, End: 600}}, // unset factor: default 2x
-	}})
-	if !in.Profile().GrayEnabled() || !in.Profile().Enabled() {
-		t.Error("degraded-window profile not gray-enabled")
-	}
-	for _, tc := range []struct {
-		t, want float64
-	}{{50, 1}, {150, 2}, {250, 3}, {350, 1.5}, {450, 1}, {550, 2}} {
-		if got := in.DegradeFactorAt(tc.t); got != tc.want {
-			t.Errorf("DegradeFactorAt(%v) = %v, want %v", tc.t, got, tc.want)
+		if span := r.hi - r.lo; min > r.lo+0.05*span || max < r.hi-0.05*span {
+			t.Errorf("%s draws span [%v, %v], want most of [%v, %v]", r.name, min, max, r.lo, r.hi)
 		}
 	}
 }

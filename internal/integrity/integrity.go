@@ -13,7 +13,7 @@
 // params) that produced it, so a corrupt product can be re-derived by
 // re-running only its producing step instead of the whole campaign.
 //
-// The ledger reuses the ckpt journal's framing (CRC-guarded JSON lines,
+// The ledger is a ckpt journal of lineage records (CRC-guarded JSON lines,
 // torn tail truncated on open), so it survives process crashes with the
 // same semantics as the main journal: any prefix is a valid recovery
 // point. Because product content is a pure function of (seed, step),
@@ -22,14 +22,8 @@
 package integrity
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"strings"
 
 	"repro/internal/ckpt"
 )
@@ -64,13 +58,12 @@ type Product struct {
 	Params string `json:"params,omitempty"`
 }
 
-// Ledger is the append-only, fsync'd lineage journal. Records are framed
-// exactly like ckpt journal records (JSON payload + CRC32), so a crash
-// mid-append leaves a truncatable torn tail, never a half-trusted record.
-// Not safe for concurrent use; the campaign engine appends from a single
-// goroutine.
+// Ledger is the append-only, fsync'd lineage journal: a ckpt journal of
+// Products, so a crash mid-append leaves a truncatable torn tail, never a
+// half-trusted record. Not safe for concurrent use; the campaign engine
+// appends from a single goroutine.
 type Ledger struct {
-	f        *os.File
+	j        *ckpt.Journal
 	products []Product
 	index    map[string]int // path -> latest products index
 }
@@ -78,37 +71,12 @@ type Ledger struct {
 // OpenLedger replays the ledger at path (creating it if absent) and
 // reopens it for appending, truncating any torn tail.
 func OpenLedger(path string) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	l := &Ledger{index: map[string]int{}}
+	j, err := ckpt.OpenLog(path, l.record)
 	if err != nil {
-		return nil, fmt.Errorf("integrity: open ledger: %w", err)
+		return nil, err
 	}
-	l := &Ledger{f: f, index: map[string]int{}}
-	valid := int64(0)
-	br := bufio.NewReader(f)
-	for {
-		line, err := br.ReadString('\n')
-		if errors.Is(err, io.EOF) {
-			break // a final line without newline is a torn append: drop it
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("integrity: read ledger: %w", err)
-		}
-		var p Product
-		if !ckpt.ParseFrame(strings.TrimSuffix(line, "\n"), &p) {
-			break // torn/corrupt record: everything after is untrusted
-		}
-		l.record(p)
-		valid += int64(len(line))
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("integrity: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("integrity: seek ledger: %w", err)
-	}
+	l.j = j
 	return l, nil
 }
 
@@ -124,15 +92,8 @@ func (l *Ledger) record(p Product) {
 // Append durably writes one lineage record: fsync'd before return, so a
 // record observed written survives any later crash.
 func (l *Ledger) Append(p Product) error {
-	line, err := ckpt.Frame(p)
-	if err != nil {
+	if err := l.j.AppendFrame(p); err != nil {
 		return err
-	}
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("integrity: append: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("integrity: sync: %w", err)
 	}
 	l.record(p)
 	return nil
@@ -176,4 +137,4 @@ func (l *Ledger) Downstream(path string) []string {
 }
 
 // Close releases the ledger file.
-func (l *Ledger) Close() error { return l.f.Close() }
+func (l *Ledger) Close() error { return l.j.Close() }

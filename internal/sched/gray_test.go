@@ -12,10 +12,9 @@ import (
 	"repro/internal/supervise"
 )
 
-// alwaysStall returns an injector that hangs every attempt of every job at
-// half its duration.
+// alwaysStall returns an injector that hangs every attempt of every job.
 func alwaysStall() *fault.Injector {
-	return fault.MustNew(fault.Profile{Seed: 1, JobStallProb: 1, JobStallFracMin: 0.5, JobStallFracMax: 0.5})
+	return fault.MustNew(fault.Profile{Seed: 1, JobStallProb: 1})
 }
 
 // supervisedCluster builds a 10-node cluster with default retry and
@@ -124,12 +123,15 @@ func TestPrimaryBeatsItsBackup(t *testing.T) {
 		}
 	}
 	sim.Run()
-	// Degraded window slows jobs starting inside it by 5x: the primary is
-	// hedged as a straggler, but the backup starts inside the same window
-	// (also 5x) with a later start — the primary finishes first.
-	c.Faults = fault.MustNew(fault.Profile{
-		DegradedNodes: []fault.Degraded{{Window: fault.Window{Start: 600, End: 4000}, Factor: 5}},
-	})
+	// Every attempt runs slow. A primary slowed past 3.7x is still running
+	// at the 360 s watchdog poll and is hedged as a straggler (3x the
+	// peers), but its backup starts then and runs at least 1.5x slow: the
+	// primary finishes first.
+	for seed := int64(1); c.Faults == nil; seed++ {
+		if in := fault.MustNew(fault.Profile{Seed: seed, JobSlowdownProb: 1}); in.JobSlowdown("slow", 0) > 3.7 {
+			c.Faults = in
+		}
+	}
 	var completions int
 	j := &Job{Name: "slow", Nodes: 2, Duration: 100, OnComplete: func(*Job) { completions++ }}
 	sim.At(700, func() {
@@ -141,8 +143,8 @@ func TestPrimaryBeatsItsBackup(t *testing.T) {
 	if !j.Completed || completions != 1 {
 		t.Fatalf("job = %+v completions = %d", j, completions)
 	}
-	if j.EndTime != 700+500 {
-		t.Errorf("primary finished at %v, want 1200 (5x slowdown)", j.EndTime)
+	if want := 700 + 100*c.Faults.JobSlowdown("slow", 0); j.EndTime != want {
+		t.Errorf("primary finished at %v, want %v", j.EndTime, want)
 	}
 	if c.HedgesLaunched == 0 {
 		t.Error("straggling primary was never hedged")
@@ -204,18 +206,15 @@ func TestBackupFailingInBackoffIsCancelledOnce(t *testing.T) {
 func TestSlowdownStretchesEffDuration(t *testing.T) {
 	var sim des.Sim
 	c, _ := NewCluster(&sim, smallMachine())
-	c.Faults = fault.MustNew(fault.Profile{
-		Seed: 5, JobSlowdownProb: 1, JobSlowdownFactorMin: 2, JobSlowdownFactorMax: 2,
-		DegradedNodes: []fault.Degraded{{Window: fault.Window{Start: 0, End: 50}, Factor: 3}},
-	})
+	c.Faults = fault.MustNew(fault.Profile{Seed: 5, JobSlowdownProb: 1})
 	j := &Job{Name: "j", Nodes: 1, Duration: 100}
 	if err := c.Submit(j); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
-	// 2x per-job slowdown compounded with the 3x degraded window = 6x.
-	if j.EffDuration != 600 || j.EndTime != 600 {
-		t.Errorf("eff %v end %v, want 600", j.EffDuration, j.EndTime)
+	want := 100 * c.Faults.JobSlowdown("j", 0)
+	if want <= 100 || j.EffDuration != want || j.EndTime != want {
+		t.Errorf("eff %v end %v, want %v", j.EffDuration, j.EndTime, want)
 	}
 }
 
@@ -242,24 +241,21 @@ func TestHedgeDecisionLogReproducible(t *testing.T) {
 	}
 }
 
-// Satellite regression: attempt counts far past 40 must not overflow the
-// exponential backoff into huge or negative delays.
+// Attempt counts far past 40 must not overflow the exponential backoff
+// into huge or negative delays (2^1000 overflows float64).
 func TestRetryBackoffCappedAtMaxDelay(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 2000, Backoff: 30, BackoffFactor: 2, MaxDelay: 600}
+	p := RetryPolicy{MaxAttempts: 2000, Backoff: 30}
 	for _, attempt := range []int{1, 5, 40, 41, 100, 1999} {
 		d := p.delay(nil, "j", attempt)
 		if d < 0 || math.IsInf(d, 0) || math.IsNaN(d) {
 			t.Fatalf("attempt %d: delay %v", attempt, d)
 		}
-		if d > 600 {
-			t.Errorf("attempt %d: delay %v above MaxDelay", attempt, d)
+		if d > DefaultMaxDelay {
+			t.Errorf("attempt %d: delay %v above DefaultMaxDelay", attempt, d)
 		}
 	}
-	// Unset MaxDelay falls back to the default cap, not to unbounded
-	// doubling (2^1000 overflows float64).
-	p.MaxDelay = 0
 	if d := p.delay(nil, "j", 1000); d != DefaultMaxDelay {
-		t.Errorf("attempt 1000 with default cap: delay %v, want %v", d, float64(DefaultMaxDelay))
+		t.Errorf("attempt 1000: delay %v, want the cap %v", d, float64(DefaultMaxDelay))
 	}
 	// The cap does not disturb small attempt counts.
 	if d := p.delay(nil, "j", 3); d != 120 {

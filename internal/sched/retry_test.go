@@ -9,10 +9,9 @@ import (
 	"repro/internal/fs"
 )
 
-// alwaysFail returns an injector that kills every job attempt at half its
-// duration.
+// alwaysFail returns an injector that kills every job attempt.
 func alwaysFail() *fault.Injector {
-	return fault.MustNew(fault.Profile{Seed: 1, JobFailureProb: 1, JobFailureFracMin: 0.5, JobFailureFracMax: 0.5})
+	return fault.MustNew(fault.Profile{Seed: 1, JobFailureProb: 1})
 }
 
 func TestJobFailsAndIsResubmitted(t *testing.T) {
@@ -23,7 +22,7 @@ func TestJobFailsAndIsResubmitted(t *testing.T) {
 	// high enough for eventual success to be impossible — instead verify
 	// via a 100%-failure injector that retries happen and give-up fires.
 	c.Faults = alwaysFail()
-	c.Retry = RetryPolicy{MaxAttempts: 3, Backoff: 10, BackoffFactor: 2}
+	c.Retry = RetryPolicy{MaxAttempts: 3, Backoff: 10}
 	var gaveUp bool
 	j := &Job{Name: "doomed", Nodes: 2, Duration: 100, OnGiveUp: func(*Job) { gaveUp = true }}
 	if err := c.Submit(j); err != nil {
@@ -40,16 +39,26 @@ func TestJobFailsAndIsResubmitted(t *testing.T) {
 	if len(j.History) != 3 {
 		t.Fatalf("history = %v", j.History)
 	}
-	// Attempt 1: 0-50 (fails at 50% of 100 s). Backoff 10 → resubmit at 60,
-	// fails at 110. Backoff 20 → resubmit at 130, fails at 180.
-	want := []Attempt{{0, 50}, {60, 110}, {130, 180}}
+	// Each attempt dies at its drawn fraction of the 100 s run; the backoff
+	// is 10 s before the second attempt and doubles to 20 s before the third.
+	var want []Attempt
+	var lost, nodeSeconds float64
+	start := 0.0
+	for i, backoff := range []float64{10, 20, 0} {
+		frac, _ := c.Faults.JobAttempt("doomed", i)
+		end := start + 100*frac
+		want = append(want, Attempt{start, end})
+		lost += end - start
+		nodeSeconds += 2 * (end - start)
+		start = end + backoff
+	}
 	for i, a := range j.History {
 		if a != want[i] {
 			t.Errorf("attempt %d = %+v, want %+v", i, a, want[i])
 		}
 	}
-	if c.TimeLost != 150 || c.LostNodeSeconds != 300 {
-		t.Errorf("time lost %v node-seconds %v", c.TimeLost, c.LostNodeSeconds)
+	if c.TimeLost != lost || c.LostNodeSeconds != nodeSeconds {
+		t.Errorf("time lost %v node-seconds %v, want %v and %v", c.TimeLost, c.LostNodeSeconds, lost, nodeSeconds)
 	}
 	if c.FreeNodes() != 10 {
 		t.Errorf("failed job leaked nodes: free = %d", c.FreeNodes())
@@ -214,8 +223,8 @@ func TestRetryBackoffJitterIsDeterministic(t *testing.T) {
 	run := func() []Attempt {
 		var sim des.Sim
 		c, _ := NewCluster(&sim, smallMachine())
-		c.Faults = fault.MustNew(fault.Profile{Seed: 9, JobFailureProb: 1, JobFailureFracMin: 0.5, JobFailureFracMax: 0.5})
-		c.Retry = RetryPolicy{MaxAttempts: 4, Backoff: 10, BackoffFactor: 2, JitterFrac: 0.5}
+		c.Faults = fault.MustNew(fault.Profile{Seed: 9, JobFailureProb: 1})
+		c.Retry = RetryPolicy{MaxAttempts: 4, Backoff: 10, JitterFrac: 0.5}
 		j := &Job{Name: "jittery", Nodes: 1, Duration: 100}
 		if err := c.Submit(j); err != nil {
 			t.Fatal(err)

@@ -92,48 +92,36 @@ type RetryPolicy struct {
 	// included). 0 or 1 means no retries.
 	MaxAttempts int
 	// Backoff is the delay in seconds before the first resubmission;
-	// each further retry multiplies it by BackoffFactor (default 2).
-	Backoff       float64
-	BackoffFactor float64
+	// each further retry doubles it, up to DefaultMaxDelay.
+	Backoff float64
 	// JitterFrac adds up to this fraction of the backoff, drawn from the
 	// fault injector's seeded RNG so runs stay reproducible.
 	JitterFrac float64
-	// MaxDelay caps the exponential backoff in seconds; 0 means the
-	// DefaultMaxDelay cap. Without a cap, attempt counts past ~40 overflow
-	// the doubling into absurd (eventually +Inf) delays.
-	MaxDelay float64
 }
 
-// DefaultMaxDelay is the backoff cap applied when RetryPolicy.MaxDelay is
-// unset: one simulated hour.
+// DefaultMaxDelay caps the doubling backoff at one simulated hour. Without
+// a cap, attempt counts past ~40 overflow the doubling into absurd
+// (eventually +Inf) delays.
 const DefaultMaxDelay = 3600
 
 // DefaultRetry is the policy used by the workflow engine when faults are
 // enabled: up to 4 attempts, 30 s initial backoff doubling per retry, 25%
 // jitter.
 func DefaultRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, Backoff: 30, BackoffFactor: 2, JitterFrac: 0.25}
+	return RetryPolicy{MaxAttempts: 4, Backoff: 30, JitterFrac: 0.25}
 }
 
 // delay computes the backoff before resubmitting attempt (1-based retry
 // index: attempt 1 is the first resubmission).
 func (p RetryPolicy) delay(inj *fault.Injector, name string, attempt int) float64 {
 	d := p.Backoff
-	factor := p.BackoffFactor
-	if factor <= 0 {
-		factor = 2
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = DefaultMaxDelay
-	}
-	// Stop multiplying once past the cap: 2^1000 overflows float64 long
+	// Stop doubling once past the cap: 2^1000 overflows float64 long
 	// before the cap clamps it.
-	for i := 1; i < attempt && d < max; i++ {
-		d *= factor
+	for i := 1; i < attempt && d < DefaultMaxDelay; i++ {
+		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > DefaultMaxDelay {
+		d = DefaultMaxDelay
 	}
 	if p.JitterFrac > 0 {
 		d += d * p.JitterFrac * inj.RetryJitter(name, attempt)
@@ -287,9 +275,8 @@ func (c *Cluster) start(j *Job) {
 	if j.OnStart != nil {
 		j.OnStart(j)
 	}
-	// Gray failures stretch the attempt: a per-attempt slowdown draw
-	// compounds with the machine's degraded-window factor at start time.
-	eff := j.Duration * c.Faults.JobSlowdown(j.Name, j.Attempt) * c.Faults.DegradeFactorAt(j.StartTime)
+	// Gray failures stretch the attempt by a per-attempt slowdown draw.
+	eff := j.Duration * c.Faults.JobSlowdown(j.Name, j.Attempt)
 	j.EffDuration = eff
 	stallFrac, stalled := c.Faults.JobStall(j.Name, j.Attempt)
 	if frac, fails := c.Faults.JobAttempt(j.Name, j.Attempt); fails && (!stalled || frac < stallFrac) {

@@ -28,19 +28,14 @@ func (s BreakerState) String() string {
 // Breaker is a circuit breaker for the co-scheduling listener's submit
 // path: repeated transient submit refusals (an overloaded batch front-end)
 // open the breaker so the listener backs off instead of hot-looping, and a
-// half-open probe rediscovers the front-end when it recovers. Cooldowns
-// double on consecutive reopenings up to MaxCooldown.
+// half-open probe rediscovers the front-end when it recovers. Three
+// consecutive failures open a closed breaker for 60 s, and the cooldown
+// doubles on consecutive reopenings up to 480 s.
 //
 // The breaker runs on virtual time through the Now func and is used only
 // from single-threaded DES event callbacks; it needs no locking. A nil
 // *Breaker allows everything.
 type Breaker struct {
-	// FailureThreshold consecutive failures open a closed breaker.
-	FailureThreshold int
-	// Cooldown is the initial open duration; it doubles per reopen up to
-	// MaxCooldown.
-	Cooldown    float64
-	MaxCooldown float64
 	// Now returns the current virtual time.
 	Now func() float64
 
@@ -55,15 +50,16 @@ type Breaker struct {
 	Opens, Skips int
 }
 
-// NewBreaker builds a breaker on the given clock with the listener
-// defaults: 3 consecutive failures to open, 60 s initial cooldown, 8x cap.
+// The breaker's tuning (see Breaker).
+const (
+	breakerThreshold   = 3
+	breakerCooldown    = 60.0
+	breakerCooldownCap = 480.0
+)
+
+// NewBreaker builds a closed breaker on the given clock.
 func NewBreaker(now func() float64) *Breaker {
-	return &Breaker{
-		FailureThreshold: 3,
-		Cooldown:         60,
-		MaxCooldown:      480,
-		Now:              now,
-	}
+	return &Breaker{Now: now}
 }
 
 // State returns the breaker's current position, advancing open → half-open
@@ -116,7 +112,7 @@ func (b *Breaker) Success() {
 }
 
 // Failure records a failed request: a half-open probe reopens with a
-// doubled cooldown; FailureThreshold consecutive failures open a closed
+// doubled cooldown; breakerThreshold consecutive failures open a closed
 // breaker.
 func (b *Breaker) Failure() {
 	if b == nil {
@@ -127,20 +123,20 @@ func (b *Breaker) Failure() {
 	case BreakerHalfOpen:
 		b.open(2 * b.curCooldown)
 	case BreakerClosed:
-		if b.consecutive >= b.FailureThreshold {
-			b.open(b.Cooldown)
+		if b.consecutive >= breakerThreshold {
+			b.open(breakerCooldown)
 		}
 	}
 }
 
 // open transitions to the open state with the given cooldown, clamped to
-// [Cooldown, MaxCooldown].
+// [breakerCooldown, breakerCooldownCap].
 func (b *Breaker) open(cooldown float64) {
-	if cooldown < b.Cooldown {
-		cooldown = b.Cooldown
+	if cooldown < breakerCooldown {
+		cooldown = breakerCooldown
 	}
-	if b.MaxCooldown > 0 && cooldown > b.MaxCooldown {
-		cooldown = b.MaxCooldown
+	if cooldown > breakerCooldownCap {
+		cooldown = breakerCooldownCap
 	}
 	b.state = BreakerOpen
 	b.curCooldown = cooldown

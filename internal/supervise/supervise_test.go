@@ -329,12 +329,12 @@ func TestBreakerCooldownCap(t *testing.T) {
 			t.Fatalf("probe %d refused", i)
 		}
 		b.Failure()
-		if b.curCooldown > b.MaxCooldown {
-			t.Fatalf("cooldown %v above cap %v", b.curCooldown, b.MaxCooldown)
+		if b.curCooldown > breakerCooldownCap {
+			t.Fatalf("cooldown %v above cap %v", b.curCooldown, breakerCooldownCap)
 		}
 	}
-	if b.curCooldown != b.MaxCooldown {
-		t.Errorf("cooldown %v never reached cap %v", b.curCooldown, b.MaxCooldown)
+	if b.curCooldown != breakerCooldownCap {
+		t.Errorf("cooldown %v never reached cap %v", b.curCooldown, breakerCooldownCap)
 	}
 }
 
