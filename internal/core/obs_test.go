@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/supervise"
 )
 
@@ -111,36 +113,46 @@ func TestCampaignSpanHierarchy(t *testing.T) {
 // The retroactive phase spans every workflow runner emits must price out
 // to exactly the report's own accounting: the sim category reproduces
 // SimCoreHours and everything else charged reproduces AnalysisCoreHours
-// (Table 3's column). This pins the cost report to the paper numbers.
+// (Table 3's column). The property holds for every workflow kind, fault
+// family, seed and post machine (each paper machine's charge factor).
 func TestPhaseSpanCostMatchesReport(t *testing.T) {
-	for _, k := range Kinds() {
-		s, err := DownscaledScenario(5)
+	rel := func(got, want float64) float64 {
+		return math.Abs(got-want) / (1 + math.Abs(want))
+	}
+	for _, seed := range []int64{1, 2} {
+		base, err := DownscaledScenario(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := obs.New(string(k), nil)
-		s.Obs = o
-		r, err := Run(s, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := obs.Cost(o, obs.TitanChargePolicy())
-		var simCH, anaCH float64
-		for _, l := range rep.Lines {
-			if l.Category == "sim" {
-				simCH += l.CoreHours
-			} else {
-				anaCH += l.CoreHours
+		profiles := []struct {
+			name string
+			p    *fault.Profile
+		}{{"clean", nil}, {"failstop", goldenFailStop(seed + 40)}, {"gray", goldenGray(seed + 40)}}
+		for _, post := range []platform.Machine{platform.Titan(), platform.Moonlight(), platform.Rhea()} {
+			for _, pr := range profiles {
+				for _, k := range Kinds() {
+					s := *base
+					s.PostMachine, s.Faults = post, pr.p
+					o := obs.New(string(k), nil)
+					s.Obs = o
+					r, err := Run(&s, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var simCH, anaCH float64
+					for _, l := range obs.Cost(o, obs.TitanChargePolicy()).Lines {
+						if l.Category == "sim" {
+							simCH += l.CoreHours
+						} else {
+							anaCH += l.CoreHours
+						}
+					}
+					if rel(simCH, r.SimCoreHours) > 1e-9 || rel(anaCH, r.AnalysisCoreHours) > 1e-9 {
+						t.Errorf("seed %d, post %s, %s, %s: span core-hours sim %.6f analysis %.6f, report %.6f %.6f",
+							seed, post.Name, pr.name, k, simCH, anaCH, r.SimCoreHours, r.AnalysisCoreHours)
+					}
+				}
 			}
-		}
-		rel := func(got, want float64) float64 {
-			return math.Abs(got-want) / (1 + math.Abs(want))
-		}
-		if rel(simCH, r.SimCoreHours) > 1e-9 {
-			t.Errorf("%s: sim span core-hours %.6f, report %.6f", k, simCH, r.SimCoreHours)
-		}
-		if rel(anaCH, r.AnalysisCoreHours) > 1e-9 {
-			t.Errorf("%s: analysis span core-hours %.6f, report %.6f", k, anaCH, r.AnalysisCoreHours)
 		}
 	}
 }
