@@ -197,9 +197,11 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 	// cached σ(R). A model-layer optimisation must leave both unmoved. The
 	// two gray-failure runs were pinned at the commit before the fault
 	// knobs became constants; they cover every gray draw the model makes.
-	// The two cost runs were pinned at the commit before spans carried
-	// their machine's charge factor. "-all" stays last: the checks after
-	// the loop read its output.
+	// The two cost runs, and the fault seeds 10 (a straggler, a spent
+	// hedge budget and a rescue) and 38 (a job retried to its last
+	// attempt), were pinned at the commit before the supervision, retry
+	// and charge settings became constants. "-all" stays last: the checks
+	// after the loop read its output.
 	var out []byte
 	for _, pin := range []struct{ args, sha256 string }{
 		{"-table 3", "7750e0db4fab0e59151b60e52dedd7033a46a5ea47b3aab091370a5f3d0ee9be"},
@@ -207,6 +209,8 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 		{"-campaign 12 -gray -step-budget 900 -decisions", "6fcecb6a306a4dc3daa98246b1078c5d2dd4e22bc95c65b0a0168dc7afca3e27"},
 		{"-cost -metrics", "ccef83751ca1bcdbdf4ca46b66589e71d1cc927abd8d540c508bb2424e2af3f1"},
 		{"-campaign 12 -cost -metrics", "416dd07df91d0684177d28098eaeab68177e704d4af6fbb06ded427d487f4623"},
+		{"-campaign 12 -gray -decisions -fault-seed 10", "02b34fd3bc723ace6046e1a6b1d2420cbe8e3237c364f7b4ed62dc981bed2ba2"},
+		{"-resilience -fault-seed 38", "c55b5711d59634432047d8947b0f9acd10ba966efde95c635a4eb23d04cb1d7b"},
 		{"-all", "b3f4be9d8caa07a8ad20cd8237685485be467b0e38b020982456d2f155ec2717"},
 	} {
 		cmd := exec.Command(filepath.Join(bins, "workflow-sim"), strings.Fields(pin.args)...)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/supervise"
 )
 
 // grayProfile is the gray-failure mix the supervision tests run under:
@@ -167,6 +168,40 @@ func TestDegradedStepsSpillOffline(t *testing.T) {
 	// finishes earlier.
 	if rep.SimWallClock >= rep2.SimWallClock {
 		t.Errorf("degraded sim wall %g not below in-situ sim wall %g", rep.SimWallClock, rep2.SimWallClock)
+	}
+}
+
+// A supervised fail-stop campaign loses the analysis job that spends all
+// its retry attempts (fault seed 55); a step budget also rescues lost
+// jobs, so the same campaign under a budget no step exceeds resubmits it
+// once and analyzes every step.
+func TestStepBudgetRescuesLostAnalysisJob(t *testing.T) {
+	base, err := DownscaledScenario(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 8
+	for _, tc := range []struct {
+		budget              float64
+		rescued, lost, jobs int
+	}{{0, 0, 1, 7}, {1e9, 1, 1, 8}} {
+		s := *base
+		s.PostQueueWait = 0
+		pol := supervise.DefaultPolicy()
+		s.Supervise = &pol
+		s.Faults = &fault.Profile{Seed: 55, JobFailureProb: 0.5}
+		if tc.budget > 0 {
+			s.Degrade = &DegradePolicy{StepBudget: tc.budget, RescueLost: true}
+		}
+		rep, err := Campaign(&s, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rep.Resilience
+		if r.RescuedSteps != tc.rescued || r.JobsLost != tc.lost || rep.AnalysisJobs != tc.jobs || r.DegradedSteps != 0 {
+			t.Errorf("budget %g: rescued %d, lost %d, analysis jobs %d, degraded %d; want %d, %d, %d, 0",
+				tc.budget, r.RescuedSteps, r.JobsLost, rep.AnalysisJobs, r.DegradedSteps, tc.rescued, tc.lost, tc.jobs)
+		}
 	}
 }
 

@@ -74,11 +74,16 @@ func TestDeadlineCatchesSlowButBeatingJob(t *testing.T) {
 	sim := &des.Sim{}
 	sv := New(sim, DefaultPolicy())
 	var got []Reason
-	// Beats forever but never completes: only the deadline can catch it.
-	sv.Watch("sim#0", 100, beatUntil(sim, 0, 30, math.Inf(1)), func(r Reason) { got = append(got, r) })
+	var at float64
+	// Beats forever but never completes: only the deadline can catch it,
+	// at 4x the expected 100 s plus 120 s of slack.
+	sv.Watch("sim#0", 100, beatUntil(sim, 0, 30, math.Inf(1)), func(r Reason) {
+		got = append(got, r)
+		at = sim.Now()
+	})
 	sim.RunUntil(2000)
-	if len(got) != 1 || got[0] != ReasonDeadlineExceeded {
-		t.Fatalf("reasons = %v, want one deadline-exceeded", got)
+	if len(got) != 1 || got[0] != ReasonDeadlineExceeded || at != 520 {
+		t.Fatalf("reasons = %v at t=%v, want one deadline-exceeded at 520", got, at)
 	}
 }
 
