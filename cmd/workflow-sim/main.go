@@ -70,6 +70,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -190,7 +191,7 @@ func main() {
 	if campObs != nil {
 		observers = append(observers, campObs)
 		if *cost {
-			rep := obs.Cost(campObs, obs.TitanChargePolicy())
+			rep := obs.Cost(campObs)
 			if err := rep.WriteTable(os.Stdout); err != nil {
 				log.Fatal(err)
 			}
@@ -272,11 +273,11 @@ func resilienceStudy(seed, faultSeed int64, grayP *fault.Profile) error {
 		return err
 	}
 	fmt.Printf("Resilience under injected failures (fault seed %d; %.0f%% job death, %.0f%% write fail, %.0f%% truncation,\n"+
-		"listener outage %.0f-%.0f s, %d nodes drained %.0f-%.0f s; retries: %d attempts, %.0f s backoff x2 +25%% jitter):\n",
+		"listener outage %.0f-%.0f s, %d nodes drained %.0f-%.0f s; retries: %d attempts, %.0f s backoff x2 +%.0f%% jitter):\n",
 		p.Seed, 100*p.JobFailureProb, 100*p.WriteFailProb, 100*p.WriteTruncateProb,
 		p.ListenerOutages[0].Start, p.ListenerOutages[0].End,
 		p.NodeDrains[0].Nodes, p.NodeDrains[0].Start, p.NodeDrains[0].End,
-		4, 30.0)
+		sched.RetryMaxAttempts, sched.RetryBackoff, 100*sched.RetryJitterFrac)
 	if grayP != nil {
 		fmt.Printf("Gray weather on top (%.0f%% slowdown, %.0f%% stall, %.0f%% in-situ slowdown, %.0f%% submit refusal);\n"+
 			"supervision: heartbeats, deadlines, hedged re-execution, adaptive degradation:\n",
@@ -380,7 +381,7 @@ func campaignStudy(seed int64, steps int, grayP *fault.Profile, stepBudget float
 	if grayP != nil {
 		s.Faults = grayP
 		if stepBudget > 0 {
-			s.Degrade = &core.DegradePolicy{StepBudget: stepBudget, RescueLost: true}
+			s.StepBudget = stepBudget
 		}
 	}
 	rep, err := core.Campaign(s, steps)

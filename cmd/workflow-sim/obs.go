@@ -16,12 +16,11 @@ import (
 )
 
 // costStudy reruns the paper's three headline workflow variants with an
-// observer each, prints the per-phase cost breakdown priced under the
-// Titan charge policy, and returns the observers for trace export. The
+// observer each, prints the per-phase cost breakdown priced at each
+// machine's charge factor, and returns the observers for trace export. The
 // phase rows mirror Table 4's columns; the charged core-hours reproduce
 // Table 3's in-situ vs off-line vs co-scheduled comparison.
 func costStudy(seed int64) ([]*obs.Observer, error) {
-	policy := obs.TitanChargePolicy()
 	kinds := []core.Kind{core.InSitu, core.Offline, core.CombinedCoScheduled}
 	fmt.Println("Per-phase cost accounting (Titan charge policy: 1 node-hour = 30 core-hours):")
 	fmt.Println()
@@ -38,7 +37,7 @@ func costStudy(seed int64) ([]*obs.Observer, error) {
 			return nil, err
 		}
 		observers = append(observers, o)
-		rep := obs.Cost(o, policy)
+		rep := obs.Cost(o)
 		if err := rep.WriteTable(os.Stdout); err != nil {
 			return nil, err
 		}

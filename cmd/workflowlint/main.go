@@ -22,12 +22,10 @@
 // environment is hermetic, so this driver and internal/lint/analysis
 // stand in for golang.org/x/tools/go/analysis.
 //
-// With -json each diagnostic is one JSON object per line (file, line,
-// col, analyzer, message, fixable) — the shape CI annotation tooling
-// consumes. With -sarif the diagnostics render instead as one SARIF
-// 2.1.0 log on stdout — the interchange format code-scanning UIs
-// ingest — with one rule per analyzer and one result per finding.
-// Output order is deterministic in every mode: diagnostics sort by
+// With -sarif the diagnostics render as one SARIF 2.1.0 log on stdout —
+// the interchange format code-scanning UIs and CI annotations ingest —
+// with one rule per analyzer and one result per finding. Output order
+// is deterministic in every mode: diagnostics sort by
 // file, line, column, analyzer, message, so two runs over the same
 // tree are byte-identical.
 //
@@ -66,13 +64,12 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON, one object per line")
 	sarifOut := flag.Bool("sarif", false, "emit diagnostics as one SARIF 2.1.0 log on stdout")
 	list := flag.Bool("list", false, "list the analyzers with one-line docs and exit")
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source in place")
 	diff := flag.Bool("diff", false, "with -fix, print diffs instead of writing files")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: workflowlint [-json|-sarif] [-fix [-diff]] packages...\n   or: workflowlint -list\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: workflowlint [-sarif] [-fix [-diff]] packages...\n   or: workflowlint -list\n\nAnalyzers:\n")
 		for _, a := range sortedAnalyzers() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -85,10 +82,6 @@ func main() {
 		}
 		return
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "workflowlint: -json and -sarif are mutually exclusive")
-		os.Exit(1)
-	}
 	if *diff && !*fix {
 		fmt.Fprintln(os.Stderr, "workflowlint: -diff requires -fix")
 		os.Exit(1)
@@ -98,7 +91,7 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	os.Exit(run(args, *jsonOut, *sarifOut, *fix, *diff))
+	os.Exit(run(args, *sarifOut, *fix, *diff))
 }
 
 // sortedAnalyzers returns the suite ordered by name — the order -list
@@ -118,12 +111,11 @@ func firstLine(s string) string {
 
 // diagnostic is one rendered finding.
 type diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable"`
+	File      string
+	Line, Col int
+	Analyzer  string
+	Message   string
+	Fixable   bool
 }
 
 func (d diagnostic) posn() string {
@@ -153,13 +145,12 @@ func sortDiagnostics(diags []diagnostic) {
 	})
 }
 
-// report prints diagnostics and returns the exit status. JSON mode emits
-// one object per line on stdout (NDJSON, the CI-annotation contract);
-// SARIF mode emits one complete 2.1.0 log on stdout (empty results
-// array included, so a clean run still uploads a valid report); the
-// default renders human-readable lines on stderr. All orders are
-// canonical (sortDiagnostics).
-func report(diags []diagnostic, jsonOut, sarifOut bool) int {
+// report prints diagnostics and returns the exit status. SARIF mode
+// emits one complete 2.1.0 log on stdout (empty results array included,
+// so a clean run still uploads a valid report); the default renders
+// human-readable lines on stderr. Both orders are canonical
+// (sortDiagnostics).
+func report(diags []diagnostic, sarifOut bool) int {
 	sortDiagnostics(diags)
 	if sarifOut {
 		data, err := sarifReport(diags)
@@ -175,16 +166,6 @@ func report(diags []diagnostic, jsonOut, sarifOut bool) int {
 	}
 	if len(diags) == 0 {
 		return 0
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		for _, d := range diags {
-			if err := enc.Encode(d); err != nil {
-				fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
-				return 1
-			}
-		}
-		return 2
 	}
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", d.posn(), d.Analyzer, d.Message)
@@ -370,7 +351,7 @@ func analyzePackages(fset *token.FileSet, loaded []*loadedPkg, store *analysis.F
 // Under -fix the suggested fixes are applied (or, with diff, previewed)
 // and only the diagnostics no fix covers are reported; -diff with fixes
 // pending exits 2.
-func run(patterns []string, jsonOut, sarifOut, fix, diff bool) int {
+func run(patterns []string, sarifOut, fix, diff bool) int {
 	fset, loaded, err := loadPackages(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "workflowlint: %v\n", err)
@@ -392,5 +373,5 @@ func run(patterns []string, jsonOut, sarifOut, fix, diff bool) int {
 		}
 		diags = unfixable(diags)
 	}
-	return report(diags, jsonOut, sarifOut)
+	return report(diags, sarifOut)
 }

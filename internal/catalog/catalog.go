@@ -127,54 +127,27 @@ func WriteFile(path string, records []cosmotools.CenterRecord) error {
 
 // MergeFiles reads every input catalog and reconciles them in order: later
 // files supersede earlier ones on duplicate halo tags (so the off-line
-// catalog is passed last, matching cosmotools.MergeCenters semantics). It
-// is the strict form of MergeFilesChecked: the first input that does not
-// parse fails the merge.
+// catalog is passed last, matching cosmotools.MergeCenters semantics). The
+// first input that does not parse fails the merge: a corrupt catalog is
+// never silently folded into a science product.
 func MergeFiles(paths []string) ([]cosmotools.CenterRecord, error) {
-	out, skipped, err := MergeFilesChecked(paths)
-	if err != nil && len(skipped) == 0 {
-		return nil, err
-	}
-	if len(skipped) > 0 {
-		return nil, fmt.Errorf("catalog: %s: %w", skipped[0].Path, skipped[0].Err)
-	}
-	return out, nil
-}
-
-// SkippedInput names one input catalog MergeFilesChecked refused to merge
-// and why.
-type SkippedInput struct {
-	Path string
-	Err  error
-}
-
-// MergeFilesChecked merges like MergeFiles but degrades instead of failing
-// wholesale: an input that does not parse — corrupt bytes, malformed lines
-// — is skipped and reported, never silently merged as garbage. It errors
-// only when no input survives (a merge of nothing is not a catalog).
-func MergeFilesChecked(paths []string) ([]cosmotools.CenterRecord, []SkippedInput, error) {
 	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("catalog: no input files")
+		return nil, fmt.Errorf("catalog: no input files")
 	}
-	var skipped []SkippedInput
 	byTag := map[int64]cosmotools.CenterRecord{}
 	for _, path := range paths {
 		records, err := ReadFile(path)
 		if err != nil {
-			skipped = append(skipped, SkippedInput{Path: path, Err: err})
-			continue
+			return nil, fmt.Errorf("catalog: %s: %w", path, err)
 		}
 		for _, r := range records {
 			byTag[r.HaloTag] = r
 		}
-	}
-	if len(skipped) == len(paths) {
-		return nil, skipped, fmt.Errorf("catalog: all %d input files corrupt (first: %s: %w)", len(paths), skipped[0].Path, skipped[0].Err)
 	}
 	out := make([]cosmotools.CenterRecord, 0, len(byTag))
 	for _, r := range byTag {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].HaloTag < out[b].HaloTag })
-	return out, skipped, nil
+	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -168,62 +167,46 @@ func TestMergeFilesIdempotent(t *testing.T) {
 				t.Errorf("case %d: record %d = %+v, want %+v", i, k, again[k], once[k])
 			}
 		}
-		// On inputs that all parse, the degrading merge is the strict one.
-		checked, skipped, err := MergeFilesChecked(paths)
-		if err != nil || len(skipped) != 0 {
-			t.Fatalf("case %d: MergeFilesChecked skipped %+v, err %v on valid inputs", i, skipped, err)
-		}
-		if !reflect.DeepEqual(checked, again) {
-			t.Errorf("case %d: MergeFilesChecked = %+v, MergeFiles = %+v", i, checked, again)
-		}
 	}
 }
 
-// A corrupt input poisons a strict merge wholesale — MergeFiles must never
-// silently fold garbage into a science catalog.
+// A corrupt input poisons the merge wholesale — wherever it sits in the
+// input list, and whether it holds a malformed line or binary garbage.
+// MergeFiles must never silently fold garbage into a science catalog.
 func TestMergeFilesRejectsCorruptInput(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.centers")
 	if err := WriteFile(good, sample()); err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(dir, "bad.centers")
-	if err := os.WriteFile(bad, []byte("7 8 1.0 NaN 1.0 -2 9\n"), 0o644); err != nil {
+	nonFinite := filepath.Join(dir, "nonfinite.centers")
+	if err := os.WriteFile(nonFinite, []byte("7 8 1.0 NaN 1.0 -2 9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := MergeFiles([]string{good, bad})
-	if err == nil {
-		t.Fatal("MergeFiles merged a corrupt input without error")
-	}
-	if !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "non-finite") {
-		t.Errorf("error %q does not name the corrupt input and its defect", err)
-	}
-}
-
-func TestMergeFilesCheckedSkipsAndReports(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.centers")
-	if err := WriteFile(good, sample()); err != nil {
+	garbage := filepath.Join(dir, "garbage.centers")
+	if err := os.WriteFile(garbage, []byte("\x00\x01garbage bytes not a catalog\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(dir, "bad.centers")
-	if err := os.WriteFile(bad, []byte("\x00\x01garbage bytes not a catalog\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		paths      []string
+		bad, cause string
+	}{
+		{[]string{good, nonFinite}, nonFinite, "non-finite"},
+		{[]string{nonFinite, good}, nonFinite, "non-finite"},
+		{[]string{garbage, good}, garbage, ""},
+		{[]string{good, garbage, nonFinite}, garbage, ""},
+		{[]string{garbage}, garbage, ""},
+	} {
+		records, err := MergeFiles(tc.paths)
+		if err == nil || records != nil {
+			t.Errorf("MergeFiles(%v) = %d records, err %v; want a wholesale error", tc.paths, len(records), err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.bad) || !strings.Contains(err.Error(), tc.cause) {
+			t.Errorf("MergeFiles(%v): error %q does not name %s and its defect", tc.paths, err, tc.bad)
+		}
 	}
-	records, skipped, err := MergeFilesChecked([]string{bad, good})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != len(sample()) {
-		t.Errorf("merged %d records, want %d from the intact input", len(records), len(sample()))
-	}
-	if len(skipped) != 1 || skipped[0].Path != bad || skipped[0].Err == nil {
-		t.Errorf("skipped = %+v, want the corrupt input reported", skipped)
-	}
-
-	// When every input is corrupt there is nothing to merge: that is an
-	// error, not an empty catalog.
-	if _, skipped, err := MergeFilesChecked([]string{bad}); err == nil || len(skipped) != 1 {
-		t.Errorf("all-corrupt merge: err=%v skipped=%+v, want wholesale error", err, skipped)
+	if _, err := MergeFiles(nil); err == nil {
+		t.Error("MergeFiles of no inputs returned a catalog, want an error")
 	}
 }

@@ -7,53 +7,27 @@ import (
 	"repro/internal/supervise"
 )
 
-// DegradePolicy is the paper's escape hatch made adaptive: "If it turns
-// out that the analysis tasks are too compute-intensive ... the data would
-// be moved off to the analysis cluster" (§4.2). When a step's (slowed)
-// in-situ analysis blows StepBudget, the step keeps only halo finding
-// in-situ and spills the small-halo center work to the Level-2 off-line
-// path — the campaign degrades instead of failing.
-type DegradePolicy struct {
-	// StepBudget is the in-situ analysis time budget per step in seconds;
-	// 0 disables budget-based degradation.
-	StepBudget float64
-	// RescueLost resubmits one replacement analysis job when a supervised
-	// post job is declared lost (one rescue deep — the rescue itself is
-	// not rescued).
-	RescueLost bool
-}
-
-// supervision builds the run's supervisor: the explicit policy when set,
-// the default policy when the fault profile injects gray failures (a
-// stalled job would otherwise hang the campaign forever), nil otherwise —
-// keeping failure-free and fail-stop-only runs on their exact original
-// event sequences.
+// supervision builds the run's supervisor when Supervise is set or the
+// fault profile injects gray failures (a stalled job would otherwise hang
+// the campaign forever), and nil otherwise — keeping failure-free and
+// fail-stop-only runs on their exact original event sequences.
 func (s *Scenario) supervision(sim *des.Sim) *supervise.Supervisor {
-	if s.Supervise != nil {
-		return supervise.New(sim, *s.Supervise)
-	}
-	if s.Faults != nil && s.Faults.GrayEnabled() {
+	if s.Supervise != nil || s.Faults != nil && s.Faults.GrayEnabled() {
 		return supervise.New(sim, supervise.DefaultPolicy())
 	}
 	return nil
 }
 
-// degradePolicy resolves the scenario's degradation behaviour: the
-// explicit policy when set, rescue-only when gray failures are injected
-// (so a lost analysis job degrades to a resubmission instead of a missing
-// product), zero otherwise.
-func (s *Scenario) degradePolicy() DegradePolicy {
-	if s.Degrade != nil {
-		return *s.Degrade
-	}
-	if s.Faults != nil && s.Faults.GrayEnabled() {
-		return DegradePolicy{RescueLost: true}
-	}
-	return DegradePolicy{}
+// rescues reports whether a supervised analysis job declared lost is
+// resubmitted once (one rescue deep — the rescue itself is not rescued):
+// under a step budget, and whenever gray failures are injected, so a lost
+// analysis job degrades to a resubmission instead of a missing product.
+func (s *Scenario) rescues() bool {
+	return s.StepBudget > 0 || s.Faults != nil && s.Faults.GrayEnabled()
 }
 
 // stepDur returns the step's full duration inside the simulation job under
-// gray in-situ slowdowns and the degrade policy, and whether the step
+// gray in-situ slowdowns and the step budget, and whether the step
 // degraded (spilled its center work off-line). Like postDur it is a pure
 // function of (profile seed, step), so two runs plan identically and a
 // resumed campaign re-plans exactly what the crashed one planned.
@@ -61,7 +35,7 @@ func (e *engine) stepDur(step int) (float64, bool) {
 	f := e.inj.StepSlowdown(step)
 	insitu := (e.ph.fof + e.ph.centerSmallMax) * f
 	writes := e.ph.l2Write + e.ph.l3Write
-	if e.deg.StepBudget > 0 && insitu > e.deg.StepBudget {
+	if e.s.StepBudget > 0 && insitu > e.s.StepBudget {
 		// Halo finding feeds the split, so it stays in situ.
 		return e.s.StepInterval + e.ph.fof*f + writes, true
 	}
@@ -92,7 +66,7 @@ func (e *engine) planEmissions() ([]float64, float64) {
 			e.res.DegradedSteps++
 			e.sup.Note(fmt.Sprintf("step%03d", step), "degrade",
 				fmt.Sprintf("in-situ %.0fs over %.0fs budget; centers spill off-line",
-					(e.ph.fof+e.ph.centerSmallMax)*e.inj.StepSlowdown(step), e.deg.StepBudget))
+					(e.ph.fof+e.ph.centerSmallMax)*e.inj.StepSlowdown(step), e.s.StepBudget))
 		}
 	}
 	return offsets, cum

@@ -47,7 +47,6 @@ type engine struct {
 	simCluster, postCluster *sched.Cluster
 	sup                     *supervise.Supervisor
 	inj                     *fault.Injector
-	deg                     DegradePolicy
 	// listener is nil for the simple and in-transit variants: one post job
 	// covering every step is queued after the simulation instead.
 	listener *sched.Listener
@@ -75,7 +74,7 @@ type engine struct {
 // simulation job, queueWait is the facility wait of every post-cluster job,
 // and o instruments the run (nil: not at all).
 func newEngine(s *Scenario, ph *phases, kind Kind, simJob string, queueWait float64, o *obs.Observer) (*engine, error) {
-	e := &engine{s: s, ph: *ph, obs: o, simJob: simJob, inj: s.injector(), deg: s.degradePolicy()}
+	e := &engine{s: s, ph: *ph, obs: o, simJob: simJob, inj: s.injector()}
 	// Spans and metrics are stamped from the engine's clock, so a seed's
 	// trace is byte-identical across runs (the determinism contract in obs).
 	o.SetClock(e.sim.Now)
@@ -142,7 +141,7 @@ func (e *engine) postJob(seq, step int, dur float64) *sched.Job {
 			}
 		}
 	}
-	if e.deg.RescueLost {
+	if e.s.rescues() {
 		// One-deep rescue: if supervision declares the job lost, a
 		// replacement carrying the same callbacks (and no rescue of its
 		// own) is submitted.

@@ -157,7 +157,7 @@ func observedArtifacts(t *testing.T, o *obs.Observer) []byte {
 	if err := o.Metrics().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.Cost(o, obs.TitanChargePolicy()).WriteTable(&buf); err != nil {
+	if err := obs.Cost(o).WriteTable(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -298,7 +298,7 @@ func goldenCases(t *testing.T) []goldenCase {
 					s := scenario(t)
 					s.PostQueueWait = 0
 					s.Faults = goldenWeather(faultSeed)
-					s.Degrade = &DegradePolicy{StepBudget: 900, RescueLost: true}
+					s.StepBudget = 900
 					s.Obs = obs.New("campaign", nil)
 					goldenCampaign(t, g, s, steps)
 				})

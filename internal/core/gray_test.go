@@ -133,7 +133,7 @@ func TestDegradedStepsSpillOffline(t *testing.T) {
 			s.Faults = &p
 		}
 	}
-	s.Degrade = &DegradePolicy{StepBudget: 500, RescueLost: true}
+	s.StepBudget = 500
 	rep, err := Campaign(s, steps)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestDegradedStepsSpillOffline(t *testing.T) {
 	}
 
 	// The same scenario without a budget keeps everything in-situ.
-	s.Degrade = nil
+	s.StepBudget = 0
 	s.Supervise = nil
 	rep2, err := Campaign(s, steps)
 	if err != nil {
@@ -190,9 +190,7 @@ func TestStepBudgetRescuesLostAnalysisJob(t *testing.T) {
 		pol := supervise.DefaultPolicy()
 		s.Supervise = &pol
 		s.Faults = &fault.Profile{Seed: 55, JobFailureProb: 0.5}
-		if tc.budget > 0 {
-			s.Degrade = &DegradePolicy{StepBudget: tc.budget, RescueLost: true}
-		}
+		s.StepBudget = tc.budget
 		rep, err := Campaign(&s, steps)
 		if err != nil {
 			t.Fatal(err)

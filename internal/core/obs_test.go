@@ -140,7 +140,7 @@ func TestPhaseSpanCostMatchesReport(t *testing.T) {
 						t.Fatal(err)
 					}
 					var simCH, anaCH float64
-					for _, l := range obs.Cost(o, obs.TitanChargePolicy()).Lines {
+					for _, l := range obs.Cost(o).Lines {
 						if l.Category == "sim" {
 							simCH += l.CoreHours
 						} else {
@@ -153,6 +153,35 @@ func TestPhaseSpanCostMatchesReport(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// The cost report charges each span at the factor of the machine that
+// held it, the same factor the report charges: a machine whose factor is
+// not the paper's (here 20 core-hours per node-hour on Titan's nodes)
+// must price identically in both.
+func TestCostChargesTheMachinesOwnFactor(t *testing.T) {
+	base, err := DownscaledScenario(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range Kinds() {
+		s := *base
+		s.Machine.ChargeFactor, s.PostMachine.ChargeFactor = 20, 20
+		s.Obs = obs.New(string(k), nil)
+		r, err := Run(&s, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analysis := 0.0
+		for _, l := range obs.Cost(s.Obs).Lines {
+			if l.Category != "sim" {
+				analysis += l.CoreHours
+			}
+		}
+		if math.Abs(analysis-r.AnalysisCoreHours) > 1e-9*(1+r.AnalysisCoreHours) {
+			t.Errorf("%s: cost report prices analysis at %.2f core-hours, the report at %.2f", k, analysis, r.AnalysisCoreHours)
 		}
 	}
 }

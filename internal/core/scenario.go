@@ -52,19 +52,23 @@ type Scenario struct {
 	// Faults optionally injects deterministic failures (job death, node
 	// drains, write faults, listener outages) into the workflow run. nil —
 	// or a profile that injects nothing — reproduces the paper's
-	// failure-free world exactly. Failed jobs are resubmitted under
-	// sched.DefaultRetry.
+	// failure-free world exactly. Failed jobs are resubmitted with sched's
+	// retry backoff.
 	Faults *fault.Profile
-	// Supervise optionally overrides the gray-failure supervision policy.
-	// nil enables supervise.DefaultPolicy() exactly when Faults injects
-	// gray failures (slowdowns, stalls, submit refusals)
-	// — a stalled attempt can only be recovered by supervision — and
-	// leaves fail-stop-only and failure-free runs unsupervised.
+	// Supervise, when set, turns gray-failure supervision on. nil turns it
+	// on exactly when Faults injects gray failures (slowdowns, stalls,
+	// submit refusals) — a stalled attempt can only be recovered by
+	// supervision — and leaves fail-stop-only and failure-free runs
+	// unsupervised.
 	Supervise *supervise.Policy
-	// Degrade optionally overrides the adaptive degradation policy. nil
-	// means rescue-only degradation when gray failures are injected, and
-	// no degradation otherwise.
-	Degrade *DegradePolicy
+	// StepBudget is the paper's escape hatch made adaptive: "If it turns
+	// out that the analysis tasks are too compute-intensive ... the data
+	// would be moved off to the analysis cluster" (§4.2). A step whose
+	// (slowed) in-situ analysis runs past StepBudget seconds keeps only
+	// halo finding in-situ and spills its small-halo center work to the
+	// Level 2 off-line path — the campaign degrades instead of failing.
+	// 0 disables it.
+	StepBudget float64
 	// Scrub, when set, co-schedules a background integrity scrubber with
 	// the analysis jobs: small periodic jobs on the post cluster re-verify
 	// committed products against the lineage ledger and repair mismatches
@@ -130,8 +134,8 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 	}
-	if s.Degrade != nil && s.Degrade.StepBudget < 0 {
-		return fmt.Errorf("core: scenario %q step budget %g", s.Name, s.Degrade.StepBudget)
+	if s.StepBudget < 0 {
+		return fmt.Errorf("core: scenario %q step budget %g", s.Name, s.StepBudget)
 	}
 	if s.Scrub != nil {
 		if s.Scrub.Interval < 0 || s.Scrub.Batch < 0 {

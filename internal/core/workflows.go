@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/supervise"
@@ -85,6 +86,17 @@ func (r *Report) PostJobTotal() float64 {
 	return r.ReadSeconds + r.RedistributeSeconds + r.PostAnalysisSeconds + r.PostWriteSeconds
 }
 
+// charge prices the report on the allocations that hold its phases — the
+// simulation job on sim, the post job on post — and, with an observer,
+// lays the same phases down as charged spans (obs.go). It is the one place
+// that decides which allocation pays for which phase.
+func (r *Report) charge(o *obs.Observer, sim, post platform.Machine) {
+	r.AnalysisCoreHours = sim.ChargeCoreHours(r.SimNodes, r.AnalysisSeconds+r.SimWriteSeconds) +
+		post.ChargeCoreHours(r.PostNodes, r.PostJobTotal())
+	r.SimCoreHours = sim.ChargeCoreHours(r.SimNodes, r.SimSeconds)
+	emitPhaseSpans(o, r, sim, post)
+}
+
 // phases computes the deterministic per-step phase durations shared by
 // all workflows of a scenario.
 type phases struct {
@@ -160,9 +172,8 @@ func maxOf(vs []float64) float64 {
 }
 
 // cluster builds a cluster on machine m under the given supervisor and,
-// with a non-nil injector, the scenario's faults, sched.DefaultRetry and
-// the drain windows (a nil injector preserves the failure-free event
-// sequence exactly).
+// with a non-nil injector, the scenario's faults and drain windows (a nil
+// injector preserves the failure-free event sequence exactly).
 func (s *Scenario) cluster(sim *des.Sim, m platform.Machine, inj *fault.Injector, sup *supervise.Supervisor) (*sched.Cluster, error) {
 	c, err := sched.NewCluster(sim, m)
 	if err != nil {
@@ -170,7 +181,7 @@ func (s *Scenario) cluster(sim *des.Sim, m platform.Machine, inj *fault.Injector
 	}
 	c.Supervise = sup
 	if inj != nil {
-		c.Faults, c.Retry = inj, sched.DefaultRetry()
+		c.Faults = inj
 		c.ApplyDrains(inj.NodeDrains())
 	}
 	return c, nil
@@ -223,9 +234,7 @@ func runInSitu(s *Scenario, ph *phases) (*Report, error) {
 	r.AnalysisSeconds = float64(s.Timesteps) * analysis
 	r.SimWriteSeconds = float64(s.Timesteps) * write
 	r.WallClock = sim.Now()
-	r.AnalysisCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.AnalysisSeconds+r.SimWriteSeconds)
-	r.SimCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.SimSeconds)
-	emitPhaseSpans(s, r)
+	r.charge(s.Obs, s.Machine, s.PostMachine) // no post job: PostNodes is 0
 	return r, nil
 }
 
@@ -275,10 +284,7 @@ func runOffline(s *Scenario, ph *phases) (*Report, error) {
 	r.PostAnalysisSeconds = steps * analysis
 	r.PostWriteSeconds = steps * ph.l3Write
 	r.WallClock = sim.Now()
-	r.AnalysisCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.SimWriteSeconds) +
-		s.Machine.ChargeCoreHours(s.SimNodes, r.PostJobTotal())
-	r.SimCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.SimSeconds)
-	emitPhaseSpans(s, r)
+	r.charge(s.Obs, s.Machine, s.Machine) // the post job re-queues on the simulation machine
 	return r, nil
 }
 
@@ -308,8 +314,8 @@ func runCombined(s *Scenario, ph *phases, kind Kind) (*Report, error) {
 		r.IOLevel = "none"
 		r.PostQueueWait = 0 // analysis partition held alongside the run
 	}
-	// The engine inside Run is uninstrumented: emitPhaseSpans lays the
-	// report's phase breakdown on s.Obs instead (see obs.go).
+	// The engine inside Run is uninstrumented: charge lays the report's
+	// phase breakdown on s.Obs instead (see obs.go).
 	e, err := newEngine(s, ph, kind, "sim+insitu", r.PostQueueWait, nil)
 	if err != nil {
 		return nil, err
@@ -330,9 +336,6 @@ func runCombined(s *Scenario, ph *phases, kind Kind) (*Report, error) {
 	r.PostAnalysisSeconds = steps * ph.postCenter
 	r.PostWriteSeconds = steps * ph.l3Write
 	r.WallClock = e.sim.Now()
-	r.AnalysisCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.AnalysisSeconds+r.SimWriteSeconds) +
-		s.PostMachine.ChargeCoreHours(s.PostNodes, r.PostJobTotal())
-	r.SimCoreHours = s.Machine.ChargeCoreHours(s.SimNodes, r.SimSeconds)
-	emitPhaseSpans(s, r)
+	r.charge(s.Obs, s.Machine, s.PostMachine)
 	return r, nil
 }

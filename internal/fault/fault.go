@@ -119,8 +119,8 @@ type Profile struct {
 	// InSituSlowdownProb is the probability one timestep's in-situ analysis
 	// runs slow (halo-population pathologies, §4.2's subhalo imbalance) by
 	// a factor drawn uniformly from [1.5, 4]. This is the gray failure the
-	// DegradePolicy escape hatch answers: blow the step budget and the
-	// work spills off-line.
+	// step-budget escape hatch (core.Scenario.StepBudget) answers: blow the
+	// budget and the work spills off-line.
 	InSituSlowdownProb float64
 
 	// SubmitFailProb is the probability one listener submission attempt is

@@ -11,41 +11,14 @@ import (
 //
 // The paper prices campaigns under the Titan allocation policy: holding
 // one node for an hour charges 30 core-hours, regardless of how many of
-// the node's cores the job uses (Table 3's footnote). A ChargePolicy
-// generalizes that: a per-machine core-hours-per-node-hour factor, and
-// the CostReport folds every charged span (Nodes > 0) into a per-
-// category line of wall seconds, node-hours, and core-hours. Spans with
-// Nodes == 0 (queue waits, transit deliveries) still report wall
-// seconds — visible time, zero charge — which is exactly the paper's
-// distinction between queueing delay and billed analysis time.
-
-// ChargePolicy maps machine names to core-hours charged per node-hour.
-type ChargePolicy struct {
-	Name string
-	// Factors maps Machine.Name → charge factor. Machines not listed
-	// fall back to Default.
-	Factors map[string]float64
-	Default float64
-}
-
-// TitanChargePolicy is the paper's policy: Titan charges 30 core-hours
-// per node-hour; the smaller analysis machines (Moonlight, Rhea) charge
-// 16, their cores-per-node.
-func TitanChargePolicy() ChargePolicy {
-	return ChargePolicy{
-		Name:    "titan",
-		Factors: map[string]float64{"Titan": 30, "Moonlight": 16, "Rhea": 16},
-		Default: 16,
-	}
-}
-
-// Factor returns the charge factor for a machine name.
-func (p ChargePolicy) Factor(machine string) float64 {
-	if f, ok := p.Factors[machine]; ok {
-		return f
-	}
-	return p.Default
-}
+// the node's cores the job uses (Table 3's footnote); the smaller analysis
+// machines charge their cores per node. Each span carries the charge
+// factor of the machine that held it (platform.Machine.ChargeFactor, the
+// one owner of that number), and the CostReport folds every charged span
+// (Nodes > 0) into a per-category line of wall seconds, node-hours, and
+// core-hours. Spans with Nodes == 0 (queue waits, transit deliveries)
+// still report wall seconds — visible time, zero charge — which is exactly
+// the paper's distinction between queueing delay and billed analysis time.
 
 // CostLine is one span category's rollup.
 type CostLine struct {
@@ -53,21 +26,20 @@ type CostLine struct {
 	Spans     int
 	Seconds   float64 // summed span durations (wall, virtual time)
 	NodeHours float64 // Σ nodes × duration / 3600 over charged spans
-	CoreHours float64 // node-hours × per-machine charge factor
+	CoreHours float64 // node-hours × each span's machine charge factor
 }
 
-// CostReport prices one observer's spans under a policy.
+// CostReport prices one observer's spans.
 type CostReport struct {
-	Name   string // observer name
-	Policy string // policy name
-	Lines  []CostLine
-	Total  CostLine // Category "total"
+	Name  string // observer name
+	Lines []CostLine
+	Total CostLine // Category "total"
 }
 
-// Cost rolls the observer's spans up by category under the policy.
-// Categories sort lexically, so the report is deterministic.
-func Cost(o *Observer, p ChargePolicy) CostReport {
-	r := CostReport{Name: o.Name(), Policy: p.Name}
+// Cost rolls the observer's spans up by category. Categories sort
+// lexically, so the report is deterministic.
+func Cost(o *Observer) CostReport {
+	r := CostReport{Name: o.Name()}
 	byCat := map[string]*CostLine{}
 	for _, sp := range o.Spans() {
 		l := byCat[sp.Cat]
@@ -80,7 +52,7 @@ func Cost(o *Observer, p ChargePolicy) CostReport {
 		if sp.Nodes > 0 {
 			nh := float64(sp.Nodes) * sp.Duration() / 3600
 			l.NodeHours += nh
-			l.CoreHours += nh * p.Factor(sp.Machine)
+			l.CoreHours += nh * sp.ChargeFactor
 		}
 	}
 	cats := make([]string, 0, len(byCat))
@@ -104,10 +76,11 @@ func Cost(o *Observer, p ChargePolicy) CostReport {
 func (r CostReport) CoreHours() float64 { return r.Total.CoreHours }
 
 // WriteTable renders the report as a fixed-width text table (the
-// `workflow-sim -cost` artifact; deterministic bytes).
+// `workflow-sim -cost` artifact; deterministic bytes). The header names
+// the paper's Titan allocation policy, which every span follows.
 func (r CostReport) WriteTable(w io.Writer) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cost report: %s (policy %s)\n", r.Name, r.Policy)
+	fmt.Fprintf(&b, "cost report: %s (policy titan)\n", r.Name)
 	fmt.Fprintf(&b, "  %-22s %6s %14s %12s %12s\n", "category", "spans", "seconds", "node-hours", "core-hours")
 	row := func(l CostLine) {
 		fmt.Fprintf(&b, "  %-22s %6d %14.2f %12.4f %12.2f\n", l.Category, l.Spans, l.Seconds, l.NodeHours, l.CoreHours)

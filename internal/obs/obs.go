@@ -10,8 +10,8 @@
 // scheduler, supervisor, staging area and scrubber record spans
 // (campaign → step → job → delivery → scrub) and metrics (counters,
 // gauges, fixed-bucket histograms) against the discrete-event clock, and
-// a CostReport prices the span categories in node-hours and core-hours
-// under a pluggable ChargePolicy.
+// a CostReport prices the span categories in node-hours and core-hours,
+// each span at the charge factor of the machine that held it.
 //
 // Determinism contract: every timestamp comes from the injected Clock —
 // the same injectable-clock pattern cosmotools and integrity use — never
@@ -39,6 +39,8 @@ package obs
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/platform"
 )
 
 // Clock supplies the current virtual time in seconds. It is the ONLY
@@ -63,12 +65,13 @@ type Span struct {
 	// Args are key=value annotations in append order (callers append in
 	// deterministic order, so no sorting is needed or wanted).
 	Args [][2]string
-	// Machine and Nodes are the cost dimensions: a span holding Nodes
-	// nodes on Machine for its duration is priced by ChargePolicy. Zero
-	// Nodes (queue waits, transit deliveries) contributes wall time but
-	// no charge.
-	Machine string
-	Nodes   int
+	// Machine, Nodes and ChargeFactor are the cost dimensions: a span
+	// holding Nodes nodes on Machine for its duration is charged
+	// ChargeFactor core-hours per node-hour. Zero Nodes (queue waits,
+	// transit deliveries) contributes wall time but no charge.
+	Machine      string
+	Nodes        int
+	ChargeFactor float64
 
 	open bool
 	obs  *Observer
@@ -226,15 +229,15 @@ func (sp *Span) Arg(key, value string) *Span {
 // deterministic for a given float64).
 func (sp *Span) ArgF(key string, v float64) *Span { return sp.Arg(key, fmt.Sprintf("%g", v)) }
 
-// Charge sets the span's cost dimensions: nodes held on machine for the
-// span's duration. The CostReport prices duration × nodes under the
-// policy's per-machine factor.
-func (sp *Span) Charge(machine string, nodes int) *Span {
+// Charge sets the span's cost dimensions: nodes held on machine m for the
+// span's duration. The CostReport prices duration × nodes at m's charge
+// factor.
+func (sp *Span) Charge(m platform.Machine, nodes int) *Span {
 	if sp == nil {
 		return nil
 	}
 	sp.obs.mu.Lock()
-	sp.Machine, sp.Nodes = machine, nodes
+	sp.Machine, sp.Nodes, sp.ChargeFactor = m.Name, nodes, m.ChargeFactor
 	sp.obs.mu.Unlock()
 	return sp
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 // fakeClock is a settable deterministic clock.
@@ -21,7 +23,7 @@ func TestNilObserverInert(t *testing.T) {
 	// Every span method must tolerate nil.
 	sp.Done()
 	sp.EndAt(5)
-	sp.Arg("k", "v").ArgF("f", 1.5).Charge("Titan", 4)
+	sp.Arg("k", "v").ArgF("f", 1.5).Charge(platform.Titan(), 4)
 	if d := sp.Duration(); d != 0 {
 		t.Fatalf("nil span duration = %g", d)
 	}
@@ -52,13 +54,13 @@ func TestSpanTreeAndClock(t *testing.T) {
 	clk.t = 10
 	step := o.BeginUnder(root, "step", "step-000")
 	clk.t = 25
-	job := o.BeginUnder(step, "job", "post-000#1").Charge("Moonlight", 4)
+	job := o.BeginUnder(step, "job", "post-000#1").Charge(platform.Moonlight(), 4)
 	clk.t = 40
 	job.Done()
 	step.EndAt(50)
 	clk.t = 60
 	// Retroactive span under root.
-	o.SpanAt(root, "phase", "sim", 0, 55).Charge("Titan", 32)
+	o.SpanAt(root, "phase", "sim", 0, 55).Charge(platform.Titan(), 32)
 	root.Done()
 
 	spans := o.Spans()
@@ -189,12 +191,12 @@ func TestCostReportMath(t *testing.T) {
 	clk := &fakeClock{}
 	o := New("costy", clk.now)
 	// 32 Titan nodes for 3600 s → 32 node-hours → 960 core-hours at 30×.
-	o.SpanAt(nil, "phase", "sim", 0, 3600).Charge("Titan", 32)
+	o.SpanAt(nil, "phase", "sim", 0, 3600).Charge(platform.Titan(), 32)
 	// 4 Moonlight nodes for 1800 s → 2 node-hours → 32 core-hours at 16×.
-	o.SpanAt(nil, "phase", "post-analysis", 3600, 5400).Charge("Moonlight", 4)
+	o.SpanAt(nil, "phase", "post-analysis", 3600, 5400).Charge(platform.Moonlight(), 4)
 	// Queue wait: wall time but zero nodes → zero charge.
 	o.SpanAt(nil, "queue", "post-queue", 3600, 4000)
-	r := Cost(o, TitanChargePolicy())
+	r := Cost(o)
 	if len(r.Lines) != 2 {
 		t.Fatalf("got %d lines, want 2 (phase, queue)", len(r.Lines))
 	}
@@ -221,12 +223,17 @@ func TestCostReportMath(t *testing.T) {
 	}
 }
 
-func TestChargePolicyFallback(t *testing.T) {
-	p := TitanChargePolicy()
-	if p.Factor("Titan") != 30 || p.Factor("Rhea") != 16 {
-		t.Fatal("known machine factors wrong")
+// A span is priced at the charge factor of the machine that held it, not
+// by a table keyed on the machine's name.
+func TestSpanChargeCarriesMachineFactor(t *testing.T) {
+	o := New("factors", nil)
+	m := platform.Rhea()
+	m.Name, m.ChargeFactor = "scratch", 20
+	sp := o.SpanAt(nil, "phase", "post-analysis", 0, 1800).Charge(m, 4)
+	if sp.Machine != "scratch" || sp.Nodes != 4 || sp.ChargeFactor != 20 {
+		t.Fatalf("span cost dimensions = %s×%d at %g", sp.Machine, sp.Nodes, sp.ChargeFactor)
 	}
-	if p.Factor("unknown-cluster") != 16 {
-		t.Fatal("default factor not applied")
+	if got := Cost(o).CoreHours(); got != 40 {
+		t.Fatalf("core-hours = %g, want 4 nodes × 0.5 h × 20 = 40", got)
 	}
 }

@@ -33,7 +33,7 @@ func (c *Cluster) superviseStart(j *Job, beatDuration float64) {
 	if sv == nil {
 		return
 	}
-	iv := sv.Policy().HeartbeatInterval
+	const iv = supervise.HeartbeatInterval
 	start := j.StartTime
 	horizon := start + beatDuration
 	beat := func() float64 {
@@ -84,8 +84,7 @@ func (c *Cluster) escalate(j *Job, r supervise.Reason) {
 	if j.Completed || j.Failed {
 		return
 	}
-	max := c.Supervise.Policy().MaxHedges
-	if j.hedges < max {
+	if j.hedges < supervise.MaxHedges {
 		c.launchHedge(j, r)
 	} else {
 		c.declareLost(j, r)

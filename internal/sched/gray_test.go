@@ -17,11 +17,10 @@ func alwaysStall() *fault.Injector {
 	return fault.MustNew(fault.Profile{Seed: 1, JobStallProb: 1})
 }
 
-// supervisedCluster builds a 10-node cluster with default retry and
-// default gray-failure supervision attached.
+// supervisedCluster builds a 10-node cluster with gray-failure
+// supervision attached.
 func supervisedCluster(sim *des.Sim) *Cluster {
 	c, _ := NewCluster(sim, smallMachine())
-	c.Retry = DefaultRetry()
 	c.Supervise = supervise.New(sim, supervise.DefaultPolicy())
 	return c
 }
@@ -94,8 +93,8 @@ func TestHedgingBudgetExhaustedDeclaresLost(t *testing.T) {
 		t.Fatalf("job = %+v, gaveUp = %v", j, gaveUp)
 	}
 	// Primary + MaxHedges backups all stalled; every one was reclaimed.
-	if c.HedgesLaunched != supervise.DefaultPolicy().MaxHedges {
-		t.Errorf("hedges = %d, want the full budget %d", c.HedgesLaunched, supervise.DefaultPolicy().MaxHedges)
+	if c.HedgesLaunched != supervise.MaxHedges {
+		t.Errorf("hedges = %d, want the full budget %d", c.HedgesLaunched, supervise.MaxHedges)
 	}
 	if c.StalledAttempts != 1+c.HedgesLaunched {
 		t.Errorf("stalls = %d", c.StalledAttempts)
@@ -173,7 +172,6 @@ func TestPrimaryBeatsItsBackup(t *testing.T) {
 func TestBackupFailingInBackoffIsCancelledOnce(t *testing.T) {
 	var sim des.Sim
 	c := supervisedCluster(&sim)
-	c.Retry = RetryPolicy{MaxAttempts: 4, Backoff: 30}
 
 	completions := 0
 	p := &Job{Name: "p", Nodes: 4, Duration: 30, OnComplete: func(*Job) { completions++ }}
@@ -244,9 +242,8 @@ func TestHedgeDecisionLogReproducible(t *testing.T) {
 // Attempt counts far past 40 must not overflow the exponential backoff
 // into huge or negative delays (2^1000 overflows float64).
 func TestRetryBackoffCappedAtMaxDelay(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 2000, Backoff: 30}
 	for _, attempt := range []int{1, 5, 40, 41, 100, 1999} {
-		d := p.delay(nil, "j", attempt)
+		d := retryDelay(nil, "j", attempt)
 		if d < 0 || math.IsInf(d, 0) || math.IsNaN(d) {
 			t.Fatalf("attempt %d: delay %v", attempt, d)
 		}
@@ -254,11 +251,11 @@ func TestRetryBackoffCappedAtMaxDelay(t *testing.T) {
 			t.Errorf("attempt %d: delay %v above DefaultMaxDelay", attempt, d)
 		}
 	}
-	if d := p.delay(nil, "j", 1000); d != DefaultMaxDelay {
+	if d := retryDelay(nil, "j", 1000); d != DefaultMaxDelay {
 		t.Errorf("attempt 1000: delay %v, want the cap %v", d, float64(DefaultMaxDelay))
 	}
 	// The cap does not disturb small attempt counts.
-	if d := p.delay(nil, "j", 3); d != 120 {
+	if d := retryDelay(nil, "j", 3); d != 120 {
 		t.Errorf("attempt 3: delay %v, want 120", d)
 	}
 }
@@ -341,7 +338,6 @@ func TestUnsupervisedClusterUnchangedByNilSupervisor(t *testing.T) {
 	var sim des.Sim
 	c, _ := NewCluster(&sim, smallMachine())
 	c.Faults = fault.MustNew(fault.Profile{Seed: 3, JobFailureProb: 0.5})
-	c.Retry = RetryPolicy{MaxAttempts: 10, Backoff: 5}
 	for i := 0; i < 10; i++ {
 		j := &Job{Name: fmt.Sprintf("j%d", i), Nodes: 1, Duration: 50}
 		if err := c.Submit(j); err != nil {

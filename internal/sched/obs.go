@@ -38,7 +38,7 @@ func (c *Cluster) obsStart(j *Job) {
 	if c.Obs == nil {
 		return
 	}
-	j.span = c.Obs.Begin("job", jobKey(j)).Charge(c.Machine.Name, j.Nodes)
+	j.span = c.Obs.Begin("job", jobKey(j)).Charge(c.Machine, j.Nodes)
 	m := c.Obs.Metrics()
 	m.Counter("sched.attempts").Inc()
 	m.Histogram("sched.queue_wait_seconds", QueueWaitBounds).Observe(j.QueueWait())

@@ -17,12 +17,9 @@ func alwaysFail() *fault.Injector {
 func TestJobFailsAndIsResubmitted(t *testing.T) {
 	var sim des.Sim
 	c, _ := NewCluster(&sim, smallMachine())
-	// Fail the first attempt only: probability 1 is keyed per (name,
-	// attempt), so use a profile that fails attempt 0 but we cap retries
-	// high enough for eventual success to be impossible — instead verify
-	// via a 100%-failure injector that retries happen and give-up fires.
+	// A 100%-failure injector: every attempt dies, the job is resubmitted
+	// until RetryMaxAttempts attempts are spent, and give-up fires.
 	c.Faults = alwaysFail()
-	c.Retry = RetryPolicy{MaxAttempts: 3, Backoff: 10}
 	var gaveUp bool
 	j := &Job{Name: "doomed", Nodes: 2, Duration: 100, OnGiveUp: func(*Job) { gaveUp = true }}
 	if err := c.Submit(j); err != nil {
@@ -32,25 +29,26 @@ func TestJobFailsAndIsResubmitted(t *testing.T) {
 	if !gaveUp || !j.Failed || j.Completed {
 		t.Errorf("job = %+v, gaveUp = %v", j, gaveUp)
 	}
-	if c.Attempts != 3 || c.FailedAttempts != 3 || c.Resubmits != 2 || c.LostJobs != 1 {
+	if c.Attempts != 4 || c.FailedAttempts != 4 || c.Resubmits != 3 || c.LostJobs != 1 {
 		t.Errorf("counters: attempts %d failed %d resubmits %d lost %d",
 			c.Attempts, c.FailedAttempts, c.Resubmits, c.LostJobs)
 	}
-	if len(j.History) != 3 {
+	if len(j.History) != 4 {
 		t.Fatalf("history = %v", j.History)
 	}
 	// Each attempt dies at its drawn fraction of the 100 s run; the backoff
-	// is 10 s before the second attempt and doubles to 20 s before the third.
+	// is 30 s before the second attempt and doubles per retry, each wait
+	// stretched by its drawn jitter fraction of up to 25 %.
 	var want []Attempt
 	var lost, nodeSeconds float64
 	start := 0.0
-	for i, backoff := range []float64{10, 20, 0} {
+	for i, backoff := range []float64{30, 60, 120, 0} {
 		frac, _ := c.Faults.JobAttempt("doomed", i)
 		end := start + 100*frac
 		want = append(want, Attempt{start, end})
 		lost += end - start
 		nodeSeconds += 2 * (end - start)
-		start = end + backoff
+		start = end + (backoff + backoff*RetryJitterFrac*c.Faults.RetryJitter("doomed", i+1))
 	}
 	for i, a := range j.History {
 		if a != want[i] {
@@ -71,7 +69,6 @@ func TestJobRecoversOnRetry(t *testing.T) {
 	var sim des.Sim
 	c, _ := NewCluster(&sim, smallMachine())
 	c.Faults = fault.MustNew(fault.Profile{Seed: 3, JobFailureProb: 0.5})
-	c.Retry = RetryPolicy{MaxAttempts: 10, Backoff: 5}
 	var jobs []*Job
 	for i := 0; i < 20; i++ {
 		j := &Job{Name: fmt.Sprintf("j%d", i), Nodes: 1, Duration: 50}
@@ -98,7 +95,7 @@ func TestJobRecoversOnRetry(t *testing.T) {
 		}
 	}
 	if completed == 0 {
-		t.Error("no job ever completed under 50% failure with 10 attempts")
+		t.Error("no job ever completed under 50% failure with 4 attempts")
 	}
 	if c.FailedAttempts == 0 {
 		t.Error("expected some failed attempts at 50% rate")
@@ -224,7 +221,6 @@ func TestRetryBackoffJitterIsDeterministic(t *testing.T) {
 		var sim des.Sim
 		c, _ := NewCluster(&sim, smallMachine())
 		c.Faults = fault.MustNew(fault.Profile{Seed: 9, JobFailureProb: 1})
-		c.Retry = RetryPolicy{MaxAttempts: 4, Backoff: 10, JitterFrac: 0.5}
 		j := &Job{Name: "jittery", Nodes: 1, Duration: 100}
 		if err := c.Submit(j); err != nil {
 			t.Fatal(err)
@@ -244,7 +240,7 @@ func TestRetryBackoffJitterIsDeterministic(t *testing.T) {
 	// Jitter must actually stretch the backoff beyond the deterministic
 	// floor for at least one retry (probability of all-zero draws is nil).
 	stretched := false
-	floor := []float64{0, 10, 20, 40} // pure exponential backoffs
+	floor := []float64{0, 30, 60, 120} // pure exponential backoffs
 	for i := 1; i < len(a); i++ {
 		gap := a[i].Start - a[i-1].End
 		if gap > floor[i]+1e-9 {

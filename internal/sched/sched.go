@@ -5,8 +5,8 @@
 // submitting analysis jobs as output files appear (§3.2).
 //
 // With a fault.Injector attached, jobs can die mid-run (node failure, OOM,
-// wall-limit kill) and are resubmitted under a RetryPolicy with
-// exponential backoff; node-drain windows withhold capacity; the listener
+// wall-limit kill) and are resubmitted with jittered exponential backoff
+// (the Retry* constants); node-drain windows withhold capacity; the listener
 // loses polls during outage windows. All failure behaviour is strictly
 // additive: a nil injector reproduces the failure-free model exactly.
 package sched
@@ -86,35 +86,25 @@ type Job struct {
 // (including modelled facility wait).
 func (j *Job) QueueWait() float64 { return j.StartTime - j.SubmitTime }
 
-// RetryPolicy governs resubmission of jobs that die mid-run.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts allowed (first run
-	// included). 0 or 1 means no retries.
-	MaxAttempts int
-	// Backoff is the delay in seconds before the first resubmission;
-	// each further retry doubles it, up to DefaultMaxDelay.
-	Backoff float64
-	// JitterFrac adds up to this fraction of the backoff, drawn from the
-	// fault injector's seeded RNG so runs stay reproducible.
-	JitterFrac float64
-}
+// Resubmission of jobs that die mid-run. A job gets RetryMaxAttempts
+// attempts, the first run included. The first resubmission waits
+// RetryBackoff seconds and each further one doubles the wait, up to
+// DefaultMaxDelay; up to RetryJitterFrac of the wait is added, drawn from
+// the fault injector's seeded RNG so runs stay reproducible.
+const (
+	RetryMaxAttempts         = 4
+	RetryBackoff     float64 = 30
+	RetryJitterFrac  float64 = 0.25
+	// DefaultMaxDelay caps the doubling backoff at one simulated hour.
+	// Without a cap, attempt counts past ~40 overflow the doubling into
+	// absurd (eventually +Inf) delays.
+	DefaultMaxDelay = 3600
+)
 
-// DefaultMaxDelay caps the doubling backoff at one simulated hour. Without
-// a cap, attempt counts past ~40 overflow the doubling into absurd
-// (eventually +Inf) delays.
-const DefaultMaxDelay = 3600
-
-// DefaultRetry is the policy used by the workflow engine when faults are
-// enabled: up to 4 attempts, 30 s initial backoff doubling per retry, 25%
-// jitter.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, Backoff: 30, JitterFrac: 0.25}
-}
-
-// delay computes the backoff before resubmitting attempt (1-based retry
-// index: attempt 1 is the first resubmission).
-func (p RetryPolicy) delay(inj *fault.Injector, name string, attempt int) float64 {
-	d := p.Backoff
+// retryDelay computes the backoff before resubmitting attempt (1-based
+// retry index: attempt 1 is the first resubmission).
+func retryDelay(inj *fault.Injector, name string, attempt int) float64 {
+	d := RetryBackoff
 	// Stop doubling once past the cap: 2^1000 overflows float64 long
 	// before the cap clamps it.
 	for i := 1; i < attempt && d < DefaultMaxDelay; i++ {
@@ -123,10 +113,7 @@ func (p RetryPolicy) delay(inj *fault.Injector, name string, attempt int) float6
 	if d > DefaultMaxDelay {
 		d = DefaultMaxDelay
 	}
-	if p.JitterFrac > 0 {
-		d += d * p.JitterFrac * inj.RetryJitter(name, attempt)
-	}
-	return d
+	return d + d*RetryJitterFrac*inj.RetryJitter(name, attempt)
 }
 
 // Cluster schedules jobs onto one machine.
@@ -139,10 +126,9 @@ type Cluster struct {
 	// contention as a function of the job (e.g. "days to a week" for a
 	// full-size off-line allocation, §4.2). nil means none.
 	ExtraQueueWait func(j *Job) float64
-	// Faults optionally injects mid-run job failures; nil means the
-	// failure-free model. Retry governs resubmission of failed jobs.
+	// Faults optionally injects mid-run job failures, which are retried
+	// (see RetryMaxAttempts); nil means the failure-free model.
 	Faults *fault.Injector
-	Retry  RetryPolicy
 	// Supervise attaches gray-failure supervision (heartbeats, deadlines,
 	// stragglers, hedged re-execution — see gray.go); nil disables it and
 	// reproduces the unsupervised event sequence exactly.
@@ -353,11 +339,10 @@ func (c *Cluster) fail(j *Job) {
 		c.trySchedule()
 		return
 	}
-	if j.Attempt < c.Retry.MaxAttempts {
+	if j.Attempt < RetryMaxAttempts {
 		c.Resubmits++
 		c.obsCount("sched.resubmits")
-		delay := c.Retry.delay(c.Faults, j.Name, j.Attempt)
-		j.timer = c.Sim.After(delay, func() { _ = c.Submit(j) })
+		j.timer = c.Sim.After(retryDelay(c.Faults, j.Name, j.Attempt), func() { _ = c.Submit(j) })
 	} else {
 		j.Failed = true
 		c.LostJobs++

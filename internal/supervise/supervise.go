@@ -10,11 +10,14 @@
 //     by `go run ./bench`, per-layer metrics supervise.overhead_ms and
 //     supervise.overhead_allocs, recorded in bench/baseline.json).
 //   - deadlines: an absolute limit of DeadlineFactor x expected duration
-//     plus slack; blowing it declares the job suspect even if it still
-//     beats its heart.
+//     plus DeadlineSlack; blowing it declares the job suspect even if it
+//     still beats its heart.
 //   - stragglers: a relative test against the population — a job whose
 //     running/expected ratio exceeds StragglerFactor x the 95th-percentile
 //     ratio of completed peers is suspect long before its deadline.
+//
+// The detector tuning and the hedging budget are package constants: every
+// run supervises with the same values.
 //
 // On suspicion the supervisor invokes the job's onSuspect callback exactly
 // once; the scheduling layer decides the response (hedge a backup attempt,
@@ -35,58 +38,40 @@ import (
 	"repro/internal/obs"
 )
 
-// Policy tunes the three gray-failure detectors and the hedging budget.
-type Policy struct {
+// The supervision tuning used by every run: 30 s beats, 3 missed beats to
+// suspect, a deadline of 4x expected + 2 min, stragglers at 3x the
+// population's p95 ratio after 5 completions, and at most 2 backup
+// attempts per job.
+const (
 	// HeartbeatInterval is the virtual-time spacing of job progress beats;
 	// MissThreshold consecutive missed beats declare the job suspect. The
 	// watchdog polls once per miss window (Interval x Threshold), not per
 	// beat.
-	HeartbeatInterval float64
-	MissThreshold     int
+	HeartbeatInterval float64 = 30
+	MissThreshold             = 3
 	// A job is suspect when it runs past DeadlineFactor x its expected
 	// duration plus DeadlineSlack seconds.
-	DeadlineFactor float64
-	DeadlineSlack  float64
+	DeadlineFactor float64 = 4
+	DeadlineSlack  float64 = 120
 	// A job is a straggler when its running/expected ratio exceeds
 	// StragglerFactor x max(1, the StragglerPercentile ratio of completed
 	// peers), once at least StragglerMinDone peers have completed.
-	StragglerFactor     float64
-	StragglerPercentile float64
-	StragglerMinDone    int
+	StragglerFactor     float64 = 3
+	StragglerPercentile float64 = 0.95
+	StragglerMinDone            = 5
 	// MaxHedges caps backup attempts per job; past it a suspect job is
 	// declared lost instead of hedged again.
-	MaxHedges int
-}
-
-// DefaultPolicy returns the supervision tuning used by the resilience
-// studies: 30 s beats, 3 missed beats to suspect, a deadline of 4x
-// expected + 2 min, stragglers at 3x the population's p95 ratio after 5
-// completions, and at most 2 backup attempts per job.
-func DefaultPolicy() Policy {
-	return Policy{
-		HeartbeatInterval:   30,
-		MissThreshold:       3,
-		DeadlineFactor:      4,
-		DeadlineSlack:       120,
-		StragglerFactor:     3,
-		StragglerPercentile: 0.95,
-		StragglerMinDone:    5,
-		MaxHedges:           2,
-	}
-}
+	MaxHedges = 2
+)
 
 // missWindow is the virtual time without a beat that declares a suspect.
-func (p Policy) missWindow() float64 {
-	iv := p.HeartbeatInterval
-	if iv <= 0 {
-		iv = 30
-	}
-	n := p.MissThreshold
-	if n <= 0 {
-		n = 3
-	}
-	return iv * float64(n)
-}
+const missWindow = HeartbeatInterval * MissThreshold
+
+// Policy turns supervision on; its tuning is the package constants.
+type Policy struct{}
+
+// DefaultPolicy returns the one supervision policy.
+func DefaultPolicy() Policy { return Policy{} }
 
 // Reason classifies why a watched task was declared suspect.
 type Reason string
@@ -143,8 +128,7 @@ func (w *watch) disarm() {
 // Supervisor watches tasks on one virtual clock. The zero value is not
 // usable; build one with New. A nil *Supervisor is valid and inert.
 type Supervisor struct {
-	sim    *des.Sim
-	policy Policy
+	sim *des.Sim
 
 	tasks      map[string]*watch
 	doneRatios []float64 // running/expected ratios of completed tasks, ascending
@@ -159,37 +143,9 @@ type Supervisor struct {
 	Obs *obs.Observer
 }
 
-// New builds a supervisor on the simulation clock. Zero policy fields fall
-// back to DefaultPolicy values where a zero would disable the detector.
-func New(sim *des.Sim, p Policy) *Supervisor {
-	def := DefaultPolicy()
-	if p.HeartbeatInterval <= 0 {
-		p.HeartbeatInterval = def.HeartbeatInterval
-	}
-	if p.MissThreshold <= 0 {
-		p.MissThreshold = def.MissThreshold
-	}
-	if p.DeadlineFactor <= 0 {
-		p.DeadlineFactor = def.DeadlineFactor
-	}
-	if p.StragglerFactor <= 0 {
-		p.StragglerFactor = def.StragglerFactor
-	}
-	if p.StragglerPercentile <= 0 || p.StragglerPercentile > 1 {
-		p.StragglerPercentile = def.StragglerPercentile
-	}
-	if p.StragglerMinDone <= 0 {
-		p.StragglerMinDone = def.StragglerMinDone
-	}
-	return &Supervisor{sim: sim, policy: p, tasks: make(map[string]*watch)}
-}
-
-// Policy returns the supervisor's resolved policy (zero when nil).
-func (sv *Supervisor) Policy() Policy {
-	if sv == nil {
-		return Policy{}
-	}
-	return sv.policy
+// New builds a supervisor on the simulation clock.
+func New(sim *des.Sim, _ Policy) *Supervisor {
+	return &Supervisor{sim: sim, tasks: make(map[string]*watch)}
 }
 
 // Watch starts supervising a task. expected is its nominal duration;
@@ -216,21 +172,20 @@ func (sv *Supervisor) Watch(name string, expected float64, heartbeat func() floa
 	sv.record("watch", name, fmt.Sprintf("expected=%.0fs", expected))
 
 	// Absolute deadline: one event, armed at watch time.
-	deadline := w.started + sv.policy.DeadlineFactor*expected + sv.policy.DeadlineSlack
+	deadline := w.started + DeadlineFactor*expected + DeadlineSlack
 	w.deadline = sv.sim.At(deadline, func() {
 		sv.suspect(w, ReasonDeadlineExceeded,
 			fmt.Sprintf("ran %.0fs > %.0fs deadline", sv.sim.Now()-w.started, deadline-w.started))
 	})
 
 	// Watchdog: poll the heartbeat once per miss window.
-	w.watchdog = sv.sim.At(w.started+sv.policy.missWindow(), func() { sv.check(w) })
+	w.watchdog = sv.sim.At(w.started+missWindow, func() { sv.check(w) })
 }
 
 // check is one watchdog poll: verify the heartbeat is fresh, run the
 // straggler test, and reschedule for the next possible miss time.
 func (sv *Supervisor) check(w *watch) {
 	now := sv.sim.Now()
-	window := sv.policy.missWindow()
 	last := w.started
 	if w.heartbeat != nil {
 		last = w.heartbeat()
@@ -238,10 +193,10 @@ func (sv *Supervisor) check(w *watch) {
 	// Next possible miss: one window after the freshest beat. The test and
 	// the re-arm below are the same expression, so a poll that does not
 	// trip is always re-armed strictly in the future.
-	next := last + window
+	next := last + missWindow
 	if now >= next {
 		sv.suspect(w, ReasonHeartbeatMissed,
-			fmt.Sprintf("no beat for %.0fs (window %.0fs)", now-last, window))
+			fmt.Sprintf("no beat for %.0fs (window %.0fs)", now-last, missWindow))
 		return
 	}
 	if reason, note, ok := sv.stragglerTest(w, now); ok {
@@ -254,18 +209,18 @@ func (sv *Supervisor) check(w *watch) {
 // stragglerTest compares the task's running/expected ratio to the
 // completed population.
 func (sv *Supervisor) stragglerTest(w *watch, now float64) (Reason, string, bool) {
-	if len(sv.doneRatios) < sv.policy.StragglerMinDone || w.expected <= 0 {
+	if len(sv.doneRatios) < StragglerMinDone || w.expected <= 0 {
 		return "", "", false
 	}
 	ratio := (now - w.started) / w.expected
-	p95 := percentile(sv.doneRatios, sv.policy.StragglerPercentile)
+	p95 := percentile(sv.doneRatios, StragglerPercentile)
 	if p95 < 1 {
 		p95 = 1
 	}
-	if ratio > sv.policy.StragglerFactor*p95 {
+	if ratio > StragglerFactor*p95 {
 		return ReasonStraggler,
 			fmt.Sprintf("ratio %.2f > %.0fx p%.0f=%.2f of %d done",
-				ratio, sv.policy.StragglerFactor, sv.policy.StragglerPercentile*100, p95, len(sv.doneRatios)),
+				ratio, StragglerFactor, StragglerPercentile*100, p95, len(sv.doneRatios)),
 			true
 	}
 	return "", "", false

@@ -201,9 +201,6 @@ func TestNilSupervisorIsInert(t *testing.T) {
 	if sv.Decisions() != nil || sv.Watching() != 0 {
 		t.Error("nil supervisor not inert")
 	}
-	if sv.Policy() != (Policy{}) {
-		t.Error("nil supervisor policy nonzero")
-	}
 }
 
 func TestPercentile(t *testing.T) {
