@@ -86,11 +86,14 @@ func Level2FromBlocks(blocks []gio.Block) (*Level2, error) {
 // --- Power spectrum ---
 
 // PowerSpectrum computes the density fluctuation power spectrum, the
-// paper's example of an analysis that belongs fully in-situ.
+// paper's example of an analysis that belongs fully in-situ. It keeps one
+// grid and FFT cube across steps, so Execute is not safe for concurrent
+// use (the Manager runs algorithms in sequence).
 type PowerSpectrum struct {
 	sched EverySchedule
 	// Grid is the FFT mesh dimension; Bins the number of k bins.
 	Grid, Bins int
+	meter      powerspec.Meter
 }
 
 // NewPowerSpectrum returns the algorithm with sensible defaults (run every
@@ -102,19 +105,26 @@ func NewPowerSpectrum() *PowerSpectrum {
 // Name implements Algorithm.
 func (p *PowerSpectrum) Name() string { return "powerspectrum" }
 
-// SetParameters implements Algorithm. Keys: every, steps, grid, bins.
+// SetParameters implements Algorithm. Keys: every, steps, grid, bins. It
+// changes nothing when it fails.
 func (p *PowerSpectrum) SetParameters(params map[string]string) error {
 	sched, err := MaybeParseSchedule(params, p.sched)
 	if err != nil {
 		return err
 	}
-	p.sched = sched
-	if p.Grid, err = IntParam(params, "grid", p.Grid); err != nil {
+	grid, err := IntParam(params, "grid", p.Grid)
+	if err != nil {
 		return err
 	}
-	if p.Bins, err = IntParam(params, "bins", p.Bins); err != nil {
+	bins, err := IntParam(params, "bins", p.Bins)
+	if err != nil {
 		return err
 	}
+	// Reject here what Execute would reject after the first steps ran.
+	if err := powerspec.Check(grid, bins); err != nil {
+		return err
+	}
+	p.sched, p.Grid, p.Bins = sched, grid, bins
 	return nil
 }
 
@@ -123,7 +133,7 @@ func (p *PowerSpectrum) ShouldExecute(ctx *Context) bool { return p.sched.Should
 
 // Execute implements Algorithm, storing "powerspectrum/pk".
 func (p *PowerSpectrum) Execute(ctx *Context) error {
-	res, err := powerspec.Measure(ctx.Particles, ctx.Box, p.Grid, p.Bins)
+	res, err := p.meter.Measure(ctx.Particles, ctx.Box, p.Grid, p.Bins)
 	if err != nil {
 		return err
 	}

@@ -247,6 +247,34 @@ func TestPowerSpectrumAlgorithm(t *testing.T) {
 	}
 }
 
+// A grid the FFT cannot run, or no bins, is a configuration error, with
+// the message Execute would give at the first analysis step.
+func TestPowerSpectrumSetParametersRejectsUnrunnableGrid(t *testing.T) {
+	p, box := testParticles(1)
+	for _, tc := range []struct {
+		grid, bins int
+		want       string
+	}{
+		{48, 16, "fft: cube dimension 48 is not a power of two"},
+		{0, 16, "grid: dimension 0 must be positive"},
+		{-8, 16, "grid: dimension -8 must be positive"},
+		{32, 0, "powerspec: nBins=0 must be positive"},
+		{32, -3, "powerspec: nBins=-3 must be positive"},
+	} {
+		params := map[string]string{"grid": fmt.Sprint(tc.grid), "bins": fmt.Sprint(tc.bins)}
+		if err := NewPowerSpectrum().SetParameters(params); err == nil || err.Error() != tc.want {
+			t.Errorf("grid %d, bins %d: SetParameters error %v, want %q", tc.grid, tc.bins, err, tc.want)
+		}
+		ps := &PowerSpectrum{Grid: tc.grid, Bins: tc.bins}
+		if err := ps.Execute(NewContext(1, 1, box, 1, p)); err == nil || err.Error() != tc.want {
+			t.Errorf("grid %d, bins %d: Execute error %v, want %q", tc.grid, tc.bins, err, tc.want)
+		}
+	}
+	if err := NewPowerSpectrum().SetParameters(map[string]string{"grid": "16", "bins": "1"}); err != nil {
+		t.Errorf("grid 16, 1 bin rejected: %v", err)
+	}
+}
+
 func TestHaloFinderWithoutSplit(t *testing.T) {
 	p, box := testParticles(2)
 	hf := NewHaloFinder()

@@ -91,8 +91,12 @@ func (e *extremes) SetParameters(params map[string]string) (err error) {
 }
 
 func (e *extremes) Execute(ctx *cosmotools.Context) error {
-	g, err := grid.DensityContrast(8, ctx.Box, ctx.Particles.X, ctx.Particles.Y, ctx.Particles.Z)
+	g, err := grid.NewScalar(8, ctx.Box)
 	if err != nil {
+		return err
+	}
+	g.AssignCIC(ctx.Particles.X, ctx.Particles.Y, ctx.Particles.Z)
+	if err := g.ToDensityContrast(); err != nil {
 		return err
 	}
 	ctx.Outputs["extremes/minmax"] = [2]float64{slices.Min(g.Data), slices.Max(g.Data)}

@@ -69,13 +69,6 @@ func (g *Scalar) Set(i, j, k int, v float64) {
 	g.Data[g.Index(wrap(i, g.N), wrap(j, g.N), wrap(k, g.N))] = v
 }
 
-// Fill sets every cell to v.
-func (g *Scalar) Fill(v float64) {
-	for i := range g.Data {
-		g.Data[i] = v
-	}
-}
-
 // Total returns the sum over all cells.
 func (g *Scalar) Total() float64 {
 	sum := 0.0
@@ -204,32 +197,10 @@ func (g *Scalar) assignPlanes(lo, hi int) {
 	}
 }
 
-// DensityContrast returns a new n³ grid over a box of side boxSize holding
-// the CIC density contrast of unit-mass particles at (x[i], y[i], z[i]).
-func DensityContrast(n int, boxSize float64, x, y, z []float64) (*Scalar, error) {
-	g, err := NewScalar(n, boxSize)
-	if err != nil {
-		return nil, err
-	}
-	g.AssignCIC(x, y, z)
-	if err := g.ToDensityContrast(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// InterpolateCIC reads the field at position (x, y, z) with the same CIC
-// weighting used for deposits, guaranteeing momentum-conserving force
-// interpolation when used with DepositCIC.
-func (g *Scalar) InterpolateCIC(x, y, z float64) float64 {
-	var s stencil
-	s.set(g, x, y, z)
-	return s.sum(g.Data)
-}
-
-// InterpolateCIC3 is a.InterpolateCIC, b.InterpolateCIC and
-// c.InterpolateCIC at one position, computing the stencil once: the three
-// components of a vector field. b and c must have a's N and BoxSize.
+// InterpolateCIC3 reads the three components a, b and c of a vector field
+// at position (x, y, z) with the CIC weighting used for deposits (so PM
+// forces conserve momentum), computing the stencil once. b and c must
+// have a's N and BoxSize.
 func InterpolateCIC3(a, b, c *Scalar, x, y, z float64) (va, vb, vc float64) {
 	var s stencil
 	s.set(a, x, y, z)

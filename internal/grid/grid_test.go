@@ -7,6 +7,21 @@ import (
 	"testing/quick"
 )
 
+// InterpolateCIC reads the field at (x, y, z) with the CIC weighting used
+// for deposits: one component of InterpolateCIC3.
+func (g *Scalar) InterpolateCIC(x, y, z float64) float64 {
+	var s stencil
+	s.set(g, x, y, z)
+	return s.sum(g.Data)
+}
+
+// Fill sets every cell to v.
+func (g *Scalar) Fill(v float64) {
+	for i := range g.Data {
+		g.Data[i] = v
+	}
+}
+
 func TestNewScalarValidation(t *testing.T) {
 	if _, err := NewScalar(0, 1); err == nil {
 		t.Error("expected error for n=0")

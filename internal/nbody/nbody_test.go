@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cosmo"
+	"repro/internal/grid"
 )
 
 func lattice(np int, box float64) *Particles {
@@ -26,6 +27,21 @@ func lattice(np int, box float64) *Particles {
 		}
 	}
 	return p
+}
+
+// densityContrast deposits s's particles on its PM grid and returns their
+// density contrast.
+func densityContrast(t *testing.T, s *Simulation) *grid.Scalar {
+	t.Helper()
+	g, err := grid.NewScalar(s.NG, s.Box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AssignCIC(s.P.X, s.P.Y, s.P.Z)
+	if err := g.ToDensityContrast(); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestParticlesAppendSelectClone(t *testing.T) {
@@ -261,10 +277,7 @@ func TestDensityContrastMeanZero(t *testing.T) {
 	c := cosmo.Default()
 	p := lattice(8, 10)
 	s, _ := NewSimulation(c, 10, 8, p, 0.5)
-	g, err := s.DensityContrast()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := densityContrast(t, s)
 	if math.Abs(g.Mean()) > 1e-10 {
 		t.Errorf("mean delta = %v", g.Mean())
 	}
@@ -299,10 +312,7 @@ func TestGrowthTracksLinearTheory(t *testing.T) {
 		t.Fatal(err)
 	}
 	rms := func() float64 {
-		g, err := s.DensityContrast()
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := densityContrast(t, s)
 		sum := 0.0
 		for _, v := range g.Data {
 			sum += v * v

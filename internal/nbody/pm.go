@@ -22,6 +22,9 @@ import (
 // which the KDK (kick-drift-kick) leapfrog integrates in equal steps of the
 // scale factor a, the same time variable HACC production runs report
 // snapshots in (the paper labels outputs by redshift).
+//
+// Between steps, only Step may change P or A: the next step reuses the
+// force grids and accelerations the last one left for those positions.
 type Simulation struct {
 	Cosmo cosmo.Params
 	// Box is the comoving box side in Mpc/h.
@@ -52,6 +55,10 @@ type Simulation struct {
 	cube         *fft.Cube
 	forcesACache float64
 	forcesValid  bool
+	// acc holds the last interpolated accelerations, x, y, z per particle;
+	// accValid: a closing kick stored them and no force recompute followed.
+	acc      []float64
+	accValid bool
 
 	// par runs the per-particle and per-cell passes of a step on every
 	// core; coef is the kick or drift factor of the pass in flight.
@@ -83,7 +90,7 @@ func NewSimulation(p cosmo.Params, box float64, ng int, particles *Particles, a0
 	if err := particles.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulation{Cosmo: p, Box: box, NG: ng, P: particles, A: a0}
+	s := &Simulation{Cosmo: p, Box: box, NG: ng, P: particles, A: a0, acc: make([]float64, 3*particles.N())}
 	var err error
 	for _, g := range []**grid.Scalar{&s.rho, &s.phi, &s.gx, &s.gy, &s.gz} {
 		if *g, err = grid.NewScalar(ng, box); err != nil {
@@ -107,6 +114,7 @@ func (s *Simulation) computeForces() error {
 	if s.forcesValid && s.forcesACache == s.A {
 		return nil
 	}
+	s.accValid = false
 	// Density contrast.
 	s.rho.AssignCIC(s.P.X, s.P.Y, s.P.Z)
 	if err := s.rho.ToDensityContrast(); err != nil {
@@ -132,13 +140,6 @@ func (s *Simulation) computeForces() error {
 	return nil
 }
 
-// AccelAt interpolates the current acceleration field to a position. The
-// force field must be current (Step keeps it so); callers outside Step
-// should not rely on it.
-func (s *Simulation) AccelAt(x, y, z float64) (ax, ay, az float64) {
-	return grid.InterpolateCIC3(s.gx, s.gy, s.gz, x, y, z)
-}
-
 // Step advances the simulation by da with one KDK leapfrog step.
 func (s *Simulation) Step(da float64) error {
 	if da <= 0 {
@@ -148,9 +149,13 @@ func (s *Simulation) Step(da float64) error {
 		return err
 	}
 	half := da / 2
-	// Kick (half step) at current a.
+	// Kick (half step) at current a, from the stored accelerations if valid.
 	s.coef = half / (s.A * s.Cosmo.E(s.A))
-	s.par.Run(elements, s, s.P.N(), (*Simulation).kick)
+	if s.accValid {
+		s.par.Run(elements, s, s.P.N(), (*Simulation).kickStored)
+	} else {
+		s.par.Run(elements, s, s.P.N(), (*Simulation).kick)
+	}
 	// Drift (full step) at midpoint a.
 	am := s.A + half
 	s.coef = da / (am * am * am * s.Cosmo.E(am))
@@ -163,6 +168,7 @@ func (s *Simulation) Step(da float64) error {
 	}
 	s.coef = half / (s.A * s.Cosmo.E(s.A))
 	s.par.Run(elements, s, s.P.N(), (*Simulation).kick)
+	s.accValid = true
 	return nil
 }
 
@@ -180,15 +186,26 @@ func (s *Simulation) fromCube(lo, hi int) {
 	}
 }
 
-// kick adds the acceleration times coef to the momenta of particles
-// [lo, hi).
+// kick interpolates the accelerations of particles [lo, hi) from the
+// force grids, stores them in acc and adds them times coef to the momenta.
 func (s *Simulation) kick(lo, hi int) {
 	p, kick := s.P, s.coef
 	for i := lo; i < hi; i++ {
-		ax, ay, az := s.AccelAt(p.X[i], p.Y[i], p.Z[i])
+		ax, ay, az := grid.InterpolateCIC3(s.gx, s.gy, s.gz, p.X[i], p.Y[i], p.Z[i])
+		s.acc[3*i], s.acc[3*i+1], s.acc[3*i+2] = ax, ay, az
 		p.VX[i] += ax * kick
 		p.VY[i] += ay * kick
 		p.VZ[i] += az * kick
+	}
+}
+
+// kickStored adds acc times coef to the momenta of particles [lo, hi).
+func (s *Simulation) kickStored(lo, hi int) {
+	p, kick, acc := s.P, s.coef, s.acc
+	for i := lo; i < hi; i++ {
+		p.VX[i] += acc[3*i] * kick
+		p.VY[i] += acc[3*i+1] * kick
+		p.VZ[i] += acc[3*i+2] * kick
 	}
 }
 
@@ -270,10 +287,4 @@ func (s *Simulation) resume(cb func(step int) error) error {
 		}
 	}
 	return nil
-}
-
-// DensityContrast deposits the current particles and returns the density
-// contrast grid (a copy, safe to retain).
-func (s *Simulation) DensityContrast() (*grid.Scalar, error) {
-	return grid.DensityContrast(s.NG, s.Box, s.P.X, s.P.Y, s.P.Z)
 }

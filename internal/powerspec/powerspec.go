@@ -33,24 +33,72 @@ type Result struct {
 // (power of two) over nBins linear bins in |k| between the fundamental mode
 // and the Nyquist frequency.
 func Measure(p *nbody.Particles, box float64, ng, nBins int) (*Result, error) {
-	if nBins <= 0 {
-		return nil, fmt.Errorf("powerspec: nBins=%d must be positive", nBins)
+	return new(Meter).Measure(p, box, ng, nBins)
+}
+
+// Check returns the error Measure gives for an ng³ grid and nBins bins
+// whatever the particles, or nil.
+func Check(ng, nBins int) error {
+	switch {
+	case nBins <= 0:
+		return fmt.Errorf("powerspec: nBins=%d must be positive", nBins)
+	case ng <= 0:
+		return fmt.Errorf("grid: dimension %d must be positive", ng)
+	case !fft.IsPow2(ng):
+		return fmt.Errorf("fft: cube dimension %d is not a power of two", ng)
 	}
-	g, err := grid.DensityContrast(ng, box, p.X, p.Y, p.Z)
-	if err != nil {
+	return nil
+}
+
+// Meter measures power spectra as Measure does, keeping its deposit grid
+// and FFT cube across calls until ng or box changes. The zero Meter is
+// ready to use; it is not safe for concurrent use.
+type Meter struct {
+	g    *grid.Scalar
+	cube *fft.Cube
+}
+
+// Measure is the package Measure on m's grid and cube.
+func (m *Meter) Measure(p *nbody.Particles, box float64, ng, nBins int) (*Result, error) {
+	if err := Check(ng, nBins); err != nil {
 		return nil, err
 	}
-	return MeasureGrid(g, nBins)
+	if m.g == nil || m.g.N != ng || m.g.BoxSize != box {
+		g, err := grid.NewScalar(ng, box)
+		if err != nil {
+			return nil, err
+		}
+		cube, err := fft.NewCube(ng)
+		if err != nil {
+			return nil, err
+		}
+		m.g, m.cube = g, cube
+	}
+	// AssignCIC clears every plane it deposits into, and spectrum
+	// overwrites the whole cube: nothing of the last call survives.
+	m.g.AssignCIC(p.X, p.Y, p.Z)
+	if err := m.g.ToDensityContrast(); err != nil {
+		return nil, err
+	}
+	return spectrum(m.g, m.cube, nBins)
 }
 
 // MeasureGrid computes the power spectrum of an existing density-contrast
 // grid. The grid dimension must be a power of two.
 func MeasureGrid(g *grid.Scalar, nBins int) (*Result, error) {
-	ng := g.N
-	cube, err := fft.NewCube(ng)
+	if err := Check(g.N, nBins); err != nil {
+		return nil, err
+	}
+	cube, err := fft.NewCube(g.N)
 	if err != nil {
 		return nil, err
 	}
+	return spectrum(g, cube, nBins)
+}
+
+// spectrum transforms g in cube, which it overwrites, and bins the power.
+func spectrum(g *grid.Scalar, cube *fft.Cube, nBins int) (*Result, error) {
+	ng := g.N
 	for i, v := range g.Data {
 		cube.Data[i] = complex(v, 0)
 	}
@@ -105,8 +153,8 @@ func MeasureGrid(g *grid.Scalar, nBins int) (*Result, error) {
 // spectrum, which ran across the full Titan partition at every analysis
 // step (§1). All ranks return the identical result.
 func MeasureParallel(c *mpi.Comm, local *nbody.Particles, box float64, ng, nBins int) (*Result, error) {
-	if nBins <= 0 {
-		return nil, fmt.Errorf("powerspec: nBins=%d must be positive", nBins)
+	if err := Check(ng, nBins); err != nil {
+		return nil, err
 	}
 	g, err := grid.NewScalar(ng, box)
 	if err != nil {

@@ -190,3 +190,61 @@ func TestMeasureParallelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// One Meter, reused across particle sets and grids, must return what
+// Measure returns on each, bit for bit, and keep its grid and cube while
+// ng and box stay the same.
+func TestMeterMatchesMeasure(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	uniform, clustered := nbody.NewParticles(2000), nbody.NewParticles(0)
+	for i := 0; i < uniform.N(); i++ {
+		uniform.X[i], uniform.Y[i], uniform.Z[i] = rng.Float64()*50, rng.Float64()*50, rng.Float64()*50
+	}
+	for i := 0; i < 3000; i++ {
+		c := float64(i%3) * 15
+		clustered.Append(c+rng.NormFloat64(), c+rng.NormFloat64(), 10+rng.NormFloat64(), 0, 0, 0, int64(i))
+	}
+	var m Meter
+	for _, tc := range []struct {
+		p      *nbody.Particles
+		box    float64
+		ng     int
+		reused bool
+	}{
+		{uniform, 50, 16, false},
+		{clustered, 50, 16, true},
+		{clustered, 40, 16, false},
+		{uniform, 40, 32, false},
+		{clustered, 40, 32, true},
+		{uniform, 50, 16, false},
+	} {
+		before := m.g
+		got, err := m.Measure(tc.p, tc.box, tc.ng, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Measure(tc.p, tc.box, tc.ng, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%d particles, ng %d, box %g", tc.p.N(), tc.ng, tc.box)
+		if !sameBits(got.K, want.K) || !sameBits(got.P, want.P) || fmt.Sprint(got.Modes) != fmt.Sprint(want.Modes) {
+			t.Errorf("%s: Meter gives %v, Measure %v", name, got, want)
+		}
+		if reused := m.g == before; reused != tc.reused {
+			t.Errorf("%s: grid reused %v, want %v", name, reused, tc.reused)
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
