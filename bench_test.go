@@ -34,7 +34,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/so"
 	"repro/internal/subhalo"
-	"repro/internal/tracking"
 	"repro/internal/transit"
 )
 
@@ -581,18 +580,6 @@ func BenchmarkProfileAndShape(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hl.Count()), "particles")
-}
-
-// BenchmarkTrackingMatch measures snapshot-pair halo matching.
-func BenchmarkTrackingMatch(b *testing.B) {
-	sim, cat, _ := snapshot(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tracking.Match(sim.P, cat, sim.P, cat, tracking.Options{MinShared: 5}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(cat.Halos)), "halos")
 }
 
 // BenchmarkTransitThroughput measures staging-device handoff rate.

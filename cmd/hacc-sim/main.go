@@ -42,17 +42,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hacc-sim: ")
 	var (
-		deckPath = flag.String("deck", "", "input deck path (INI; overrides the flags below)")
+		deckPath = flag.String("deck", "", "input deck path (INI; overrides the flags below, and alone sets ng, z_init (default 50), z_final and snapshot_every)")
 		np       = flag.Int("np", 32, "particles per dimension (power of two)")
-		ng       = flag.Int("ng", 0, "PM grid per dimension (defaults to np)")
 		box      = flag.Float64("box", 64, "box side, Mpc/h")
-		zInit    = flag.Float64("z-init", 50, "starting redshift")
-		zFinal   = flag.Float64("z-final", 0, "final redshift")
 		steps    = flag.Int("steps", 20, "time steps")
 		seed     = flag.Int64("seed", 1, "initial-conditions seed")
 		outDir   = flag.String("out", "hacc-out", "output directory")
 		ctConfig = flag.String("cosmotools", "", "CosmoTools config path (empty: built-in defaults)")
-		snapshot = flag.Int("snapshot-every", 0, "write Level 1 snapshots every N steps (0: never)")
 		analyze  = flag.Int("analyze-every", 0, "run analysis every N steps (0: final step only)")
 		renderPx = flag.Int("render", 0, "write a Figure 2-style density projection PNG of the final step at this pixel size (0: off)")
 		ckptEvry = flag.Int("checkpoint-every", 0, "write full-precision checkpoints every N steps (0: never)")
@@ -60,10 +56,9 @@ func main() {
 	)
 	flag.Parse()
 	cfg := runConfig{
-		NP: *np, NG: *ng, Box: *box, ZInit: *zInit, ZFinal: *zFinal,
-		Steps: *steps, Seed: *seed, OutDir: *outDir, CTConfig: *ctConfig,
-		SnapshotEvery: *snapshot, AnalyzeEvery: *analyze, RenderPixels: *renderPx,
-		CheckpointEvery: *ckptEvry, Restart: *restart,
+		NP: *np, Box: *box, ZInit: 50, Steps: *steps, Seed: *seed,
+		OutDir: *outDir, CTConfig: *ctConfig, AnalyzeEvery: *analyze,
+		RenderPixels: *renderPx, CheckpointEvery: *ckptEvry, Restart: *restart,
 	}
 	if *deckPath != "" {
 		if err := cfg.loadDeck(*deckPath); err != nil {

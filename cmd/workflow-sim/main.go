@@ -19,8 +19,8 @@
 //
 // With -out DIR, -campaign persists its products (Level 2 files, center
 // catalogs, merged catalog) under DIR behind a crash-consistent journal;
-// -resume DIR continues such a campaign after a crash, and -crash-time /
-// -crash-step inject a process kill to exercise exactly that path:
+// -resume DIR continues such a campaign after a crash, and -crash-time
+// injects a process kill to exercise exactly that path:
 //
 //	workflow-sim -campaign 20 -out run/ -crash-time 9000
 //	workflow-sim -resume run/
@@ -89,13 +89,12 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "fault injector seed (with -resilience/-gray)")
 		gray       = flag.Bool("gray", false, "add gray failures (job slowdowns, mid-run stalls, in-situ slowdowns, submit refusals) to -resilience and -campaign runs; supervision recovers them")
 		stepBudget = flag.Float64("step-budget", 0, "with -gray: in-situ seconds budget per step; over-budget steps spill their center work to the off-line path")
-		decisions  = flag.Bool("decisions", false, "with -gray -campaign: print the supervision decision log")
+		decisions  = flag.Bool("decisions", false, "with -campaign/-resume: print the supervision decision log (under -gray) or the scrub decision log (under -bitrot/-scrub)")
 		all        = flag.Bool("all", false, "run everything")
 		seed       = flag.Int64("seed", 1, "population synthesis seed")
 		outDir     = flag.String("out", "", "with -campaign: persist products under this directory behind a crash-consistent journal (the campaign becomes resumable)")
 		resumeDir  = flag.String("resume", "", "resume a persisted campaign from its directory (parameters are read from the journal)")
 		crashTime  = flag.Float64("crash-time", 0, "with -out/-resume: kill the engine at this virtual time (exercise crash recovery)")
-		crashStep  = flag.Int("crash-step", 0, "with -out/-resume: kill the engine mid-write of this step's Level 2 file, leaving a torn file")
 		bitrot     = flag.Float64("bitrot", 0, "with -out/-resume: per-product at-rest bit-rot probability (seeded, length-preserving flips; detected and repaired via the lineage ledger)")
 		scrub      = flag.Float64("scrub", 0, "with -out/-resume: co-schedule background scrub jobs every SEC virtual seconds re-verifying committed products")
 		cost       = flag.Bool("cost", false, "per-phase cost accounting for the three headline workflows under the Titan charge policy; with -campaign, also price the campaign's job spans")
@@ -104,6 +103,28 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "print every instrumented run's metrics registry (deterministic encode order)")
 	)
 	flag.Parse()
+	// Reject a flag the selected run would never read: it would change
+	// nothing, silently.
+	persisted := *outDir != "" || *resumeDir != ""
+	campaignRun := *campaign > 0 || *all || *resumeDir != ""
+	for _, c := range []struct {
+		ignored bool
+		msg     string
+	}{
+		{*gray && persisted, "-gray needs an in-memory run: a persisted campaign (-out/-resume) has no gray weather"},
+		{*stepBudget != 0 && persisted, "-step-budget needs an in-memory campaign: a persisted one (-out/-resume) has no step budget"},
+		{*stepBudget != 0 && !*gray, "-step-budget needs -gray"},
+		{*crashTime != 0 && !persisted, "-crash-time needs -out or -resume"},
+		{*bitrot != 0 && !persisted, "-bitrot needs -out or -resume"},
+		{*scrub != 0 && !persisted, "-scrub needs -out or -resume"},
+		{*decisions && !(campaignRun && (*gray || *bitrot != 0 || *scrub != 0)),
+			"-decisions needs a campaign (-campaign, -all or -resume) under -gray, -bitrot or -scrub"},
+	} {
+		if c.ignored {
+			fmt.Fprintln(os.Stderr, "workflow-sim: "+c.msg)
+			os.Exit(2)
+		}
+	}
 	// The gray weather: nothing in it kills a job outright — every
 	// disruption is a slowdown, stall or refusal that only supervision can
 	// see.
@@ -166,7 +187,7 @@ func main() {
 	}
 	if *resumeDir != "" {
 		ran = true
-		if err := persistedCampaign(*seed, 0, *resumeDir, *crashTime, *crashStep, *faultSeed, *bitrot, *scrub, *decisions, campObs); err != nil {
+		if err := persistedCampaign(*seed, 0, *resumeDir, *crashTime, *faultSeed, *bitrot, *scrub, *decisions, campObs); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()
@@ -179,7 +200,7 @@ func main() {
 		}
 		var err error
 		if *outDir != "" {
-			err = persistedCampaign(*seed, n, *outDir, *crashTime, *crashStep, *faultSeed, *bitrot, *scrub, *decisions, campObs)
+			err = persistedCampaign(*seed, n, *outDir, *crashTime, *faultSeed, *bitrot, *scrub, *decisions, campObs)
 		} else {
 			err = campaignStudy(*seed, n, grayP, *stepBudget, *decisions, campObs)
 		}
@@ -292,12 +313,12 @@ func resilienceStudy(seed, faultSeed int64, grayP *fault.Profile) error {
 // at dir. steps == 0 means resume: the horizon and the seeds (fault seed
 // included, so a flag-less -resume runs under the profile seed the
 // journal pins) are read back from the journal's meta record. A
-// crash-time/crash-step kill is armed for the *current* generation, so
+// crash-time kill is armed for the *current* generation, so
 // repeated invocations with the same flag crash once and then
 // complete. bitrot > 0 injects seeded at-rest
 // corruption into committed products; scrub > 0 co-schedules background
 // scrub jobs at that interval.
-func persistedCampaign(seed int64, steps int, dir string, crashTime float64, crashStep int, faultSeed int64, bitrot, scrub float64, decisions bool, o *obs.Observer) error {
+func persistedCampaign(seed int64, steps int, dir string, crashTime float64, faultSeed int64, bitrot, scrub float64, decisions bool, o *obs.Observer) error {
 	// Peek at the journal for the generation count and, on resume, the
 	// pinned campaign parameters.
 	gen := 0
@@ -325,11 +346,11 @@ func persistedCampaign(seed int64, steps int, dir string, crashTime float64, cra
 		return err
 	}
 	s.PostQueueWait = 0
-	if crashTime > 0 || crashStep > 0 || bitrot > 0 || pinnedFaults {
+	if crashTime > 0 || bitrot > 0 || pinnedFaults {
 		p := &fault.Profile{Seed: faultSeed, BitRotProb: bitrot}
-		if crashTime > 0 || crashStep > 0 {
+		if crashTime > 0 {
 			p.Crashes = make([]fault.Crash, gen+1)
-			p.Crashes[gen] = fault.Crash{AtTime: crashTime, AtStep: crashStep}
+			p.Crashes[gen] = fault.Crash{AtTime: crashTime}
 		}
 		if err := p.Validate(); err != nil {
 			return err

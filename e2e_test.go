@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/gio"
 )
 
 // buildCmds compiles the command-line tools once into a shared temp dir.
@@ -267,6 +268,44 @@ func TestEndToEndWorkflowSim(t *testing.T) {
 	}
 }
 
+// A flag the selected run never reads is an error (exit 2, naming the
+// flag and what it needs), not a run that silently ignores it.
+func TestWorkflowSimRejectsIgnoredFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end test")
+	}
+	bins := buildCmds(t)
+	dir := filepath.Join(t.TempDir(), "camp")
+	for _, c := range []struct{ args, want string }{
+		{"-campaign 6 -gray -step-budget 900 -out " + dir, "-gray needs an in-memory run"},
+		{"-resume " + dir + " -gray", "-gray needs an in-memory run"},
+		{"-campaign 6 -out " + dir + " -step-budget 900", "-step-budget needs an in-memory campaign"},
+		{"-campaign 6 -step-budget 900", "-step-budget needs -gray"},
+		{"-campaign 6 -crash-time 500", "-crash-time needs -out or -resume"},
+		{"-campaign 6 -bitrot 0.5", "-bitrot needs -out or -resume"},
+		{"-campaign 6 -scrub 300", "-scrub needs -out or -resume"},
+		{"-table 3 -decisions -bitrot 0.5", "-bitrot needs -out or -resume"},
+		{"-table 3 -decisions", "-decisions needs a campaign"},
+		{"-resilience -gray -decisions", "-decisions needs a campaign"},
+		{"-campaign 6 -decisions", "-decisions needs a campaign"},
+		{"-campaign 6 -out " + dir + " -decisions", "-decisions needs a campaign"},
+	} {
+		cmd := exec.Command(filepath.Join(bins, "workflow-sim"), strings.Fields(c.args)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("workflow-sim %s: exit %d (%v), want 2\n%s", c.args, code, err, out)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("workflow-sim %s: stderr %q, want it to contain %q", c.args, stderr.String(), c.want)
+		}
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Errorf("a rejected invocation created %s", dir)
+	}
+}
+
 // A restarted simulation is bit-identical to an uninterrupted one: resumed
 // from the step 3 checkpoint, hacc-sim writes the same step 6 checkpoint
 // bytes as the run that never stopped.
@@ -320,6 +359,7 @@ box = 24
 z_init = 50
 z_final = 0
 steps = 25
+snapshot_every = 5
 seed = 4
 output_dir = ` + outDir + `
 
@@ -339,6 +379,29 @@ config = ` + ctCfg + `
 	}
 	if _, err := os.Stat(filepath.Join(outDir, "step025.centers")); err != nil {
 		t.Errorf("deck-driven run produced no centers: %v", err)
+	}
+	// snapshot_every = 5: a Level 1 snapshot at steps 5, 10, ..., 25 and
+	// at no other step.
+	gios, err := filepath.Glob(filepath.Join(outDir, "*.gio"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var level1 []string
+	for _, p := range gios {
+		if !strings.HasSuffix(p, ".l2.gio") {
+			level1 = append(level1, filepath.Base(p))
+		}
+	}
+	want := []string{"step005.gio", "step010.gio", "step015.gio", "step020.gio", "step025.gio"}
+	if !reflect.DeepEqual(level1, want) {
+		t.Errorf("Level 1 snapshots %v, want %v", level1, want)
+	}
+	blocks, err := gio.ReadFile(filepath.Join(outDir, "step015.gio"))
+	if err != nil {
+		t.Fatalf("reading a Level 1 snapshot: %v", err)
+	}
+	if n := gio.Merge(blocks).N(); n != 16*16*16 {
+		t.Errorf("Level 1 snapshot holds %d particles, want %d", n, 16*16*16)
 	}
 	// cosmotools disabled via the deck.
 	outDir2 := t.TempDir()

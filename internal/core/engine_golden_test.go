@@ -193,7 +193,7 @@ func goldenResumable(t *testing.T, g *golden, mk func() *Scenario, steps int, se
 		rep, err := ResumableCampaign(s, steps, dir, seed)
 		if s.Obs != nil && (err == nil || errors.Is(err, ErrCampaignCrashed)) {
 			// A crashed incarnation's trace is an artifact too (workflow-sim
-			// -out DIR -crash-step N -trace FILE).
+			// -out DIR -crash-time T -trace FILE).
 			g.observed(t, s.Obs)
 		}
 		if errors.Is(err, ErrCampaignCrashed) {

@@ -289,3 +289,79 @@ func TestLateCrashAfterAllWorkCompletes(t *testing.T) {
 		t.Errorf("merged catalog missing: %v", err)
 	}
 }
+
+// faultedCampaign runs the downscaled 5-step campaign under p and returns
+// its engine, so a test can read what the report folds away.
+func faultedCampaign(t *testing.T, p fault.Profile) *engine {
+	t.Helper()
+	s, err := DownscaledScenario(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PostQueueWait = 0
+	s.Faults = &p
+	e, err := newCampaignEngine(s, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within(t, fmt.Sprintf("campaign under %+v", p), func() {
+		if err := e.run(1, 5, 0); err != nil {
+			t.Error(err)
+		}
+	})
+	return e
+}
+
+// redriveLimit is a safety bound: under writes that always fail, each
+// step's Level 2 write is tried exactly 8 times, no file lands, and the
+// run still ends.
+func TestWriteRedriveLimit(t *testing.T) {
+	e := faultedCampaign(t, fault.Profile{Seed: 1, WriteFailProb: 1})
+	if got := e.res.WritesRedriven; got != 7*5 {
+		t.Errorf("%d re-drives over 5 steps, want 7 per step (8 tries)", got)
+	}
+	for step, ok := range e.landed {
+		if ok {
+			t.Errorf("step %d's Level 2 file landed under WriteFailProb 1", step)
+		}
+	}
+	if n := len(e.postCluster.Finished()); n != 0 {
+		t.Errorf("%d analysis jobs ran with no Level 2 file", n)
+	}
+}
+
+// drainSweeps is a safety bound: a submit refusal that outlasts the
+// simulation stops the wrap-up drain after 40 sweeps, one listener poll
+// (30 s) apart from one second after the simulation ends.
+func TestDrainStopsAfterFortySweeps(t *testing.T) {
+	e := faultedCampaign(t, fault.Profile{Seed: 1, SubmitFailProb: 1})
+	rep := e.campaignReport()
+	if rep.SimWallClock != 5507.964802402149 || rep.TotalWallClock != 6678.964802402149 {
+		t.Errorf("simulation ends at %v and the run at %v, want 5507.964802402149 and 6678.964802402149 (+1+39*30)",
+			rep.SimWallClock, rep.TotalWallClock)
+	}
+	if rep.AnalysisJobs != 0 {
+		t.Errorf("%d analysis jobs ran with every submission refused", rep.AnalysisJobs)
+	}
+}
+
+// Below the bound, the drain outlasts what delays it: under a listener
+// outage over the simulation's end, half the submissions refused and the
+// breaker's cooldowns, the last analysis goes in on a drain sweep past
+// the second, and every analysis is submitted: delayed, not lost.
+func TestDrainOutlastsListenerOutage(t *testing.T) {
+	e := faultedCampaign(t, fault.Profile{Seed: 1, SubmitFailProb: 0.5,
+		ListenerOutages: []fault.Window{{Start: 2000, End: 6000}}})
+	jobs := e.postCluster.Finished()
+	if len(jobs) != 5 {
+		t.Fatalf("%d of 5 analyses submitted", len(jobs))
+	}
+	last := 0.0
+	for _, j := range jobs {
+		last = max(last, j.SubmitTime)
+	}
+	sweep := (last-e.simEnd-1)/e.s.ListenerPoll + 1
+	if sweep <= 2 || sweep >= 40 {
+		t.Errorf("last analysis submitted on drain sweep %v, want one in (2, 40)", sweep)
+	}
+}

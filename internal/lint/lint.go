@@ -204,35 +204,6 @@ func exprString(e ast.Expr) string {
 	}
 }
 
-// typeHasMutex reports whether t (after following named types) is or
-// contains a sync.Mutex/RWMutex by value, recursively through struct
-// fields and arrays.
-func typeHasMutex(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex" || obj.Name() == "WaitGroup" || obj.Name() == "Cond" || obj.Name() == "Once" || obj.Name() == "Pool") {
-			return true
-		}
-		return typeHasMutex(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeHasMutex(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeHasMutex(u.Elem(), seen)
-	}
-	return false
-}
-
 // isNamedIn matches *T or T where T is the type called name declared in
 // a package called pkg (name-matched so fixture stubs participate).
 func isNamedIn(t types.Type, pkg, name string) bool {

@@ -35,9 +35,6 @@ import (
 //     a blocked channel op under a lock stalls every peer that next
 //     contends that lock, deadlocking the mesh.
 //
-// One syntactic rule rides along (lockcopy.go): locks are never copied
-// by value.
-//
 // Two fact types carry the analysis across package boundaries: a
 // LockSummary object fact per function (the global lock keys the
 // function may acquire, transitively), and a LockEdges package fact (the
@@ -64,7 +61,7 @@ import (
 // carry a //lint:allow lockorder comment with justification.
 var LockOrder = &analysis.Analyzer{
 	Name:      "lockorder",
-	Doc:       "detect lock-order inversions, double locks, unlocks of unheld locks, leaked locks, lock copies, and channel ops under locks",
+	Doc:       "detect lock-order inversions, double locks, unlocks of unheld locks, leaked locks, and channel ops under locks",
 	Run:       runLockOrder,
 	Requires:  []*analysis.Analyzer{CallGraph, CtrlFlow},
 	FactTypes: []analysis.Fact{(*LockSummary)(nil), (*LockEdges)(nil)},
@@ -223,10 +220,6 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 	flow := pass.ResultOf[CtrlFlow].(*CFGResult)
 	r := newReporter(pass)
 	info := pass.TypesInfo
-
-	for _, f := range pass.Files {
-		checkLockCopies(pass, r, f)
-	}
 
 	// --- Phase A: per-function may-acquire summaries (callgraph
 	// closure, exported as LockSummary facts) ---

@@ -21,7 +21,7 @@ var deterministicPkgs = map[string]bool{
 	"nbody": true, "ic": true, "halo": true, "center": true,
 	"subhalo": true, "so": true, "powerspec": true, "cosmotools": true,
 	"fft": true, "grid": true, "kdtree": true, "bhtree": true,
-	"profile": true, "tracking": true, "cosmo": true, "stats": true,
+	"profile": true, "cosmo": true, "stats": true,
 	"periodic": true,
 	// persistence
 	"gio": true, "ckpt": true, "integrity": true, "catalog": true,

@@ -15,12 +15,8 @@ import (
 // byte-compared artifact, so each must be in the deterministic table or
 // carry a reasoned exemption in deterministicExempt.
 func TestDeterministicCoversCore(t *testing.T) {
-	out, err := exec.Command("go", "list", "-deps", "repro/internal/core").Output()
-	if err != nil {
-		t.Fatalf("go list -deps repro/internal/core: %v", err)
-	}
 	seen := 0
-	for _, pkg := range strings.Fields(string(out)) {
+	for _, pkg := range goList(t, "-deps", "repro/internal/core") {
 		if !strings.HasPrefix(pkg, "repro/internal/") {
 			continue
 		}
@@ -35,6 +31,46 @@ func TestDeterministicCoversCore(t *testing.T) {
 	}
 	if seen < 20 {
 		t.Fatalf("go list named only %d in-repo packages under internal/core; the closure is not being read", seen)
+	}
+}
+
+// goList runs go list with args and returns the package paths it prints.
+func goList(t *testing.T, args ...string) []string {
+	t.Helper()
+	out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+	if err != nil {
+		t.Fatalf("go list %s: %v", strings.Join(args, " "), err)
+	}
+	return strings.Fields(string(out))
+}
+
+// unreachedAllowed names the internal packages no binary imports on
+// purpose: test support only.
+var unreachedAllowed = map[string]bool{
+	"repro/internal/lint/analysistest": true,
+}
+
+// TestEveryInternalPackageIsReached holds the tree to what its binaries
+// run: every internal package is in the import closure of a command or
+// of the benchmark, or it is dead code to delete.
+func TestEveryInternalPackageIsReached(t *testing.T) {
+	reached := map[string]bool{}
+	for _, pkg := range goList(t, "-deps", "repro/cmd/...", "repro/bench") {
+		reached[pkg] = true
+	}
+	all := goList(t, "repro/internal/...")
+	if len(all) < 20 {
+		t.Fatalf("go list named only %d internal packages; the tree is not being read", len(all))
+	}
+	for _, pkg := range all {
+		if !reached[pkg] && !unreachedAllowed[pkg] {
+			t.Errorf("%s is imported by no cmd/* binary and not by bench; delete it or wire it in", pkg)
+		}
+	}
+	for pkg := range unreachedAllowed {
+		if reached[pkg] {
+			t.Errorf("%s is allowlisted as unreached but a binary imports it; drop it from unreachedAllowed", pkg)
+		}
 	}
 }
 

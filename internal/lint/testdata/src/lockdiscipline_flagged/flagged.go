@@ -1,5 +1,5 @@
-// Positive fixture: leaked locks, channel ops under locks (package
-// transit is in the rank-exchange set), and lock values copied.
+// Positive fixture: leaked locks and channel ops under locks (package
+// transit is in the rank-exchange set).
 package transit
 
 import "sync"
@@ -34,25 +34,4 @@ func (s *Stage) ReceiveUnderLock() int {
 	v := <-s.ch // want `channel receive while holding s.mu`
 	s.mu.Unlock()
 	return v
-}
-
-func ByValue(s Stage) int { // want `parameter "s" copies a lock`
-	return s.n
-}
-
-func (s Stage) ValueReceiver() int { // want `receiver "s" copies a lock`
-	return s.n
-}
-
-func CopyAssign(s *Stage) {
-	local := *s // want `assignment copies a lock`
-	_ = local
-}
-
-func RangeCopy(stages []Stage) int {
-	total := 0
-	for _, st := range stages { // want `range variable "st" copies a lock per iteration`
-		total += st.n
-	}
-	return total
 }

