@@ -199,7 +199,14 @@ func (e *engine) run(first, last int, until float64) error {
 		return err
 	}
 	if until > 0 {
-		e.sim.RunUntil(until)
+		// A crash at until stops the clock there, unless the queue drains
+		// first: then it strikes nothing and the run ends with its last event.
+		for t, ok := e.sim.Next(); ok && t <= until && e.err == nil; t, ok = e.sim.Next() {
+			e.sim.Step()
+		}
+		if e.sim.Pending() > 0 {
+			e.sim.RunUntil(until)
+		}
 	} else {
 		e.sim.Run()
 	}

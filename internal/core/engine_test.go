@@ -276,7 +276,8 @@ func TestLateCrashAfterAllWorkCompletes(t *testing.T) {
 	}
 	pol := supervise.DefaultPolicy()
 	s.Supervise = &pol
-	s.Faults = &fault.Profile{Crashes: []fault.Crash{{AtTime: bare.TotalWallClock + 1000}}}
+	crashAt := bare.TotalWallClock + 1000
+	s.Faults = &fault.Profile{Crashes: []fault.Crash{{AtTime: crashAt}}}
 	dir := t.TempDir()
 	rep, err := ResumableCampaign(s, steps, dir, 1)
 	if err != nil {
@@ -287,6 +288,16 @@ func TestLateCrashAfterAllWorkCompletes(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "catalog.txt")); err != nil {
 		t.Errorf("merged catalog missing: %v", err)
+	}
+	// The crash struck nothing, so the run ends when its last event does.
+	s.Faults = nil
+	clean, err := ResumableCampaign(s, steps, t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TotalWallClock != clean.TotalWallClock {
+		t.Errorf("TotalWallClock %.3f s, want the uncrashed run's %.3f s (the crash was at %.3f s)",
+			rep.TotalWallClock, clean.TotalWallClock, crashAt)
 	}
 }
 

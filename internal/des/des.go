@@ -111,6 +111,16 @@ func (s *Sim) RunUntil(t float64) {
 	}
 }
 
+// Next returns the time of the next event to run; ok is false when none
+// remain.
+func (s *Sim) Next() (t float64, ok bool) {
+	s.prune()
+	if s.queue.Len() == 0 {
+		return 0, false
+	}
+	return s.queue[0].at, true
+}
+
 // Halt makes Run and RunUntil return once the current event finishes;
 // queued events stay pending and the simulator stays halted. It is how a
 // model reports, from inside an event, that the run cannot continue.

@@ -104,6 +104,21 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// Next peeks at the earliest event that will run, skipping stopped ones.
+func TestNext(t *testing.T) {
+	var s Sim
+	stopped := s.At(1, func() {})
+	s.At(2, func() {})
+	stopped.Stop()
+	if at, ok := s.Next(); !ok || at != 2 {
+		t.Errorf("Next = %v, %v; want 2, true", at, ok)
+	}
+	s.Run()
+	if _, ok := s.Next(); ok || s.Now() != 2 {
+		t.Errorf("after Run: Next ok = %v, now = %v; want false, 2", ok, s.Now())
+	}
+}
+
 func TestStepOnEmptyQueue(t *testing.T) {
 	var s Sim
 	if s.Step() {

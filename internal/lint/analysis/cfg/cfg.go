@@ -1,7 +1,7 @@
 // Package cfg builds per-function control-flow graphs from the AST and
 // solves forward/backward dataflow problems over them — the
 // flow-sensitive substrate under workflowlint's path-aware analyzers
-// (lockorder, the rewritten closecheck/errflow). It is a deliberately
+// (lockorder, closecheck, errflow, dettaint). It is a deliberately
 // small, stdlib-only sibling of golang.org/x/tools/go/cfg: the build is
 // hermetic, so the upstream package cannot be imported.
 //
@@ -32,10 +32,7 @@
 package cfg
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 )
 
@@ -439,34 +436,4 @@ func isPanicStmt(s ast.Stmt) bool {
 	}
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	return ok && id.Name == "panic" && id.Obj == nil
-}
-
-// Format renders the CFG for tests and debugging: one line per block
-// with its comment, rendered nodes, and successor indices.
-func (g *CFG) Format(fset *token.FileSet) string {
-	var buf bytes.Buffer
-	for _, blk := range g.Blocks {
-		live := ""
-		if !blk.Live {
-			live = " (dead)"
-		}
-		fmt.Fprintf(&buf, "block %d (%s)%s:\n", blk.Index, blk.Comment, live)
-		for _, n := range blk.Nodes {
-			var nb bytes.Buffer
-			printer.Fprint(&nb, fset, n)
-			line := nb.String()
-			if i := bytes.IndexByte(nb.Bytes(), '\n'); i >= 0 {
-				line = string(nb.Bytes()[:i]) + " ..."
-			}
-			fmt.Fprintf(&buf, "\t%s\n", line)
-		}
-		if len(blk.Succs) > 0 {
-			fmt.Fprintf(&buf, "\tsuccs:")
-			for _, s := range blk.Succs {
-				fmt.Fprintf(&buf, " %d", s.Index)
-			}
-			fmt.Fprintln(&buf)
-		}
-	}
-	return buf.String()
 }

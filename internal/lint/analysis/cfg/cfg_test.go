@@ -1,8 +1,11 @@
 package cfg
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"strings"
 	"testing"
@@ -360,13 +363,14 @@ func f(a bool) int {
 	eq := func(a, b bool) bool { return a == b }
 	sol := Forward(g, false, transfer, join, eq)
 	m := blocksByComment(g)
-	if sol.In[m["if.then"][0]] {
+	then := m["if.then"][0]
+	if sol[then] {
 		t.Error("x must not be definitely-assigned entering if.then")
 	}
-	if sol.Out[m["if.then"][0]] != true {
+	if !transfer(then, sol[then]) {
 		t.Error("x must be assigned leaving if.then")
 	}
-	if sol.In[m["if.done"][0]] {
+	if sol[m["if.done"][0]] {
 		t.Error("x is not assigned on every path into if.done (the var decl does not count)")
 	}
 }
@@ -418,15 +422,45 @@ func f(n int) int {
 	// no: out of the body flows to for.post → head → {body, done};
 	// the body path overwrites v first. Join is AND, so at body Out
 	// the value is false (the body path kills it before reading).
-	if sol.Out[m["for.body"][0]] {
+	if sol[m["for.body"][0]] {
 		t.Error("v at body end is not read-before-write on every path (loop re-entry overwrites it)")
 	}
 	// At the loop head's exit side, the done path reads v in the
 	// return: on the done edge it is live; but the body edge kills it.
-	if got := sol.In[m["for.done"][0]]; !got {
+	if done := m["for.done"][0]; !transfer(done, sol[done]) {
 		t.Error("v entering for.done must be read before exit (the return)")
 	}
 	if !strings.Contains(g.Format(token.NewFileSet()), "for.body") {
 		t.Error("Format must name loop blocks")
 	}
+}
+
+// Format renders the CFG for test failures: one line per block with
+// its comment, rendered nodes, and successor indices.
+func (g *CFG) Format(fset *token.FileSet) string {
+	var buf bytes.Buffer
+	for _, blk := range g.Blocks {
+		live := ""
+		if !blk.Live {
+			live = " (dead)"
+		}
+		fmt.Fprintf(&buf, "block %d (%s)%s:\n", blk.Index, blk.Comment, live)
+		for _, n := range blk.Nodes {
+			var nb bytes.Buffer
+			printer.Fprint(&nb, fset, n)
+			line := nb.String()
+			if i := bytes.IndexByte(nb.Bytes(), '\n'); i >= 0 {
+				line = string(nb.Bytes()[:i]) + " ..."
+			}
+			fmt.Fprintf(&buf, "\t%s\n", line)
+		}
+		if len(blk.Succs) > 0 {
+			fmt.Fprintf(&buf, "\tsuccs:")
+			for _, s := range blk.Succs {
+				fmt.Fprintf(&buf, " %d", s.Index)
+			}
+			fmt.Fprintln(&buf)
+		}
+	}
+	return buf.String()
 }

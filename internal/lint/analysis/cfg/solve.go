@@ -1,74 +1,59 @@
 package cfg
 
-// A Solution holds the fixpoint states of one dataflow problem: for
-// every live block, the state at its beginning (In) and end (Out).
-// Dead blocks are absent from both maps.
-type Solution[S any] struct {
-	In  map[*Block]S
-	Out map[*Block]S
-}
+import "slices"
 
 // Forward solves a forward dataflow problem with a worklist: entry
 // starts with the boundary state, every other live block's In is the
 // join of its live predecessors' Outs, and Out = transfer(block, In).
+// It returns In for every block the solve reaches; dead blocks are
+// absent.
 //
 // join must be commutative and associative; transfer must be monotone
 // over the implied lattice and must not mutate its argument (return a
 // fresh state). equal decides convergence. The worklist iterates until
 // no block's Out changes, so loops (back edges) reach their fixpoint.
-func Forward[S any](g *CFG, boundary S, transfer func(*Block, S) S, join func(S, S) S, equal func(a, b S) bool) Solution[S] {
-	return solve(g, boundary, transfer, join, equal, forwardDir{})
+func Forward[S any](g *CFG, boundary S, transfer func(*Block, S) S, join func(S, S) S, equal func(a, b S) bool) map[*Block]S {
+	return solve(g, g.Entry(), false, boundary, transfer, join, equal)
 }
 
 // Backward solves a backward dataflow problem: Exit starts with the
 // boundary state, every other live block's Out is the join of its live
 // successors' Ins, and In = transfer(block, Out) (transfer functions
-// scan their block's nodes in reverse).
-func Backward[S any](g *CFG, boundary S, transfer func(*Block, S) S, join func(S, S) S, equal func(a, b S) bool) Solution[S] {
-	return solve(g, boundary, transfer, join, equal, backwardDir{})
+// scan their block's nodes in reverse). It returns Out for every block
+// the solve reaches.
+func Backward[S any](g *CFG, boundary S, transfer func(*Block, S) S, join func(S, S) S, equal func(a, b S) bool) map[*Block]S {
+	return solve(g, g.Exit, true, boundary, transfer, join, equal)
 }
 
-// direction abstracts the two orientations so one worklist serves both.
-type direction interface {
-	start(g *CFG) *Block
-	inputs(b *Block) []*Block  // blocks whose results feed b
-	outputs(b *Block) []*Block // blocks that consume b's result
-}
+// solve is one worklist for both orientations: pre is a block's state
+// on the side flow enters it (the result), post the state it passes
+// on, both by Block.Index.
+func solve[S any](g *CFG, start *Block, backward bool, boundary S, transfer func(*Block, S) S, join func(S, S) S, equal func(a, b S) bool) map[*Block]S {
+	inputs := func(b *Block) []*Block {
+		if backward {
+			return b.Succs
+		}
+		return b.Preds
+	}
+	pre := make([]S, len(g.Blocks))
+	post := make([]S, len(g.Blocks))
+	done := make([]bool, len(g.Blocks))
 
-type forwardDir struct{}
-
-func (forwardDir) start(g *CFG) *Block       { return g.Entry() }
-func (forwardDir) inputs(b *Block) []*Block  { return b.Preds }
-func (forwardDir) outputs(b *Block) []*Block { return b.Succs }
-
-type backwardDir struct{}
-
-func (backwardDir) start(g *CFG) *Block       { return g.Exit }
-func (backwardDir) inputs(b *Block) []*Block  { return b.Succs }
-func (backwardDir) outputs(b *Block) []*Block { return b.Preds }
-
-func solve[S any](g *CFG, boundary S, transfer func(*Block, S) S, join func(S, S) S, equal func(a, b S) bool, dir direction) Solution[S] {
-	// pre and post are the states at a block's input and output side in
-	// the direction of flow: forward pre=In/post=Out, backward
-	// pre=Out/post=In.
-	pre := map[*Block]S{}
-	post := map[*Block]S{}
-
-	start := dir.start(g)
 	// The backward start (Exit) can be dead when a function cannot
 	// return (infinite loop); fall back to seeding every live block
 	// that has no live inputs, so the worklist still drains.
 	var work []*Block
 	seed := func(b *Block, s S) {
-		pre[b] = s
-		post[b] = transfer(b, s)
+		pre[b.Index] = s
+		post[b.Index] = transfer(b, s)
+		done[b.Index] = true
 		work = append(work, b)
 	}
 	if start.Live {
 		seed(start, boundary)
 	} else {
 		for _, b := range g.Blocks {
-			if b.Live && len(liveBlocks(dir.inputs(b))) == 0 {
+			if b.Live && !slices.ContainsFunc(inputs(b), func(in *Block) bool { return in.Live }) {
 				seed(b, boundary)
 			}
 		}
@@ -77,23 +62,27 @@ func solve[S any](g *CFG, boundary S, transfer func(*Block, S) S, join func(S, S
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
-		for _, next := range dir.outputs(b) {
+		outputs := b.Succs
+		if backward {
+			outputs = b.Preds
+		}
+		for _, next := range outputs {
 			if !next.Live {
 				continue
 			}
-			// Join every available input state.
+			// Join every available input state; a dead or not yet
+			// computed input has none (a later pass revisits).
 			var state S
 			first := true
-			for _, in := range liveBlocks(dir.inputs(next)) {
-				s, ok := post[in]
-				if !ok {
-					continue // not yet computed; a later pass revisits
+			for _, in := range inputs(next) {
+				if !done[in.Index] {
+					continue
 				}
 				if first {
-					state = s
+					state = post[in.Index]
 					first = false
 				} else {
-					state = join(state, s)
+					state = join(state, post[in.Index])
 				}
 			}
 			if next == start {
@@ -107,51 +96,26 @@ func solve[S any](g *CFG, boundary S, transfer func(*Block, S) S, join func(S, S
 			if first {
 				continue
 			}
-			oldPre, seen := pre[next]
-			if seen && equal(oldPre, state) {
+			i := next.Index
+			if done[i] && equal(pre[i], state) {
 				continue
 			}
-			pre[next] = state
+			pre[i] = state
 			newPost := transfer(next, state)
-			if oldPost, ok := post[next]; ok && equal(oldPost, newPost) {
+			if done[i] && equal(post[i], newPost) {
 				continue
 			}
-			post[next] = newPost
+			post[i] = newPost
+			done[i] = true
 			work = append(work, next)
 		}
 	}
 
-	sol := Solution[S]{In: map[*Block]S{}, Out: map[*Block]S{}}
+	sol := map[*Block]S{}
 	for _, b := range g.Blocks {
-		if !b.Live {
-			continue
-		}
-		switch dir.(type) {
-		case forwardDir:
-			if s, ok := pre[b]; ok {
-				sol.In[b] = s
-			}
-			if s, ok := post[b]; ok {
-				sol.Out[b] = s
-			}
-		default:
-			if s, ok := post[b]; ok {
-				sol.In[b] = s
-			}
-			if s, ok := pre[b]; ok {
-				sol.Out[b] = s
-			}
+		if done[b.Index] {
+			sol[b] = pre[b.Index]
 		}
 	}
 	return sol
-}
-
-func liveBlocks(blocks []*Block) []*Block {
-	var out []*Block
-	for _, b := range blocks {
-		if b.Live {
-			out = append(out, b)
-		}
-	}
-	return out
 }

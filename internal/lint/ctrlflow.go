@@ -36,14 +36,6 @@ type FuncCFG struct {
 	G    *cfg.CFG
 }
 
-// Name returns a human-readable label for diagnostics.
-func (fc *FuncCFG) Name() string {
-	if fc.Decl != nil {
-		return fc.Decl.Name.Name
-	}
-	return "func literal"
-}
-
 // resultNames lists the identifiers of the function's named results.
 func (fc *FuncCFG) resultNames() []*ast.Ident {
 	var results *ast.FieldList

@@ -109,7 +109,7 @@ func stateAfter(fc *FuncCFG, must bool, step func(n ast.Node, after bool) bool) 
 		if !b.Live {
 			continue
 		}
-		state, ok := sol.Out[b]
+		state, ok := sol[b]
 		if !ok {
 			continue
 		}

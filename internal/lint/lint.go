@@ -35,7 +35,7 @@ import (
 
 // Analyzers returns the full workflowlint suite in stable order, one
 // analyzer per invariant: LockOrder is the only lock analyzer, DetTaint
-// the only determinism analyzer. CallGraph, CtrlFlow and SSAFlow are
+// the only determinism analyzer. CallGraph and CtrlFlow are
 // infrastructure, pulled in via Requires, and are deliberately not
 // listed.
 func Analyzers() []*analysis.Analyzer {

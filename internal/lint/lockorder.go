@@ -353,7 +353,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 			if !blk.Live {
 				continue
 			}
-			st, ok := sol.In[blk]
+			st, ok := sol[blk]
 			if !ok {
 				continue
 			}
@@ -424,7 +424,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 			}
 		}
 		if exit := fc.G.Exit; exit.Live {
-			atExit := sol.In[exit]
+			atExit := sol[exit]
 			for _, h := range sortedStateKeys(atExit) {
 				if atExit[h]&mustHeld != 0 && !deferred[h] {
 					r.reportf(lastAcquire[h], "%s.Lock() without a matching Unlock before the function ends", trimReadSuffix(h))
