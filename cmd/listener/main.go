@@ -53,6 +53,16 @@ func main() {
 		stateFile = flag.String("state", "", "journal persisting submitted paths; reloaded on start so a restarted listener never resubmits")
 	)
 	flag.Parse()
+	// A zero job limit deadlocks at the first submission, a negative one
+	// panics, and a zero poll interval spins a core on ReadDir.
+	if *maxJobs < 1 {
+		log.Print("-max-parallel must be at least 1")
+		os.Exit(2)
+	}
+	if *poll <= 0 {
+		log.Print("-poll must be positive")
+		os.Exit(2)
+	}
 
 	seen := map[string]bool{}
 	var state *ckpt.Journal

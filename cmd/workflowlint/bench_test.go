@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkWorkflowlintRepo measures a full standalone analysis pass —
-// every analyzer, facts, the call graph, the per-function CFGs and the
-// dataflow solves over them, dettaint's taint fixpoint among them —
-// over every package in this repository. Loading (go list,
+// every analyzer, facts, each package's function index (CFGs and static
+// call sites) and the dataflow solves over it, dettaint's taint fixpoint
+// among them — over every package in this repository. Loading (go list,
 // parsing, type-checking) happens once outside the timed loop; the
 // benchmark isolates the analysis cost, which is what grows as
 // analyzers are added.

@@ -33,9 +33,9 @@
 // closecheck's named-return close capture) are applied to the source
 // in place; only diagnostics without a fix are then reported. With
 // -fix -diff nothing is written: unified diffs go to stdout and the
-// exit status says whether the tree is fix-clean — the CI drift gate
-// is `workflowlint -fix -diff ./...` exiting 0. -diff without -fix is a
-// usage error, so a drift check cannot silently degrade to a plain lint.
+// exit status says whether the tree is fix-clean. -diff without -fix is
+// a usage error, so a drift check cannot silently degrade to a plain
+// lint.
 //
 // Exit status: 0 clean, 1 internal error, 2 diagnostics reported (or,
 // under -fix -diff, fixes pending).

@@ -306,6 +306,34 @@ func TestWorkflowSimRejectsIgnoredFlags(t *testing.T) {
 	}
 }
 
+// The listener rejects a job limit or poll interval it cannot run with,
+// naming the flag, before it watches anything. The -until-idle bound
+// ends a run that accepted the flag.
+func TestListenerRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end test")
+	}
+	bins := buildCmds(t)
+	watch := t.TempDir()
+	for _, c := range []struct{ args, want string }{
+		{"-max-parallel 0 -poll 10ms -until-idle 200ms", "-max-parallel must be at least 1"},
+		{"-max-parallel -1 -poll 10ms -until-idle 200ms", "-max-parallel must be at least 1"},
+		{"-poll 0 -until-idle 200ms", "-poll must be positive"},
+		{"-poll -1s -until-idle 200ms", "-poll must be positive"},
+	} {
+		cmd := exec.Command(filepath.Join(bins, "listener"), append([]string{"-watch", watch}, strings.Fields(c.args)...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("listener %s: exit %d (%v), want 2\n%s", c.args, code, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("listener %s: stderr %q, want it to contain %q", c.args, stderr.String(), c.want)
+		}
+	}
+}
+
 // A restarted simulation is bit-identical to an uninterrupted one: resumed
 // from the step 3 checkpoint, hacc-sim writes the same step 6 checkpoint
 // bytes as the run that never stopped.

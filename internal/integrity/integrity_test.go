@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,45 +75,127 @@ func TestLedgerSupersedesInPlace(t *testing.T) {
 	}
 }
 
+// TestLedgerTornTailTruncated opens every byte prefix of a ledger, as
+// a crash mid-append can leave it: each opens, reads as the fold of its
+// complete records, and is truncated back to the last of them.
 func TestLedgerTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "lineage.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lineage.wal")
 	led, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	led.Append(Product{Path: "a", Sum: Sum([]byte("a")), Producer: "sim-step"})
-	led.Append(Product{Path: "b", Sum: Sum([]byte("b")), Producer: "sim-step"})
+	records := []Product{
+		{Path: "a", Bytes: 1, Sum: Sum([]byte("a")), Step: 1, Producer: "sim-step"},
+		{Path: "b", Bytes: 1, Sum: Sum([]byte("b")), Step: 1, Producer: "sim-step"},
+		{Path: "c", Bytes: 2, Sum: Sum([]byte("c")), Step: 1, Producer: "post-step", Inputs: []string{"a"}},
+		{Path: "a", Bytes: 2, Sum: Sum([]byte("a2")), Step: 1, Producer: "sim-step", Params: "rerun"},
+		{Path: "d", Bytes: 3, Sum: Sum([]byte("d")), Producer: "merge", Inputs: []string{"c", "b"}},
+		{Path: "e", Bytes: 4, Sum: Sum([]byte("e")), Producer: "post-step", Inputs: []string{"d"}},
+	}
+	ends := []int64{0} // ends[k]: file size once k records are written
+	for _, p := range records {
+		if err := led.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, st.Size())
+	}
 	led.Close()
-
-	// Tear the final record mid-line: a crash mid-append.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
+
+	torn := filepath.Join(dir, "torn.wal")
+	for n := 0; n <= len(data); n++ {
+		complete := 0
+		for complete+1 < len(ends) && ends[complete+1] <= int64(n) {
+			complete++
+		}
+		if err := os.WriteFile(torn, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		led, err := OpenLedger(torn)
+		if err != nil {
+			t.Fatalf("prefix %d: %v", n, err)
+		}
+		want := foldLedger(records[:complete])
+		if got := led.Products(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("prefix %d: products %+v, want %+v", n, got, want)
+		}
+		for _, r := range records {
+			got, ok := led.Lookup(r.Path)
+			i := slices.IndexFunc(want, func(p Product) bool { return p.Path == r.Path })
+			if ok != (i >= 0) || ok && !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("prefix %d: Lookup(%s) = %+v, %v", n, r.Path, got, ok)
+			}
+			if got, want := led.Downstream(r.Path), foldDownstream(want, r.Path); !reflect.DeepEqual(got, want) {
+				t.Fatalf("prefix %d: Downstream(%s) = %v, want %v", n, r.Path, got, want)
+			}
+		}
+		led.Close()
+		if st, err := os.Stat(torn); err != nil || st.Size() != ends[complete] {
+			t.Fatalf("prefix %d: reopened ledger not truncated to %d bytes (%v)", n, ends[complete], err)
+		}
 	}
-	led, err = OpenLedger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer led.Close()
-	if got := led.Products(); len(got) != 1 || got[0].Path != "a" {
-		t.Fatalf("after torn tail: %+v, want just a", got)
-	}
+
 	// Appending after truncation lands on a clean boundary.
-	if err := led.Append(Product{Path: "c", Sum: Sum([]byte("c")), Producer: "sim-step"}); err != nil {
+	if err := os.WriteFile(torn, data[:ends[2]+7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if led, err = OpenLedger(torn); err != nil {
+		t.Fatal(err)
+	}
+	if err := led.Append(records[5]); err != nil {
 		t.Fatal(err)
 	}
 	led.Close()
-	led, err = OpenLedger(path)
-	if err != nil {
+	if led, err = OpenLedger(torn); err != nil {
 		t.Fatal(err)
 	}
 	defer led.Close()
-	if got := led.Products(); len(got) != 2 || got[1].Path != "c" {
+	if got := led.Products(); len(got) != 3 || got[2].Path != "e" {
 		t.Fatalf("after re-append: %+v", got)
 	}
+}
+
+// foldLedger is what a ledger holding records means: one product per
+// path in first-commit order, each its path's latest record.
+func foldLedger(records []Product) []Product {
+	var out []Product
+	for _, r := range records {
+		if i := slices.IndexFunc(out, func(p Product) bool { return p.Path == r.Path }); i >= 0 {
+			out[i] = r
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// foldDownstream is the transitive closure of products over Inputs from
+// path, path excluded, in first-commit order.
+func foldDownstream(products []Product, path string) []string {
+	tainted := map[string]bool{path: true}
+	for changed := true; changed; {
+		changed = false
+		for _, p := range products {
+			if !tainted[p.Path] && slices.ContainsFunc(p.Inputs, func(in string) bool { return tainted[in] }) {
+				tainted[p.Path], changed = true, true
+			}
+		}
+	}
+	var out []string
+	for _, p := range products {
+		if p.Path != path && tainted[p.Path] {
+			out = append(out, p.Path)
+		}
+	}
+	return out
 }
 
 func TestDownstreamClosure(t *testing.T) {

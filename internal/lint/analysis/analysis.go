@@ -1,18 +1,13 @@
-// Package analysis is a self-contained, stdlib-only re-implementation of
-// the core of golang.org/x/tools/go/analysis — just enough surface for
-// the workflowlint suite (internal/lint) and its driver
-// (cmd/workflowlint) to be written against the upstream API shape.
-//
-// The build environment for this repository is hermetic: no module
-// downloads are possible, and x/tools is not vendored. Rather than give
-// up machine-checked invariants, the checkers are written against this
-// mirror of the upstream types; if x/tools ever becomes available the
-// analyzers port with an import-path change only. The mirror covers
-// analyzers, diagnostics, analyzer dependencies (`Requires`/`ResultOf`),
-// object/package Facts held in an in-memory store (see facts.go) so
-// interprocedural results cross package boundaries, and suggested fixes
-// (textual edits attached to diagnostics, applied by the driver's -fix
-// mode; see fix.go).
+// Package analysis is a small, stdlib-only re-implementation of the core
+// of golang.org/x/tools/go/analysis: the surface the workflowlint suite
+// (internal/lint) and its driver (cmd/workflowlint) are written against.
+// The build is hermetic, so x/tools cannot be imported; names follow
+// upstream's, not its full API. The package covers analyzers,
+// diagnostics, object/package Facts held in an in-memory store (see
+// facts.go) so interprocedural results cross package boundaries,
+// suggested fixes (textual edits attached to diagnostics, applied by the
+// driver's -fix mode; see fix.go), and one function index per package
+// (see index.go) that every analyzer on the package shares.
 package analysis
 
 import (
@@ -35,14 +30,8 @@ type Analyzer struct {
 
 	// Run applies the analyzer to a package. It may report diagnostics
 	// via the Pass and may return an error, which aborts the analysis of
-	// the package (reserved for internal failures, not findings). The
-	// returned value is exposed to dependent analyzers via Pass.ResultOf.
-	Run func(*Pass) (any, error)
-
-	// Requires lists analyzers that must run before this one on the same
-	// package; their results appear in Pass.ResultOf. Drivers (Execute)
-	// schedule the transitive closure in dependency order.
-	Requires []*Analyzer
+	// the package (reserved for internal failures, not findings).
+	Run func(*Pass) error
 
 	// FactTypes lists the fact types this analyzer exports or imports,
 	// one zero value per type. An analyzer with a non-empty FactTypes is
@@ -61,9 +50,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// ResultOf maps each analyzer in Analyzer.Requires to its Run result
-	// for this package. Set by the driver.
-	ResultOf map[*Analyzer]any
+	// Funcs returns the package's function index (see index.go), built
+	// the first time any analyzer on the package asks. Set by the driver.
+	Funcs func() []*Func
 
 	// Report delivers one diagnostic. Set by the driver.
 	Report func(Diagnostic)

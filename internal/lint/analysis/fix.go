@@ -129,8 +129,8 @@ func ApplyFixes(fset *token.FileSet, diags []Diagnostic, read func(filename stri
 // Diff renders a minimal line diff between old and new file content for
 // -diff mode: common prefix and suffix lines are trimmed and the single
 // changed region is shown with -/+ markers. Not a full LCS — fixes in
-// this suite are local, and a one-hunk diff keeps the CI drift gate's
-// output readable without pulling in a diff dependency.
+// this suite are local, and a one-hunk diff keeps -fix -diff's output
+// readable without pulling in a diff dependency.
 func Diff(filename string, oldSrc, newSrc []byte) string {
 	if string(oldSrc) == string(newSrc) {
 		return ""

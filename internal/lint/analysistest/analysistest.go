@@ -17,8 +17,8 @@
 // GOPATH-style: `import "mpistub"` resolves to testdata/src/mpistub.
 // Fixture dependencies are themselves analyzed first (facts only,
 // diagnostics ignored) so cross-package facts flow exactly as they do
-// under the real drivers. Analyzer Requires are honored via the shared
-// analysis.Execute scheduler.
+// under the real drivers, through the same analysis.Execute the CLI
+// calls.
 package analysistest
 
 import (

@@ -35,17 +35,18 @@ var writeOpenFlags = map[string]bool{
 	"O_CREATE": true, "O_TRUNC": true,
 }
 
-func runAtomicWrite(pass *analysis.Pass) (any, error) {
+func runAtomicWrite(pass *analysis.Pass) error {
 	r := newReporter(pass)
-	inProductPkg := directWritePkgs[pass.Pkg.Name()]
+	for _, fc := range pass.Funcs() {
+		if !isTestFile(pass.Fset, fc.Body.Pos()) {
+			checkRenameSync(pass, r, fc.Body)
+		}
+	}
+	if !directWritePkgs[pass.Pkg.Name()] {
+		return nil
+	}
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		funcBodies([]*ast.File{f}, func(name string, body *ast.BlockStmt) {
-			checkRenameSync(pass, r, body)
-		})
-		if !inProductPkg {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -53,7 +54,7 @@ func runAtomicWrite(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(pass.TypesInfo, call)
+			fn := analysis.Callee(pass.TypesInfo, call)
 			switch {
 			case isPkgFunc(fn, "os", "Create"), isPkgFunc(fn, "os", "WriteFile"),
 				isPkgFunc(fn, "os", "CreateTemp"):
@@ -69,7 +70,7 @@ func runAtomicWrite(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // openFileWritable reports whether an os.OpenFile call's flag argument
@@ -96,25 +97,25 @@ func openFileWritable(call *ast.CallExpr) bool {
 }
 
 // checkRenameSync flags os.Rename calls with no Sync call earlier in the
-// same function body.
+// same function body (nested literals are bodies of their own). Sync
+// may be an interface method: any Sync call counts.
 func checkRenameSync(pass *analysis.Pass, r *reporter, body *ast.BlockStmt) {
 	var syncs []token.Pos
 	var renames []*ast.CallExpr
-	bodyNodes(body, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
 		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if fn == nil {
-			return
+		if call, ok := n.(*ast.CallExpr); ok {
+			switch fn := analysis.Callee(pass.TypesInfo, call); {
+			case fn == nil:
+			case fn.Name() == "Sync":
+				syncs = append(syncs, call.Pos())
+			case isPkgFunc(fn, "os", "Rename"):
+				renames = append(renames, call)
+			}
 		}
-		if fn.Name() == "Sync" {
-			syncs = append(syncs, call.Pos())
-		}
-		if isPkgFunc(fn, "os", "Rename") {
-			renames = append(renames, call)
-		}
+		return true
 	})
 	for _, rename := range renames {
 		synced := false

@@ -18,7 +18,7 @@ import (
 //   - any value whose static type is the crash-consistency journal
 //     (*ckpt.Journal) — its Close error reports the final fsync's fate.
 //
-// The rules are flow-sensitive (CFG + dataflow over the ctrlflow pass):
+// The rules are flow-sensitive (dataflow over each function's CFG):
 //
 //  1. `defer f.Close()` is flagged unless every path from the defer to
 //     function exit either consumes a Close error (return f.Close(),
@@ -45,22 +45,20 @@ import (
 // that idiom when the enclosing function has a named error result
 // `err` (applied by `workflowlint -fix`).
 var CloseCheck = &analysis.Analyzer{
-	Name:     "closecheck",
-	Doc:      "forbid dropping the Close error of write-opened files and journals on any path",
-	Run:      runCloseCheck,
-	Requires: []*analysis.Analyzer{CtrlFlow},
+	Name: "closecheck",
+	Doc:  "forbid dropping the Close error of write-opened files and journals on any path",
+	Run:  runCloseCheck,
 }
 
-func runCloseCheck(pass *analysis.Pass) (any, error) {
-	flow := pass.ResultOf[CtrlFlow].(*CFGResult)
+func runCloseCheck(pass *analysis.Pass) error {
 	r := newReporter(pass)
-	for _, fc := range flow.Order {
+	for _, fc := range pass.Funcs() {
 		if isTestFile(pass.Fset, fc.Body.Pos()) {
 			continue
 		}
 		checkCloses(pass, r, fc)
 	}
-	return nil, nil
+	return nil
 }
 
 // closeKind distinguishes the two tracked handle classes for messages.
@@ -79,26 +77,29 @@ type closeCall struct {
 	kind closeKind
 }
 
-func checkCloses(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
+func checkCloses(pass *analysis.Pass, r *reporter, fc *analysis.Func) {
 	info := pass.TypesInfo
 	body := fc.Body
 
 	// Objects bound from write-opening calls in this body.
 	writeOpened := map[types.Object]bool{}
-	bodyNodes(body, func(n ast.Node) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
-			return
+			return true
 		}
 		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 		if !ok {
-			return
+			return true
 		}
-		fn := calleeFunc(info, call)
+		fn := analysis.Callee(info, call)
 		opensForWrite := isPkgFunc(fn, "os", "Create") || isPkgFunc(fn, "os", "CreateTemp") ||
 			(isPkgFunc(fn, "os", "OpenFile") && openFileWritable(call))
 		if !opensForWrite {
-			return
+			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
 			if obj := info.Defs[id]; obj != nil {
@@ -107,6 +108,7 @@ func checkCloses(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
 				writeOpened[obj] = true
 			}
 		}
+		return true
 	})
 
 	// trackedClose classifies a call as recv.Close() on a tracked handle.
@@ -199,7 +201,7 @@ func checkCloses(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
 		return how + " discards the close error on a file opened for writing; a failed flush is silent data loss — capture it into a named return"
 	}
 
-	for _, blk := range fc.G.Blocks {
+	for _, blk := range fc.CFG.Blocks {
 		if !blk.Live {
 			continue
 		}
@@ -246,7 +248,7 @@ func checkCloses(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
 // `defer f.Close()`: it applies only when the enclosing function has a
 // named error result `err` (so the capture compiles) and the receiver
 // renders cleanly.
-func deferCloseFix(pass *analysis.Pass, fc *FuncCFG, def *ast.DeferStmt, cc closeCall) (analysis.SuggestedFix, bool) {
+func deferCloseFix(pass *analysis.Pass, fc *analysis.Func, def *ast.DeferStmt, cc closeCall) (analysis.SuggestedFix, bool) {
 	recv := exprString(cc.recv)
 	if recv == "?" || !hasNamedErrResult(pass.TypesInfo, fc) {
 		return analysis.SuggestedFix{}, false
@@ -264,8 +266,8 @@ func deferCloseFix(pass *analysis.Pass, fc *FuncCFG, def *ast.DeferStmt, cc clos
 
 // hasNamedErrResult reports whether fc's result list includes an
 // error-typed result named exactly "err".
-func hasNamedErrResult(info *types.Info, fc *FuncCFG) bool {
-	for _, id := range fc.resultNames() {
+func hasNamedErrResult(info *types.Info, fc *analysis.Func) bool {
+	for _, id := range resultNames(fc) {
 		if id.Name == "err" {
 			if obj := info.Defs[id]; obj != nil && isErrorType(obj.Type()) {
 				return true

@@ -18,7 +18,7 @@ import (
 // degraded or repaired re-run rewrites the same bytes. One table of
 // sources (detSourceLabel), one sanitizer (time.Since) and one
 // canonicalizer list (detInPlace), all read off one forward may-taint
-// solve per function over the ctrlflow graphs, with summaries carrying
+// solve per function over its CFG, with summaries carrying
 // taint across functions and packages. A source value is reported where
 // it reaches a product write (an argument of a productWriteRoot) or an
 // obs span timestamp, with the witness path of variable and call hops
@@ -38,7 +38,6 @@ var DetTaint = &analysis.Analyzer{
 	Name:      "dettaint",
 	Doc:       "forbid ambient entropy (global rand, wall clock, map order) in the deterministic packages and track it interprocedurally into product writes",
 	Run:       runDetTaint,
-	Requires:  []*analysis.Analyzer{CtrlFlow},
 	FactTypes: []analysis.Fact{(*DetTaintSummary)(nil)},
 }
 
@@ -155,12 +154,12 @@ func streamWrite(fn *types.Func, recv bool) string {
 	return ""
 }
 
-func runDetTaint(pass *analysis.Pass) (any, error) {
-	flow := pass.ResultOf[CtrlFlow].(*CFGResult)
+func runDetTaint(pass *analysis.Pass) error {
+	funcs := pass.Funcs()
 	d := &detPass{pass: pass, summaries: map[*types.Func]*DetTaintSummary{}}
-	fns := make([]*detFunc, len(flow.Order))
+	fns := make([]*detFunc, len(funcs))
 	callersOf := map[*types.Func][]int{}
-	for i, fc := range flow.Order {
+	for i, fc := range funcs {
 		fns[i] = d.newFunc(fc, isDeterministicPkg(pass.Pkg) && !isTestFile(pass.Fset, fc.Body.Pos()))
 		for _, callee := range fns[i].callees {
 			callersOf[callee] = append(callersOf[callee], i)
@@ -223,7 +222,7 @@ func runDetTaint(pass *analysis.Pass) (any, error) {
 			"nondeterministic value from %s reaches %s (witness: %s); the product cannot be byte-compared across re-runs — derive it deterministically or canonicalize (sort) before writing",
 			f.source, f.sink, strings.Join(f.path.hops(), " → "))
 	}
-	return nil, nil
+	return nil
 }
 
 // detPass is the package-level state of one dettaint run.
@@ -393,7 +392,7 @@ func equalDetVars(a, b detVars) bool {
 // detFunc is one function body under analysis.
 type detFunc struct {
 	d      *detPass
-	fc     *FuncCFG
+	fc     *analysis.Func
 	info   *types.Info
 	kernel bool // the kernel rules apply to this body
 
@@ -426,7 +425,7 @@ type detReport struct {
 	order   map[token.Pos]analysis.Diagnostic // rule 3: earliest hit per range
 }
 
-func (d *detPass) newFunc(fc *FuncCFG, kernel bool) *detFunc {
+func (d *detPass) newFunc(fc *analysis.Func, kernel bool) *detFunc {
 	info := d.pass.TypesInfo
 	f := &detFunc{
 		d: d, fc: fc, info: info, kernel: kernel,
@@ -495,7 +494,7 @@ func (d *detPass) newFunc(fc *FuncCFG, kernel bool) *detFunc {
 				f.memVars[localVar(id)] = true
 			}
 		case *ast.CallExpr:
-			fn := calleeFunc(info, n)
+			fn := analysis.Callee(info, n)
 			if fn != nil && !seen[fn] {
 				seen[fn] = true
 				f.callees = append(f.callees, fn)
@@ -574,7 +573,7 @@ func (f *detFunc) analyze() *detReport {
 	var sol map[*cfg.Block]detVars
 	for f.grew = true; f.grew; {
 		f.grew = false
-		sol = cfg.Forward(f.fc.G, entry, transfer, joinDetVars, equalDetVars)
+		sol = cfg.Forward(f.fc.CFG, entry, transfer, joinDetVars, equalDetVars)
 	}
 
 	if f.kernel {
@@ -582,7 +581,7 @@ func (f *detFunc) analyze() *detReport {
 		rep.order = map[token.Pos]analysis.Diagnostic{}
 	}
 	f.rep = rep
-	for _, b := range f.fc.G.Blocks {
+	for _, b := range f.fc.CFG.Blocks {
 		if in, ok := sol[b]; ok {
 			transfer(b, in)
 		}
@@ -917,7 +916,7 @@ func (f *detFunc) call(call *ast.CallExpr) detSet {
 	// Operands, receiver first; an indirect call's function value is
 	// operand 0. time.Since and Time.Sub read a raw time.Now without
 	// consuming it.
-	fn := calleeFunc(info, call)
+	fn := analysis.Callee(info, call)
 	arg := f.operand
 	if readsClock(fn) {
 		arg = func(e ast.Expr) detSet { return f.eval(e).clearSites(detElem.rawNow) }

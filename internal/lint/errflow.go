@@ -19,7 +19,7 @@ import (
 // A call site discards such an error when the call is a bare statement,
 // a `go`/`defer` statement, or an assignment with `_` in every
 // error-typed result position. Additionally — flow-sensitively, over
-// the ctrlflow CFGs — an error captured into a variable is flagged when
+// each function's CFG — an error captured into a variable is flagged when
 // some path to function exit neither reads it nor overwrites-after-
 // reading it (a write error checked on every path is clean; one
 // dropped on any path is not). A dropped write error is silent data
@@ -33,7 +33,6 @@ var ErrFlow = &analysis.Analyzer{
 	Name:      "errflow",
 	Doc:       "forbid discarding errors that propagate from the fs/gio/ckpt/catalog write entry points",
 	Run:       runErrFlow,
-	Requires:  []*analysis.Analyzer{CallGraph, CtrlFlow},
 	FactTypes: []analysis.Fact{(*WriteErrorSource)(nil)},
 }
 
@@ -68,16 +67,15 @@ func returnsError(fn *types.Func) bool {
 	return false
 }
 
-func runErrFlow(pass *analysis.Pass) (any, error) {
-	cg := pass.ResultOf[CallGraph].(*CallGraphResult)
+func runErrFlow(pass *analysis.Pass) error {
 	r := newReporter(pass)
 
 	// Phase 1: transitive write-error sources for this package's
 	// functions. A function propagates iff it returns an error and calls
 	// a root or a propagator.
-	calleeRoots := cg.closure(pass.Pkg, labelClosure{
-		seed: func(n *CallNode) map[string]bool {
-			if !returnsError(n.Fn) {
+	calleeRoots := closure(pass, labelClosure{
+		seed: func(f *analysis.Func) map[string]bool {
+			if !returnsError(f.Fn) {
 				return nil
 			}
 			return map[string]bool{}
@@ -96,7 +94,7 @@ func runErrFlow(pass *analysis.Pass) (any, error) {
 	// siteRoots resolves a call expression to the write roots whose
 	// errors it can return.
 	siteRoots := func(call *ast.CallExpr) (*types.Func, []string) {
-		fn := calleeFunc(pass.TypesInfo, call)
+		fn := analysis.Callee(pass.TypesInfo, call)
 		if fn == nil {
 			return nil, nil
 		}
@@ -132,23 +130,22 @@ func runErrFlow(pass *analysis.Pass) (any, error) {
 
 	// Phase 3 (flow-sensitive): write errors captured into variables
 	// must be consumed on every path to exit.
-	flow := pass.ResultOf[CtrlFlow].(*CFGResult)
-	for _, fc := range flow.Order {
+	for _, fc := range pass.Funcs() {
 		if isTestFile(pass.Fset, fc.Body.Pos()) {
 			continue
 		}
 		checkCapturedErrors(pass, r, fc, siteRoots)
 	}
-	return nil, nil
+	return nil
 }
 
 // checkCapturedErrors flags assignments that capture a write error into
 // a variable some path then drops: the variable is not read (before
 // being overwritten) on every path from the assignment to exit. Bare
 // returns in named-result functions count as reads of the result.
-func checkCapturedErrors(pass *analysis.Pass, r *reporter, fc *FuncCFG, siteRoots func(*ast.CallExpr) (*types.Func, []string)) {
+func checkCapturedErrors(pass *analysis.Pass, r *reporter, fc *analysis.Func, siteRoots func(*ast.CallExpr) (*types.Func, []string)) {
 	info := pass.TypesInfo
-	for _, blk := range fc.G.Blocks {
+	for _, blk := range fc.CFG.Blocks {
 		if !blk.Live {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 
+	"repro/internal/lint/analysis"
 	"repro/internal/lint/analysis/cfg"
 )
 
@@ -18,10 +19,27 @@ import (
 // `if err == nil { err = cerr }` idiom deliberately reads it on one
 // branch only).
 
+// resultNames lists the identifiers of fc's named results.
+func resultNames(fc *analysis.Func) []*ast.Ident {
+	var results *ast.FieldList
+	if fc.Decl != nil {
+		results = fc.Decl.Type.Results
+	} else {
+		results = fc.Lit.Type.Results
+	}
+	var names []*ast.Ident
+	if results != nil {
+		for _, field := range results.List {
+			names = append(names, field.Names...)
+		}
+	}
+	return names
+}
+
 // isNamedResult reports whether obj is one of fc's named result
 // variables (a bare `return` then reads it).
-func isNamedResult(info *types.Info, fc *FuncCFG, obj types.Object) bool {
-	for _, id := range fc.resultNames() {
+func isNamedResult(info *types.Info, fc *analysis.Func, obj types.Object) bool {
+	for _, id := range resultNames(fc) {
 		if info.Defs[id] == obj {
 			return true
 		}
@@ -68,7 +86,7 @@ func nodeReadsWrites(info *types.Info, n ast.Node, obj types.Object) (reads, wri
 // consumedAfter returns, for every CFG node of fc, whether obj's value
 // immediately after that node executes is read before being overwritten
 // on every (must=true) or some (must=false) path to exit.
-func consumedAfter(info *types.Info, fc *FuncCFG, obj types.Object, must bool) map[ast.Node]bool {
+func consumedAfter(info *types.Info, fc *analysis.Func, obj types.Object, must bool) map[ast.Node]bool {
 	named := isNamedResult(info, fc, obj)
 	return stateAfter(fc, must, func(n ast.Node, state bool) bool {
 		if ret, ok := n.(*ast.ReturnStmt); ok && named && len(ret.Results) == 0 {
@@ -89,7 +107,7 @@ func consumedAfter(info *types.Info, fc *FuncCFG, obj types.Object, must bool) m
 // maps the state after a node to the state before it, exit starts
 // false, and paths join by AND (must) or OR — and returns the state
 // immediately after every live node.
-func stateAfter(fc *FuncCFG, must bool, step func(n ast.Node, after bool) bool) map[ast.Node]bool {
+func stateAfter(fc *analysis.Func, must bool, step func(n ast.Node, after bool) bool) map[ast.Node]bool {
 	transfer := func(b *cfg.Block, out bool) bool {
 		state := out
 		for i := len(b.Nodes) - 1; i >= 0; i-- {
@@ -102,10 +120,10 @@ func stateAfter(fc *FuncCFG, must bool, step func(n ast.Node, after bool) bool) 
 		join = func(a, b bool) bool { return a && b }
 	}
 	eq := func(a, b bool) bool { return a == b }
-	sol := cfg.Backward(fc.G, false, transfer, join, eq)
+	sol := cfg.Backward(fc.CFG, false, transfer, join, eq)
 
 	after := map[ast.Node]bool{}
-	for _, b := range fc.G.Blocks {
+	for _, b := range fc.CFG.Blocks {
 		if !b.Live {
 			continue
 		}
@@ -160,10 +178,13 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 func guardedErrorNodes(info *types.Info, body *ast.BlockStmt) (inGuard, errReturns map[ast.Node]bool) {
 	inGuard = map[ast.Node]bool{}
 	errReturns = map[ast.Node]bool{}
-	bodyNodes(body, func(n ast.Node) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
 		ifs, ok := n.(*ast.IfStmt)
 		if !ok || !errNonNilCond(info, ifs.Cond) {
-			return
+			return true
 		}
 		ast.Inspect(ifs.Body, func(x ast.Node) bool {
 			if _, ok := x.(*ast.FuncLit); ok {
@@ -178,6 +199,7 @@ func guardedErrorNodes(info *types.Info, body *ast.BlockStmt) (inGuard, errRetur
 			}
 			return true
 		})
+		return true
 	})
 	return inGuard, errReturns
 }

@@ -35,9 +35,9 @@ import (
 
 // Analyzers returns the full workflowlint suite in stable order, one
 // analyzer per invariant: LockOrder is the only lock analyzer, DetTaint
-// the only determinism analyzer. CallGraph and CtrlFlow are
-// infrastructure, pulled in via Requires, and are deliberately not
-// listed.
+// the only determinism analyzer. The call sites and control-flow graphs
+// they share come from the package's function index (Pass.Funcs), not
+// from analyzers of their own.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		AtomicWrite,
@@ -123,22 +123,6 @@ func (r *reporter) report(d analysis.Diagnostic) {
 	r.pass.Report(d)
 }
 
-// calleeFunc resolves a call expression to the *types.Func it invokes
-// (method or function), or nil for indirect/builtin calls.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
-
 // isPkgFunc reports whether fn is the package-level function pkgPath.name
 // (not a method).
 func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
@@ -147,40 +131,6 @@ func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
-}
-
-// funcBodies yields every function body in the files — declarations and
-// literals, nested literals included as their own entries. Pair with
-// bodyNodes, which does not descend into nested literals, so each body
-// is scanned exactly once and in its own scope.
-func funcBodies(files []*ast.File, visit func(name string, body *ast.BlockStmt)) {
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					visit(fn.Name.Name, fn.Body)
-				}
-			case *ast.FuncLit:
-				visit("func literal", fn.Body)
-			}
-			return true
-		})
-	}
-}
-
-// bodyNodes visits the nodes of one function body in preorder, skipping
-// nested function literals (funcBodies yields those separately).
-func bodyNodes(body *ast.BlockStmt, visit func(n ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }
 
 // exprString renders a (small) expression back to source, used to key

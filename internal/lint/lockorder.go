@@ -13,8 +13,7 @@ import (
 
 // LockOrder is the lock analyzer. Per function it computes the set of
 // locks held at every program point (a forward may/must dataflow over
-// the CFG from ctrlflow) and reads every lock verdict off that one
-// solution:
+// its CFG) and reads every lock verdict off that one solution:
 //
 //   - lock-order inversion: lock B acquired while A is held somewhere,
 //     and A acquired while B is held (directly or through a chain)
@@ -63,7 +62,6 @@ var LockOrder = &analysis.Analyzer{
 	Name:      "lockorder",
 	Doc:       "detect lock-order inversions, double locks, unlocks of unheld locks, leaked locks, and channel ops under locks",
 	Run:       runLockOrder,
-	Requires:  []*analysis.Analyzer{CallGraph, CtrlFlow},
 	FactTypes: []analysis.Fact{(*LockSummary)(nil), (*LockEdges)(nil)},
 }
 
@@ -215,22 +213,20 @@ type orderedPair struct {
 	pos           token.Pos
 }
 
-func runLockOrder(pass *analysis.Pass) (any, error) {
-	cg := pass.ResultOf[CallGraph].(*CallGraphResult)
-	flow := pass.ResultOf[CtrlFlow].(*CFGResult)
+func runLockOrder(pass *analysis.Pass) error {
 	r := newReporter(pass)
 	info := pass.TypesInfo
 
-	// --- Phase A: per-function may-acquire summaries (callgraph
-	// closure, exported as LockSummary facts) ---
+	// --- Phase A: per-function may-acquire summaries (label closure
+	// over the static calls, exported as LockSummary facts) ---
 
-	acquiredBy := cg.closure(pass.Pkg, labelClosure{
-		seed: func(node *CallNode) map[string]bool {
-			if isTestFile(pass.Fset, node.Decl.Pos()) {
+	acquiredBy := closure(pass, labelClosure{
+		seed: func(f *analysis.Func) map[string]bool {
+			if isTestFile(pass.Fset, f.Decl.Pos()) {
 				return nil
 			}
 			set := map[string]bool{}
-			ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+			ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 				if ev, ok := syncMethodEvt(info, n); ok && ev.op == opAcquire && ev.global != "" {
 					set[ev.global] = true
 				}
@@ -250,8 +246,8 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 	// A function literal that is the operand of a defer runs at its
 	// parent's exit, under whatever the parent still holds.
 	deferredLits := map[*ast.FuncLit]bool{}
-	for _, fc := range flow.Order {
-		for _, def := range fc.G.Defers {
+	for _, fc := range pass.Funcs() {
+		for _, def := range fc.CFG.Defers {
 			if lit, ok := def.Call.Fun.(*ast.FuncLit); ok {
 				deferredLits[lit] = true
 			}
@@ -276,7 +272,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 		pairs = append(pairs, orderedPair{before, after, pos})
 	}
 
-	for _, fc := range flow.Order {
+	for _, fc := range pass.Funcs() {
 		if isTestFile(pass.Fset, fc.Body.Pos()) {
 			continue
 		}
@@ -304,7 +300,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 		// holds nothing anywhere, so it can produce neither a diagnostic
 		// nor a pair — skip the dataflow solve entirely.
 		any := false
-		for _, blk := range fc.G.Blocks {
+		for _, blk := range fc.CFG.Blocks {
 			if !blk.Live || any {
 				continue
 			}
@@ -323,7 +319,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 		// Unlocks the function defers — directly or inside a deferred
 		// literal — release at exit whatever a path still holds.
 		deferred := map[string]bool{}
-		for _, def := range fc.G.Defers {
+		for _, def := range fc.CFG.Defers {
 			ast.Inspect(def.Call, func(n ast.Node) bool {
 				if ev, ok := syncMethodEvt(info, n); ok && ev.op == opRelease {
 					deferred[ev.key] = true
@@ -347,9 +343,9 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 			}
 			return out
 		}
-		sol := cfg.Forward(fc.G, lockState{}, transfer, joinLockState, equalLockState)
+		sol := cfg.Forward(fc.CFG, lockState{}, transfer, joinLockState, equalLockState)
 
-		for _, blk := range fc.G.Blocks {
+		for _, blk := range fc.CFG.Blocks {
 			if !blk.Live {
 				continue
 			}
@@ -423,7 +419,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 				}
 			}
 		}
-		if exit := fc.G.Exit; exit.Live {
+		if exit := fc.CFG.Exit; exit.Live {
 			atExit := sol[exit]
 			for _, h := range sortedStateKeys(atExit) {
 				if atExit[h]&mustHeld != 0 && !deferred[h] {
@@ -484,7 +480,7 @@ func runLockOrder(pass *analysis.Pass) (any, error) {
 		})
 		pass.ExportPackageFact(&LockEdges{Pairs: out})
 	}
-	return nil, nil
+	return nil
 }
 
 var lockMethods = map[string]bool{"Lock": true, "RLock": true}
@@ -504,7 +500,7 @@ func syncMethodEvt(info *types.Info, n ast.Node) (lockEvt, bool) {
 	if !ok {
 		return lockEvt{}, false
 	}
-	fn := calleeFunc(info, call)
+	fn := analysis.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return lockEvt{}, false
 	}
@@ -555,7 +551,7 @@ func nodeLockEvents(info *types.Info, n ast.Node) []lockEvt {
 				evts = append(evts, ev)
 				return true
 			}
-			if fn := calleeFunc(info, x); fn != nil {
+			if fn := analysis.Callee(info, x); fn != nil {
 				evts = append(evts, lockEvt{op: opCall, pos: x.Pos(), callee: fn})
 			}
 		}

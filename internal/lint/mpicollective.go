@@ -53,7 +53,6 @@ var MPICollective = &analysis.Analyzer{
 	Name:      "mpicollective",
 	Doc:       "forbid MPI collectives reachable under rank-dependent control flow (SPMD collective-ordering)",
 	Run:       runMPICollective,
-	Requires:  []*analysis.Analyzer{CallGraph},
 	FactTypes: []analysis.Fact{(*CallsCollective)(nil)},
 }
 
@@ -103,14 +102,13 @@ func directCollective(fn *types.Func) (string, bool) {
 	return fn.Name(), true
 }
 
-func runMPICollective(pass *analysis.Pass) (any, error) {
-	cg := pass.ResultOf[CallGraph].(*CallGraphResult)
+func runMPICollective(pass *analysis.Pass) error {
 	r := newReporter(pass)
 
 	// Phase 1: transitive "reaches collectives" sets for every function
 	// declared in this package, exported as facts.
-	calleeSet := cg.closure(pass.Pkg, labelClosure{
-		seed:   func(*CallNode) map[string]bool { return map[string]bool{} },
+	calleeSet := closure(pass, labelClosure{
+		seed:   func(*analysis.Func) map[string]bool { return map[string]bool{} },
 		direct: directCollective,
 		imported: func(fn *types.Func) []string {
 			var fact CallsCollective
@@ -125,7 +123,7 @@ func runMPICollective(pass *analysis.Pass) (any, error) {
 	// siteCollectives resolves one call site to the collectives it
 	// reaches, and a label for diagnostics.
 	siteCollectives := func(call *ast.CallExpr) ([]string, string) {
-		fn := calleeFunc(pass.TypesInfo, call)
+		fn := analysis.Callee(pass.TypesInfo, call)
 		if fn == nil {
 			return nil, ""
 		}
@@ -141,10 +139,12 @@ func runMPICollective(pass *analysis.Pass) (any, error) {
 	}
 
 	// Phase 2: rank-dependent control flow, per declared function.
-	for _, fn := range cg.Order {
-		checkRankFlow(pass, r, cg.Nodes[fn].Decl, siteCollectives)
+	for _, f := range pass.Funcs() {
+		if f.Fn != nil {
+			checkRankFlow(pass, r, f.Decl, siteCollectives)
+		}
 	}
-	return nil, nil
+	return nil
 }
 
 // isRankField matches a selector for the rank field of mpi.Comm — the
@@ -167,7 +167,7 @@ func rankDependent(info *types.Info, tainted map[types.Object]bool, e ast.Expr) 
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fn := calleeFunc(info, n); fn != nil {
+			if fn := analysis.Callee(info, n); fn != nil {
 				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && isMPIComm(sig.Recv().Type()) {
 					if fn.Name() == "Rank" {
 						found = true

@@ -30,7 +30,7 @@ var SentinelWrap = &analysis.Analyzer{
 	Run:  runSentinelWrap,
 }
 
-func runSentinelWrap(pass *analysis.Pass) (any, error) {
+func runSentinelWrap(pass *analysis.Pass) error {
 	r := newReporter(pass)
 	info := pass.TypesInfo
 	for _, f := range pass.Files {
@@ -75,7 +75,7 @@ func runSentinelWrap(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 // sentinelErrorVar reports whether e refers to a package-level error
@@ -112,7 +112,7 @@ func sentinelErrorVar(info *types.Info, e ast.Expr) (string, bool) {
 
 // checkErrorfWrap applies rule 2 to one call.
 func checkErrorfWrap(pass *analysis.Pass, r *reporter, call *ast.CallExpr) {
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := analysis.Callee(pass.TypesInfo, call)
 	if !isPkgFunc(fn, "fmt", "Errorf") || len(call.Args) < 2 {
 		return
 	}

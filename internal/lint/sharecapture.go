@@ -35,22 +35,20 @@ import (
 // exemption; the drive-by `go logStats()` mutating a shared counter
 // does not.
 var ShareCapture = &analysis.Analyzer{
-	Name:     "sharecapture",
-	Doc:      "flag goroutine closures whose captured-variable writes race: loop-shared writes and unjoined post-spawn reads",
-	Run:      runShareCapture,
-	Requires: []*analysis.Analyzer{CtrlFlow},
+	Name: "sharecapture",
+	Doc:  "flag goroutine closures whose captured-variable writes race: loop-shared writes and unjoined post-spawn reads",
+	Run:  runShareCapture,
 }
 
-func runShareCapture(pass *analysis.Pass) (any, error) {
-	flow := pass.ResultOf[CtrlFlow].(*CFGResult)
+func runShareCapture(pass *analysis.Pass) error {
 	r := newReporter(pass)
-	for _, fc := range flow.Order {
+	for _, fc := range pass.Funcs() {
 		if isTestFile(pass.Fset, fc.Body.Pos()) {
 			continue
 		}
 		checkShareCapture(pass, r, fc)
 	}
-	return nil, nil
+	return nil
 }
 
 // capturedWrite describes one write inside a goroutine closure to a
@@ -65,9 +63,9 @@ type capturedWrite struct {
 	mapWrite bool
 }
 
-func checkShareCapture(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
+func checkShareCapture(pass *analysis.Pass, r *reporter, fc *analysis.Func) {
 	// Walk this body without descending into nested literals: a nested
-	// literal's own go statements belong to its own FuncCFG. Loop
+	// literal's own go statements belong to its own index entry. Loop
 	// ancestry within this body is tracked on the way down.
 	var loops []ast.Stmt
 	var walk func(n ast.Node) bool
@@ -91,7 +89,7 @@ func checkShareCapture(pass *analysis.Pass, r *reporter, fc *FuncCFG) {
 			}
 			checkGoLiteral(pass, r, fc, n, lit, append([]ast.Stmt(nil), loops...))
 			// Still descend: the literal may itself contain go stmts —
-			// but those belong to the literal's FuncCFG, and walk stops
+			// but those belong to the literal's entry, and walk stops
 			// at FuncLit anyway.
 		}
 		return true
@@ -120,7 +118,7 @@ func children(n ast.Node) []ast.Node {
 	return out
 }
 
-func checkGoLiteral(pass *analysis.Pass, r *reporter, fc *FuncCFG, g *ast.GoStmt, lit *ast.FuncLit, loops []ast.Stmt) {
+func checkGoLiteral(pass *analysis.Pass, r *reporter, fc *analysis.Func, g *ast.GoStmt, lit *ast.FuncLit, loops []ast.Stmt) {
 	info := pass.TypesInfo
 
 	if closureSynchronizes(info, lit) {
@@ -281,7 +279,7 @@ func closureSynchronizes(info *types.Info, lit *ast.FuncLit) bool {
 				case "Lock", "RLock", "Add", "Store", "Swap", "CompareAndSwap", "Load":
 					// Mutex methods, or sync/atomic value methods. "Add"
 					// also matches WaitGroup.Add — harmlessly quiet.
-					if fn := calleeFunc(info, n); fn != nil && fn.Pkg() != nil {
+					if fn := analysis.Callee(info, n); fn != nil && fn.Pkg() != nil {
 						switch fn.Pkg().Path() {
 						case "sync", "sync/atomic":
 							sync = true
@@ -290,7 +288,7 @@ func closureSynchronizes(info *types.Info, lit *ast.FuncLit) bool {
 						sync = true // unresolved: assume guarded
 					}
 				}
-			} else if fn := calleeFunc(info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
+			} else if fn := analysis.Callee(info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 				sync = true
 			}
 		}
@@ -303,11 +301,11 @@ func closureSynchronizes(info *types.Info, lit *ast.FuncLit) bool {
 // statement with no join node in between, using the enclosing
 // function's CFG. Returns the first such access position in block
 // order.
-func unjoinedAccess(info *types.Info, fc *FuncCFG, g *ast.GoStmt, lit *ast.FuncLit, obj types.Object) (token.Pos, bool) {
+func unjoinedAccess(info *types.Info, fc *analysis.Func, g *ast.GoStmt, lit *ast.FuncLit, obj types.Object) (token.Pos, bool) {
 	// Locate the go statement's block and offset.
 	var start *cfg.Block
 	startIdx := -1
-	for _, b := range fc.G.Blocks {
+	for _, b := range fc.CFG.Blocks {
 		if !b.Live {
 			continue
 		}
