@@ -54,7 +54,7 @@ const (
 
 // snapshot lazily evolves a 32³ box to z=0 and finds its halos; all
 // real-kernel benchmarks share it.
-func snapshot(b *testing.B) (*nbody.Simulation, *halo.Catalog, float64) {
+func snapshot(b testing.TB) (*nbody.Simulation, *halo.Catalog, float64) {
 	snapOnce.Do(func() {
 		params := cosmo.Default()
 		particles, a0, err := ic.Generate(params, ic.Options{NP: snapNP, Box: snapBox, ZInit: 50, Seed: 7})

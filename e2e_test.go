@@ -11,24 +11,47 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/gio"
 )
 
-// buildCmds compiles the command-line tools once into a shared temp dir.
+var (
+	cmdsOnce sync.Once
+	cmdsDir  string // removed by TestMain
+	cmdsErr  error
+)
+
+// buildCmds compiles the command-line tools once per test binary into a
+// shared temp dir; a failed build fails every test that asks for them.
 func buildCmds(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	for _, name := range []string{"hacc-sim", "cosmotools", "workflow-sim", "listener", "catalog-merge"} {
-		bin := filepath.Join(dir, name)
-		out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", name, err, out)
+	cmdsOnce.Do(func() {
+		if cmdsDir, cmdsErr = os.MkdirTemp("", "repro-cmds-"); cmdsErr != nil {
+			return
 		}
+		for _, name := range []string{"hacc-sim", "cosmotools", "workflow-sim", "listener", "catalog-merge"} {
+			out, err := exec.Command("go", "build", "-o", filepath.Join(cmdsDir, name), "./cmd/"+name).CombinedOutput()
+			if err != nil {
+				cmdsErr = fmt.Errorf("building %s: %v\n%s", name, err, out)
+				return
+			}
+		}
+	})
+	if cmdsErr != nil {
+		t.Fatal(cmdsErr)
 	}
-	return dir
+	return cmdsDir
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cmdsDir != "" {
+		os.RemoveAll(cmdsDir)
+	}
+	os.Exit(code)
 }
 
 // splitConfig is the CosmoTools config of the end-to-end runs: analysis at

@@ -176,26 +176,36 @@ func partition(span []int, lo, hi int, c []float64) int {
 	}
 	span[mid], span[hi] = span[hi], span[mid]
 	pivot := c[span[hi]]
+	// Lomuto's swaps, as selects instead of a branch on a coin flip: the
+	// compiler emits CMOV/SETcc, and span ends up exactly as with the branch.
 	i := lo
 	for j := lo; j < hi; j++ {
-		if c[span[j]] < pivot {
-			span[i], span[j] = span[j], span[i]
-			i++
+		v, w := span[i], span[j]
+		lt := c[w] < pivot
+		a, b := v, w
+		if lt {
+			a, b = w, v
 		}
+		span[i], span[j] = a, b
+		inc := 0
+		if lt {
+			inc = 1
+		}
+		i += inc
 	}
 	span[i], span[hi] = span[hi], span[i]
 	return i
 }
 
 // axisGap returns the distance between the intervals [aLo, aHi] and
-// [bLo, bHi] along one axis, between their nearest images when periodic.
-func (t *Tree) axisGap(aLo, aHi, bLo, bHi float64) float64 {
+// [bLo, bHi] along one axis, between their nearest images when period > 0.
+func axisGap(aLo, aHi, bLo, bHi, period float64) float64 {
 	g := axisGapOpen(aLo, aHi, bLo, bHi)
-	if t.Period > 0 && g > 0 { // no image is nearer than an overlap
-		if s := axisGapOpen(aLo+t.Period, aHi+t.Period, bLo, bHi); s < g {
+	if period > 0 && g > 0 { // no image is nearer than an overlap
+		if s := axisGapOpen(aLo+period, aHi+period, bLo, bHi); s < g {
 			g = s
 		}
-		if s := axisGapOpen(aLo-t.Period, aHi-t.Period, bLo, bHi); s < g {
+		if s := axisGapOpen(aLo-period, aHi-period, bLo, bHi); s < g {
 			g = s
 		}
 	}
@@ -205,25 +215,25 @@ func (t *Tree) axisGap(aLo, aHi, bLo, bHi float64) float64 {
 // Dist2 returns the squared (minimum-image when periodic) distance between
 // point i and the coordinates (x, y, z).
 func (t *Tree) Dist2(i int, x, y, z float64) float64 {
-	dx := t.delta(t.x[i] - x)
-	dy := t.delta(t.y[i] - y)
-	dz := t.delta(t.z[i] - z)
+	dx, dy, dz := t.x[i]-x, t.y[i]-y, t.z[i]-z
+	if p := t.Period; p > 0 {
+		dx, dy, dz = periodic.MinImage(dx, p), periodic.MinImage(dy, p), periodic.MinImage(dz, p)
+	}
 	return dx*dx + dy*dy + dz*dz
 }
 
-func (t *Tree) delta(d float64) float64 {
-	if t.Period > 0 {
-		return periodic.MinImage(d, t.Period)
-	}
-	return d
-}
-
 // boxDist2 returns the squared distance from (x,y,z) to node nb's bounding
-// box (0 when inside).
-func (t *Tree) boxDist2(nb *node, x, y, z float64) float64 {
-	dx := t.axisGap(x, x, nb.minB[0], nb.maxB[0])
-	dy := t.axisGap(y, y, nb.minB[1], nb.maxB[1])
-	dz := t.axisGap(z, z, nb.minB[2], nb.maxB[2])
+// box (0 when inside), minimum image when period > 0. The open gaps inline;
+// most calls, a join's leaf filter below the half-period hull, need no more.
+func boxDist2(nb *node, x, y, z, period float64) float64 {
+	dx := axisGapOpen(x, x, nb.minB[0], nb.maxB[0])
+	dy := axisGapOpen(y, y, nb.minB[1], nb.maxB[1])
+	dz := axisGapOpen(z, z, nb.minB[2], nb.maxB[2])
+	if period > 0 {
+		dx = axisGap(x, x, nb.minB[0], nb.maxB[0], period)
+		dy = axisGap(y, y, nb.minB[1], nb.maxB[1], period)
+		dz = axisGap(z, z, nb.minB[2], nb.maxB[2], period)
+	}
 	return dx*dx + dy*dy + dz*dz
 }
 
@@ -239,7 +249,7 @@ func (t *Tree) VisitWithin(x, y, z, r float64, visit func(j int) bool) {
 
 func (t *Tree) visitWithin(ni int, x, y, z, r2, near2 float64, visit func(j int) bool) bool {
 	nb := &t.nodes[ni]
-	if t.boxDist2(nb, x, y, z) > near2 {
+	if boxDist2(nb, x, y, z, t.Period) > near2 {
 		return true
 	}
 	if nb.left < 0 {
@@ -355,7 +365,7 @@ func (j *join) runTasks(lo, hi int) {
 		if tk[1] < 0 {
 			j.joinSelf(tk[0], lg)
 		} else {
-			j.joinCross(tk[0], tk[1], lg)
+			j.joinCross(tk[0], tk[1], j.t.Period, lg)
 		}
 	}
 }
@@ -367,22 +377,25 @@ func (j *join) joinSelf(a int, lg *joinLog) {
 	case j.bulk && maxSep2(na, na) <= j.r2:
 		lg.ev = append(lg.ev, ^a, -1)
 	case na.left < 0:
-		span := j.t.span(a)
+		span, p := j.t.span(a), linkPeriod(na, na, j.t.Period)
 		for k, i := range span {
-			j.joinPoint(i, span[k+1:], lg)
+			j.joinPoint(i, span[k+1:], p, lg)
 		}
 	default:
 		j.joinSelf(na.left, lg)
 		j.joinSelf(na.right, lg)
-		j.joinCross(na.left, na.right, lg)
+		j.joinCross(na.left, na.right, j.t.Period, lg)
 	}
 }
 
-// joinCross logs the pairs with one point in node a's span and one in b's.
-func (j *join) joinCross(a, b int, lg *joinLog) {
+// joinCross logs the pairs with one point in node a's span and one in b's,
+// minimum image when period > 0. Child boxes lie inside their parents', so
+// once linkPeriod opens a pair it stays open all the way down.
+func (j *join) joinCross(a, b int, period float64, lg *joinLog) {
 	t := j.t
 	na, nb := &t.nodes[a], &t.nodes[b]
-	if t.boxGap2(na, nb) > j.near2 {
+	p := linkPeriod(na, nb, period)
+	if boxGap2(na, nb, p) > j.near2 {
 		return
 	}
 	switch {
@@ -392,27 +405,41 @@ func (j *join) joinCross(a, b int, lg *joinLog) {
 		// Only points near the other leaf's box can link; order is kept.
 		lg.near = lg.near[:0]
 		for _, k := range t.span(b) {
-			if t.boxDist2(na, t.x[k], t.y[k], t.z[k]) <= j.near2 {
+			if boxDist2(na, t.x[k], t.y[k], t.z[k], p) <= j.near2 {
 				lg.near = append(lg.near, k)
 			}
 		}
 		for _, i := range t.span(a) {
-			if len(lg.near) > 0 && t.boxDist2(nb, t.x[i], t.y[i], t.z[i]) <= j.near2 {
-				j.joinPoint(i, lg.near, lg)
+			if len(lg.near) > 0 && boxDist2(nb, t.x[i], t.y[i], t.z[i], p) <= j.near2 {
+				j.joinPoint(i, lg.near, p, lg)
 			}
 		}
 	case nb.left < 0 || (na.left >= 0 && na.hi-na.lo >= nb.hi-nb.lo):
-		j.joinCross(na.left, b, lg)
-		j.joinCross(na.right, b, lg)
+		j.joinCross(na.left, b, p, lg)
+		j.joinCross(na.right, b, p, lg)
 	default:
-		j.joinCross(a, nb.left, lg)
-		j.joinCross(a, nb.right, lg)
+		j.joinCross(a, nb.left, p, lg)
+		j.joinCross(a, nb.right, p, lg)
 	}
 }
 
-// joinPoint logs the points of others within the radius of point i.
-func (j *join) joinPoint(i int, others []int, lg *joinLog) {
-	xs, ys, zs, period, r2 := j.t.x, j.t.y, j.t.z, j.t.Period, j.r2
+// linkPeriod returns 0 (open space) when the hull of na's and nb's boxes
+// spans less than half of period on every axis, and period otherwise.
+// Rounding is monotone, so no difference within such a hull exceeds its
+// span: every MinImage(d) is d + 0, and no image gap beats the open one.
+func linkPeriod(na, nb *node, period float64) float64 {
+	for a := 0; a < 3 && period > 0; a++ {
+		if 2*(max(na.maxB[a], nb.maxB[a])-min(na.minB[a], nb.minB[a])) >= period {
+			return period
+		}
+	}
+	return 0
+}
+
+// joinPoint logs the points of others within the radius of point i,
+// minimum image when period > 0.
+func (j *join) joinPoint(i int, others []int, period float64, lg *joinLog) {
+	xs, ys, zs, r2 := j.t.x, j.t.y, j.t.z, j.r2
 	x, y, z := xs[i], ys[i], zs[i]
 	for _, k := range others {
 		dx, dy, dz := xs[k]-x, ys[k]-y, zs[k]-z
@@ -429,10 +456,10 @@ func (j *join) joinPoint(i int, others []int, lg *joinLog) {
 // when they overlap): no point of na is nearer to nb's box by boxDist2
 // than this, so pruning on it skips nothing a descent from that point
 // would have reached.
-func (t *Tree) boxGap2(na, nb *node) float64 {
+func boxGap2(na, nb *node, period float64) float64 {
 	g2 := 0.0
 	for a := 0; a < 3; a++ {
-		g := t.axisGap(na.minB[a], na.maxB[a], nb.minB[a], nb.maxB[a])
+		g := axisGap(na.minB[a], na.maxB[a], nb.minB[a], nb.maxB[a], period)
 		g2 += g * g
 	}
 	return g2

@@ -62,7 +62,29 @@ func oracleClouds(rng *rand.Rand, box float64) []cloud {
 				math.Mod(cz+rng.NormFloat64()*0.15+box, box))
 		}
 	}
-	return []cloud{{name: "empty"}, uniform, few, coincident, lattice, straddle, clumps}
+	// Along each axis, pairs whose hull spans just under, exactly and just
+	// over box/2 (the span at which the join stops taking minimum images),
+	// and pairs that link only through the wrap, at 1, 0.25 and 1.5. A
+	// linkPeriod that drops its factor 2 fails on them; one that opens at
+	// exactly box/2 (> for >=), or a child pair that re-tests its hull
+	// instead of inheriting 0, reports the same pairs in the same order:
+	// MinImage(±box/2) = ∓box/2 squares alike, and child hulls lie inside
+	// their parents'. So no oracle test can fail either of those two.
+	half := cloud{name: "half-period hulls and wrap-only links"}
+	pairs := [][2]float64{
+		{1.25, math.Nextafter(box/2+1.25, 0)}, {1.5, box/2 + 1.5}, {1.75, math.Nextafter(box/2+1.75, box)},
+		{0, box - 1}, {0.125, box - 0.125}, {0.25, box - 1.25},
+	}
+	for a := 0; a < 3; a++ {
+		for k, pr := range pairs {
+			for _, u := range pr {
+				c := [3]float64{2 + 0.5*float64(k), 3 + 0.25*float64(k), 1 + 0.75*float64(k)}
+				c[a] = u
+				half.add(c[0], c[1], c[2])
+			}
+		}
+	}
+	return []cloud{{name: "empty"}, uniform, few, coincident, lattice, straddle, clumps, half}
 }
 
 // joinedPairs collects what PairsWithin reports, bulk spans expanded, and
@@ -418,6 +440,11 @@ func TestPairsWithinSequenceMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// boxDist2 with the tree's own period, the prune VisitWithin applies.
+func (t *Tree) boxDist2(nb *node, x, y, z float64) float64 {
+	return boxDist2(nb, x, y, z, t.Period)
 }
 
 // Across a periodic face a box gap can round above the Dist2 of the very

@@ -11,6 +11,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -24,11 +25,15 @@ type message struct {
 type World struct {
 	size  int
 	pipes [][]chan message // pipes[src][dst]
+	left  []chan struct{}  // left[r] is closed once rank r's function returned
 
 	barrierMu  sync.Mutex
 	barrierN   int
 	barrierGen int
 	barrierC   *sync.Cond
+	gone       int  // ranks that returned
+	down       bool // aborted is closed, under barrierMu
+	aborted    chan struct{}
 
 	reduceMu  sync.Mutex
 	reduceBuf map[int][]any // collective generation -> contributions by rank
@@ -39,9 +44,11 @@ func NewWorld(size int) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size %d must be positive", size)
 	}
-	w := &World{size: size, reduceBuf: map[int][]any{}}
+	w := &World{size: size, reduceBuf: map[int][]any{}, aborted: make(chan struct{})}
 	w.pipes = make([][]chan message, size)
+	w.left = make([]chan struct{}, size)
 	for s := range w.pipes {
+		w.left[s] = make(chan struct{})
 		w.pipes[s] = make([]chan message, size)
 		for d := range w.pipes[s] {
 			// Generous buffering: analysis exchanges post all sends before
@@ -75,7 +82,11 @@ func (c *Comm) Size() int { return c.world.size }
 // unless the destination's buffer (1024 in-flight messages) is full, which
 // matches the eager protocol small analysis messages rely on.
 func (c *Comm) Send(dst, tag int, payload any) {
-	c.world.pipes[c.rank][dst] <- message{tag, payload}
+	select {
+	case c.world.pipes[c.rank][dst] <- message{tag, payload}:
+	case <-c.world.aborted:
+		panic(abortSignal{})
+	}
 }
 
 // Recv blocks until a message with the given tag arrives from rank src and
@@ -87,7 +98,20 @@ func (c *Comm) Recv(src, tag int) any {
 	pipe := c.world.pipes[src][c.rank]
 	var stash []message
 	for {
-		m := <-pipe
+		var m message
+		select {
+		case m = <-pipe:
+		case <-c.world.aborted:
+			panic(abortSignal{})
+		case <-c.world.left[src]: // what src sent before it returned is still here
+			select {
+			case m = <-pipe:
+			case <-c.world.aborted: // src failed: its error is the world's
+				panic(abortSignal{})
+			default:
+				panic(abortSignal{fmt.Errorf("mpi: rank %d waits in Recv(%d, %d) on a rank that returned", c.rank, src, tag)})
+			}
+		}
 		if m.tag == tag {
 			// Requeue stashed messages in order.
 			for _, s := range stash {
@@ -103,18 +127,44 @@ func (c *Comm) Recv(src, tag int) any {
 func (c *Comm) Barrier() {
 	w := c.world
 	w.barrierMu.Lock()
+	defer w.barrierMu.Unlock()
+	if w.gone > 0 && !w.down {
+		panic(abortSignal{fmt.Errorf("mpi: rank %d entered a collective after a rank returned", c.rank)})
+	}
 	gen := w.barrierGen
 	w.barrierN++
 	if w.barrierN == w.size {
 		w.barrierN = 0
 		w.barrierGen++
 		w.barrierC.Broadcast()
-	} else {
-		for gen == w.barrierGen {
-			w.barrierC.Wait()
-		}
 	}
-	w.barrierMu.Unlock()
+	for gen == w.barrierGen {
+		if w.down {
+			panic(abortSignal{})
+		}
+		w.barrierC.Wait()
+	}
+}
+
+// abortSignal unwinds a rank; err is its own fault, nil if another's abort.
+type abortSignal struct{ err error }
+
+// leave records that rank returned with *err (or while others wait in a
+// barrier: an error too). An error aborts the world, as MPI_Abort does, and
+// before left[rank] closes: all blocked in Send, Recv or Barrier unwind.
+func (w *World) leave(rank int, err *error) {
+	w.barrierMu.Lock()
+	defer w.barrierMu.Unlock()
+	if *err == nil && w.barrierN > 0 && !w.down {
+		*err = fmt.Errorf("mpi: rank %d returned while %d rank(s) wait in a collective", rank, w.barrierN)
+	}
+	if *err != nil && !w.down {
+		w.down = true
+		close(w.aborted)
+		w.barrierC.Broadcast()
+	}
+	w.gone++
+	close(w.left[rank])
 }
 
 // gatherSlot is a rank's contribution to one collective round.
@@ -208,7 +258,7 @@ func (c *Comm) AllToAll(out []any) []any {
 }
 
 // RunRanks launches fn on n ranks (one goroutine each) and waits for all to
-// finish, returning the first non-nil error by rank order.
+// finish, returning the first non-nil error, a panic's too, by rank order.
 func RunRanks(n int, fn func(c *Comm) error) error {
 	w, err := NewWorld(n)
 	if err != nil {
@@ -220,6 +270,16 @@ func RunRanks(n int, fn func(c *Comm) error) error {
 	for r := 0; r < n; r++ {
 		go func(rank int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					sig, ok := p.(abortSignal)
+					if !ok {
+						sig.err = fmt.Errorf("mpi: rank %d panicked: %v\n%s", rank, p, debug.Stack())
+					}
+					errs[rank] = sig.err
+				}
+				w.leave(rank, &errs[rank])
+			}()
 			errs[rank] = fn(&Comm{world: w, rank: rank})
 		}(r)
 	}
