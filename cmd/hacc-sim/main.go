@@ -14,7 +14,7 @@
 //	stepNNN.gio        Level 1 snapshot (when snapshot_every triggers)
 //	stepNNN.l2.gio     Level 2 (particles of halos above the split)
 //	stepNNN.centers    Level 3 halo centers (text)
-//	stepNNN.done       marker file the co-scheduling listener watches
+//	stepNNN.done       marker file: the step's products are durable
 package main
 
 import (
@@ -162,6 +162,8 @@ func run(cfg runConfig) error {
 		if err != nil {
 			return fmt.Errorf("restart: %w", err)
 		}
+		// A commit the kill interrupted left its temp file behind.
+		ckpt.RemoveStaleTemps(cfg.OutDir)
 		// Honour the checkpoint's own geometry, cosmology and schedule:
 		// the restarted run continues the original integration plan so it
 		// is bit-identical to one that never stopped.
@@ -269,7 +271,7 @@ func run(cfg runConfig) error {
 	return nil
 }
 
-// writeProducts lands the analysis outputs plus the listener marker.
+// writeProducts lands the analysis outputs plus the step's done marker.
 func writeProducts(outDir string, step int, ctx *cosmotools.Context) error {
 	if l2Any, ok := ctx.Outputs["halofinder/level2"]; ok {
 		l2 := l2Any.(*cosmotools.Level2)
@@ -290,9 +292,8 @@ func writeProducts(outDir string, step int, ctx *cosmotools.Context) error {
 		}
 		log.Printf("step %3d: wrote %d Level 3 centers to %s", step, len(centers), path)
 	}
-	// The marker must appear only after the products above are durable —
-	// the listener treats it (and the .l2.gio itself) as a submission
-	// trigger, so it gets the same atomic commit.
+	// The marker appears only after the products above are durable, and
+	// gets the same atomic commit, so its presence means the step is done.
 	marker := filepath.Join(outDir, fmt.Sprintf("step%03d.done", step))
 	return ckpt.WriteFileAtomic(marker, []byte(fmt.Sprintf("%d\n", step)))
 }

@@ -7,24 +7,23 @@
 // data and template files, and then submits the new job. The listener then
 // resumes checking for new data." (§3.2)
 //
-// Instead of PBS batch scripts, jobs here are subprocess invocations of a
-// command template; the default analyzes each Level 2 file with the
-// stand-alone cosmotools driver.
+// Instead of PBS batch scripts, jobs here are sh -c invocations of a
+// command template, typically the stand-alone cosmotools driver on one
+// Level 2 file.
 //
 // Usage:
 //
 //	listener -watch ./hacc-out -pattern .l2.gio -cmd 'go run ./cmd/cosmotools -mode centers -np 32 -in {file}'
-//	listener -watch ./hacc-out -until-idle 30s   (exit after 30s with no new files)
-//	listener -watch ./hacc-out -state listener.state   (survive restarts without resubmitting)
+//	listener -watch ./hacc-out -until-idle 30s   (exit after 30s with nothing pending or running)
+//	listener -watch ./hacc-out -state listener.state   (survive restarts without rerunning finished analyses)
 //
-// Two robustness guards make the daemon safe around crashes:
-//
-//   - With -state FILE, every submitted path is recorded in a crash-
-//     consistent journal (internal/ckpt) and reloaded on start, so a
-//     restarted listener never resubmits an analysis that already ran.
-//   - A file is only submitted once its size is stable across two
-//     consecutive polls — a file still being written by the simulation is
-//     left until the writer is done with it.
+// It keeps the modelled listener's rule (both drive sched.Pending): names
+// ending with -pattern are offered in lexicographic order once their size
+// is stable across two polls, and a file is done only when its job exits
+// 0. A failed job is offered again at the next poll, up to
+// sched.RetryMaxAttempts attempts in all, and the listener exits 1 naming
+// the files that gave up. -state journals each completion (internal/ckpt);
+// a restart requeues every other matching file.
 package main
 
 import (
@@ -33,11 +32,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/sched"
 )
 
 func main() {
@@ -45,16 +44,16 @@ func main() {
 	log.SetPrefix("listener: ")
 	var (
 		watchDir  = flag.String("watch", ".", "directory to watch")
-		pattern   = flag.String("pattern", ".l2.gio", "substring that marks analyzable output files")
+		pattern   = flag.String("pattern", ".l2.gio", "name suffix that marks analyzable output files")
 		cmdTmpl   = flag.String("cmd", "", "command template; {file} is replaced by the new file's path (empty: log only)")
 		poll      = flag.Duration("poll", 2*time.Second, "poll interval (must be much shorter than the output cadence)")
-		untilIdle = flag.Duration("until-idle", 0, "exit after this long with no new files (0: run forever)")
+		untilIdle = flag.Duration("until-idle", 0, "exit after this long with nothing pending or running (0: run forever)")
 		maxJobs   = flag.Int("max-parallel", 2, "maximum concurrently running analysis jobs")
-		stateFile = flag.String("state", "", "journal persisting submitted paths; reloaded on start so a restarted listener never resubmits")
+		stateFile = flag.String("state", "", "journal of completed analyses; reloaded on start so a restarted listener reruns only unfinished ones")
 	)
 	flag.Parse()
-	// A zero job limit deadlocks at the first submission, a negative one
-	// panics, and a zero poll interval spins a core on ReadDir.
+	// A job limit below 1 would never submit, and a zero poll interval
+	// would spin a core on ReadDir.
 	if *maxJobs < 1 {
 		log.Print("-max-parallel must be at least 1")
 		os.Exit(2)
@@ -64,53 +63,81 @@ func main() {
 		os.Exit(2)
 	}
 
-	seen := map[string]bool{}
+	var pending sched.Pending
 	var state *ckpt.Journal
 	if *stateFile != "" {
 		j, records, err := ckpt.Open(*stateFile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer func() {
-			if err := j.Close(); err != nil {
-				log.Printf("state journal close: %v", err)
-			}
-		}()
+		done := 0
 		for _, r := range records {
-			if r.Kind == ckpt.KindSeen {
-				seen[r.Path] = true
+			if r.Kind == ckpt.KindPost {
+				pending.MarkSeen(r.Path)
+				done++
 			}
 		}
 		state = j
-		log.Printf("state %s: %d previously submitted files will not be resubmitted", *stateFile, len(seen))
+		log.Printf("state %s: %d completed analyses will not be rerun", *stateFile, done)
 	}
-	markSeen := func(path string) {
-		seen[path] = true
-		if state != nil {
-			if err := state.Append(ckpt.Record{Kind: ckpt.KindSeen, Path: path}); err != nil {
+
+	// Jobs hand their outcome back to the poll loop: only it touches the
+	// pending set and the journal, which is not safe for concurrent use.
+	outcomes := make(chan func())
+	tries := map[string]int{}
+	var gaveUp []string
+	running, submitted := 0, 0
+	finish := func(path string, err error) {
+		running--
+		switch {
+		case err != nil && tries[path] < sched.RetryMaxAttempts:
+			pending.Requeue(path) // offered again at the next poll
+		case err != nil:
+			gaveUp = append(gaveUp, path)
+		case state != nil:
+			if err := state.Append(ckpt.Record{Kind: ckpt.KindPost, Path: path}); err != nil {
 				log.Printf("state journal: %v", err)
 			}
 		}
 	}
+	offer := func(path string) sched.Offer {
+		if running >= *maxJobs {
+			return sched.Keep
+		}
+		running++
+		submitted++
+		tries[path]++
+		log.Printf("%s (attempt %d of %d) -> submitting analysis job %d", path, tries[path], sched.RetryMaxAttempts, submitted)
+		go func() {
+			start := time.Now()
+			out, err := exec.Command("sh", "-c", strings.ReplaceAll(*cmdTmpl, "{file}", path)).CombinedOutput() // empty -cmd: a no-op
+			if err != nil {
+				log.Printf("job for %s failed: %v\n%s", path, err, out)
+			} else {
+				log.Printf("job for %s finished in %.1fs", path, time.Since(start).Seconds())
+			}
+			outcomes <- func() { finish(path, err) }
+		}()
+		return sched.Take
+	}
 
 	lastSize := map[string]int64{}
-	sem := make(chan struct{}, *maxJobs)
-	lastNew := time.Now()
-	submitted := 0
-	for {
+	lastBusy := time.Now()
+	tick := time.NewTicker(*poll)
+	for idle := false; !idle; {
+		select {
+		case f := <-outcomes:
+			f()
+			continue
+		case <-tick.C:
+		}
 		entries, err := os.ReadDir(*watchDir)
 		if err != nil {
 			log.Printf("reading %s: %v", *watchDir, err)
-			time.Sleep(*poll)
-			continue
 		}
-		var fresh []string
 		for _, e := range entries {
-			if e.IsDir() || !strings.Contains(e.Name(), *pattern) {
-				continue
-			}
 			path := filepath.Join(*watchDir, e.Name())
-			if seen[path] {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), *pattern) || pending.Seen(path) {
 				continue
 			}
 			info, err := e.Info()
@@ -119,43 +146,24 @@ func main() {
 			}
 			prev, polled := lastSize[path]
 			lastSize[path] = info.Size()
-			if !polled || prev != info.Size() {
-				continue // first sighting or still growing: wait for a stable size
+			if polled && prev == info.Size() {
+				pending.Add(path) // stable across two polls: the writer is done
 			}
-			markSeen(path)
-			delete(lastSize, path)
-			fresh = append(fresh, path)
 		}
-		sort.Strings(fresh)
-		for _, path := range fresh {
-			lastNew = time.Now()
-			submitted++
-			log.Printf("new output %s -> submitting analysis job %d", path, submitted)
-			if *cmdTmpl == "" {
-				continue
-			}
-			cmdline := strings.ReplaceAll(*cmdTmpl, "{file}", path)
-			sem <- struct{}{}
-			go func(cmdline, path string) {
-				defer func() { <-sem }()
-				start := time.Now()
-				cmd := exec.Command("sh", "-c", cmdline)
-				out, err := cmd.CombinedOutput()
-				if err != nil {
-					log.Printf("job for %s failed: %v\n%s", path, err, out)
-					return
-				}
-				log.Printf("job for %s finished in %.1fs", path, time.Since(start).Seconds())
-			}(cmdline, path)
+		pending.Sweep(offer)
+		if pending.Len() > 0 || running > 0 {
+			lastBusy = time.Now()
 		}
-		if *untilIdle > 0 && time.Since(lastNew) > *untilIdle {
-			log.Printf("idle for %v; exiting after %d jobs", *untilIdle, submitted)
-			// Drain running jobs.
-			for i := 0; i < cap(sem); i++ {
-				sem <- struct{}{}
-			}
-			return
+		idle = *untilIdle > 0 && time.Since(lastBusy) > *untilIdle
+	}
+	log.Printf("idle for %v; exiting after %d jobs", *untilIdle, submitted)
+	if state != nil {
+		if err := state.Close(); err != nil {
+			log.Printf("state journal close: %v", err)
 		}
-		time.Sleep(*poll)
+	}
+	if len(gaveUp) > 0 {
+		log.Printf("gave up after %d attempts on: %s", sched.RetryMaxAttempts, strings.Join(gaveUp, " "))
+		os.Exit(1)
 	}
 }

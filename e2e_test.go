@@ -196,8 +196,13 @@ func TestEndToEndListenerCoScheduling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listener: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "submitting analysis job") {
-		t.Fatalf("listener never submitted a job:\n%s", out)
+	// One Level 2 file, one job: the job's own step030.l2.gio.centers is
+	// not a candidate, and no job may fail unnoticed.
+	if n := strings.Count(string(out), "submitting analysis job"); n != 1 {
+		t.Fatalf("listener submitted %d jobs, want 1:\n%s", n, out)
+	}
+	if strings.Contains(string(out), "failed") {
+		t.Fatalf("a listener job failed:\n%s", out)
 	}
 	centers := tagCounts(t, filepath.Join(outDir, "step030.l2.gio.centers"))
 	if len(centers) == 0 {
@@ -207,6 +212,74 @@ func TestEndToEndListenerCoScheduling(t *testing.T) {
 		if p[1] <= 50 {
 			t.Errorf("listener job centered small halo %d (%d particles)", p[0], p[1])
 		}
+	}
+}
+
+// The real listener keeps the model's rules: a failed job is offered
+// again at the next poll, up to sched.RetryMaxAttempts attempts in all;
+// a file that gives up is named and the listener exits 1; a restart with
+// the same -state reruns only what never completed; and only names ending
+// with -pattern are candidates, so neither an interrupted commit's temp
+// file nor a job's own output is ever submitted.
+func TestEndToEndListenerRetriesAndRequeues(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end test")
+	}
+	bins := buildCmds(t)
+	// runListener watches a fresh directory holding the named files with a
+	// job that logs its file, fails on step003 always and on step002 once,
+	// and otherwise writes {file}.centers. It returns the listener's exit
+	// code and output and the files the jobs ran on, in order.
+	runListener := func(dir string, files ...string) (int, string, []string) {
+		t.Helper()
+		for _, name := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		script := `echo "$1" >> "$(dirname "$1")/runs.log"
+case "$1" in
+*step003.l2.gio) exit 1 ;;
+*step002.l2.gio) [ -e "$1.tried" ] || { touch "$1.tried"; exit 1; } ;;
+esac
+cp "$1" "$1.centers"`
+		cmd := exec.Command(filepath.Join(bins, "listener"), "-watch", dir, "-poll", "50ms", "-until-idle", "250ms",
+			"-state", filepath.Join(dir, "listener.state"), "-cmd", "sh -c '"+script+"' job {file}")
+		out, _ := cmd.CombinedOutput()
+		runs, _ := os.ReadFile(filepath.Join(dir, "runs.log"))
+		os.Remove(filepath.Join(dir, "runs.log"))
+		return cmd.ProcessState.ExitCode(), string(out), strings.Fields(string(runs))
+	}
+	ran := func(runs []string) map[string]int {
+		n := map[string]int{}
+		for _, path := range runs {
+			n[filepath.Base(path)]++
+		}
+		return n
+	}
+
+	// (i), (iv): a job that fails once is retried, and the listener exits 0.
+	dir := t.TempDir()
+	code, out, runs := runListener(dir, "step001.l2.gio", "step002.l2.gio", "step001.l2.gio.tmp4242")
+	if want := map[string]int{"step001.l2.gio": 1, "step002.l2.gio": 2}; code != 0 || !reflect.DeepEqual(ran(runs), want) {
+		t.Errorf("exit %d, jobs ran %v; want exit 0 and %v\n%s", code, ran(runs), want, out)
+	}
+
+	// (ii): a job that always fails runs RetryMaxAttempts (4) times, and
+	// the listener exits 1 naming its file.
+	dir = t.TempDir()
+	code, out, runs = runListener(dir, "step001.l2.gio", "step003.l2.gio")
+	if want := map[string]int{"step001.l2.gio": 1, "step003.l2.gio": 4}; code != 1 || !reflect.DeepEqual(ran(runs), want) {
+		t.Errorf("exit %d, jobs ran %v; want exit 1 and %v\n%s", code, ran(runs), want, out)
+	}
+	if !regexp.MustCompile(`gave up .*step003\.l2\.gio`).MatchString(out) {
+		t.Errorf("listener did not name the file that gave up:\n%s", out)
+	}
+
+	// (iii): the restart reruns only the file that gave up.
+	code, out, runs = runListener(dir)
+	if want := map[string]int{"step003.l2.gio": 4}; code != 1 || !reflect.DeepEqual(ran(runs), want) {
+		t.Errorf("restart: exit %d, jobs ran %v; want exit 1 and %v\n%s", code, ran(runs), want, out)
 	}
 }
 
@@ -367,6 +440,15 @@ func TestEndToEndCheckpointRestart(t *testing.T) {
 	bins := buildCmds(t)
 	dir := t.TempDir()
 	first, second := filepath.Join(dir, "sim1"), filepath.Join(dir, "sim2")
+	// A commit interrupted by the kill leaves its temp file behind; the
+	// restart sweeps it.
+	stale := filepath.Join(second, "step003.l2.gio.tmp1")
+	if err := os.MkdirAll(second, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-np", "8", "-steps", "6", "-checkpoint-every", "3", "-analyze-every", "6", "-out", first},
 		{"-restart-from", filepath.Join(first, "ckpt003.bin"), "-checkpoint-every", "3", "-analyze-every", "6", "-out", second},
@@ -385,6 +467,9 @@ func TestEndToEndCheckpointRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("restarted run's step 6 checkpoint differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(want))
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("restart left the stale temp %s (stat: %v)", stale, err)
 	}
 }
 

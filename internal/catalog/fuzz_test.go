@@ -3,30 +3,13 @@ package catalog
 import (
 	"bytes"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/cosmotools"
 	"repro/internal/integrity"
+	"repro/internal/testsupport"
 )
-
-// allocated returns the fewest heap bytes any of three calls of f
-// allocates, after a first call has done any lazy initialisation: the
-// count is process-wide, so one call can be charged for another
-// goroutine's allocation.
-func allocated(f func()) uint64 {
-	f()
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
 
 // allocBound is the most Read may allocate for a stream: the scanner's
 // line buffer plus, per line, a copy of the line, its 112-byte field slice
@@ -67,7 +50,7 @@ func FuzzCatalogRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var records []cosmotools.CenterRecord
 		var err error
-		if got := allocated(func() { records, err = Read(bytes.NewReader(stream)) }); got > allocBound(stream) {
+		if got := testsupport.Allocated(func() { records, err = Read(bytes.NewReader(stream)) }); got > allocBound(stream) {
 			t.Fatalf("Read allocated %d bytes for a %d-byte stream", got, len(stream))
 		}
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // ErrManifestChecksum reports a journaled file whose on-disk bytes no
@@ -103,17 +104,8 @@ func RemoveStaleTemps(dir string) {
 	}
 	for _, e := range entries {
 		if !e.IsDir() && filepath.Ext(e.Name()) != "" &&
-			(containsMarker(e.Name(), ".tmp") || containsMarker(e.Name(), ".quarantine")) {
+			(strings.Contains(e.Name(), ".tmp") || strings.Contains(e.Name(), ".quarantine")) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-}
-
-func containsMarker(name, marker string) bool {
-	for i := 0; i+len(marker) <= len(name); i++ {
-		if name[i:i+len(marker)] == marker {
-			return true
-		}
-	}
-	return false
 }

@@ -125,16 +125,13 @@ func TestManifestReplay(t *testing.T) {
 		{Kind: KindPost, Step: 1, Path: "p"},
 		{Kind: KindRun},
 		{Kind: KindStep, Step: 4, Path: "d"}, // gap: step 3 missing
-		{Kind: KindSeen, Path: "x.l2.gio"},
+		{Kind: "seen", Path: "x.l2.gio"},     // a retired listener kind: ignored
 	})
 	if m.Generation != 2 {
 		t.Errorf("generation = %d", m.Generation)
 	}
 	if got := m.CompletedSteps(); got != 2 {
 		t.Errorf("contiguous completed steps = %d, want 2", got)
-	}
-	if !m.Seen["x.l2.gio"] {
-		t.Error("seen path lost")
 	}
 	if err := m.CheckMeta("c", 4, 7, 3); err != nil {
 		t.Errorf("matching meta rejected: %v", err)

@@ -32,6 +32,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 )
 
@@ -47,13 +48,11 @@ const (
 	// KindStep records a committed per-step simulation product (the
 	// Level 2 file): the step is durably done.
 	KindStep = "step"
-	// KindPost records a completed per-step analysis job and its catalog.
+	// KindPost records a completed analysis job: the campaign engine's
+	// per-step job and its catalog, or a job cmd/listener ran on Path.
 	KindPost = "post"
 	// KindMerge records a committed merged catalog.
 	KindMerge = "merge"
-	// KindSeen records a path the listener has already submitted for
-	// analysis (cmd/listener -state).
-	KindSeen = "seen"
 )
 
 // Record is one journal entry. Fields beyond Kind are optional and
@@ -77,7 +76,7 @@ type Record struct {
 
 // Journal is an append-only, fsync'd log of framed lines: the campaign's
 // Records, or any other record type opened with OpenLog. It is not safe
-// for concurrent use; the workflow engine appends from a single goroutine.
+// for concurrent use: each writer appends from a single goroutine.
 type Journal struct {
 	f *os.File
 }
@@ -106,36 +105,15 @@ func parseFrame(line string, v any) bool {
 	if i < 0 {
 		return false
 	}
-	payload := line[:i]
-	want, ok := parseCRC(line[i+1:])
-	if !ok || crc32.ChecksumIEEE([]byte(payload)) != want {
+	// The CRC must be spelled as Frame writes it, eight lowercase hex
+	// digits: accepting any other spelling of the same number (upper case,
+	// fewer digits) would let a flipped case bit pass unnoticed.
+	payload, sum := line[:i], line[i+1:]
+	want, err := strconv.ParseUint(sum, 16, 32)
+	if err != nil || len(sum) != 8 || strings.ToLower(sum) != sum || crc32.ChecksumIEEE([]byte(payload)) != uint32(want) {
 		return false
 	}
 	return json.Unmarshal([]byte(payload), v) == nil
-}
-
-// parseCRC decodes exactly the eight lowercase hex digits Frame writes.
-// Any other spelling of the same number (upper case, a sign, fewer
-// digits) is a corrupt frame: accepting it would let a flipped case bit
-// in the CRC field pass unnoticed.
-func parseCRC(s string) (uint32, bool) {
-	if len(s) != 8 {
-		return 0, false
-	}
-	var crc uint32
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		default:
-			return 0, false
-		}
-		crc = crc<<4 | uint32(c)
-	}
-	return crc, true
 }
 
 // Open replays the journal at path (creating it if absent) and reopens it

@@ -16,8 +16,6 @@ type Manifest struct {
 	Posts map[int]Record
 	// Merge is the last committed merged-catalog record (nil if none).
 	Merge *Record
-	// Seen holds listener-state paths already submitted for analysis.
-	Seen map[string]bool
 }
 
 // Replay folds journal records into a manifest. Later records supersede
@@ -27,7 +25,6 @@ func Replay(records []Record) *Manifest {
 	m := &Manifest{
 		Steps: map[int]Record{},
 		Posts: map[int]Record{},
-		Seen:  map[string]bool{},
 	}
 	for _, r := range records {
 		switch r.Kind {
@@ -43,8 +40,6 @@ func Replay(records []Record) *Manifest {
 		case KindMerge:
 			rc := r
 			m.Merge = &rc
-		case KindSeen:
-			m.Seen[r.Path] = true
 		}
 	}
 	return m

@@ -4,32 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
-	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/integrity"
+	"repro/internal/testsupport"
 )
-
-// allocated returns the fewest heap bytes any of three calls of f
-// allocates, after a first call has done any lazy initialisation: the
-// count is process-wide, so one call can be charged for another
-// goroutine's allocation.
-func allocated(f func()) uint64 {
-	f()
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
 
 // allocBound is the most ParseConfig may allocate for a stream: the
 // scanner's buffer plus, per line, a copy of the line and, per new
@@ -107,7 +89,7 @@ config = /tmp/run/ct.ini
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var cfg *Config
 		var err error
-		if got := allocated(func() { cfg, err = ParseConfig(bytes.NewReader(stream)) }); got > allocBound(stream) {
+		if got := testsupport.Allocated(func() { cfg, err = ParseConfig(bytes.NewReader(stream)) }); got > allocBound(stream) {
 			t.Fatalf("ParseConfig allocated %d bytes for a %d-byte stream", got, len(stream))
 		}
 		if err != nil {

@@ -5,29 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/integrity"
+	"repro/internal/testsupport"
 )
-
-// allocated returns the fewest heap bytes any of three calls of f
-// allocates, after a first call has done any lazy initialisation: the
-// count is process-wide, so one call can be charged for another
-// goroutine's allocation.
-func allocated(f func()) uint64 {
-	f()
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
-}
 
 // allocBound is the most a read may allocate for a stream: what it
 // decodes to, a payload buffer, plus slack. The densest case is an empty
@@ -51,7 +33,7 @@ func TestReadRejectsCraftedCounts(t *testing.T) {
 	for _, stream := range craftedCounts() {
 		for name, read := range map[string]func(io.Reader) ([]Block, error){"Read": Read, "ReadSalvage": ReadSalvage} {
 			var err error
-			if got := allocated(func() { _, err = read(bytes.NewReader(stream)) }); got > allocBound(stream) {
+			if got := testsupport.Allocated(func() { _, err = read(bytes.NewReader(stream)) }); got > allocBound(stream) {
 				t.Errorf("%s: allocated %d bytes for a %d-byte stream", name, got, len(stream))
 			}
 			if !errors.Is(err, ErrTruncated) {
@@ -102,10 +84,10 @@ func FuzzGioRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var blocks, salvaged []Block
 		var err, serr error
-		if got := allocated(func() { blocks, err = Read(bytes.NewReader(stream)) }); got > allocBound(stream) {
+		if got := testsupport.Allocated(func() { blocks, err = Read(bytes.NewReader(stream)) }); got > allocBound(stream) {
 			t.Fatalf("Read allocated %d bytes for a %d-byte stream", got, len(stream))
 		}
-		if got := allocated(func() { salvaged, serr = ReadSalvage(bytes.NewReader(stream)) }); got > allocBound(stream) {
+		if got := testsupport.Allocated(func() { salvaged, serr = ReadSalvage(bytes.NewReader(stream)) }); got > allocBound(stream) {
 			t.Fatalf("ReadSalvage allocated %d bytes for a %d-byte stream", got, len(stream))
 		}
 		if err != nil {

@@ -48,6 +48,7 @@ func goList(t *testing.T, args ...string) []string {
 // purpose: test support only.
 var unreachedAllowed = map[string]bool{
 	"repro/internal/lint/analysistest": true,
+	"repro/internal/testsupport":       true,
 }
 
 // TestEveryInternalPackageIsReached holds the tree to what its binaries

@@ -13,6 +13,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/supervise"
 )
@@ -49,13 +50,9 @@ func (c *Cluster) superviseStart(j *Job, beatDuration float64) {
 	sv.Watch(jobKey(j), j.Duration, beat, func(r supervise.Reason) { c.suspect(j, r) })
 }
 
-func (c *Cluster) superviseDone(j *Job) {
-	c.Supervise.Done(jobKey(j))
-}
+func (c *Cluster) superviseDone(j *Job) { c.Supervise.Done(jobKey(j)) }
 
-func (c *Cluster) superviseForget(j *Job) {
-	c.Supervise.Forget(jobKey(j))
-}
+func (c *Cluster) superviseForget(j *Job) { c.Supervise.Forget(jobKey(j)) }
 
 // suspect handles a supervision verdict on the job's current attempt.
 func (c *Cluster) suspect(j *Job, r supervise.Reason) {
@@ -166,17 +163,11 @@ func (c *Cluster) cancelJob(j *Job, why string) {
 	c.Supervise.Note(jobKey(j), "cancel", why)
 	j.Attempt++
 	if j.Started {
-		c.freeNodes += j.Nodes
-		if c.isSmall(j) {
-			c.runningSmall--
-		}
+		c.release(j)
 		c.StragglerNodeSeconds += float64(j.Nodes) * (c.Sim.Now() - j.StartTime)
 		return
 	}
-	for i, q := range c.pending {
-		if q == j {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
-		}
+	if i := slices.Index(c.pending, j); i >= 0 {
+		c.pending = slices.Delete(c.pending, i, i+1)
 	}
 }

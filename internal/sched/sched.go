@@ -13,7 +13,7 @@ package sched
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 
 	"repro/internal/des"
@@ -101,10 +101,7 @@ const (
 // retry index: attempt 1 is the first resubmission, and Cluster.fail
 // asks for at most RetryMaxAttempts-1).
 func retryDelay(inj *fault.Injector, name string, attempt int) float64 {
-	d := RetryBackoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-	}
+	d := math.Ldexp(RetryBackoff, attempt-1)
 	return d + d*RetryJitterFrac*inj.RetryJitter(name, attempt)
 }
 
@@ -173,14 +170,10 @@ func (c *Cluster) Finished() []*Job { return c.finished }
 // they return to service. Jobs already running keep their nodes.
 func (c *Cluster) ApplyDrains(drains []fault.Drain) {
 	for _, d := range drains {
-		n := d.Nodes
-		if n <= 0 {
+		nodes := min(d.Nodes, c.Machine.Nodes)
+		if nodes <= 0 {
 			continue
 		}
-		if n > c.Machine.Nodes {
-			n = c.Machine.Nodes
-		}
-		nodes := n
 		c.Sim.At(d.Start, func() { c.freeNodes -= nodes })
 		c.Sim.At(d.End, func() {
 			c.freeNodes += nodes
@@ -241,6 +234,14 @@ func (c *Cluster) trySchedule() {
 	c.pending = remaining
 }
 
+// release returns an ended attempt's nodes and its small-job slot.
+func (c *Cluster) release(j *Job) {
+	c.freeNodes += j.Nodes
+	if c.isSmall(j) {
+		c.runningSmall--
+	}
+}
+
 func (c *Cluster) start(j *Job) {
 	j.Started = true
 	j.StartTime = c.Sim.Now()
@@ -279,10 +280,7 @@ func (c *Cluster) complete(j *Job) {
 	c.obsEnd(j, "ok")
 	j.Completed = true
 	j.EndTime = c.Sim.Now()
-	c.freeNodes += j.Nodes
-	if c.isSmall(j) {
-		c.runningSmall--
-	}
+	c.release(j)
 	if p := j.hedgeOf; p != nil {
 		// A backup finished first: cancel the losing primary and project
 		// the completion onto it, so downstream code sees exactly one
@@ -311,10 +309,7 @@ func (c *Cluster) fail(j *Job) {
 	j.timer.Stop() // the attempt's completion, when it dies ahead of it
 	c.superviseForget(j)
 	c.obsEnd(j, "failed")
-	c.freeNodes += j.Nodes
-	if c.isSmall(j) {
-		c.runningSmall--
-	}
+	c.release(j)
 	// The attempt is over and its nodes are back: clear Started so a later
 	// cancel (say, the primary finishing while this backup sits in backoff)
 	// cannot free them a second time.
@@ -385,11 +380,9 @@ type Listener struct {
 	// Obs records poll/submit counters; nil disables instrumentation.
 	Obs *obs.Observer
 
-	// seen holds the paths submitted, skipped by MakeJob or marked seen;
-	// pending the watched paths that landed and are none of those yet, kept
-	// sorted; cursor is how far into FS's arrival log the listener has read.
-	seen        map[string]bool
-	pending     []string
+	// pending is the decision state; cursor is how far into FS's arrival
+	// log the listener has read.
+	pending     Pending
 	cursor      int
 	submitTries map[string]int
 	timer       des.Timer // the next poll
@@ -420,20 +413,10 @@ func (l *Listener) Start() error {
 // Stop halts polling: the next poll never runs.
 func (l *Listener) Stop() { l.timer.Stop() }
 
-// MarkSeen records a path as already submitted, so polling skips it. The
-// campaign resume path uses this to pre-load journaled state: files whose
-// analysis completed in a previous incarnation must not be re-analyzed,
-// while surviving files *without* a completion record are left unmarked and
-// get requeued on the first sweep.
-func (l *Listener) MarkSeen(path string) {
-	if l.seen == nil {
-		l.seen = map[string]bool{}
-	}
-	l.seen[path] = true
-	if i, found := slices.BinarySearch(l.pending, path); found {
-		l.pending = slices.Delete(l.pending, i, i+1)
-	}
-}
+// MarkSeen records a path as already analyzed, so polling skips it: resume
+// marks the files whose analysis completed, and the first sweep requeues
+// every other surviving file.
+func (l *Listener) MarkSeen(path string) { l.pending.MarkSeen(path) }
 
 // FinalSweep performs one last check, catching files that landed "at the
 // very end of the main application's execution time" (§3.2) — the paper's
@@ -444,10 +427,7 @@ func (l *Listener) FinalSweep() { l.sweep() }
 // Unseen counts watched files that landed and are not yet submitted for
 // analysis (one whose file was deleted since the last sweep is still
 // counted: the next sweep drops it).
-func (l *Listener) Unseen() int {
-	l.ingest()
-	return len(l.pending)
-}
+func (l *Listener) Unseen() int { l.ingest(); return l.pending.Len() }
 
 // ingest reads the tier's arrival log from the cursor and files every
 // watched, not yet seen path into pending. A poll that finds nothing new
@@ -456,11 +436,8 @@ func (l *Listener) ingest() {
 	arrived := l.FS.Arrivals(l.cursor)
 	l.cursor += len(arrived)
 	for _, path := range arrived {
-		if !strings.HasPrefix(path, l.Prefix) || l.seen[path] {
-			continue
-		}
-		if i, found := slices.BinarySearch(l.pending, path); !found {
-			l.pending = slices.Insert(l.pending, i, path)
+		if strings.HasPrefix(path, l.Prefix) {
+			l.pending.Add(path)
 		}
 	}
 }
@@ -477,37 +454,26 @@ func (l *Listener) poll() {
 	l.timer = l.Sim.After(l.PollInterval, l.poll)
 }
 
-// sweep offers every pending path for submission, in lexicographic order:
-// submission order numbers the analysis jobs, and landing order differs
-// from it whenever a write is re-driven or an outage lets files pile up.
 func (l *Listener) sweep() {
 	l.ingest()
-	kept := l.pending[:0]
-	for _, path := range l.pending {
-		if !l.offer(path) {
-			kept = append(kept, path)
-		}
-	}
-	l.pending = kept
+	l.pending.Sweep(l.offer)
 }
 
-// offer tries to submit the analysis job for one pending path and reports
-// whether the path leaves the pending set: its job was submitted, MakeJob
-// explicitly skipped it, or its file is gone (a truncated write deleted
-// before its re-drive landed; the re-driven landing brings the path back
-// through the arrival log, and the breaker is not consulted for a file
-// that is not there). An open breaker, a refusal or a Submit failure keep
-// the path pending, so the next poll retries it instead of dropping the
-// analysis silently.
-func (l *Listener) offer(path string) bool {
+// offer tries to submit the analysis job for one pending path. A path
+// whose file is gone (a truncated write deleted before its re-drive
+// landed) is dropped before the breaker is consulted; the re-drive brings
+// it back through the arrival log. An open breaker, a refusal or a Submit
+// failure keep the path pending, so the next poll retries it instead of
+// dropping the analysis silently.
+func (l *Listener) offer(path string) Offer {
 	f, err := l.FS.Stat(path)
 	if err != nil {
-		return true
+		return Drop
 	}
 	if !l.Breaker.Allow() {
 		l.BreakerSkips++
 		l.obsCount(&l.ctr.breakerSkips, "listener.breaker_skips")
-		return false // the front-end is sick; back off instead of hot-looping
+		return Keep // the front-end is sick; back off instead of hot-looping
 	}
 	if l.submitTries == nil {
 		l.submitTries = map[string]int{}
@@ -518,23 +484,18 @@ func (l *Listener) offer(path string) bool {
 		l.SubmitFaults++
 		l.obsCount(&l.ctr.submitFaults, "listener.submit_faults")
 		l.Breaker.Failure()
-		return false // transient refusal
-	}
-	if l.seen == nil {
-		l.seen = map[string]bool{}
+		return Keep // transient refusal
 	}
 	job := l.MakeJob(path, f)
 	if job == nil {
-		l.seen[path] = true // explicit skip
-		return true
+		return Take // explicit skip
 	}
 	if err := l.Cluster.Submit(job); err != nil {
 		l.Breaker.Failure()
-		return false
+		return Keep
 	}
 	l.Breaker.Success()
-	l.seen[path] = true
 	l.Submitted++
 	l.obsCount(&l.ctr.submitted, "listener.submitted")
-	return true
+	return Take
 }
