@@ -83,15 +83,19 @@ func main() {
 
 	// Jobs hand their outcome back to the poll loop: only it touches the
 	// pending set and the journal, which is not safe for concurrent use.
-	outcomes := make(chan func())
+	type outcome struct {
+		path string
+		err  error
+	}
+	outcomes := make(chan outcome)
 	tries := map[string]int{}
-	var gaveUp []string
+	var retry, gaveUp []string // retry: requeued at the next poll
 	running, submitted := 0, 0
 	finish := func(path string, err error) {
 		running--
 		switch {
 		case err != nil && tries[path] < sched.RetryMaxAttempts:
-			pending.Requeue(path) // offered again at the next poll
+			retry = append(retry, path)
 		case err != nil:
 			gaveUp = append(gaveUp, path)
 		case state != nil:
@@ -116,7 +120,7 @@ func main() {
 			} else {
 				log.Printf("job for %s finished in %.1fs", path, time.Since(start).Seconds())
 			}
-			outcomes <- func() { finish(path, err) }
+			outcomes <- outcome{path, err}
 		}()
 		return sched.Take
 	}
@@ -126,11 +130,19 @@ func main() {
 	tick := time.NewTicker(*poll)
 	for idle := false; !idle; {
 		select {
-		case f := <-outcomes:
-			f()
+		case o := <-outcomes:
+			finish(o.path, o.err)
+			if o.err == nil {
+				pending.Sweep(offer) // the freed slot takes a ready file now
+			}
 			continue
 		case <-tick.C:
 		}
+		// -poll is the retry backoff: a failed job waits for this tick.
+		for _, path := range retry {
+			pending.Requeue(path)
+		}
+		retry = retry[:0]
 		entries, err := os.ReadDir(*watchDir)
 		if err != nil {
 			log.Printf("reading %s: %v", *watchDir, err)

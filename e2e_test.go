@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/gio"
@@ -190,7 +192,7 @@ func TestEndToEndListenerCoScheduling(t *testing.T) {
 	// Listener: analyze each .l2.gio with cosmotools, exit when idle.
 	listener := exec.Command(filepath.Join(bins, "listener"),
 		"-watch", outDir, "-pattern", ".l2.gio",
-		"-poll", "100ms", "-until-idle", "2s",
+		"-poll", "50ms", "-until-idle", "250ms",
 		"-cmd", filepath.Join(bins, "cosmotools")+" -mode centers -box 24 -np 16 -in {file} -out {file}.centers")
 	out, err := listener.CombinedOutput()
 	if err != nil {
@@ -280,6 +282,51 @@ cp "$1" "$1.centers"`
 	code, out, runs = runListener(dir)
 	if want := map[string]int{"step003.l2.gio": 4}; code != 1 || !reflect.DeepEqual(ran(runs), want) {
 		t.Errorf("restart: exit %d, jobs ran %v; want exit 1 and %v\n%s", code, ran(runs), want, out)
+	}
+}
+
+// A slot that a finished job frees takes the next ready file at once,
+// not at the next poll: under -max-parallel 1, three ready files are all
+// submitted within one poll interval of the first.
+func TestEndToEndListenerFillsFreedSlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end test")
+	}
+	bins := buildCmds(t)
+	dir := t.TempDir()
+	for _, name := range []string{"step001.l2.gio", "step002.l2.gio", "step003.l2.gio"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The idle bound outlasts the poll that first sees the files, which
+	// are ready only at the next.
+	const poll = 300 * time.Millisecond
+	cmd := exec.Command(filepath.Join(bins, "listener"), "-watch", dir, "-max-parallel", "1",
+		"-poll", poll.String(), "-until-idle", (poll * 3 / 2).String(), "-cmd", "true")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	var submitted []time.Time
+	for lines := bufio.NewScanner(stderr); lines.Scan(); {
+		if strings.Contains(lines.Text(), "submitting analysis job") {
+			submitted = append(submitted, time.Now())
+		}
+		out.WriteString(lines.Text() + "\n")
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("listener: %v\n%s", err, out.String())
+	}
+	if len(submitted) != 3 {
+		t.Fatalf("listener submitted %d jobs, want 3:\n%s", len(submitted), out.String())
+	}
+	if spread := submitted[2].Sub(submitted[0]); spread >= poll {
+		t.Errorf("three ready files were submitted over %v, not within one -poll (%v):\n%s", spread, poll, out.String())
 	}
 }
 

@@ -81,6 +81,8 @@ func FuzzGioRead(f *testing.F) {
 	for _, s := range craftedCounts() {
 		f.Add(s)
 	}
+	multi, _, _ := multiChunkStream(f, Write, RecordSize)
+	f.Add(multi)
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var blocks, salvaged []Block
 		var err, serr error

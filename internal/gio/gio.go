@@ -158,15 +158,16 @@ func encodeParticles(p *nbody.Particles) []byte {
 	return buf
 }
 
-func decodeParticles(buf []byte, n int) *nbody.Particles {
-	p := nbody.NewParticles(n)
+// decodeParticles decodes the version 1 records in buf into p, the first
+// at index at.
+func decodeParticles(p *nbody.Particles, at int, buf []byte) {
 	off := 0
 	get32 := func() float64 {
 		v := math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
 		return float64(v)
 	}
-	for i := 0; i < n; i++ {
+	for i := at; off < len(buf); i++ {
 		p.X[i] = get32()
 		p.Y[i] = get32()
 		p.Z[i] = get32()
@@ -177,7 +178,6 @@ func decodeParticles(buf []byte, n int) *nbody.Particles {
 		p.Tag[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}
-	return p
 }
 
 func encodeParticlesWide(p *nbody.Particles) []byte {
@@ -200,15 +200,16 @@ func encodeParticlesWide(p *nbody.Particles) []byte {
 	return buf
 }
 
-func decodeParticlesWide(buf []byte, n int) *nbody.Particles {
-	p := nbody.NewParticles(n)
+// decodeParticlesWide decodes the version 2 records in buf into p, the
+// first at index at.
+func decodeParticlesWide(p *nbody.Particles, at int, buf []byte) {
 	off := 0
 	get64 := func() float64 {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 		return v
 	}
-	for i := 0; i < n; i++ {
+	for i := at; off < len(buf); i++ {
 		p.X[i] = get64()
 		p.Y[i] = get64()
 		p.Z[i] = get64()
@@ -218,7 +219,6 @@ func decodeParticlesWide(buf []byte, n int) *nbody.Particles {
 		p.Tag[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}
-	return p
 }
 
 // Read parses a gio stream (either record layout), verifying the magic,
@@ -253,6 +253,11 @@ func parseReader(r io.Reader, salvage bool) ([]Block, error) {
 	}
 	return parse(bytes.NewReader(data), int64(len(data)), salvage)
 }
+
+// decodeChunk is how many records parse reads, checksums and decodes at
+// a time: a block is decoded straight into its container, through a
+// buffer of one chunk rather than one the size of its payload.
+const decodeChunk = 4096
 
 // blockHeaderSize is the encoded size of one block header, and of the
 // stream header (magic, version, block count) too.
@@ -291,13 +296,13 @@ func parse(r io.Reader, size int64, salvage bool) (blocks []Block, firstErr erro
 	if ver != version && ver != versionWide {
 		return nil, fmt.Errorf("gio: unsupported version %d", ver)
 	}
-	recSize := RecordSize
+	recSize, decode := RecordSize, decodeParticles
 	if ver == versionWide {
-		recSize = WideRecordSize
+		recSize, decode = WideRecordSize, decodeParticlesWide
 	}
 	nBlocks := binary.LittleEndian.Uint32(h[len(Magic)+4:])
 	blocks = make([]Block, 0, min(int64(nBlocks), rest/blockHeaderSize))
-	var payload []byte // reused: each block is decoded out of it
+	var chunk []byte // reused: each chunk is decoded out of it
 	for bi := uint32(0); bi < nBlocks; bi++ {
 		if err := read(h); err != nil {
 			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d header: %w", bi, err))
@@ -308,12 +313,18 @@ func parse(r io.Reader, size int64, salvage bool) (blocks []Block, firstErr erro
 		if count > uint64(rest/int64(recSize)) {
 			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d payload: %w", bi, ErrTruncated))
 		}
-		n := int(count) * recSize
-		payload = slices.Grow(payload[:0], n)[:n]
-		if err := read(payload); err != nil {
-			return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d payload: %w", bi, err))
+		p := nbody.NewParticles(int(count))
+		got := uint32(0)
+		for at := 0; at < p.N(); at += decodeChunk {
+			n := min(p.N()-at, decodeChunk) * recSize
+			chunk = slices.Grow(chunk[:0], n)[:n]
+			if err := read(chunk); err != nil {
+				return blocks, firstOf(firstErr, fmt.Errorf("gio: block %d payload: %w", bi, err))
+			}
+			got = crc32.Update(got, crc32.IEEETable, chunk)
+			decode(p, at, chunk)
 		}
-		if got := crc32.ChecksumIEEE(payload); got != crc {
+		if got != crc {
 			err := fmt.Errorf("gio: block %d: %w: %08x != %08x", bi, ErrChecksum, got, crc)
 			if !salvage {
 				return blocks, err
@@ -324,12 +335,6 @@ func parse(r io.Reader, size int64, salvage bool) (blocks []Block, firstErr erro
 				firstErr = err
 			}
 			continue
-		}
-		var p *nbody.Particles
-		if ver == versionWide {
-			p = decodeParticlesWide(payload, int(count))
-		} else {
-			p = decodeParticles(payload, int(count))
 		}
 		blocks = append(blocks, Block{Rank: int(rank), Particles: p})
 	}

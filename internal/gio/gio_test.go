@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -411,3 +412,80 @@ func TestReadSalvageMultipleCorruptBlocks(t *testing.T) {
 		t.Fatalf("torn+corrupt salvaged %d blocks, want ranks 0 and 2", len(got))
 	}
 }
+
+// multiChunkStream is a block of 3 decode chunks and 5 records between
+// two small good blocks, written with write, and the offset of the big
+// block's payload for records of recSize bytes.
+func multiChunkStream(t testing.TB, write func(io.Writer, []Block) error, recSize int) (data []byte, blocks []Block, payload int) {
+	blocks = []Block{
+		{Rank: 0, Particles: randParticles(7, 51)},
+		{Rank: 1, Particles: randParticles(3*decodeChunk+5, 52)},
+		{Rank: 2, Particles: randParticles(4, 53)},
+	}
+	var buf bytes.Buffer
+	if err := write(&buf, blocks); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), blocks, 3*blockHeaderSize + 7*recSize
+}
+
+// A block spanning several decode chunks is checksummed across all of
+// them: a bit flipped in its last chunk fails a strict read and drops just
+// that block from a salvage; a stream torn mid-chunk is a tear.
+func TestReadChunkedBlock(t *testing.T) {
+	for _, v := range []struct {
+		name    string
+		write   func(io.Writer, []Block) error
+		recSize int
+	}{{"v1", Write, RecordSize}, {"v2", WriteWide, WideRecordSize}} {
+		name, write, recSize := v.name, v.write, v.recSize
+		data, blocks, payload := multiChunkStream(t, write, recSize)
+		// Clean: every block round-trips through the chunked decode.
+		got, err := Read(bytes.NewReader(data))
+		if err != nil || len(got) != 3 {
+			t.Fatalf("%s: clean read: %d blocks, %v", name, len(got), err)
+		}
+		var back bytes.Buffer
+		if err := write(&back, got); err != nil || !bytes.Equal(back.Bytes(), data) {
+			t.Fatalf("%s: clean read does not re-serialise to its stream (%v)", name, err)
+		}
+
+		bad := append([]byte(nil), data...)
+		bad[payload+(3*decodeChunk+2)*recSize+5] ^= 0x04
+		if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: strict read of a rotten last chunk = %v, want ErrChecksum", name, err)
+		}
+		got, err = ReadSalvage(bytes.NewReader(bad))
+		if !errors.Is(err, ErrChecksum) {
+			t.Errorf("%s: salvage error = %v, want ErrChecksum", name, err)
+		}
+		var want bytes.Buffer
+		if err := write(&want, []Block{blocks[0], blocks[2]}); err != nil {
+			t.Fatal(err)
+		}
+		back.Reset()
+		if err := write(&back, got); err != nil || !bytes.Equal(back.Bytes(), want.Bytes()) {
+			t.Errorf("%s: salvage returned %d blocks, not exactly the two good ones (%v)", name, len(got), err)
+		}
+
+		// Torn in the second chunk: found from the size before any read,
+		// and mid-chunk by a reader that claims the untorn length.
+		torn := data[:payload+decodeChunk*recSize+100]
+		if _, err := Read(bytes.NewReader(torn)); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: read of a stream torn mid-chunk = %v, want ErrTruncated", name, err)
+		}
+		got, err = ReadSalvage(claimedLen{bytes.NewReader(torn), len(data)})
+		if !errors.Is(err, ErrTruncated) || len(got) != 1 || got[0].Rank != 0 {
+			t.Errorf("%s: salvage of a stream torn mid-chunk = %d blocks, %v; want block 0 and ErrTruncated", name, len(got), err)
+		}
+	}
+}
+
+// claimedLen reports a length its reader cannot deliver, as a file that
+// shrinks while it is read does.
+type claimedLen struct {
+	*bytes.Reader
+	n int
+}
+
+func (c claimedLen) Len() int { return c.n }

@@ -26,11 +26,10 @@ type ParallelResult struct {
 // local must already be decomposed (every particle within the rank's
 // slab). overload is the ghost-zone width.
 func ParallelFOF(c *mpi.Comm, local *nbody.Particles, box, overload float64, o Options) (*ParallelResult, error) {
-	ghosts, err := nbody.ExchangeOverload(c, local, box, overload)
+	ext, err := nbody.WithOverload(c, local, box, overload)
 	if err != nil {
 		return nil, err
 	}
-	ext := nbody.Concat(local, ghosts)
 	o.Periodic = true // rank-local linking uses true periodic distances
 	cat, err := FOF(ext, box, o)
 	if err != nil {

@@ -40,37 +40,47 @@ func SlabOwner(x float64, size int, box float64) int {
 }
 
 // Distribute redistributes particles so every rank ends with exactly the
-// particles whose x lies in its slab. Each rank contributes its current
-// local set; the exchange is a single AllToAll. This is the
-// "redistribution" phase the off-line workflow pays for after reading
-// Level 1 data back from disk (Table 4).
+// particles whose x lies in its slab: rank 0's first, then rank 1's, and
+// so on, each source's in its local order. The exchange is a single
+// AllToAll of views (see gather), so each particle is copied once. This
+// is the "redistribution" phase the off-line workflow pays for after
+// reading Level 1 data back from disk (Table 4).
 func Distribute(c *mpi.Comm, local *Particles, box float64) (*Particles, error) {
 	if err := local.Validate(); err != nil {
 		return nil, err
 	}
 	size := c.Size()
-	buckets := make([][]int, size)
-	for i := 0; i < local.N(); i++ {
-		r := SlabOwner(local.X[i], size, box)
-		buckets[r] = append(buckets[r], i)
+	// One owner pass, then a counting sort: each destination's indices are
+	// an exact-size run of one backing slice, in ascending local order.
+	owner := make([]int, local.N())
+	end := make([]int, size+1)
+	for i, x := range local.X {
+		owner[i] = SlabOwner(x, size, box)
+		end[owner[i]+1]++
+	}
+	for r := 1; r <= size; r++ {
+		end[r] += end[r-1]
+	}
+	idx := make([]int, local.N())
+	for i, r := range owner {
+		idx[end[r]] = i
+		end[r]++ // bucket r's start becomes its end
 	}
 	out := make([]any, size)
-	for r := 0; r < size; r++ {
-		out[r] = local.Select(buckets[r])
+	lo := 0
+	for r := range out {
+		out[r] = view{local, idx[lo:end[r]]}
+		lo = end[r]
 	}
-	in := c.AllToAll(out)
-	parts := make([]*Particles, len(in))
-	for r, payload := range in {
-		parts[r] = payload.(*Particles)
-	}
-	return Concat(parts...), nil
+	return gather(c, &Particles{}, c.AllToAll(out)), nil
 }
 
-// ExchangeOverload returns the ghost particles for a rank: copies of
-// neighbour particles within overload distance of the rank's slab
-// boundaries (periodic across the box ends). local must already be
-// decomposed (every particle inside the caller's slab).
-func ExchangeOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Particles, error) {
+// WithOverload returns the rank's extended particle set: a copy of local
+// followed by its ghosts, the neighbour particles within overload
+// distance of the slab's boundaries (periodic across the box ends), in
+// source rank order. local must already be decomposed (every particle
+// inside the caller's slab).
+func WithOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Particles, error) {
 	size := c.Size()
 	rank := c.Rank()
 	if overload <= 0 {
@@ -83,7 +93,7 @@ func ExchangeOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Pa
 	if size == 1 {
 		// Single rank sees the whole box; no ghosts needed (periodic FOF
 		// handles wrapping directly).
-		return NewParticles(0), nil
+		return local.Clone(), nil
 	}
 	lo, hi := SlabBounds(rank, size, box)
 	left := (rank - 1 + size) % size
@@ -103,18 +113,49 @@ func ExchangeOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Pa
 	}
 	out := make([]any, size)
 	for r := range out {
-		out[r] = NewParticles(0)
+		out[r] = view{}
 	}
-	out[left] = local.Select(toLeft)
+	out[left] = view{local, toLeft}
 	if left != right {
-		out[right] = local.Select(toRight)
+		out[right] = view{local, toRight}
 	}
-	in := c.AllToAll(out)
-	var parts []*Particles
-	for r, payload := range in {
-		if r != rank {
-			parts = append(parts, payload.(*Particles))
+	return gather(c, local, c.AllToAll(out)), nil
+}
+
+// A view is the particles of p at idx. Ranks exchange views, not copies:
+// each receiver reads the senders' particles in place between the
+// AllToAll and the barrier that closes the exchange, as an MPI one-sided
+// get does inside a fence epoch.
+type view struct {
+	p   *Particles
+	idx []int
+}
+
+// gather returns head's particles followed by those of every view in in,
+// in order, in one container, then waits at a barrier, so that no rank
+// returns, free to change its particles, while another still reads them.
+func gather(c *mpi.Comm, head *Particles, in []any) *Particles {
+	n := head.N()
+	for _, v := range in {
+		n += len(v.(view).idx)
+	}
+	q := NewParticles(n)
+	at := copy(q.X, head.X)
+	copy(q.Y, head.Y)
+	copy(q.Z, head.Z)
+	copy(q.VX, head.VX)
+	copy(q.VY, head.VY)
+	copy(q.VZ, head.VZ)
+	copy(q.Tag, head.Tag)
+	for _, v := range in {
+		v := v.(view)
+		for _, i := range v.idx {
+			q.X[at], q.Y[at], q.Z[at] = v.p.X[i], v.p.Y[i], v.p.Z[i]
+			q.VX[at], q.VY[at], q.VZ[at] = v.p.VX[i], v.p.VY[i], v.p.VZ[i]
+			q.Tag[at] = v.p.Tag[i]
+			at++
 		}
 	}
-	return Concat(parts...), nil
+	c.Barrier()
+	return q
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/testsupport"
 )
 
 func TestSlabBounds(t *testing.T) {
@@ -106,9 +108,9 @@ func TestDistributeRejectsInvalidParticles(t *testing.T) {
 	}
 }
 
-// ExchangeOverload must hand each rank exactly the neighbour particles
-// within the overload distance of its slab, including across the periodic
-// wrap.
+// WithOverload must hand each rank its own particles followed by exactly
+// the neighbour particles within the overload distance of its slab,
+// including across the periodic wrap.
 func TestExchangeOverload(t *testing.T) {
 	box := 16.0
 	ow := 1.0
@@ -127,16 +129,16 @@ func TestExchangeOverload(t *testing.T) {
 				idx = append(idx, i)
 			}
 		}
-		ghosts, err := ExchangeOverload(c, all.Select(idx), box, ow)
+		local := all.Select(idx)
+		ext, err := WithOverload(c, local, box, ow)
 		if err != nil {
 			return err
 		}
+		ghosts, err := ghostTags(local, ext)
 		mu.Lock()
-		for i := 0; i < ghosts.N(); i++ {
-			ghostsByRank[c.Rank()] = append(ghostsByRank[c.Rank()], ghosts.Tag[i])
-		}
+		ghostsByRank[c.Rank()] = ghosts
 		mu.Unlock()
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +167,10 @@ func TestExchangeOverload(t *testing.T) {
 
 func TestExchangeOverloadValidation(t *testing.T) {
 	err := mpi.RunRanks(2, func(c *mpi.Comm) error {
-		if _, err := ExchangeOverload(c, NewParticles(0), 16, 0); err == nil {
+		if _, err := WithOverload(c, NewParticles(0), 16, 0); err == nil {
 			return fmt.Errorf("expected overload error")
 		}
-		if _, err := ExchangeOverload(c, NewParticles(0), 16, 9); err == nil {
+		if _, err := WithOverload(c, NewParticles(0), 16, 9); err == nil {
 			return fmt.Errorf("expected slab-width error")
 		}
 		return nil
@@ -182,14 +184,18 @@ func TestExchangeOverloadSingleRank(t *testing.T) {
 	err := mpi.RunRanks(1, func(c *mpi.Comm) error {
 		p := NewParticles(0)
 		p.Append(1, 1, 1, 0, 0, 0, 0)
-		ghosts, err := ExchangeOverload(c, p, 16, 1)
+		ext, err := WithOverload(c, p, 16, 1)
 		if err != nil {
 			return err
 		}
-		if ghosts.N() != 0 {
-			return fmt.Errorf("single rank should get no ghosts")
+		ghosts, err := ghostTags(p, ext)
+		if err == nil && len(ghosts) != 0 {
+			return fmt.Errorf("single rank should get no ghosts, got %v", ghosts)
 		}
-		return nil
+		if err == nil && &ext.X[0] == &p.X[0] {
+			return fmt.Errorf("single rank's extended set aliases local")
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,14 +222,16 @@ func TestExchangeOverloadTwoRanks(t *testing.T) {
 				idx = append(idx, i)
 			}
 		}
-		ghosts, err := ExchangeOverload(c, all.Select(idx), box, 1)
+		local := all.Select(idx)
+		ext, err := WithOverload(c, local, box, 1)
 		if err != nil {
 			return err
 		}
+		ghosts, err := ghostTags(local, ext)
 		mu.Lock()
-		got[c.Rank()] = append([]int64(nil), ghosts.Tag...)
+		got[c.Rank()] = ghosts
 		mu.Unlock()
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,14 +268,16 @@ func TestExchangeOverloadTwoRanksNoDuplicateGhosts(t *testing.T) {
 				idx = append(idx, i)
 			}
 		}
-		ghosts, err := ExchangeOverload(c, all.Select(idx), box, 3)
+		local := all.Select(idx)
+		ext, err := WithOverload(c, local, box, 3)
 		if err != nil {
 			return err
 		}
+		ghosts, err := ghostTags(local, ext)
 		mu.Lock()
-		got[c.Rank()] = append([]int64(nil), ghosts.Tag...)
+		got[c.Rank()] = ghosts
 		mu.Unlock()
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,5 +290,117 @@ func TestExchangeOverloadTwoRanksNoDuplicateGhosts(t *testing.T) {
 		if fmt.Sprint(got[rank]) != want[rank] {
 			t.Errorf("rank %d ghost tags = %v, want %v", rank, got[rank], want[rank])
 		}
+	}
+}
+
+// ghostTags checks that ext is local, column for column, followed by its
+// ghosts, and returns the ghosts' tags.
+func ghostTags(local, ext *Particles) ([]int64, error) {
+	n := local.N()
+	if ext.N() < n || !sameColumns(local, head(ext, n)) {
+		return nil, fmt.Errorf("extended set of %d does not begin with the %d local particles", ext.N(), n)
+	}
+	return slices.Clone(ext.Tag[n:]), nil
+}
+
+// head is p's first n particles, sharing p's columns.
+func head(p *Particles, n int) *Particles {
+	return &Particles{X: p.X[:n], Y: p.Y[:n], Z: p.Z[:n], VX: p.VX[:n], VY: p.VY[:n], VZ: p.VZ[:n], Tag: p.Tag[:n]}
+}
+
+func sameColumns(a, b *Particles) bool {
+	return slices.Equal(a.X, b.X) && slices.Equal(a.Y, b.Y) && slices.Equal(a.Z, b.Z) &&
+		slices.Equal(a.VX, b.VX) && slices.Equal(a.VY, b.VY) && slices.Equal(a.VZ, b.VZ) &&
+		slices.Equal(a.Tag, b.Tag)
+}
+
+// shares deals n random particles with x in [0, xmax) out to size ranks,
+// particle i to rank from(i).
+func shares(n, size int, xmax, box float64, from func(i int) int) []*Particles {
+	rng := rand.New(rand.NewSource(int64(n + size)))
+	out := make([]*Particles, size)
+	for r := range out {
+		out[r] = NewParticles(0)
+	}
+	for i := 0; i < n; i++ {
+		out[from(i)].Append(rng.Float64()*xmax, rng.Float64()*box, rng.Float64()*box,
+			rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), int64(i))
+	}
+	return out
+}
+
+// Distribute and WithOverload exchange views where the reference
+// exchanges copies; they must return the same particles in the same
+// order, column for column.
+func TestDistributeAndOverloadMatchReference(t *testing.T) {
+	const box = 16.0
+	for size := 1; size <= 4; size++ {
+		cases := map[string][]*Particles{
+			"round-robin": shares(500, size, box, box, func(i int) int { return i % size }),
+		}
+		if size > 1 {
+			// No particle lies in the last slab, so its bucket is empty on
+			// every rank; and rank 0 starts with none, so it sends nothing.
+			cases["empty-slab-silent-rank"] = shares(500, size, box*float64(size-1)/float64(size), box,
+				func(i int) int { return 1 + i%(size-1) })
+		}
+		for name, start := range cases {
+			err := mpi.RunRanks(size, func(c *mpi.Comm) error {
+				local, err := Distribute(c, start[c.Rank()], box)
+				if err != nil {
+					return err
+				}
+				if want := referenceDistribute(c, start[c.Rank()], box); !sameColumns(local, want) {
+					return fmt.Errorf("rank %d: Distribute's %d particles differ from the reference's %d", c.Rank(), local.N(), want.N())
+				}
+				if name != "round-robin" && c.Rank() == size-1 && local.N() != 0 {
+					return fmt.Errorf("rank %d: empty slab received %d particles", c.Rank(), local.N())
+				}
+				for _, ow := range []float64{1, box / float64(size)} {
+					ext, err := WithOverload(c, local, box, ow)
+					if err != nil {
+						return err
+					}
+					if want := Concat(local, referenceGhosts(c, local, box, ow)); !sameColumns(ext, want) {
+						return fmt.Errorf("rank %d, overload %g: %d extended particles differ from the reference's %d", c.Rank(), ow, ext.N(), want.N())
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%d ranks, %s: %v", size, name, err)
+			}
+		}
+	}
+}
+
+// Distribute copies each particle once, into the container it ends in;
+// its only other per-particle cost is the owner pass's two index slices.
+// The reference's Select copies, Concat and append growth cost more.
+func TestDistributeAllocatesOneCopy(t *testing.T) {
+	const n, size, box = 1 << 15, 4, 16.0
+	start := shares(n, size, box, box, func(i int) int { return i % size })
+	run := func(fn func(c *mpi.Comm) error) func() {
+		return func() {
+			if err := mpi.RunRanks(size, fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	world := testsupport.Allocated(run(func(c *mpi.Comm) error {
+		c.AllToAll(make([]any, size))
+		c.Barrier()
+		return nil
+	}))
+	got := testsupport.Allocated(run(func(c *mpi.Comm) error {
+		_, err := Distribute(c, start[c.Rank()], box)
+		return err
+	}))
+	// Per rank: the nine particle-sized slices each round up to a page,
+	// and a few small headers.
+	const perRank = 9*8<<10 + 4<<10
+	if bound := world + (56+16)*n + perRank*size; got > bound {
+		t.Errorf("Distribute of %d particles over %d ranks allocated %d B, more than %d (%.1f B per particle over the world's)",
+			n, size, got, bound, float64(got-world)/n)
 	}
 }
