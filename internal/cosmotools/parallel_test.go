@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/center"
 	"repro/internal/gio"
@@ -93,7 +95,7 @@ func TestParallelAnalysisMatchesSerial(t *testing.T) {
 			local := distribute(all, c.Rank(), c.Size(), box)
 			prod, err := ParallelAnalysis(c, local, box, 2.0, fofOpts, threshold, co)
 			if err != nil {
-				//lint:allow mpicollective error path fires only on test failure, where the resulting stall surfaces as a test timeout
+				//lint:allow mpicollective error path fires only on test failure, where the world aborts and RunRanks returns the error (TestParallelAnalysisRankErrorAborts)
 				return err
 			}
 			centers := GatherCenters(c, prod.Centers)
@@ -126,6 +128,35 @@ func TestParallelAnalysisMatchesSerial(t *testing.T) {
 				merged[i].MBPTag != refAll[i].MBPTag {
 				t.Fatalf("ranks=%d: center %d = %+v, want %+v", ranks, i, merged[i], refAll[i])
 			}
+		}
+	}
+}
+
+// A rank whose own options are bad returns its error before ParallelFOF's
+// closing Barrier. The world aborts, so RunRanks returns that error at once
+// instead of leaving the other ranks waiting.
+func TestParallelAnalysisRankErrorAborts(t *testing.T) {
+	all, box := clusteredBox(1)
+	co := center.Options{Mass: 1, Softening: 1e-3}
+	for _, ranks := range []int{2, 3, 4} {
+		done := make(chan error, 1)
+		go func() {
+			done <- mpi.RunRanks(ranks, func(c *mpi.Comm) error {
+				fofOpts := halo.Options{LinkingLength: 0.35, MinSize: 20}
+				if c.Rank() == c.Size()-1 {
+					fofOpts.LinkingLength = 0
+				}
+				_, err := ParallelAnalysis(c, distribute(all, c.Rank(), c.Size(), box), box, 2.0, fofOpts, 300, co)
+				return err
+			})
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "linking length 0 must be positive") {
+				t.Errorf("ranks=%d: RunRanks = %v, want the last rank's linking-length error", ranks, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ranks=%d: RunRanks still blocked after 5 s", ranks)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/dparallel"
 	"repro/internal/periodic"
@@ -295,12 +296,7 @@ func (t *Tree) PairsWithin(r float64, bulk func(a, b []int), pair func(i, j int)
 	if len(t.nodes) == 0 {
 		return
 	}
-	var j *join
-	select {
-	case j = <-joins:
-	default:
-		j = new(join)
-	}
+	j := joins.get()
 	j.t, j.r2, j.near2, j.bulk, j.n = t, r*r, t.pad2(r), bulk != nil, 0
 	j.unroll(0, joinDepth)
 	dparallel.Parallel{MinChunk: 1}.ForRange(j.n, j.runTasks)
@@ -318,10 +314,7 @@ func (t *Tree) PairsWithin(r float64, bulk func(a, b []int), pair func(i, j int)
 		j.logs[c].ev = ev[:0]
 	}
 	j.t = nil // a kept join must not keep the tree alive
-	select {
-	case joins <- j:
-	default:
-	}
+	joins.put(j)
 }
 
 // joinDepth is how many levels of the self-join become tasks: ≤ 2⁶−1 = 63.
@@ -341,9 +334,38 @@ type join struct {
 
 type joinLog struct{ ev, near []int } // near: leaf filter scratch
 
-// joins keeps joins and their logs' buffers for later calls (a free list
-// like dparallel's waits); 16 covers the calls in flight at once here.
-var joins = make(chan *join, 16)
+// joins keeps joins and their logs' buffers for later calls; 16 covers the
+// calls in flight at once here. It is last in, first out, so a serial
+// caller gets back the join whose buffers it grew last; in any other order
+// it would cycle through every join that overlapping calls made, growing
+// each one's buffers in turn, and its allocations would depend on how
+// earlier calls were scheduled.
+var joins = &joinStack{free: make([]*join, 0, 16)}
+
+type joinStack struct {
+	mu   sync.Mutex
+	free []*join
+}
+
+func (s *joinStack) get() *join {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.free)
+	if n == 0 {
+		return new(join)
+	}
+	j := s.free[n-1]
+	s.free = s.free[:n-1]
+	return j
+}
+
+func (s *joinStack) put(j *join) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.free) < cap(s.free) {
+		s.free = append(s.free, j)
+	}
+}
 
 func (t *Tree) span(a int) []int { return t.perm[t.nodes[a].lo:t.nodes[a].hi] }
 

@@ -193,3 +193,26 @@ func TestNthElement(t *testing.T) {
 		}
 	}
 }
+
+// PairsWithin's allocations do not depend on how many joins earlier,
+// overlapping calls left in the free list: a serial caller gets back the
+// join whose buffers it grew, not each fresh one in turn.
+func TestPairsWithinAllocationsIndependentOfFreeList(t *testing.T) {
+	x, y, z := randomCloud(4096, 100, 1)
+	tr, err := Build(x, y, z, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func() float64 {
+		return testing.AllocsPerRun(10, func() {
+			tr.PairsWithin(2, func(a, b []int) {}, func(i, j int) {})
+		})
+	}
+	want := measure()
+	for i := 0; i < 8; i++ {
+		joins.put(new(join))
+	}
+	if got := measure(); got != want {
+		t.Errorf("PairsWithin allocates %v with 8 fresh joins kept, %v with none", got, want)
+	}
+}

@@ -49,8 +49,7 @@ func isDeterministicPkg(pkg *types.Package) bool {
 // under a lock stalls every peer that next contends the lock
 // (lockorder).
 var rankExchangePkgs = map[string]bool{
-	"mpi": true, "transit": true, "sched": true, "dparallel": true,
-	"supervise": true,
+	"transit": true, "sched": true, "dparallel": true, "supervise": true,
 }
 
 // productWritePkgs are the packages whose exported write entry points

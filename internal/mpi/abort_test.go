@@ -38,21 +38,21 @@ func awaitBarrier(w *World, n int) {
 }
 
 // A rank-local error before a collective aborts the world: the ranks
-// blocked in AllReduceSum, Barrier and Recv unwind, and RunRanks returns
+// blocked in AllGather, Barrier and AllToAll unwind, and RunRanks returns
 // that error.
 func TestRankErrorBeforeCollectiveAborts(t *testing.T) {
 	failed := errors.New("rank 2 failed")
 	err := runWithin(t, 4, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
-			c.AllReduceSum(1)
+			c.AllGather(1)
 		case 1:
 			c.Barrier()
 		case 2:
 			awaitBarrier(c.world, 2)
 			return failed
 		case 3:
-			c.Recv(0, 9) // rank 0 lives on, but never sends
+			c.AllToAll(make([]any, c.Size()))
 		}
 		return nil
 	})
@@ -101,7 +101,7 @@ func TestRankPanicBeforeBarrierAborts(t *testing.T) {
 }
 
 // A rank that returns nil while another waits on it — in a Barrier it
-// entered first or enters later, in an AllToAll's Recv — is an error, not
+// entered first or enters later, or in an AllToAll — is an error, not
 // a hang. The sleeps only make one order likely; either must fail.
 func TestRankReturnWhileOthersWaitIsError(t *testing.T) {
 	for _, tc := range []struct {
@@ -132,21 +132,29 @@ func TestRankReturnWhileOthersWaitIsError(t *testing.T) {
 	}
 }
 
-// Returning early is fine when nobody waits: what a rank sent before it
-// returned is still delivered (the sleep makes that order likely).
-func TestRankReturnAfterSendDelivers(t *testing.T) {
-	err := runWithin(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 3, "hello")
+// Ranks that enter different collectives abort the world with an error
+// naming both, instead of pairing one's barriers with the other's.
+func TestCollectiveKindMismatchAborts(t *testing.T) {
+	for _, tc := range []struct {
+		odd, rest func(c *Comm)
+		kinds     []string
+	}{
+		{func(c *Comm) { c.AllGather(c.Rank()) }, func(c *Comm) { c.Barrier() },
+			[]string{"AllGather", "Barrier"}},
+		{func(c *Comm) { c.AllToAll(make([]any, c.Size())) }, func(c *Comm) { c.AllGather(c.Rank()) },
+			[]string{"AllToAll", "AllGather"}},
+	} {
+		err := runWithin(t, 3, func(c *Comm) error {
+			if c.Rank() == 1 {
+				tc.odd(c)
+			} else {
+				tc.rest(c)
+			}
 			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "rank 1 called "+tc.kinds[0]) ||
+			!strings.Contains(err.Error(), "called "+tc.kinds[1]) {
+			t.Errorf("rank 1 in %s, others in %s: RunRanks = %v, want an error naming both", tc.kinds[0], tc.kinds[1], err)
 		}
-		time.Sleep(20 * time.Millisecond)
-		if got := c.Recv(0, 3); got != "hello" {
-			t.Errorf("Recv = %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestAllReduceDeterministicOrder pins the reduction-order contract of
-// AllReduceFloat64: the fold is over the rank-indexed AllGather slice,
-// ((v0 + v1) + v2) ..., so the result is bit-identical no matter in
-// which order the ranks arrive at the collective. The values are chosen
-// so that a different association produces a different bit pattern
-// (1e16 + 1 - 1e16 is 0 or 1 or 2 depending on grouping); the ranks are
-// released into the collective in several explicit permutations, and
-// every rank of every trial must reproduce the serial rank-order fold
-// exactly.
+// TestAllReduceDeterministicOrder pins the contract an all-reduce built
+// on AllGather relies on (powerspec.MeasureParallel's grid sum is one):
+// the gathered slice is indexed by rank, so its fold ((v0 + v1) + v2) ...
+// is bit-identical no matter in which order the ranks arrive at the
+// collective. The values are chosen so that a different association
+// produces a different bit pattern (1e16 + 1 - 1e16 is 0 or 1 or 2
+// depending on grouping); the ranks are released into the collective in
+// several explicit permutations, and every rank of every trial must
+// reproduce the serial rank-order fold exactly.
 func TestAllReduceDeterministicOrder(t *testing.T) {
 	vals := []float64{1e16, 1.0, -1e16, 1.0, 0.5, 1e-8, -3.75, 2.0}
 	n := len(vals)
@@ -52,7 +52,11 @@ func TestAllReduceDeterministicOrder(t *testing.T) {
 		err := RunRanks(n, func(c *Comm) error {
 			<-gates[c.Rank()]
 			entered <- struct{}{}
-			s := c.AllReduceSum(vals[c.Rank()])
+			all := c.AllGather(vals[c.Rank()])
+			s := all[0].(float64)
+			for _, v := range all[1:] {
+				s += v.(float64)
+			}
 			sums[c.Rank()] = math.Float64bits(s)
 			return nil
 		})

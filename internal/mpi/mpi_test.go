@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -37,50 +36,6 @@ func TestRunRanksPropagatesError(t *testing.T) {
 func TestRunRanksRejectsZeroRanks(t *testing.T) {
 	if err := RunRanks(0, func(*Comm) error { return nil }); err == nil {
 		t.Error("expected error")
-	}
-}
-
-func TestSendRecvPointToPoint(t *testing.T) {
-	err := RunRanks(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 1, "hello")
-			reply := c.Recv(1, 2).(string)
-			if reply != "world" {
-				return fmt.Errorf("reply = %q", reply)
-			}
-		} else {
-			msg := c.Recv(0, 1).(string)
-			if msg != "hello" {
-				return fmt.Errorf("msg = %q", msg)
-			}
-			c.Send(0, 2, "world")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Recv must hold aside messages with other tags so out-of-order tagged
-// receives do not mismatch.
-func TestRecvTagFiltering(t *testing.T) {
-	err := RunRanks(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 10, "first")
-			c.Send(1, 20, "second")
-			return nil
-		}
-		// Receive in the opposite order of sending.
-		second := c.Recv(0, 20).(string)
-		first := c.Recv(0, 10).(string)
-		if first != "first" || second != "second" {
-			return fmt.Errorf("got %q %q", first, second)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -147,19 +102,6 @@ func TestAllGatherRepeatedRounds(t *testing.T) {
 	}
 }
 
-func TestAllReduceOps(t *testing.T) {
-	err := RunRanks(6, func(c *Comm) error {
-		v := float64(c.Rank() + 1)
-		if s := c.AllReduceSum(v); math.Abs(s-21) > 1e-12 {
-			return fmt.Errorf("sum = %v", s)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllToAllExchangesEverything(t *testing.T) {
 	err := RunRanks(4, func(c *Comm) error {
 		out := make([]any, 4)
@@ -205,8 +147,8 @@ func TestAllToAllRepeated(t *testing.T) {
 func TestSingleRankWorld(t *testing.T) {
 	err := RunRanks(1, func(c *Comm) error {
 		c.Barrier()
-		if s := c.AllReduceSum(3); s != 3 {
-			return fmt.Errorf("sum = %v", s)
+		if all := c.AllGather(3); len(all) != 1 || all[0].(int) != 3 {
+			return fmt.Errorf("allgather = %v", all)
 		}
 		in := c.AllToAll([]any{42})
 		if in[0].(int) != 42 {
