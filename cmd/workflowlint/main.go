@@ -1,9 +1,9 @@
 // Command workflowlint is the multichecker for the repository's custom
 // static analyzers (internal/lint), one per invariant: atomicwrite,
-// closecheck, sentinelwrap, mpicollective, errflow, lockorder (the lock
-// analyzer), dettaint (the determinism analyzer), sharecapture — the
-// workflow invariants behind bit-identical restarts, crash-consistent
-// products, and the deadlock-free rank mesh, machine-checked. Several
+// closecheck, sentinelwrap, errflow, lockorder (the lock analyzer),
+// dettaint (the determinism analyzer), sharecapture — the workflow
+// invariants behind bit-identical restarts, crash-consistent products,
+// and the deadlock-free rank mesh, machine-checked. Several
 // are interprocedural: they compute facts over the call graph that
 // cross package boundaries (lockorder additionally publishes the
 // package's lock-order edges as a package-level fact, so AB/BA

@@ -13,29 +13,17 @@ import (
 	"testing"
 )
 
-// fixtureFiles is a minimal four-package module exercising three
-// cross-package fact chains: app -> pipeline -> {mpi, gio} for
-// mpicollective and errflow, plus pipeline's map-iteration taint
-// (dettaint summary fact) flowing into gio's product sink from app.
-// Package app introduces one mpicollective, one errflow, and one
-// dettaint violation, each only detectable through facts imported from
-// package pipeline: the rank-gated collective and the dropped write
-// error ride SyncAll's and Save's facts; the map-iteration taint rides
-// Keys's summary fact into gio.WriteInts's argument. WriteInts's own
-// error is returned, so no second errflow finding appears.
+// fixtureFiles is a minimal three-package module exercising two
+// cross-package fact chains: app -> pipeline -> gio for errflow, plus
+// pipeline's map-iteration taint (dettaint summary fact) flowing into
+// gio's product sink from app. Package app introduces one errflow and
+// one dettaint violation, each only detectable through facts imported
+// from package pipeline: the dropped write error rides Save's fact; the
+// map-iteration taint rides Keys's summary fact into gio.WriteInts's
+// argument. WriteInts's own error is returned, so no second errflow
+// finding appears.
 var fixtureFiles = map[string]string{
 	"go.mod": "module lintfixture\n\ngo 1.22\n",
-	"mpi/mpi.go": `// Package mpi is a no-op stand-in for the repository's rank mesh —
-// just enough surface for the analyzers' fact computation.
-package mpi
-
-type Comm struct{ rank, size int }
-
-func (c *Comm) Rank() int                 { return c.rank }
-func (c *Comm) Size() int                 { return c.size }
-func (c *Comm) Barrier()                  {}
-func (c *Comm) AllReduceSumInt(v int) int { return v * c.size }
-`,
 	"gio/gio.go": `package gio
 
 type writeError struct{}
@@ -64,14 +52,7 @@ func WriteInts(path string, vals []int) error {
 `,
 	"pipeline/pipeline.go": `package pipeline
 
-import (
-	"lintfixture/gio"
-	"lintfixture/mpi"
-)
-
-// SyncAll reaches a collective one call deep: callers inherit the
-// CallsCollective fact.
-func SyncAll(c *mpi.Comm) { c.Barrier() }
+import "lintfixture/gio"
 
 // Save propagates gio.WriteFile's write error: callers inherit the
 // WriteErrorSource fact.
@@ -92,14 +73,10 @@ func Keys(m map[int]int) []int {
 
 import (
 	"lintfixture/gio"
-	"lintfixture/mpi"
 	"lintfixture/pipeline"
 )
 
-func Run(c *mpi.Comm) error {
-	if c.Rank() == 0 {
-		pipeline.SyncAll(c)
-	}
+func Run() error {
 	pipeline.Save("out")
 	m := map[int]int{1: 1, 2: 2}
 	return gio.WriteInts("out", pipeline.Keys(m))
@@ -424,8 +401,8 @@ func TestSarifOutput(t *testing.T) {
 	if run.Tool.Driver.Name != "workflowlint" {
 		t.Errorf("driver name %q, want workflowlint", run.Tool.Driver.Name)
 	}
-	if len(run.Results) != 3 {
-		t.Fatalf("got %d results, want 3 (mpicollective, errflow, dettaint):\n%s", len(run.Results), first)
+	if len(run.Results) != 2 {
+		t.Fatalf("got %d results, want 2 (errflow, dettaint):\n%s", len(run.Results), first)
 	}
 	seen := map[string]bool{}
 	var messages []string
@@ -444,14 +421,13 @@ func TestSarifOutput(t *testing.T) {
 			t.Errorf("result %s located in %s, want app.go", r.RuleID, r.Locations[0].PhysicalLocation.ArtifactLocation.URI)
 		}
 	}
-	for _, want := range []string{"mpicollective", "errflow", "dettaint"} {
+	for _, want := range []string{"errflow", "dettaint"} {
 		if !seen[want] {
 			t.Errorf("no %s result in SARIF output; got %v", want, seen)
 		}
 	}
 	all := strings.Join(messages, "\n")
 	for _, want := range []string{
-		"SyncAll (reaches Barrier)",
 		"propagates write errors from gio.WriteFile",
 		"map iteration order reaches gio.WriteInts",
 	} {
@@ -481,8 +457,8 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("-list: %v\nstderr: %s", err, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("-list printed %d lines, want 8 (one per analyzer):\n%s", len(lines), stdout.String())
+	if len(lines) != 7 {
+		t.Fatalf("-list printed %d lines, want 7 (one per analyzer):\n%s", len(lines), stdout.String())
 	}
 	var names []string
 	for _, l := range lines {

@@ -341,6 +341,24 @@ func TestWriteRedriveLimit(t *testing.T) {
 	}
 }
 
+// writeRedriveDelay is pinned on the engine clock: under seed 1, step
+// 2's first Level 2 write fails and the re-drive lands it 5 s after the
+// 2203.1859209608597 at which it lands in a fault-free run. VisibleAt is
+// the landing itself, not a listener poll that would round it.
+func TestWriteRedriveDelayPinned(t *testing.T) {
+	e := faultedCampaign(t, fault.Profile{Seed: 1, WriteFailProb: 0.1})
+	if e.res.WritesRedriven != 1 {
+		t.Fatalf("%d writes re-driven, want 1", e.res.WritesRedriven)
+	}
+	f, err := e.storage.Stat(l2Path(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.VisibleAt != 2208.1859209608597 {
+		t.Errorf("step 2's re-driven write landed at %.17g, want 2208.1859209608597 (2203.1859209608597 + 5)", f.VisibleAt)
+	}
+}
+
 // drainSweeps is a safety bound: a submit refusal that outlasts the
 // simulation stops the wrap-up drain after 40 sweeps, one listener poll
 // (30 s) apart from one second after the simulation ends.

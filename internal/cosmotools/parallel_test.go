@@ -95,7 +95,6 @@ func TestParallelAnalysisMatchesSerial(t *testing.T) {
 			local := distribute(all, c.Rank(), c.Size(), box)
 			prod, err := ParallelAnalysis(c, local, box, 2.0, fofOpts, threshold, co)
 			if err != nil {
-				//lint:allow mpicollective error path fires only on test failure, where the world aborts and RunRanks returns the error (TestParallelAnalysisRankErrorAborts)
 				return err
 			}
 			centers := GatherCenters(c, prod.Centers)

@@ -14,7 +14,7 @@
 // Fixture packages may import the standard library — type-checked from
 // GOROOT source (go/importer's "source" compiler), so tests need no
 // pre-built export data and no network — and other fixture packages,
-// GOPATH-style: `import "mpistub"` resolves to testdata/src/mpistub.
+// GOPATH-style: `import "giostub"` resolves to testdata/src/giostub.
 // Fixture dependencies are themselves analyzed first (facts only,
 // diagnostics ignored) so cross-package facts flow exactly as they do
 // under the real drivers, through the same analysis.Execute the CLI

@@ -28,6 +28,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"sort"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -43,7 +44,6 @@ func Analyzers() []*analysis.Analyzer {
 		AtomicWrite,
 		CloseCheck,
 		SentinelWrap,
-		MPICollective,
 		ErrFlow,
 		LockOrder,
 		DetTaint,
@@ -131,6 +131,17 @@ func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
+}
+
+// sortedKeys returns set's keys in sorted order, so that facts and
+// diagnostics built from a set do not depend on map iteration.
+func sortedKeys(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // exprString renders a (small) expression back to source, used to key

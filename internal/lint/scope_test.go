@@ -1,9 +1,13 @@
 package lint
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -123,5 +127,59 @@ func TestDesignRoster(t *testing.T) {
 		if !strings.Contains(scope[c.analyzer], c.list) {
 			t.Errorf("DESIGN.md §10: the scope cell of %s does not list %q (scope.go)", c.analyzer, c.list)
 		}
+	}
+}
+
+// TestNoStaleAllows holds every //lint:allow in the repository's Go
+// files (fixtures under testdata aside) to the roster: a suppression
+// naming no analyzer of Analyzers() suppresses nothing, so it is a stale
+// audit point that silently outlived its analyzer.
+func TestNoStaleAllows(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir("../..", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (p != "../.." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				m := allowRe.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				// The names are the first field, comma-separated; the
+				// reason follows.
+				for _, n := range strings.Split(strings.Fields(m[1])[0], ",") {
+					if n != "" && !known[n] {
+						t.Errorf("%s: //lint:allow names %q, which is not in lint.Analyzers()", fset.Position(c.Pos()), n)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("read only %d Go files; the repository is not being walked", files)
 	}
 }
