@@ -1,7 +1,7 @@
 // Command workflowlint is the multichecker for the repository's custom
 // static analyzers (internal/lint), one per invariant: atomicwrite,
 // closecheck, sentinelwrap, errflow, lockorder (the lock analyzer),
-// dettaint (the determinism analyzer), sharecapture — the workflow
+// dettaint (the determinism analyzer) — the workflow
 // invariants behind bit-identical restarts, crash-consistent products,
 // and the deadlock-free rank mesh, machine-checked. Several
 // are interprocedural: they compute facts over the call graph that

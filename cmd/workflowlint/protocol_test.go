@@ -457,8 +457,8 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("-list: %v\nstderr: %s", err, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("-list printed %d lines, want 7 (one per analyzer):\n%s", len(lines), stdout.String())
+	if len(lines) != 6 {
+		t.Fatalf("-list printed %d lines, want 6 (one per analyzer):\n%s", len(lines), stdout.String())
 	}
 	var names []string
 	for _, l := range lines {
@@ -472,7 +472,7 @@ func TestListFlag(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("-list output not sorted by analyzer name: %v", names)
 	}
-	for _, want := range []string{"dettaint", "sharecapture", "errflow", "lockorder"} {
+	for _, want := range []string{"dettaint", "errflow", "lockorder"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list missing analyzer %q:\n%s", want, stdout.String())
 		}

@@ -125,7 +125,7 @@ func TestSarifReportGolden(t *testing.T) {
 		t.Errorf("rules not sorted by id: %v", ids)
 	}
 	_, index := sarifRules()
-	for _, name := range []string{"dettaint", "sharecapture", "errflow", "lockorder"} {
+	for _, name := range []string{"dettaint", "errflow", "lockorder"} {
 		if _, ok := index[name]; !ok {
 			t.Errorf("rule table missing analyzer %q", name)
 		}

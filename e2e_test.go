@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/cosmotools"
 	"repro/internal/gio"
 )
 
@@ -24,10 +27,15 @@ var (
 	cmdsOnce sync.Once
 	cmdsDir  string // removed by TestMain
 	cmdsErr  error
+	// buildFlags are passed to go build before the output flag: -race
+	// when the test binary itself is race-built (race_test.go).
+	buildFlags []string
 )
 
 // buildCmds compiles the command-line tools once per test binary into a
 // shared temp dir; a failed build fails every test that asks for them.
+// A race-built tool that sees a data race exits 66, which fails the test
+// that ran it as any unexpected exit status does.
 func buildCmds(t *testing.T) string {
 	t.Helper()
 	cmdsOnce.Do(func() {
@@ -35,7 +43,8 @@ func buildCmds(t *testing.T) string {
 			return
 		}
 		for _, name := range []string{"hacc-sim", "cosmotools", "workflow-sim", "listener", "catalog-merge"} {
-			out, err := exec.Command("go", "build", "-o", filepath.Join(cmdsDir, name), "./cmd/"+name).CombinedOutput()
+			args := append(append([]string{"build"}, buildFlags...), "-o", filepath.Join(cmdsDir, name), "./cmd/"+name)
+			out, err := exec.Command("go", args...).CombinedOutput()
 			if err != nil {
 				cmdsErr = fmt.Errorf("building %s: %v\n%s", name, err, out)
 				return
@@ -69,102 +78,187 @@ func splitConfig(t *testing.T, dir string, step int, linking float64, split int)
 	return path
 }
 
-// tagCounts reads a Level 3 catalog down to its (halo_tag, count) pairs,
-// the columns a float32 Level 2 round trip cannot move.
-func tagCounts(t *testing.T, path string) [][2]int64 {
+// readCatalog reads a Level 3 catalog, sorted by halo tag.
+func readCatalog(t *testing.T, path string) []cosmotools.CenterRecord {
 	t.Helper()
 	records, err := catalog.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := make([][2]int64, len(records))
-	for i, r := range records {
-		pairs[i] = [2]int64{r.HaloTag, int64(r.Count)}
+	return records
+}
+
+// combinedRun is one seed of the combined workflow at 32³ in a 40 Mpc/h
+// box, in a fresh directory: hacc-sim with in-situ analysis at step 40
+// and halos above split (0: none) deferred to Level 2, then, if split is
+// set, the stand-alone driver's off-line centers for the Level 2 file.
+// Given procs, it runs once per value with both children's GOMAXPROCS set
+// to it, and the products — step040.centers, step040.l2.gio and
+// offline.centers — must be byte-equal across the runs. It returns the
+// first run's directory and hacc-sim log.
+func combinedRun(t *testing.T, bins string, seed, split int, procs ...int) (dir, simLog string) {
+	t.Helper()
+	if len(procs) == 0 {
+		procs = []int{0} // the test's own GOMAXPROCS
 	}
-	return pairs
+	products := []string{"step040.centers"}
+	if split > 0 {
+		products = append(products, "step040.l2.gio", "offline.centers")
+	}
+	var first [][]byte
+	for i, p := range procs {
+		d := t.TempDir()
+		run := func(name string, args ...string) string {
+			t.Helper()
+			cmd := exec.Command(filepath.Join(bins, name), args...)
+			if p > 0 {
+				cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", p))
+			}
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s (GOMAXPROCS %d): %v\n%s", name, p, err, out)
+			}
+			return string(out)
+		}
+		log := run("hacc-sim", "-np", "32", "-steps", "40", "-box", "40", "-seed", strconv.Itoa(seed),
+			"-out", d, "-cosmotools", splitConfig(t, d, 40, 0.25, split))
+		if split > 0 {
+			run("cosmotools", "-in", filepath.Join(d, "step040.l2.gio"), "-box", "40", "-np", "32",
+				"-mode", "centers", "-out", filepath.Join(d, "offline.centers"))
+		}
+		for k, name := range products {
+			b, err := os.ReadFile(filepath.Join(d, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = append(first, b)
+			} else if !bytes.Equal(b, first[k]) {
+				t.Errorf("seed %d split %d: %s differs between GOMAXPROCS %d and %d", seed, split, name, procs[0], p)
+			}
+		}
+		if i == 0 {
+			dir, simLog = d, log
+		}
+	}
+	return dir, simLog
 }
 
 // The full tool pipeline: simulate with in-situ analysis, emit Level 2,
 // analyze it off-line with the stand-alone driver, merge — and the merged
-// catalog must be the one an all-in-situ run of the same seed delivers.
+// catalog must be the one an all-in-situ run of the same seed delivers,
+// at a small split and at the median halo size. Halo tags, most bound
+// particles' tags and counts must be equal; a flipped center fails on
+// its mbp_tag. Centers and potentials may differ only by Level 2's
+// float32 rounding (gio version 1): each Level 2 coordinate is within
+// δ = box·2⁻²⁴ of the simulation's, so the off-line MBP position moves by
+// at most δ per axis, and every pair separation r by at most 2√3·δ; each
+// term m/(r+ε) of the potential then moves by at most its own size times
+// 2√3·δ/ε, and so does their sum. The catalog prints x, y, z with %.6f
+// and the potential with %.6g, which adds 2·0.5e-6 and a relative 2·5e-6.
+// The potential bound is loose (ε = 1e-3 is far below a typical pair
+// separation): the largest relative difference seen is ~2e-5.
 func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end test")
 	}
 	bins := buildCmds(t)
-	outDir := t.TempDir()
-	const split = 200
-	simulate := func(dir string, split int) string {
-		out, err := exec.Command(filepath.Join(bins, "hacc-sim"),
-			"-np", "32", "-steps", "40", "-box", "40", "-seed", "3",
-			"-out", dir, "-cosmotools", splitConfig(t, dir, 40, 0.25, split)).CombinedOutput()
-		if err != nil {
-			t.Fatalf("hacc-sim: %v\n%s", err, out)
-		}
-		return string(out)
-	}
+	const (
+		box       = 40.0
+		softening = 1e-3 // cmd/cosmotools' off-line centers
+	)
+	delta := box / (1 << 24)
+	posTol := delta + 2*0.5e-6
+	potTol := 2*math.Sqrt(3)*delta/softening + 2*5e-6
 
-	// 1. Simulate with the combined split active so a Level 2 file lands.
-	simLog := simulate(outDir, split)
-	m := regexp.MustCompile(`particles in (\d+) large halos`).FindStringSubmatch(simLog)
-	if m == nil {
-		t.Fatalf("hacc-sim reported no Level 2 output:\n%s", simLog)
-	}
-	largeHalos, _ := strconv.Atoi(m[1])
-	l2Path := filepath.Join(outDir, "step040.l2.gio")
-	centersPath := filepath.Join(outDir, "step040.centers")
-	inSitu := tagCounts(t, centersPath)
-	if len(inSitu) < 5 {
-		t.Fatalf("only %d in-situ centers", len(inSitu))
-	}
+	for _, seed := range []int{3, 8} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			refDir, _ := combinedRun(t, bins, seed, 0)
+			want := readCatalog(t, filepath.Join(refDir, "step040.centers"))
+			if len(want) < 10 {
+				t.Fatalf("seed %d: only %d halos in the all-in-situ run", seed, len(want))
+			}
+			sizes := make([]int, len(want))
+			for i, r := range want {
+				sizes[i] = r.Count
+			}
+			sort.Ints(sizes)
+			// The small split is min_size: every halo above the minimum
+			// goes off-line.
+			for _, split := range []int{10, sizes[len(sizes)/2]} {
+				t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
+					// 1. Simulate with the combined split active so a Level 2
+					// file lands, and center its halos off-line: one record
+					// per large halo. Seed 3's small split runs at GOMAXPROCS
+					// 1, 2 and 4, and its products must not depend on it.
+					var procs []int
+					if seed == 3 && split == 10 {
+						procs = []int{1, 2, 4}
+					}
+					dir, simLog := combinedRun(t, bins, seed, split, procs...)
+					m := regexp.MustCompile(`particles in (\d+) large halos`).FindStringSubmatch(simLog)
+					if m == nil {
+						t.Fatalf("hacc-sim reported no Level 2 output:\n%s", simLog)
+					}
+					largeHalos, _ := strconv.Atoi(m[1])
+					centersPath, offPath := filepath.Join(dir, "step040.centers"), filepath.Join(dir, "offline.centers")
+					inSitu, offline := readCatalog(t, centersPath), readCatalog(t, offPath)
+					if len(offline) != largeHalos || largeHalos < 2 {
+						t.Fatalf("off-line catalog has %d records, hacc-sim reported %d large halos (want equal, several)", len(offline), largeHalos)
+					}
 
-	// 2. Off-line centers for the Level 2 halos via the stand-alone driver:
-	// one record per large halo.
-	offPath := filepath.Join(outDir, "offline.centers")
-	ct := exec.Command(filepath.Join(bins, "cosmotools"),
-		"-in", l2Path, "-box", "40", "-np", "32", "-mode", "centers", "-out", offPath)
-	if out, err := ct.CombinedOutput(); err != nil {
-		t.Fatalf("cosmotools: %v\n%s", err, out)
-	}
-	offline := tagCounts(t, offPath)
-	if len(offline) != largeHalos || largeHalos < 2 {
-		t.Fatalf("off-line catalog has %d records, hacc-sim reported %d large halos (want equal, several)", len(offline), largeHalos)
-	}
+					// 2. The split divides the halos by size: large ones went
+					// to Level 2 only, small ones were centered in situ only.
+					for _, r := range offline {
+						if r.Count <= split {
+							t.Errorf("off-line centers contain small halo %d (%d particles)", r.HaloTag, r.Count)
+						}
+					}
+					for _, r := range inSitu {
+						if r.Count > split {
+							t.Errorf("in-situ centers contain large halo %d (%d particles)", r.HaloTag, r.Count)
+						}
+					}
 
-	// 3. The split divides the halos by size: large ones went to Level 2
-	// only, small ones were centered in situ only.
-	for _, p := range offline {
-		if p[1] <= split {
-			t.Errorf("off-line centers contain small halo %d (%d particles)", p[0], p[1])
-		}
-	}
-	for _, p := range inSitu {
-		if p[1] > split {
-			t.Errorf("in-situ centers contain large halo %d (%d particles)", p[0], p[1])
-		}
-	}
+					// Without -np the driver would size the particle mass from
+					// the Level 2 particle count; it must refuse instead.
+					noNP := exec.Command(filepath.Join(bins, "cosmotools"), "-in", filepath.Join(dir, "step040.l2.gio"),
+						"-box", "40", "-mode", "centers", "-out", filepath.Join(dir, "nonp.centers"))
+					if out, err := noNP.CombinedOutput(); err == nil || !strings.Contains(string(out), "-np") {
+						t.Errorf("cosmotools -mode centers without -np: err=%v, output %q; want an error naming -np", err, out)
+					}
 
-	// Without -np the driver would size the particle mass from the Level 2
-	// particle count; it must refuse instead.
-	noNP := exec.Command(filepath.Join(bins, "cosmotools"), "-in", l2Path, "-box", "40", "-mode", "centers", "-out", offPath+".nonp")
-	if out, err := noNP.CombinedOutput(); err == nil || !strings.Contains(string(out), "-np") {
-		t.Errorf("cosmotools -mode centers without -np: err=%v, output %q; want an error naming -np", err, out)
-	}
-
-	// 4. The paper's final step: merge the two catalogs into the complete
-	// Level 3 product — the same halos an all-in-situ run finds.
-	mergedPath := filepath.Join(outDir, "complete.centers")
-	merge := exec.Command(filepath.Join(bins, "catalog-merge"),
-		"-out", mergedPath, centersPath, offPath)
-	if out, err := merge.CombinedOutput(); err != nil {
-		t.Fatalf("catalog-merge: %v\n%s", err, out)
-	}
-	refDir := t.TempDir()
-	simulate(refDir, 0)
-	merged, want := tagCounts(t, mergedPath), tagCounts(t, filepath.Join(refDir, "step040.centers"))
-	if !reflect.DeepEqual(merged, want) {
-		t.Errorf("merged catalog (%d in situ + %d off-line) differs from the all-in-situ run's %d halos:\n got %v\nwant %v",
-			len(inSitu), len(offline), len(want), merged, want)
+					// 3. The paper's final step: merge the two catalogs into
+					// the complete Level 3 product.
+					mergedPath := filepath.Join(dir, "complete.centers")
+					if out, err := exec.Command(filepath.Join(bins, "catalog-merge"), "-out", mergedPath, centersPath, offPath).CombinedOutput(); err != nil {
+						t.Fatalf("catalog-merge: %v\n%s", err, out)
+					}
+					merged := readCatalog(t, mergedPath)
+					if len(merged) != len(want) {
+						t.Fatalf("merged catalog (%d in situ + %d off-line) has %d halos, the all-in-situ run %d",
+							len(inSitu), len(offline), len(merged), len(want))
+					}
+					for i, got := range merged {
+						w := want[i]
+						if got.HaloTag != w.HaloTag || got.MBPTag != w.MBPTag || got.Count != w.Count {
+							t.Errorf("record %d: (halo_tag, mbp_tag, count) = (%d, %d, %d), all-in-situ (%d, %d, %d)",
+								i, got.HaloTag, got.MBPTag, got.Count, w.HaloTag, w.MBPTag, w.Count)
+							continue
+						}
+						for a := 0; a < 3; a++ {
+							if d := math.Abs(got.Pos[a] - w.Pos[a]); d > posTol {
+								t.Errorf("halo %d: center %v, all-in-situ %v (axis %d off by %.3g > %.3g)", got.HaloTag, got.Pos, w.Pos, a, d, posTol)
+							}
+						}
+						if d := math.Abs(got.Potential - w.Potential); d > potTol*math.Abs(w.Potential) {
+							t.Errorf("halo %d: potential %g, all-in-situ %g (relative %.3g > %.3g)", got.HaloTag, got.Potential, w.Potential, d/math.Abs(w.Potential), potTol)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -206,13 +300,13 @@ func TestEndToEndListenerCoScheduling(t *testing.T) {
 	if strings.Contains(string(out), "failed") {
 		t.Fatalf("a listener job failed:\n%s", out)
 	}
-	centers := tagCounts(t, filepath.Join(outDir, "step030.l2.gio.centers"))
+	centers := readCatalog(t, filepath.Join(outDir, "step030.l2.gio.centers"))
 	if len(centers) == 0 {
 		t.Fatalf("listener job produced no centers:\n%s", out)
 	}
-	for _, p := range centers {
-		if p[1] <= 50 {
-			t.Errorf("listener job centered small halo %d (%d particles)", p[0], p[1])
+	for _, r := range centers {
+		if r.Count <= 50 {
+			t.Errorf("listener job centered small halo %d (%d particles)", r.HaloTag, r.Count)
 		}
 	}
 }

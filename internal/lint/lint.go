@@ -47,7 +47,6 @@ func Analyzers() []*analysis.Analyzer {
 		ErrFlow,
 		LockOrder,
 		DetTaint,
-		ShareCapture,
 	}
 }
 
