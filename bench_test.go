@@ -34,7 +34,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/so"
 	"repro/internal/subhalo"
-	"repro/internal/transit"
 )
 
 // --- shared fixtures -------------------------------------------------------
@@ -580,29 +579,6 @@ func BenchmarkProfileAndShape(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hl.Count()), "particles")
-}
-
-// BenchmarkTransitThroughput measures staging-device handoff rate.
-func BenchmarkTransitThroughput(b *testing.B) {
-	stage, err := transit.NewStage(1 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- transit.Consume(stage, 2, func(transit.Item) error { return nil })
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := stage.Put(transit.Item{Key: "k", Bytes: 1024}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	stage.Close()
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkCheckpointRoundTrip measures full-precision state save/load.

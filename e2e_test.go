@@ -21,6 +21,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cosmotools"
 	"repro/internal/gio"
+	"repro/internal/periodic"
 )
 
 var (
@@ -152,12 +153,15 @@ func combinedRun(t *testing.T, bins string, seed, split int, procs ...int) (dir,
 // its mbp_tag. Centers and potentials may differ only by Level 2's
 // float32 rounding (gio version 1): each Level 2 coordinate is within
 // δ = box·2⁻²⁴ of the simulation's, so the off-line MBP position moves by
-// at most δ per axis, and every pair separation r by at most 2√3·δ; each
-// term m/(r+ε) of the potential then moves by at most its own size times
-// 2√3·δ/ε, and so does their sum. The catalog prints x, y, z with %.6f
-// and the potential with %.6g, which adds 2·0.5e-6 and a relative 2·5e-6.
-// The potential bound is loose (ε = 1e-3 is far below a typical pair
-// separation): the largest relative difference seen is ~2e-5.
+// at most δ per axis, and every pair separation r by at most Δ = 2√3·δ.
+// The MBP's potential is Φ = Σ −m/(r_j + ε) over the other members j; a
+// term moves by m·|r − r'|/((r + ε)(r' + ε)), at most its own size times
+// Δ/(r − Δ + ε), and every term has the same sign, so Φ moves by at most
+// the largest such factor: the nearest member's, at distance d. The
+// record's relative bound is thus Δ/(d − Δ + ε), with d read from the
+// Level 2 file. The catalog prints x, y, z with %.6f and the potential
+// with %.6g, which adds 2·0.5e-6 and a relative 2·5e-6; a halo centered
+// in situ in both runs differs by that rounding at most.
 func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end test")
@@ -169,7 +173,8 @@ func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 	)
 	delta := box / (1 << 24)
 	posTol := delta + 2*0.5e-6
-	potTol := 2*math.Sqrt(3)*delta/softening + 2*5e-6
+	sepTol := 2 * math.Sqrt(3) * delta
+	const printTol = 2 * 5e-6
 
 	for _, seed := range []int{3, 8} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -235,6 +240,7 @@ func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 					if out, err := exec.Command(filepath.Join(bins, "catalog-merge"), "-out", mergedPath, centersPath, offPath).CombinedOutput(); err != nil {
 						t.Fatalf("catalog-merge: %v\n%s", err, out)
 					}
+					nearest := mbpNearest(t, filepath.Join(dir, "step040.l2.gio"), box, offline)
 					merged := readCatalog(t, mergedPath)
 					if len(merged) != len(want) {
 						t.Fatalf("merged catalog (%d in situ + %d off-line) has %d halos, the all-in-situ run %d",
@@ -252,6 +258,10 @@ func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 								t.Errorf("halo %d: center %v, all-in-situ %v (axis %d off by %.3g > %.3g)", got.HaloTag, got.Pos, w.Pos, a, d, posTol)
 							}
 						}
+						potTol := printTol
+						if d, ok := nearest[got.HaloTag]; ok {
+							potTol += sepTol / (d - sepTol + softening)
+						}
 						if d := math.Abs(got.Potential - w.Potential); d > potTol*math.Abs(w.Potential) {
 							t.Errorf("halo %d: potential %g, all-in-situ %g (relative %.3g > %.3g)", got.HaloTag, got.Potential, w.Potential, d/math.Abs(w.Potential), potTol)
 						}
@@ -260,6 +270,43 @@ func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mbpNearest maps the halo tag of each off-line record to the
+// minimum-image distance from its most bound particle to the nearest other
+// member of its halo, read from the Level 2 file (one gio block per halo).
+func mbpNearest(t *testing.T, l2Path string, box float64, offline []cosmotools.CenterRecord) map[int64]float64 {
+	t.Helper()
+	blocks, err := gio.ReadFile(l2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type member struct{ block, index int }
+	where := map[int64]member{}
+	for b, blk := range blocks {
+		for i, tag := range blk.Particles.Tag {
+			where[tag] = member{b, i}
+		}
+	}
+	nearest := map[int64]float64{}
+	for _, r := range offline {
+		m, ok := where[r.MBPTag]
+		if !ok {
+			t.Fatalf("halo %d: most bound particle %d is not in %s", r.HaloTag, r.MBPTag, l2Path)
+		}
+		p, i := blocks[m.block].Particles, m.index
+		d2 := math.Inf(1)
+		for j := range p.X {
+			if j != i {
+				dx := periodic.MinImage(p.X[j]-p.X[i], box)
+				dy := periodic.MinImage(p.Y[j]-p.Y[i], box)
+				dz := periodic.MinImage(p.Z[j]-p.Z[i], box)
+				d2 = min(d2, dx*dx+dy*dy+dz*dz)
+			}
+		}
+		nearest[r.HaloTag] = math.Sqrt(d2)
+	}
+	return nearest
 }
 
 // The listener must notice a new Level 2 file and run the analysis command

@@ -1,9 +1,10 @@
 package repro_test
 
 import (
-	"bytes"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
 
 	"repro/internal/center"
 	"repro/internal/cosmo"
@@ -76,22 +77,26 @@ func Example_workflows() {
 		}
 		return mbp, l2
 	}
-	store := func(blocks []gio.Block) ([]gio.Block, int) {
-		var file bytes.Buffer
-		check(gio.Write(&file, blocks))
-		n := file.Len()
-		blocks, err := gio.Read(&file)
+	dir, err := os.MkdirTemp("", "workflows")
+	check(err)
+	defer os.RemoveAll(dir)
+	store := func(name string, blocks []gio.Block) ([]gio.Block, int) {
+		path := filepath.Join(dir, name)
+		check(gio.WriteFile(path, blocks))
+		info, err := os.Stat(path)
 		check(err)
-		return blocks, n
+		blocks, err = gio.ReadFile(path)
+		check(err)
+		return blocks, int(info.Size())
 	}
 	inSitu, _ := analyze(sim.P, 0)
 	fmt.Printf("in situ: %d centers\n", len(inSitu))
-	level1, l1Bytes := store([]gio.Block{{Particles: sim.P}})
+	level1, l1Bytes := store("step020.l1.gio", []gio.Block{{Particles: sim.P}})
 	offline, _ := analyze(gio.Merge(level1), 0)
 	fmt.Printf("off-line: from a Level 1 of %d KB; same centers: %t\n", l1Bytes>>10, maps.Equal(offline, inSitu))
 	combined, l2 := analyze(sim.P, split)
 	small := len(combined)
-	level2, l2Bytes := store(l2.Blocks())
+	level2, l2Bytes := store("step020.l2.gio", l2.Blocks())
 	l2, err = cosmotools.Level2FromBlocks(level2)
 	check(err)
 	large, err := cosmotools.CentersForLevel2(l2, box, opts)

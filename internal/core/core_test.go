@@ -285,7 +285,7 @@ func TestCoSchedulingOverlapsAnalysis(t *testing.T) {
 		t.Fatalf("co-scheduled submitted %d analysis jobs, want 5", len(co.AnalysisJobStarts))
 	}
 	// All but the last analysis job start before the simulation ends.
-	simEnd := simple.SimJobTotal()
+	simEnd := simple.SimSeconds + simple.AnalysisSeconds + simple.SimWriteSeconds
 	overlapped := 0
 	for _, start := range co.AnalysisJobStarts {
 		if start < simEnd {
@@ -484,8 +484,12 @@ func TestFigure4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Total() != 16384 {
-		t.Errorf("nodes binned = %d", h.Total())
+	binned := 0
+	for _, c := range h.Counts {
+		binned += c
+	}
+	if binned != 16384 {
+		t.Errorf("nodes binned = %d", binned)
 	}
 	// First bin holds the overwhelming majority of nodes.
 	if float64(h.Counts[0]) < 0.5*16384 {

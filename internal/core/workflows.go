@@ -75,11 +75,6 @@ type Report struct {
 	Decisions []supervise.Decision
 }
 
-// SimJobTotal is the simulation job's wall time per analysis step.
-func (r *Report) SimJobTotal() float64 {
-	return r.SimSeconds + r.AnalysisSeconds + r.SimWriteSeconds
-}
-
 // PostJobTotal is the post-processing job's execution time (excluding
 // queueing).
 func (r *Report) PostJobTotal() float64 {

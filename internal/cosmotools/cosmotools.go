@@ -122,15 +122,6 @@ func (m *Manager) Register(a Algorithm) error {
 	return nil
 }
 
-// Algorithms returns the registered algorithm names in registration order.
-func (m *Manager) Algorithms() []string {
-	names := make([]string, len(m.algorithms))
-	for i, a := range m.algorithms {
-		names[i] = a.Name()
-	}
-	return names
-}
-
 // Configure applies a parsed CosmoTools config: each section configures
 // the algorithm of the same name. Sections without a registered algorithm
 // are an error (a misspelled tool must not silently no-op).

@@ -159,9 +159,19 @@ func TestManagerRegisterRejectsDuplicates(t *testing.T) {
 	if err := m.Register(&fakeAlgo{name: "a"}); err == nil {
 		t.Error("expected duplicate error")
 	}
-	if got := m.Algorithms(); len(got) != 1 || got[0] != "a" {
+	if got := algorithmNames(&m); len(got) != 1 || got[0] != "a" {
 		t.Errorf("algorithms = %v", got)
 	}
+}
+
+// algorithmNames returns the registered algorithm names in registration
+// order.
+func algorithmNames(m *Manager) []string {
+	names := make([]string, len(m.algorithms))
+	for i, a := range m.algorithms {
+		names[i] = a.Name()
+	}
+	return names
 }
 
 func TestManagerExecuteHonoursShouldExecute(t *testing.T) {
@@ -477,7 +487,7 @@ min_size = 30
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(m.Algorithms()); got != "[powerspectrum halofinder somass subhalofinder haloproperties]" {
+	if got := fmt.Sprint(algorithmNames(m)); got != "[powerspectrum halofinder somass subhalofinder haloproperties]" {
 		t.Errorf("standard tools = %s", got)
 	}
 	hf := m.algorithms[1].(*HaloFinder)

@@ -23,8 +23,6 @@ import (
 type Backend interface {
 	// Name identifies the backend in logs and benchmark labels.
 	Name() string
-	// Workers reports the degree of parallelism the backend exposes.
-	Workers() int
 	// ForRange invokes fn(lo, hi) over disjoint subranges covering [0, n)
 	// and returns when every call has. Calls may run concurrently; fn must
 	// be safe for the index ranges it is given.
@@ -38,9 +36,6 @@ type Serial struct{}
 
 // Name implements Backend.
 func (Serial) Name() string { return "serial" }
-
-// Workers implements Backend.
-func (Serial) Workers() int { return 1 }
 
 // ForRange implements Backend.
 func (Serial) ForRange(n int, fn func(lo, hi int)) {
@@ -65,9 +60,6 @@ type Parallel struct {
 
 // Name implements Backend.
 func (p Parallel) Name() string { return fmt.Sprintf("parallel(%d)", p.workers()) }
-
-// Workers implements Backend.
-func (p Parallel) Workers() int { return p.workers() }
 
 func (p Parallel) workers() int {
 	if p.NumWorkers > 0 {

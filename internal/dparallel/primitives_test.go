@@ -29,13 +29,10 @@ func TestBackendNames(t *testing.T) {
 }
 
 func TestBackendWorkers(t *testing.T) {
-	if (Serial{}).Workers() != 1 {
-		t.Error("Serial should report 1 worker")
-	}
-	if (Parallel{NumWorkers: 7}).Workers() != 7 {
+	if (Parallel{NumWorkers: 7}).workers() != 7 {
 		t.Error("Parallel{7} should report 7 workers")
 	}
-	if (Parallel{}).Workers() < 1 {
+	if (Parallel{}).workers() < 1 {
 		t.Error("default Parallel should report >= 1 worker")
 	}
 }

@@ -2,19 +2,19 @@
 // discrete-event workflow models. Real co-scheduling deployments are
 // dominated by failures the paper's idealized comparison never sees: batch
 // jobs die mid-run, Lustre writes fail or land silently truncated, the
-// Bellerophon-style listener drops polls during outages, and in-transit
-// consumers abort mid-item. A Profile declares a rate or windows for each
+// Bellerophon-style listener drops polls during outages, and committed
+// files rot at rest. A Profile declares a rate or windows for each
 // fault class; an Injector answers per-event "does this fail?" queries.
 // Where a fault also draws a magnitude (a failure point, a surviving byte
-// fraction, a slowdown factor, a delivery lag), the range is a package
+// fraction, a slowdown factor, a bit-rot delay), the range is a package
 // constant: no workflow has needed another.
 //
 // Determinism: every draw is keyed by a stable identity (job name +
-// attempt, file path + write sequence, item key + delivery count) hashed
-// together with the profile seed into its own substream. The same seed
-// therefore produces the same faults regardless of call order or goroutine
-// interleaving — a property the repeatability tests assert by requiring
-// byte-identical reports across runs.
+// attempt, file path + write sequence, timestep) hashed together with the
+// profile seed into its own substream. The same seed therefore produces
+// the same faults regardless of call order or goroutine interleaving — a
+// property the repeatability tests assert by requiring byte-identical
+// reports across runs.
 //
 // All Injector methods are nil-receiver safe and report "no fault", so
 // callers thread a possibly-nil *Injector without guarding every site; a
@@ -89,10 +89,6 @@ type Profile struct {
 	// by a later poll or the final sweep).
 	ListenerOutages []Window
 
-	// ConsumerAbortProb is the probability an in-transit consumer dies
-	// while processing one item delivery (the item must be redelivered).
-	ConsumerAbortProb float64
-
 	// NodeDrains withhold cluster capacity during windows.
 	NodeDrains []Drain
 
@@ -128,9 +124,8 @@ type Profile struct {
 	// circuit breaker turns repeated refusals into backoff.
 	SubmitFailProb float64
 
-	// TransitDelayProb is the probability one in-transit delivery lags by a
-	// delay drawn uniformly from [1, 30] seconds; an ack-deadline reaper
-	// redelivers items stuck past the deadline.
+	// TransitDelayProb is the probability one in-transit delivery lags.
+	// The campaign model never draws it: it only makes a profile Enabled.
 	TransitDelayProb float64
 
 	// --- silent data corruption: nothing fails, the bytes lie ---
@@ -142,18 +137,12 @@ type Profile struct {
 	// checks pass and only checksum verification notices.
 	BitRotProb                           float64
 	BitRotDelaySecMin, BitRotDelaySecMax float64
-
-	// TransitCorruptProb is the probability one in-transit delivery hands
-	// the consumer a payload with a flipped bit (the staged copy stays
-	// good — the corruption is in the transfer). A checksum-verifying
-	// Take catches it and redelivers.
-	TransitCorruptProb float64
 }
 
 // Enabled reports whether the profile can inject any fault at all.
 func (p Profile) Enabled() bool {
 	return p.JobFailureProb > 0 || p.WriteFailProb > 0 || p.WriteTruncateProb > 0 ||
-		p.ConsumerAbortProb > 0 || len(p.ListenerOutages) > 0 || len(p.NodeDrains) > 0 ||
+		len(p.ListenerOutages) > 0 || len(p.NodeDrains) > 0 ||
 		p.TransitDelayProb > 0 || len(p.Crashes) > 0 || p.GrayEnabled() || p.CorruptionEnabled()
 }
 
@@ -161,14 +150,13 @@ func (p Profile) Enabled() bool {
 // data corruption — the class no failure machinery sees; only end-to-end
 // checksum verification (and the scrubber built on it) catches these.
 func (p Profile) CorruptionEnabled() bool {
-	return p.BitRotProb > 0 || p.TransitCorruptProb > 0
+	return p.BitRotProb > 0
 }
 
 // GrayEnabled reports whether the profile can inject any gray failure —
 // the classes that stall or slow work without killing it, which only
 // deadline/heartbeat supervision can recover. Transit lag is not one: the
-// transit stage's ack-deadline reaper recovers it, and the campaign model
-// never draws it.
+// campaign model never draws it.
 func (p Profile) GrayEnabled() bool {
 	return p.JobSlowdownProb > 0 || p.JobStallProb > 0 || p.InSituSlowdownProb > 0 ||
 		p.SubmitFailProb > 0
@@ -187,14 +175,12 @@ func (p Profile) Validate() error {
 		{"JobFailureProb", p.JobFailureProb},
 		{"WriteFailProb", p.WriteFailProb},
 		{"WriteTruncateProb", p.WriteTruncateProb},
-		{"ConsumerAbortProb", p.ConsumerAbortProb},
 		{"JobSlowdownProb", p.JobSlowdownProb},
 		{"JobStallProb", p.JobStallProb},
 		{"InSituSlowdownProb", p.InSituSlowdownProb},
 		{"SubmitFailProb", p.SubmitFailProb},
 		{"TransitDelayProb", p.TransitDelayProb},
 		{"BitRotProb", p.BitRotProb},
-		{"TransitCorruptProb", p.TransitCorruptProb},
 	}
 	for _, pr := range probs {
 		if pr.v < 0 || pr.v > 1 {
@@ -298,8 +284,6 @@ const (
 	truncFracMin, truncFracMax float64 = 0.1, 0.9
 	// slowMin and slowMax bound job and in-situ slowdown factors.
 	slowMin, slowMax float64 = 1.5, 4
-	// lagSecMin and lagSecMax bound an in-transit delivery's lag.
-	lagSecMin, lagSecMax float64 = 1, 30
 )
 
 // JobAttempt decides whether the named job's attempt (0-based) dies
@@ -354,15 +338,6 @@ func (in *Injector) ListenerDown(t float64) bool {
 		}
 	}
 	return false
-}
-
-// ConsumerAbort decides whether the consumer processing the delivery-th
-// hand-out (0-based) of the keyed item dies mid-item.
-func (in *Injector) ConsumerAbort(key string, delivery int) bool {
-	if in == nil || in.p.ConsumerAbortProb <= 0 {
-		return false
-	}
-	return in.rng("consume", key, delivery).Float64() < in.p.ConsumerAbortProb
 }
 
 // CrashFor returns the process-crash scheduled for the given campaign
@@ -432,19 +407,6 @@ func (in *Injector) SubmitFail(path string, attempt int) bool {
 	return in.rng("submit", path, attempt).Float64() < in.p.SubmitFailProb
 }
 
-// TransitDelay returns the delivery lag in seconds for the delivery-th
-// hand-out (0-based) of the keyed in-transit item; 0 means on time.
-func (in *Injector) TransitDelay(key string, delivery int) float64 {
-	if in == nil || in.p.TransitDelayProb <= 0 {
-		return 0
-	}
-	r := in.rng("lag", key, delivery)
-	if r.Float64() >= in.p.TransitDelayProb {
-		return 0
-	}
-	return lagSecMin + r.Float64()*(lagSecMax-lagSecMin)
-}
-
 // BitRot decides whether the epoch-th committed incarnation of the
 // product at path rots at rest (epoch distinguishes re-commits of the
 // same path across campaign generations), returning the delay in seconds
@@ -463,18 +425,4 @@ func (in *Injector) BitRot(path string, epoch int) (delaySec, bitFrac float64, r
 		lo, hi = 5, 900
 	}
 	return lo + r.Float64()*(hi-lo), r.Float64(), true
-}
-
-// TransitCorrupt decides whether the delivery-th hand-out (0-based) of
-// the keyed in-transit item is corrupted in transfer, returning the
-// flipped bit's position as a fraction of the payload's bits.
-func (in *Injector) TransitCorrupt(key string, delivery int) (bitFrac float64, corrupt bool) {
-	if in == nil || in.p.TransitCorruptProb <= 0 {
-		return 0, false
-	}
-	r := in.rng("xfer", key, delivery)
-	if r.Float64() >= in.p.TransitCorruptProb {
-		return 0, false
-	}
-	return r.Float64(), true
 }

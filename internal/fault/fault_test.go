@@ -15,8 +15,11 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if out, frac := in.Write("p", 0); out != WriteOK || frac != 1 {
 		t.Errorf("nil injector write = %v %v", out, frac)
 	}
-	if in.ListenerDown(0) || in.ConsumerAbort("k", 0) {
-		t.Error("nil injector reported an outage/abort")
+	if in.ListenerDown(0) {
+		t.Error("nil injector reported an outage")
+	}
+	if _, _, rot := in.BitRot("p", 0); rot {
+		t.Error("nil injector rotted a file")
 	}
 	if in.RetryJitter("j", 0) != 0 || in.NodeDrains() != nil {
 		t.Error("nil injector jitter/drains nonzero")
@@ -36,16 +39,13 @@ func TestZeroProfileInjectsNothing(t *testing.T) {
 		if out, _ := in.Write("path", i); out != WriteOK {
 			t.Fatal("zero profile failed a write")
 		}
-		if in.ConsumerAbort("item", i) {
-			t.Fatal("zero profile aborted a consumer")
-		}
 	}
 }
 
 // The core determinism property: identical profiles give identical draws,
 // independent of query order.
 func TestDrawsAreSeededAndOrderIndependent(t *testing.T) {
-	p := Profile{Seed: 7, JobFailureProb: 0.5, WriteFailProb: 0.2, WriteTruncateProb: 0.2, ConsumerAbortProb: 0.3}
+	p := Profile{Seed: 7, JobFailureProb: 0.5, WriteFailProb: 0.2, WriteTruncateProb: 0.2}
 	a, b := MustNew(p), MustNew(p)
 
 	// Query b in reverse order; answers must still match a's.
@@ -69,9 +69,6 @@ func TestDrawsAreSeededAndOrderIndependent(t *testing.T) {
 		ob, fb := b.Write("l2/step001.gio", i)
 		if oa != ob || fa != fb {
 			t.Fatalf("write %d: (%v,%v) != (%v,%v)", i, oa, fa, ob, fb)
-		}
-		if a.ConsumerAbort("item", i) != b.ConsumerAbort("item", i) {
-			t.Fatalf("consumer draw %d differs", i)
 		}
 		if a.RetryJitter("sim", i) != b.RetryJitter("sim", i) {
 			t.Fatalf("jitter draw %d differs", i)
@@ -208,7 +205,7 @@ func TestValidateRejectsMalformedProfiles(t *testing.T) {
 		{"crash at negative time", Profile{Crashes: []Crash{{AtTime: -1}}}, "at most one"},
 		{"crash at negative step", Profile{Crashes: []Crash{{AtStep: -2}}}, "at most one"},
 		{"bit-rot probability above one", Profile{BitRotProb: 1.2}, "not a probability"},
-		{"negative transit-corrupt probability", Profile{TransitCorruptProb: -0.2}, "not a probability"},
+		{"negative transit-delay probability", Profile{TransitDelayProb: -0.2}, "not a probability"},
 		{"inverted bit-rot delay", Profile{BitRotDelaySecMin: 900, BitRotDelaySecMax: 30}, "negative or inverted"},
 		{"negative bit-rot delay", Profile{BitRotDelaySecMin: -1, BitRotDelaySecMax: 10}, "negative or inverted"},
 	}
@@ -253,9 +250,6 @@ func TestNilInjectorInjectsNoGrayFailures(t *testing.T) {
 	if in.SubmitFail("p", 0) {
 		t.Error("nil injector refused a submit")
 	}
-	if d := in.TransitDelay("k", 0); d != 0 {
-		t.Errorf("nil TransitDelay = %v", d)
-	}
 }
 
 // A lag-only profile must not arm campaign supervision for a fault the
@@ -272,12 +266,12 @@ func TestTransitLagIsNotGray(t *testing.T) {
 
 func TestGrayDrawsAreSeededAndOrderIndependent(t *testing.T) {
 	p := Profile{Seed: 17, JobSlowdownProb: 0.4, JobStallProb: 0.3,
-		InSituSlowdownProb: 0.5, SubmitFailProb: 0.3, TransitDelayProb: 0.4}
+		InSituSlowdownProb: 0.5, SubmitFailProb: 0.3}
 	a, b := MustNew(p), MustNew(p)
 	// Query b in reverse; every gray draw must match a's.
 	type draw struct {
-		slow, stallFrac, step, lag float64
-		stall, submit              bool
+		slow, stallFrac, step float64
+		stall, submit         bool
 	}
 	var fwd []draw
 	for i := 0; i < 60; i++ {
@@ -286,7 +280,6 @@ func TestGrayDrawsAreSeededAndOrderIndependent(t *testing.T) {
 		d.stallFrac, d.stall = a.JobStall("sim", i)
 		d.step = a.StepSlowdown(i)
 		d.submit = a.SubmitFail("l2/step001.gio", i)
-		d.lag = a.TransitDelay("item", i)
 		fwd = append(fwd, d)
 	}
 	for i := 59; i >= 0; i-- {
@@ -295,7 +288,6 @@ func TestGrayDrawsAreSeededAndOrderIndependent(t *testing.T) {
 		d.stallFrac, d.stall = b.JobStall("sim", i)
 		d.step = b.StepSlowdown(i)
 		d.submit = b.SubmitFail("l2/step001.gio", i)
-		d.lag = b.TransitDelay("item", i)
 		if d != fwd[i] {
 			t.Fatalf("draw %d: %+v != %+v", i, d, fwd[i])
 		}
@@ -306,7 +298,7 @@ func TestGrayDrawsAreSeededAndOrderIndependent(t *testing.T) {
 // the draws spread over most of it.
 func TestGraySlowdownRangesHonored(t *testing.T) {
 	in := MustNew(Profile{Seed: 5, JobFailureProb: 1, WriteTruncateProb: 1, JobSlowdownProb: 1,
-		JobStallProb: 1, InSituSlowdownProb: 1, TransitDelayProb: 1})
+		JobStallProb: 1, InSituSlowdownProb: 1})
 	for _, r := range []struct {
 		name   string
 		lo, hi float64
@@ -317,7 +309,6 @@ func TestGraySlowdownRangesHonored(t *testing.T) {
 		{"JobSlowdown factor", 1.5, 4, func(i int) float64 { return in.JobSlowdown("j", i) }},
 		{"JobStall stall point", 0.05, 0.95, func(i int) float64 { f, _ := in.JobStall("j", i); return f }},
 		{"StepSlowdown factor", 1.5, 4, func(i int) float64 { return in.StepSlowdown(i) }},
-		{"TransitDelay lag", 1, 30, func(i int) float64 { return in.TransitDelay("k", i) }},
 	} {
 		min, max := math.Inf(1), math.Inf(-1)
 		for i := 0; i < 500; i++ {
@@ -335,7 +326,7 @@ func TestGraySlowdownRangesHonored(t *testing.T) {
 
 func TestCorruptionDrawsAreSeededAndOrderIndependent(t *testing.T) {
 	p := Profile{Seed: 9, BitRotProb: 0.5, BitRotDelaySecMin: 10, BitRotDelaySecMax: 500,
-		TransitCorruptProb: 0.5}
+		WriteFailProb: 0.5}
 	a, b := MustNew(p), MustNew(p)
 	// Interleave draws differently between the two injectors: keyed
 	// substreams must make the order irrelevant.
@@ -351,7 +342,7 @@ func TestCorruptionDrawsAreSeededAndOrderIndependent(t *testing.T) {
 	}
 	for i := 19; i >= 0; i-- {
 		key := "l2/step" + string(rune('a'+i)) + ".gio"
-		b.TransitCorrupt(key, 0) // extra unrelated draws must not shift bit-rot draws
+		b.Write(key, 0) // extra unrelated draws must not shift bit-rot draws
 		d, f, hit := b.BitRot(key, 1)
 		if w := got[key]; d != w.delay || f != w.frac || hit != w.hit {
 			t.Fatalf("draw for %s differs across injectors/orders", key)
@@ -388,39 +379,12 @@ func TestCorruptionDrawsAreSeededAndOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestTransitCorruptDraws(t *testing.T) {
-	in := MustNew(Profile{Seed: 4, TransitCorruptProb: 0.4})
-	hits := 0
-	for i := 0; i < 200; i++ {
-		frac, corrupt := in.TransitCorrupt("item", i)
-		if !corrupt {
-			continue
-		}
-		hits++
-		if frac < 0 || frac >= 1 {
-			t.Fatalf("corrupt bit fraction %g outside [0,1)", frac)
-		}
-	}
-	if hits < 40 || hits > 140 {
-		t.Errorf("%d/200 transit corruptions at prob 0.4", hits)
-	}
-	var nilIn *Injector
-	if _, corrupt := nilIn.TransitCorrupt("item", 0); corrupt {
-		t.Error("nil injector corrupted a transfer")
-	}
-	if _, _, rot := nilIn.BitRot("p", 0); rot {
-		t.Error("nil injector rotted a file")
-	}
-}
-
 func TestCorruptionEnabledWiring(t *testing.T) {
 	if (Profile{}).CorruptionEnabled() {
 		t.Error("zero profile reports corruption enabled")
 	}
-	for _, p := range []Profile{{BitRotProb: 0.1}, {TransitCorruptProb: 0.1}} {
-		if !p.CorruptionEnabled() || !p.Enabled() {
-			t.Errorf("%+v not reported enabled", p)
-		}
+	if p := (Profile{BitRotProb: 0.1}); !p.CorruptionEnabled() || !p.Enabled() {
+		t.Errorf("%+v not reported enabled", p)
 	}
 }
 
@@ -429,7 +393,7 @@ func TestCorruptionEnabledWiring(t *testing.T) {
 // operation inside a draw, moves them.
 func TestFirstDrawsPinned(t *testing.T) {
 	in := MustNew(Profile{Seed: 11, JobFailureProb: 0.5, WriteFailProb: 0.25, WriteTruncateProb: 0.5,
-		JobSlowdownProb: 0.5, JobStallProb: 0.5, InSituSlowdownProb: 0.5, TransitDelayProb: 0.5})
+		JobSlowdownProb: 0.5, JobStallProb: 0.5, InSituSlowdownProb: 0.5})
 	for _, c := range []struct {
 		name string
 		draw func(i int) string
@@ -448,8 +412,6 @@ func TestFirstDrawsPinned(t *testing.T) {
 				"0 false, 0 false, 0.6841236488356278 true, 0 false"},
 		{"StepSlowdown", func(i int) string { return fmt.Sprint(in.StepSlowdown(i)) },
 			"1, 2.1776154919829342, 1, 1, 1, 1, 2.4505562195551267, 1"},
-		{"TransitDelay", func(i int) string { return fmt.Sprint(in.TransitDelay("item", i)) },
-			"2.6883760446932596, 0, 0, 13.846426717756227, 12.439740057016865, 0, 0, 0"},
 	} {
 		var got []string
 		for i := 0; i < 8; i++ {

@@ -144,9 +144,6 @@ func (c *Cube) Index(i, j, k int) int { return (i*c.N+j)*c.N + k }
 // At returns the value at (i, j, k).
 func (c *Cube) At(i, j, k int) complex128 { return c.Data[c.Index(i, j, k)] }
 
-// Set stores v at (i, j, k).
-func (c *Cube) Set(i, j, k int, v complex128) { c.Data[c.Index(i, j, k)] = v }
-
 // Forward3D transforms the cube along all three axes (forward convention).
 func (c *Cube) Forward3D() error { return c.transform3D(&c.fwd, false) }
 

@@ -153,7 +153,7 @@ func TestCubeIndexing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Set(1, 2, 3, complex(9, 0))
+	c.Data[c.Index(1, 2, 3)] = complex(9, 0)
 	if c.At(1, 2, 3) != complex(9, 0) {
 		t.Error("Set/At mismatch")
 	}
@@ -198,7 +198,7 @@ func TestCubePlaneWave(t *testing.T) {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
 				ang := 2 * math.Pi * 2 * float64(i) / float64(n)
-				c.Set(i, j, k, cmplx.Exp(complex(0, ang)))
+				c.Data[c.Index(i, j, k)] = cmplx.Exp(complex(0, ang))
 			}
 		}
 	}
@@ -235,7 +235,7 @@ func TestSolvePoissonPlaneWave(t *testing.T) {
 		v := math.Cos(2 * math.Pi * float64(i) / float64(n))
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
-				c.Set(i, j, k, complex(v, 0))
+				c.Data[c.Index(i, j, k)] = complex(v, 0)
 			}
 		}
 	}

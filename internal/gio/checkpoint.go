@@ -26,7 +26,7 @@ import (
 // and the IC seed — followed by the particle state as an embedded
 // wide-record (version 2) gio stream, with a CRC32 trailer over
 // everything. The particle payload being a plain gio stream means torn
-// checkpoints are salvageable with the same ReadSalvage machinery as any
+// checkpoints are salvageable with the same salvage parse as any
 // other gio file.
 
 const checkpointMagic = "HACCCKPT"

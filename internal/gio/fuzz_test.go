@@ -31,9 +31,9 @@ func craftedCounts() [][]byte {
 
 func TestReadRejectsCraftedCounts(t *testing.T) {
 	for _, stream := range craftedCounts() {
-		for name, read := range map[string]func(io.Reader) ([]Block, error){"Read": Read, "ReadSalvage": ReadSalvage} {
+		for name, read := range map[string]func([]byte) ([]Block, error){"strict": readStream, "salvage": salvageStream} {
 			var err error
-			if got := testsupport.Allocated(func() { _, err = read(bytes.NewReader(stream)) }); got > allocBound(stream) {
+			if got := testsupport.Allocated(func() { _, err = read(stream) }); got > allocBound(stream) {
 				t.Errorf("%s: allocated %d bytes for a %d-byte stream", name, got, len(stream))
 			}
 			if !errors.Is(err, ErrTruncated) {
@@ -49,16 +49,16 @@ func TestReadRejectsTrailingBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.WriteString("junk")
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := readStream(buf.Bytes()); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
 
-// FuzzGioRead holds the parser to four invariants on any input: Read and
-// ReadSalvage return rather than panic; neither allocates more than
-// allocBound; a stream Read accepts is exactly what Write (version 1) or
-// WriteWide (version 2) writes for its blocks; and ReadSalvage returns
-// the same blocks, with no error, for it.
+// FuzzGioRead holds the parser to four invariants on any input: a strict
+// and a salvage parse return rather than panic; neither allocates more
+// than allocBound; a stream the strict parse accepts is exactly what
+// Write (version 1) or WriteWide (version 2) writes for its blocks; and
+// the salvage parse returns the same blocks, with no error, for it.
 func FuzzGioRead(f *testing.F) {
 	for i, n := range []int{0, 1, 3} {
 		blocks := []Block{{Rank: i, Particles: randParticles(n, int64(i))}, {Rank: 7, Particles: randParticles(2, 9)}}
@@ -86,23 +86,23 @@ func FuzzGioRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		var blocks, salvaged []Block
 		var err, serr error
-		if got := testsupport.Allocated(func() { blocks, err = Read(bytes.NewReader(stream)) }); got > allocBound(stream) {
-			t.Fatalf("Read allocated %d bytes for a %d-byte stream", got, len(stream))
+		if got := testsupport.Allocated(func() { blocks, err = readStream(stream) }); got > allocBound(stream) {
+			t.Fatalf("strict parse allocated %d bytes for a %d-byte stream", got, len(stream))
 		}
-		if got := testsupport.Allocated(func() { salvaged, serr = ReadSalvage(bytes.NewReader(stream)) }); got > allocBound(stream) {
-			t.Fatalf("ReadSalvage allocated %d bytes for a %d-byte stream", got, len(stream))
+		if got := testsupport.Allocated(func() { salvaged, serr = salvageStream(stream) }); got > allocBound(stream) {
+			t.Fatalf("salvage parse allocated %d bytes for a %d-byte stream", got, len(stream))
 		}
 		if err != nil {
 			return
 		}
 		if serr != nil {
-			t.Fatalf("Read accepted the stream, ReadSalvage failed: %v", serr)
+			t.Fatalf("the strict parse accepted the stream, salvage failed: %v", serr)
 		}
 		write := Write
 		if binary.LittleEndian.Uint32(stream[len(Magic):]) == versionWide {
 			write = WriteWide
 		}
-		for name, got := range map[string][]Block{"Read": blocks, "ReadSalvage": salvaged} {
+		for name, got := range map[string][]Block{"strict": blocks, "salvage": salvaged} {
 			var back bytes.Buffer
 			if err := write(&back, got); err != nil {
 				t.Fatal(err)

@@ -12,7 +12,7 @@
 //   - Version 2 (checkpoint streams): 56-byte full-precision records —
 //     six float64 phase-space components plus the tag — so a restarted
 //     simulation is bit-identical to an uninterrupted one. Written by
-//     WriteWide; Read handles both.
+//     WriteWide; ReadFile handles both.
 //
 // The Q Continuum off-line pipeline aggregated "the results from 128
 // nodes from Titan ... in one file, resulting in 128 files containing 128
@@ -21,8 +21,8 @@
 // counts.
 //
 // Real HPC jobs are killed at walltime limits mid-write, so torn gio
-// files exist in practice. Read fails loudly with typed sentinels
-// (ErrTruncated, ErrChecksum); ReadSalvage instead recovers the valid
+// files exist in practice. ReadFile fails loudly with typed sentinels
+// (ErrTruncated, ErrChecksum); ReadSalvageFile instead recovers the valid
 // prefix of blocks, which is how a resuming campaign assesses a file
 // whose write was interrupted.
 package gio
@@ -68,9 +68,6 @@ type Block struct {
 	// Particles holds the block's particles.
 	Particles *nbody.Particles
 }
-
-// BytesForParticles returns the version 1 payload size for n particles.
-func BytesForParticles(n int) int64 { return int64(n) * RecordSize }
 
 // header layout: magic[8] version uint32, blockCount uint32.
 // block header: rank uint32, count uint64, crc uint32.
@@ -221,39 +218,6 @@ func decodeParticlesWide(p *nbody.Particles, at int, buf []byte) {
 	}
 }
 
-// Read parses a gio stream (either record layout), verifying the magic,
-// version and every block checksum. Torn streams fail with ErrTruncated,
-// corrupt blocks with ErrChecksum; nothing is returned for a damaged
-// file — use ReadSalvage to recover the valid prefix instead.
-func Read(r io.Reader) ([]Block, error) {
-	return parseReader(r, false)
-}
-
-// ReadSalvage parses as much of a gio stream as is intact: every block
-// that is complete and passes its checksum is returned, together with the
-// first error encountered (nil when the whole stream was valid). Unlike
-// the strict Read, a corrupt interior block — bit rot rather than a torn
-// tail — is skipped and the scan continues, since each block frames its
-// own payload length; only truncation stops the scan. This is the
-// recovery path for damaged output — the resumable campaign uses it to
-// report how much of an unjournaled file survived before redoing the step.
-func ReadSalvage(r io.Reader) ([]Block, error) {
-	return parseReader(r, true)
-}
-
-// parseReader parses r to its end. A count is believed only against a
-// known size, so a reader that cannot tell its length is read whole.
-func parseReader(r io.Reader, salvage bool) ([]Block, error) {
-	if s, ok := r.(interface{ Len() int }); ok {
-		return parse(r, int64(s.Len()), salvage)
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return parse(bytes.NewReader(data), int64(len(data)), salvage)
-}
-
 // decodeChunk is how many records parse reads, checksums and decodes at
 // a time: a block is decoded straight into its container, through a
 // buffer of one chunk rather than one the size of its payload.
@@ -372,12 +336,20 @@ func WriteFile(path string, blocks []Block) error {
 	return ckpt.WriteFileAtomic(path, buf.Bytes())
 }
 
-// ReadFile reads all blocks from a file path.
+// ReadFile parses a gio file (either record layout), verifying the magic,
+// version and every block checksum. Torn files fail with ErrTruncated,
+// corrupt blocks with ErrChecksum; nothing is returned for a damaged
+// file — use ReadSalvageFile to recover the valid blocks instead.
 func ReadFile(path string) ([]Block, error) {
 	return parseFile(path, false)
 }
 
-// ReadSalvageFile salvages the valid prefix of blocks from a file path.
+// ReadSalvageFile parses as much of a gio file as is intact: every block
+// that is complete and passes its checksum is returned, together with the
+// first error encountered (nil when the whole file was valid). Unlike
+// the strict ReadFile, a corrupt interior block — bit rot rather than a
+// torn tail — is skipped and the scan continues, since each block frames
+// its own payload length; only truncation stops the scan.
 func ReadSalvageFile(path string) ([]Block, error) {
 	return parseFile(path, true)
 }

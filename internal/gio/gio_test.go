@@ -32,9 +32,16 @@ func TestRecordSizeIs36(t *testing.T) {
 	if RecordSize != 36 {
 		t.Fatalf("record size = %d, want the paper's 36 bytes", RecordSize)
 	}
-	if BytesForParticles(1000) != 36000 {
-		t.Errorf("BytesForParticles = %d", BytesForParticles(1000))
-	}
+}
+
+// readStream and salvageStream parse a whole in-memory stream, strictly
+// and in salvage mode, as ReadFile and ReadSalvageFile parse a file.
+func readStream(data []byte) ([]Block, error) {
+	return parse(bytes.NewReader(data), int64(len(data)), false)
+}
+
+func salvageStream(data []byte) ([]Block, error) {
+	return parse(bytes.NewReader(data), int64(len(data)), true)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -51,7 +58,7 @@ func TestRoundTrip(t *testing.T) {
 	if buf.Len() != wantLen {
 		t.Errorf("stream length = %d, want %d", buf.Len(), wantLen)
 	}
-	got, err := Read(&buf)
+	got, err := readStream(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +86,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOTMAGIC\x01\x00\x00\x00\x00\x00\x00\x00"))); err == nil {
+	if _, err := readStream([]byte("NOTMAGIC\x01\x00\x00\x00\x00\x00\x00\x00")); err == nil {
 		t.Error("expected magic error")
 	}
 }
@@ -90,7 +97,7 @@ func TestReadRejectsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)-5])); err == nil {
+	if _, err := readStream(data[:len(data)-5]); err == nil {
 		t.Error("expected truncation error")
 	}
 }
@@ -102,7 +109,7 @@ func TestReadDetectsCorruption(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)-1] ^= 0xFF // flip a payload byte
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := readStream(data); err == nil {
 		t.Error("expected checksum error")
 	}
 }
@@ -174,11 +181,11 @@ func TestAggregationPlanUneven(t *testing.T) {
 
 func TestLevel1SizeMatchesTable1(t *testing.T) {
 	// Table 1: 1024³ particles -> ~40 GB raw; 8192³ -> ~20 TB.
-	gb := float64(BytesForParticles(1024*1024*1024)) / 1e9
+	gb := float64(1024*1024*1024*RecordSize) / 1e9
 	if gb < 35 || gb > 45 {
 		t.Errorf("1024³ Level 1 = %.1f GB, paper says ~40 GB", gb)
 	}
-	tb := float64(BytesForParticles(8192*8192*8192)) / 1e12
+	tb := float64(8192*8192*8192*RecordSize) / 1e12
 	if tb < 18 || tb > 22 {
 		t.Errorf("8192³ Level 1 = %.1f TB, paper says ~20 TB", tb)
 	}
@@ -232,14 +239,14 @@ func TestReadHeaderErrorPaths(t *testing.T) {
 	data := buf.Bytes()
 	// Truncations at every header boundary.
 	for _, cut := range []int{4, 9, 13, 17, 25, 29} {
-		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
+		if _, err := readStream(data[:cut]); err == nil {
 			t.Errorf("cut %d: expected error", cut)
 		}
 	}
 	// Unsupported version.
 	bad := append([]byte(nil), data...)
 	bad[8] = 99
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
+	if _, err := readStream(bad); err == nil {
 		t.Error("expected version error")
 	}
 }
@@ -257,7 +264,7 @@ func TestWideRoundTripBitExact(t *testing.T) {
 	if buf.Len() != wantLen {
 		t.Errorf("wide stream length = %d, want %d", buf.Len(), wantLen)
 	}
-	got, err := Read(&buf)
+	got, err := readStream(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestTypedSentinelErrors(t *testing.T) {
 	data := buf.Bytes()
 
 	// Torn file: drop the tail.
-	_, err := Read(bytes.NewReader(data[:len(data)-30]))
+	_, err := readStream(data[:len(data)-30])
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("torn file error = %v, want ErrTruncated", err)
 	}
@@ -290,13 +297,13 @@ func TestTypedSentinelErrors(t *testing.T) {
 	// Corrupt payload: flip a byte past the headers.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-1] ^= 0x40
-	_, err = Read(bytes.NewReader(bad))
+	_, err = readStream(bad)
 	if !errors.Is(err, ErrChecksum) {
 		t.Errorf("corrupt file error = %v, want ErrChecksum", err)
 	}
 
 	// Intact file: no error.
-	if _, err := Read(bytes.NewReader(data)); err != nil {
+	if _, err := readStream(data); err != nil {
 		t.Errorf("intact file error = %v", err)
 	}
 }
@@ -316,7 +323,7 @@ func TestReadSalvage(t *testing.T) {
 
 	// Tear the file inside block 2: blocks 0 and 1 must be salvaged.
 	torn := data[:len(data)-blockBytes/2]
-	got, err := ReadSalvage(bytes.NewReader(torn))
+	got, err := salvageStream(torn)
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("salvage error = %v, want ErrTruncated", err)
 	}
@@ -333,7 +340,7 @@ func TestReadSalvage(t *testing.T) {
 	// either side survive — salvage skips the bad block and keeps going.
 	bad := append([]byte(nil), data...)
 	bad[len(Magic)+8+blockBytes+blockBytes-3] ^= 0x10
-	got, err = ReadSalvage(bytes.NewReader(bad))
+	got, err = salvageStream(bad)
 	if !errors.Is(err, ErrChecksum) {
 		t.Errorf("salvage corrupt error = %v, want ErrChecksum", err)
 	}
@@ -341,12 +348,12 @@ func TestReadSalvage(t *testing.T) {
 		t.Fatalf("salvaged %d blocks from corrupt file, want ranks 0 and 2", len(got))
 	}
 	// Strict Read must still refuse the whole file.
-	if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
+	if _, err := readStream(bad); !errors.Is(err, ErrChecksum) {
 		t.Errorf("strict read of corrupt file = %v, want ErrChecksum", err)
 	}
 
 	// A clean file salvages everything with no error.
-	got, err = ReadSalvage(bytes.NewReader(data))
+	got, err = salvageStream(data)
 	if err != nil || len(got) != 3 {
 		t.Fatalf("clean salvage: %d blocks, %v", len(got), err)
 	}
@@ -381,7 +388,7 @@ func TestReadSalvageMultipleCorruptBlocks(t *testing.T) {
 	for _, bi := range []int{1, 3, 4} {
 		bad[len(Magic)+8+bi*blockBytes+16+5] ^= 0x01
 	}
-	got, err := ReadSalvage(bytes.NewReader(bad))
+	got, err := salvageStream(bad)
 	if !errors.Is(err, ErrChecksum) {
 		t.Errorf("salvage error = %v, want ErrChecksum (first corrupt block)", err)
 	}
@@ -404,7 +411,7 @@ func TestReadSalvageMultipleCorruptBlocks(t *testing.T) {
 	// Corruption plus a torn tail: the tear still stops the scan, and the
 	// reported error is the first one hit (the checksum, not the tear).
 	tornBad := bad[:len(bad)-blockBytes/2]
-	got, err = ReadSalvage(bytes.NewReader(tornBad))
+	got, err = salvageStream(tornBad)
 	if !errors.Is(err, ErrChecksum) {
 		t.Errorf("torn+corrupt error = %v, want first error (ErrChecksum)", err)
 	}
@@ -441,7 +448,7 @@ func TestReadChunkedBlock(t *testing.T) {
 		name, write, recSize := v.name, v.write, v.recSize
 		data, blocks, payload := multiChunkStream(t, write, recSize)
 		// Clean: every block round-trips through the chunked decode.
-		got, err := Read(bytes.NewReader(data))
+		got, err := readStream(data)
 		if err != nil || len(got) != 3 {
 			t.Fatalf("%s: clean read: %d blocks, %v", name, len(got), err)
 		}
@@ -452,10 +459,10 @@ func TestReadChunkedBlock(t *testing.T) {
 
 		bad := append([]byte(nil), data...)
 		bad[payload+(3*decodeChunk+2)*recSize+5] ^= 0x04
-		if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
+		if _, err := readStream(bad); !errors.Is(err, ErrChecksum) {
 			t.Errorf("%s: strict read of a rotten last chunk = %v, want ErrChecksum", name, err)
 		}
-		got, err = ReadSalvage(bytes.NewReader(bad))
+		got, err = salvageStream(bad)
 		if !errors.Is(err, ErrChecksum) {
 			t.Errorf("%s: salvage error = %v, want ErrChecksum", name, err)
 		}
@@ -471,21 +478,12 @@ func TestReadChunkedBlock(t *testing.T) {
 		// Torn in the second chunk: found from the size before any read,
 		// and mid-chunk by a reader that claims the untorn length.
 		torn := data[:payload+decodeChunk*recSize+100]
-		if _, err := Read(bytes.NewReader(torn)); !errors.Is(err, ErrTruncated) {
+		if _, err := readStream(torn); !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: read of a stream torn mid-chunk = %v, want ErrTruncated", name, err)
 		}
-		got, err = ReadSalvage(claimedLen{bytes.NewReader(torn), len(data)})
+		got, err = parse(bytes.NewReader(torn), int64(len(data)), true)
 		if !errors.Is(err, ErrTruncated) || len(got) != 1 || got[0].Rank != 0 {
 			t.Errorf("%s: salvage of a stream torn mid-chunk = %d blocks, %v; want block 0 and ErrTruncated", name, len(got), err)
 		}
 	}
 }
-
-// claimedLen reports a length its reader cannot deliver, as a file that
-// shrinks while it is read does.
-type claimedLen struct {
-	*bytes.Reader
-	n int
-}
-
-func (c claimedLen) Len() int { return c.n }

@@ -59,16 +59,6 @@ func (g *Scalar) CellSize() float64 { return g.BoxSize / float64(g.N) }
 // Index returns the flat index of cell (i, j, k), already wrapped.
 func (g *Scalar) Index(i, j, k int) int { return (i*g.N+j)*g.N + k }
 
-// At returns the value in cell (i, j, k) with periodic wrapping.
-func (g *Scalar) At(i, j, k int) float64 {
-	return g.Data[g.Index(wrap(i, g.N), wrap(j, g.N), wrap(k, g.N))]
-}
-
-// Set assigns cell (i, j, k) with periodic wrapping.
-func (g *Scalar) Set(i, j, k int, v float64) {
-	g.Data[g.Index(wrap(i, g.N), wrap(j, g.N), wrap(k, g.N))] = v
-}
-
 // Total returns the sum over all cells.
 func (g *Scalar) Total() float64 {
 	sum := 0.0

@@ -43,13 +43,14 @@ func TestNewScalarValidation(t *testing.T) {
 
 func TestAtSetPeriodicWrap(t *testing.T) {
 	g, _ := NewScalar(4, 1)
-	g.Set(0, 0, 0, 7)
-	if g.At(4, -4, 8) != 7 {
+	cell := func(i, j, k int) *float64 { return &g.Data[g.Index(wrap(i, g.N), wrap(j, g.N), wrap(k, g.N))] }
+	*cell(0, 0, 0) = 7
+	if *cell(4, -4, 8) != 7 {
 		t.Error("periodic wrap failed")
 	}
-	g.Set(-1, 5, 2, 3)
-	if g.At(3, 1, 2) != 3 {
-		t.Error("wrapped Set failed")
+	*cell(-1, 5, 2) = 3
+	if g.Data[g.Index(3, 1, 2)] != 3 {
+		t.Error("wrapped store failed")
 	}
 }
 
@@ -84,7 +85,7 @@ func TestDepositCICConservesMass(t *testing.T) {
 func TestDepositCICAtCellCentre(t *testing.T) {
 	g, _ := NewScalar(4, 4) // cell size 1; centres at 0.5, 1.5, ...
 	g.DepositCIC(1.5, 2.5, 3.5, 2.0)
-	if v := g.At(1, 2, 3); math.Abs(v-2.0) > 1e-12 {
+	if v := g.Data[g.Index(1, 2, 3)]; math.Abs(v-2.0) > 1e-12 {
 		t.Errorf("centre cell = %v, want 2", v)
 	}
 	if math.Abs(g.Total()-2.0) > 1e-12 {
@@ -96,8 +97,8 @@ func TestDepositCICAtCellCentre(t *testing.T) {
 func TestDepositCICSplitsAtCellEdge(t *testing.T) {
 	g, _ := NewScalar(4, 4)
 	g.DepositCIC(2.0, 0.5, 0.5, 1.0) // x=2.0 is the edge between cells 1 and 2
-	v1 := g.At(1, 0, 0)
-	v2 := g.At(2, 0, 0)
+	v1 := g.Data[g.Index(1, 0, 0)]
+	v2 := g.Data[g.Index(2, 0, 0)]
 	if math.Abs(v1-0.5) > 1e-12 || math.Abs(v2-0.5) > 1e-12 {
 		t.Errorf("split = %v, %v, want 0.5, 0.5", v1, v2)
 	}
@@ -123,7 +124,7 @@ func TestInterpolateCICLinearField(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		for j := 0; j < 16; j++ {
 			for k := 0; k < 16; k++ {
-				g.Set(i, j, k, float64(i)) // value = x-index
+				g.Data[g.Index(i, j, k)] = float64(i) // value = x-index
 			}
 		}
 	}
@@ -165,7 +166,7 @@ func TestGradientOfLinearRamp(t *testing.T) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
-				g.Set(i, j, k, float64(j)*2) // df/dy = 2 in interior
+				g.Data[g.Index(i, j, k)] = float64(j) * 2 // df/dy = 2 in interior
 			}
 		}
 	}
@@ -177,11 +178,11 @@ func TestGradientOfLinearRamp(t *testing.T) {
 	}
 	// Interior cells have exact gradient 2; wrap cells (j=0, j=n-1) differ.
 	for j := 1; j < n-1; j++ {
-		if v := fy.At(4, j, 4); math.Abs(v+2) > 1e-12 {
+		if v := fy.Data[fy.Index(4, j, 4)]; math.Abs(v+2) > 1e-12 {
 			t.Errorf("-grad y at j=%d: %v, want -2", j, v)
 		}
-		if fx.At(4, j, 4) != 0 || fz.At(4, j, 4) != 0 {
-			t.Errorf("-grad x, z at j=%d: %v, %v, want 0", j, fx.At(4, j, 4), fz.At(4, j, 4))
+		if fx.Data[fx.Index(4, j, 4)] != 0 || fz.Data[fz.Index(4, j, 4)] != 0 {
+			t.Errorf("-grad x, z at j=%d: %v, %v, want 0", j, fx.Data[fx.Index(4, j, 4)], fz.Data[fz.Index(4, j, 4)])
 		}
 	}
 }
@@ -208,7 +209,7 @@ func TestCICConvergence(t *testing.T) {
 			x := (float64(i) + 0.5) * g.CellSize()
 			for j := 0; j < n; j++ {
 				for k := 0; k < n; k++ {
-					g.Set(i, j, k, f(x))
+					g.Data[g.Index(i, j, k)] = f(x)
 				}
 			}
 		}

@@ -142,16 +142,11 @@ func NaiveFOF(p *nbody.Particles, box float64, o Options) (*Catalog, error) {
 	ds := NewDisjointSet(p.N())
 	for i := 0; i < p.N(); i++ {
 		for j := i + 1; j < p.N(); j++ {
-			var d2 float64
+			dx, dy, dz := p.X[i]-p.X[j], p.Y[i]-p.Y[j], p.Z[i]-p.Z[j]
 			if o.Periodic {
-				d2 = p.Dist2(i, j, box)
-			} else {
-				dx := p.X[i] - p.X[j]
-				dy := p.Y[i] - p.Y[j]
-				dz := p.Z[i] - p.Z[j]
-				d2 = dx*dx + dy*dy + dz*dz
+				dx, dy, dz = periodic.MinImage(dx, box), periodic.MinImage(dy, box), periodic.MinImage(dz, box)
 			}
-			if d2 <= b2 {
+			if dx*dx+dy*dy+dz*dz <= b2 {
 				ds.Union(i, j)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/kdtree"
 	"repro/internal/nbody"
+	"repro/internal/periodic"
 )
 
 // TotalParticlesInHalos sums member counts over all halos.
@@ -284,7 +285,10 @@ func TestPropertyFOFPartitionAndClosure(t *testing.T) {
 		b2 := o.LinkingLength * o.LinkingLength
 		for i := 0; i < p.N(); i++ {
 			for j := i + 1; j < p.N(); j++ {
-				if p.Dist2(i, j, box) <= b2 && owner[i] != owner[j] {
+				dx := periodic.MinImage(p.X[i]-p.X[j], box)
+				dy := periodic.MinImage(p.Y[i]-p.Y[j], box)
+				dz := periodic.MinImage(p.Z[i]-p.Z[j], box)
+				if dx*dx+dy*dy+dz*dz <= b2 && owner[i] != owner[j] {
 					return false // linked pair split across halos
 				}
 			}

@@ -72,9 +72,6 @@ func Build(x, y, z []float64, period float64, leafSize int) (*Tree, error) {
 	return t, nil
 }
 
-// N returns the number of points in the tree.
-func (t *Tree) N() int { return len(t.x) }
-
 // nodeCount returns the number of nodes build creates over n points.
 func nodeCount(n, leafSize int) int {
 	if n <= leafSize {

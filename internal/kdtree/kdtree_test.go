@@ -53,8 +53,8 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.N() != 0 {
-		t.Errorf("N = %d", tr.N())
+	if len(tr.x) != 0 {
+		t.Errorf("N = %d", len(tr.x))
 	}
 	tr.VisitWithin(0, 0, 0, 1, func(int) bool { t.Error("visited in empty tree"); return true })
 }

@@ -107,9 +107,8 @@ func detSourceLabel(fn *types.Func) (string, bool) {
 // detObsTimeArgs maps obs span methods to their timestamp parameters
 // (receiver excluded): span times must come from the injected clock.
 var detObsTimeArgs = map[string][]int{
-	"BeginAt": {2},    // (cat, name, t)
-	"EndAt":   {0},    // (t)
-	"SpanAt":  {3, 4}, // (parent, cat, name, start, end)
+	"EndAt":  {0},    // (t)
+	"SpanAt": {3, 4}, // (parent, cat, name, start, end)
 }
 
 // detInPlace: sorting canonicalizes an order-tainted collection.

@@ -134,7 +134,7 @@ func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
 
 // sortedKeys returns set's keys in sorted order, so that facts and
 // diagnostics built from a set do not depend on map iteration.
-func sortedKeys(set map[string]bool) []string {
+func sortedKeys[V any](set map[string]V) []string {
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)

@@ -37,7 +37,7 @@ var deterministicPkgs = map[string]bool{
 // callers impose the order (fixed-rank reductions, index-filled result
 // slots).
 var deterministicExempt = map[string]bool{
-	"transit": true, "mpi": true, "dparallel": true,
+	"mpi": true, "dparallel": true,
 }
 
 func isDeterministicPkg(pkg *types.Package) bool {

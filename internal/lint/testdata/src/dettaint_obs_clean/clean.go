@@ -14,9 +14,8 @@ import (
 // construction.
 func wire(o *obs.Observer, simNow func() float64) {
 	o.SetClock(simNow)
-	sp := o.BeginAt("step", "s", simNow())
+	sp := o.SpanAt(nil, "job", "j", simNow(), simNow()+5)
 	sp.EndAt(simNow() + 10)
-	o.SpanAt(nil, "job", "j", simNow(), simNow()+5)
 }
 
 // Passing time.Now as the *clock function* (not a sampled value) is the
@@ -32,5 +31,5 @@ func wireWall() *obs.Observer {
 // write rules.
 func telemetry(o *obs.Observer, started time.Time) {
 	d := time.Since(started).Seconds()
-	o.BeginAt("step", "s", d).Done()
+	o.SpanAt(nil, "step", "s", 0, d)
 }

@@ -8,11 +8,11 @@ import (
 	"obsstub"
 )
 
-// A wall-clock sample flowing straight into a span open/close.
+// A wall-clock sample flowing straight into a span's start and end.
 func traceStep(o *obs.Observer) {
 	t := float64(time.Now().UnixNano()) / 1e9
-	sp := o.BeginAt("step", "step-001", t) // want `nondeterministic value from time\.Now reaches obs\.BeginAt \(time arg 2\)`
-	sp.EndAt(t + 1)                        // want `nondeterministic value from time\.Now reaches obs\.EndAt \(time arg 0\)`
+	sp := o.SpanAt(nil, "step", "step-001", t, 0) // want `nondeterministic value from time\.Now reaches obs\.SpanAt \(time arg 3\)`
+	sp.EndAt(t + 1)                               // want `nondeterministic value from time\.Now reaches obs\.EndAt \(time arg 0\)`
 }
 
 // wallSeconds carries the taint through a helper; the summary makes the

@@ -1,7 +1,7 @@
 // Package obs is a fixture stub of the observability layer: dettaint
-// matches its span methods by package name and method (BeginAt, EndAt,
-// SpanAt) to keep wall-clock taint out of trace timestamps. Imported by
-// other fixtures as `import "obsstub"`.
+// matches its span methods by package name and method (EndAt, SpanAt) to
+// keep wall-clock taint out of trace timestamps. Imported by other
+// fixtures as `import "obsstub"`.
 package obs
 
 // Clock yields the current simulated time in seconds.
@@ -27,9 +27,6 @@ func (o *Observer) SetClock(c Clock) {
 type Span struct {
 	Start, End float64
 }
-
-// BeginAt opens a span at an explicit timestamp (a dettaint sink).
-func (o *Observer) BeginAt(cat, name string, t float64) *Span { return &Span{Start: t} }
 
 // SpanAt records a retroactive complete span (timestamps are sinks).
 func (o *Observer) SpanAt(parent *Span, cat, name string, start, end float64) *Span {

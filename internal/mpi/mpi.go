@@ -42,9 +42,6 @@ func NewWorld(size int) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Comm is one rank's handle onto the world.
 type Comm struct {
 	world *World

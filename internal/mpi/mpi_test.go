@@ -15,8 +15,8 @@ func TestNewWorldValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 3 {
-		t.Errorf("size = %d", w.Size())
+	if w.size != 3 {
+		t.Errorf("size = %d", w.size)
 	}
 }
 

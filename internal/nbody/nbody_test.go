@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cosmo"
 	"repro/internal/grid"
+	"repro/internal/periodic"
 )
 
 func lattice(np int, box float64) *Particles {
@@ -111,21 +112,12 @@ func TestParticlesValidate(t *testing.T) {
 	}
 }
 
-func TestWrapPeriodic(t *testing.T) {
-	p := NewParticles(0)
-	p.Append(-1, 11, 5, 0, 0, 0, 0)
-	p.WrapPeriodic(10)
-	if p.X[0] != 9 || p.Y[0] != 1 || p.Z[0] != 5 {
-		t.Errorf("wrapped = (%v, %v, %v)", p.X[0], p.Y[0], p.Z[0])
-	}
-}
-
-func TestDist2Periodic(t *testing.T) {
-	p := NewParticles(0)
-	p.Append(0.5, 5, 5, 0, 0, 0, 0)
-	p.Append(9.5, 5, 5, 0, 0, 0, 1)
-	if d := p.Dist2(0, 1, 10); math.Abs(d-1) > 1e-12 {
-		t.Errorf("Dist2 = %v, want 1 (periodic)", d)
+// wrapPeriodic folds all positions into [0, box).
+func wrapPeriodic(p *Particles, box float64) {
+	for i := range p.X {
+		p.X[i] = periodic.Wrap(p.X[i], box)
+		p.Y[i] = periodic.Wrap(p.Y[i], box)
+		p.Z[i] = periodic.Wrap(p.Z[i], box)
 	}
 }
 
@@ -306,7 +298,7 @@ func TestGrowthTracksLinearTheory(t *testing.T) {
 		p.X[i] += psi // displacement already includes D(a0)
 		p.VX[i] = f0 * psi * a0 * a0 * e0
 	}
-	p.WrapPeriodic(box)
+	wrapPeriodic(p, box)
 	s, err := NewSimulation(c, box, np, p, a0)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +334,7 @@ func TestStepConservesMomentum(t *testing.T) {
 		p.Y[i] += rng.NormFloat64() * 0.3
 		p.Z[i] += rng.NormFloat64() * 0.3
 	}
-	p.WrapPeriodic(box)
+	wrapPeriodic(p, box)
 	s, err := NewSimulation(c, box, np, p, 0.3)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,6 @@ package nbody
 
 import (
 	"fmt"
-
-	"repro/internal/periodic"
 )
 
 // BytesPerParticle is the size of one raw Level 1 particle record: three
@@ -107,22 +105,4 @@ func (p *Particles) Validate() error {
 			len(p.X), len(p.Y), len(p.Z), len(p.VX), len(p.VY), len(p.VZ), len(p.Tag))
 	}
 	return nil
-}
-
-// WrapPeriodic folds all positions into [0, box).
-func (p *Particles) WrapPeriodic(box float64) {
-	for i := range p.X {
-		p.X[i] = periodic.Wrap(p.X[i], box)
-		p.Y[i] = periodic.Wrap(p.Y[i], box)
-		p.Z[i] = periodic.Wrap(p.Z[i], box)
-	}
-}
-
-// Dist2 returns the squared minimum-image distance between particles i and
-// j in a periodic box of side l.
-func (p *Particles) Dist2(i, j int, l float64) float64 {
-	dx := periodic.MinImage(p.X[i]-p.X[j], l)
-	dy := periodic.MinImage(p.Y[i]-p.Y[j], l)
-	dz := periodic.MinImage(p.Z[i]-p.Z[j], l)
-	return dx*dx + dy*dy + dz*dz
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/gio"
 	"repro/internal/ic"
 	"repro/internal/nbody"
+	"repro/internal/periodic"
 	"repro/internal/powerspec"
 )
 
@@ -22,11 +23,10 @@ func perturbedLattice(*testing.T) (*nbody.Particles, float64) {
 	p := nbody.Lattice(diffNP, diffBox)
 	rng := rand.New(rand.NewSource(11))
 	for i := range p.X {
-		p.X[i] += rng.NormFloat64() * 0.3
-		p.Y[i] += rng.NormFloat64() * 0.3
-		p.Z[i] += rng.NormFloat64() * 0.3
+		p.X[i] = periodic.Wrap(p.X[i]+rng.NormFloat64()*0.3, diffBox)
+		p.Y[i] = periodic.Wrap(p.Y[i]+rng.NormFloat64()*0.3, diffBox)
+		p.Z[i] = periodic.Wrap(p.Z[i]+rng.NormFloat64()*0.3, diffBox)
 	}
-	p.WrapPeriodic(diffBox)
 	return p, 0.3
 }
 

@@ -72,9 +72,6 @@ func Cost(o *Observer) CostReport {
 	return r
 }
 
-// CoreHours returns the report's total charged core-hours.
-func (r CostReport) CoreHours() float64 { return r.Total.CoreHours }
-
 // WriteTable renders the report as a fixed-width text table (the
 // `workflow-sim -cost` artifact; deterministic bytes). The header names
 // the paper's Titan allocation policy, which every span follows.

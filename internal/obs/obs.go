@@ -37,7 +37,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/platform"
@@ -135,18 +134,6 @@ func (o *Observer) Metrics() *Registry {
 // Begin opens a root span at the current virtual time.
 func (o *Observer) Begin(cat, name string) *Span { return o.beginAt(nil, cat, name, -1, true) }
 
-// BeginAt opens a root span at an explicit virtual time t (useful when
-// the span logically started before the callback observing it ran).
-func (o *Observer) BeginAt(cat, name string, t float64) *Span {
-	return o.beginAt(nil, cat, name, t, false)
-}
-
-// BeginUnder opens a span nested under parent at the current virtual
-// time. A nil parent makes a root span.
-func (o *Observer) BeginUnder(parent *Span, cat, name string) *Span {
-	return o.beginAt(parent, cat, name, -1, true)
-}
-
 // SpanAt records a complete retroactive span [start, end] under parent
 // (nil parent: root). The workflow runners use it to lay down phase
 // spans whose durations come from the calibrated cost model rather than
@@ -224,10 +211,6 @@ func (sp *Span) Arg(key, value string) *Span {
 	sp.obs.mu.Unlock()
 	return sp
 }
-
-// ArgF annotates the span with a float value (formatted %g, which is
-// deterministic for a given float64).
-func (sp *Span) ArgF(key string, v float64) *Span { return sp.Arg(key, fmt.Sprintf("%g", v)) }
 
 // Charge sets the span's cost dimensions: nodes held on machine m for the
 // span's duration. The CostReport prices duration × nodes at m's charge

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestNilObserverInert(t *testing.T) {
 	// Every span method must tolerate nil.
 	sp.Done()
 	sp.EndAt(5)
-	sp.Arg("k", "v").ArgF("f", 1.5).Charge(platform.Titan(), 4)
+	sp.Arg("k", "v").Charge(platform.Titan(), 4)
 	if d := sp.Duration(); d != 0 {
 		t.Fatalf("nil span duration = %g", d)
 	}
@@ -51,13 +52,8 @@ func TestSpanTreeAndClock(t *testing.T) {
 	o := New("test", nil)
 	o.SetClock(clk.now)
 	root := o.Begin("campaign", "c8")
-	clk.t = 10
-	step := o.BeginUnder(root, "step", "step-000")
-	clk.t = 25
-	job := o.BeginUnder(step, "job", "post-000#1").Charge(platform.Moonlight(), 4)
-	clk.t = 40
-	job.Done()
-	step.EndAt(50)
+	step := o.SpanAt(root, "step", "step-000", 10, 50)
+	o.SpanAt(step, "job", "post-000#1", 25, 40).Charge(platform.Moonlight(), 4)
 	clk.t = 60
 	// Retroactive span under root.
 	o.SpanAt(root, "phase", "sim", 0, 55).Charge(platform.Titan(), 32)
@@ -101,8 +97,7 @@ func TestEndIsIdempotentAndClamped(t *testing.T) {
 	if sp.Duration() != 4 {
 		t.Fatalf("duration = %g, want 4", sp.Duration())
 	}
-	early := o.BeginAt("c", "back", 50)
-	early.EndAt(10) // clamped: spans never run backwards
+	early := o.SpanAt(nil, "c", "back", 50, 10) // clamped: spans never run backwards
 	if early.End != 50 {
 		t.Fatalf("clamped end = %g, want 50", early.End)
 	}
@@ -114,10 +109,8 @@ func TestTraceDeterministicBytes(t *testing.T) {
 		o := New("det", clk.now)
 		r := o.Begin("campaign", "c")
 		for i := 0; i < 3; i++ {
-			clk.t = float64(i * 10)
-			s := o.BeginUnder(r, "step", "s").ArgF("i", float64(i))
-			clk.t += 5
-			s.Done()
+			start := float64(i * 10)
+			o.SpanAt(r, "step", "s", start, start+5).Arg("i", strconv.Itoa(i))
 		}
 		clk.t = 100
 		r.Done()
@@ -211,8 +204,8 @@ func TestCostReportMath(t *testing.T) {
 	if q.Seconds != 400 || q.CoreHours != 0 {
 		t.Fatalf("queue line = %+v", q)
 	}
-	if r.CoreHours() != 992 {
-		t.Fatalf("total core-hours = %g", r.CoreHours())
+	if r.Total.CoreHours != 992 {
+		t.Fatalf("total core-hours = %g", r.Total.CoreHours)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteTable(&buf); err != nil {
@@ -233,7 +226,7 @@ func TestSpanChargeCarriesMachineFactor(t *testing.T) {
 	if sp.Machine != "scratch" || sp.Nodes != 4 || sp.ChargeFactor != 20 {
 		t.Fatalf("span cost dimensions = %s×%d at %g", sp.Machine, sp.Nodes, sp.ChargeFactor)
 	}
-	if got := Cost(o).CoreHours(); got != 40 {
+	if got := Cost(o).Total.CoreHours; got != 40 {
 		t.Fatalf("core-hours = %g, want 4 nodes × 0.5 h × 20 = 40", got)
 	}
 }

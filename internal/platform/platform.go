@@ -206,16 +206,6 @@ func DefaultCosts() AnalysisCosts {
 	}
 }
 
-// CenterSeconds returns the modelled time to find the MBP centers of the
-// given halos (particle counts) serially on one node of m.
-func (c AnalysisCosts) CenterSeconds(m Machine, useGPU bool, haloSizes []int) float64 {
-	t := 0.0
-	for _, n := range haloSizes {
-		t += float64(n) * float64(n) * c.CenterPairSeconds
-	}
-	return t * m.KernelFactor(useGPU)
-}
-
 // FOFSeconds returns the modelled halo-identification time for nLocal
 // particles on one node at linear growth factor dRel = D(a)/D(1).
 func (c AnalysisCosts) FOFSeconds(m Machine, nLocal int, dRel float64) float64 {
@@ -240,16 +230,6 @@ func (c AnalysisCosts) SubhaloCost(n float64) float64 {
 		return 0
 	}
 	return c.SubhaloParticleSeconds * math.Pow(n, c.subhaloExponent())
-}
-
-// SubhaloSeconds returns the modelled substructure-finding time for the
-// given halo sizes on one node (always CPU).
-func (c AnalysisCosts) SubhaloSeconds(m Machine, haloSizes []int) float64 {
-	t := 0.0
-	for _, n := range haloSizes {
-		t += c.SubhaloCost(float64(n))
-	}
-	return t * m.CPUFactor
 }
 
 // IOSeconds returns the modelled time for a nodes-wide job to read or

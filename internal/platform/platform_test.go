@@ -85,17 +85,23 @@ func TestIOSecondsScalesWithNodes(t *testing.T) {
 	}
 }
 
+// centerSeconds is the modelled time to find the MBP center of one halo
+// of n particles on m, as the workflow models price it: n² pairs at
+// CenterPairSeconds, scaled by the machine's kernel factor.
+func centerSeconds(m Machine, useGPU bool, n float64) float64 {
+	return n * n * DefaultCosts().CenterPairSeconds * m.KernelFactor(useGPU)
+}
+
 // Table 2 anchor: centers of a z=0 node with a 25M-particle halo project to
 // ~21,250 GPU seconds on Titan.
 func TestCenterSecondsTable2Anchor(t *testing.T) {
-	costs := DefaultCosts()
 	titan := Titan()
-	sec := costs.CenterSeconds(titan, true, []int{25_000_000})
+	sec := centerSeconds(titan, true, 25_000_000)
 	if sec < 15000 || sec > 28000 {
 		t.Errorf("25M-particle center = %v s, paper's slowest node is 21,250", sec)
 	}
 	// GPU/CPU factor.
-	cpuSec := costs.CenterSeconds(titan, false, []int{25_000_000})
+	cpuSec := centerSeconds(titan, false, 25_000_000)
 	if math.Abs(cpuSec/sec-50) > 1e-9 {
 		t.Errorf("CPU/GPU = %v", cpuSec/sec)
 	}
@@ -105,10 +111,9 @@ func TestCenterSecondsTable2Anchor(t *testing.T) {
 // with 10 million particles can take 10,000 times longer than for a halo
 // with 100,000 particles" (§3.3.2).
 func TestCenterSecondsQuadraticScaling(t *testing.T) {
-	costs := DefaultCosts()
 	titan := Titan()
-	big := costs.CenterSeconds(titan, true, []int{10_000_000})
-	small := costs.CenterSeconds(titan, true, []int{100_000})
+	big := centerSeconds(titan, true, 10_000_000)
+	small := centerSeconds(titan, true, 100_000)
 	if ratio := big / small; math.Abs(ratio-10000) > 1 {
 		t.Errorf("scaling ratio = %v, want 10,000", ratio)
 	}
@@ -135,13 +140,12 @@ func TestFOFSecondsTable2Anchor(t *testing.T) {
 
 func TestSubhaloSeconds(t *testing.T) {
 	costs := DefaultCosts()
-	titan := Titan()
-	small := costs.SubhaloSeconds(titan, []int{10000})
-	big := costs.SubhaloSeconds(titan, []int{1000000})
+	small := costs.SubhaloCost(10000)
+	big := costs.SubhaloCost(1000000)
 	if big <= small*50 {
 		t.Errorf("subhalo cost should grow superlinearly: %v vs %v", small, big)
 	}
-	if costs.SubhaloSeconds(titan, []int{1, 0}) != 0 {
+	if costs.SubhaloCost(1)+costs.SubhaloCost(0) != 0 {
 		t.Error("degenerate halos should cost nothing")
 	}
 }

@@ -83,19 +83,6 @@ func (m *Meter) Measure(p *nbody.Particles, box float64, ng, nBins int) (*Result
 	return spectrum(m.g, m.cube, nBins)
 }
 
-// MeasureGrid computes the power spectrum of an existing density-contrast
-// grid. The grid dimension must be a power of two.
-func MeasureGrid(g *grid.Scalar, nBins int) (*Result, error) {
-	if err := Check(g.N, nBins); err != nil {
-		return nil, err
-	}
-	cube, err := fft.NewCube(g.N)
-	if err != nil {
-		return nil, err
-	}
-	return spectrum(g, cube, nBins)
-}
-
 // spectrum transforms g in cube, which it overwrites, and bins the power.
 func spectrum(g *grid.Scalar, cube *fft.Cube, nBins int) (*Result, error) {
 	ng := g.N
@@ -175,5 +162,9 @@ func MeasureParallel(c *mpi.Comm, local *nbody.Particles, box float64, ng, nBins
 	if err := global.ToDensityContrast(); err != nil {
 		return nil, err
 	}
-	return MeasureGrid(global, nBins)
+	cube, err := fft.NewCube(ng)
+	if err != nil {
+		return nil, err
+	}
+	return spectrum(global, cube, nBins)
 }

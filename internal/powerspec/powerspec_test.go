@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/nbody"
@@ -40,11 +41,15 @@ func TestMeasureGridPlaneWave(t *testing.T) {
 		v := amp * math.Cos(2*math.Pi*float64(m)*float64(i)/float64(ng))
 		for j := 0; j < ng; j++ {
 			for k := 0; k < ng; k++ {
-				g.Set(i, j, k, v)
+				g.Data[g.Index(i, j, k)] = v
 			}
 		}
 	}
-	res, err := MeasureGrid(g, 15)
+	cube, err := fft.NewCube(ng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spectrum(g, cube, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

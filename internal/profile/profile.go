@@ -153,31 +153,3 @@ func Concentration(rVir, rs float64) (float64, error) {
 	}
 	return rVir / rs, nil
 }
-
-// SampleNFW generates n particle radii following an NFW profile with the
-// given scale radius, truncated at rMax, using inverse-transform sampling
-// of the enclosed-mass function m(r) ∝ ln(1+r/rs) - (r/rs)/(1+r/rs).
-// The uniform variates are supplied by rand01 (pass rng.Float64).
-func SampleNFW(n int, rs, rMax float64, rand01 func() float64) []float64 {
-	mEnc := func(r float64) float64 {
-		q := r / rs
-		return math.Log(1+q) - q/(1+q)
-	}
-	total := mEnc(rMax)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		target := rand01() * total
-		// Bisection on the monotone enclosed-mass function.
-		lo, hi := 0.0, rMax
-		for iter := 0; iter < 60; iter++ {
-			mid := (lo + hi) / 2
-			if mEnc(mid) < target {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		out[i] = (lo + hi) / 2
-	}
-	return out
-}

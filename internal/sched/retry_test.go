@@ -58,8 +58,8 @@ func TestJobFailsAndIsResubmitted(t *testing.T) {
 	if c.TimeLost != lost || c.LostNodeSeconds != nodeSeconds {
 		t.Errorf("time lost %v node-seconds %v, want %v and %v", c.TimeLost, c.LostNodeSeconds, lost, nodeSeconds)
 	}
-	if c.FreeNodes() != 10 {
-		t.Errorf("failed job leaked nodes: free = %d", c.FreeNodes())
+	if c.freeNodes != 10 {
+		t.Errorf("failed job leaked nodes: free = %d", c.freeNodes)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestJobRecoversOnRetry(t *testing.T) {
 	if c.FailedAttempts == 0 {
 		t.Error("expected some failed attempts at 50% rate")
 	}
-	if c.FreeNodes() != 10 {
-		t.Errorf("free = %d", c.FreeNodes())
+	if c.freeNodes != 10 {
+		t.Errorf("free = %d", c.freeNodes)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestNodeDrainWithholdsCapacity(t *testing.T) {
 	if j.StartTime != 100 {
 		t.Errorf("job started %v, want 100 (after drain)", j.StartTime)
 	}
-	if c.FreeNodes() != 10 {
-		t.Errorf("free = %d after drain ended", c.FreeNodes())
+	if c.freeNodes != 10 {
+		t.Errorf("free = %d after drain ended", c.freeNodes)
 	}
 }
 

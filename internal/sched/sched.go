@@ -158,10 +158,6 @@ func NewCluster(sim *des.Sim, m platform.Machine) (*Cluster, error) {
 	return &Cluster{Sim: sim, Machine: m, freeNodes: m.Nodes}, nil
 }
 
-// FreeNodes reports currently idle nodes (negative while a drain window
-// overlaps nodes that running jobs still occupy).
-func (c *Cluster) FreeNodes() int { return c.freeNodes }
-
 // Finished returns the completed jobs in completion order.
 func (c *Cluster) Finished() []*Job { return c.finished }
 

@@ -49,8 +49,8 @@ func TestJobRunsAndFreesNodes(t *testing.T) {
 	if !j.Completed || j.StartTime != 0 || j.EndTime != 100 {
 		t.Errorf("job = %+v", j)
 	}
-	if c.FreeNodes() != 10 {
-		t.Errorf("free = %d", c.FreeNodes())
+	if c.freeNodes != 10 {
+		t.Errorf("free = %d", c.freeNodes)
 	}
 	if len(c.Finished()) != 1 {
 		t.Errorf("finished = %d", len(c.Finished()))

@@ -76,22 +76,6 @@ func (h *Histogram) Add(v float64) {
 	h.Counts[bin]++
 }
 
-// AddAll accumulates every sample.
-func (h *Histogram) AddAll(vs []float64) {
-	for _, v := range vs {
-		h.Add(v)
-	}
-}
-
-// Total returns the in-range sample count.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // BinEdges returns the n+1 edges in value space (delogged when Log).
 func (h *Histogram) BinEdges() []float64 {
 	n := len(h.Counts)

@@ -13,18 +13,6 @@ const (
 	BreakerHalfOpen
 )
 
-// String names the state for reports.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // Breaker is a circuit breaker for the co-scheduling listener's submit
 // path: repeated transient submit refusals (an overloaded batch front-end)
 // open the breaker so the listener backs off instead of hot-looping, and a

@@ -295,14 +295,6 @@ func (sv *Supervisor) Decisions() []Decision {
 	return sv.decisions
 }
 
-// Watching reports the number of currently watched tasks.
-func (sv *Supervisor) Watching() int {
-	if sv == nil {
-		return 0
-	}
-	return len(sv.tasks)
-}
-
 // percentile returns the p-th percentile (nearest rank) of the ascending,
 // non-empty xs.
 func percentile(xs []float64, p float64) float64 {

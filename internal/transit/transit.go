@@ -1,37 +1,26 @@
-// Package transit implements a shared-memory staging area between a
-// running simulation and co-scheduled analysis consumers — a working
-// realization of the paper's hypothetical third workflow variant:
-// "Instead of writing out the Level 2 data that require further analysis
-// to disk, the data is now stored on a separate memory device and the
-// analysis is done in-transit. This could be either NVRAM or an external
-// memory set-up that is connected to both the main HPC system as well as
-// the analysis cluster" (§4.2). The paper could not test this ("We did not
-// have access to any machines that would have allowed us to carry out this
-// test"); here the staging device is process memory shared between
-// producer and consumer goroutines.
+// Package transit implements a bounded in-memory staging area between a
+// producer and analysis consumers — the device of the paper's
+// hypothetical third workflow variant: "Instead of writing out the Level 2
+// data that require further analysis to disk, the data is now stored on a
+// separate memory device and the analysis is done in-transit" (§4.2). The
+// paper could not test this ("We did not have access to any machines that
+// would have allowed us to carry out this test"). The campaign model
+// (core.CombinedInTransit) does not import this package; bench drives it.
 //
 // The staging area enforces a byte capacity: producers block when the
 // device is full (the simulation stalls if analysis cannot drain fast
 // enough — the real operational risk of in-transit designs), and consumers
-// block until data arrives. Closing the stage drains remaining items.
-//
-// Failure semantics: items handed to a consumer via Take are tracked
-// in-flight until Ack'd; a consumer that dies mid-item calls Redeliver and
-// the item goes back to the head of the queue for another worker, so a
-// crash loses no data. Abort marks the whole stage failed, unblocking
-// every producer and consumer — the fatal-error path that prevents the
-// simulation from hanging forever against a dead analysis side.
+// block until data arrives. An item handed out by Take stays in flight
+// until Ack'd. Closing the stage drains the queued items; once none is
+// queued or in flight, Take returns ErrClosed.
 package transit
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
-	"repro/internal/fault"
 	"repro/internal/integrity"
-	"repro/internal/obs"
 )
 
 // Item is one staged data product.
@@ -43,39 +32,19 @@ type Item struct {
 	// Payload is the in-memory product, handed over zero-copy.
 	Payload any
 	// Sum is the content address (integrity.Sum) of a []byte payload. Put
-	// fills it automatically; Take verifies the delivered bytes against it
-	// and retries the transfer on mismatch, so a bit flipped on the staging
-	// device or the interconnect never reaches analysis unnoticed.
+	// fills it; Take verifies the staged bytes against it, so a payload
+	// corrupted on the staging device never reaches analysis unnoticed.
 	Sum string
-	// Delivery is set by the stage: how many times this item was handed to
-	// a consumer before (0 on first delivery, incremented on redelivery).
-	Delivery int
 }
 
-// ErrClosed is returned by Put after Close and by Get once the stage is
+// ErrClosed is returned by Put after Close and by Take once the stage is
 // closed and drained.
 var ErrClosed = errors.New("transit: stage closed")
 
-// ErrConsumerDied is the error a Consume worker function returns to signal
-// that its (simulated or real) analysis rank crashed mid-item: the item is
-// redelivered to another worker and the dying worker retires.
-var ErrConsumerDied = errors.New("transit: consumer died")
-
-// ErrItemChecksum is returned by Take when an item's payload failed its
-// content checksum on every delivery attempt — the staged copy itself is
-// corrupt (not just the transfer), so retransfer cannot help.
+// ErrItemChecksum is returned by Take when an item's payload fails its
+// content checksum: the staged copy is corrupt, and the item is dropped
+// rather than handed to analysis.
 var ErrItemChecksum = errors.New("transit: item payload fails its checksum")
-
-// maxChecksumDeliveries bounds transfer retries for a checksum-failing
-// item before Take gives up with ErrItemChecksum.
-const maxChecksumDeliveries = 8
-
-// inflightEntry tracks one handed-out item and when it left the queue
-// (for ack-deadline reaping).
-type inflightEntry struct {
-	item    Item
-	takenAt float64
-}
 
 // Stage is a bounded in-memory staging device.
 type Stage struct {
@@ -85,30 +54,8 @@ type Stage struct {
 	capacity int64
 	used     int64
 	queue    []Item
-	inflight map[string]inflightEntry
+	inflight map[string]bool
 	closed   bool
-	abortErr error
-
-	// Ack-deadline reaping (see SetAckDeadline/Reap).
-	clock       func() float64
-	ackDeadline float64
-
-	// Transfer-corruption injection (see SetFaults).
-	faults *fault.Injector
-
-	// Stats.
-	totalItems    int64
-	totalBytes    int64
-	peakUsed      int64
-	stallCount    int64
-	redelivered   int64
-	reaped        int64
-	corruptCaught int64
-
-	// obs mirrors the stats into metric counters (see SetObs). Only
-	// order-independent counters, never spans: deliveries run on real
-	// goroutines, so span order would not be deterministic.
-	obs *obs.Observer
 }
 
 // NewStage creates a staging area holding at most capacity bytes.
@@ -116,7 +63,7 @@ func NewStage(capacity int64) (*Stage, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("transit: capacity %d must be positive", capacity)
 	}
-	s := &Stage{capacity: capacity, inflight: map[string]inflightEntry{}}
+	s := &Stage{capacity: capacity, inflight: map[string]bool{}}
 	s.notFull = sync.NewCond(&s.mu)
 	s.notEmpty = sync.NewCond(&s.mu)
 	return s, nil
@@ -133,183 +80,56 @@ func (s *Stage) Put(item Item) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stalled := false
-	for s.abortErr == nil && !s.closed && s.used+item.Bytes > s.capacity {
-		if !stalled {
-			s.stallCount++
-			stalled = true
-		}
+	for !s.closed && s.used+item.Bytes > s.capacity {
 		s.notFull.Wait()
-	}
-	if s.abortErr != nil {
-		return s.abortErr
 	}
 	if s.closed {
 		return ErrClosed
 	}
-	item.Delivery = 0
 	if data, ok := item.Payload.([]byte); ok && item.Sum == "" {
 		item.Sum = integrity.Sum(data)
 	}
 	s.queue = append(s.queue, item)
 	s.used += item.Bytes
-	s.totalItems++
-	s.totalBytes += item.Bytes
-	if s.used > s.peakUsed {
-		s.peakUsed = s.used
-	}
-	if s.obs != nil {
-		m := s.obs.Metrics()
-		m.Counter("transit.items").Inc()
-		m.Counter("transit.bytes").Add(float64(item.Bytes))
-		if stalled {
-			m.Counter("transit.stalls").Inc()
-		}
-	}
 	s.notEmpty.Signal()
 	return nil
 }
 
-// SetObs attaches a metrics observer. Per the determinism contract only
-// order-independent counters are recorded here — Put/Take run on real
-// goroutines, so spans (and last-writer-wins gauges) would record
-// nondeterministically. Counter totals depend only on the *set* of
-// events, not their interleaving.
-func (s *Stage) SetObs(o *obs.Observer) {
-	s.mu.Lock()
-	s.obs = o
-	s.mu.Unlock()
-}
-
 // drained reports (holding mu) whether nothing can ever arrive again: the
-// stage is closed, the queue is empty, and no item is in flight (an
-// in-flight item may yet be redelivered).
+// stage is closed, the queue is empty, and no item is in flight.
 func (s *Stage) drained() bool {
 	return s.closed && len(s.queue) == 0 && len(s.inflight) == 0
 }
 
-// Take removes the oldest staged item and records it in-flight until Ack
-// or Redeliver resolves it — the consumer-crash protocol. It blocks until
-// an item is available; after Close it drains remaining (and redelivered)
-// items, then returns ErrClosed. After Abort it returns the abort error.
+// Take removes the oldest staged item and records it in flight until Ack.
+// It blocks until an item is available; after Close it drains the
+// remaining items, waits for the in-flight ones, then returns ErrClosed.
 //
-// A []byte payload is verified end-to-end against Item.Sum as it crosses
-// the device boundary. A transfer corrupted in flight (injected via
-// SetFaults) fails the check and is retransferred from the staged copy; a
-// payload that fails on every attempt is corrupt at rest on the device,
-// and Take returns ErrItemChecksum rather than hand poison to analysis.
+// A []byte payload is verified end to end against Item.Sum as it crosses
+// the device boundary. A payload that fails the check is corrupt on the
+// device itself, so re-reading it cannot help: Take drops it and returns
+// ErrItemChecksum rather than hand poison to analysis.
 func (s *Stage) Take() (Item, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		for len(s.queue) == 0 && !s.drained() && s.abortErr == nil {
-			s.notEmpty.Wait()
-		}
-		if s.abortErr != nil {
-			return Item{}, s.abortErr
-		}
-		if len(s.queue) == 0 {
-			return Item{}, ErrClosed
-		}
-		item := s.queue[0]
-		s.queue = s.queue[1:]
-		s.used -= item.Bytes
-		s.notFull.Broadcast()
-		if data, ok := item.Payload.([]byte); ok && item.Sum != "" {
-			delivered := data
-			if s.faults != nil {
-				if bitFrac, corrupt := s.faults.TransitCorrupt(item.Key, item.Delivery); corrupt {
-					delivered = append([]byte(nil), data...)
-					integrity.FlipBit(delivered, bitFrac)
-				}
-			}
-			if integrity.Sum(delivered) != item.Sum {
-				s.corruptCaught++
-				if s.obs != nil {
-					s.obs.Metrics().Counter("transit.corrupt_caught").Inc()
-				}
-				item.Delivery++
-				if item.Delivery >= maxChecksumDeliveries {
-					return Item{}, fmt.Errorf("transit: item %q: %w (%d transfer attempts)", item.Key, ErrItemChecksum, item.Delivery)
-				}
-				// Retransfer: the staged copy goes back to the head and the
-				// next attempt re-reads it (a fresh delivery, fresh draw).
-				s.queue = append([]Item{item}, s.queue...)
-				s.used += item.Bytes
-				continue
-			}
-			item.Payload = delivered
-		}
-		e := inflightEntry{item: item}
-		if s.clock != nil {
-			e.takenAt = s.clock()
-		}
-		s.inflight[item.Key] = e
-		return item, nil
+	for len(s.queue) == 0 && !s.drained() {
+		s.notEmpty.Wait()
 	}
-}
-
-// SetClock attaches a time source (virtual or wall) for ack-deadline
-// reaping. The function is called with the stage lock held and must not
-// call back into the stage. Set it before any Take.
-func (s *Stage) SetClock(now func() float64) {
-	s.mu.Lock()
-	s.clock = now
-	s.mu.Unlock()
-}
-
-// SetFaults attaches a seeded fault injector whose TransitCorrupt knob
-// flips bits in delivered payload copies — the corruption lives in the
-// transfer, not the staged original, so a retransfer can succeed. Set it
-// before any Take.
-func (s *Stage) SetFaults(inj *fault.Injector) {
-	s.mu.Lock()
-	s.faults = inj
-	s.mu.Unlock()
-}
-
-// SetAckDeadline arms the reaper: an in-flight item older than d seconds
-// (by the SetClock time source) is redelivered by the next Reap call. 0
-// disables reaping.
-func (s *Stage) SetAckDeadline(d float64) {
-	s.mu.Lock()
-	s.ackDeadline = d
-	s.mu.Unlock()
-}
-
-// Reap redelivers every in-flight item whose ack deadline has expired —
-// the consumer holding it is presumed hung (a gray failure: it may yet
-// finish, which is why acks carry delivery tokens). Keys are reaped in
-// sorted order so redelivery order is deterministic. Returns the number
-// reaped. A no-op without a clock and deadline.
-func (s *Stage) Reap() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ackDeadline <= 0 || s.clock == nil {
-		return 0
+	if len(s.queue) == 0 {
+		return Item{}, ErrClosed
 	}
-	now := s.clock()
-	var stale []string
-	for k, e := range s.inflight {
-		if now-e.takenAt >= s.ackDeadline {
-			stale = append(stale, k)
-		}
+	item := s.queue[0]
+	s.queue = s.queue[1:]
+	s.used -= item.Bytes
+	s.notFull.Broadcast()
+	if data, ok := item.Payload.([]byte); ok && item.Sum != "" && integrity.Sum(data) != item.Sum {
+		return Item{}, fmt.Errorf("transit: item %q: %w", item.Key, ErrItemChecksum)
 	}
-	sort.Strings(stale)
-	for _, k := range stale {
-		s.redeliverLocked(k)
-		s.reaped++
-		if s.obs != nil {
-			s.obs.Metrics().Counter("transit.reaped").Inc()
-		}
-	}
-	return len(stale)
+	s.inflight[item.Key] = true
+	return item, nil
 }
 
-// Ack marks an in-flight item fully processed regardless of delivery.
-// Unknown keys are ignored. With ack-deadline reaping active, use
-// AckDelivery so a reaped consumer cannot resolve its successor's
-// delivery.
+// Ack marks an in-flight item fully processed. Unknown keys are ignored.
 func (s *Stage) Ack(key string) {
 	s.mu.Lock()
 	delete(s.inflight, key)
@@ -321,85 +141,7 @@ func (s *Stage) Ack(key string) {
 	s.mu.Unlock()
 }
 
-// AckDelivery acks the in-flight item only if the given delivery is the
-// one currently in flight, reporting whether it resolved the item. A
-// consumer whose delivery was reaped and redelivered holds a stale token:
-// its late ack returns false and leaves the live delivery untouched, so an
-// item is finally acked exactly once.
-func (s *Stage) AckDelivery(key string, delivery int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.inflight[key]
-	if !ok || e.item.Delivery != delivery {
-		return false
-	}
-	delete(s.inflight, key)
-	if s.drained() {
-		s.notEmpty.Broadcast()
-	}
-	return true
-}
-
-// Redeliver returns an in-flight item to the head of the queue — the
-// consumer processing it died mid-item, and another worker must pick it
-// up. The item's Delivery count is incremented. Unknown keys are ignored.
-// Redelivery re-accounts the item's bytes (transiently exceeding capacity
-// is allowed: the data was already resident).
-func (s *Stage) Redeliver(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.redeliverLocked(key)
-}
-
-// RedeliverDelivery redelivers only if the given delivery is the one in
-// flight (the dying consumer's token is still live), reporting whether it
-// did. A stale token is a no-op: the reaper already redelivered the item.
-func (s *Stage) RedeliverDelivery(key string, delivery int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.inflight[key]
-	if !ok || e.item.Delivery != delivery {
-		return false
-	}
-	s.redeliverLocked(key)
-	return true
-}
-
-// redeliverLocked is Redeliver holding mu.
-func (s *Stage) redeliverLocked(key string) {
-	e, ok := s.inflight[key]
-	if !ok {
-		return
-	}
-	delete(s.inflight, key)
-	item := e.item
-	item.Delivery++
-	s.queue = append([]Item{item}, s.queue...)
-	s.used += item.Bytes
-	if s.used > s.peakUsed {
-		s.peakUsed = s.used
-	}
-	s.redelivered++
-	if s.obs != nil {
-		s.obs.Metrics().Counter("transit.redelivered").Inc()
-	}
-	s.notEmpty.Broadcast()
-}
-
-// Get removes the oldest staged item, blocking until one is available.
-// After Close, remaining items drain; then Get returns ErrClosed. Get is
-// Take with an immediate Ack — use Take/Ack/Redeliver for crash-safe
-// consumption.
-func (s *Stage) Get() (Item, error) {
-	item, err := s.Take()
-	if err != nil {
-		return item, err
-	}
-	s.Ack(item.Key)
-	return item, nil
-}
-
-// Close marks the stage finished: pending Puts fail, pending Gets drain
+// Close marks the stage finished: pending Puts fail, pending Takes drain
 // then fail. Idempotent.
 func (s *Stage) Close() {
 	s.mu.Lock()
@@ -407,136 +149,4 @@ func (s *Stage) Close() {
 	s.notFull.Broadcast()
 	s.notEmpty.Broadcast()
 	s.mu.Unlock()
-}
-
-// Abort marks the stage failed with err: every pending and future Put,
-// Take and Get returns err immediately. Staged and in-flight items are
-// dropped. The first Abort wins; later calls are no-ops. A nil err aborts
-// with ErrClosed.
-func (s *Stage) Abort(err error) {
-	if err == nil {
-		err = ErrClosed
-	}
-	s.mu.Lock()
-	if s.abortErr == nil {
-		s.abortErr = err
-		s.closed = true
-		s.notFull.Broadcast()
-		s.notEmpty.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// Err returns the abort error, or nil if the stage was never aborted.
-func (s *Stage) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.abortErr
-}
-
-// Stats reports staging counters.
-type Stats struct {
-	// TotalItems and TotalBytes passed through the device.
-	TotalItems, TotalBytes int64
-	// PeakUsed is the high-water byte mark.
-	PeakUsed int64
-	// StallCount counts Put calls that had to wait for space — nonzero
-	// means the producer (the simulation) was throttled by analysis.
-	StallCount int64
-	// Redelivered counts items returned to the queue after a consumer
-	// died mid-item or blew its ack deadline; Reaped counts the subset
-	// redelivered by the ack-deadline reaper.
-	Redelivered int64
-	Reaped      int64
-	// CorruptCaught counts payload deliveries rejected by the end-to-end
-	// checksum at the Take boundary (each failed transfer attempt counts).
-	CorruptCaught int64
-	// Queued, InFlight and Used describe the current state.
-	Queued   int
-	InFlight int
-	Used     int64
-}
-
-// Stats returns a snapshot of the device counters.
-func (s *Stage) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		TotalItems:    s.totalItems,
-		TotalBytes:    s.totalBytes,
-		PeakUsed:      s.peakUsed,
-		StallCount:    s.stallCount,
-		Redelivered:   s.redelivered,
-		Reaped:        s.reaped,
-		CorruptCaught: s.corruptCaught,
-		Queued:        len(s.queue),
-		InFlight:      len(s.inflight),
-		Used:          s.used,
-	}
-}
-
-// Consume runs workers goroutines that drain the stage with fn until it
-// closes, returning the first error (nil on clean drain). It is the
-// analysis-side harness: each worker plays one co-scheduled analysis rank.
-//
-// Failure semantics: a worker whose fn returns (or wraps) ErrConsumerDied
-// redelivers its item to the remaining workers and retires — the rank
-// crashed but the data survives. Any other error is fatal: the stage is
-// aborted so blocked producers and the other workers unblock immediately
-// instead of hanging against a full device, and the error is returned. If
-// every worker dies, Consume aborts the stage (items still staged would
-// otherwise strand producers) and reports it.
-func Consume(s *Stage, workers int, fn func(Item) error) error {
-	if workers <= 0 {
-		return fmt.Errorf("transit: workers %d must be positive", workers)
-	}
-	errs := make([]error, workers)
-	var mu sync.Mutex
-	live := workers
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				item, err := s.Take()
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				if err != nil {
-					// Stage aborted (by another worker or externally).
-					return
-				}
-				if err := fn(item); err != nil {
-					if errors.Is(err, ErrConsumerDied) {
-						// Delivery-checked: if the reaper already
-						// redelivered this item, the dying worker's stale
-						// token must not bounce the live delivery.
-						s.RedeliverDelivery(item.Key, item.Delivery)
-						mu.Lock()
-						live--
-						last := live == 0
-						mu.Unlock()
-						if last {
-							dead := fmt.Errorf("transit: all %d workers died: %w", workers, ErrConsumerDied)
-							errs[w] = dead
-							s.Abort(dead)
-						}
-						return
-					}
-					errs[w] = err
-					s.Abort(err)
-					return
-				}
-				s.AckDelivery(item.Key, item.Delivery)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -26,18 +26,25 @@ func TestPutGetFIFO(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		item, err := s.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
+		item := take(t, s)
 		if item.Payload.(int) != i {
 			t.Errorf("got %v, want %d", item.Payload, i)
 		}
 	}
-	st := s.Stats()
-	if st.TotalItems != 5 || st.TotalBytes != 50 || st.Used != 0 || st.Queued != 0 {
-		t.Errorf("stats = %+v", st)
+	if s.used != 0 || len(s.queue) != 0 || len(s.inflight) != 0 {
+		t.Errorf("used %d, queued %d, in flight %d after draining", s.used, len(s.queue), len(s.inflight))
 	}
+}
+
+// take is Take and Ack, failing the test on an error.
+func take(t *testing.T, s *Stage) Item {
+	t.Helper()
+	item, err := s.Take()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Ack(item.Key)
+	return item
 }
 
 func TestPutRejectsOversized(t *testing.T) {
@@ -68,18 +75,12 @@ func TestBackpressure(t *testing.T) {
 	if produced.Load() {
 		t.Fatal("producer did not block on full device")
 	}
-	if _, err := s.Get(); err != nil {
-		t.Fatal(err)
-	}
+	take(t, s)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.StallCount != 1 {
-		t.Errorf("stalls = %d", st.StallCount)
-	}
-	if st.PeakUsed != 80 {
-		t.Errorf("peak = %d", st.PeakUsed)
+	if s.used != 80 {
+		t.Errorf("used = %d, want the second item's 80", s.used)
 	}
 }
 
@@ -90,11 +91,10 @@ func TestCloseDrainsThenFails(t *testing.T) {
 	}
 	s.Close()
 	// Drain the remaining item.
-	item, err := s.Get()
-	if err != nil || item.Payload.(string) != "x" {
-		t.Fatalf("drain failed: %v %v", item, err)
+	if item := take(t, s); item.Payload.(string) != "x" {
+		t.Fatalf("drained %v, want x", item)
 	}
-	if _, err := s.Get(); !errors.Is(err, ErrClosed) {
+	if _, err := s.Take(); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
 	if err := s.Put(Item{Key: "late", Bytes: 1}); !errors.Is(err, ErrClosed) {
@@ -109,8 +109,8 @@ func TestCloseUnblocksBlockedGet(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := s.Get(); !errors.Is(err, ErrClosed) {
-			t.Errorf("blocked Get err = %v", err)
+		if _, err := s.Take(); !errors.Is(err, ErrClosed) {
+			t.Errorf("blocked Take err = %v", err)
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -140,22 +140,30 @@ func TestCloseUnblocksBlockedPut(t *testing.T) {
 // across multiple workers, under capacity pressure.
 func TestConsumeAllItemsOnce(t *testing.T) {
 	s, _ := NewStage(50) // tight device: forces stalls
-	const n = 200
+	const n, workers = 200, 4
 	var seen sync.Map
 	var count atomic.Int64
-	var consumerErr error
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		consumerErr = Consume(s, 4, func(item Item) error {
-			if _, dup := seen.LoadOrStore(item.Key, true); dup {
-				return fmt.Errorf("duplicate %s", item.Key)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				item, err := s.Take()
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Error(err)
+					}
+					return
+				}
+				if _, dup := seen.LoadOrStore(item.Key, true); dup {
+					t.Errorf("duplicate %s", item.Key)
+				}
+				count.Add(1)
+				s.Ack(item.Key)
 			}
-			count.Add(1)
-			return nil
-		})
-	}()
+		}()
+	}
 	for i := 0; i < n; i++ {
 		if err := s.Put(Item{Key: fmt.Sprint(i), Bytes: 10}); err != nil {
 			t.Fatal(err)
@@ -163,33 +171,57 @@ func TestConsumeAllItemsOnce(t *testing.T) {
 	}
 	s.Close()
 	wg.Wait()
-	if consumerErr != nil {
-		t.Fatal(consumerErr)
-	}
 	if count.Load() != n {
 		t.Errorf("consumed %d of %d", count.Load(), n)
 	}
-	if st := s.Stats(); st.StallCount == 0 {
-		t.Error("expected stalls on the tight device")
-	}
 }
 
-func TestConsumeValidation(t *testing.T) {
-	s, _ := NewStage(10)
-	if err := Consume(s, 0, func(Item) error { return nil }); err == nil {
-		t.Error("expected workers error")
-	}
-}
-
-func TestConsumePropagatesWorkerError(t *testing.T) {
+// After Close, a Take waits while an item is in flight, and returns
+// ErrClosed once the last one is acked.
+func TestTakeBlocksOnInFlightUntilResolved(t *testing.T) {
 	s, _ := NewStage(100)
-	if err := s.Put(Item{Key: "a", Bytes: 1}); err != nil {
+	if err := s.Put(Item{Key: "a", Bytes: 10}); err != nil {
+		t.Fatal(err)
+	}
+	item, err := s.Take()
+	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	sentinel := errors.New("analysis failed")
-	err := Consume(s, 2, func(Item) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v", err)
+	got := make(chan error, 1)
+	go func() {
+		_, err := s.Take()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		t.Fatalf("Take returned early with %v while an item was in flight", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	s.Ack(item.Key)
+	if err := <-got; !errors.Is(err, ErrClosed) {
+		t.Errorf("err = %v, want ErrClosed after the final Ack", err)
+	}
+}
+
+func TestAckAfterCloseReleasesWaiters(t *testing.T) {
+	s, _ := NewStage(100)
+	if err := s.Put(Item{Key: "a", Bytes: 10}); err != nil {
+		t.Fatal(err)
+	}
+	item, err := s.Take()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	got := make(chan error, 1)
+	go func() {
+		_, err := s.Take()
+		got <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	s.Ack(item.Key)
+	if err := <-got; !errors.Is(err, ErrClosed) {
+		t.Errorf("err = %v, want ErrClosed after final Ack", err)
 	}
 }
