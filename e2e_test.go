@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,7 +71,7 @@ func TestMain(m *testing.M) {
 // the final step only, halos above split (0: none) deferred to Level 2.
 func splitConfig(t *testing.T, dir string, step int, linking float64, split int) string {
 	t.Helper()
-	path := filepath.Join(dir, fmt.Sprintf("ct-split%d.ini", split))
+	path := filepath.Join(dir, fmt.Sprintf("ct-step%d-split%d.ini", step, split))
 	text := fmt.Sprintf("[powerspectrum]\nevery = 0\nsteps = %d\n\n[halofinder]\nsteps = %d\nlinking_length = %g\nmin_size = 10\nsplit_threshold = %d\n",
 		step, step, linking, split)
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
@@ -272,12 +273,13 @@ func TestEndToEndSimulateThenOfflineAnalysis(t *testing.T) {
 	}
 }
 
-// mbpNearest maps the halo tag of each off-line record to the
-// minimum-image distance from its most bound particle to the nearest other
-// member of its halo, read from the Level 2 file (one gio block per halo).
-func mbpNearest(t *testing.T, l2Path string, box float64, offline []cosmotools.CenterRecord) map[int64]float64 {
+// mbpNearest maps the halo tag of each record to the minimum-image
+// distance from its most bound particle to the nearest other particle of
+// its gio block: in a Level 2 file a block is one halo, in hacc-sim's
+// Level 1 snapshot the whole box.
+func mbpNearest(t *testing.T, path string, box float64, records []cosmotools.CenterRecord) map[int64]float64 {
 	t.Helper()
-	blocks, err := gio.ReadFile(l2Path)
+	blocks, err := gio.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +291,10 @@ func mbpNearest(t *testing.T, l2Path string, box float64, offline []cosmotools.C
 		}
 	}
 	nearest := map[int64]float64{}
-	for _, r := range offline {
+	for _, r := range records {
 		m, ok := where[r.MBPTag]
 		if !ok {
-			t.Fatalf("halo %d: most bound particle %d is not in %s", r.HaloTag, r.MBPTag, l2Path)
+			t.Fatalf("halo %d: most bound particle %d is not in %s", r.HaloTag, r.MBPTag, path)
 		}
 		p, i := blocks[m.block].Particles, m.index
 		d2 := math.Inf(1)
@@ -307,6 +309,106 @@ func mbpNearest(t *testing.T, l2Path string, box float64, offline []cosmotools.C
 		nearest[r.HaloTag] = math.Sqrt(d2)
 	}
 	return nearest
+}
+
+// The off-line variant: hacc-sim writes a Level 1 snapshot at step 40 and
+// analyses the same step in situ with halos above 20 particles deferred
+// to Level 2; then the stand-alone driver's full mode analyses the
+// snapshot from disk. Its catalog must be the combined workflow's (the
+// in-situ centers merged with the Level 2 file's off-line centers) in
+// halo tags, most bound particles' tags and counts. Full mode reads the
+// float32 Level 1 file, so positions and potentials may differ by
+// Level 1's rounding, bounded as in TestEndToEndSimulateThenOfflineAnalysis
+// but with d the distance from the most bound particle to the nearest
+// particle of the whole box: no farther than its nearest member, so the
+// bound only loosens.
+func TestEndToEndOfflineFullMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end test")
+	}
+	bins := buildCmds(t)
+	const (
+		box       = 40.0
+		softening = 1e-3 // the halo finder's default
+	)
+	delta := box / (1 << 24)
+	posTol := delta + 2*0.5e-6
+	sepTol := 2 * math.Sqrt(3) * delta
+	const printTol = 2 * 5e-6
+	// sha256 of step040.centers, step040.l2.gio and the full-mode catalog,
+	// taken on amd64 at the commit before the halo finder ran the
+	// distributed analysis at one rank; the full-mode one at split 0.
+	pins := map[int][3]string{
+		3: {"a0ffc768e69ce11f71d30d07522aa31989de2a1cd6528b7447d8e79d3ee293c0",
+			"8349910fc6eb6f535a0fe0c514a8bfa9647c34f5ce4ccf870735713bf5919d31",
+			"f652102062e0ade608356470cda2a1a4b3633de468eddba1444b967f8a56cf9a"},
+		8: {"6cfbef07631f017e9fd0cf83fe7c06ddd65c786bdc2f75d6d377dfbc19ee382e",
+			"5494b9d9c99a2b30155ff351debc7c97ddb1f905ec33a943e9d59209ed821685",
+			"7160407e488536dad3f97430518def273aa479287da157b2963be11c4cef125c"},
+	}
+	for _, seed := range []int{3, 8} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			run := func(name string, args ...string) {
+				t.Helper()
+				if out, err := exec.Command(filepath.Join(bins, name), args...).CombinedOutput(); err != nil {
+					t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, out)
+				}
+			}
+			deck := filepath.Join(dir, "input.deck")
+			deckText := fmt.Sprintf("[simulation]\nnp = 32\nbox = 40\nsteps = 40\nsnapshot_every = 40\nseed = %d\noutput_dir = %s\n\n[cosmotools]\nenabled = true\nconfig = %s\n",
+				seed, dir, splitConfig(t, dir, 40, 0.25, 20))
+			if err := os.WriteFile(deck, []byte(deckText), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			run("hacc-sim", "-deck", deck)
+			l1, l2 := filepath.Join(dir, "step040.gio"), filepath.Join(dir, "step040.l2.gio")
+			fullPath := filepath.Join(dir, "full.centers")
+			run("cosmotools", "-in", l1, "-box", "40", "-config", splitConfig(t, dir, 1, 0.25, 0), "-out", fullPath)
+			run("cosmotools", "-in", l2, "-box", "40", "-np", "32", "-mode", "centers", "-out", filepath.Join(dir, "offline.centers"))
+
+			if runtime.GOARCH == "amd64" {
+				for k, name := range []string{"step040.centers", "step040.l2.gio", "full.centers"} {
+					b, err := os.ReadFile(filepath.Join(dir, name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != pins[seed][k] {
+						t.Errorf("seed %d: %s sha256 %s, want %s", seed, name, got, pins[seed][k])
+					}
+				}
+			}
+
+			want, err := cosmotools.MergeCenters(readCatalog(t, filepath.Join(dir, "step040.centers")),
+				readCatalog(t, filepath.Join(dir, "offline.centers")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := readCatalog(t, fullPath)
+			if len(full) != len(want) || len(want) < 10 {
+				t.Fatalf("seed %d: full mode wrote %d centers, the combined workflow %d (want equal, at least 10)", seed, len(full), len(want))
+			}
+			nearest := mbpNearest(t, l1, box, full)
+			for i, got := range full {
+				w := want[i]
+				if got.HaloTag != w.HaloTag || got.MBPTag != w.MBPTag || got.Count != w.Count {
+					t.Errorf("record %d: (halo_tag, mbp_tag, count) = (%d, %d, %d), combined (%d, %d, %d)",
+						i, got.HaloTag, got.MBPTag, got.Count, w.HaloTag, w.MBPTag, w.Count)
+					continue
+				}
+				for a := 0; a < 3; a++ {
+					if d := math.Abs(got.Pos[a] - w.Pos[a]); d > posTol {
+						t.Errorf("halo %d: center %v, combined %v (axis %d off by %.3g > %.3g)", got.HaloTag, got.Pos, w.Pos, a, d, posTol)
+					}
+				}
+				potTol := printTol + sepTol/(nearest[got.HaloTag]-sepTol+softening)
+				if d := math.Abs(got.Potential - w.Potential); d > potTol*math.Abs(w.Potential) {
+					t.Errorf("halo %d: potential %g, combined %g (relative %.3g > %.3g)", got.HaloTag, got.Potential, w.Potential, d/math.Abs(w.Potential), potTol)
+				}
+			}
+		})
+	}
 }
 
 // The listener must notice a new Level 2 file and run the analysis command
