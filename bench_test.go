@@ -246,7 +246,7 @@ func BenchmarkSubhaloImbalance(b *testing.B) {
 // BenchmarkPMStep measures one particle-mesh KDK step of the 32³ fixture.
 func BenchmarkPMStep(b *testing.B) {
 	sim, _, _ := snapshot(b)
-	clone := sim.P.Clone()
+	clone := nbody.Concat(sim.P)
 	params := cosmo.Default()
 	s2, err := nbody.NewSimulation(params, snapBox, snapNP, clone, 0.5)
 	if err != nil {

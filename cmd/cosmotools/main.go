@@ -17,7 +17,9 @@
 // Modes:
 //
 //	full     the standard tools over a full-box snapshot: P(k), halo finding
-//	         + centers (+ SO, subhalos, halo properties via config)
+//	         + centers (+ SO, subhalos, halo properties via config); halos
+//	         above split_threshold are centered from the halo finder's
+//	         Level 2 product and merged in, as centers mode would
 //	centers  MBP centers only over a Level 2 file (one block per large
 //	         halo); needs -np, the simulation's particles per dimension
 package main
@@ -68,53 +70,65 @@ func run(inPath, outPath string, box float64, np int, cfgPath, mode string) erro
 	if outPath == "" {
 		outPath = strings.TrimSuffix(inPath, ".gio") + ".centers"
 	}
-	merged := gio.Merge(blocks)
-	log.Printf("read %d particles in %d blocks from %s", merged.N(), len(blocks), inPath)
+	n := 0
+	for _, b := range blocks {
+		n += b.Particles.N()
+	}
+	log.Printf("read %d particles in %d blocks from %s", n, len(blocks), inPath)
 	if np == 0 {
 		// Only a full-box snapshot tells the particle load; a Level 2
 		// file holds the large halos alone.
 		if mode == "centers" {
 			return fmt.Errorf("-mode centers needs -np: a Level 2 file does not hold the full box, so the particle mass cannot be derived from its particle count")
 		}
-		np = int(math.Round(math.Cbrt(float64(merged.N()))))
+		np = int(math.Round(math.Cbrt(float64(n))))
 	}
 	mass := cosmo.Default().ParticleMass(box, np)
-
-	start := time.Now()
-	var centers []cosmotools.CenterRecord
-	switch mode {
-	case "full":
-		var cfg *cosmotools.Config
-		if cfgPath != "" {
-			if cfg, err = cosmotools.ParseConfigFile(cfgPath); err != nil {
-				return err
-			}
-		}
-		manager, err := cosmotools.NewStandardManager(cfg, box, np, np)
-		if err != nil {
+	var cfg *cosmotools.Config
+	if cfgPath != "" {
+		if cfg, err = cosmotools.ParseConfigFile(cfgPath); err != nil {
 			return err
 		}
-		ctx := cosmotools.NewContext(1, 1, box, mass, merged)
+	}
+	manager, err := cosmotools.NewStandardManager(cfg, box, np, np)
+	if err != nil {
+		return err
+	}
+	// The off-line centers repeat the halo finder's MBP search.
+	hf := manager.Algorithm("halofinder").(*cosmotools.HaloFinder)
+	co := center.Options{Mass: mass, Softening: hf.Softening}
+
+	start := time.Now()
+	var inSitu []cosmotools.CenterRecord
+	var l2 *cosmotools.Level2
+	switch mode {
+	case "full": // the halos the split defers are centered below
+		ctx := cosmotools.NewContext(1, 1, box, mass, gio.Merge(blocks))
 		if err := manager.Execute(ctx); err != nil {
 			return err
 		}
 		var ran bool
-		if centers, ran = ctx.Outputs["halofinder/centers"].([]cosmotools.CenterRecord); !ran {
+		if inSitu, ran = ctx.Outputs["halofinder/centers"].([]cosmotools.CenterRecord); !ran {
 			return fmt.Errorf("halofinder did not run: the input is analysed as step 1, which %s does not schedule", cfgPath)
 		}
+		l2 = ctx.Outputs["halofinder/level2"].(*cosmotools.Level2)
 		if cat, ok := ctx.Outputs["halofinder/catalog"].(*halo.Catalog); ok {
 			log.Printf("found %d halos (largest %d particles)", len(cat.Halos), cat.LargestCount())
 		}
 	case "centers":
-		l2, err := cosmotools.Level2FromBlocks(blocks)
-		if err != nil {
-			return err
-		}
-		if centers, err = cosmotools.CentersForLevel2(l2, box, center.Options{Mass: mass, Softening: 1e-3}); err != nil {
+		if l2, err = cosmotools.Level2FromBlocks(blocks); err != nil {
 			return err
 		}
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
+	}
+	offline, err := cosmotools.CentersForLevel2(l2, box, co)
+	if err != nil {
+		return err
+	}
+	centers, err := cosmotools.MergeCenters(inSitu, offline)
+	if err != nil {
+		return err
 	}
 	log.Printf("analysis took %.2fs", time.Since(start).Seconds())
 

@@ -80,6 +80,16 @@ func splitConfig(t *testing.T, dir string, step int, linking float64, split int)
 	return path
 }
 
+// readFile reads a file or fails the test.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // readCatalog reads a Level 3 catalog, sorted by halo tag.
 func readCatalog(t *testing.T, path string) []cosmotools.CenterRecord {
 	t.Helper()
@@ -314,7 +324,8 @@ func mbpNearest(t *testing.T, path string, box float64, records []cosmotools.Cen
 // The off-line variant: hacc-sim writes a Level 1 snapshot at step 40 and
 // analyses the same step in situ with halos above 20 particles deferred
 // to Level 2; then the stand-alone driver's full mode analyses the
-// snapshot from disk. Its catalog must be the combined workflow's (the
+// snapshot from disk, and writes the same catalog at split 0 and 20. It
+// must be the combined workflow's (the
 // in-situ centers merged with the Level 2 file's off-line centers) in
 // halo tags, most bound particles' tags and counts. Full mode reads the
 // float32 Level 1 file, so positions and potentials may differ by
@@ -366,15 +377,16 @@ func TestEndToEndOfflineFullMode(t *testing.T) {
 			l1, l2 := filepath.Join(dir, "step040.gio"), filepath.Join(dir, "step040.l2.gio")
 			fullPath := filepath.Join(dir, "full.centers")
 			run("cosmotools", "-in", l1, "-box", "40", "-config", splitConfig(t, dir, 1, 0.25, 0), "-out", fullPath)
+			run("cosmotools", "-in", l1, "-box", "40", "-config", splitConfig(t, dir, 1, 0.25, 20), "-out", filepath.Join(dir, "full20.centers"))
 			run("cosmotools", "-in", l2, "-box", "40", "-np", "32", "-mode", "centers", "-out", filepath.Join(dir, "offline.centers"))
+			// Full mode centers the halos its split defers itself.
+			if a, b := readFile(t, fullPath), readFile(t, filepath.Join(dir, "full20.centers")); !bytes.Equal(a, b) {
+				t.Errorf("seed %d: full mode at split 20 wrote %d bytes, at split 0 %d; want the same catalog", seed, len(b), len(a))
+			}
 
 			if runtime.GOARCH == "amd64" {
 				for k, name := range []string{"step040.centers", "step040.l2.gio", "full.centers"} {
-					b, err := os.ReadFile(filepath.Join(dir, name))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != pins[seed][k] {
+					if got := fmt.Sprintf("%x", sha256.Sum256(readFile(t, filepath.Join(dir, name)))); got != pins[seed][k] {
 						t.Errorf("seed %d: %s sha256 %s, want %s", seed, name, got, pins[seed][k])
 					}
 				}

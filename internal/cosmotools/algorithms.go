@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/center"
-	"repro/internal/dparallel"
 	"repro/internal/gio"
 	"repro/internal/halo"
 	"repro/internal/kdtree"
@@ -143,9 +142,9 @@ func (p *PowerSpectrum) Execute(ctx *Context) error {
 
 // --- Halo finding with the combined-workflow split ---
 
-// HaloFinder runs FOF halo identification and the in-situ half of the
-// center-finding split: centers for halos at or below SplitThreshold are
-// computed immediately (on the configured backend); particles of larger
+// HaloFinder runs ParallelAnalysis over the context's ranks: overload FOF
+// and the in-situ half of the center-finding split. Centers for halos at
+// or below SplitThreshold are computed immediately; particles of larger
 // halos are extracted as Level 2 data for off-line/co-scheduled analysis.
 // A SplitThreshold of 0 disables the split (everything in-situ), matching
 // the paper's pure in-situ workflow.
@@ -159,9 +158,11 @@ type HaloFinder struct {
 	SplitThreshold int
 	// Softening for MBP potentials.
 	Softening float64
-	// Backend for the data-parallel center finder.
-	Backend dparallel.Backend
 }
+
+// overloadLinks is the overload width in linking lengths: 20 b is four mean
+// spacings at b = 0.2, so a rank sees each halo it owns whole (§3.3.1).
+const overloadLinks = 20
 
 // NewHaloFinder returns a halo finder with paper-like defaults.
 func NewHaloFinder() *HaloFinder {
@@ -205,36 +206,26 @@ func (h *HaloFinder) ShouldExecute(ctx *Context) bool { return h.sched.ShouldRun
 
 // Execute implements Algorithm. Outputs:
 //
-//	halofinder/catalog  *halo.Catalog — all identified halos
-//	halofinder/centers  []CenterRecord — centers found in-situ
+//	halofinder/catalog  *halo.Catalog — the halos this rank owns
+//	halofinder/centers  []CenterRecord — centers found in-situ, by halo tag
 //	halofinder/level2   *Level2 — particles of halos above the threshold
 func (h *HaloFinder) Execute(ctx *Context) error {
-	cat, err := halo.FOF(ctx.Particles, ctx.Box, halo.Options{
-		LinkingLength: h.LinkingLength,
-		MinSize:       h.MinSize,
-		Periodic:      true,
-	})
+	pp, err := ParallelAnalysis(ctx.Comm, ctx.Particles, ctx.Box, overloadLinks*h.LinkingLength,
+		halo.Options{LinkingLength: h.LinkingLength, MinSize: h.MinSize}, h.SplitThreshold,
+		center.Options{Mass: ctx.ParticleMass, Softening: h.Softening})
 	if err != nil {
 		return err
 	}
-	ctx.Outputs["halofinder/catalog"] = cat
-	centers, level2, err := SplitCenterFinding(ctx.Particles, ctx.Box, cat, h.SplitThreshold, center.Options{
-		Mass:      ctx.ParticleMass,
-		Softening: h.Softening,
-		Backend:   h.Backend,
-	})
-	if err != nil {
-		return err
-	}
-	ctx.Outputs["halofinder/centers"] = centers
-	ctx.Outputs["halofinder/level2"] = level2
+	ctx.Outputs["halofinder/catalog"] = pp.Catalog
+	ctx.Outputs["halofinder/centers"] = GatherCenters(ctx.Comm, pp.Centers)
+	ctx.Outputs["halofinder/level2"] = GatherLevel2(ctx.Comm, pp.Level2)
 	return nil
 }
 
 // SplitCenterFinding performs the combined workflow's division of labour:
 // MBP centers for halos with Count <= threshold (or all, when threshold
-// <= 0), and a Level 2 extraction of the rest. It is shared by the in-situ
-// algorithm above and the stand-alone off-line driver.
+// <= 0), and a Level 2 extraction of the rest. ParallelAnalysis runs it
+// over each rank's owned halos.
 func SplitCenterFinding(p *nbody.Particles, box float64, cat *halo.Catalog, threshold int, o center.Options) ([]CenterRecord, *Level2, error) {
 	var centers []CenterRecord
 	l2 := &Level2{}

@@ -17,6 +17,7 @@ package cosmotools
 import (
 	"fmt"
 
+	"repro/internal/mpi"
 	"repro/internal/nbody"
 )
 
@@ -33,15 +34,17 @@ type Context struct {
 	Box float64
 	// ParticleMass is the equal particle mass in Msun/h.
 	ParticleMass float64
-	// Particles is the (zero-copy) Level 1 particle data.
+	// Particles is the (zero-copy) Level 1 particle data: this rank's.
 	Particles *nbody.Particles
+	// Comm is the communicator the distributed analyses run over.
+	Comm *mpi.Comm
 	// Outputs collects analysis products by "<algorithm>/<key>"; the
 	// workflow layer decides which are Level 2 (data handed to off-line
 	// analysis) and which are Level 3 (final catalogs).
 	Outputs map[string]any
 }
 
-// NewContext prepares an analysis context.
+// NewContext prepares an analysis context on one rank (mpi.Self).
 func NewContext(step int, a, box, particleMass float64, p *nbody.Particles) *Context {
 	return &Context{
 		Step:         step,
@@ -50,6 +53,7 @@ func NewContext(step int, a, box, particleMass float64, p *nbody.Particles) *Con
 		Box:          box,
 		ParticleMass: particleMass,
 		Particles:    p,
+		Comm:         mpi.Self(),
 		Outputs:      map[string]any{},
 	}
 }
@@ -113,12 +117,20 @@ func NewStandardManager(cfg *Config, box float64, np, ng int) (*Manager, error) 
 // Register appends an algorithm. Registering two algorithms with the same
 // name is rejected so outputs cannot collide.
 func (m *Manager) Register(a Algorithm) error {
-	for _, existing := range m.algorithms {
-		if existing.Name() == a.Name() {
-			return fmt.Errorf("cosmotools: algorithm %q already registered", a.Name())
-		}
+	if m.Algorithm(a.Name()) != nil {
+		return fmt.Errorf("cosmotools: algorithm %q already registered", a.Name())
 	}
 	m.algorithms = append(m.algorithms, a)
+	return nil
+}
+
+// Algorithm returns the registered algorithm of the given name, or nil.
+func (m *Manager) Algorithm(name string) Algorithm {
+	for _, a := range m.algorithms {
+		if a.Name() == name {
+			return a
+		}
+	}
 	return nil
 }
 
@@ -127,18 +139,12 @@ func (m *Manager) Register(a Algorithm) error {
 // are an error (a misspelled tool must not silently no-op).
 func (m *Manager) Configure(cfg *Config) error {
 	for _, section := range cfg.SectionNames() {
-		found := false
-		for _, a := range m.algorithms {
-			if a.Name() == section {
-				if err := a.SetParameters(cfg.Section(section)); err != nil {
-					return fmt.Errorf("cosmotools: configuring %q: %w", section, err)
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
+		a := m.Algorithm(section)
+		if a == nil {
 			return fmt.Errorf("cosmotools: config section %q matches no registered algorithm", section)
+		}
+		if err := a.SetParameters(cfg.Section(section)); err != nil {
+			return fmt.Errorf("cosmotools: configuring %q: %w", section, err)
 		}
 	}
 	return nil

@@ -50,9 +50,13 @@ func GatherCenters(c *mpi.Comm, centers []CenterRecord) []CenterRecord {
 }
 
 // GatherLevel2 concatenates every rank's Level 2 extraction onto rank 0
-// (other ranks receive an empty product). Spans are re-based onto the
-// concatenated particle container.
+// (other ranks receive an empty product), its spans re-based and in
+// catalog order (count descending, then tag) as a single rank's already
+// are: one rank gets its own product back, and N ranks the same bytes.
 func GatherLevel2(c *mpi.Comm, l2 *Level2) *Level2 {
+	if c.Size() == 1 {
+		return l2
+	}
 	all := c.AllGather(l2)
 	if c.Rank() != 0 {
 		return &Level2{Particles: nbody.NewParticles(0)}
@@ -73,7 +77,10 @@ func GatherLevel2(c *mpi.Comm, l2 *Level2) *Level2 {
 		base += part.Particles.N()
 	}
 	out.Particles = nbody.Concat(parts...)
-	sort.Slice(out.Spans, func(a, b int) bool { return out.Spans[a].Tag < out.Spans[b].Tag })
+	sort.Slice(out.Spans, func(a, b int) bool {
+		na, nb := out.Spans[a].End-out.Spans[a].Start, out.Spans[b].End-out.Spans[b].Start
+		return na > nb || na == nb && out.Spans[a].Tag < out.Spans[b].Tag
+	})
 	return out
 }
 
@@ -107,29 +114,19 @@ func MergeCenters(inSitu, offline []CenterRecord) ([]CenterRecord, error) {
 // what the co-scheduled analysis jobs execute.
 func CentersForLevel2(l2 *Level2, box float64, o center.Options) ([]CenterRecord, error) {
 	var out []CenterRecord
-	p := l2.Particles
 	for _, span := range l2.Spans {
-		n := span.End - span.Start
-		if n <= 0 {
+		if span.End <= span.Start {
 			return nil, fmt.Errorf("cosmotools: empty Level 2 span for halo %d", span.Tag)
 		}
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = span.Start + i
+		hl := halo.Halo{Tag: span.Tag, Indices: make([]int, span.End-span.Start)}
+		for i := range hl.Indices {
+			hl.Indices[i] = span.Start + i
 		}
-		ux, uy, uz := center.Unwrap(p.X, p.Y, p.Z, idx, box)
-		res, err := center.BruteForce(ux, uy, uz, o)
+		rec, err := FindCenter(l2.Particles, box, &hl, o)
 		if err != nil {
-			return nil, fmt.Errorf("cosmotools: Level 2 centers for halo %d: %w", span.Tag, err)
+			return nil, err
 		}
-		gi := idx[res.Index]
-		out = append(out, CenterRecord{
-			HaloTag:   span.Tag,
-			MBPTag:    p.Tag[gi],
-			Pos:       [3]float64{p.X[gi], p.Y[gi], p.Z[gi]},
-			Potential: res.Potential,
-			Count:     n,
-		})
+		out = append(out, rec.CenterRecord)
 	}
 	return out, nil
 }

@@ -268,14 +268,20 @@ func TestLevel2BlocksRoundTrip(t *testing.T) {
 	}
 }
 
+// Rank 0 gets every rank's halos, rebased and in catalog order (count
+// descending, then tag), which is not rank order; one rank gets its own
+// extraction back.
 func TestGatherLevel2RebasesSpans(t *testing.T) {
 	err := mpi.RunRanks(3, func(c *mpi.Comm) error {
-		// Each rank contributes one 2-particle halo.
+		// Each rank contributes a halo of 2+rank particles and one of 2.
 		l2 := &Level2{Particles: nbody.NewParticles(0)}
-		base := int64(c.Rank() * 10)
-		l2.Particles.Append(float64(c.Rank()), 0, 0, 0, 0, 0, base)
-		l2.Particles.Append(float64(c.Rank()), 1, 0, 0, 0, 0, base+1)
-		l2.Spans = []Level2Span{{Tag: base, Start: 0, End: 2}}
+		for _, h := range []struct{ tag, n int }{{c.Rank() * 10, 2 + c.Rank()}, {c.Rank()*10 + 5, 2}} {
+			start := l2.Particles.N()
+			for k := 0; k < h.n; k++ {
+				l2.Particles.Append(float64(c.Rank()), float64(k), 0, 0, 0, 0, int64(h.tag+k))
+			}
+			l2.Spans = append(l2.Spans, Level2Span{Tag: int64(h.tag), Start: start, End: l2.Particles.N()})
+		}
 		got := GatherLevel2(c, l2)
 		if c.Rank() != 0 {
 			if got.Particles.N() != 0 {
@@ -283,22 +289,28 @@ func TestGatherLevel2RebasesSpans(t *testing.T) {
 			}
 			return nil
 		}
-		if got.Particles.N() != 6 || len(got.Spans) != 3 {
+		if got.Particles.N() != 15 || len(got.Spans) != 6 {
 			return fmt.Errorf("gathered %d particles / %d spans", got.Particles.N(), len(got.Spans))
 		}
+		var tags []int64
 		for _, span := range got.Spans {
-			if span.End-span.Start != 2 {
-				return fmt.Errorf("span %+v", span)
-			}
 			// The span's first particle must carry the span tag.
 			if got.Particles.Tag[span.Start] != span.Tag {
 				return fmt.Errorf("span %d points at tag %d", span.Tag, got.Particles.Tag[span.Start])
 			}
+			tags = append(tags, span.Tag)
+		}
+		if want := []int64{20, 10, 0, 5, 15, 25}; !reflect.DeepEqual(tags, want) {
+			return fmt.Errorf("span tags %v, want %v", tags, want)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	l2 := &Level2{Particles: nbody.NewParticles(0)}
+	if got := GatherLevel2(mpi.Self(), l2); got != l2 {
+		t.Error("one rank's Level 2 product was copied")
 	}
 }
 

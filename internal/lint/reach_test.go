@@ -25,8 +25,6 @@ var unlinkedAllowed = map[string]string{
 	"repro/internal/fft.Forward":                 "reference: the standalone 1-D DFT, held to a naive DFT by the fft tests",
 	"repro/internal/fft.Inverse":                 "reference: the inverse of fft.Forward, held to complex division",
 	"repro/internal/fft.transform":               "reference: the butterflies of fft.Forward and fft.Inverse",
-	"repro/internal/cosmotools.GatherLevel2":     "pending ROADMAP 23: the off-line binary gathers Level 2 across ranks",
-	"repro/internal/cosmotools.MergeCenters":     "pending ROADMAP 23: the off-line binary merges rank center catalogs",
 	"repro/internal/powerspec.MeasureParallel":   "pending ROADMAP 23: the distributed power spectrum",
 	"repro/internal/integrity.Ledger.Downstream": "pending ROADMAP 22(b): the real pipeline's ledger",
 	"repro/internal/fault.MustNew":               "test helper: the fault, sched, fs and core tests build injectors with it",

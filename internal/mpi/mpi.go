@@ -48,6 +48,13 @@ type Comm struct {
 	rank  int
 }
 
+// Self returns a one-rank communicator for the calling goroutine, as
+// MPI_COMM_SELF is: every collective on it returns at once.
+func Self() *Comm {
+	w, _ := NewWorld(1) // only a size below 1 fails
+	return &Comm{world: w}
+}
+
 // Rank returns the caller's rank id in [0, Size).
 func (c *Comm) Rank() int { return c.rank }
 

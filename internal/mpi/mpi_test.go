@@ -144,8 +144,10 @@ func TestAllToAllRepeated(t *testing.T) {
 	}
 }
 
+// One rank, launched by RunRanks or taken from Self in the test's own
+// goroutine, gets its own contribution back from every collective.
 func TestSingleRankWorld(t *testing.T) {
-	err := RunRanks(1, func(c *Comm) error {
+	body := func(c *Comm) error {
 		c.Barrier()
 		if all := c.AllGather(3); len(all) != 1 || all[0].(int) != 3 {
 			return fmt.Errorf("allgather = %v", all)
@@ -155,8 +157,13 @@ func TestSingleRankWorld(t *testing.T) {
 			return fmt.Errorf("alltoall = %v", in[0])
 		}
 		return nil
-	})
-	if err != nil {
+	}
+	if err := RunRanks(1, body); err != nil {
 		t.Fatal(err)
+	}
+	if c := Self(); c.Rank() != 0 || c.Size() != 1 {
+		t.Fatalf("Self is rank %d of %d, want 0 of 1", c.Rank(), c.Size())
+	} else if err := body(c); err != nil {
+		t.Fatalf("Self: %v", err)
 	}
 }

@@ -78,8 +78,9 @@ func Distribute(c *mpi.Comm, local *Particles, box float64) (*Particles, error) 
 // WithOverload returns the rank's extended particle set: a copy of local
 // followed by its ghosts, the neighbour particles within overload
 // distance of the slab's boundaries (periodic across the box ends), in
-// source rank order. local must already be decomposed (every particle
-// inside the caller's slab).
+// source rank order. A single rank has no ghosts and gets local itself.
+// local must already be decomposed (every particle inside the caller's
+// slab).
 func WithOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Particles, error) {
 	size := c.Size()
 	rank := c.Rank()
@@ -93,7 +94,7 @@ func WithOverload(c *mpi.Comm, local *Particles, box, overload float64) (*Partic
 	if size == 1 {
 		// Single rank sees the whole box; no ghosts needed (periodic FOF
 		// handles wrapping directly).
-		return local.Clone(), nil
+		return local, nil
 	}
 	lo, hi := SlabBounds(rank, size, box)
 	left := (rank - 1 + size) % size

@@ -56,7 +56,7 @@ func TestParticlesAppendSelectClone(t *testing.T) {
 	if q.N() != 1 || q.X[0] != 10 || q.Tag[0] != 70 {
 		t.Errorf("select = %+v", q)
 	}
-	c := p.Clone()
+	c := Concat(p) // a one-part Concat is a deep copy
 	c.X[0] = 99
 	if p.X[0] == 99 {
 		t.Error("clone aliases original")

@@ -60,9 +60,6 @@ func (p *Particles) AppendFrom(src *Particles, i int) {
 	p.Append(src.X[i], src.Y[i], src.Z[i], src.VX[i], src.VY[i], src.VZ[i], src.Tag[i])
 }
 
-// Clone returns a deep copy.
-func (p *Particles) Clone() *Particles { return Concat(p) }
-
 // Concat returns a new container holding the particles of every part, in
 // argument order: one exact-size allocation and one copy per column and
 // part, which is how particles move between ranks, files and products.

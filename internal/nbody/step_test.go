@@ -78,7 +78,7 @@ func TestStepMatchesReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, a0 := tc.start(t)
-			sim, ref := newSim(t, p, a0), newSim(t, p.Clone(), a0)
+			sim, ref := newSim(t, p, a0), newSim(t, nbody.Concat(p), a0)
 			da := (tc.aEnd - a0) / float64(tc.steps)
 			err := sim.Run(tc.aEnd, tc.steps, func(step int) error {
 				if err := ref.ReferenceStep(da); err != nil {
@@ -103,7 +103,7 @@ func TestStepMatchesReference(t *testing.T) {
 func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	const steps, at = 12, 5
 	p, a0 := gaussianIC(t)
-	full, cut := newSim(t, p, a0), newSim(t, p.Clone(), a0)
+	full, cut := newSim(t, p, a0), newSim(t, nbody.Concat(p), a0)
 	if err := full.Run(1, steps, nil); err != nil {
 		t.Fatal(err)
 	}
